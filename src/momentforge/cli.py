@@ -509,7 +509,7 @@ def _run_convexity(report, scenario, mom):
     report.require("convexity", "coverage_ok", cov.fraction >= 0.99)
     report.coverage = cov
     if mom.r:
-        ext = convex.no_local_extremum_check(M, mom)
+        ext = convex.circle_extremum_check(mom)
         report.require("convexity", "no_local_extrema", ext.passed)
         lift = convex.cycle_lift(M, scenario.action, mom,
                                  mu1_target=tuple([0.0] * mom.c)
@@ -547,6 +547,8 @@ def _run_reduce(report, scenario, mom):
                                              (val,))
         verdict = reduction.regular_value_check(problem)
         report.require("reduce", f"stage{stage}_regular", verdict.regular)
+        if not verdict.regular:
+            break
         reduced = reduction.reduce_at(problem)
         reduction.induced_moment(reduced, seed=scenario.seed)
         report.add("reduce", f"stage{stage}_dimension",

@@ -1,6 +1,7 @@
 """Image structure of the generalized moment: convex hulls of the
-Hamiltonian part, product coverage of the full image, openness proxies, the
-first-Betti-number bound, and explicit cycle lifting."""
+Hamiltonian part, product coverage of the full image, the exact
+no-extremum predicate, the first-Betti-number bound, and explicit cycle
+lifting."""
 
 from __future__ import annotations
 
@@ -191,43 +192,18 @@ def product_coverage_check(manifold: ProductManifold,
 @dataclass(frozen=True)
 class ExtremumReport:
     covectors_nonzero: tuple
-    no_discrete_extremum: tuple
     passed: bool
 
 
-def no_local_extremum_check(manifold: ProductManifold,
-                            moment: GeneralizedMoment,
-                            grid: int = 32) -> ExtremumReport:
-    """Each circle component must have a nonzero defining covector (exact)
-    and no strict local extremum mod 1 on a discretized torus grid."""
+def circle_extremum_check(moment: GeneralizedMoment) -> ExtremumReport:
+    """Exact no-local-extremum test for the circle components.  A component
+    is x -> <a, x> mod 1 on the torus coordinates (plus sphere terms); a
+    nonzero integer covector a makes it a submersion onto the circle, so it
+    has no local extremum; a zero covector fails the check."""
     if moment.r < 1:
         raise ValueError("no circle components to check")
-    m = manifold.torus_dim
-    nonzero = []
-    no_ext = []
-    for comp in moment.mu2:
-        cov = comp.torus_covector
-        nonzero.append(any(cov))
-        if m == 0:
-            no_ext.append(True)
-            continue
-        axes = [np.arange(grid) / grid for _ in range(m)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = np.zeros_like(mesh[0])
-        for k in range(m):
-            vals += cov[k] * mesh[k]
-        vals = np.mod(vals, 1.0)
-        is_max = np.ones(vals.shape, dtype=bool)
-        is_min = np.ones(vals.shape, dtype=bool)
-        for k in range(m):
-            for shift in (1, -1):
-                d = np.roll(vals, shift, axis=k) - vals
-                d -= np.round(d)
-                is_max &= d < 0
-                is_min &= d > 0
-        no_ext.append(not (is_max.any() or is_min.any()))
-    passed = all(nonzero) and all(no_ext)
-    return ExtremumReport(tuple(nonzero), tuple(no_ext), passed)
+    nonzero = tuple(any(comp.torus_covector) for comp in moment.mu2)
+    return ExtremumReport(nonzero, all(nonzero))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ class NonIntegerPeriod(Exception):
     not actually integral."""
 
 
+class FixedPointChainBroken(Exception):
+    """The action has fixed points, yet one of their consequences (isotropic
+    orbits, a vanishing cocycle, an invariant circle part) fails."""
+
+
 def cocycle_matrix(manifold: ProductManifold, action: ActionSpec,
                    omega_prime: ProductForm,
                    classification: ActionClassification,
@@ -86,23 +91,16 @@ def equivariance_check(manifold: ProductManifold, action: ActionSpec,
     rng = np.random.default_rng(seed)
     pts = geom.sample_points(manifold, n_samples, seed + 1)
     svals = rng.random((n_samples, r))
+    params = svals @ np.array(gens, dtype=float).reshape(r, action.r_total)
+    moved = geom.apply_torus_element(manifold, action, params, pts)
     max_mu2 = 0.0
     max_mu1 = 0.0
-    mu1_before = moment.mu1_values(pts)
-    mu2_before = moment.mu2_values(pts)
-    for i in range(n_samples):
-        params = [0.0] * action.r_total
-        for sj, g in zip(svals[i], gens):
-            for k, gk in enumerate(g):
-                params[k] += sj * gk
-        moved = geom.apply_torus_element(manifold, action, params, pts[i])
-        if r:
-            expected = affine_apply(z, svals[i], mu2_before[i])
-            got = moment.mu2_values(moved)[0]
-            max_mu2 = max(max_mu2, circle_distance(got, expected))
-        if moment.c:
-            max_mu1 = max(max_mu1, float(np.max(np.abs(
-                moment.mu1_values(moved)[0] - mu1_before[i]))))
+    if r:
+        expected = affine_apply(z, svals, moment.mu2_values(pts))
+        max_mu2 = circle_distance(moment.mu2_values(moved), expected)
+    if moment.c:
+        max_mu1 = float(np.max(np.abs(moment.mu1_values(moved)
+                                      - moment.mu1_values(pts))))
     passed = max_mu2 < tol and max_mu1 < tol
     return EquivarianceReport(n_samples, max_mu2, max_mu1, passed)
 
@@ -168,18 +166,18 @@ def natural_equivariance_test(manifold: ProductManifold, action: ActionSpec,
     if moment.r:
         rng = np.random.default_rng(seed)
         pts = geom.sample_points(manifold, n_samples, seed + 1)
-        before = moment.mu2_values(pts)
-        for i in range(n_samples):
-            params = rng.random(action.r_total)
-            moved = geom.apply_torus_element(manifold, action, params, pts[i])
-            max_err = max(max_err,
-                          circle_distance(moment.mu2_values(moved)[0],
-                                          before[i]))
+        params = rng.random((n_samples, action.r_total))
+        moved = geom.apply_torus_element(manifold, action, params, pts)
+        max_err = circle_distance(moment.mu2_values(moved),
+                                  moment.mu2_values(pts))
     mu2_invariant = max_err < CIRCLE_TOL
     if has_fp:
-        assert iso.isotropic, "fixed points present but orbits not isotropic"
-        assert z_zero, "fixed points present but cocycle nonzero"
-        assert mu2_invariant, "fixed points present but mu2 not invariant"
+        for holds, what in ((iso.isotropic, "orbits not isotropic"),
+                            (z_zero, "cocycle nonzero"),
+                            (mu2_invariant, "mu2 not invariant")):
+            if not holds:
+                raise FixedPointChainBroken(
+                    f"fixed points present but {what}")
     natural = iso.isotropic and z_zero and mu2_invariant
     return NaturalEquivarianceVerdict(has_fp, iso.isotropic, z_zero,
                                       mu2_invariant, natural, max_err)

@@ -50,8 +50,8 @@ class FlatTorusFactor:
             for j in range(m):
                 if exact[i][j] != -exact[j][i]:
                     raise ValueError("omega must be antisymmetric")
-        if m > 0 and ratlin.pfaffian(exact) == 0:
-            raise ValueError("degenerate torus form (zero Pfaffian)")
+        if m > 0 and ratlin.determinant(exact) == 0:
+            raise ValueError("degenerate torus form (zero determinant)")
 
     @property
     def dim(self) -> int:
@@ -93,7 +93,7 @@ class ProductForm:
         if any(_as_exact(c) == 0 for c in self.sphere_coeffs):
             return False
         t = self.torus_exact()
-        return not t or ratlin.pfaffian(t) != 0
+        return not t or ratlin.determinant(t) != 0
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def contraction_covector(manifold: ProductManifold, form: ProductForm,
 
 
 # ---------------------------------------------------------------------------
-# homology and integration
+# homology
 
 @dataclass(frozen=True)
 class TorusLoop:
@@ -302,16 +302,6 @@ class TorusLoop:
         object.__setattr__(self, "direction", d)
         if self.basepoint is not None:
             object.__setattr__(self, "basepoint", tuple(self.basepoint))
-
-
-@dataclass(frozen=True)
-class LatitudeLoop:
-    sphere_index: int
-    height: float = 0.0
-
-    def __post_init__(self):
-        if not -1.0 <= self.height <= 1.0:
-            raise ValueError("latitude height outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -334,62 +324,6 @@ def homology_bases(manifold: ProductManifold):
     cycles = [TorusTwoCycle(i, j) for i in range(m) for j in range(i + 1, m)]
     cycles += [SphereTwoCycle(f) for f in range(manifold.n_spheres)]
     return loops, cycles
-
-
-def integrate_oneform_over_loop(manifold: ProductManifold, form: ProductForm,
-                                fld: FundamentalField, loop):
-    """Integral of i_X omega over a closed loop, in closed form (the
-    integrand is constant along both loop families)."""
-    cov = contraction_covector(manifold, form, fld)
-    if isinstance(loop, TorusLoop):
-        m = manifold.torus_dim
-        if len(loop.direction) != m:
-            raise ValueError("loop direction dimension mismatch")
-        return sum(cov[k] * loop.direction[k] for k in range(m))
-    if isinstance(loop, LatitudeLoop):
-        # tangent is d/dtheta; i_X omega has no dtheta component
-        o = manifold.sphere_offset(loop.sphere_index)
-        return cov[o] * 1  # identically zero by construction
-    raise TypeError("unknown loop type")
-
-
-def integrate_twoform_over_cycle(manifold: ProductManifold, form: ProductForm,
-                                 cycle):
-    if isinstance(cycle, TorusTwoCycle):
-        return form.torus_omega[cycle.i][cycle.j]
-    if isinstance(cycle, SphereTwoCycle):
-        return 2 * form.sphere_coeffs[cycle.sphere_index]
-    raise TypeError("unknown cycle type")
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     max_evals: int = 2 ** 20) -> float:
-    """Adaptive Simpson quadrature with an absolute tolerance; used as the
-    numeric oracle against the closed-form integrals."""
-    budget = [max_evals]
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps):
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        if budget[0] < 2:
-            return whole
-        budget[0] -= 2
-        fl, fr = f(lmid), f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, fl, fmid, left, eps / 2.0)
-                + recurse(mid, hi, fmid, fr, fhi, right, eps / 2.0))
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    budget[0] -= 3
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +374,15 @@ def apply_torus_element(manifold: ProductManifold, action: ActionSpec,
     """Act with the group element exp(sum_j params_j * eta_j): translate the
     torus coordinates and rotate each sphere.  The orbit direction is the
     generator data itself, independent of the sign convention (which only
-    flips the fundamental fields)."""
+    flips the fundamental fields).
+
+    params has shape (r_total,), one element acting on every point, or
+    (n, r_total), row i acting on point i."""
+    params = np.asarray(params, dtype=float)
     out = np.array(points, dtype=float)
     m = manifold.torus_dim
-    for t, v, s in zip(params, action.translations, action.rotations):
+    for j, (v, s) in enumerate(zip(action.translations, action.rotations)):
+        t = params[..., j]
         for i in range(m):
             out[..., i] += t * v[i]
         for f in range(manifold.n_spheres):

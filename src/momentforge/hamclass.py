@@ -29,6 +29,11 @@ class RoundingBrokeConditionB(Exception):
     larger denominator bound."""
 
 
+class SplittingIncomplete(Exception):
+    """The Hamiltonian basis and its complement do not together span the
+    acting torus."""
+
+
 @dataclass(frozen=True)
 class PeriodMatrix:
     """Rows indexed by generators, columns by the H_1 coordinate loops;
@@ -81,13 +86,11 @@ class ActionClassification:
 
 def period_matrix(manifold: ProductManifold, action: ActionSpec,
                   form: ProductForm) -> PeriodMatrix:
-    loops, _ = geom.homology_bases(manifold)
     rows = []
     for j in range(action.r_total):
         fld = geom.fundamental_field(manifold, action, j)
         cov = geom.contraction_covector(manifold, form, fld)
         rows.append(tuple(cov[k] for k in range(manifold.torus_dim)))
-    assert len(loops) == manifold.torus_dim
     return PeriodMatrix(tuple(rows))
 
 
@@ -106,7 +109,9 @@ def classify_action(p: PeriodMatrix) -> ActionClassification:
         comp, _ = ratlin.hermite_normal_form(comp)
     cls = ActionClassification(tuple(map(tuple, ham)),
                                tuple(map(tuple, comp)), n)
-    assert cls.c + cls.r == n
+    if cls.c + cls.r != n:
+        raise SplittingIncomplete(
+            f"c + r = {cls.c} + {cls.r} does not span r_total = {n}")
     return cls
 
 

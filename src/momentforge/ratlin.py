@@ -317,39 +317,11 @@ def rational_round(x, max_denominator: int) -> Fraction:
     return -best if target < 0 else best
 
 
-def pfaffian(m: Mat) -> Fraction:
-    """Exact Pfaffian of an antisymmetric matrix of even dimension, by
-    recursive expansion along the first row (fine at desk scale)."""
-    n, cols = _check_rect(m)
-    if n != cols:
-        raise ValueError("not square")
-    if n % 2 != 0:
-        raise ValueError("odd dimension has no Pfaffian")
-    a = [[Fraction(x) for x in row] for row in m]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != -a[j][i]:
-                raise ValueError("matrix is not antisymmetric")
-
-    def pf(idx: list[int]) -> Fraction:
-        if not idx:
-            return Fraction(1)
-        i = idx[0]
-        total = Fraction(0)
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            if a[i][j] == 0:
-                continue
-            rest = idx[1:pos] + idx[pos + 1:]
-            sign = -1 if pos % 2 == 0 else 1
-            total += sign * a[i][j] * pf(rest)
-        return total
-
-    return pf(list(range(n)))
-
-
 def determinant(m: Mat) -> Fraction:
-    """Exact determinant (used to cross-check Pfaffians in tests)."""
+    """Exact determinant by Gaussian elimination over the rationals.
+
+    For an antisymmetric form it is the square of the Pfaffian, so it is
+    zero exactly when the form is degenerate."""
     n, cols = _check_rect(m)
     if n != cols:
         raise ValueError("not square")

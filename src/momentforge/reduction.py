@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geom, hamclass, moment as moment_mod
 from .geom import ActionSpec, ProductForm, ProductManifold
-from .moment import CIRCLE_TOL, GeneralizedMoment
+from .moment import CIRCLE_TOL, GeneralizedMoment, circle_distance
 
 
 class NotRegular(Exception):
@@ -28,6 +28,10 @@ class NotFree(Exception):
 
 class NotInvariantOnOrbits(Exception):
     pass
+
+
+class DegenerateReducedForm(Exception):
+    """Deleting the reduced sphere factors left a degenerate form."""
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,8 @@ def reduce_at(problem: ReductionProblem) -> ReducedSpace:
     old_form = problem.moment.omega_prime
     new_form = ProductForm(old_form.torus_omega,
                            tuple(old_form.sphere_coeffs[f] for f in keep))
-    assert new_form.is_nondegenerate()
+    if not new_form.is_nondegenerate():
+        raise DegenerateReducedForm(f"reduced form {new_form}")
     cls = hamclass.classify_action(
         hamclass.period_matrix(new_manifold, new_action, new_form))
     new_moment = moment_mod.generalized_moment(new_manifold, new_action,
@@ -176,22 +181,17 @@ def induced_moment(reduced: ReducedSpace, n_samples: int = 1000,
         for f, h in zip(reduced.reduced_spheres, reduced.level_heights):
             pts[:, manifold.sphere_offset(f) + 1] = h
         parent_moment = problem.moment
-        survivors = [comp for comp in parent_moment.mu2]
         rng = np.random.default_rng(seed + 1)
         angles = rng.random(n_samples)
         for idx in problem.reduce_indices:
-            moved = pts.copy()
-            for i in range(n_samples):
-                params = [0.0] * problem.action.r_total
-                params[idx] = angles[i]
-                moved[i] = geom.apply_torus_element(manifold, problem.action,
-                                                    params, pts[i])
-            for comp in survivors:
-                d = comp.values(moved) - comp.values(pts)
-                d -= np.round(d)
-                if float(np.max(np.abs(d))) >= CIRCLE_TOL:
-                    raise NotInvariantOnOrbits(
-                        "circle component varies along a collapsed orbit")
+            params = np.zeros((n_samples, problem.action.r_total))
+            params[:, idx] = angles
+            moved = geom.apply_torus_element(manifold, problem.action,
+                                             params, pts)
+            if circle_distance(parent_moment.mu2_values(moved),
+                               parent_moment.mu2_values(pts)) >= CIRCLE_TOL:
+                raise NotInvariantOnOrbits(
+                    "circle component varies along a collapsed orbit")
             if parent_moment.c:
                 d1 = parent_moment.mu1_values(moved) \
                     - parent_moment.mu1_values(pts)

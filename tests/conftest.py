@@ -7,6 +7,8 @@ from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
 
 STD2 = ((0, 1), (-1, 0))
 STD4 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
+STD6 = ((0, 1, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+        (0, 0, -1, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, -1, 0))
 
 
 def torus2(omega=STD2):

@@ -92,6 +92,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "overall = FAIL" in out
 
 
+def test_critical_reduce_level_fails_with_report(tmp_path, capsys):
+    """A pole is a critical level: the run stops reducing there and exits 1
+    with its report instead of raising."""
+    text = cli.bundled_scenario_path("s2xt2_reduce").read_text()
+    pole = write(tmp_path, text.replace("values = 0", "values = 1"))
+    assert cli.main(["all", "--scenario", str(pole)]) == 1
+    out = capsys.readouterr().out
+    assert "stage0_regular = false" in out
+    assert "failures = reduce.stage0_regular" in out
+
+
 def test_expectations_enforced(tmp_path):
     bad = write(tmp_path, GOOD + "[expect]\nz = 0 2 ; -2 0\n")
     sc = cli.load_scenario(bad)

@@ -1,14 +1,14 @@
-"""Image structure: convex hulls, coverage of the product image, the
-no-extremum openness proxy, the first-Betti bound, and cycle lifting."""
+"""Image structure: convex hulls, coverage of the product image, the exact
+no-extremum predicate, the first-Betti bound, and cycle lifting."""
 
 import numpy as np
 import pytest
 
 from momentforge import convex, geom, hamclass, moment
-from momentforge.geom import ActionSpec
+from momentforge.geom import ActionSpec, FlatTorusFactor, ProductManifold
 from momentforge.moment import CircleComponent
 
-from conftest import s2xs2, s2xt2, sphere, torus2, torus4
+from conftest import STD6, s2xs2, s2xt2, sphere, torus2, torus4
 
 
 def pipeline(m, a):
@@ -88,14 +88,21 @@ def test_pure_hamiltonian_coverage_reduces_to_hull(s2xs2_rotations):
 
 
 # ---------------------------------------------------------------------------
-# no-extremum proxy
+# no-extremum predicate
 
 def test_no_local_extremum_passes(s2xt2_mixed):
-    m, a = s2xt2_mixed
-    _, mom = pipeline(m, a)
-    rep = convex.no_local_extremum_check(m, mom)
-    assert rep.passed
-    assert all(rep.covectors_nonzero)
+    # T^6 with four translations: the predicate reads only the covectors,
+    # so its cost does not grow with the torus dimension
+    t6 = ProductManifold(FlatTorusFactor(STD6), ())
+    translations = tuple(tuple(int(k == j) for k in range(6))
+                         for j in range(4))
+    t6_action = ActionSpec(translations, ((),) * 4)
+    for m, a in (s2xt2_mixed, (t6, t6_action)):
+        _, mom = pipeline(m, a)
+        rep = convex.circle_extremum_check(mom)
+        assert rep.passed
+        assert len(rep.covectors_nonzero) == mom.r
+        assert all(rep.covectors_nonzero)
 
 
 def test_constant_component_negative_control(s2xt2_mixed):
@@ -108,7 +115,7 @@ def test_constant_component_negative_control(s2xt2_mixed):
     broken = moment.GeneralizedMoment(
         m, a, mom.omega_prime, mom.classification, mom.mu1,
         mom.mu2 + (fake,), mom.basepoint)
-    rep = convex.no_local_extremum_check(m, broken)
+    rep = convex.circle_extremum_check(broken)
     assert not rep.passed
     assert not all(rep.covectors_nonzero)
 
@@ -117,7 +124,7 @@ def test_no_extremum_requires_circle_part(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
     with pytest.raises(ValueError):
-        convex.no_local_extremum_check(m, mom)
+        convex.circle_extremum_check(mom)
 
 
 # ---------------------------------------------------------------------------

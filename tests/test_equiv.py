@@ -1,6 +1,8 @@
 """Cocycle matrix, the affine torus action it defines, and the
 isotropy / natural-equivariance / local-freeness verdicts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,23 @@ def test_natural_equivariance_chain_with_fixed_points(s2xs2_rotations):
     assert verdict.orbits_isotropic
     assert verdict.z_is_zero
     assert verdict.naturally_equivariant
+
+
+def test_natural_equivariance_chain_violation_raises(s2xs2_rotations,
+                                                     monkeypatch):
+    """With fixed points present, non-isotropic orbits contradict the
+    theorem; the check raises instead of returning a verdict."""
+    m, a = s2xs2_rotations
+    res, mom, _ = pipeline(m, a)
+    real = equiv.isotropic_orbit_test
+
+    def not_isotropic(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), isotropic=False)
+
+    monkeypatch.setattr(equiv, "isotropic_orbit_test", not_isotropic)
+    with pytest.raises(equiv.FixedPointChainBroken, match="not isotropic"):
+        equiv.natural_equivariance_test(m, a, res.omega_prime,
+                                        res.classification, mom)
 
 
 def test_natural_equivariance_without_fixed_points(t2_translations):

@@ -1,6 +1,6 @@
 """Manifold universe: factor validation, fundamental fields, pairings,
-closed-form loop/cycle integrals (checked against adaptive quadrature),
-fixed-point sets, and seeded sampling."""
+homology bases, fixed-point sets, seeded sampling, and the batched torus
+action."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from momentforge import geom
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import STD2, STD4, s2xt2, sphere, torus2, torus4
+from conftest import s2xt2, sphere, torus2
 
 
 # ---------------------------------------------------------------------------
@@ -20,8 +20,12 @@ def test_torus_factor_rejects_bad_forms():
         FlatTorusFactor(((0, 1), (1, 0)))          # not antisymmetric
     with pytest.raises(ValueError):
         FlatTorusFactor(((0,),))                   # odd dimension
-    with pytest.raises(ValueError):
-        FlatTorusFactor(((0, 0), (0, 0)))          # degenerate
+    # dense and singular: a = b = c = d = f = 1, e = 2, so af - be + cd = 0
+    dense = ((0, 1, 1, 1), (-1, 0, 1, 2), (-1, -1, 0, 1), (-1, -2, -1, 0))
+    for degenerate in (((0, 0), (0, 0)), dense):
+        with pytest.raises(ValueError, match="zero determinant"):
+            FlatTorusFactor(degenerate)
+        assert not ProductForm(degenerate, ()).is_nondegenerate()
 
 
 def test_sphere_factor_rejects_nonpositive_area():
@@ -134,7 +138,7 @@ def test_contraction_is_the_pairing_covector():
 
 
 # ---------------------------------------------------------------------------
-# homology and integrals
+# homology
 
 def test_homology_bases_counts():
     loops, cycles = geom.homology_bases(s2xt2())
@@ -145,52 +149,9 @@ def test_homology_bases_counts():
     assert len(cycles) == 1
 
 
-def test_std4_cycle_periods():
-    m = torus4()
-    form = m.form()
-    assert geom.integrate_twoform_over_cycle(
-        m, form, geom.TorusTwoCycle(0, 1)) == 1
-    assert geom.integrate_twoform_over_cycle(
-        m, form, geom.TorusTwoCycle(0, 2)) == 0
-    s = sphere(0.5)
-    assert geom.integrate_twoform_over_cycle(
-        s, s.form(), geom.SphereTwoCycle(0)) == 1.0
-
-
-def test_loop_integrals_closed_form_vs_quadrature():
-    """Oracle: integrate <cov, gamma'(t)> dt numerically along the loop."""
-    m = s2xt2(c=0.7, omega=((0, 1.5), (-1.5, 0)))
-    form = m.form()
-    a = ActionSpec(((2, -1),), ((1,),))
-    fld = geom.fundamental_field(m, a, 0)
-    cov = geom.contraction_covector(m, form, fld)
-    for direction in [(1, 0), (0, 1), (2, 3)]:
-        loop = geom.TorusLoop(direction)
-        closed = geom.integrate_oneform_over_loop(m, form, fld, loop)
-        tangent = np.zeros(m.coord_dim)
-        tangent[:2] = direction
-        numeric = geom.adaptive_simpson(
-            lambda t: float(np.dot(cov, tangent)), 0.0, 1.0)
-        assert closed == pytest.approx(numeric, abs=1e-9)
-    lat = geom.LatitudeLoop(0, 0.25)
-    assert geom.integrate_oneform_over_loop(m, form, fld, lat) == 0
-
-
-def test_latitude_loop_height_validated():
-    with pytest.raises(ValueError):
-        geom.LatitudeLoop(0, 1.5)
-
-
 def test_open_curve_rejected():
     with pytest.raises(ValueError):
         geom.TorusLoop((0.5, 1))
-
-
-def test_adaptive_simpson_oracle_quality():
-    assert geom.adaptive_simpson(np.sin, 0.0, np.pi) == pytest.approx(
-        2.0, abs=1e-9)
-    assert geom.adaptive_simpson(lambda t: t ** 3, 0.0, 1.0) == \
-        pytest.approx(0.25, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +205,8 @@ def test_apply_torus_element_group_law():
     # a full turn of any generator is the identity
     full = geom.apply_torus_element(m, a, [1.0, 0.0], x)
     assert np.allclose(full, x)
+    # (n, r_total) params act row by row, exactly as n single calls
+    params = np.random.default_rng(4).random((len(x), a.r_total))
+    rows = [geom.apply_torus_element(m, a, p, xi) for p, xi in zip(params, x)]
+    assert np.array_equal(geom.apply_torus_element(m, a, params, x),
+                          np.array(rows))

@@ -1,8 +1,9 @@
 """Period matrices, the Hamiltonian splitting, and integralization.
 
-Oracles: the rounding step is checked against an exhaustive denominator
-scan, and classification preservation is checked over randomized irrational
-instances.
+Oracles: period-matrix entries and H^2 class coefficients are checked
+against adaptive quadrature of the form along the loops and over the
+2-cycles, the rounding step against an exhaustive denominator scan, and
+classification preservation over randomized irrational instances.
 """
 
 import math
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentforge import hamclass, ratlin
+from momentforge import geom, hamclass, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
@@ -19,7 +20,66 @@ from conftest import s2xt2, sphere, torus2
 
 
 # ---------------------------------------------------------------------------
+# quadrature oracle
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
+                     max_evals: int = 2 ** 20) -> float:
+    """Adaptive Simpson quadrature with an absolute tolerance: the numeric
+    oracle for the closed-form periods."""
+    budget = [max_evals]
+
+    def simpson(lo, hi, flo, fmid, fhi):
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    def recurse(lo, hi, flo, fmid, fhi, whole, eps):
+        mid = 0.5 * (lo + hi)
+        lmid = 0.5 * (lo + mid)
+        rmid = 0.5 * (mid + hi)
+        if budget[0] < 2:
+            return whole
+        budget[0] -= 2
+        fl, fr = f(lmid), f(rmid)
+        left = simpson(lo, mid, flo, fl, fmid)
+        right = simpson(mid, hi, fmid, fr, fhi)
+        if abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return (recurse(lo, mid, flo, fl, fmid, left, eps / 2.0)
+                + recurse(mid, hi, fmid, fr, fhi, right, eps / 2.0))
+
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    budget[0] -= 3
+    whole = simpson(a, b, fa, fm, fb)
+    return recurse(a, b, fa, fm, fb, whole, tol)
+
+
+def test_adaptive_simpson_oracle_quality():
+    assert adaptive_simpson(np.sin, 0.0, np.pi) == pytest.approx(
+        2.0, abs=1e-9)
+    assert adaptive_simpson(lambda t: t ** 3, 0.0, 1.0) == \
+        pytest.approx(0.25, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # period matrix
+
+def test_period_matrix_vs_quadrature():
+    """Oracle: the period of i_X omega over the loop t -> t d is the
+    integral of omega(X, d) over [0, 1]; entry (j, k) is the loop d = e_k,
+    and any other loop is the matching combination of entries."""
+    m = s2xt2(c=0.7, omega=((0, 1.5), (-1.5, 0)))
+    form = m.form()
+    a = ActionSpec(((2, -1), (0, 0), (1, 3)), ((1,), (1,), (-2,)))
+    p = hamclass.period_matrix(m, a, form)
+    for j in range(a.r_total):
+        x = geom.fundamental_field(m, a, j).coord_vector(m)
+        for direction in [(1, 0), (0, 1), (2, 3)]:
+            tangent = list(direction) + [0, 0]
+            numeric = adaptive_simpson(
+                lambda t: float(geom.pairing_eval(m, form, x, tangent)),
+                0.0, 1.0)
+            closed = sum(p.entries[j][k] * d for k, d in enumerate(direction))
+            assert closed == pytest.approx(numeric, abs=1e-9)
+
 
 def test_period_matrix_std_t2(t2_translations):
     m, a = t2_translations
@@ -98,6 +158,33 @@ def test_class_coefficients_round_trip():
     back = hamclass.form_from_class_coefficients(m, coeffs)
     assert back.torus_omega[0][1] == 1.5
     assert float(back.sphere_coeffs[0]) == 0.75
+
+
+def test_class_coefficients_vs_quadrature():
+    """Oracle: each coefficient is the integral of the form over its
+    canonical 2-cycle, integrated numerically over the cycle's parameter
+    square: [0, 1]^2 for the coordinate 2-torus (i, j), theta in [0, 1]
+    and h in [-1, 1] for a sphere."""
+    dense = ((0, 1, 2, 0), (-1, 0, 0.5, 3), (-2, -0.5, 0, 1), (0, -3, -1, 0))
+    m = ProductManifold(FlatTorusFactor(dense),
+                        (SphereFactor(0.7), SphereFactor(1.5)))
+    form = m.form()
+    coeffs = hamclass.form_class_coefficients(m, form)
+    labels = hamclass.h2_class_labels(m)
+    assert len(coeffs) == len(labels) == 8
+    for label, coeff in zip(labels, coeffs):
+        if label[0] == "torus":
+            i, j, lo, hi = label[1], label[2], 0.0, 1.0
+        else:
+            i = m.sphere_offset(label[1])
+            j, lo, hi = i + 1, -1.0, 1.0
+        u = [int(k == i) for k in range(m.coord_dim)]
+        w = [int(k == j) for k in range(m.coord_dim)]
+        numeric = adaptive_simpson(
+            lambda s: adaptive_simpson(
+                lambda t: float(geom.pairing_eval(m, form, u, w)), lo, hi),
+            0.0, 1.0)
+        assert float(coeff) == pytest.approx(numeric, abs=1e-9)
 
 
 def test_h2_labels_order():

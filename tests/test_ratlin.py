@@ -1,6 +1,7 @@
 """Exact linear algebra, verified against independent oracles: exhaustive
-denominator scans for rational rounding, Pf^2 = det, and the defining
-identities of the normal forms on random integer matrices."""
+denominator scans for rational rounding, the closed-form 4x4 Pfaffian
+squared against the determinant, and the defining identities of the normal
+forms on random integer matrices."""
 
 import math
 from fractions import Fraction
@@ -201,32 +202,17 @@ def test_rational_round_rejects_bad_bound():
         ratlin.rational_round(1.0, 0)
 
 
-# ---------------------------------------------------------------------------
-# pfaffian
-
-def test_pfaffian_trivial():
-    assert ratlin.pfaffian([[0, 3], [-3, 0]]) == 3
-    std4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-    assert ratlin.pfaffian(std4) == 1
-    assert ratlin.pfaffian([]) == 1
-
-
 @given(st.lists(small_ints, min_size=6, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_pfaffian_squared_is_determinant(entries):
+def test_antisymmetric_determinant_is_pfaffian_squared(entries):
+    """The nondegeneracy test relies on det = Pf^2; the 4x4 Pfaffian has
+    the closed form af - be + cd."""
     a, b, c, d, e, f = entries
     m = [[0, a, b, c],
          [-a, 0, d, e],
          [-b, -d, 0, f],
          [-c, -e, -f, 0]]
-    assert ratlin.pfaffian(m) ** 2 == ratlin.determinant(m)
-
-
-def test_pfaffian_rejects_non_antisymmetric():
-    with pytest.raises(ValueError):
-        ratlin.pfaffian([[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        ratlin.pfaffian([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    assert ratlin.determinant(m) == (a * f - b * e + c * d) ** 2
 
 
 def test_clear_denominators():
