@@ -34,10 +34,6 @@ class ConfigError(Exception):
     pass
 
 
-class CheckFailed(Exception):
-    pass
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -202,6 +198,17 @@ def load_scenario(path, *, seed=None, sign=None,
         if len(reduce_indices) != len(reduce_values):
             raise ConfigError(f"{path}: [reduce] needs one value per "
                               "generator")
+        if len(set(reduce_indices)) != len(reduce_indices):
+            raise ConfigError(f"{path}: [reduce] a generator is listed "
+                              "twice")
+        for idx in reduce_indices:
+            if not 0 <= idx < action.r_total:
+                raise ConfigError(f"{path}: [reduce] generator {idx} out of "
+                                  f"range (0..{action.r_total - 1})")
+            if any(action.translations[idx]):
+                raise ConfigError(f"{path}: [reduce] generator {idx} "
+                                  "translates the torus; only sphere "
+                                  "rotations can be reduced")
 
     expect = {}
     if parser.has_section("expect"):
@@ -433,13 +440,12 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
 def _run_moment(report, scenario, mom):
     M = scenario.manifold
     loops, _ = geom.homology_bases(M)
-    period_ints = True
-    for comp in mom.mu2:
-        for loop in loops:
-            val = sum(comp.torus_covector[k] * loop.direction[k]
-                      for k in range(M.torus_dim))
-            period_ints &= isinstance(val, int)
-    report.require("moment", "mu2_loop_periods_integral", period_ints)
+    periods = hamclass.period_matrix(M, scenario.action,
+                                     mom.omega_prime).exact()
+    report.require("moment", "mu2_loop_periods_integral", all(
+        sum(g * row[k] for g, row in zip(eta, periods)).denominator == 1
+        for eta in mom.classification.complement_generators
+        for k in range(M.torus_dim)))
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrices.append(
@@ -497,11 +503,8 @@ def _run_equivariance(report, scenario, mom, z):
 
 def _run_convexity(report, scenario, mom):
     M = scenario.manifold
-    samples = convex.moment_image_sample(M, mom, scenario.samples,
-                                         scenario.seed)
-    hull = convex.convex_hull(samples.mu1)
     report.add("convexity", "hull_vertices",
-               [list(v) for v in hull.vertices])
+               [list(v) for v in convex.moment_polytope(mom).vertices])
     cov = convex.product_coverage_check(M, mom, scenario.grid,
                                         scenario.coverage_samples,
                                         scenario.seed)
@@ -545,11 +548,16 @@ def _run_reduce(report, scenario, mom):
         local_idx = original.index(idx)
         problem = reduction.ReductionProblem(man, act, mo, (local_idx,),
                                              (val,))
-        verdict = reduction.regular_value_check(problem)
+        try:
+            verdict = reduction.regular_value_check(problem)
+            reduced = reduction.reduce_at(problem) if verdict.regular \
+                else None
+        except reduction.NotFree:
+            report.require("reduce", f"stage{stage}_free", False)
+            break
         report.require("reduce", f"stage{stage}_regular", verdict.regular)
         if not verdict.regular:
             break
-        reduced = reduction.reduce_at(problem)
         reduction.induced_moment(reduced, seed=scenario.seed)
         report.add("reduce", f"stage{stage}_dimension",
                    reduced.manifold.dim)

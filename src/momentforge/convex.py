@@ -1,12 +1,14 @@
-"""Image structure of the generalized moment: convex hulls of the
-Hamiltonian part, product coverage of the full image, the exact
+"""Image structure of the generalized moment: the exact moment polytope of
+the Hamiltonian part, product coverage of the full image, the exact
 no-extremum predicate, the first-Betti-number bound, and explicit cycle
 lifting."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,110 +27,82 @@ class NoIntegerDirection(Exception):
 
 
 # ---------------------------------------------------------------------------
-# hulls
+# the exact image of mu1
 
 @dataclass(frozen=True)
 class MomentPolytope:
-    """Convex image of mu1 in dimension c <= 3, as a vertex list plus a
-    tolerant membership predicate."""
+    """Image of mu1: exact vertices plus symmetric facet inequalities
+    |<n, p>| <= b, one pair per facet normal n.  Directions that the image
+    does not span enter with b = 0."""
 
     dim: int
-    vertices: tuple
-    _equations: tuple = ()   # 3d case: (normal..., offset) per facet
+    vertices: tuple   # exact points, sorted
+    normals: tuple    # exact integer normals
+    offsets: tuple    # exact b per normal
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if self.dim == 0:
-            return True
-        if self.dim == 1:
-            lo, hi = self.vertices[0][0], self.vertices[-1][0]
-            return lo - tol <= p[0] <= hi + tol
-        if self.dim == 2:
-            v = self.vertices
-            if len(v) == 1:
-                return bool(np.allclose(p, v[0], atol=tol))
-            if len(v) == 2:
-                a, b = np.array(v[0]), np.array(v[1])
-                d = b - a
-                t = np.dot(p - a, d) / np.dot(d, d)
-                return bool(np.linalg.norm(a + np.clip(t, 0, 1) * d - p)
-                            <= tol)
-            for i in range(len(v)):
-                a = np.array(v[i])
-                b = np.array(v[(i + 1) % len(v)])
-                cross = (b[0] - a[0]) * (p[1] - a[1]) \
-                    - (b[1] - a[1]) * (p[0] - a[0])
-                if cross < -tol:
-                    return False
-            return True
-        for eq in self._equations:
-            if np.dot(eq[:-1], p) + eq[-1] > tol:
-                return False
-        return True
+    def contains(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Facet test over an (N, c) array (or one point); a point counts
+        as inside within Euclidean distance tol of every facet."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        n = np.array(self.normals, dtype=float).reshape(len(self.normals),
+                                                         self.dim)
+        b = np.array(self.offsets, dtype=float)
+        slack = b + tol * np.linalg.norm(n, axis=1)
+        return np.all(np.abs(p @ n.T) <= slack, axis=1)
 
 
-def _monotone_chain(points: np.ndarray) -> list:
-    pts = sorted(set(map(tuple, points.tolist())))
-    if len(pts) <= 2:
-        return pts
+def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
+    """The exact image of mu1.  By Atiyah and Guillemin-Sternberg it is the
+    hull of mu1 at the fixed points, the pole images w @ sigma with sigma in
+    {-1, 1}^n, where w (c x n) holds the coefficients of the sphere heights;
+    that hull is the zonotope sum_f [-w_f, w_f].
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    With k = rank w, every (k-1)-subset of generators that spans a
+    hyperplane of k independent coordinates gives a facet normal (its
+    cofactor vector); the left kernel of w pins the remaining directions.
+    A pole image is a vertex when its tight normals have rank k."""
+    manifold = moment.manifold
+    c = moment.c
+    w = [[Fraction(comp.covector[manifold.sphere_offset(f) + 1])
+          for f in range(manifold.n_spheres)] for comp in moment.mu1]
+    rows: list = []
+    for i in range(c):
+        if ratlin.integer_rank([w[j] for j in rows + [i]]) > len(rows):
+            rows.append(i)
+    k = len(rows)
+    gens = [g for g in zip(*w) if any(g)]
 
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
 
-
-def convex_hull(points) -> MomentPolytope:
-    """Hull of mu1 samples: a point for c = 0, an interval for c = 1,
-    monotone chain for c = 2, and scipy's incremental hull for c = 3."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, 0)
-    c = pts.shape[1] if pts.size else 0
-    if c == 0:
-        return MomentPolytope(0, ((),))
-    if c == 1:
-        return MomentPolytope(1, ((float(pts.min()),),
-                                  (float(pts.max()),)))
-    if c == 2:
-        if len({tuple(p) for p in pts.tolist()}) == 1:
-            return MomentPolytope(2, (tuple(pts[0]),))
-        hull = _monotone_chain(pts)
-        return MomentPolytope(2, tuple(tuple(p) for p in hull))
-    if c == 3:
-        from scipy.spatial import ConvexHull
-        hull = ConvexHull(pts)
-        verts = tuple(tuple(pts[i]) for i in sorted(hull.vertices))
-        eqs = tuple(tuple(eq) for eq in hull.equations)
-        return MomentPolytope(3, verts, eqs)
-    raise ValueError("hulls supported only up to dimension 3")
+    facets = set()
+    for subset in itertools.combinations(gens, k - 1) if k else ():
+        cof = [(-1) ** j * ratlin.determinant(
+            [[g[i] for i in rows if i != row] for g in subset])
+            for j, row in enumerate(rows)]
+        if any(cof):
+            cof = ratlin.clear_denominators(cof)
+            sign = -1 if next(x for x in cof if x) < 0 else 1
+            full = dict(zip(rows, cof))
+            facets.add(tuple(sign * full.get(i, 0) for i in range(c)))
+    normals = sorted(facets)
+    offsets = [sum(abs(dot(nv, g)) for g in gens) for nv in normals]
+    vertices = set()
+    for sigma in itertools.product((-1, 1), repeat=len(gens)):
+        v = tuple(dot(sigma, [g[i] for g in gens]) for i in range(c))
+        tight = [nv for nv, b in zip(normals, offsets) if abs(dot(nv, v)) == b]
+        if ratlin.integer_rank(tight) == k:
+            vertices.add(v)
+    if k < c:
+        pinned = ratlin.rat_kernel_basis(gens) if gens else ratlin.identity(c)
+        normals += [tuple(ratlin.clear_denominators(e)) for e in pinned]
+        offsets += [0] * len(pinned)
+    return MomentPolytope(c, tuple(sorted(vertices)), tuple(normals),
+                          tuple(offsets))
 
 
 # ---------------------------------------------------------------------------
-# sampling and coverage
-
-@dataclass(frozen=True)
-class ImageSamples:
-    points: np.ndarray
-    mu1: np.ndarray
-    mu2: np.ndarray
-
-
-def moment_image_sample(manifold: ProductManifold, moment: GeneralizedMoment,
-                        n: int, seed: int) -> ImageSamples:
-    pts = geom.sample_points(manifold, n, seed)
-    return ImageSamples(pts, moment.mu1_values(pts), moment.mu2_values(pts))
-
+# coverage
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -143,44 +117,39 @@ def product_coverage_check(manifold: ProductManifold,
                            moment: GeneralizedMoment,
                            grid_resolution: int, n: int,
                            seed: int) -> CoverageReport:
-    """Bin image samples over (interior cells of the hull of mu1) x (circle
-    bins) and report the hit fraction.  Cells meeting the hull boundary are
-    excluded from the denominator."""
-    samples = moment_image_sample(manifold, moment, n, seed)
+    """Bin image samples over (cells of the box around the mu1 polytope) x
+    (circle bins) and report the hit fraction.  Only mu1 cells whose every
+    corner lies in the polytope count in the denominator."""
+    pts = geom.sample_points(manifold, n, seed)
+    mu1, mu2 = moment.mu1_values(pts), moment.mu2_values(pts)
     c, r = moment.c, moment.r
     res = grid_resolution
-    hull = convex_hull(samples.mu1) if c else None
+    shape = (res,) * (c + r) if c + r else (1,)
+    counted = np.ones(shape, dtype=bool)
     if c:
-        lo = samples.mu1.min(axis=0)
-        hi = samples.mu1.max(axis=0)
-        span = np.where(hi > lo, hi - lo, 1.0)
-        mu1_idx = np.clip(((samples.mu1 - lo) / span * res).astype(int),
-                          0, res - 1)
+        polytope = moment_polytope(moment)
+        half = np.abs(np.array(polytope.vertices, dtype=float)).max(axis=0)
+        lo = -half
+        span = np.where(half > 0, 2 * half, 1.0)
+        mu1_idx = np.clip(((mu1 - lo) / span * res).astype(int), 0, res - 1)
+        # corner lattice of the mu1 cells; a cell counts when all 2^c of
+        # its corners lie in the polytope
+        axes = [lo[i] + np.arange(res + 1) / res * span[i] for i in range(c)]
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        inside = polytope.contains(lattice.reshape(-1, c), tol=1e-12)
+        inside = inside.reshape((res + 1,) * c)
+        interior = np.ones((res,) * c, dtype=bool)
+        for corner in np.ndindex(*([2] * c)):
+            interior &= inside[tuple(slice(b, b + res) for b in corner)]
+        counted &= interior.reshape((res,) * c + (1,) * r)
     else:
         mu1_idx = np.zeros((n, 0), dtype=int)
-    mu2_idx = np.clip((samples.mu2 * res).astype(int), 0, res - 1)
+    mu2_idx = np.clip((mu2 * res).astype(int), 0, res - 1)
     idx = np.hstack([mu1_idx, mu2_idx])
-    shape = (res,) * (c + r) if c + r else (1,)
     hit = np.zeros(shape, dtype=bool)
     flat = np.ravel_multi_index(tuple(idx.T), shape) if c + r else \
         np.zeros(n, dtype=int)
     hit.ravel()[flat] = True
-
-    # interior mask over the mu1 axes
-    if c:
-        interior = np.ones((res,) * c, dtype=bool)
-        for cell in np.ndindex(*([res] * c)):
-            corners_in = True
-            for corner in np.ndindex(*([2] * c)):
-                pt = lo + (np.array(cell) + np.array(corner)) / res * span
-                if not hull.contains(pt, tol=1e-12):
-                    corners_in = False
-                    break
-            interior[cell] = corners_in
-        counted = interior.reshape((res,) * c + (1,) * r)
-        counted = np.broadcast_to(counted, shape)
-    else:
-        counted = np.ones(shape, dtype=bool)
     n_counted = int(counted.sum())
     n_hit = int((hit & counted).sum())
     empty = np.flatnonzero(counted & ~hit)[:16]

@@ -56,9 +56,6 @@ class PeriodMatrix:
     def exact(self) -> list:
         return [[Fraction(x) for x in row] for row in self.entries]
 
-    def row_is_zero(self, j: int) -> bool:
-        return all(Fraction(x) == 0 for x in self.entries[j])
-
 
 @dataclass(frozen=True)
 class ActionClassification:

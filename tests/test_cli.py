@@ -1,9 +1,12 @@
 """Scenario driver: parsing, bundled resolution, exit codes, expectation
 enforcement, seed precedence, and deterministic report emission."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from momentforge import cli
+from momentforge import cli, geom
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -101,6 +104,57 @@ def test_critical_reduce_level_fails_with_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stage0_regular = false" in out
     assert "failures = reduce.stage0_regular" in out
+
+
+def test_speed_two_reduction_fails_with_report(tmp_path, capsys):
+    """A speed-2 circle has Z/2 stabilizers on the level set: the run
+    records the stage as not free and exits 1 with its report."""
+    text = cli.bundled_scenario_path("s2xt2_reduce").read_text()
+    speed2 = write(tmp_path, text.replace("0 0 | 1 ;", "0 0 | 2 ;"))
+    assert cli.main(["all", "--scenario", str(speed2)]) == 1
+    out = capsys.readouterr().out
+    assert "stage0_free = false" in out
+    assert "failures = reduce.stage0_free" in out
+
+
+@pytest.mark.parametrize("generators,fragment", [
+    ("1", "translates the torus"),
+    ("7", "out of range"),
+    ("0 0", "listed twice"),
+])
+def test_bad_reduce_generators_are_config_errors(tmp_path, capsys,
+                                                 generators, fragment):
+    text = cli.bundled_scenario_path("s2xt2_reduce").read_text()
+    text = text.replace("[reduce]\ngenerators = 0\nvalues = 0",
+                        f"[reduce]\ngenerators = {generators}\nvalues = "
+                        + " ".join("0" for _ in generators.split()))
+    path = write(tmp_path, text)
+    with pytest.raises(cli.ConfigError, match=fragment):
+        cli.load_scenario(path)
+    assert cli.main(["all", "--scenario", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_non_integral_loop_periods_fail(monkeypatch):
+    """mu2_loop_periods_integral reads the exact periods of the form the
+    moment was built from: a half-integral form fails it."""
+    real = cli.moment_mod.generalized_moment
+
+    def halved(manifold, action, omega_prime, cls):
+        mom = real(manifold, action, omega_prime, cls)
+        half = geom.ProductForm(
+            [[Fraction(x) / 2 for x in row]
+             for row in omega_prime.torus_omega],
+            omega_prime.sphere_coeffs)
+        return dataclasses.replace(mom, omega_prime=half)
+
+    sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
+    assert cli.run_scenario(sc, ("moment",)).sections["moment"][
+        "mu2_loop_periods_integral"] is True
+    monkeypatch.setattr(cli.moment_mod, "generalized_moment", halved)
+    report = cli.run_scenario(sc, ("moment",))
+    assert report.sections["moment"]["mu2_loop_periods_integral"] is False
+    assert "moment.mu2_loop_periods_integral" in report.failures
 
 
 def test_expectations_enforced(tmp_path):

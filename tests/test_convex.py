@@ -1,11 +1,18 @@
-"""Image structure: convex hulls, coverage of the product image, the exact
-no-extremum predicate, the first-Betti bound, and cycle lifting."""
+"""Image structure: the exact moment polytope, coverage of the product
+image, the exact no-extremum predicate, the first-Betti bound, and cycle
+lifting."""
+
+import itertools
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentforge import convex, geom, hamclass, moment
-from momentforge.geom import ActionSpec, FlatTorusFactor, ProductManifold
+from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
+                              SphereFactor)
 from momentforge.moment import CircleComponent
 
 from conftest import STD6, s2xs2, s2xt2, sphere, torus2, torus4
@@ -19,54 +26,136 @@ def pipeline(m, a):
 
 
 # ---------------------------------------------------------------------------
-# hulls
+# the exact moment polytope
 
-def test_hull_point_interval_polygon():
-    pt = convex.convex_hull(np.empty((0, 0)))
-    assert pt.dim == 0 and pt.contains(())
-    iv = convex.convex_hull([[0.0], [2.0], [1.0]])
-    assert iv.vertices == ((0.0,), (2.0,))
-    assert iv.contains([1.5]) and not iv.contains([2.5])
-    sq = convex.convex_hull([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
-    assert len(sq.vertices) == 4
-    assert sq.contains([0.5, 0.5]) and not sq.contains([1.2, 0.5])
+def rotations(speeds):
+    """Pure sphere-rotation action, one generator per row of speeds."""
+    return ActionSpec(tuple(() for _ in speeds), tuple(speeds))
 
 
-def test_hull_degenerate_2d():
-    single = convex.convex_hull([[0.3, 0.4], [0.3, 0.4]])
-    assert single.vertices == ((0.3, 0.4),)
-    assert single.contains([0.3, 0.4]) and not single.contains([0.0, 0.0])
-    seg = convex.convex_hull([[0, 0], [1, 1], [0.5, 0.5]])
-    assert len(seg.vertices) == 2
-    assert seg.contains([0.25, 0.25]) and not seg.contains([0.5, 0.4])
+def spheres(n, c=0.5):
+    return ProductManifold(None, tuple(SphereFactor(c) for _ in range(n)))
 
 
-def test_hull_3d():
-    cube = [[float(i), float(j), float(k)]
-            for i in (0, 1) for j in (0, 1) for k in (0, 1)]
-    hull = convex.convex_hull(cube + [[0.5, 0.5, 0.5]])
-    assert len(hull.vertices) == 8
-    assert hull.contains([0.5, 0.5, 0.5])
-    assert not hull.contains([1.5, 0.5, 0.5])
-
-
-def test_s2xs2_square_hull(s2xs2_rotations):
-    m, a = s2xs2_rotations
+def polytope_of(m, a):
     _, mom = pipeline(m, a)
-    samples = convex.moment_image_sample(m, mom, 4000, 0)
-    hull = convex.convex_hull(samples.mu1)
-    v = np.array(hull.vertices)
-    # area-1 spheres after integralization: mu1 coordinates span [-1/2, 1/2]
-    assert v.min() == pytest.approx(-0.5, abs=0.05)
-    assert v.max() == pytest.approx(0.5, abs=0.05)
+    return convex.moment_polytope(mom), mom
 
 
-def test_s2xt2_samples_in_band(s2xt2_mixed):
+def height_coefficients(m, mom):
+    """w (c x n): the exact coefficient of each sphere height in mu1."""
+    return [[comp.covector[m.sphere_offset(f) + 1]
+             for f in range(m.n_spheres)] for comp in mom.mu1]
+
+
+def pole_images(w):
+    n = len(w[0])
+    return {tuple(sum(s * x for s, x in zip(sigma, row)) for row in w)
+            for sigma in itertools.product((-1, 1), repeat=n)}
+
+
+def test_sphere_polytope_is_an_interval():
+    poly, _ = polytope_of(sphere(), rotations([(1,)]))
+    assert poly.vertices == ((F(-1, 2),), (F(1, 2),))
+    assert poly.contains([[0.0], [0.5], [-0.5]]).all()
+    assert not poly.contains([[0.6], [-0.5001]]).any()
+
+
+def test_s2xs2_polytope_is_a_square(s2xs2_rotations):
+    poly, _ = polytope_of(*s2xs2_rotations)
+    half = F(1, 2)
+    assert poly.vertices == ((-half, -half), (-half, half),
+                             (half, -half), (half, half))
+    assert poly.contains([0.5, 0.5]).all()
+    assert not poly.contains([0.5, 0.51]).any()
+
+
+def test_three_spheres_polytope_is_a_cube():
+    poly, _ = polytope_of(spheres(3), rotations([(1, 0, 0), (0, 1, 0),
+                                                 (0, 0, 1)]))
+    half = F(1, 2)
+    assert set(poly.vertices) == set(itertools.product((-half, half),
+                                                       repeat=3))
+    assert len(poly.normals) == 3
+
+
+def test_sheared_polytope_is_a_parallelogram():
+    m = s2xs2()
+    poly, mom = polytope_of(m, rotations([(1, 1), (0, 1)]))
+    half = F(1, 2)
+    assert height_coefficients(m, mom) == [[half, half], [0, half]]
+    assert poly.vertices == ((-1, -half), (0, -half), (0, half), (1, half))
+    assert len(poly.normals) == 2
+    # the centre and an edge midpoint are in; the bounding-box corners off
+    # the parallelogram are not
+    assert poly.contains([[0.0, 0.0], [0.5, 0.0], [-0.5, -0.5]]).all()
+    assert not poly.contains([[1.0, -0.5], [-1.0, 0.5]]).any()
+
+
+def test_hexagon_keeps_only_the_extreme_pole_images():
+    """Three spheres under two rotations: the zonotope is a hexagon, so two
+    of the eight pole images (the centre, twice) are not vertices."""
+    m = spheres(3)
+    poly, mom = polytope_of(m, rotations([(1, 0, 1), (0, 1, 1)]))
+    w = height_coefficients(m, mom)
+    assert len(pole_images(w)) == 7
+    assert len(poly.vertices) == 6 and len(poly.normals) == 3
+    assert set(poly.vertices) == pole_images(w) - {(0, 0)}
+    assert poly.contains(np.array(poly.vertices, dtype=float)).all()
+
+
+def test_degenerate_polytope_is_a_segment():
+    """Two generators rotating the same sphere: rank w = 1 < c = 2, so the
+    image is a segment and no coverage cell is interior."""
+    m, a = sphere(), rotations([(1,), (1,)])
+    poly, mom = polytope_of(m, a)
+    assert mom.c == 2
+    assert len(poly.vertices) == 2
+    mid = np.array(poly.vertices, dtype=float).mean(axis=0)
+    assert poly.contains(mid).all()
+    assert not poly.contains(mid + [1e-3, -1e-3]).any()
+    rep = convex.product_coverage_check(m, mom, 10, 5000, 0)
+    assert rep.n_counted_cells == 0 and rep.fraction == 1.0
+
+
+def test_four_spheres_polytope():
+    """c = 4 has the same exact construction as every other dimension."""
+    m = spheres(4)
+    speeds = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    poly, mom = polytope_of(m, rotations(speeds))
+    assert mom.c == 4 and len(poly.vertices) == 16 and len(poly.normals) == 4
+    rep = convex.product_coverage_check(m, mom, 5, 20000, 0)
+    assert rep.n_counted_cells == 5 ** 4
+    assert rep.fraction >= 0.99
+
+
+def test_mixed_polytope_and_samples(s2xt2_mixed):
     m, a = s2xt2_mixed
-    _, mom = pipeline(m, a)
-    samples = convex.moment_image_sample(m, mom, 1000, 0)
-    assert np.all(np.abs(samples.mu1) <= 1.0)
-    assert np.all((samples.mu2 >= 0) & (samples.mu2 < 1))
+    poly, mom = polytope_of(m, a)
+    assert poly.vertices == ((-1,), (1,))
+    pts = geom.sample_points(m, 1000, 0)
+    assert poly.contains(mom.mu1_values(pts)).all()
+    mu2 = mom.mu2_values(pts)
+    assert np.all((mu2 >= 0) & (mu2 < 1))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+             .filter(any), min_size=1, max_size=3),
+    st.lists(st.sampled_from((0.5, 1.0, 1.5)), min_size=n, max_size=n),
+    st.sampled_from((1, -1)))))
+@settings(max_examples=40, deadline=None)
+def test_sampled_image_lies_in_polytope(data):
+    speeds, coeffs, sign = data
+    m = ProductManifold(None, tuple(SphereFactor(c) for c in coeffs))
+    a = ActionSpec(tuple(() for _ in speeds), tuple(map(tuple, speeds)),
+                   sign)
+    poly, mom = polytope_of(m, a)
+    assert set(poly.vertices) <= pole_images(height_coefficients(m, mom))
+    pts = geom.sample_points(m, 500, 0)
+    # the poles themselves map onto the boundary
+    pts[:8, 1::2] = np.sign(pts[:8, 1::2])
+    assert poly.contains(mom.mu1_values(pts)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +173,34 @@ def test_pure_hamiltonian_coverage_reduces_to_hull(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
     rep = convex.product_coverage_check(m, mom, 15, 60000, 0)
+    assert rep.n_counted_cells == 15 ** 2
+    assert rep.fraction >= 0.99
+
+
+def test_interior_cells_match_per_corner_loop():
+    """The vectorized interior mask counts the cells a per-cell, per-corner
+    loop over contains counts, on a sheared image that cuts the grid."""
+    m = s2xs2()
+    poly, mom = polytope_of(m, rotations([(1, 1), (0, 1)]))
+    res = 8
+    half = np.abs(np.array(poly.vertices, dtype=float)).max(axis=0)
+    expected = 0
+    for cell in np.ndindex(res, res):
+        corners = [-half + (np.array(cell) + corner) / res * 2 * half
+                   for corner in np.ndindex(2, 2)]
+        expected += bool(poly.contains(corners, tol=1e-12).all())
+    rep = convex.product_coverage_check(m, mom, res, 1000, 0)
+    assert 0 < expected < res * res
+    assert rep.n_counted_cells == expected
+
+
+def test_three_sphere_coverage_regression():
+    """Three rotated spheres at grid 20: every cell of the cube counts, and
+    200k samples (25 per cell) cover it."""
+    m = spheres(3)
+    _, mom = pipeline(m, rotations([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    rep = convex.product_coverage_check(m, mom, 20, 200000, 0)
+    assert rep.n_counted_cells == 8000
     assert rep.fraction >= 0.99
 
 

@@ -15,3 +15,19 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_scipy_imports():
+    """The package depends on numpy alone."""
+    found = []
+    for path in sorted(Path(momentforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
