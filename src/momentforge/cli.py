@@ -68,16 +68,21 @@ class Scenario:
     expect: dict = field(default_factory=dict)
 
 
+def _number(token: str, where: str) -> Fraction:
+    """A scenario number, exactly: an integer, a decimal or p/q.  Sampling
+    evaluates it as a float, so it must have a finite one."""
+    try:
+        x = Fraction(token)
+        float(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {token!r} is not a finite "
+                          "number") from exc
+    return x
+
+
 def _parse_matrix(text: str, where: str) -> list:
-    rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            try:
-                rows.append([float(x) if "." in x or "e" in x.lower()
-                             else int(x) for x in chunk.split()])
-            except ValueError as exc:
-                raise ConfigError(f"{where}: bad number in {chunk!r}") from exc
+    rows = [[_number(x, where) for x in chunk.split()]
+            for chunk in text.split(";") if chunk.strip()]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"{where}: ragged matrix")
     return rows
@@ -150,8 +155,10 @@ def load_scenario(path, *, seed=None, sign=None,
             raise ConfigError(f"{path}: [manifold] torus_omega: "
                               f"{exc}") from exc
     sphere_text = get("manifold", "spheres", "") or ""
+    where = f"{path} [manifold] spheres"
     try:
-        spheres = tuple(SphereFactor(float(x)) for x in sphere_text.split())
+        spheres = tuple(SphereFactor(_number(x, where))
+                        for x in sphere_text.split())
     except ValueError as exc:
         raise ConfigError(f"{path}: [manifold] spheres: {exc}") from exc
     try:
@@ -191,10 +198,11 @@ def load_scenario(path, *, seed=None, sign=None,
         try:
             reduce_indices = tuple(
                 int(x) for x in need("reduce", "generators").split())
-            reduce_values = tuple(
-                float(x) for x in need("reduce", "values").split())
         except ValueError as exc:
             raise ConfigError(f"{path}: [reduce] {exc}") from exc
+        reduce_values = tuple(
+            _number(x, f"{path} [reduce] values")
+            for x in need("reduce", "values").split())
         if len(reduce_indices) != len(reduce_values):
             raise ConfigError(f"{path}: [reduce] needs one value per "
                               "generator")
@@ -393,15 +401,22 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
             report.require("classify", "r_matches_expected",
                            cls.r == scenario.expect["r"])
 
-    result = hamclass.integralize_with_retry(M, A, scenario.form,
-                                             scenario.max_denominator)
+    try:
+        result = hamclass.integralize_with_retry(M, A, scenario.form, cls,
+                                                 scenario.max_denominator)
+    except (hamclass.RoundingBrokeNondegeneracy,
+            hamclass.RoundingBrokeConditionB) as exc:
+        # every later stage needs the integral form
+        report.add("integralize", "error", f"{type(exc).__name__}: {exc}")
+        report.require("integralize", "converged", False)
+        return report
     omega_prime = result.omega_prime
     report.add("integralize", "k", result.k)
     report.add("integralize", "max_deviation", result.max_deviation)
     report.add("integralize", "q", list(result.q))
     coeffs = hamclass.form_class_coefficients(M, omega_prime)
     report.require("integralize", "h2_periods_integral",
-                   all(Fraction(x).denominator == 1 for x in coeffs))
+                   all(x.denominator == 1 for x in coeffs))
     report.require(
         "integralize", "classification_preserved",
         hamclass.classify_action(
@@ -416,10 +431,9 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
         report.require("integralize", "k_matches_expected",
                        result.k == scenario.expect["k"])
     if "omega_prime_torus" in scenario.expect:
-        want = scenario.expect["omega_prime_torus"]
-        got = [[int(x) for x in row] for row in omega_prime.torus_omega]
         report.require("integralize", "omega_prime_matches_expected",
-                       got == want)
+                       [list(r) for r in omega_prime.torus_omega]
+                       == scenario.expect["omega_prime_torus"])
 
     mom = moment_mod.generalized_moment(M, A, omega_prime, cls)
 
@@ -440,12 +454,11 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
 def _run_moment(report, scenario, mom):
     M = scenario.manifold
     loops, _ = geom.homology_bases(M)
-    periods = hamclass.period_matrix(M, scenario.action,
-                                     mom.omega_prime).exact()
+    periods = hamclass.period_matrix(M, scenario.action, mom.omega_prime)
     report.require("moment", "mu2_loop_periods_integral", all(
-        sum(g * row[k] for g, row in zip(eta, periods)).denominator == 1
+        x.denominator == 1
         for eta in mom.classification.complement_generators
-        for k in range(M.torus_dim)))
+        for x in hamclass.combined_period_row(periods, eta)))
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrices.append(
@@ -489,8 +502,7 @@ def _run_equivariance(report, scenario, mom, z):
     report.add("equivariance", "max_mu1_invariance_error",
                eq.max_mu1_invariance_error)
     report.require("equivariance", "equivariant", eq.passed)
-    nat = equiv.natural_equivariance_test(M, A, mom.omega_prime,
-                                          mom.classification, mom,
+    nat = equiv.natural_equivariance_test(M, A, mom.omega_prime, z, mom,
                                           seed=scenario.seed)
     report.add("equivariance", "has_fixed_points", nat.has_fixed_points)
     report.add("equivariance", "orbits_isotropic", nat.orbits_isotropic)

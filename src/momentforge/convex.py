@@ -8,13 +8,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import geom, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
-from .hamclass import ActionClassification, PeriodMatrix, period_matrix
+from .hamclass import (ActionClassification, combined_period_row,
+                       period_matrix)
 from .moment import CIRCLE_TOL, GeneralizedMoment
 
 
@@ -63,7 +63,7 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
     A pole image is a vertex when its tight normals have rank k."""
     manifold = moment.manifold
     c = moment.c
-    w = [[Fraction(comp.covector[manifold.sphere_offset(f) + 1])
+    w = [[comp.covector[manifold.sphere_offset(f) + 1]
           for f in range(manifold.n_spheres)] for comp in moment.mu1]
     rows: list = []
     for i in range(c):
@@ -193,11 +193,8 @@ def betti_bound_check(manifold: ProductManifold, action: ActionSpec,
     """Rank of the period matrix restricted to the complement generators
     must equal r (totally non-Hamiltonian restriction) and r <= b1."""
     p = period_matrix(manifold, action, form)
-    exact = p.exact()
-    rows = []
-    for g in classification.complement_generators:
-        rows.append([sum(gi * exact[j][k] for j, gi in enumerate(g))
-                     for k in range(p.cols)])
+    rows = [combined_period_row(p, g)
+            for g in classification.complement_generators]
     rank = ratlin.integer_rank(rows) if rows else 0
     if rank < classification.r:
         raise PreconditionViolated(
@@ -277,7 +274,7 @@ def cycle_lift(manifold: ProductManifold, action: ActionSpec,
     raw = moment.mu2[-1].raw(path)
     measured = raw[-1] - raw[0]
     verified = dev < CIRCLE_TOL and abs(measured - k_wind) < CIRCLE_TOL
-    return CycleLift(tuple(u), int(k_wind), tuple(x0), dev, verified)
+    return CycleLift(tuple(u), k_wind, tuple(x0), dev, verified)
 
 
 def _bezout(a: int, b: int) -> tuple:

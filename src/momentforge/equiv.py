@@ -5,7 +5,6 @@ fixed-point / local-freeness verdict chain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,8 +29,8 @@ def cocycle_matrix(manifold: ProductManifold, action: ActionSpec,
                    classification: ActionClassification,
                    basepoint=None) -> list:
     """Z[i][j] = integral of the i-th generator's contracted form over the
-    j-th circle orbit through the basepoint.  Entries are asserted integral
-    before rounding; the diagonal must vanish.
+    j-th circle orbit through the basepoint.  Entries are exact and must be
+    integers; the diagonal must vanish.
 
     The orbits only wind on the torus factor (sphere orbits are latitude
     circles, which pair to zero), so the entries reduce to exact pairings of
@@ -48,11 +47,10 @@ def cocycle_matrix(manifold: ProductManifold, action: ActionSpec,
             # orbit direction is the generator data itself (+v), not the
             # sign-twisted fundamental field
             vj = [action.sign * x for x in orbit.translation]
-            entry = sum(Fraction(cov[k]) * vj[k]
-                        for k in range(manifold.torus_dim))
-            if abs(float(entry) - round(float(entry))) >= CIRCLE_TOL:
+            entry = sum(cov[k] * vj[k] for k in range(manifold.torus_dim))
+            if entry.denominator != 1:
                 raise NonIntegerPeriod(f"Z[{i}][{j}] = {entry}")
-            z[i][j] = int(round(float(entry)))
+            z[i][j] = entry
     for i in range(r):
         if z[i][i] != 0:
             raise NonIntegerPeriod(f"nonzero diagonal Z[{i}][{i}] = {z[i][i]}")
@@ -130,10 +128,9 @@ def isotropic_orbit_test(manifold: ProductManifold, action: ActionSpec,
                 for j in range(n):
                     v = geom.pairing_eval(manifold, omega_prime,
                                           vecs[i], vecs[j], x)
-                    if Fraction(v) != Fraction(pairings[i][j]):
+                    if v != pairings[i][j]:
                         point_independent = False
-    isotropic = all(Fraction(pairings[i][j]) == 0
-                    for i in range(n) for j in range(n))
+    isotropic = not any(v for row in pairings for v in row)
     return IsotropyReport(tuple(tuple(row) for row in pairings), isotropic,
                           point_independent)
 
@@ -149,18 +146,17 @@ class NaturalEquivarianceVerdict:
 
 
 def natural_equivariance_test(manifold: ProductManifold, action: ActionSpec,
-                              omega_prime: ProductForm,
-                              classification: ActionClassification,
+                              omega_prime: ProductForm, z: list,
                               moment: GeneralizedMoment,
                               n_samples: int = 200,
                               seed: int = 0) -> NaturalEquivarianceVerdict:
     """Verdict chain: fixed points imply isotropic orbits, a vanishing
-    cocycle, and full invariance of the circle part.  Without fixed points
-    the three properties are still reported (isotropy can hold anyway)."""
+    cocycle z (from cocycle_matrix), and full invariance of the circle
+    part.  Without fixed points the three properties are still reported
+    (isotropy can hold anyway)."""
     fps = geom.fixed_point_set(manifold, action)
     has_fp = fps.kind != "empty"
     iso = isotropic_orbit_test(manifold, action, omega_prime)
-    z = cocycle_matrix(manifold, action, omega_prime, classification)
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = 0.0
     if moment.r:
@@ -205,8 +201,7 @@ def local_freeness_check(manifold: ProductManifold, action: ActionSpec,
         dirs = []
         for g in classification.complement_generators:
             fld = geom.combination_field(manifold, action, g)
-            dirs.append(list(fld.translation)
-                        + [int(s) for s in fld.rotations])
+            dirs.append(list(fld.translation) + list(fld.rotations))
         finite = ratlin.integer_rank(dirs) == r
         note = "rank(Z) = r: action locally free" if finite else \
             "rank(Z) = r but direction matrix degenerate (unexpected)"

@@ -24,33 +24,28 @@ import numpy as np
 from . import ratlin
 
 
-def _as_exact(x):
-    if isinstance(x, (int, Fraction)):
-        return x
-    return Fraction(x)  # floats convert exactly
-
-
 @dataclass(frozen=True)
 class FlatTorusFactor:
     """R^m / Z^m with the constant form u^T Omega w; Omega must be
-    antisymmetric and nondegenerate, m even."""
+    antisymmetric and nondegenerate, m even.  Entries are held as
+    Fractions."""
 
     omega: tuple
 
     def __post_init__(self):
         m = len(self.omega)
-        rows = tuple(tuple(row) for row in self.omega)
+        # floats convert exactly
+        rows = tuple(tuple(map(Fraction, row)) for row in self.omega)
         object.__setattr__(self, "omega", rows)
         if m % 2 != 0:
             raise ValueError("torus dimension must be even")
         if any(len(row) != m for row in rows):
             raise ValueError("omega must be square")
-        exact = [[_as_exact(x) for x in row] for row in rows]
         for i in range(m):
             for j in range(m):
-                if exact[i][j] != -exact[j][i]:
+                if rows[i][j] != -rows[j][i]:
                     raise ValueError("omega must be antisymmetric")
-        if m > 0 and ratlin.determinant(exact) == 0:
+        if m > 0 and ratlin.determinant(rows) == 0:
             raise ValueError("degenerate torus form (zero determinant)")
 
     @property
@@ -60,11 +55,14 @@ class FlatTorusFactor:
 
 @dataclass(frozen=True)
 class SphereFactor:
-    """S^2 in cylindrical coordinates (theta, h) with form c dtheta ^ dh."""
+    """S^2 in cylindrical coordinates (theta, h) with form c dtheta ^ dh;
+    c is held as a Fraction."""
 
-    area_coefficient: float
+    area_coefficient: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "area_coefficient",
+                           Fraction(self.area_coefficient))
         if not self.area_coefficient > 0:
             raise ValueError("sphere area coefficient must be positive")
 
@@ -72,7 +70,7 @@ class SphereFactor:
 @dataclass(frozen=True)
 class ProductForm:
     """A constant invariant 2-form on a ProductManifold: the torus block
-    plus one dtheta ^ dh coefficient per sphere."""
+    plus one dtheta ^ dh coefficient per sphere, all held as Fractions."""
 
     torus_omega: tuple | None
     sphere_coeffs: tuple
@@ -81,19 +79,15 @@ class ProductForm:
         if self.torus_omega is not None:
             object.__setattr__(
                 self, "torus_omega",
-                tuple(tuple(row) for row in self.torus_omega))
-        object.__setattr__(self, "sphere_coeffs", tuple(self.sphere_coeffs))
-
-    def torus_exact(self):
-        if self.torus_omega is None:
-            return []
-        return [[_as_exact(x) for x in row] for row in self.torus_omega]
+                tuple(tuple(map(Fraction, row)) for row in self.torus_omega))
+        object.__setattr__(self, "sphere_coeffs",
+                           tuple(map(Fraction, self.sphere_coeffs)))
 
     def is_nondegenerate(self) -> bool:
-        if any(_as_exact(c) == 0 for c in self.sphere_coeffs):
+        if not all(self.sphere_coeffs):
             return False
-        t = self.torus_exact()
-        return not t or ratlin.determinant(t) != 0
+        return not self.torus_omega \
+            or ratlin.determinant(self.torus_omega) != 0
 
 
 @dataclass(frozen=True)

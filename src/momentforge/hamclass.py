@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import geom, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
@@ -37,7 +34,7 @@ class SplittingIncomplete(Exception):
 @dataclass(frozen=True)
 class PeriodMatrix:
     """Rows indexed by generators, columns by the H_1 coordinate loops;
-    entry (j, k) is the period of i_{X_j} omega over loop k."""
+    entry (j, k) is the exact period of i_{X_j} omega over loop k."""
 
     entries: tuple  # r_total x b1
 
@@ -52,9 +49,6 @@ class PeriodMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def exact(self) -> list:
-        return [[Fraction(x) for x in row] for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -91,13 +85,18 @@ def period_matrix(manifold: ProductManifold, action: ActionSpec,
     return PeriodMatrix(tuple(rows))
 
 
+def combined_period_row(p: PeriodMatrix, coeffs) -> list:
+    """Period row of the integer combination sum_j coeffs_j X_j."""
+    return [sum(g * row[k] for g, row in zip(coeffs, p.entries))
+            for k in range(p.cols)]
+
+
 def classify_action(p: PeriodMatrix) -> ActionClassification:
-    exact = p.exact()
     n = p.rows
     if p.cols == 0:
-        kernel = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        kernel = ratlin.identity(n)
     else:
-        kernel = ratlin.rat_kernel_basis(ratlin.transpose(exact))
+        kernel = ratlin.rat_kernel_basis(ratlin.transpose(p.entries))
     b = [ratlin.clear_denominators(v) for v in kernel]
     ham, comp = ratlin.saturate_and_complement(b, n)
     if ham:
@@ -149,6 +148,7 @@ def form_class_coefficients(manifold: ProductManifold,
 
 def form_from_class_coefficients(manifold: ProductManifold,
                                  coeffs) -> ProductForm:
+    """Inverse of form_class_coefficients, for exact coefficients."""
     m = manifold.torus_dim
     om = [[0] * m for _ in range(m)] if m else None
     sph = [0] * manifold.n_spheres
@@ -157,87 +157,57 @@ def form_from_class_coefficients(manifold: ProductManifold,
             om[label[1]][label[2]] = q
             om[label[2]][label[1]] = -q
         else:
-            sph[label[1]] = Fraction(q) / 2
+            sph[label[1]] = q / 2
     return ProductForm(om, sph)
-
-
-def _constraint_matrix(manifold: ProductManifold, action: ActionSpec,
-                       classification: ActionClassification) -> list:
-    """Integer matrix of the exactness constraints: one row per (loop,
-    Hamiltonian generator) pair, one column per H^2 basis class; the entry
-    is the period of the contraction of the class by the generator's field
-    over the loop.  Sphere classes never meet torus loops."""
-    m = manifold.torus_dim
-    labels = h2_class_labels(manifold)
-    rows = []
-    for xi in classification.hamiltonian_basis:
-        fld = geom.combination_field(manifold, action, xi)
-        for i in range(m):
-            row = []
-            for label in labels:
-                if label[0] == "torus":
-                    a, b = label[1], label[2]
-                    # i_X (dx_a ^ dx_b) paired with loop e_i
-                    row.append(fld.translation[a] * int(b == i)
-                               - fld.translation[b] * int(a == i))
-                else:
-                    row.append(0)
-            rows.append(row)
-    return rows
 
 
 def integralize_form(manifold: ProductManifold, action: ActionSpec,
                      form: ProductForm,
+                     classification: ActionClassification,
                      max_denominator: int) -> IntegralizationResult:
-    """Perturb the form within the invariant integral classes to a rational
-    class with the same exactness pattern and nondegeneracy, then scale it
-    integral.
+    """Round the form's class coefficients to the best rationals with
+    denominator <= max_denominator, check that the rounded form is still
+    nondegenerate and splits the action as `classification` (the form's
+    own) does, then scale it integral.
+
+    The rounding needs no exactness constraints.  A combination of
+    generators is Hamiltonian iff its combined translation vanishes (the
+    torus block is nondegenerate), and then its contraction with every
+    class has zero loop periods; so no class can break it.  The
+    classification re-check stays as the safety net.
 
     Raises RoundingBrokeNondegeneracy / RoundingBrokeConditionB when the
     denominator bound is too coarse; see integralize_with_retry.
     """
     if not form.is_nondegenerate():
         raise ValueError("input form is degenerate")
-    base_cls = classify_action(period_matrix(manifold, action, form))
-    a = [float(x) for x in form_class_coefficients(manifold, form)]
-    constraints = _constraint_matrix(manifold, action, base_cls)
-    ncls = len(a)
-    if constraints:
-        kernel = ratlin.rat_kernel_basis(constraints)
-    else:
-        kernel = [[Fraction(int(i == j)) for j in range(ncls)]
-                  for i in range(ncls)]
-    kmat = np.array([[float(x) for x in vec] for vec in kernel]).T
-    t, residual, _, _ = np.linalg.lstsq(kmat, np.array(a), rcond=None)
-    if not np.allclose(kmat @ t, a, atol=1e-9):
-        raise ValueError("form violates the exactness constraints of its "
-                         "own classification")
-    q_coords = [ratlin.rational_round(tv, max_denominator) for tv in t]
-    q = [sum(qc * vec[i] for qc, vec in zip(q_coords, kernel))
-         for i in range(ncls)]
+    a = form_class_coefficients(manifold, form)
+    q = [ratlin.rational_round(x, max_denominator) for x in a]
     candidate = form_from_class_coefficients(manifold, q)
     if not candidate.is_nondegenerate():
         raise RoundingBrokeNondegeneracy(
             f"max_denominator={max_denominator}")
-    new_cls = classify_action(period_matrix(manifold, action, candidate))
-    if new_cls != base_cls:
+    if classify_action(period_matrix(manifold, action, candidate)) \
+            != classification:
         raise RoundingBrokeConditionB(f"max_denominator={max_denominator}")
-    k = math.lcm(*[Fraction(x).denominator for x in q]) if q else 1
-    omega_prime = form_from_class_coefficients(
-        manifold, [int(Fraction(x) * k) for x in q])
-    max_dev = max((abs(float(x) - av) for x, av in zip(q, a)), default=0.0)
-    return IntegralizationResult(omega_prime, k, tuple(q), max_dev, base_cls)
+    k = math.lcm(*[x.denominator for x in q])
+    omega_prime = form_from_class_coefficients(manifold, [x * k for x in q])
+    max_dev = float(max(abs(x - y) for x, y in zip(q, a)))
+    return IntegralizationResult(omega_prime, k, tuple(q), max_dev,
+                                 classification)
 
 
 def integralize_with_retry(manifold: ProductManifold, action: ActionSpec,
                            form: ProductForm,
+                           classification: ActionClassification,
                            max_denominator: int) -> IntegralizationResult:
     """Retry policy for the open conditions: double the denominator bound
     until 2**16, then give up."""
     bound = max_denominator
     while True:
         try:
-            return integralize_form(manifold, action, form, bound)
+            return integralize_form(manifold, action, form, classification,
+                                    bound)
         except (RoundingBrokeNondegeneracy, RoundingBrokeConditionB):
             if bound >= 2 ** 16:
                 raise

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,12 +62,13 @@ class CircleComponent:
     the basepoint along a straight line in the universal cover, seen mod 1."""
 
     generator: tuple
-    covector: tuple           # exact entries; torus slots are integers
+    covector: tuple           # exact entries; torus slots are integral
     basepoint: tuple
     torus_dim: int
 
     @property
     def torus_covector(self) -> tuple:
+        """The integral torus slots as ints."""
         return tuple(int(x) for x in self.covector[:self.torus_dim])
 
     def _float_cov(self):
@@ -142,7 +142,7 @@ def hamiltonian_part(manifold: ProductManifold, action: ActionSpec,
     comps = []
     for xi in classification.hamiltonian_basis:
         cov = _component_covector(manifold, action, omega_prime, xi)
-        if any(Fraction(cov[k]) != 0 for k in range(manifold.torus_dim)):
+        if any(cov[:manifold.torus_dim]):
             raise ValueError("Hamiltonian basis vector has nonzero periods")
         comps.append(HamiltonianComponent(tuple(xi), tuple(cov)))
     return tuple(comps)
@@ -153,14 +153,13 @@ def circle_component(manifold: ProductManifold, action: ActionSpec,
     """Circle-valued component of a non-Hamiltonian generator (an integer
     combination of the action generators)."""
     cov = _component_covector(manifold, action, omega_prime, eta)
-    torus = [Fraction(cov[k]) for k in range(manifold.torus_dim)]
-    if all(x == 0 for x in torus):
+    torus = cov[:manifold.torus_dim]
+    if not any(torus):
         raise GeneratorIsHamiltonian(
             "all loop periods vanish for this generator")
     if any(x.denominator != 1 for x in torus):
         raise ValueError("form is not integral: non-integer loop periods")
-    exact = [int(x) for x in torus] + list(cov[manifold.torus_dim:])
-    return CircleComponent(tuple(eta), tuple(exact),
+    return CircleComponent(tuple(eta), tuple(cov),
                            tuple(manifold.basepoint()), manifold.torus_dim)
 
 
@@ -208,11 +207,10 @@ class FiberFactorization:
 
 
 def fiber_connected_factorization(covector) -> FiberFactorization:
-    ints = [int(x) for x in covector]
-    if not any(ints):
+    if not any(covector):
         raise ValueError("zero covector has no factorization")
-    d = math.gcd(*[abs(x) for x in ints])
-    return FiberFactorization(d, tuple(x // d for x in ints))
+    d = math.gcd(*covector)
+    return FiberFactorization(d, tuple(x // d for x in covector))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here works on plain Python lists of ints or Fractions, which is
 ample at the sizes this package ever sees (matrices up to ~8x8 plus a
 handful of homology columns).  No floating point enters any routine in this
-module; callers that hold float data convert it to exact Fractions first.
+module: scenario numbers are Fractions from parse time on, so every caller
+already holds exact data.
 """
 
 from __future__ import annotations

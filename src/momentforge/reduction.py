@@ -10,6 +10,7 @@ are deliberately out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -49,8 +50,7 @@ class ReductionProblem:
     def __post_init__(self):
         object.__setattr__(self, "reduce_indices",
                            tuple(int(i) for i in self.reduce_indices))
-        object.__setattr__(self, "values",
-                           tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(Fraction, self.values)))
         if len(self.reduce_indices) != len(self.values):
             raise ValueError("one level value per reduced generator")
         for i in self.reduce_indices:
@@ -78,15 +78,15 @@ def _reduced_sphere(problem: ReductionProblem, gen_idx: int) -> int:
 
 
 def _level_height(problem: ReductionProblem, gen_idx: int,
-                  value: float) -> float:
-    """Invert the mu1 coordinate of the reduced generator on its sphere.
+                  value: Fraction) -> Fraction:
+    """Invert the mu1 coordinate of the reduced generator on its sphere,
+    exactly.
 
     The generator's component is sign * s * c * h."""
     f = _reduced_sphere(problem, gen_idx)
     s = problem.action.rotations[gen_idx][f]
-    c = float(problem.moment.omega_prime.sphere_coeffs[f])
-    slope = problem.action.sign * s * c
-    return value / slope
+    c = problem.moment.omega_prime.sphere_coeffs[f]
+    return value / (problem.action.sign * s * c)
 
 
 def regular_value_check(problem: ReductionProblem) -> RegularValueVerdict:
@@ -100,10 +100,10 @@ def regular_value_check(problem: ReductionProblem) -> RegularValueVerdict:
         f = _reduced_sphere(problem, idx)
         h = _level_height(problem, idx, val)
         witnesses.append((f, h))
-        if not -1.0 <= h <= 1.0:
+        if not -1 <= h <= 1:
             in_image = False
             regular = False
-        elif abs(abs(h) - 1.0) < 1e-12:
+        elif abs(h) == 1:
             regular = False
     return RegularValueVerdict(regular, in_image, tuple(witnesses))
 
@@ -179,7 +179,7 @@ def induced_moment(reduced: ReducedSpace, n_samples: int = 1000,
     if reduced.reduced_spheres:
         pts = geom.sample_points(manifold, n_samples, seed)
         for f, h in zip(reduced.reduced_spheres, reduced.level_heights):
-            pts[:, manifold.sphere_offset(f) + 1] = h
+            pts[:, manifold.sphere_offset(f) + 1] = float(h)
         parent_moment = problem.moment
         rng = np.random.default_rng(seed + 1)
         angles = rng.random(n_samples)
@@ -224,7 +224,7 @@ def heredity_check(reduced: ReducedSpace, circle_bins: int = 50,
                                "vacuous: residual action is Hamiltonian")
     p = hamclass.period_matrix(reduced.manifold, reduced.action, reduced.form)
     non_ham = all(
-        any(v != 0 for v in _combined_row(p, g))
+        any(hamclass.combined_period_row(p, g))
         for g in mom.classification.complement_generators)
     pts = geom.sample_points(reduced.manifold, n_samples, seed)
     vals = mom.mu2_values(pts)
@@ -238,8 +238,3 @@ def heredity_check(reduced: ReducedSpace, circle_bins: int = 50,
     passed = non_ham and hit_all
     return HeredityVerdict(True, non_ham, hits, circle_bins, hit_all, passed)
 
-
-def _combined_row(p, g):
-    exact = p.exact()
-    return [sum(gi * exact[j][k] for j, gi in enumerate(g))
-            for k in range(p.cols)]

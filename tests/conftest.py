@@ -2,6 +2,7 @@
 
 import pytest
 
+from momentforge import hamclass
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
@@ -9,6 +10,13 @@ STD2 = ((0, 1), (-1, 0))
 STD4 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
 STD6 = ((0, 1, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
         (0, 0, -1, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, -1, 0))
+
+
+def classify(m, a, form=None):
+    """The classification integralization starts from: that of the form
+    itself (the manifold's own form by default)."""
+    return hamclass.classify_action(
+        hamclass.period_matrix(m, a, form or m.form()))
 
 
 def torus2(omega=STD2):

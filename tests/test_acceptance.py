@@ -16,6 +16,8 @@ from momentforge import (cli, convex, equiv, geom, hamclass, moment,
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
+from conftest import classify
+
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
 
@@ -30,7 +32,8 @@ def scenario(name):
 
 
 def pipeline(m, a, max_den=64):
-    res = hamclass.integralize_with_retry(m, a, m.form(), max_den)
+    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+                                          max_den)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification)
     z = equiv.cocycle_matrix(m, a, res.omega_prime, res.classification)
@@ -84,8 +87,9 @@ def test_criterion_02_period_integrality():
 def test_criterion_03_integralization():
     t0 = time.perf_counter()
     sc = scenario("two_torus_sqrt2")
-    res = hamclass.integralize_with_retry(sc.manifold, sc.action,
-                                          sc.form, 5)
+    res = hamclass.integralize_with_retry(
+        sc.manifold, sc.action, sc.form,
+        classify(sc.manifold, sc.action), 5)
     ok = res.omega_prime.torus_omega == ((0, 7), (-7, 0)) and res.k == 5
     # 20 randomized irrational instances must keep the classification
     rng = np.random.default_rng(7)
@@ -97,7 +101,7 @@ def test_criterion_03_integralization():
         w = float(rng.uniform(0.5, 3.0)) * math.sqrt(2)
         c = float(rng.uniform(0.2, 2.0)) * math.pi / 3.0
         form = ProductForm(((0, w), (-w, 0)), (c,))
-        r2 = hamclass.integralize_with_retry(m, a, form, 8)
+        r2 = hamclass.integralize_with_retry(m, a, form, base, 8)
         got = hamclass.classify_action(
             hamclass.period_matrix(m, a, r2.omega_prime))
         ok &= got == base and r2.omega_prime.is_nondegenerate()
@@ -142,11 +146,10 @@ def test_criterion_05_fixed_point_chain():
     ok = True
     for name in BUNDLED:
         sc = scenario(name)
-        res, mom, _ = pipeline(sc.manifold, sc.action, sc.max_denominator)
+        res, mom, z = pipeline(sc.manifold, sc.action, sc.max_denominator)
         fps = geom.fixed_point_set(sc.manifold, sc.action)
         nat = equiv.natural_equivariance_test(sc.manifold, sc.action,
-                                              res.omega_prime,
-                                              res.classification, mom)
+                                              res.omega_prime, z, mom)
         if fps.kind != "empty":
             ok &= nat.orbits_isotropic and nat.z_is_zero
             ok &= nat.max_mu2_invariance_error < 1e-9

@@ -49,6 +49,15 @@ def test_minimal_scenario_defaults(tmp_path):
                          "equivariance", "convexity", "betti")
 
 
+T4_DECIMAL_DEGENERATE = """
+[manifold]
+torus_dim = 4
+torus_omega = 0 0.1 0.3 0 ; -0.1 0 0 1 ; -0.3 0 0 3 ; 0 -1 -3 0
+[action]
+generators = 1 0 0 0 |
+"""
+
+
 @pytest.mark.parametrize("text,fragment", [
     (GOOD.replace("generators = 1 0 | ; 0 1 |", "generators = 1 0 ; 0 1 |"),
      "'|'"),
@@ -58,6 +67,16 @@ def test_minimal_scenario_defaults(tmp_path):
     (GOOD + "[expect]\nfoo = 1\n", "unknown expectation"),
     (GOOD + "[reduce]\ngenerators = 0\nvalues = 0 1\n", "one value per"),
     (GOOD.replace("torus_dim = 2", "torus_dim = x"), "not an integer"),
+    (GOOD.replace("torus_dim = 2", "torus_dim = 2\nspheres = inf"),
+     "'inf' is not a finite number"),
+    (GOOD.replace("torus_dim = 2", "torus_dim = 2\nspheres = 1e400"),
+     "'1e400' is not a finite number"),
+    (GOOD.replace("0 1 ; -1 0", "0 1e400 ; -1e400 0"),
+     "'1e400' is not a finite number"),
+    (GOOD + "[reduce]\ngenerators = 0\nvalues = 1/0\n",
+     "'1/0' is not a finite number"),
+    # the decimal Pfaffian 0.1 * 3 - 0.3 * 1 is exactly 0
+    (T4_DECIMAL_DEGENERATE, "degenerate"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     with pytest.raises(cli.ConfigError, match=fragment):
@@ -104,6 +123,18 @@ def test_critical_reduce_level_fails_with_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stage0_regular = false" in out
     assert "failures = reduce.stage0_regular" in out
+
+
+def test_exhausted_integralization_fails_with_report(tmp_path, capsys):
+    """A valid form whose class rounds to zero at every denominator bound
+    up to 2**16: the run records that integralization did not converge,
+    skips the later stages and exits 1 with its report."""
+    tiny = write(tmp_path, GOOD.replace("0 1 ; -1 0", "0 1e-6 ; -1e-6 0"))
+    assert cli.main(["all", "--scenario", str(tiny)]) == 1
+    out = capsys.readouterr().out
+    assert "converged = false" in out
+    assert "failures = integralize.converged" in out
+    assert "[moment]" not in out
 
 
 def test_speed_two_reduction_fails_with_report(tmp_path, capsys):

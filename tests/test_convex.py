@@ -15,11 +15,12 @@ from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 from momentforge.moment import CircleComponent
 
-from conftest import STD6, s2xs2, s2xt2, sphere, torus2, torus4
+from conftest import STD6, classify, s2xs2, s2xt2, sphere, torus2, torus4
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m, a, m.form(), 64)
+    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+                                          64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification)
     return res, mom

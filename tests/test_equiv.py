@@ -9,11 +9,12 @@ import pytest
 from momentforge import equiv, geom, hamclass, moment
 from momentforge.geom import ActionSpec, ProductForm
 
-from conftest import STD4, s2xs2, s2xt2, sphere, torus2, torus4
+from conftest import STD4, classify, s2xs2, s2xt2, sphere, torus2, torus4
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m, a, m.form(), 64)
+    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+                                          64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification)
     z = equiv.cocycle_matrix(m, a, res.omega_prime, res.classification)
@@ -129,9 +130,8 @@ def test_two_torus_orbits_not_isotropic(t2_translations):
 
 def test_natural_equivariance_chain_with_fixed_points(s2xs2_rotations):
     m, a = s2xs2_rotations
-    res, mom, _ = pipeline(m, a)
-    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime,
-                                              res.classification, mom)
+    res, mom, z = pipeline(m, a)
+    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
     assert verdict.has_fixed_points
     assert verdict.orbits_isotropic
     assert verdict.z_is_zero
@@ -143,7 +143,7 @@ def test_natural_equivariance_chain_violation_raises(s2xs2_rotations,
     """With fixed points present, non-isotropic orbits contradict the
     theorem; the check raises instead of returning a verdict."""
     m, a = s2xs2_rotations
-    res, mom, _ = pipeline(m, a)
+    res, mom, z = pipeline(m, a)
     real = equiv.isotropic_orbit_test
 
     def not_isotropic(*args, **kwargs):
@@ -151,15 +151,13 @@ def test_natural_equivariance_chain_violation_raises(s2xs2_rotations,
 
     monkeypatch.setattr(equiv, "isotropic_orbit_test", not_isotropic)
     with pytest.raises(equiv.FixedPointChainBroken, match="not isotropic"):
-        equiv.natural_equivariance_test(m, a, res.omega_prime,
-                                        res.classification, mom)
+        equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
 
 
 def test_natural_equivariance_without_fixed_points(t2_translations):
     m, a = t2_translations
-    res, mom, _ = pipeline(m, a)
-    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime,
-                                              res.classification, mom)
+    res, mom, z = pipeline(m, a)
+    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
     assert not verdict.has_fixed_points
     assert not verdict.orbits_isotropic
     assert not verdict.naturally_equivariant
@@ -170,9 +168,8 @@ def test_hamiltonian_only_full_invariance():
     of the whole moment."""
     m = sphere()
     a = ActionSpec(((),), ((1,),))
-    res, mom, _ = pipeline(m, a)
-    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime,
-                                              res.classification, mom)
+    res, mom, z = pipeline(m, a)
+    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
     assert verdict.naturally_equivariant
     assert verdict.max_mu2_invariance_error == 0.0
 

@@ -2,6 +2,8 @@
 homology bases, fixed-point sets, seeded sampling, and the batched torus
 action."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,17 @@ def test_torus_factor_rejects_bad_forms():
         with pytest.raises(ValueError, match="zero determinant"):
             FlatTorusFactor(degenerate)
         assert not ProductForm(degenerate, ()).is_nondegenerate()
+
+
+def test_factors_and_forms_hold_fractions():
+    """Library callers may pass ints or floats; factors and forms hold the
+    exact Fraction of each (a float converts exactly)."""
+    torus = FlatTorusFactor(((0, 0.5), (-0.5, 0)))
+    form = ProductForm(torus.omega, (SphereFactor(0.1).area_coefficient,))
+    assert torus.omega == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
+    assert form.sphere_coeffs == (Fraction(0.1),)
+    assert all(isinstance(x, Fraction)
+               for x in form.torus_omega[0] + form.sphere_coeffs)
 
 
 def test_sphere_factor_rejects_nonpositive_area():

@@ -16,7 +16,7 @@ from momentforge import geom, hamclass, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import s2xt2, sphere, torus2
+from conftest import classify, s2xt2, sphere, torus2
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_period_matrix_std_t2(t2_translations):
     m, a = t2_translations
     p = hamclass.period_matrix(m, a, m.form())
     assert p.entries == ((0, 1), (-1, 0))
-    assert any(p.exact()[0])
+    assert any(p.entries[0])
 
 
 def test_period_matrix_sphere_rotation_rows_vanish():
@@ -99,7 +99,7 @@ def test_period_matrix_mixed(s2xt2_mixed):
     m, a = s2xt2_mixed
     p = hamclass.period_matrix(m, a, m.form())
     assert p.entries == ((0, 0), (0, 1), (-1, 0))
-    assert not any(p.exact()[0])
+    assert not any(p.entries[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def test_h2_labels_order():
 def test_integralize_sqrt2(t2_translations):
     m, a = t2_translations
     form = ProductForm(((0, math.sqrt(2)), (-math.sqrt(2), 0)), ())
-    res = hamclass.integralize_form(m, a, form, 5)
+    res = hamclass.integralize_form(m, a, form, classify(m, a, form), 5)
     assert res.q == (Fraction(7, 5),)
     assert res.k == 5
     assert res.omega_prime.torus_omega == ((0, 7), (-7, 0))
@@ -208,7 +208,7 @@ def test_integralize_sqrt2(t2_translations):
 
 def test_integralize_already_integral(t2_translations):
     m, a = t2_translations
-    res = hamclass.integralize_form(m, a, m.form(), 64)
+    res = hamclass.integralize_form(m, a, m.form(), classify(m, a), 64)
     assert res.k == 1
     assert res.omega_prime.torus_omega == ((0, 1), (-1, 0))
     assert res.max_deviation == 0.0
@@ -217,7 +217,7 @@ def test_integralize_already_integral(t2_translations):
 def test_integralize_sphere_area():
     m = sphere(0.7)
     a = ActionSpec(((),), ((1,),))
-    res = hamclass.integralize_form(m, a, m.form(), 5)
+    res = hamclass.integralize_form(m, a, m.form(), classify(m, a), 5)
     # class coefficient 1.4 rounds to 7/5, scaled to 7
     assert res.k == 5
     assert res.omega_prime.sphere_coeffs == (Fraction(7, 2),)
@@ -228,7 +228,8 @@ def test_integralize_respects_exactness_constraints():
     to keep the same contraction-exactness pattern."""
     m = s2xt2(c=0.5 * math.sqrt(3))
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    res = hamclass.integralize_with_retry(m, a, m.form(), 16)
+    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+                                          16)
     cls = hamclass.classify_action(
         hamclass.period_matrix(m, a, res.omega_prime))
     assert cls == res.classification
@@ -247,7 +248,7 @@ def test_integralize_randomized_preserves_classification():
         w = float(rng.uniform(0.5, 3.0)) * math.sqrt(2)
         c = float(rng.uniform(0.2, 2.0)) * math.sqrt(3)
         form = ProductForm(((0, w), (-w, 0)), (c,))
-        res = hamclass.integralize_with_retry(m, a_spec, form, 8)
+        res = hamclass.integralize_with_retry(m, a_spec, form, base, 8)
         got = hamclass.classify_action(
             hamclass.period_matrix(m, a_spec, res.omega_prime))
         assert got == base
@@ -258,7 +259,7 @@ def test_integralize_rejects_degenerate_input(t2_translations):
     m, a = t2_translations
     with pytest.raises(ValueError):
         hamclass.integralize_form(
-            m, a, ProductForm(((0, 1), (-1, 0)), (0,)), 5)
+            m, a, ProductForm(((0, 1), (-1, 0)), (0,)), classify(m, a), 5)
 
 
 def test_retry_doubles_the_bound(t2_translations):
@@ -268,7 +269,8 @@ def test_retry_doubles_the_bound(t2_translations):
     m, a = t2_translations
     tiny = 1e-3
     form = ProductForm(((0, tiny), (-tiny, 0)), ())
-    res = hamclass.integralize_with_retry(m, a, form, 1)
+    res = hamclass.integralize_with_retry(m, a, form, classify(m, a, form),
+                                          1)
     # 1e-3 rounds to 0 at small bounds (degenerate) until the denominator
     # bound admits a nonzero approximation
     assert res.omega_prime.is_nondegenerate()

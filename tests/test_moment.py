@@ -8,11 +8,12 @@ import pytest
 from momentforge import geom, hamclass, moment
 from momentforge.geom import ActionSpec, ProductForm
 
-from conftest import s2xs2, s2xt2, sphere, torus2
+from conftest import classify, s2xs2, s2xt2, sphere, torus2
 
 
 def build(m, a, max_den=64):
-    res = hamclass.integralize_with_retry(m, a, m.form(), max_den)
+    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+                                          max_den)
     return moment.generalized_moment(m, a, res.omega_prime,
                                      res.classification)
 

@@ -1,17 +1,20 @@
 """Structural reduction: regular values, freeness guards, the induced
 moment, and heredity of the non-Hamiltonian structure."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from momentforge import hamclass, moment, reduction
 from momentforge.geom import ActionSpec
 
-from conftest import s2xs2, s2xt2, sphere
+from conftest import classify, s2xs2, s2xt2, sphere
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m, a, m.form(), 64)
+    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+                                          64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification)
     return res, mom
@@ -36,6 +39,9 @@ def test_interior_value_is_regular():
 def test_pole_value_is_critical():
     verdict = reduction.regular_value_check(mixed_problem(1.0))
     assert not verdict.regular and verdict.in_image
+    # the pole test is exact: a level 1e-13 below the pole is regular
+    near = mixed_problem(1 - Fraction(1, 10 ** 13))
+    assert reduction.regular_value_check(near).regular
 
 
 def test_value_outside_image_rejected():
