@@ -453,12 +453,10 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
 
 def _run_moment(report, scenario, mom):
     M = scenario.manifold
-    loops, _ = geom.homology_bases(M)
-    periods = hamclass.period_matrix(M, scenario.action, mom.omega_prime)
+    covs = geom.field_covectors(scenario.action, mom.omega_prime,
+                                mom.classification.complement_generators)
     report.require("moment", "mu2_loop_periods_integral", all(
-        x.denominator == 1
-        for eta in mom.classification.complement_generators
-        for x in hamclass.combined_period_row(periods, eta)))
+        x.denominator == 1 for cov in covs for x in cov[:M.torus_dim]))
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrices.append(
@@ -472,16 +470,14 @@ def _run_moment(report, scenario, mom):
         + [f"mu1_{i}" for i in range(mom.c)]
         + [f"mu2_{i}" for i in range(mom.r)])
     if mom.r:
-        x = pts[0]
-        comp = mom.mu2[0]
-        off = [0] * M.torus_dim
-        loop_dir = list(loops[0].direction) if loops else []
-        if loop_dir:
-            rep = moment_mod.path_independence_check(M, comp, x, off,
-                                                     loop_dir)
-            report.add("moment", "path_difference", rep.difference)
-            report.require("moment", "path_independent",
-                           rep.difference_is_integer and rep.equal_mod_one)
+        # a circle component has a nonzero torus covector, so m >= 2 here;
+        # compare the straight lift with the one shifted by the loop e_0
+        e0 = [int(k == 0) for k in range(M.torus_dim)]
+        rep = moment_mod.path_independence_check(
+            M, mom.mu2[0], pts[0], [0] * M.torus_dim, e0)
+        report.add("moment", "path_difference", rep.difference)
+        report.require("moment", "path_independent",
+                       rep.difference_is_integer and rep.equal_mod_one)
     for comp in mom.mu2:
         fact = moment_mod.fiber_connected_factorization(comp.torus_covector)
         report.add("moment",

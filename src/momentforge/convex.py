@@ -13,8 +13,7 @@ import numpy as np
 
 from . import geom, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
-from .hamclass import (ActionClassification, combined_period_row,
-                       period_matrix)
+from .hamclass import ActionClassification
 from .moment import CIRCLE_TOL, GeneralizedMoment
 
 
@@ -192,9 +191,8 @@ def betti_bound_check(manifold: ProductManifold, action: ActionSpec,
                       classification: ActionClassification) -> BettiReport:
     """Rank of the period matrix restricted to the complement generators
     must equal r (totally non-Hamiltonian restriction) and r <= b1."""
-    p = period_matrix(manifold, action, form)
-    rows = [combined_period_row(p, g)
-            for g in classification.complement_generators]
+    rows = [cov[:manifold.torus_dim] for cov in geom.field_covectors(
+        action, form, classification.complement_generators)]
     rank = ratlin.integer_rank(rows) if rows else 0
     if rank < classification.r:
         raise PreconditionViolated(

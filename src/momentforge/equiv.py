@@ -26,32 +26,23 @@ class FixedPointChainBroken(Exception):
 
 def cocycle_matrix(manifold: ProductManifold, action: ActionSpec,
                    omega_prime: ProductForm,
-                   classification: ActionClassification,
-                   basepoint=None) -> list:
+                   classification: ActionClassification) -> list:
     """Z[i][j] = integral of the i-th generator's contracted form over the
-    j-th circle orbit through the basepoint.  Entries are exact and must be
+    j-th circle orbit: Z = (field covectors of H) (H G)^T for the complement
+    generators H and the orbit matrix G.  Entries are exact and must be
     integers; the diagonal must vanish.
 
-    The orbits only wind on the torus factor (sphere orbits are latitude
-    circles, which pair to zero), so the entries reduce to exact pairings of
-    the translation directions; the basepoint drops out.
-    """
+    Sphere orbits are latitude circles, which pair to zero, so only the
+    torus windings contribute and no basepoint enters."""
     gens = classification.complement_generators
-    r = len(gens)
-    z = [[0] * r for _ in range(r)]
-    for i in range(r):
-        fld = geom.combination_field(manifold, action, gens[i])
-        cov = geom.contraction_covector(manifold, omega_prime, fld)
-        for j in range(r):
-            orbit = geom.combination_field(manifold, action, gens[j])
-            # orbit direction is the generator data itself (+v), not the
-            # sign-twisted fundamental field
-            vj = [action.sign * x for x in orbit.translation]
-            entry = sum(cov[k] * vj[k] for k in range(manifold.torus_dim))
+    orbits = ratlin.mat_mul(gens, action.orbit_matrix())
+    z = ratlin.mat_mul(geom.field_covectors(action, omega_prime, gens),
+                       ratlin.transpose(orbits))
+    for i, row in enumerate(z):
+        for j, entry in enumerate(row):
             if entry.denominator != 1:
                 raise NonIntegerPeriod(f"Z[{i}][{j}] = {entry}")
-            z[i][j] = entry
-    for i in range(r):
+    for i in range(len(z)):
         if z[i][i] != 0:
             raise NonIntegerPeriod(f"nonzero diagonal Z[{i}][{i}] = {z[i][i]}")
     return z
@@ -107,32 +98,18 @@ def equivariance_check(manifold: ProductManifold, action: ActionSpec,
 class IsotropyReport:
     pairings: tuple      # r_total x r_total generator pairings
     isotropic: bool
-    point_independent: bool
 
 
 def isotropic_orbit_test(manifold: ProductManifold, action: ActionSpec,
-                         omega_prime: ProductForm,
-                         points=None) -> IsotropyReport:
-    """Evaluate all generator pairings; orbits are isotropic iff every one
-    vanishes.  The pairings are constant over this universe, which is
-    verified directly when sample points are supplied."""
-    n = action.r_total
-    fields = [geom.fundamental_field(manifold, action, j) for j in range(n)]
-    vecs = [f.coord_vector(manifold) for f in fields]
-    pairings = [[geom.pairing_eval(manifold, omega_prime, vecs[i], vecs[j])
-                 for j in range(n)] for i in range(n)]
-    point_independent = True
-    if points is not None:
-        for x in np.atleast_2d(points):
-            for i in range(n):
-                for j in range(n):
-                    v = geom.pairing_eval(manifold, omega_prime,
-                                          vecs[i], vecs[j], x)
-                    if v != pairings[i][j]:
-                        point_independent = False
+                         omega_prime: ProductForm) -> IsotropyReport:
+    """All generator pairings omega(X_i, X_j), the matrix G W G^T (the
+    forms are constant, so it holds at every point); orbits are isotropic
+    iff every one vanishes."""
+    g = action.orbit_matrix()
+    pairings = ratlin.mat_mul(ratlin.mat_mul(g, omega_prime.matrix()),
+                              ratlin.transpose(g))
     isotropic = not any(v for row in pairings for v in row)
-    return IsotropyReport(tuple(tuple(row) for row in pairings), isotropic,
-                          point_independent)
+    return IsotropyReport(tuple(tuple(row) for row in pairings), isotropic)
 
 
 @dataclass(frozen=True)
@@ -198,10 +175,8 @@ def local_freeness_check(manifold: ProductManifold, action: ActionSpec,
     r = classification.r
     rank = ratlin.integer_rank(z) if z else 0
     if rank == r and r > 0:
-        dirs = []
-        for g in classification.complement_generators:
-            fld = geom.combination_field(manifold, action, g)
-            dirs.append(list(fld.translation) + list(fld.rotations))
+        dirs = ratlin.mat_mul(classification.complement_generators,
+                              action.generator_matrix())
         finite = ratlin.integer_rank(dirs) == r
         note = "rank(Z) = r: action locally free" if finite else \
             "rank(Z) = r but direction matrix degenerate (unexpected)"

@@ -10,13 +10,20 @@ Coordinate conventions, used by every downstream module:
   cohomology class is integral iff 2c is an integer;
 * the torus form is omega(u, w) = u^T Omega w on R^m / Z^m.
 
-All forms in play are constant in these coordinates, which is what keeps the
-period and cocycle computations exact.
+All forms in play are constant in these coordinates, so the action and the
+form are two exact matrices: the integer orbit matrix G of an ActionSpec
+(one row per generator: its translation, then (speed, 0) per sphere) and
+the form matrix W of a ProductForm, with omega(u, w) = u W w^T.  The sign
+convention and the contraction rule are applied in field_covectors: the
+fundamental field of a generator is sign times its row of G (sign = -1 is
+the exp(-t xi) convention; the orbits themselves follow G), and the
+covector of i_X omega is X W.  Every period, pairing and cocycle downstream
+is a product of these matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +89,19 @@ class ProductForm:
                 tuple(tuple(map(Fraction, row)) for row in self.torus_omega))
         object.__setattr__(self, "sphere_coeffs",
                            tuple(map(Fraction, self.sphere_coeffs)))
+
+    def matrix(self) -> list:
+        """W, dim x dim and exact: the torus block, then [[0, c], [-c, 0]]
+        per sphere."""
+        m = len(self.torus_omega or ())
+        n = m + 2 * len(self.sphere_coeffs)
+        w = [[0] * n for _ in range(n)]
+        for i, row in enumerate(self.torus_omega or ()):
+            w[i][:m] = row
+        for f, c in enumerate(self.sphere_coeffs):
+            o = m + 2 * f
+            w[o][o + 1], w[o + 1][o] = c, -c
+        return w
 
     def is_nondegenerate(self) -> bool:
         if not all(self.sphere_coeffs):
@@ -154,12 +174,8 @@ class ProductManifold:
 @dataclass(frozen=True)
 class ActionSpec:
     """A torus action: per generator an integer translation direction on the
-    torus factor and an integer rotation speed on each sphere factor.
-
-    sign = +1 makes the fundamental field of a generator equal to its
-    translation/rotation data; sign = -1 flips it globally (the exp(-t xi)
-    convention).  Both give valid moments; see the module docs.
-    """
+    torus factor and an integer rotation speed on each sphere factor, plus
+    the sign of the fundamental fields (see the module docs)."""
 
     translations: tuple  # per generator, tuple of ints (length torus_dim)
     rotations: tuple     # per generator, tuple of ints (length n_spheres)
@@ -177,6 +193,10 @@ class ActionSpec:
         if len(self.translations) != len(self.rotations):
             raise ValueError("translations and rotations disagree on "
                              "generator count")
+        for part in (self.translations, self.rotations):
+            if len({len(row) for row in part}) > 1:
+                raise ValueError("ragged generators: every generator needs "
+                                 "the same number of entries")
         for v, s in zip(self.translations, self.rotations):
             if not any(v) and not any(s):
                 raise ValueError("trivial generator")
@@ -190,6 +210,13 @@ class ActionSpec:
         return [list(v) + list(s)
                 for v, s in zip(self.translations, self.rotations)]
 
+    def orbit_matrix(self) -> list:
+        """G, r_total x dim: per generator its orbit direction in flat
+        coordinates, the translation and then (speed, 0) per sphere.  It
+        does not depend on the sign."""
+        return [list(v) + [x for speed in s for x in (speed, 0)]
+                for v, s in zip(self.translations, self.rotations)]
+
     def effectiveness_diagonal(self) -> list:
         _, d, _ = ratlin.smith_normal_form(self.generator_matrix())
         k = min(len(d), len(d[0]) if d else 0)
@@ -201,123 +228,16 @@ class ActionSpec:
                 and all(diag[i] == 1 for i in range(self.r_total)))
 
 
-@dataclass(frozen=True)
-class FundamentalField:
-    """Constant field: translation part on the torus factor and an angular
-    speed per sphere."""
-
-    translation: tuple
-    rotations: tuple
-
-    def coord_vector(self, manifold: ProductManifold) -> list:
-        out = list(self.translation) + [0] * (2 * manifold.n_spheres)
-        for f, s in enumerate(self.rotations):
-            out[manifold.sphere_offset(f)] = s
-        return out
-
-
-def fundamental_field(manifold: ProductManifold, action: ActionSpec,
-                      j: int) -> FundamentalField:
-    if not 0 <= j < action.r_total:
-        raise IndexError("generator index out of range")
-    eps = action.sign
-    return FundamentalField(
-        tuple(eps * v for v in action.translations[j]),
-        tuple(eps * s for s in action.rotations[j]))
-
-
-def combination_field(manifold: ProductManifold, action: ActionSpec,
-                      coeffs) -> FundamentalField:
-    """Fundamental field of an integer combination of generators."""
-    m = manifold.torus_dim
-    v = [0] * m
-    s = [0] * manifold.n_spheres
-    for c, tr, ro in zip(coeffs, action.translations, action.rotations):
-        for i in range(m):
-            v[i] += c * tr[i]
-        for f in range(manifold.n_spheres):
-            s[f] += c * ro[f]
-    eps = action.sign
-    return FundamentalField(tuple(eps * x for x in v),
-                            tuple(eps * x for x in s))
-
-
-def pairing_eval(manifold: ProductManifold, form: ProductForm,
-                 u, w, x=None):
-    """omega_x(u, w) for tangent vectors in flat coordinates.  The point x
-    is accepted for interface parity; the forms here are constant."""
-    n = manifold.coord_dim
-    if len(u) != n or len(w) != n:
-        raise ValueError("tangent vector dimension mismatch")
-    m = manifold.torus_dim
-    total = 0
-    if m:
-        om = form.torus_omega
-        total += sum(u[i] * om[i][j] * w[j]
-                     for i in range(m) for j in range(m) if om[i][j] != 0)
-    for f, c in enumerate(form.sphere_coeffs):
-        o = manifold.sphere_offset(f)
-        total += c * (u[o] * w[o + 1] - u[o + 1] * w[o])
-    return total
-
-
-def contraction_covector(manifold: ProductManifold, form: ProductForm,
-                         fld: FundamentalField) -> list:
-    """The constant covector of i_X omega in flat coordinates, i.e. the
-    vector a with (i_X omega)(w) = <a, w>."""
-    m = manifold.torus_dim
-    out = [0] * manifold.coord_dim
-    if m:
-        om = form.torus_omega
-        for j in range(m):
-            out[j] = sum(fld.translation[i] * om[i][j] for i in range(m))
-    for f, c in enumerate(form.sphere_coeffs):
-        o = manifold.sphere_offset(f)
-        # i_X (c dtheta ^ dh) = c X_theta dh - c X_h dtheta; X_h = 0 here
-        out[o + 1] = c * fld.rotations[f]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# homology
-
-@dataclass(frozen=True)
-class TorusLoop:
-    """t -> basepoint + t * direction on the torus factor, direction in Z^m."""
-
-    direction: tuple
-    basepoint: tuple = None
-
-    def __post_init__(self):
-        d = tuple(int(v) for v in self.direction)
-        for v, raw in zip(d, self.direction):
-            if v != raw:
-                raise ValueError("open curve: direction must be integral")
-        object.__setattr__(self, "direction", d)
-        if self.basepoint is not None:
-            object.__setattr__(self, "basepoint", tuple(self.basepoint))
-
-
-@dataclass(frozen=True)
-class TorusTwoCycle:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class SphereTwoCycle:
-    sphere_index: int
-
-
-def homology_bases(manifold: ProductManifold):
-    """Coordinate loops as the H_1 basis; coordinate 2-tori plus sphere
-    classes as the H_2 basis."""
-    m = manifold.torus_dim
-    loops = [TorusLoop(tuple(int(i == k) for i in range(m)))
-             for k in range(m)]
-    cycles = [TorusTwoCycle(i, j) for i in range(m) for j in range(i + 1, m)]
-    cycles += [SphereTwoCycle(f) for f in range(manifold.n_spheres)]
-    return loops, cycles
+def field_covectors(action: ActionSpec, form: ProductForm,
+                    coeffs=None) -> list:
+    """The covectors of i_X omega, sign * (coeffs G) W: one row per
+    generator, or per integer combination of generators when coeffs (one
+    row of r_total integers per combination) is given."""
+    rows = action.orbit_matrix()
+    if coeffs is not None:
+        rows = ratlin.mat_mul(coeffs, rows)
+    return ratlin.mat_mul([[action.sign * x for x in row] for row in rows],
+                          form.matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +286,8 @@ def fixed_point_set(manifold: ProductManifold,
 def apply_torus_element(manifold: ProductManifold, action: ActionSpec,
                         params, points: np.ndarray) -> np.ndarray:
     """Act with the group element exp(sum_j params_j * eta_j): translate the
-    torus coordinates and rotate each sphere.  The orbit direction is the
-    generator data itself, independent of the sign convention (which only
-    flips the fundamental fields).
+    torus coordinates and rotate each sphere along the orbit matrix G, which
+    does not depend on the sign.
 
     params has shape (r_total,), one element acting on every point, or
     (n, r_total), row i acting on point i."""

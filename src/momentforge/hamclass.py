@@ -77,18 +77,11 @@ class ActionClassification:
 
 def period_matrix(manifold: ProductManifold, action: ActionSpec,
                   form: ProductForm) -> PeriodMatrix:
-    rows = []
-    for j in range(action.r_total):
-        fld = geom.fundamental_field(manifold, action, j)
-        cov = geom.contraction_covector(manifold, form, fld)
-        rows.append(tuple(cov[k] for k in range(manifold.torus_dim)))
-    return PeriodMatrix(tuple(rows))
-
-
-def combined_period_row(p: PeriodMatrix, coeffs) -> list:
-    """Period row of the integer combination sum_j coeffs_j X_j."""
-    return [sum(g * row[k] for g, row in zip(coeffs, p.entries))
-            for k in range(p.cols)]
+    """The torus slots of the generators' field covectors: the period of a
+    constant 1-form over the coordinate loop e_k is its k-th entry."""
+    m = manifold.torus_dim
+    return PeriodMatrix(tuple(tuple(row[:m])
+                              for row in geom.field_covectors(action, form)))
 
 
 def classify_action(p: PeriodMatrix) -> ActionClassification:

@@ -2,9 +2,9 @@
 circle-valued components for the non-Hamiltonian complement, fiber
 factorization, and fixed-point local models.
 
-Every component is linear in the flat coordinates, with a constant covector
-obtained by contracting the integral form with the generator's fundamental
-field.  Circle components keep their exact integer torus covector alongside
+Every component is linear in the flat coordinates, with the constant
+covector geom.field_covectors gives for its generator and the integral
+form.  Circle components keep their exact integer torus covector alongside
 the float evaluator.
 """
 
@@ -128,31 +128,25 @@ class GeneralizedMoment:
         return np.hstack([self.mu1_values(points), self.mu2_values(points)])
 
 
-def _component_covector(manifold, action, form, coeffs):
-    fld = geom.combination_field(manifold, action, coeffs)
-    return geom.contraction_covector(manifold, form, fld)
-
-
 def hamiltonian_part(manifold: ProductManifold, action: ActionSpec,
                      omega_prime: ProductForm,
                      classification: ActionClassification) -> tuple:
     """mu1 components, one per Hamiltonian basis vector."""
     if classification.c == 0:
         raise NoHamiltonianPart("the action has no Hamiltonian directions")
-    comps = []
-    for xi in classification.hamiltonian_basis:
-        cov = _component_covector(manifold, action, omega_prime, xi)
-        if any(cov[:manifold.torus_dim]):
-            raise ValueError("Hamiltonian basis vector has nonzero periods")
-        comps.append(HamiltonianComponent(tuple(xi), tuple(cov)))
-    return tuple(comps)
+    basis = classification.hamiltonian_basis
+    covs = geom.field_covectors(action, omega_prime, basis)
+    if any(any(cov[:manifold.torus_dim]) for cov in covs):
+        raise ValueError("Hamiltonian basis vector has nonzero periods")
+    return tuple(HamiltonianComponent(tuple(xi), tuple(cov))
+                 for xi, cov in zip(basis, covs))
 
 
 def circle_component(manifold: ProductManifold, action: ActionSpec,
                      omega_prime: ProductForm, eta) -> CircleComponent:
     """Circle-valued component of a non-Hamiltonian generator (an integer
     combination of the action generators)."""
-    cov = _component_covector(manifold, action, omega_prime, eta)
+    [cov] = geom.field_covectors(action, omega_prime, [eta])
     torus = cov[:manifold.torus_dim]
     if not any(torus):
         raise GeneratorIsHamiltonian(

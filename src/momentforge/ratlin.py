@@ -31,19 +31,23 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """Exact product; zero factors are skipped, since the matrices here are
+    sparse and a Fraction product costs far more than the test.  An empty
+    a has no rows, whatever b is, so the product is empty."""
     ra, ca = _check_rect(a)
     rb, cb = _check_rect(b)
-    if ca != rb:
+    if ra and ca != rb:
         raise ValueError("shape mismatch in mat_mul")
-    return [[sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)]
-            for i in range(ra)]
-
-
-def mat_vec(a: Mat, x: Vec) -> Vec:
-    ra, ca = _check_rect(a)
-    if ca != len(x):
-        raise ValueError("shape mismatch in mat_vec")
-    return [sum(a[i][k] * x[k] for k in range(ca)) for i in range(ra)]
+    out = []
+    for row in a:
+        acc = [0] * cb
+        for x, b_row in zip(row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def transpose(m: Mat) -> Mat:

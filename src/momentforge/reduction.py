@@ -80,13 +80,11 @@ def _reduced_sphere(problem: ReductionProblem, gen_idx: int) -> int:
 def _level_height(problem: ReductionProblem, gen_idx: int,
                   value: Fraction) -> Fraction:
     """Invert the mu1 coordinate of the reduced generator on its sphere,
-    exactly.
-
-    The generator's component is sign * s * c * h."""
+    exactly: divide by the height entry of the generator's covector."""
     f = _reduced_sphere(problem, gen_idx)
-    s = problem.action.rotations[gen_idx][f]
-    c = problem.moment.omega_prime.sphere_coeffs[f]
-    return value / (problem.action.sign * s * c)
+    cov = geom.field_covectors(problem.action,
+                               problem.moment.omega_prime)[gen_idx]
+    return value / cov[problem.manifold.sphere_offset(f) + 1]
 
 
 def regular_value_check(problem: ReductionProblem) -> RegularValueVerdict:
@@ -222,10 +220,11 @@ def heredity_check(reduced: ReducedSpace, circle_bins: int = 50,
     if mom.r == 0:
         return HeredityVerdict(False, False, 0, circle_bins, False, False,
                                "vacuous: residual action is Hamiltonian")
-    p = hamclass.period_matrix(reduced.manifold, reduced.action, reduced.form)
+    m = reduced.manifold.torus_dim
     non_ham = all(
-        any(hamclass.combined_period_row(p, g))
-        for g in mom.classification.complement_generators)
+        any(cov[:m]) for cov in geom.field_covectors(
+            reduced.action, reduced.form,
+            mom.classification.complement_generators))
     pts = geom.sample_points(reduced.manifold, n_samples, seed)
     vals = mom.mu2_values(pts)
     hit_all = True

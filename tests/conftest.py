@@ -1,4 +1,5 @@
-"""Shared builders for the recurring corpus instances."""
+"""Shared builders for the recurring corpus instances, and the field and
+pairing oracles written out from the README conventions."""
 
 import pytest
 
@@ -17,6 +18,32 @@ def classify(m, a, form=None):
     itself (the manifold's own form by default)."""
     return hamclass.classify_action(
         hamclass.period_matrix(m, a, form or m.form()))
+
+
+def field_vector(m, a, coeffs):
+    """The fundamental field of sum_j coeffs_j X_j in flat coordinates:
+    sign times the combined translation on the torus coordinates and sign
+    times the combined speed on each sphere's theta slot (h does not
+    move)."""
+    x = [0] * m.coord_dim
+    for g, v, s in zip(coeffs, a.translations, a.rotations):
+        for i, vi in enumerate(v):
+            x[i] += a.sign * g * vi
+        for f, sf in enumerate(s):
+            x[m.sphere_offset(f)] += a.sign * g * sf
+    return x
+
+
+def pairing(m, form, u, w):
+    """omega(u, w) = u^T Omega w on the torus block plus
+    c (u_theta w_h - u_h w_theta) on each sphere."""
+    k = m.torus_dim
+    total = sum(u[i] * form.torus_omega[i][j] * w[j]
+                for i in range(k) for j in range(k))
+    for f, c in enumerate(form.sphere_coeffs):
+        o = m.sphere_offset(f)
+        total += c * (u[o] * w[o + 1] - u[o + 1] * w[o])
+    return total
 
 
 def torus2(omega=STD2):

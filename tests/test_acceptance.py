@@ -16,7 +16,7 @@ from momentforge import (cli, convex, equiv, geom, hamclass, moment,
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import classify
+from conftest import classify, field_vector, pairing
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -68,11 +68,9 @@ def test_criterion_02_period_integrality():
     for name in BUNDLED:
         sc = scenario(name)
         res, mom, _ = pipeline(sc.manifold, sc.action, sc.max_denominator)
-        loops, _ = geom.homology_bases(sc.manifold)
+        # the period over the coordinate loop e_k is the k-th torus slot
         for comp in mom.mu2:
-            for loop in loops:
-                p = sum(c * d for c, d in zip(comp.torus_covector,
-                                              loop.direction))
+            for p in comp.torus_covector:
                 ok &= abs(p - round(p)) < 1e-9
         for coeff in hamclass.form_class_coefficients(sc.manifold,
                                                       res.omega_prime):
@@ -122,14 +120,10 @@ def test_criterion_04_cocycle_structure():
         ok &= all(z[i][j] == -z[j][i] for i in range(r) for j in range(r))
         gens = res.classification.complement_generators
         for i in range(r):
-            vi = geom.combination_field(
-                sc.manifold, sc.action, gens[i]).coord_vector(sc.manifold)
+            vi = field_vector(sc.manifold, sc.action, gens[i])
             for j in range(r):
-                vj = geom.combination_field(
-                    sc.manifold, sc.action,
-                    gens[j]).coord_vector(sc.manifold)
-                pair = geom.pairing_eval(sc.manifold, res.omega_prime,
-                                         vi, vj)
+                vj = field_vector(sc.manifold, sc.action, gens[j])
+                pair = pairing(sc.manifold, res.omega_prime, vi, vj)
                 ok &= Fraction(z[i][j]) == Fraction(pair)
     z = [[0, 2], [-2, 0]]
     rng = np.random.default_rng(11)

@@ -6,10 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from momentforge import equiv, geom, hamclass, moment
+from momentforge import equiv, hamclass, moment
 from momentforge.geom import ActionSpec, ProductForm
 
-from conftest import STD4, classify, s2xs2, s2xt2, sphere, torus2, torus4
+from conftest import (STD4, classify, field_vector, pairing, s2xs2, s2xt2,
+                      sphere, torus2, torus4)
 
 
 def pipeline(m, a):
@@ -51,10 +52,10 @@ def test_cocycle_is_the_form_pairing(t2_translations):
     res, _, z = pipeline(m, a)
     gens = res.classification.complement_generators
     for i, gi in enumerate(gens):
-        fi = geom.combination_field(m, a, gi).coord_vector(m)
+        fi = field_vector(m, a, gi)
         for j, gj in enumerate(gens):
-            fj = geom.combination_field(m, a, gj).coord_vector(m)
-            assert z[i][j] == geom.pairing_eval(m, res.omega_prime, fi, fj)
+            fj = field_vector(m, a, gj)
+            assert z[i][j] == pairing(m, res.omega_prime, fi, fj)
     # antisymmetry comes with the pairing
     assert all(z[i][j] == -z[j][i] for i in range(2) for j in range(2))
 
@@ -116,10 +117,11 @@ def test_mixed_equivariance(s2xt2_mixed):
 
 def test_s2xs2_orbits_isotropic(s2xs2_rotations):
     m, a = s2xs2_rotations
-    rep = equiv.isotropic_orbit_test(m, a, m.form(),
-                                     points=geom.sample_points(m, 20, 0))
+    rep = equiv.isotropic_orbit_test(m, a, m.form())
     assert rep.isotropic
-    assert rep.point_independent
+    fields = [field_vector(m, a, g) for g in ((1, 0), (0, 1))]
+    assert rep.pairings == tuple(tuple(pairing(m, m.form(), u, w)
+                                       for w in fields) for u in fields)
 
 
 def test_two_torus_orbits_not_isotropic(t2_translations):

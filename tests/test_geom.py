@@ -1,17 +1,20 @@
-"""Manifold universe: factor validation, fundamental fields, pairings,
-homology bases, fixed-point sets, seeded sampling, and the batched torus
-action."""
+"""Manifold universe: factor validation, the orbit and form matrices and
+the field covectors (against the conftest oracle), fixed-point sets, seeded
+sampling, and the batched torus action."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from momentforge import geom
+from momentforge import equiv, geom, hamclass, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import s2xt2, sphere, torus2
+from conftest import (classify, field_vector, pairing, s2xt2, sphere,
+                      torus2)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,10 @@ def test_action_validation():
         ActionSpec(((1, 0),), ((),), sign=2)
     with pytest.raises(ValueError):
         ActionSpec(((1, 0),), ())                  # length mismatch
+    with pytest.raises(ValueError, match="ragged"):
+        ActionSpec(((1, 0), (1,)), ((0,), (1,)))   # ragged translations
+    with pytest.raises(ValueError, match="ragged"):
+        ActionSpec(((1, 0), (0, 1)), ((0,), (1, 1)))  # ragged rotations
 
 
 def test_effectiveness():
@@ -93,17 +100,18 @@ def test_effectiveness():
 def test_sphere_rotation_field_speed_two():
     m = sphere()
     a = ActionSpec(((),), ((2,),))
-    fld = geom.fundamental_field(m, a, 0)
-    assert fld.rotations == (2,)
-    assert fld.coord_vector(m) == [2, 0]
+    assert a.orbit_matrix() == [[2, 0]]
+    assert field_vector(m, a, [1]) == [2, 0]
+    assert geom.field_covectors(a, m.form()) == [[0, 1]]
 
 
 def test_sign_flips_fields_only():
     m = torus2()
     a = ActionSpec(((1, 0),), ((),), sign=-1)
-    fld = geom.fundamental_field(m, a, 0)
-    assert fld.translation == (-1,)[:1] + (0,)
+    assert field_vector(m, a, [1]) == [-1, 0]
+    assert geom.field_covectors(a, m.form()) == [[0, -1]]
     # the orbit map ignores the sign convention
+    assert a.orbit_matrix() == [[1, 0]]
     moved = geom.apply_torus_element(m, a, [0.25], np.zeros(2))
     assert np.allclose(moved, [0.25, 0.0])
 
@@ -111,60 +119,107 @@ def test_sign_flips_fields_only():
 def test_combination_field():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0)), ((1,), (0,)))
-    fld = geom.combination_field(m, a, [2, 3])
-    assert fld.translation == (3, 0)
-    assert fld.rotations == (2,)
+    assert ratlin.mat_mul([[2, 3]], a.orbit_matrix()) == [[3, 0, 2, 0]]
+    assert field_vector(m, a, [2, 3]) == [3, 0, 2, 0]
+    # i_X omega for X = (3, 0 | 2, 0): 3 (0, 1) on the torus, c * 2 on h
+    assert geom.field_covectors(a, m.form(), [[2, 3]]) == [[0, 3, 0, 2]]
+    assert geom.field_covectors(a, m.form(), []) == []
 
 
 # ---------------------------------------------------------------------------
-# pairings and covectors
+# the form matrix and the field covectors
 
 def test_pairing_and_contraction_on_torus():
     m = torus2()
     form = m.form()
-    assert geom.pairing_eval(m, form, [1, 0], [0, 1]) == 1
+    assert pairing(m, form, [1, 0], [0, 1]) == 1
+    assert form.matrix() == [[0, 1], [-1, 0]]
     a = ActionSpec(((1, 0),), ((),))
-    cov = geom.contraction_covector(m, form, geom.fundamental_field(m, a, 0))
-    assert cov == [0, 1]
+    assert geom.field_covectors(a, form) == [[0, 1]]
 
 
 def test_contraction_on_sphere():
     m = sphere(0.5)
     form = m.form()
+    assert form.matrix() == [[0, 0.5], [-0.5, 0]]
     a = ActionSpec(((),), ((1,),))
-    cov = geom.contraction_covector(m, form, geom.fundamental_field(m, a, 0))
-    assert cov == [0, 0.5]
+    assert geom.field_covectors(a, form) == [[0, 0.5]]
 
 
 def test_contraction_is_the_pairing_covector():
+    """(i_X omega)(e_k) = omega(X, e_k), exactly, on every basis vector
+    and for both signs."""
     m = s2xt2()
     form = m.form()
-    a = ActionSpec(((1, 2),), ((3,),))
-    fld = geom.fundamental_field(m, a, 0)
-    cov = geom.contraction_covector(m, form, fld)
-    x = fld.coord_vector(m)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        w = rng.integers(-3, 4, m.coord_dim)
-        assert geom.pairing_eval(m, form, x, list(w)) == pytest.approx(
-            float(np.dot(cov, w)))
+    for sign in (1, -1):
+        a = ActionSpec(((1, 2),), ((3,),), sign)
+        [cov] = geom.field_covectors(a, form)
+        x = field_vector(m, a, [1])
+        for k in range(m.coord_dim):
+            e = [int(i == k) for i in range(m.coord_dim)]
+            assert cov[k] == pairing(m, form, x, e)
 
 
-# ---------------------------------------------------------------------------
-# homology
-
-def test_homology_bases_counts():
-    loops, cycles = geom.homology_bases(s2xt2())
-    assert len(loops) == 2
-    assert len(cycles) == 2  # one torus 2-cycle + one sphere class
-    loops, cycles = geom.homology_bases(sphere())
-    assert len(loops) == 0
-    assert len(cycles) == 1
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 
 
-def test_open_curve_rejected():
-    with pytest.raises(ValueError):
-        geom.TorusLoop((0.5, 1))
+@st.composite
+def products(draw):
+    """T^m x (S^2)^n with m in {0, 2, 4}, n <= 3, a random nondegenerate
+    rational Omega and rational c, and 1-4 integer generators."""
+    m = draw(st.sampled_from((0, 2, 4)))
+    n = draw(st.integers(0, 3))
+    assume(m + n > 0)
+    omega = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            omega[i][j] = draw(rationals)
+            omega[j][i] = -omega[i][j]
+    assume(m == 0 or ratlin.determinant(omega) != 0)
+    spheres = [SphereFactor(Fraction(draw(st.integers(1, 8)),
+                                     draw(st.integers(1, 4))))
+               for _ in range(n)]
+    ints = st.integers(-2, 2)
+    gens = [(tuple(draw(ints) for _ in range(m)),
+             tuple(draw(ints) for _ in range(n)))
+            for _ in range(draw(st.integers(1, 4)))]
+    assume(all(any(v) or any(s) for v, s in gens))
+    manifold = ProductManifold(FlatTorusFactor(omega) if m else None,
+                               spheres)
+    action = ActionSpec(tuple(v for v, _ in gens), tuple(s for _, s in gens),
+                        draw(st.sampled_from((1, -1))))
+    return manifold, action
+
+
+@given(products(), st.lists(st.lists(st.integers(-3, 3), min_size=4,
+                                     max_size=4), min_size=1, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_matrix_model_matches_the_oracle(product, combos):
+    """Field covectors, isotropy pairings and the cocycle of the integral
+    form all agree with the oracle pairing of the oracle fields."""
+    m, a = product
+    form = m.form()
+    basis = [[int(i == k) for i in range(m.coord_dim)]
+             for k in range(m.coord_dim)]
+    units = [[int(i == j) for i in range(a.r_total)]
+             for j in range(a.r_total)]
+    combos = [row[:a.r_total] for row in combos]
+    for coeffs, covs in ((units, geom.field_covectors(a, form)),
+                         (combos, geom.field_covectors(a, form, combos))):
+        assert covs == [[pairing(m, form, field_vector(m, a, g), e)
+                         for e in basis] for g in coeffs]
+    fields = [field_vector(m, a, g) for g in units]
+    assert equiv.isotropic_orbit_test(m, a, form).pairings == tuple(
+        tuple(pairing(m, form, u, w) for w in fields) for u in fields)
+    cls = classify(m, a, form)
+    res = hamclass.integralize_with_retry(m, a, form, cls, 64)
+    gens = cls.complement_generators
+    # Z pairs the field of H_i with the orbit of H_j, which follows the
+    # generator data: sign times the field
+    assert equiv.cocycle_matrix(m, a, res.omega_prime, cls) == [
+        [a.sign * pairing(m, res.omega_prime, field_vector(m, a, gi),
+                          field_vector(m, a, gj)) for gj in gens]
+        for gi in gens]
 
 
 # ---------------------------------------------------------------------------

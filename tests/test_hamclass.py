@@ -12,11 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentforge import geom, hamclass, ratlin
+from momentforge import hamclass, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import classify, s2xt2, sphere, torus2
+from conftest import classify, field_vector, pairing, s2xt2, sphere, torus2
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +71,11 @@ def test_period_matrix_vs_quadrature():
     a = ActionSpec(((2, -1), (0, 0), (1, 3)), ((1,), (1,), (-2,)))
     p = hamclass.period_matrix(m, a, form)
     for j in range(a.r_total):
-        x = geom.fundamental_field(m, a, j).coord_vector(m)
+        x = field_vector(m, a, [int(i == j) for i in range(a.r_total)])
         for direction in [(1, 0), (0, 1), (2, 3)]:
             tangent = list(direction) + [0, 0]
             numeric = adaptive_simpson(
-                lambda t: float(geom.pairing_eval(m, form, x, tangent)),
+                lambda t: float(pairing(m, form, x, tangent)),
                 0.0, 1.0)
             closed = sum(p.entries[j][k] * d for k, d in enumerate(direction))
             assert closed == pytest.approx(numeric, abs=1e-9)
@@ -182,7 +182,7 @@ def test_class_coefficients_vs_quadrature():
         w = [int(k == j) for k in range(m.coord_dim)]
         numeric = adaptive_simpson(
             lambda s: adaptive_simpson(
-                lambda t: float(geom.pairing_eval(m, form, u, w)), lo, hi),
+                lambda t: float(pairing(m, form, u, w)), lo, hi),
             0.0, 1.0)
         assert float(coeff) == pytest.approx(numeric, abs=1e-9)
 

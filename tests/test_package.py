@@ -45,3 +45,35 @@ def test_exact_layers_import_no_numpy():
     """ratlin and hamclass decide everything on exact data; floats live
     only in the sampling layers."""
     assert imports_of("numpy", ("ratlin", "hamclass")) == []
+
+
+def test_every_public_name_is_used():
+    """No test-only code in the package: every public function, class and
+    method is referenced (as a name, an attribute or an import) by the
+    package itself or by the acceptance gate."""
+    root = Path(momentforge.__file__).parent
+    defined = {}
+    used = set()
+    sources = sorted(root.glob("*.py"))
+    sources.append(Path(__file__).parent / "test_acceptance.py")
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        if path.parent == root:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined[f"{path.stem}.{node.name}"] = node.name
+                if isinstance(node, ast.ClassDef):
+                    defined.update(
+                        (f"{path.stem}.{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = sorted(qual for qual, name in defined.items()
+                    if not name.startswith("_") and name not in used)
+    assert unused == []

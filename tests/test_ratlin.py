@@ -1,7 +1,7 @@
 """Exact linear algebra, verified against independent oracles: exhaustive
 denominator scans for rational rounding, the closed-form 4x4 Pfaffian
-squared against the determinant, and the defining identities of the normal
-forms on random integer matrices."""
+squared against the determinant, the dense matrix product, and the defining
+identities of the normal forms on random integer matrices."""
 
 import math
 from fractions import Fraction
@@ -27,6 +27,26 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 
 # ---------------------------------------------------------------------------
+# products
+
+@given(matrices, st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_is_the_dense_product(a, cols, data):
+    """Skipping zero factors changes no entry."""
+    b = data.draw(int_matrix(len(a[0]), cols))
+    b = [[Fraction(x, 3) for x in row] for row in b]
+    assert ratlin.mat_mul(a, b) == [
+        [sum(a[i][k] * b[k][j] for k in range(len(b)))
+         for j in range(cols)] for i in range(len(a))]
+
+
+def test_mat_mul_shapes():
+    assert ratlin.mat_mul([], [[1, 2]]) == []     # no rows, whatever b is
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ratlin.mat_mul([[1, 2]], [[1, 2]])
+
+
+# ---------------------------------------------------------------------------
 # kernels and rank
 
 def test_kernel_of_zero_matrix_is_standard_basis():
@@ -46,7 +66,7 @@ def test_kernel_example():
 def test_kernel_vectors_annihilate_and_span(m):
     basis = ratlin.rat_kernel_basis(m)
     for v in basis:
-        assert all(x == 0 for x in ratlin.mat_vec(m, v))
+        assert ratlin.mat_mul(m, [[x] for x in v]) == [[0]] * len(m)
     # rank-nullity, with rank from the independent Bareiss routine
     assert len(basis) == len(m[0]) - ratlin.integer_rank(m)
     if basis:
