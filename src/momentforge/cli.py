@@ -332,8 +332,7 @@ def emit_report(report: Report, out_dir) -> list:
     write("report.txt", report.render())
     if report.samples is not None:
         rows = [",".join(report.sample_header)]
-        for row in report.samples:
-            rows.append(",".join(repr(float(v)) for v in row))
+        rows += [",".join(map(repr, row.tolist())) for row in report.samples]
         write("moment_samples.csv", "\n".join(rows) + "\n")
     rows = ["grid_resolution,n_counted_cells,n_hit_cells,fraction,"
             "empty_cell_witnesses"]
@@ -439,7 +438,7 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
 
     if "moment" in checks:
         _run_moment(report, scenario, mom)
-    z = equiv.cocycle_matrix(M, A, omega_prime, cls)
+    z = equiv.cocycle_matrix(A, omega_prime, cls)
     if "equivariance" in checks:
         _run_equivariance(report, scenario, mom, z)
     if "convexity" in checks:
@@ -474,7 +473,7 @@ def _run_moment(report, scenario, mom):
         # compare the straight lift with the one shifted by the loop e_0
         e0 = [int(k == 0) for k in range(M.torus_dim)]
         rep = moment_mod.path_independence_check(
-            M, mom.mu2[0], pts[0], [0] * M.torus_dim, e0)
+            mom.mu2[0], pts[0], [0] * M.torus_dim, e0)
         report.add("moment", "path_difference", rep.difference)
         report.require("moment", "path_independent",
                        rep.difference_is_integer and rep.equal_mod_one)
@@ -504,7 +503,7 @@ def _run_equivariance(report, scenario, mom, z):
     report.add("equivariance", "orbits_isotropic", nat.orbits_isotropic)
     report.add("equivariance", "naturally_equivariant",
                nat.naturally_equivariant)
-    free = equiv.local_freeness_check(M, A, z, mom.classification)
+    free = equiv.local_freeness_check(A, z, mom.classification)
     report.add("equivariance", "z_rank", free.z_rank)
     report.add("equivariance", "local_freeness", free.note)
 
@@ -522,7 +521,7 @@ def _run_convexity(report, scenario, mom):
     if mom.r:
         ext = convex.circle_extremum_check(mom)
         report.require("convexity", "no_local_extrema", ext.passed)
-        lift = convex.cycle_lift(M, scenario.action, mom,
+        lift = convex.cycle_lift(M, mom,
                                  mu1_target=tuple([0.0] * mom.c)
                                  if mom.c == 0 else
                                  tuple(float(v) for v in

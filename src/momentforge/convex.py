@@ -214,9 +214,8 @@ class CycleLift:
     verified: bool
 
 
-def cycle_lift(manifold: ProductManifold, action: ActionSpec,
-               moment: GeneralizedMoment, mu1_target=(),
-               circle_targets=()) -> CycleLift:
+def cycle_lift(manifold: ProductManifold, moment: GeneralizedMoment,
+               mu1_target=(), circle_targets=()) -> CycleLift:
     """Build a loop whose image freezes mu1 and the first r-1 circle
     coordinates at the target while winding the last circle a minimal
     (gcd-limited) number of times."""

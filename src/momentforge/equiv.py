@@ -24,8 +24,7 @@ class FixedPointChainBroken(Exception):
     orbits, a vanishing cocycle, an invariant circle part) fails."""
 
 
-def cocycle_matrix(manifold: ProductManifold, action: ActionSpec,
-                   omega_prime: ProductForm,
+def cocycle_matrix(action: ActionSpec, omega_prime: ProductForm,
                    classification: ActionClassification) -> list:
     """Z[i][j] = integral of the i-th generator's contracted form over the
     j-th circle orbit: Z = (field covectors of H) (H G)^T for the complement
@@ -100,7 +99,7 @@ class IsotropyReport:
     isotropic: bool
 
 
-def isotropic_orbit_test(manifold: ProductManifold, action: ActionSpec,
+def isotropic_orbit_test(action: ActionSpec,
                          omega_prime: ProductForm) -> IsotropyReport:
     """All generator pairings omega(X_i, X_j), the matrix G W G^T (the
     forms are constant, so it holds at every point); orbits are isotropic
@@ -133,7 +132,7 @@ def natural_equivariance_test(manifold: ProductManifold, action: ActionSpec,
     (isotropy can hold anyway)."""
     fps = geom.fixed_point_set(manifold, action)
     has_fp = fps.kind != "empty"
-    iso = isotropic_orbit_test(manifold, action, omega_prime)
+    iso = isotropic_orbit_test(action, omega_prime)
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = 0.0
     if moment.r:
@@ -165,8 +164,7 @@ class LocalFreenessVerdict:
     note: str
 
 
-def local_freeness_check(manifold: ProductManifold, action: ActionSpec,
-                         z: list,
+def local_freeness_check(action: ActionSpec, z: list,
                          classification: ActionClassification
                          ) -> LocalFreenessVerdict:
     """If Z has full rank the subtorus action is locally free; the converse

@@ -178,8 +178,7 @@ class PathIndependenceReport:
     equal_mod_one: bool
 
 
-def path_independence_check(manifold: ProductManifold,
-                            component: CircleComponent, x,
+def path_independence_check(component: CircleComponent, x,
                             offset_a, offset_b) -> PathIndependenceReport:
     """Compare the raw integrals along two lifts of x differing by lattice
     offsets; the gap must be an integer, so the circle values agree."""

@@ -1,8 +1,11 @@
 """Exact integer / rational linear algebra.
 
-Everything here works on plain Python lists of ints or Fractions, which is
-ample at the sizes this package ever sees (matrices up to ~8x8 plus a
-handful of homology columns).  No floating point enters any routine in this
+Matrices are plain Python lists (or tuples) of ints or Fractions, which is
+ample at the sizes this package ever sees (matrices up to ~12x12 plus a
+handful of homology columns).  The kernels scale each matrix to integer
+numerators over one common denominator, compute in Python ints (products,
+and fraction-free Bareiss elimination with exact division), and build
+Fractions only at the output.  No floating point enters any routine in this
 module: scenario numbers are Fractions from parse time on, so every caller
 already holds exact data.
 """
@@ -26,27 +29,75 @@ def _check_rect(m: Mat) -> tuple[int, int]:
     return rows, cols
 
 
+def _scaled(m: Mat) -> tuple[Mat, int]:
+    """(N, d) with m = N / d: fresh rows of integer numerators over the
+    least common denominator d of the entries (ints and Fractions)."""
+    d = math.lcm(*[x.denominator for row in m for x in row
+                   if type(x) is not int])
+    if d == 1:
+        return [[x.numerator for x in row] for row in m], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def _eliminate(a: Mat, jordan: bool = False) -> tuple[list, int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows a, in place.
+
+    Every entry stays an integer minor of the input, so each division by
+    the previous pivot is exact.  Returns (pivot columns, last pivot, sign
+    of the row permutation); for a square nonsingular a the last pivot
+    times the sign is the determinant.  With jordan the rows above each
+    pivot are cleared too, and every pivot row ends as the last pivot
+    times its row of the reduced row echelon form."""
+    rows = len(a)
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p = a[r]
+        head = p[c]
+        for i in range(0 if jordan else r + 1, rows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(head * x - f * y) // prev for x, y in zip(a[i], p)]
+        prev = head
+        pivots.append(c)
+    return pivots, prev, sign
+
+
 def identity(n: int) -> Mat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact product; zero factors are skipped, since the matrices here are
-    sparse and a Fraction product costs far more than the test.  An empty
-    a has no rows, whatever b is, so the product is empty."""
+    """Exact product, summed in integer numerators; zero factors are
+    skipped, since the matrices here are sparse.  Each nonzero entry is one
+    Fraction over the product of the two common denominators, or an int
+    when neither operand has one.  An empty a has no rows, whatever b is,
+    so the product is empty."""
     ra, ca = _check_rect(a)
     rb, cb = _check_rect(b)
     if ra and ca != rb:
         raise ValueError("shape mismatch in mat_mul")
+    (na, da), (nb, db) = _scaled(a), _scaled(b)
+    d = da * db
     out = []
-    for row in a:
+    for row in na:
         acc = [0] * cb
-        for x, b_row in zip(row, b):
+        for x, b_row in zip(row, nb):
             if x:
                 for j, y in enumerate(b_row):
                     if y:
                         acc[j] += x * y
-        out.append(acc)
+        out.append(acc if d == 1 else
+                   [Fraction(v, d) if v else 0 for v in acc])
     return out
 
 
@@ -57,50 +108,30 @@ def transpose(m: Mat) -> Mat:
 
 def clear_denominators(v: Vec) -> Vec:
     """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    fracs = [Fraction(x) for x in v]
-    scale = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*[abs(x) for x in ints]) if any(ints) else 1
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    [ints], _ = _scaled([v])
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 # ---------------------------------------------------------------------------
 # kernels and rank
 
 def rat_kernel_basis(m: Mat) -> list[Vec]:
-    """Basis of {x : m x = 0}, exact over the rationals.
+    """Basis of {x : m x = 0}, exact over the rationals: one vector per
+    free column of the reduced row echelon form.
 
     Returned vectors have reduced Fraction entries and are linearly
-    independent; an empty or zero matrix yields the standard basis.
+    independent; a zero matrix yields the standard basis.
     """
-    rows, cols = _check_rect(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[r][j] for j in range(cols)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    _, cols = _check_rect(m)
+    a, _ = _scaled(m)
+    pivots, last, _ = _eliminate(a, jordan=True)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(cols) if c not in pivots):
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
+        for row, pc in zip(a, pivots):
+            vec[pc] = Fraction(-row[fc], last)
         basis.append(vec)
     return basis
 
@@ -108,27 +139,8 @@ def rat_kernel_basis(m: Mat) -> list[Vec]:
 def integer_rank(m: Mat) -> int:
     """Rank over Q of an integer (or rational) matrix, by fraction-free
     Bareiss elimination."""
-    rows, cols = _check_rect(m)
-    if rows == 0 or cols == 0:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    # Fractions keep Bareiss exact even when callers pass rational entries.
-    rank = 0
-    prev = Fraction(1)
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for i in range(rank + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[rank][c] * a[i][j] - a[i][c] * a[rank][j]) / prev
-            a[i][c] = Fraction(0)
-        prev = a[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    _check_rect(m)
+    return len(_eliminate(_scaled(m)[0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,27 +258,21 @@ def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
 
 
 def invert_unimodular(m: Mat) -> Mat:
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1, by
+    fraction-free Gauss-Jordan elimination of [m | I]."""
     n, cols = _check_rect(m)
     if n != cols:
         raise ValueError("not square")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[c][j] for j in range(2 * n)]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
+    a, d = _scaled(m)
+    for i, row in enumerate(a):
+        row += [int(i == j) for j in range(n)]
+    pivots, last, _ = _eliminate(a, jordan=True)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    # m^-1 = d N^-1, and the right block holds last * N^-1
+    if any(d * x % last for row in a for x in row[n:]):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    return [[d * x // last for x in row[n:]] for row in a]
 
 
 def saturate_and_complement(b: Mat, n: int) -> tuple[Mat, Mat]:
@@ -323,26 +329,15 @@ def rational_round(x, max_denominator: int) -> Fraction:
 
 
 def determinant(m: Mat) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals.
+    """Exact determinant, det N / d^n for m = N / d, by Bareiss elimination.
 
     For an antisymmetric form it is the square of the Pfaffian, so it is
     zero exactly when the form is degenerate."""
     n, cols = _check_rect(m)
     if n != cols:
         raise ValueError("not square")
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / inv
-                a[i] = [a[i][j] - f * a[c][j] for j in range(n)]
-    return det
+    a, d = _scaled(m)
+    pivots, last, sign = _eliminate(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * last, d ** n)

@@ -36,7 +36,7 @@ def pipeline(m, a, max_den=64):
                                           max_den)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification)
-    z = equiv.cocycle_matrix(m, a, res.omega_prime, res.classification)
+    z = equiv.cocycle_matrix(a, res.omega_prime, res.classification)
     return res, mom, z
 
 
@@ -148,7 +148,7 @@ def test_criterion_05_fixed_point_chain():
             ok &= nat.orbits_isotropic and nat.z_is_zero
             ok &= nat.max_mu2_invariance_error < 1e-9
     sc = scenario("two_torus")
-    neg = equiv.isotropic_orbit_test(sc.manifold, sc.action, sc.form)
+    neg = equiv.isotropic_orbit_test(sc.action, sc.form)
     ok &= not neg.isotropic
     verdict(5, ok, "fixed points force isotropic orbits, zero cocycle, and "
                    "invariant circle moments; 2-torus control fails "
@@ -197,7 +197,7 @@ def test_criterion_08_cycle_lift():
     for name in ("t4_split", "two_torus"):
         sc = scenario(name)
         _, mom, _ = pipeline(sc.manifold, sc.action)
-        lift = convex.cycle_lift(sc.manifold, sc.action, mom,
+        lift = convex.cycle_lift(sc.manifold, mom,
                                  circle_targets=(0.0,) * (mom.r - 1))
         ok &= lift.verified
         ok &= lift.max_frozen_deviation < 1e-9

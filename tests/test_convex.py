@@ -279,7 +279,7 @@ def test_two_torus_cycle_lift(t2_translations):
     single turn (sign set by the orientation conventions)."""
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, a, mom, circle_targets=(0.25,))
+    lift = convex.cycle_lift(m, mom, circle_targets=(0.25,))
     assert lift.verified
     assert abs(lift.winding) == 1
     assert lift.max_frozen_deviation < 1e-9
@@ -289,7 +289,7 @@ def test_t4_split_cycle_lift():
     m = torus4()
     a = ActionSpec(((1, 0, 0, 0), (0, 0, 1, 0)), ((), ()))
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, a, mom, circle_targets=(0.0,))
+    lift = convex.cycle_lift(m, mom, circle_targets=(0.0,))
     assert lift.verified
     assert abs(lift.winding) == 1
     # the admissible loop stays inside the plane the first covector kills
@@ -301,7 +301,7 @@ def test_gcd_limits_the_winding():
     m = torus2()
     a = ActionSpec(((2, 0),), ((),))
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, a, mom)
+    lift = convex.cycle_lift(m, mom)
     assert abs(lift.winding) == 2  # covector (0, 2): no loop winds once
 
 
@@ -309,4 +309,4 @@ def test_cycle_lift_requires_circle_part(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
     with pytest.raises(ValueError):
-        convex.cycle_lift(m, a, mom)
+        convex.cycle_lift(m, mom)

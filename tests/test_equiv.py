@@ -18,7 +18,7 @@ def pipeline(m, a):
                                           64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification)
-    z = equiv.cocycle_matrix(m, a, res.omega_prime, res.classification)
+    z = equiv.cocycle_matrix(a, res.omega_prime, res.classification)
     return res, mom, z
 
 
@@ -65,7 +65,7 @@ def test_cocycle_rejects_non_integral_form(t2_translations):
     cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
     half = ProductForm(((0, 0.5), (-0.5, 0)), ())
     with pytest.raises(equiv.NonIntegerPeriod):
-        equiv.cocycle_matrix(m, a, half, cls)
+        equiv.cocycle_matrix(a, half, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_mixed_equivariance(s2xt2_mixed):
 
 def test_s2xs2_orbits_isotropic(s2xs2_rotations):
     m, a = s2xs2_rotations
-    rep = equiv.isotropic_orbit_test(m, a, m.form())
+    rep = equiv.isotropic_orbit_test(a, m.form())
     assert rep.isotropic
     fields = [field_vector(m, a, g) for g in ((1, 0), (0, 1))]
     assert rep.pairings == tuple(tuple(pairing(m, m.form(), u, w)
@@ -126,7 +126,7 @@ def test_s2xs2_orbits_isotropic(s2xs2_rotations):
 
 def test_two_torus_orbits_not_isotropic(t2_translations):
     m, a = t2_translations
-    rep = equiv.isotropic_orbit_test(m, a, m.form())
+    rep = equiv.isotropic_orbit_test(a, m.form())
     assert not rep.isotropic
 
 
@@ -182,7 +182,7 @@ def test_hamiltonian_only_full_invariance():
 def test_local_freeness_full_rank(t2_translations):
     m, a = t2_translations
     res, _, z = pipeline(m, a)
-    verdict = equiv.local_freeness_check(m, a, z, res.classification)
+    verdict = equiv.local_freeness_check(a, z, res.classification)
     assert verdict.hypothesis_holds
     assert verdict.stabilizers_finite
 
@@ -193,7 +193,7 @@ def test_local_freeness_not_applicable_on_split_t4():
     m = torus4()
     a = ActionSpec(((1, 0, 0, 0), (0, 0, 1, 0)), ((), ()))
     res, _, z = pipeline(m, a)
-    verdict = equiv.local_freeness_check(m, a, z, res.classification)
+    verdict = equiv.local_freeness_check(a, z, res.classification)
     assert not verdict.hypothesis_holds
     assert verdict.stabilizers_finite is None
     assert "not applicable" in verdict.note
@@ -203,5 +203,5 @@ def test_local_freeness_vacuous_for_r_zero():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
     res, _, z = pipeline(m, a)
-    verdict = equiv.local_freeness_check(m, a, z, res.classification)
+    verdict = equiv.local_freeness_check(a, z, res.classification)
     assert verdict.hypothesis_holds and verdict.stabilizers_finite

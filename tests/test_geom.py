@@ -209,14 +209,14 @@ def test_matrix_model_matches_the_oracle(product, combos):
         assert covs == [[pairing(m, form, field_vector(m, a, g), e)
                          for e in basis] for g in coeffs]
     fields = [field_vector(m, a, g) for g in units]
-    assert equiv.isotropic_orbit_test(m, a, form).pairings == tuple(
+    assert equiv.isotropic_orbit_test(a, form).pairings == tuple(
         tuple(pairing(m, form, u, w) for w in fields) for u in fields)
     cls = classify(m, a, form)
     res = hamclass.integralize_with_retry(m, a, form, cls, 64)
     gens = cls.complement_generators
     # Z pairs the field of H_i with the orbit of H_j, which follows the
     # generator data: sign times the field
-    assert equiv.cocycle_matrix(m, a, res.omega_prime, cls) == [
+    assert equiv.cocycle_matrix(a, res.omega_prime, cls) == [
         [a.sign * pairing(m, res.omega_prime, field_vector(m, a, gi),
                           field_vector(m, a, gj)) for gj in gens]
         for gi in gens]

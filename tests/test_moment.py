@@ -99,7 +99,7 @@ def test_path_vs_itself(t2_translations):
     m, a = t2_translations
     mom = build(m, a)
     rep = moment.path_independence_check(
-        m, mom.mu2[0], [0.3, 0.7], [0, 0], [0, 0])
+        mom.mu2[0], [0.3, 0.7], [0, 0], [0, 0])
     assert rep.difference == 0.0
     assert rep.difference_is_integer and rep.equal_mod_one
 
@@ -113,7 +113,7 @@ def test_path_independence_over_lattice_offsets(t2_translations):
             x = rng.random(2)
             oa = rng.integers(-3, 4, 2)
             ob = rng.integers(-3, 4, 2)
-            rep = moment.path_independence_check(m, comp, x, oa, ob)
+            rep = moment.path_independence_check(comp, x, oa, ob)
             assert rep.difference_is_integer
             assert rep.equal_mod_one
 
