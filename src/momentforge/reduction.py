@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import geom, hamclass, moment as moment_mod
+from . import geom, hamclass, moment as moment_mod, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
-from .moment import CIRCLE_TOL, GeneralizedMoment, circle_distance
+from .moment import GeneralizedMoment
 
 
 class NotRegular(Exception):
@@ -167,36 +165,21 @@ def reduce_at(problem: ReductionProblem) -> ReducedSpace:
                         tuple(reduced_spheres), heights, problem)
 
 
-def induced_moment(reduced: ReducedSpace, n_samples: int = 1000,
-                   seed: int = 0) -> GeneralizedMoment:
-    """The reduced moment, checked to be well defined: the surviving
-    components of the parent moment must be constant on the collapsed
-    orbits of the level set."""
+def induced_moment(reduced: ReducedSpace) -> GeneralizedMoment:
+    """The reduced moment, checked to be well defined: the parent moment
+    must be constant on the collapsed orbits of the level set.  A
+    component moves along the orbit of generator j by <covector, G_j>, so
+    every parent covector must pair to zero with the reduced generators'
+    rows of the orbit matrix G."""
     problem = reduced.parent
-    manifold = problem.manifold
-    if reduced.reduced_spheres:
-        pts = geom.sample_points(manifold, n_samples, seed)
-        for f, h in zip(reduced.reduced_spheres, reduced.level_heights):
-            pts[:, manifold.sphere_offset(f) + 1] = float(h)
-        parent_moment = problem.moment
-        rng = np.random.default_rng(seed + 1)
-        angles = rng.random(n_samples)
-        for idx in problem.reduce_indices:
-            params = np.zeros((n_samples, problem.action.r_total))
-            params[:, idx] = angles
-            moved = geom.apply_torus_element(manifold, problem.action,
-                                             params, pts)
-            if circle_distance(parent_moment.mu2_values(moved),
-                               parent_moment.mu2_values(pts)) >= CIRCLE_TOL:
-                raise NotInvariantOnOrbits(
-                    "circle component varies along a collapsed orbit")
-            if parent_moment.c:
-                d1 = parent_moment.mu1_values(moved) \
-                    - parent_moment.mu1_values(pts)
-                if float(np.max(np.abs(d1))) >= CIRCLE_TOL:
-                    raise NotInvariantOnOrbits(
-                        "Hamiltonian component varies along a collapsed "
-                        "orbit")
+    parent = problem.moment
+    g = problem.action.orbit_matrix()
+    orbits = [g[idx] for idx in problem.reduce_indices]
+    covs = [comp.covector for comp in parent.mu1 + parent.mu2]
+    if any(x for row in ratlin.mat_mul(orbits, ratlin.transpose(covs))
+           for x in row):
+        raise NotInvariantOnOrbits(
+            "a parent moment component varies along a collapsed orbit")
     return reduced.moment
 
 
@@ -211,29 +194,18 @@ class HeredityVerdict:
     note: str = ""
 
 
-def heredity_check(reduced: ReducedSpace, circle_bins: int = 50,
-                   n_samples: int = 5000, seed: int = 0) -> HeredityVerdict:
+def heredity_check(reduced: ReducedSpace,
+                   circle_bins: int = 50) -> HeredityVerdict:
     """The residual circle action on the reduced space must stay
-    non-Hamiltonian (nonzero period row) and its circle-valued moment must
-    still be surjective."""
+    non-Hamiltonian and its circle-valued moment must still be surjective.
+    Both hold iff every residual circle covector has a nonzero integer
+    torus part: that is a nonzero period row, and x -> <a, x> mod 1 with a
+    nonzero integer a is onto the circle, so every one of the circle_bins
+    bins is hit."""
     mom = reduced.moment
     if mom.r == 0:
         return HeredityVerdict(False, False, 0, circle_bins, False, False,
                                "vacuous: residual action is Hamiltonian")
-    m = reduced.manifold.torus_dim
-    non_ham = all(
-        any(cov[:m]) for cov in geom.field_covectors(
-            reduced.action, reduced.form,
-            mom.classification.complement_generators))
-    pts = geom.sample_points(reduced.manifold, n_samples, seed)
-    vals = mom.mu2_values(pts)
-    hit_all = True
-    hits = circle_bins
-    for j in range(mom.r):
-        bins = np.unique(np.clip((vals[:, j] * circle_bins).astype(int),
-                                 0, circle_bins - 1))
-        hits = min(hits, bins.size)
-        hit_all = hit_all and bins.size == circle_bins
-    passed = non_ham and hit_all
-    return HeredityVerdict(True, non_ham, hits, circle_bins, hit_all, passed)
-
+    onto = all(any(comp.torus_covector) for comp in mom.mu2)
+    return HeredityVerdict(True, onto, circle_bins if onto else 0,
+                           circle_bins, onto, onto)

@@ -208,6 +208,73 @@ def test_all_bundled_scenarios_pass():
         assert report.passed, (name, report.failures)
 
 
+# Integral forms whose periods go past what a float holds exactly: the T^4
+# form's cycle lift overflowed the float path, and the T^6 covectors reach
+# 2.7e16, which broke the sampled equivariance check.
+T4_IRRATIONAL_CYCLE_LIFT = """# T^4 irrational form at the default denominator bound
+[manifold]
+torus_dim = 4
+torus_omega = 0.0 -1.0849511149181894 0.4452706955539223 0.0 ; 1.0849511149181894 0.0 0.0 0.43914916277851057 ; -0.4452706955539223 -0.0 0.0 0.745935416716319 ; -0.0 -0.43914916277851057 -0.745935416716319 0.0
+
+[action]
+generators = -1 2 -2 0 | ; -2 1 1 1 |
+sign = plus
+
+[pipeline]
+max_denominator = 64
+seed = 0
+samples = 200
+coverage_samples = 20000
+grid = 20
+
+[checks]
+run = classify integralize moment equivariance convexity betti
+
+[expect]
+c = 0
+r = 2
+"""
+
+T6_DENSE_LARGE_K = """# dense T^6 form at the default denominator bound
+[manifold]
+torus_dim = 6
+torus_omega = 0.0 -1.8142854091955263 -0.9899057420363855 -0.5071750855204342 0.40470451642170296 -1.0602630382986247 ; 1.8142854091955263 0.0 -0.6384457155530876 0.9382701144309337 0.9444117662323265 -1.9490816073262298 ; 0.9899057420363855 0.6384457155530876 0.0 0.7651357650568608 1.2624067026747547 -1.1269899570504847 ; 0.5071750855204342 -0.9382701144309337 -0.7651357650568608 0.0 1.7054226771924514 0.9050282633513509 ; -0.40470451642170296 -0.9444117662323265 -1.2624067026747547 -1.7054226771924514 0.0 1.4157612161166935 ; 1.0602630382986247 1.9490816073262298 1.1269899570504847 -0.9050282633513509 -1.4157612161166935 0.0
+
+[action]
+generators = 2 0 1 -1 1 1 |  ; -2 2 2 -2 0 -1 | 
+sign = plus
+
+[pipeline]
+max_denominator = 64
+seed = 174593954
+samples = 100
+
+[checks]
+run = classify integralize moment equivariance betti
+
+[expect]
+c = 0
+r = 2
+"""
+
+
+@pytest.mark.parametrize("text,verdicts", [
+    (T4_IRRATIONAL_CYCLE_LIFT,
+     ("equivariant = true", "cycle_lift_verified = true")),
+    (T6_DENSE_LARGE_K, ("equivariant = true",)),
+], ids=["t4-irrational-cycle-lift", "t6-dense-large-k"])
+def test_large_integral_forms_pass(tmp_path, capsys, text, verdicts):
+    out = tmp_path / "out"
+    assert cli.main(["all", "--scenario", str(write(tmp_path, text)),
+                     "--out", str(out)]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    for verdict in verdicts:
+        assert verdict in lines
+    [diff] = [line.split(" = ")[1] for line in lines
+              if line.startswith("path_difference = ")]
+    assert diff.lstrip("-").isdigit()
+
+
 # ---------------------------------------------------------------------------
 # emission
 

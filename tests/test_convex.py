@@ -2,7 +2,9 @@
 image, the exact no-extremum predicate, the first-Betti bound, and cycle
 lifting."""
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentforge import convex, geom, hamclass, moment
+from momentforge import convex, geom, hamclass, moment, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 from momentforge.moment import CircleComponent
 
-from conftest import STD6, classify, s2xs2, s2xt2, sphere, torus2, torus4
+from conftest import (STD2, STD4, STD6, classify, s2xs2, s2xt2, sphere,
+                      torus2, torus4)
 
 
 def pipeline(m, a):
@@ -279,17 +282,17 @@ def test_two_torus_cycle_lift(t2_translations):
     single turn (sign set by the orientation conventions)."""
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, mom, circle_targets=(0.25,))
+    lift = convex.cycle_lift(m, mom)
     assert lift.verified
     assert abs(lift.winding) == 1
-    assert lift.max_frozen_deviation < 1e-9
+    assert lift.max_frozen_deviation == 0
 
 
 def test_t4_split_cycle_lift():
     m = torus4()
     a = ActionSpec(((1, 0, 0, 0), (0, 0, 1, 0)), ((), ()))
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, mom, circle_targets=(0.0,))
+    lift = convex.cycle_lift(m, mom)
     assert lift.verified
     assert abs(lift.winding) == 1
     # the admissible loop stays inside the plane the first covector kills
@@ -305,8 +308,73 @@ def test_gcd_limits_the_winding():
     assert abs(lift.winding) == 2  # covector (0, 2): no loop winds once
 
 
+def test_cycle_lift_negative_control(s2xt2_mixed):
+    """A mu1 covector with a torus slot moves along the loop, so the lift
+    is not verified."""
+    m, a = s2xt2_mixed
+    _, mom = pipeline(m, a)
+    assert convex.cycle_lift(m, mom).verified
+    comp = mom.mu1[0]
+    bent = dataclasses.replace(mom, mu1=(dataclasses.replace(
+        comp, covector=(1, 1) + comp.covector[2:]),))
+    lift = convex.cycle_lift(m, bent)
+    assert not lift.verified and lift.max_frozen_deviation == 1
+
+
 def test_cycle_lift_requires_circle_part(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
     with pytest.raises(ValueError):
         convex.cycle_lift(m, mom)
+
+
+def admissible_lattice(first, m):
+    """Reference oracle: a Z-basis of {u in Z^m : <cov, u> = 0 for cov in
+    first}, as the rational kernel of the first covectors saturated to
+    the integer lattice."""
+    if not first:
+        return ratlin.identity(m)
+    kernel = ratlin.rat_kernel_basis([list(cov) for cov in first])
+    rows = [ratlin.clear_denominators(v) for v in kernel]
+    lattice, _ = ratlin.saturate_and_complement(rows, m)
+    return lattice
+
+
+def translations_moment(form):
+    """The moment of every coordinate translation of T^m."""
+    m = len(form)
+    a = ActionSpec(tuple(tuple(int(i == j) for j in range(m))
+                         for i in range(m)), ((),) * m)
+    return pipeline(ProductManifold(FlatTorusFactor(form), ()), a)[1]
+
+
+TORI = {len(form): translations_moment(form) for form in (STD2, STD4, STD6)}
+
+
+@given(st.sampled_from(sorted(TORI)).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m),
+             min_size=1, max_size=3))))
+@settings(max_examples=150, deadline=None)
+def test_cycle_lift_matches_the_saturated_kernel(data):
+    """Any small integer circle covectors: the direction is killed by the
+    first r-1 and winds the last gcd(<last, lattice>) times, the gcd over
+    the saturated-kernel lattice of the first r-1."""
+    m, covs = data
+    base = TORI[m]
+    comp = base.mu2[0]
+    mom = dataclasses.replace(base, mu2=tuple(
+        dataclasses.replace(comp, covector=tuple(cov)) for cov in covs))
+    first, last = covs[:-1], covs[-1]
+    g = math.gcd(*(sum(x * y for x, y in zip(last, w))
+                   for w in admissible_lattice(first, m)))
+    if g == 0:
+        with pytest.raises(convex.NoIntegerDirection):
+            convex.cycle_lift(mom.manifold, mom)
+        return
+    lift = convex.cycle_lift(mom.manifold, mom)
+    assert all(sum(x * y for x, y in zip(cov, lift.direction)) == 0
+               for cov in first)
+    assert lift.winding == sum(x * y for x, y in zip(last, lift.direction))
+    assert abs(lift.winding) == g
+    assert lift.verified and lift.max_frozen_deviation == 0

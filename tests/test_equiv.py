@@ -102,6 +102,9 @@ def test_two_torus_equivariance(t2_translations):
     rep = equiv.equivariance_check(m, a, mom, z, n_samples=300, seed=0)
     assert rep.passed
     assert rep.max_mu2_error < 1e-9
+    exact = equiv.exact_equivariance(mom, z)
+    assert exact.passed and exact.n_samples == 0
+    assert exact.max_mu2_error == 0
 
 
 def test_mixed_equivariance(s2xt2_mixed):
@@ -110,6 +113,31 @@ def test_mixed_equivariance(s2xt2_mixed):
     rep = equiv.equivariance_check(m, a, mom, z, n_samples=300, seed=0)
     assert rep.passed
     assert rep.max_mu1_invariance_error < 1e-9
+    exact = equiv.exact_equivariance(mom, z)
+    assert exact.passed
+    assert exact.max_mu1_invariance_error == 0
+
+
+def bend(comp, slot, by=1):
+    """The component with `by` added to one covector slot."""
+    cov = list(comp.covector)
+    cov[slot] += by
+    return dataclasses.replace(comp, covector=tuple(cov))
+
+
+def test_exact_equivariance_negative_controls(s2xt2_mixed):
+    """The certificate reads the moment's own covectors: a moved torus slot
+    breaks equivariance of mu2, or invariance of mu1."""
+    m, a = s2xt2_mixed
+    _, mom, z = pipeline(m, a)
+    bent = dataclasses.replace(mom, mu2=(bend(mom.mu2[0], 0),) + mom.mu2[1:])
+    rep = equiv.exact_equivariance(bent, z)
+    assert not rep.passed
+    assert rep.max_mu2_error == 1 and rep.max_mu1_invariance_error == 0
+    bent = dataclasses.replace(mom, mu1=(bend(mom.mu1[0], 1, -3),))
+    rep = equiv.exact_equivariance(bent, z)
+    assert not rep.passed
+    assert rep.max_mu2_error == 0 and rep.max_mu1_invariance_error == 3
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +161,7 @@ def test_two_torus_orbits_not_isotropic(t2_translations):
 def test_natural_equivariance_chain_with_fixed_points(s2xs2_rotations):
     m, a = s2xs2_rotations
     res, mom, z = pipeline(m, a)
-    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
+    verdict = equiv.natural_equivariance(mom, z)
     assert verdict.has_fixed_points
     assert verdict.orbits_isotropic
     assert verdict.z_is_zero
@@ -153,16 +181,29 @@ def test_natural_equivariance_chain_violation_raises(s2xs2_rotations,
 
     monkeypatch.setattr(equiv, "isotropic_orbit_test", not_isotropic)
     with pytest.raises(equiv.FixedPointChainBroken, match="not isotropic"):
-        equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
+        equiv.natural_equivariance(mom, z)
 
 
 def test_natural_equivariance_without_fixed_points(t2_translations):
     m, a = t2_translations
     res, mom, z = pipeline(m, a)
-    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
+    verdict = equiv.natural_equivariance(mom, z)
     assert not verdict.has_fixed_points
     assert not verdict.orbits_isotropic
     assert not verdict.naturally_equivariant
+
+
+def test_natural_equivariance_negative_control():
+    """On the split T^4 the orbits are isotropic and mu2 is invariant; a
+    covector that pairs with the second translation is not."""
+    m = torus4()
+    a = ActionSpec(((1, 0, 0, 0), (0, 0, 1, 0)), ((), ()))
+    _, mom, z = pipeline(m, a)
+    assert equiv.natural_equivariance(mom, z).naturally_equivariant
+    bent = dataclasses.replace(mom, mu2=(bend(mom.mu2[0], 2),) + mom.mu2[1:])
+    verdict = equiv.natural_equivariance(bent, z)
+    assert not verdict.mu2_invariant and not verdict.naturally_equivariant
+    assert verdict.max_mu2_invariance_error == 1
 
 
 def test_hamiltonian_only_full_invariance():
@@ -171,7 +212,7 @@ def test_hamiltonian_only_full_invariance():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
     res, mom, z = pipeline(m, a)
-    verdict = equiv.natural_equivariance_test(m, a, res.omega_prime, z, mom)
+    verdict = equiv.natural_equivariance(mom, z)
     assert verdict.naturally_equivariant
     assert verdict.max_mu2_invariance_error == 0.0
 

@@ -1,6 +1,7 @@
 """Structural reduction: regular values, freeness guards, the induced
 moment, and heredity of the non-Hamiltonian structure."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -114,8 +115,24 @@ def test_residual_generator_moving_reduced_sphere_refused():
 
 def test_induced_moment_well_defined():
     reduced = reduction.reduce_at(mixed_problem(0.5))
-    got = reduction.induced_moment(reduced, seed=1)
+    got = reduction.induced_moment(reduced)
     assert got is reduced.moment  # never NotInvariantOnOrbits on valid input
+
+
+def test_induced_moment_negative_control():
+    """A parent circle covector with a theta slot on the reduced sphere
+    varies along the collapsed orbits."""
+    problem = mixed_problem(0.5)
+    mom = problem.moment
+    comp = mom.mu2[0]
+    cov = list(comp.covector)
+    cov[problem.manifold.sphere_offset(0)] = 1
+    bent = dataclasses.replace(
+        mom, mu2=(dataclasses.replace(comp, covector=tuple(cov)),)
+        + mom.mu2[1:])
+    reduced = reduction.reduce_at(dataclasses.replace(problem, moment=bent))
+    with pytest.raises(reduction.NotInvariantOnOrbits):
+        reduction.induced_moment(reduced)
 
 
 def test_induced_moment_hamiltonian_only():
@@ -135,11 +152,26 @@ def test_induced_moment_hamiltonian_only():
 
 def test_heredity_on_mixed_action():
     reduced = reduction.reduce_at(mixed_problem(0.0))
-    verdict = reduction.heredity_check(reduced, seed=0)
+    verdict = reduction.heredity_check(reduced)
     assert verdict.applicable
     assert verdict.residual_non_hamiltonian
     assert verdict.circle_bins_hit == verdict.circle_bins == 50
     assert verdict.surjective and verdict.passed
+
+
+def test_heredity_negative_control():
+    """A residual circle component with a zero torus covector is neither
+    non-Hamiltonian nor onto the circle."""
+    reduced = reduction.reduce_at(mixed_problem(0.0))
+    mom = reduced.moment
+    flat = dataclasses.replace(mom.mu2[0],
+                               covector=(0,) * len(mom.mu2[0].covector))
+    broken = dataclasses.replace(
+        reduced, moment=dataclasses.replace(mom, mu2=(flat,) + mom.mu2[1:]))
+    verdict = reduction.heredity_check(broken)
+    assert verdict.applicable
+    assert not verdict.residual_non_hamiltonian and not verdict.surjective
+    assert verdict.circle_bins_hit == 0 and not verdict.passed
 
 
 def test_heredity_vacuous_when_residual_hamiltonian():
