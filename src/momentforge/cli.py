@@ -185,6 +185,14 @@ def load_scenario(path, *, seed=None, sign=None,
             raise ConfigError(f"{path}: [{section}] {key} not an "
                               "integer") from exc
 
+    def positive(key, default, override=None):
+        value = intval("pipeline", key, default) if override is None \
+            else override
+        if value < 1:
+            raise ConfigError(f"{path}: {key} must be at least 1, got "
+                              f"{value}")
+        return value
+
     checks = tuple((get("checks", "run", None)
                     or "classify integralize moment equivariance convexity "
                        "betti").split())
@@ -248,12 +256,11 @@ def load_scenario(path, *, seed=None, sign=None,
         manifold=manifold,
         action=action,
         form=manifold.form(),
-        max_denominator=(max_denominator
-                         or intval("pipeline", "max_denominator", 64)),
+        max_denominator=positive("max_denominator", 64, max_denominator),
         seed=eff_seed,
-        samples=intval("pipeline", "samples", 1000),
-        coverage_samples=intval("pipeline", "coverage_samples", 20000),
-        grid=intval("pipeline", "grid", 50),
+        samples=positive("samples", 1000),
+        coverage_samples=positive("coverage_samples", 20000),
+        grid=positive("grid", 50),
         checks=checks,
         reduce_indices=reduce_indices,
         reduce_values=reduce_values,
@@ -384,9 +391,10 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
         report.add("classify", "c", cls.c)
         report.add("classify", "r", cls.r)
         report.add("classify", "b1", M.b1)
-        report.add("classify", "effective", A.is_effective())
-        report.add("classify", "effectiveness_diagonal",
-                   A.effectiveness_diagonal())
+        diag = A.effectiveness_diagonal()
+        report.add("classify", "effective",
+                   diag[:A.r_total] == [1] * A.r_total)
+        report.add("classify", "effectiveness_diagonal", diag)
         report.matrices.append(("period_matrix", [list(r) for r in p.entries]))
         report.matrices.append(
             ("hamiltonian_basis", [list(v) for v in cls.hamiltonian_basis]))

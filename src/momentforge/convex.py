@@ -94,8 +94,8 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
         if ratlin.integer_rank(tight) == k:
             vertices.add(v)
     if k < c:
-        pinned = ratlin.rat_kernel_basis(gens) if gens else ratlin.identity(c)
-        normals += [tuple(ratlin.clear_denominators(e)) for e in pinned]
+        pinned = ratlin.lattice_split(w)[0]
+        normals += [tuple(e) for e in pinned]
         offsets += [0] * len(pinned)
     return MomentPolytope(c, tuple(sorted(vertices)), tuple(normals),
                           tuple(offsets))
@@ -223,17 +223,15 @@ def cycle_lift(manifold: ProductManifold,
     frozen deviation is the largest such pairing, exactly, and the winding
     is <last, u>.
 
-    The admissible lattice {u in Z^m : <first_i, u> = 0} is spanned by the
-    rows of the Hermite transform U of the first covectors (as columns)
-    whose Hermite rows vanish."""
+    The admissible lattice {u in Z^m : <first_i, u> = 0} is the integer
+    left kernel of the first covectors as columns."""
     if moment.r < 1:
         raise ValueError("need at least one circle component")
     m = manifold.torus_dim
     covs = [comp.torus_covector for comp in moment.mu2]
     first, last = covs[:-1], covs[-1]
-    h, trans = ratlin.hermite_normal_form(
+    lattice, _ = ratlin.lattice_split(
         [[cov[k] for cov in first] for k in range(m)])
-    lattice = [u for row, u in zip(h, trans) if not any(row)]
     u, winding = [0] * m, 0
     for w in lattice:
         # extend u so that <last, u> is the gcd of the pairings so far

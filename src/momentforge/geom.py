@@ -226,14 +226,9 @@ class ActionSpec:
                 for v, s in zip(self.translations, self.rotations)]
 
     def effectiveness_diagonal(self) -> list:
-        _, d, _ = ratlin.smith_normal_form(self.generator_matrix())
-        k = min(len(d), len(d[0]) if d else 0)
-        return [d[i][i] for i in range(k)]
-
-    def is_effective(self) -> bool:
-        diag = self.effectiveness_diagonal()
-        return (len(diag) >= self.r_total
-                and all(diag[i] == 1 for i in range(self.r_total)))
+        """The Smith invariants of the generator matrix; the action is
+        effective when the first r_total of them are all 1."""
+        return ratlin.smith_diagonal(self.generator_matrix())
 
 
 def field_covectors(action: ActionSpec, form: ProductForm,

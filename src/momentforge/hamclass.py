@@ -56,8 +56,11 @@ class ActionClassification:
     """Splitting of the acting torus into its Hamiltonian part (kernel of
     the period pairing) and an integer complement subtorus."""
 
-    hamiltonian_basis: tuple    # c integer vectors, saturated lattice basis
-    complement_generators: tuple  # r integer vectors, HNF-canonical
+    hamiltonian_basis: tuple    # c integer vectors: the HNF basis of the
+                                # saturated lattice of zero-period
+                                # combinations
+    complement_generators: tuple  # r integer vectors completing it to a
+                                  # basis of Z^r_total, in HNF
     r_total: int
 
     def __post_init__(self):
@@ -86,12 +89,7 @@ def period_matrix(manifold: ProductManifold, action: ActionSpec,
 
 def classify_action(p: PeriodMatrix) -> ActionClassification:
     n = p.rows
-    if p.cols == 0:
-        kernel = ratlin.identity(n)
-    else:
-        kernel = ratlin.rat_kernel_basis(ratlin.transpose(p.entries))
-    b = [ratlin.clear_denominators(v) for v in kernel]
-    ham, comp = ratlin.saturate_and_complement(b, n)
+    ham, comp = ratlin.lattice_split(p.entries)
     if ham:
         ham, _ = ratlin.hermite_normal_form(ham)
     if comp:

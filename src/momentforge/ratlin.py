@@ -8,6 +8,11 @@ and fraction-free Bareiss elimination with exact division), and build
 Fractions only at the output.  No floating point enters any routine in this
 module: scenario numbers are Fractions from parse time on, so every caller
 already holds exact data.
+
+The Hermite normal form does all the lattice work: `lattice_split` reads a
+saturated integer kernel and a basis completing it from the Hermite
+transform, and `smith_diagonal` reads the Smith invariants from alternating
+Hermite forms, with no transform at all.
 """
 
 from __future__ import annotations
@@ -114,27 +119,7 @@ def clear_denominators(v: Vec) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# kernels and rank
-
-def rat_kernel_basis(m: Mat) -> list[Vec]:
-    """Basis of {x : m x = 0}, exact over the rationals: one vector per
-    free column of the reduced row echelon form.
-
-    Returned vectors have reduced Fraction entries and are linearly
-    independent; a zero matrix yields the standard basis.
-    """
-    _, cols = _check_rect(m)
-    a, _ = _scaled(m)
-    pivots, last, _ = _eliminate(a, jordan=True)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(a, pivots):
-            vec[pc] = Fraction(-row[fc], last)
-        basis.append(vec)
-    return basis
-
+# rank
 
 def integer_rank(m: Mat) -> int:
     """Rank over Q of an integer (or rational) matrix, by fraction-free
@@ -144,80 +129,7 @@ def integer_rank(m: Mat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith / Hermite normal forms
-
-def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
-    """(U, D, V) with U m V = D, U and V unimodular, D diagonal with
-    d1 | d2 | ... and all di >= 0."""
-    rows, cols = _check_rect(m)
-    d = [[int(x) for x in row] for row in m]
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):  # row dst += f * row src
-        d[dst] = [d[dst][k] + f * d[src][k] for k in range(cols)]
-        u[dst] = [u[dst][k] + f * u[src][k] for k in range(rows)]
-
-    def add_col(dst, src, f):
-        for row in d:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # move a nonzero entry to (t, t)
-        pos = next(((i, j) for i in range(t, rows) for j in range(t, cols)
-                    if d[i][j] != 0), None)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, rows):
-                if d[i][t] == 0:
-                    continue
-                q = d[i][t] // d[t][t]
-                add_row(i, t, -q)
-                if d[i][t] != 0:
-                    swap_rows(t, i)
-                    done = False
-            for j in range(t + 1, cols):
-                if d[t][j] == 0:
-                    continue
-                q = d[t][j] // d[t][t]
-                add_col(j, t, -q)
-                if d[t][j] != 0:
-                    swap_cols(t, j)
-                    done = False
-            if not done:
-                continue
-            # make d[t][t] divide the remaining block
-            offender = next(((i, j) for i in range(t + 1, rows)
-                             for j in range(t + 1, cols)
-                             if d[i][j] % d[t][t] != 0), None)
-            if offender is None:
-                break
-            add_row(t, offender[0], 1)
-        t += 1
-    for i in range(min(rows, cols)):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-    return u, d, v
-
+# the Hermite normal form and the lattice questions it answers
 
 def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
     """Row-style Hermite normal form: (H, U) with U m = H, U unimodular,
@@ -257,41 +169,45 @@ def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
     return h, u
 
 
-def invert_unimodular(m: Mat) -> Mat:
-    """Exact inverse of an integer matrix with determinant +-1, by
-    fraction-free Gauss-Jordan elimination of [m | I]."""
-    n, cols = _check_rect(m)
-    if n != cols:
-        raise ValueError("not square")
-    a, d = _scaled(m)
-    for i, row in enumerate(a):
-        row += [int(i == j) for j in range(n)]
+def lattice_split(m: Mat) -> tuple[Mat, Mat]:
+    """(K, C) for a rational matrix m with n rows: K is a Z-basis of the
+    integer left kernel {x in Z^n : x m = 0}, which is always saturated,
+    and C completes K to a basis of Z^n.
+
+    The left kernel depends only on the column space of m, so m is first
+    replaced by the primitive integer rows of that space's reduced echelon
+    basis: canonical, and usually with far smaller entries than m.  K and
+    C are then the rows of the Hermite transform U whose Hermite rows
+    vanish and do not."""
+    n, _ = _check_rect(m)
+    a, _ = _scaled(transpose(m))
     pivots, last, _ = _eliminate(a, jordan=True)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    # m^-1 = d N^-1, and the right block holds last * N^-1
-    if any(d * x % last for row in a for x in row[n:]):
-        raise ValueError("matrix is not unimodular")
-    return [[d * x // last for x in row[n:]] for row in a]
+    if not pivots:
+        return identity(n), []
+    sign = 1 if last > 0 else -1    # each pivot row is last * its RREF row
+    h, u = hermite_normal_form(transpose(
+        [[sign * x for x in clear_denominators(row)]
+         for row in a[:len(pivots)]]))
+    return ([x for row, x in zip(h, u) if not any(row)],
+            [x for row, x in zip(h, u) if any(row)])
 
 
-def saturate_and_complement(b: Mat, n: int) -> tuple[Mat, Mat]:
-    """Given integer rows b spanning a subspace of Q^n, return
-    (saturated basis of span(b) intersected with Z^n, integer rows
-    completing it to a unimodular basis of Z^n).
-
-    Uses the Smith form b = U^-1 D W: the first rank(b) rows of W span the
-    saturation and the remaining rows complete it.
-    """
-    if not b:
-        return [], identity(n)
-    rows, cols = _check_rect(b)
-    if cols != n:
-        raise ValueError("column count mismatch")
-    _, d, v = smith_normal_form(b)
-    w = invert_unimodular(v)  # rows of W are a Z-basis of Z^n
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    return w[:rank], w[rank:]
+def smith_diagonal(m: Mat) -> list:
+    """The Smith invariants d1 | d2 | ... of an integer matrix, min(rows,
+    cols) of them with the zeros last, without either transform: Hermite
+    forms of the matrix and of its transpose alternate until it is
+    diagonal (Kannan and Bachem 1979), and gcd / lcm exchanges then make
+    each entry divide the next."""
+    rows, cols = _check_rect(m)
+    h, _ = hermite_normal_form(m)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row)
+              if i != j):
+        h, _ = hermite_normal_form(transpose(h))
+    d = [h[i][i] for i in range(min(rows, cols))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Shared builders for the recurring corpus instances, and the field and
-pairing oracles written out from the README conventions."""
+"""Shared builders for the recurring corpus instances, the field and
+pairing oracles written out from the README conventions, and the
+determinantal divisors of an integer matrix."""
+
+import itertools
+import math
 
 import pytest
 
-from momentforge import hamclass
+from momentforge import hamclass, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
@@ -44,6 +48,19 @@ def pairing(m, form, u, w):
         o = m.sphere_offset(f)
         total += c * (u[o] * w[o + 1] - u[o + 1] * w[o])
     return total
+
+
+def determinantal_divisor(m, k):
+    """D_k(m), the gcd of all k x k minors of the integer matrix m, with
+    D_0 = 1 (and D_k = 0 past the rank).  The Smith invariants are
+    D_k / D_{k-1} while D_k is nonzero."""
+    if k == 0:
+        return 1
+    cols = len(m[0]) if m else 0
+    return math.gcd(*(int(ratlin.determinant([[m[i][j] for j in cs]
+                                              for i in rs]))
+                      for rs in itertools.combinations(range(len(m)), k)
+                      for cs in itertools.combinations(range(cols), k)))
 
 
 def torus2(omega=STD2):

@@ -77,6 +77,17 @@ generators = 1 0 0 0 |
      "'1/0' is not a finite number"),
     # the decimal Pfaffian 0.1 * 3 - 0.3 * 1 is exactly 0
     (T4_DECIMAL_DEGENERATE, "degenerate"),
+    # every pipeline count and bound must be positive
+    (GOOD + "[pipeline]\nsamples = 0\n", r": samples must be at least 1"),
+    (GOOD + "[pipeline]\nsamples = -1\n", r": samples must be at least 1"),
+    (GOOD + "[pipeline]\ncoverage_samples = 0\n",
+     "coverage_samples must be at least 1"),
+    (GOOD + "[pipeline]\ngrid = 0\n", "grid must be at least 1"),
+    (GOOD + "[pipeline]\ngrid = -3\n", "grid must be at least 1"),
+    (GOOD + "[pipeline]\nmax_denominator = 0\n",
+     "max_denominator must be at least 1"),
+    (GOOD + "[pipeline]\nmax_denominator = -5\n",
+     "max_denominator must be at least 1"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     with pytest.raises(cli.ConfigError, match=fragment):
@@ -107,6 +118,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["classify", "--scenario", "two_torus"]) == 0
     capsys.readouterr()
     assert cli.main(["all", "--scenario", "missing"]) == 2
+    for bound in ("0", "-5"):
+        assert cli.main(["classify", "--scenario", "two_torus_sqrt2",
+                         "--max-denominator", bound]) == 2
+        assert "max_denominator must be at least 1" in capsys.readouterr().err
     bad = write(tmp_path, GOOD + "[expect]\nr = 1\n")
     assert cli.main(["classify", "--scenario", str(bad)]) == 1
     out = capsys.readouterr().out
@@ -273,6 +288,21 @@ def test_large_integral_forms_pass(tmp_path, capsys, text, verdicts):
     [diff] = [line.split(" = ")[1] for line in lines
               if line.startswith("path_difference = ")]
     assert diff.lstrip("-").isdigit()
+
+
+def test_effective_reads_the_smith_diagonal(tmp_path):
+    """The action is effective when its first r_total Smith invariants are
+    all 1: t2_gcd2's generator 2 0 has a Z/2 defect, and three generators
+    of T^2 cannot act effectively however small their invariants."""
+    three = write(tmp_path, GOOD.replace("1 0 | ; 0 1 |",
+                                         "1 0 | ; 0 1 | ; 1 1 |"))
+    for path, effective, diag in (
+            (cli.bundled_scenario_path("t2_gcd2"), False, [2]),
+            (cli.bundled_scenario_path("s2xt2_reduce"), True, [1, 1, 1]),
+            (three, False, [1, 1])):
+        report = cli.run_scenario(cli.load_scenario(path), ("classify",))
+        assert report.sections["classify"]["effective"] is effective
+        assert report.sections["classify"]["effectiveness_diagonal"] == diag
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ lifting."""
 
 import dataclasses
 import itertools
-import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,8 +16,8 @@ from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 from momentforge.moment import CircleComponent
 
-from conftest import (STD2, STD4, STD6, classify, s2xs2, s2xt2, sphere,
-                      torus2, torus4)
+from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
+                      s2xs2, s2xt2, sphere, torus2, torus4)
 
 
 def pipeline(m, a):
@@ -328,18 +327,6 @@ def test_cycle_lift_requires_circle_part(s2xs2_rotations):
         convex.cycle_lift(m, mom)
 
 
-def admissible_lattice(first, m):
-    """Reference oracle: a Z-basis of {u in Z^m : <cov, u> = 0 for cov in
-    first}, as the rational kernel of the first covectors saturated to
-    the integer lattice."""
-    if not first:
-        return ratlin.identity(m)
-    kernel = ratlin.rat_kernel_basis([list(cov) for cov in first])
-    rows = [ratlin.clear_denominators(v) for v in kernel]
-    lattice, _ = ratlin.saturate_and_complement(rows, m)
-    return lattice
-
-
 def translations_moment(form):
     """The moment of every coordinate translation of T^m."""
     m = len(form)
@@ -358,16 +345,21 @@ TORI = {len(form): translations_moment(form) for form in (STD2, STD4, STD6)}
 @settings(max_examples=150, deadline=None)
 def test_cycle_lift_matches_the_saturated_kernel(data):
     """Any small integer circle covectors: the direction is killed by the
-    first r-1 and winds the last gcd(<last, lattice>) times, the gcd over
-    the saturated-kernel lattice of the first r-1."""
+    first r-1 and winds the last g times, g the gcd of <last, u> over the
+    integer u killed by the first r-1.  With k = rank(first), projecting
+    the lattice [first; last] Z^m onto its first r-1 coordinates has
+    kernel 0 x gZ, so comparing saturation indices gives
+    g = D_{k+1}([first; last]) / D_k(first), and g = 0 when last lies in
+    the span of first."""
     m, covs = data
     base = TORI[m]
     comp = base.mu2[0]
     mom = dataclasses.replace(base, mu2=tuple(
         dataclasses.replace(comp, covector=tuple(cov)) for cov in covs))
     first, last = covs[:-1], covs[-1]
-    g = math.gcd(*(sum(x * y for x, y in zip(last, w))
-                   for w in admissible_lattice(first, m)))
+    k = ratlin.integer_rank(first)
+    g = (determinantal_divisor(first + [last], k + 1)
+         // determinantal_divisor(first, k))
     if g == 0:
         with pytest.raises(convex.NoIntegerDirection):
             convex.cycle_lift(mom.manifold, mom)

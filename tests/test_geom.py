@@ -90,10 +90,10 @@ def test_action_validation():
 
 
 def test_effectiveness():
+    """Effective means the first r_total Smith invariants are all 1."""
     eff = ActionSpec(((1, 0), (0, 1)), ((), ()))
-    assert eff.is_effective()
+    assert eff.effectiveness_diagonal() == [1, 1]
     defect = ActionSpec(((2, 0),), ((),))
-    assert not defect.is_effective()
     assert defect.effectiveness_diagonal() == [2]
 
 

@@ -1,18 +1,21 @@
 """Exact linear algebra, verified against independent oracles: exhaustive
 denominator scans for rational rounding, the closed-form 4x4 Pfaffian
 squared against the determinant, the dense matrix product, the defining
-identities of the normal forms on random integer matrices, and elimination
-over Fractions for the integer kernels."""
+identities of the Hermite form, the lattice split's characterization, the
+Smith invariants against determinantal divisors, and elimination over
+Fractions for the integer kernels."""
 
 import copy
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentforge import ratlin
+
+from conftest import determinantal_divisor
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -38,37 +41,24 @@ rationals = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw, square=False):
-    """1-6 rows and columns of rationals.  The last few rows are rational
-    combinations of the rows above them, so singular and rank-deficient
+def rational_matrices(draw, square=False, integral=False):
+    """1-6 rows and columns of rationals, or of small integers when
+    integral.  The last few rows are combinations of the rows above them,
+    with integer coefficients when integral, so singular and rank-deficient
     matrices, down to the zero matrix, come up often."""
+    entries, factors = ((small_ints, [0, 1, -1, 2]) if integral else
+                        (rationals, [0, 1, -1, 2, Fraction(1, 2),
+                                     Fraction(-3, 7)]))
     rows = draw(st.integers(min_value=1, max_value=6))
     cols = rows if square else draw(st.integers(min_value=1, max_value=6))
-    m = [draw(st.lists(rationals, min_size=cols, max_size=cols))
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols))
          for _ in range(rows)]
     for i in range(rows - draw(st.integers(min_value=0, max_value=rows)),
                    rows):
-        coeffs = draw(st.lists(
-            st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7)]),
-            min_size=i, max_size=i))
+        coeffs = draw(st.lists(st.sampled_from(factors),
+                               min_size=i, max_size=i))
         m[i] = [sum(f * m[k][j] for k, f in enumerate(coeffs))
                 for j in range(cols)]
-    return m
-
-
-@st.composite
-def unimodular_matrices(draw):
-    """The identity of size 1-6 under random integer row operations."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    m = ratlin.identity(n)
-    for _ in range(draw(st.integers(min_value=0, max_value=12))):
-        i = draw(st.integers(min_value=0, max_value=n - 1))
-        j = draw(st.integers(min_value=0, max_value=n - 1))
-        if i != j:
-            f = draw(st.integers(min_value=-3, max_value=3))
-            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
-    if draw(st.booleans()):
-        m[0] = [-x for x in m[0]]
     return m
 
 
@@ -96,31 +86,7 @@ def test_mat_mul_shapes():
 
 
 # ---------------------------------------------------------------------------
-# kernels and rank
-
-def test_kernel_of_zero_matrix_is_standard_basis():
-    basis = ratlin.rat_kernel_basis([[0, 0, 0], [0, 0, 0]])
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-def test_kernel_example():
-    # x + y = 0 on Q^2
-    basis = ratlin.rat_kernel_basis([[1, 1]])
-    assert len(basis) == 1
-    assert basis[0][0] == -basis[0][1]
-
-
-@given(matrices)
-@settings(max_examples=60, deadline=None)
-def test_kernel_vectors_annihilate_and_span(m):
-    basis = ratlin.rat_kernel_basis(m)
-    for v in basis:
-        assert ratlin.mat_mul(m, [[x] for x in v]) == [[0]] * len(m)
-    # rank-nullity, with rank from the independent Bareiss routine
-    assert len(basis) == len(m[0]) - ratlin.integer_rank(m)
-    if basis:
-        assert ratlin.integer_rank(basis) == len(basis)
-
+# rank
 
 def test_rank_trivial_cases():
     assert ratlin.integer_rank([]) == 0
@@ -131,34 +97,6 @@ def test_rank_trivial_cases():
 
 # ---------------------------------------------------------------------------
 # normal forms
-
-@given(matrices)
-@settings(max_examples=60, deadline=None)
-def test_smith_form_identity_and_divisibility(m):
-    u, d, v = ratlin.smith_normal_form(m)
-    assert ratlin.mat_mul(ratlin.mat_mul(u, m), v) == d
-    assert abs(ratlin.determinant(u)) == 1
-    assert abs(ratlin.determinant(v)) == 1
-    k = min(len(d), len(d[0]) if d else 0)
-    diag = [d[i][i] for i in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                assert d[i][j] == 0
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a:
-            assert b % a == 0
-        else:
-            assert b == 0
-
-
-def test_smith_zero_and_identity():
-    _, d, _ = ratlin.smith_normal_form([[0, 0], [0, 0]])
-    assert d == [[0, 0], [0, 0]]
-    _, d, _ = ratlin.smith_normal_form(ratlin.identity(3))
-    assert d == ratlin.identity(3)
-
 
 @given(matrices)
 @settings(max_examples=60, deadline=None)
@@ -183,53 +121,41 @@ def test_hermite_form_identity_and_echelon(m):
             assert 0 <= h[i][nz] < row[nz]
 
 
-def test_invert_unimodular_round_trip():
-    m = [[2, 1], [1, 1]]
-    assert ratlin.mat_mul(ratlin.invert_unimodular(m), m) == ratlin.identity(2)
-    with pytest.raises(ValueError):
-        ratlin.invert_unimodular([[2, 0], [0, 1]])
+@given(st.one_of(rational_matrices(), st.integers(1, 6).map(
+    lambda n: [[] for _ in range(n)])))
+@example([[0, 0], [0, 0]])
+@settings(max_examples=150, deadline=None)
+def test_lattice_split_is_the_saturated_left_kernel(m):
+    """K m = 0 with n - rank m rows, so K spans the left kernel over Q, and
+    [K; C] unimodular, so K is a Z-basis of the kernel's integer points
+    (a saturated lattice) and C completes it."""
+    k, c = ratlin.lattice_split(m)
+    assert len(k) == len(m) - ratlin.integer_rank(m)
+    assert all(type(x) is int for row in k + c for x in row)
+    assert not any(x for row in ratlin.mat_mul(k, m) for x in row)
+    assert abs(ratlin.determinant(k + c)) == 1
 
 
-@given(st.integers(min_value=2, max_value=4).flatmap(
-    lambda n: int_matrix(2, n)))
+def test_lattice_split_saturates():
+    """x / 2 + y / 3 = 0 has the rational solution (1, -3/2); its integer
+    points are the multiples of (2, -3)."""
+    k, c = ratlin.lattice_split([[Fraction(1, 2)], [Fraction(1, 3)]])
+    assert k in ([[2, -3]], [[-2, 3]])
+    assert len(c) == 1
+    assert ratlin.lattice_split([[], []]) == (ratlin.identity(2), [])
+
+
+@given(rational_matrices(integral=True))
+@example([[0, 0], [0, 0]])
+@example([[], []])
+@example([[2, 0], [0, 3]])          # diagonal, but 2 does not divide 3
 @settings(max_examples=60, deadline=None)
-def test_saturation_properties(b):
-    n = len(b[0])
-    sat, comp = ratlin.saturate_and_complement(b, n)
-    rank = ratlin.integer_rank(b)
-    assert len(sat) == rank
-    assert len(comp) == n - rank
-    full = sat + comp
-    if full:
-        assert abs(ratlin.determinant(full)) == 1
-    # every original row is an integer combination of the saturated basis
-    for row in b:
-        if not sat:
-            assert not any(row)
-            continue
-        sol = _solve_integer(sat, row)
-        assert sol is not None
-
-
-def _solve_integer(basis, target):
-    """Express target as a rational combination of basis rows; return the
-    coefficients if they are integral, else None."""
-    aug = ratlin.transpose(basis) if basis else []
-    kernel = ratlin.rat_kernel_basis(
-        [row + [-t] for row, t in zip(aug, target)])
-    for v in kernel:
-        if v[-1] != 0:
-            coeffs = [x / v[-1] for x in v[:-1]]
-            if all(Fraction(c).denominator == 1 for c in coeffs):
-                return coeffs
-    return None
-
-
-def test_saturation_example():
-    # span of (2, 0) saturates to (1, 0)
-    sat, comp = ratlin.saturate_and_complement([[2, 0]], 2)
-    assert [abs(x) for x in sat[0]] == [1, 0]
-    assert len(comp) == 1
+def test_smith_diagonal_matches_determinantal_divisors(m):
+    """The k-th Smith invariant is D_k / D_{k-1}, and 0 past the rank."""
+    d = [determinantal_divisor(m, k)
+         for k in range(min(len(m), len(m[0])) + 1)]
+    assert ratlin.smith_diagonal(m) == [
+        d[k] // d[k - 1] if d[k] else 0 for k in range(1, len(d))]
 
 
 # ---------------------------------------------------------------------------
@@ -338,40 +264,6 @@ def _fraction_rank(m):
                               len(m[0])))
 
 
-def _fraction_kernel(m):
-    cols = len(m[0])
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = _fraction_rref(a, cols)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def _fraction_inverse(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                       for j in range(n)]
-         for i, row in enumerate(m)]
-    if _fraction_rref(a, 2 * n)[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    out = [row[n:] for row in a]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
-
-
-def _outcome(f, m):
-    try:
-        return f(m)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
 @given(rational_matrices(square=True))
 @settings(max_examples=150, deadline=None)
 def test_determinant_matches_fraction_elimination(m):
@@ -386,23 +278,6 @@ def test_rank_matches_fraction_elimination(m):
     assert ratlin.integer_rank(m) == _fraction_rank(m)
 
 
-@given(rational_matrices())
-@settings(max_examples=150, deadline=None)
-def test_kernel_matches_fraction_rref(m):
-    """The reduced row echelon form is canonical, so the bases agree
-    vector for vector, as Fractions."""
-    basis = ratlin.rat_kernel_basis(m)
-    assert basis == _fraction_kernel(m)
-    assert all(type(x) is Fraction for v in basis for x in v)
-
-
-@given(st.one_of(unimodular_matrices(), rational_matrices(square=True)))
-@settings(max_examples=150, deadline=None)
-def test_inverse_matches_fraction_gauss_jordan(m):
-    assert (_outcome(ratlin.invert_unimodular, m)
-            == _outcome(_fraction_inverse, m))
-
-
 @given(rational_matrices(square=True))
 @settings(max_examples=60, deadline=None)
 def test_kernels_leave_their_input_alone(m):
@@ -411,10 +286,8 @@ def test_kernels_leave_their_input_alone(m):
     before = copy.deepcopy(m)
     rows = tuple(tuple(row) for row in m)
     for f in (ratlin.determinant, ratlin.integer_rank,
-              ratlin.rat_kernel_basis, lambda a: ratlin.mat_mul(a, a)):
+              ratlin.lattice_split, lambda a: ratlin.mat_mul(a, a)):
         assert f(rows) == f(m)
-    assert (_outcome(ratlin.invert_unimodular, rows)
-            == _outcome(ratlin.invert_unimodular, m))
     assert m == before
 
 
