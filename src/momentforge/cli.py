@@ -250,6 +250,9 @@ def load_scenario(path, *, seed=None, sign=None,
             raise ConfigError("MOMENTFORGE_SEED is not an integer") from exc
     else:
         eff_seed = intval("pipeline", "seed", 0)
+    if eff_seed < 0:
+        raise ConfigError(f"{path}: seed must be non-negative, got "
+                          f"{eff_seed}")
 
     return Scenario(
         name=Path(path).stem,
@@ -395,7 +398,7 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
         report.add("classify", "effective",
                    diag[:A.r_total] == [1] * A.r_total)
         report.add("classify", "effectiveness_diagonal", diag)
-        report.matrices.append(("period_matrix", [list(r) for r in p.entries]))
+        report.matrices.append(("period_matrix", [list(r) for r in p]))
         report.matrices.append(
             ("hamiltonian_basis", [list(v) for v in cls.hamiltonian_basis]))
         report.matrices.append(
@@ -463,24 +466,23 @@ def _run_moment(report, scenario, mom):
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrices.append(
-        ("mu2_covectors", [list(c.torus_covector) for c in mom.mu2]))
+        ("mu2_covectors", [list(t) for t in mom.torus_covectors]))
     pts = geom.sample_points(M, scenario.samples, scenario.seed)
     mu1 = mom.mu1_values(pts)
     mu2 = mom.mu2_values(pts)
     report.samples = np.hstack([pts, mu1, mu2])
     report.sample_header = tuple(
-        [f"x{i}" for i in range(M.coord_dim)]
+        [f"x{i}" for i in range(M.dim)]
         + [f"mu1_{i}" for i in range(mom.c)]
         + [f"mu2_{i}" for i in range(mom.r)])
     if mom.r:
         # the straight lift minus the one shifted by the loop e_0: exactly
         # -<covector, e_0>, an integer by mu2_loop_periods_integral
         report.add("moment", "path_difference",
-                   -mom.mu2[0].torus_covector[0])
-    for comp in mom.mu2:
-        fact = moment_mod.fiber_connected_factorization(comp.torus_covector)
-        report.add("moment",
-                   f"fiber_components_{mom.mu2.index(comp)}", fact.d)
+                   -mom.torus_covectors[0][0])
+    for i, cov in enumerate(mom.torus_covectors):
+        fact = moment_mod.fiber_connected_factorization(cov)
+        report.add("moment", f"fiber_components_{i}", fact.d)
 
 
 def _run_equivariance(report, scenario, mom, z):
@@ -508,6 +510,12 @@ def _run_equivariance(report, scenario, mom, z):
 
 def _run_convexity(report, scenario, mom):
     M = scenario.manifold
+    grid, c, r = scenario.grid, mom.c, mom.r
+    cells = max(grid ** (c + r), (grid + 1) ** c)
+    if cells > convex.MAX_COVERAGE_CELLS:
+        raise ConfigError(f"convexity: grid = {grid} with c = {c}, r = {r} "
+                          f"needs {cells} coverage cells or corners, above "
+                          f"the budget of {convex.MAX_COVERAGE_CELLS}")
     report.add("convexity", "hull_vertices",
                [list(v) for v in convex.moment_polytope(mom).vertices])
     cov = convex.product_coverage_check(M, mom, scenario.grid,
@@ -559,8 +567,7 @@ def _run_reduce(report, scenario, mom):
         if not verdict.regular:
             break
         reduction.induced_moment(reduced)
-        report.add("reduce", f"stage{stage}_dimension",
-                   reduced.manifold.dim)
+        report.add("reduce", f"stage{stage}_dimension", reduced.dim)
         her = reduction.heredity_check(reduced)
         report.add("reduce", f"stage{stage}_heredity_applicable",
                    her.applicable)

@@ -15,6 +15,10 @@ from .geom import ActionSpec, ProductForm, ProductManifold
 from .hamclass import ActionClassification
 from .moment import GeneralizedMoment
 
+# product_coverage_check allocates dense arrays of grid^(c+r) cells and
+# (grid+1)^c corners; neither may exceed this many entries
+MAX_COVERAGE_CELLS = 2 ** 20
+
 
 class PreconditionViolated(Exception):
     pass
@@ -65,8 +69,8 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
     A pole image is a vertex when its tight normals have rank k."""
     manifold = moment.manifold
     c = moment.c
-    w = [[comp.covector[manifold.sphere_offset(f) + 1]
-          for f in range(manifold.n_spheres)] for comp in moment.mu1]
+    w = [[cov[manifold.sphere_offset(f) + 1]
+          for f in range(manifold.n_spheres)] for cov in moment.mu1]
     rows: list = []
     for i in range(c):
         if ratlin.integer_rank([w[j] for j in rows + [i]]) > len(rows):
@@ -171,7 +175,7 @@ def circle_extremum_check(moment: GeneralizedMoment) -> ExtremumReport:
     has no local extremum; a zero covector fails the check."""
     if moment.r < 1:
         raise ValueError("no circle components to check")
-    nonzero = tuple(any(comp.torus_covector) for comp in moment.mu2)
+    nonzero = tuple(any(cov) for cov in moment.torus_covectors)
     return ExtremumReport(nonzero, all(nonzero))
 
 
@@ -228,7 +232,7 @@ def cycle_lift(manifold: ProductManifold,
     if moment.r < 1:
         raise ValueError("need at least one circle component")
     m = manifold.torus_dim
-    covs = [comp.torus_covector for comp in moment.mu2]
+    covs = list(moment.torus_covectors)
     first, last = covs[:-1], covs[-1]
     lattice, _ = ratlin.lattice_split(
         [[cov[k] for cov in first] for k in range(m)])
@@ -241,7 +245,7 @@ def cycle_lift(manifold: ProductManifold,
     if not winding:
         raise NoIntegerDirection(
             "last covector vanishes on the admissible lattice")
-    frozen = first + [comp.covector[:m] for comp in moment.mu1]
+    frozen = first + [cov[:m] for cov in moment.mu1]
     deviation = max((abs(_dot(cov, u)) for cov in frozen), default=0)
     return CycleLift(tuple(u), winding, deviation, deviation == 0)
 

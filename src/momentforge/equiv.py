@@ -120,11 +120,10 @@ def exact_equivariance(moment: GeneralizedMoment,
     largest residual entries; no points are sampled."""
     orbits = ratlin.mat_mul(moment.classification.complement_generators,
                             moment.action.orbit_matrix())
-    mu2 = _pairings([comp.covector for comp in moment.mu2], orbits)
+    mu2 = _pairings(moment.mu2, orbits)
     mu2_error = _max_abs([[x - y for x, y in zip(row, z_row)]
                           for row, z_row in zip(mu2, z)])
-    mu1_error = _max_abs(_pairings([comp.covector for comp in moment.mu1],
-                                   orbits))
+    mu1_error = _max_abs(_pairings(moment.mu1, orbits))
     return EquivarianceReport(0, mu2_error, mu1_error,
                               mu2_error == 0 and mu1_error == 0)
 
@@ -171,8 +170,7 @@ def natural_equivariance(moment: GeneralizedMoment,
     has_fp = geom.fixed_point_set(moment.manifold, action).kind != "empty"
     iso = isotropic_orbit_test(action, moment.omega_prime)
     z_zero = all(all(e == 0 for e in row) for row in z)
-    max_err = _max_abs(_pairings([comp.covector for comp in moment.mu2],
-                                 action.orbit_matrix()))
+    max_err = _max_abs(_pairings(moment.mu2, action.orbit_matrix()))
     mu2_invariant = max_err == 0
     if has_fp:
         for holds, what in ((iso.isotropic, "orbits not isotropic"),

@@ -23,6 +23,7 @@ is a product of these matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,10 +144,6 @@ class ProductManifold:
         return self.torus_dim + 2 * self.n_spheres
 
     @property
-    def coord_dim(self) -> int:
-        return self.dim
-
-    @property
     def b1(self) -> int:
         return self.torus_dim
 
@@ -163,7 +160,7 @@ class ProductManifold:
 
     def basepoint(self) -> np.ndarray:
         """Torus origin, spheres at the south pole (theta=0, h=-1)."""
-        x = np.zeros(self.coord_dim)
+        x = np.zeros(self.dim)
         for f in range(self.n_spheres):
             x[self.sphere_offset(f) + 1] = -1.0
         return x
@@ -249,41 +246,28 @@ def field_covectors(action: ActionSpec, form: ProductForm,
 @dataclass(frozen=True)
 class FixedPointSet:
     """'empty', a finite list of points, or a positive-dimensional
-    submanifold described by the free coordinate ranges."""
+    submanifold: the pole combinations on the rotated spheres times the
+    torus and the unrotated spheres."""
 
     kind: str                      # 'empty' | 'finite' | 'submanifold'
-    points: tuple = ()             # finite case: explicit coordinates
-    free_factors: tuple = ()       # submanifold case: factor descriptions
-    description: str = ""
+    points: tuple = ()             # explicit pole coordinates
 
 
 def fixed_point_set(manifold: ProductManifold,
                     action: ActionSpec) -> FixedPointSet:
     if any(any(v) for v in action.translations):
-        return FixedPointSet("empty",
-                             description="nonzero translation direction")
+        return FixedPointSet("empty")
     rotated = [f for f in range(manifold.n_spheres)
                if any(r[f] for r in action.rotations)]
-    still = [f for f in range(manifold.n_spheres) if f not in rotated]
     pole_choices = []
-    import itertools
     for combo in itertools.product((-1.0, 1.0), repeat=len(rotated)):
         x = manifold.basepoint()
         for f, h in zip(rotated, combo):
             x[manifold.sphere_offset(f) + 1] = h
         pole_choices.append(tuple(x))
-    if manifold.torus_dim == 0 and not still:
-        return FixedPointSet(
-            "finite", points=tuple(pole_choices),
-            description=f"{len(pole_choices)} pole combinations")
-    free = []
-    if manifold.torus_dim:
-        free.append(f"torus factor (dim {manifold.torus_dim})")
-    free += [f"sphere {f} (unrotated)" for f in still]
-    return FixedPointSet(
-        "submanifold", points=tuple(pole_choices), free_factors=tuple(free),
-        description="pole combinations on rotated spheres times "
-                    + ", ".join(free))
+    finite = manifold.torus_dim == 0 and len(rotated) == manifold.n_spheres
+    return FixedPointSet("finite" if finite else "submanifold",
+                         tuple(pole_choices))
 
 
 def apply_torus_element(manifold: ProductManifold, action: ActionSpec,
@@ -312,7 +296,7 @@ def sample_points(manifold: ProductManifold, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    out = np.empty((n, manifold.coord_dim))
+    out = np.empty((n, manifold.dim))
     m = manifold.torus_dim
     out[:, :m] = rng.random((n, m))
     for f in range(manifold.n_spheres):

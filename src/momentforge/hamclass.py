@@ -32,26 +32,6 @@ class SplittingIncomplete(Exception):
 
 
 @dataclass(frozen=True)
-class PeriodMatrix:
-    """Rows indexed by generators, columns by the H_1 coordinate loops;
-    entry (j, k) is the exact period of i_{X_j} omega over loop k."""
-
-    entries: tuple  # r_total x b1
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           tuple(tuple(row) for row in self.entries))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-@dataclass(frozen=True)
 class ActionClassification:
     """Splitting of the acting torus into its Hamiltonian part (kernel of
     the period pairing) and an integer complement subtorus."""
@@ -79,17 +59,19 @@ class ActionClassification:
 
 
 def period_matrix(manifold: ProductManifold, action: ActionSpec,
-                  form: ProductForm) -> PeriodMatrix:
-    """The torus slots of the generators' field covectors: the period of a
-    constant 1-form over the coordinate loop e_k is its k-th entry."""
+                  form: ProductForm) -> tuple:
+    """The period matrix, r_total x b1: row j holds the exact periods of
+    i_{X_j} omega over the H_1 coordinate loops.  These are the torus slots
+    of the generators' field covectors, since the period of a constant
+    1-form over the coordinate loop e_k is its k-th entry."""
     m = manifold.torus_dim
-    return PeriodMatrix(tuple(tuple(row[:m])
-                              for row in geom.field_covectors(action, form)))
+    return tuple(tuple(row[:m]) for row in geom.field_covectors(action, form))
 
 
-def classify_action(p: PeriodMatrix) -> ActionClassification:
-    n = p.rows
-    ham, comp = ratlin.lattice_split(p.entries)
+def classify_action(p: tuple) -> ActionClassification:
+    """Split the acting torus along the rows of the period matrix p."""
+    n = len(p)
+    ham, comp = ratlin.lattice_split(p)
     if ham:
         ham, _ = ratlin.hermite_normal_form(ham)
     if comp:

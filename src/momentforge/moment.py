@@ -2,10 +2,11 @@
 circle-valued components for the non-Hamiltonian complement, fiber
 factorization, and fixed-point local models.
 
-Every component is linear in the flat coordinates, with the constant
-covector geom.field_covectors gives for its generator and the integral
-form.  Circle components keep their exact integer torus covector alongside
-the float evaluator.
+Every component is linear in the flat coordinates, so the moment is two
+exact covector matrices: mu1, one row per Hamiltonian basis vector, and
+mu2, one row per complement generator, both rows of one
+geom.field_covectors product against the integral form.  The float
+evaluators read those rows; the exact stages pair them with G.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .hamclass import ActionClassification
 CIRCLE_TOL = 1e-9
 
 
-class NoHamiltonianPart(Exception):
-    pass
-
-
 class GeneratorIsHamiltonian(Exception):
     pass
 
@@ -41,58 +38,26 @@ def circle_distance(a, b) -> float:
     return float(np.max(np.abs(d - np.round(d)))) if d.size else 0.0
 
 
-@dataclass(frozen=True)
-class HamiltonianComponent:
-    """One coordinate of mu1: <covector, x>, the covector supported on the
-    sphere height slots.  No additive constant: the unit-speed rotation of a
-    coefficient-1 sphere gives exactly the height coordinate."""
-
-    generator: tuple          # integer combination of action generators
-    covector: tuple           # exact entries, length coord_dim
-
-    def _float_cov(self):
-        return np.array([float(x) for x in self.covector])
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self._float_cov()
-
-
-@dataclass(frozen=True)
-class CircleComponent:
-    """A circle-valued component: path integral of the contracted form from
-    the basepoint along a straight line in the universal cover, seen mod 1."""
-
-    generator: tuple
-    covector: tuple           # exact entries; torus slots are integral
-    basepoint: tuple
-    torus_dim: int
-
-    @property
-    def torus_covector(self) -> tuple:
-        """The integral torus slots as ints."""
-        return tuple(int(x) for x in self.covector[:self.torus_dim])
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """The real lift along the straight path from the basepoint, mod 1.
-        Lifts along other paths differ by <covector, lattice vector>, an
-        integer, since the torus slots are integral."""
-        pts = np.asarray(points, dtype=float)
-        cov = np.array([float(x) for x in self.covector])
-        base = np.array(self.basepoint, dtype=float)
-        return np.mod(pts @ cov - base @ cov, 1.0)
+def _floats(row) -> np.ndarray:
+    return np.array([float(x) for x in row])
 
 
 @dataclass(frozen=True)
 class GeneralizedMoment:
-    """mu = (mu1, mu2), both computed against the same integral form."""
+    """mu = (mu1, mu2), both computed against the same integral form.  mu1
+    holds one exact covector per Hamiltonian basis vector, supported on the
+    sphere height slots, and mu2 one per complement generator, its torus
+    slots integral: the rows of sign (B G) W for B the classification's
+    basis in order.  No additive constant enters mu1, since the unit-speed
+    rotation of a coefficient-1 sphere gives exactly the height coordinate.
+    """
 
     manifold: ProductManifold
     action: ActionSpec
     omega_prime: ProductForm
     classification: ActionClassification
-    mu1: tuple
-    mu2: tuple
-    basepoint: tuple
+    mu1: tuple    # c exact covectors, length dim
+    mu2: tuple    # r exact covectors, length dim
 
     @property
     def c(self) -> int:
@@ -102,63 +67,55 @@ class GeneralizedMoment:
     def r(self) -> int:
         return len(self.mu2)
 
+    @property
+    def torus_covectors(self) -> tuple:
+        """The integral torus slots of mu2 as ints."""
+        m = self.manifold.torus_dim
+        return tuple(tuple(int(x) for x in row[:m]) for row in self.mu2)
+
     def mu1_values(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty((pts.shape[0], self.c))
-        for i, comp in enumerate(self.mu1):
-            out[:, i] = comp.values(pts)
+        for i, row in enumerate(self.mu1):
+            out[:, i] = pts @ _floats(row)
         return out
 
     def mu2_values(self, points: np.ndarray) -> np.ndarray:
+        """The real lift along the straight path from the basepoint, mod 1.
+        Lifts along other paths differ by <covector, lattice vector>, an
+        integer, since the torus slots are integral."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        base = self.manifold.basepoint()
         out = np.empty((pts.shape[0], self.r))
-        for i, comp in enumerate(self.mu2):
-            out[:, i] = comp.values(pts)
+        for i, row in enumerate(self.mu2):
+            cov = _floats(row)
+            out[:, i] = np.mod(pts @ cov - base @ cov, 1.0)
         return out
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        return np.hstack([self.mu1_values(points), self.mu2_values(points)])
-
-
-def hamiltonian_part(manifold: ProductManifold, action: ActionSpec,
-                     omega_prime: ProductForm,
-                     classification: ActionClassification) -> tuple:
-    """mu1 components, one per Hamiltonian basis vector."""
-    if classification.c == 0:
-        raise NoHamiltonianPart("the action has no Hamiltonian directions")
-    basis = classification.hamiltonian_basis
-    covs = geom.field_covectors(action, omega_prime, basis)
-    if any(any(cov[:manifold.torus_dim]) for cov in covs):
-        raise ValueError("Hamiltonian basis vector has nonzero periods")
-    return tuple(HamiltonianComponent(tuple(xi), tuple(cov))
-                 for xi, cov in zip(basis, covs))
-
-
-def circle_component(manifold: ProductManifold, action: ActionSpec,
-                     omega_prime: ProductForm, eta) -> CircleComponent:
-    """Circle-valued component of a non-Hamiltonian generator (an integer
-    combination of the action generators)."""
-    [cov] = geom.field_covectors(action, omega_prime, [eta])
-    torus = cov[:manifold.torus_dim]
-    if not any(torus):
-        raise GeneratorIsHamiltonian(
-            "all loop periods vanish for this generator")
-    if any(x.denominator != 1 for x in torus):
-        raise ValueError("form is not integral: non-integer loop periods")
-    return CircleComponent(tuple(eta), tuple(cov),
-                           tuple(manifold.basepoint()), manifold.torus_dim)
 
 
 def generalized_moment(manifold: ProductManifold, action: ActionSpec,
                        omega_prime: ProductForm,
                        classification: ActionClassification
                        ) -> GeneralizedMoment:
-    mu1 = hamiltonian_part(manifold, action, omega_prime, classification) \
-        if classification.c else ()
-    mu2 = tuple(circle_component(manifold, action, omega_prime, eta)
-                for eta in classification.complement_generators)
+    """One field covector product for the whole basis, split at c: the
+    Hamiltonian rows must have no periods, and every circle row needs a
+    nonzero integral torus part."""
+    m = manifold.torus_dim
+    rows = [tuple(row) for row in geom.field_covectors(
+        action, omega_prime,
+        classification.hamiltonian_basis
+        + classification.complement_generators)]
+    mu1, mu2 = rows[:classification.c], rows[classification.c:]
+    if any(any(row[:m]) for row in mu1):
+        raise ValueError("Hamiltonian basis vector has nonzero periods")
+    for row in mu2:
+        if not any(row[:m]):
+            raise GeneratorIsHamiltonian(
+                "all loop periods vanish for this generator")
+        if any(x.denominator != 1 for x in row[:m]):
+            raise ValueError("form is not integral: non-integer loop periods")
     return GeneralizedMoment(manifold, action, omega_prime, classification,
-                             mu1, mu2, tuple(manifold.basepoint()))
+                             tuple(mu1), tuple(mu2))
 
 
 @dataclass(frozen=True)
@@ -181,9 +138,7 @@ def fiber_connected_factorization(covector) -> FiberFactorization:
 
 @dataclass(frozen=True)
 class FixedPointLocalData:
-    point: tuple
     weights: tuple        # one integer covector (over generators) per plane
-    plane_labels: tuple
 
 
 def _require_fixed(manifold, action, p):
@@ -213,16 +168,13 @@ def local_weights(manifold: ProductManifold, action: ActionSpec,
     form = manifold.form()
     covs = geom.field_covectors(action, form)
     weights = []
-    labels = []
     for f, c in enumerate(form.sphere_coeffs):
         orient = _orientation(manifold, p, f)
         h = manifold.sphere_offset(f) + 1
         weights.append(tuple(orient * cov[h] / c for cov in covs))
-        labels.append(f"sphere {f} ({'south' if orient > 0 else 'north'})")
     for k in range(manifold.torus_dim // 2):
         weights.append(tuple(0 for _ in range(action.r_total)))
-        labels.append(f"torus plane {k}")
-    return FixedPointLocalData(tuple(p), tuple(weights), tuple(labels))
+    return FixedPointLocalData(tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -249,19 +201,19 @@ def local_model_check(manifold: ProductManifold, moment: GeneralizedMoment,
     max_res = Fraction(0)
     minima = []
     sign_ok = True
-    for comp in moment.mu1:
-        alphas = [sum(w * g for w, g in zip(weight, comp.generator))
+    for xi, cov in zip(moment.classification.hamiltonian_basis, moment.mu1):
+        alphas = [sum(w * g for w, g in zip(weight, xi))
                   for weight in data.weights]
         is_min = True
         for f, c in enumerate(moment.omega_prime.sphere_coeffs):
             slope = _orientation(manifold, p, f) \
-                * comp.covector[manifold.sphere_offset(f) + 1]
+                * cov[manifold.sphere_offset(f) + 1]
             max_res = max(max_res, abs(slope / (2 * c) - alphas[f] / 2))
             is_min = is_min and slope >= 0
         minima.append(is_min)
         if is_min and any(alpha < 0 for alpha in alphas):
             sign_ok = False
-    circles_ok = all(any(comp.torus_covector) for comp in moment.mu2)
+    circles_ok = all(any(t) for t in moment.torus_covectors)
     passed = max_res == 0 and sign_ok and circles_ok
     return LocalModelReport(max_res, tuple(minima), sign_ok, circles_ok,
                             passed)

@@ -106,13 +106,20 @@ def regular_value_check(problem: ReductionProblem) -> RegularValueVerdict:
 
 @dataclass(frozen=True)
 class ReducedSpace:
-    manifold: ProductManifold
-    action: ActionSpec
-    form: ProductForm
-    moment: GeneralizedMoment
+    """The quotient and what it inherits.  When every factor is reduced the
+    quotient is a point: manifold, action, form and moment are None."""
+
+    manifold: ProductManifold | None
+    action: ActionSpec | None
+    form: ProductForm | None
+    moment: GeneralizedMoment | None
     reduced_spheres: tuple
     level_heights: tuple
     parent: ReductionProblem
+
+    @property
+    def dim(self) -> int:
+        return self.manifold.dim if self.manifold is not None else 0
 
 
 def reduce_at(problem: ReductionProblem) -> ReducedSpace:
@@ -142,6 +149,12 @@ def reduce_at(problem: ReductionProblem) -> ReducedSpace:
     for j in residual_idx:
         if any(action.rotations[j][f] for f in reduced_spheres):
             raise NotFree("a residual generator moves a reduced sphere")
+    heights = tuple(h for _, h in verdict.witnesses)
+    if manifold.torus is None and not keep:
+        # the level set is one free orbit, and no residual generator is
+        # left to act on the point it collapses to
+        return ReducedSpace(None, None, None, None, tuple(reduced_spheres),
+                            heights, problem)
 
     new_manifold = ProductManifold(
         manifold.torus,
@@ -160,7 +173,6 @@ def reduce_at(problem: ReductionProblem) -> ReducedSpace:
         hamclass.period_matrix(new_manifold, new_action, new_form))
     new_moment = moment_mod.generalized_moment(new_manifold, new_action,
                                                new_form, cls)
-    heights = tuple(h for _, h in verdict.witnesses)
     return ReducedSpace(new_manifold, new_action, new_form, new_moment,
                         tuple(reduced_spheres), heights, problem)
 
@@ -175,7 +187,7 @@ def induced_moment(reduced: ReducedSpace) -> GeneralizedMoment:
     parent = problem.moment
     g = problem.action.orbit_matrix()
     orbits = [g[idx] for idx in problem.reduce_indices]
-    covs = [comp.covector for comp in parent.mu1 + parent.mu2]
+    covs = parent.mu1 + parent.mu2
     if any(x for row in ratlin.mat_mul(orbits, ratlin.transpose(covs))
            for x in row):
         raise NotInvariantOnOrbits(
@@ -203,9 +215,9 @@ def heredity_check(reduced: ReducedSpace,
     nonzero integer a is onto the circle, so every one of the circle_bins
     bins is hit."""
     mom = reduced.moment
-    if mom.r == 0:
+    if mom is None or mom.r == 0:
         return HeredityVerdict(False, False, 0, circle_bins, False, False,
                                "vacuous: residual action is Hamiltonian")
-    onto = all(any(comp.torus_covector) for comp in mom.mu2)
+    onto = all(any(cov) for cov in mom.torus_covectors)
     return HeredityVerdict(True, onto, circle_bins if onto else 0,
                            circle_bins, onto, onto)

@@ -29,7 +29,7 @@ def field_vector(m, a, coeffs):
     sign times the combined translation on the torus coordinates and sign
     times the combined speed on each sphere's theta slot (h does not
     move)."""
-    x = [0] * m.coord_dim
+    x = [0] * m.dim
     for g, v, s in zip(coeffs, a.translations, a.rotations):
         for i, vi in enumerate(v):
             x[i] += a.sign * g * vi

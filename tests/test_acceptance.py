@@ -69,8 +69,8 @@ def test_criterion_02_period_integrality():
         sc = scenario(name)
         res, mom, _ = pipeline(sc.manifold, sc.action, sc.max_denominator)
         # the period over the coordinate loop e_k is the k-th torus slot
-        for comp in mom.mu2:
-            for p in comp.torus_covector:
+        for cov in mom.torus_covectors:
+            for p in cov:
                 ok &= abs(p - round(p)) < 1e-9
         for coeff in hamclass.form_class_coefficients(sc.manifold,
                                                       res.omega_prime):

@@ -88,6 +88,7 @@ generators = 1 0 0 0 |
      "max_denominator must be at least 1"),
     (GOOD + "[pipeline]\nmax_denominator = -5\n",
      "max_denominator must be at least 1"),
+    (GOOD + "[pipeline]\nseed = -2\n", "seed must be non-negative, got -2"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     with pytest.raises(cli.ConfigError, match=fragment):
@@ -103,6 +104,12 @@ def test_seed_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("MOMENTFORGE_SEED", "bad")
     with pytest.raises(cli.ConfigError):
         cli.load_scenario(path)
+    monkeypatch.setenv("MOMENTFORGE_SEED", "-3")
+    with pytest.raises(cli.ConfigError, match="got -3"):
+        cli.load_scenario(path)
+    assert cli.load_scenario(path, seed=4).seed == 4
+    with pytest.raises(cli.ConfigError, match="got -1"):
+        cli.load_scenario(path, seed=-1)
 
 
 def test_sign_override(tmp_path):
@@ -114,7 +121,7 @@ def test_sign_override(tmp_path):
 # ---------------------------------------------------------------------------
 # running
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["classify", "--scenario", "two_torus"]) == 0
     capsys.readouterr()
     assert cli.main(["all", "--scenario", "missing"]) == 2
@@ -122,6 +129,12 @@ def test_main_exit_codes(tmp_path, capsys):
         assert cli.main(["classify", "--scenario", "two_torus_sqrt2",
                          "--max-denominator", bound]) == 2
         assert "max_denominator must be at least 1" in capsys.readouterr().err
+    assert cli.main(["all", "--scenario", "two_torus", "--seed", "-1"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv("MOMENTFORGE_SEED", "-3")
+    assert cli.main(["all", "--scenario", "sphere"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    monkeypatch.delenv("MOMENTFORGE_SEED")
     bad = write(tmp_path, GOOD + "[expect]\nr = 1\n")
     assert cli.main(["classify", "--scenario", str(bad)]) == 1
     out = capsys.readouterr().out
@@ -161,6 +174,59 @@ def test_speed_two_reduction_fails_with_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "stage0_free = false" in out
     assert "failures = reduce.stage0_free" in out
+
+
+POINT_REDUCTIONS = {
+    # one sphere reduced by its rotation
+    "one-sphere": ("1", "| 1", "0", "0"),
+    # two spheres, reduced one after the other
+    "two-spheres": ("1 1", "| 1 0 ; | 0 1", "0 1", "0 1/2"),
+}
+
+
+@pytest.mark.parametrize("spheres,generators,reduce,values",
+                         POINT_REDUCTIONS.values(), ids=POINT_REDUCTIONS)
+def test_reduction_to_a_point(tmp_path, capsys, spheres, generators, reduce,
+                              values):
+    """Reducing away the last factor leaves a point: the level is regular,
+    the quotient has dimension 0 and no residual action to inherit."""
+    path = write(tmp_path, f"""
+[manifold]
+spheres = {spheres}
+[action]
+generators = {generators}
+[checks]
+run = classify integralize moment equivariance convexity betti reduce
+[reduce]
+generators = {reduce}
+values = {values}
+""")
+    assert cli.main(["all", "--scenario", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    last = len(reduce.split()) - 1
+    for key, value in (("regular", "true"), ("dimension", "0"),
+                       ("heredity_applicable", "false")):
+        assert f"stage{last}_{key} = {value}" in lines
+
+
+def test_coverage_grid_over_budget_is_config_error(tmp_path, capsys):
+    """Ten rotated spheres at grid 100 ask for 101^10 polytope corners: the
+    run stops before allocating them, naming the grid and its shape."""
+    gens = " ; ".join("| " + " ".join(str(int(i == j)) for j in range(10))
+                      for i in range(10))
+    path = write(tmp_path, f"""
+[manifold]
+spheres = {" ".join(["0.5"] * 10)}
+[action]
+generators = {gens}
+[pipeline]
+grid = 100
+""")
+    assert cli.main(["convexity", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: convexity: grid = 100 with c = 10, "
+                          f"r = 0 needs {101 ** 10} coverage cells or "
+                          "corners")
 
 
 @pytest.mark.parametrize("generators,fragment", [

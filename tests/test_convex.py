@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from momentforge import convex, geom, hamclass, moment, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
-from momentforge.moment import CircleComponent
 
 from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
                       s2xs2, s2xt2, sphere, torus2, torus4)
@@ -47,8 +46,8 @@ def polytope_of(m, a):
 
 def height_coefficients(m, mom):
     """w (c x n): the exact coefficient of each sphere height in mu1."""
-    return [[comp.covector[m.sphere_offset(f) + 1]
-             for f in range(m.n_spheres)] for comp in mom.mu1]
+    return [[cov[m.sphere_offset(f) + 1]
+             for f in range(m.n_spheres)] for cov in mom.mu1]
 
 
 def pole_images(w):
@@ -230,11 +229,7 @@ def test_constant_component_negative_control(s2xt2_mixed):
     must fail."""
     m, a = s2xt2_mixed
     _, mom = pipeline(m, a)
-    fake = CircleComponent((0, 0, 0), (0, 0, 0, 0), tuple(m.basepoint()),
-                           m.torus_dim)
-    broken = moment.GeneralizedMoment(
-        m, a, mom.omega_prime, mom.classification, mom.mu1,
-        mom.mu2 + (fake,), mom.basepoint)
+    broken = dataclasses.replace(mom, mu2=mom.mu2 + ((0, 0, 0, 0),))
     rep = convex.circle_extremum_check(broken)
     assert not rep.passed
     assert not all(rep.covectors_nonzero)
@@ -295,7 +290,7 @@ def test_t4_split_cycle_lift():
     assert lift.verified
     assert abs(lift.winding) == 1
     # the admissible loop stays inside the plane the first covector kills
-    cov0 = mom.mu2[0].torus_covector
+    cov0 = mom.torus_covectors[0]
     assert sum(c * u for c, u in zip(cov0, lift.direction)) == 0
 
 
@@ -313,9 +308,7 @@ def test_cycle_lift_negative_control(s2xt2_mixed):
     m, a = s2xt2_mixed
     _, mom = pipeline(m, a)
     assert convex.cycle_lift(m, mom).verified
-    comp = mom.mu1[0]
-    bent = dataclasses.replace(mom, mu1=(dataclasses.replace(
-        comp, covector=(1, 1) + comp.covector[2:]),))
+    bent = dataclasses.replace(mom, mu1=((1, 1) + mom.mu1[0][2:],))
     lift = convex.cycle_lift(m, bent)
     assert not lift.verified and lift.max_frozen_deviation == 1
 
@@ -353,9 +346,7 @@ def test_cycle_lift_matches_the_saturated_kernel(data):
     the span of first."""
     m, covs = data
     base = TORI[m]
-    comp = base.mu2[0]
-    mom = dataclasses.replace(base, mu2=tuple(
-        dataclasses.replace(comp, covector=tuple(cov)) for cov in covs))
+    mom = dataclasses.replace(base, mu2=tuple(map(tuple, covs)))
     first, last = covs[:-1], covs[-1]
     k = ratlin.integer_rank(first)
     g = (determinantal_divisor(first + [last], k + 1)

@@ -118,11 +118,11 @@ def test_mixed_equivariance(s2xt2_mixed):
     assert exact.max_mu1_invariance_error == 0
 
 
-def bend(comp, slot, by=1):
-    """The component with `by` added to one covector slot."""
-    cov = list(comp.covector)
+def bend(cov, slot, by=1):
+    """The covector with `by` added to one slot."""
+    cov = list(cov)
     cov[slot] += by
-    return dataclasses.replace(comp, covector=tuple(cov))
+    return tuple(cov)
 
 
 def test_exact_equivariance_negative_controls(s2xt2_mixed):

@@ -155,8 +155,8 @@ def test_contraction_is_the_pairing_covector():
         a = ActionSpec(((1, 2),), ((3,),), sign)
         [cov] = geom.field_covectors(a, form)
         x = field_vector(m, a, [1])
-        for k in range(m.coord_dim):
-            e = [int(i == k) for i in range(m.coord_dim)]
+        for k in range(m.dim):
+            e = [int(i == k) for i in range(m.dim)]
             assert cov[k] == pairing(m, form, x, e)
 
 
@@ -199,8 +199,8 @@ def test_matrix_model_matches_the_oracle(product, combos):
     form all agree with the oracle pairing of the oracle fields."""
     m, a = product
     form = m.form()
-    basis = [[int(i == k) for i in range(m.coord_dim)]
-             for k in range(m.coord_dim)]
+    basis = [[int(i == k) for i in range(m.dim)]
+             for k in range(m.dim)]
     units = [[int(i == j) for i in range(a.r_total)]
              for j in range(a.r_total)]
     combos = [row[:a.r_total] for row in combos]

@@ -71,25 +71,21 @@ def test_pure_hamiltonian_has_no_circle_part():
     assert mom.r == 0 and mom.mu2 == ()
 
 
-def test_no_hamiltonian_part_raises(t2_translations):
-    m, a = t2_translations
-    cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
-    with pytest.raises(moment.NoHamiltonianPart):
-        moment.hamiltonian_part(m, a, m.form(), cls)
-
-
-def test_circle_component_rejects_hamiltonian_generator():
+def test_moment_rejects_hamiltonian_circle_generator():
+    """A classification that puts a sphere rotation in the complement: its
+    circle row has no torus part."""
     m = sphere()
     a = ActionSpec(((),), ((1,),))
+    cls = hamclass.ActionClassification((), ((1,),), 1)
     with pytest.raises(moment.GeneratorIsHamiltonian):
-        moment.circle_component(m, a, m.form(), (1,))
+        moment.generalized_moment(m, a, m.form(), cls)
 
 
-def test_circle_component_rejects_non_integral_form(t2_translations):
+def test_moment_rejects_non_integral_circle_form(t2_translations):
     m, a = t2_translations
     bad = ProductForm(((0, 0.5), (-0.5, 0)), ())
     with pytest.raises(ValueError):
-        moment.circle_component(m, a, bad, (1, 0))
+        moment.generalized_moment(m, a, bad, classify(m, a))
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +97,11 @@ def test_path_independence_over_lattice_offsets(t2_translations):
     m, a = t2_translations
     mom = build(m, a)
     rng = np.random.default_rng(5)
-    for comp in mom.mu2:
-        for _ in range(20):
-            x = rng.random(2)
-            n = rng.integers(-3, 4, 2)
-            assert moment.circle_distance(comp.values(x + n),
-                                          comp.values(x)) < 1e-12
+    for _ in range(20):
+        x = rng.random(2)
+        n = rng.integers(-3, 4, 2)
+        assert moment.circle_distance(mom.mu2_values(x + n),
+                                      mom.mu2_values(x)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
