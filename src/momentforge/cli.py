@@ -69,8 +69,8 @@ class Scenario:
 
 
 def _number(token: str, where: str) -> Fraction:
-    """A scenario number, exactly: an integer, a decimal or p/q.  Sampling
-    evaluates it as a float, so it must have a finite one."""
+    """A scenario number, exactly: an integer, a decimal or p/q.  The
+    coverage check bins mu1 as floats, so it must have a finite one."""
     try:
         x = Fraction(token)
         float(x)
@@ -193,6 +193,15 @@ def load_scenario(path, *, seed=None, sign=None,
                               f"{value}")
         return value
 
+    def sample_count(key, default):
+        value = positive(key, default)
+        entries = value * manifold.dim
+        if entries > geom.MAX_SAMPLE_ENTRIES:
+            raise ConfigError(f"{path}: {key} = {value} needs {entries} "
+                              f"sample entries (dim {manifold.dim}), above "
+                              f"the budget of {geom.MAX_SAMPLE_ENTRIES}")
+        return value
+
     checks = tuple((get("checks", "run", None)
                     or "classify integralize moment equivariance convexity "
                        "betti").split())
@@ -261,8 +270,8 @@ def load_scenario(path, *, seed=None, sign=None,
         form=manifold.form(),
         max_denominator=positive("max_denominator", 64, max_denominator),
         seed=eff_seed,
-        samples=positive("samples", 1000),
-        coverage_samples=positive("coverage_samples", 20000),
+        samples=sample_count("samples", 1000),
+        coverage_samples=sample_count("coverage_samples", 20000),
         grid=positive("grid", 50),
         checks=checks,
         reduce_indices=reduce_indices,
@@ -294,7 +303,7 @@ class Report:
     provenance: dict
     sections: dict = field(default_factory=dict)   # check -> ordered dict
     matrices: list = field(default_factory=list)   # (name, rows)
-    samples: np.ndarray | None = None              # moment_samples table
+    samples: np.ndarray | None = None              # integer numerators
     sample_header: tuple = ()
     coverage: object = None                        # convex.CoverageReport
     failures: list = field(default_factory=list)
@@ -329,7 +338,8 @@ class Report:
 
 def emit_report(report: Report, out_dir) -> list:
     """Write the structured text report plus the three CSV tables; returns
-    the written paths.  Bytes are a pure function of the report."""
+    the written paths.  Bytes are a pure function of the report: the
+    sample table holds integers, its denominators in the header."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -341,9 +351,10 @@ def emit_report(report: Report, out_dir) -> list:
 
     write("report.txt", report.render())
     if report.samples is not None:
-        rows = [",".join(report.sample_header)]
-        rows += [",".join(map(repr, row.tolist())) for row in report.samples]
-        write("moment_samples.csv", "\n".join(rows) + "\n")
+        n, cols = report.samples.shape
+        line = ",".join(["%d"] * cols) + "\n"
+        write("moment_samples.csv", ",".join(report.sample_header) + "\n"
+              + (line * n) % tuple(report.samples.ravel().tolist()))
     rows = ["grid_resolution,n_counted_cells,n_hit_cells,fraction,"
             "empty_cell_witnesses"]
     if report.coverage is not None:
@@ -467,14 +478,13 @@ def _run_moment(report, scenario, mom):
     report.add("moment", "r", mom.r)
     report.matrices.append(
         ("mu2_covectors", [list(t) for t in mom.torus_covectors]))
-    pts = geom.sample_points(M, scenario.samples, scenario.seed)
-    mu1 = mom.mu1_values(pts)
-    mu2 = mom.mu2_values(pts)
-    report.samples = np.hstack([pts, mu1, mu2])
+    nums = geom.sample_points(M, scenario.samples, scenario.seed)
+    mu1, den1, mu2, den2 = mom.lattice_values(nums)
+    report.samples = np.hstack([nums, mu1, mu2])
     report.sample_header = tuple(
-        [f"x{i}" for i in range(M.dim)]
-        + [f"mu1_{i}" for i in range(mom.c)]
-        + [f"mu2_{i}" for i in range(mom.r)])
+        [f"x{i}/{geom.LATTICE}" for i in range(M.dim)]
+        + [f"mu1_{i}/{den1}" for i in range(mom.c)]
+        + [f"mu2_{i}/{den2}" for i in range(mom.r)])
     if mom.r:
         # the straight lift minus the one shifted by the loop e_0: exactly
         # -<covector, e_0>, an integer by mu2_loop_periods_integral

@@ -123,9 +123,12 @@ def product_coverage_check(manifold: ProductManifold,
                            seed: int) -> CoverageReport:
     """Bin image samples over (cells of the box around the mu1 polytope) x
     (circle bins) and report the hit fraction.  Only mu1 cells whose every
-    corner lies in the polytope count in the denominator."""
-    pts = geom.sample_points(manifold, n, seed)
-    mu1, mu2 = moment.mu1_values(pts), moment.mu2_values(pts)
+    corner lies in the polytope count in the denominator.  The samples are
+    lattice points: a circle bin is the exact floor(res mu2), and mu1 bins
+    from the exact quotient rounded once."""
+    mu1_num, mu1_den, mu2_num, mu2_den = moment.lattice_values(
+        geom.sample_points(manifold, n, seed))
+    mu1 = np.asarray(mu1_num / mu1_den, dtype=float)
     c, r = moment.c, moment.r
     res = grid_resolution
     shape = (res,) * (c + r) if c + r else (1,)
@@ -148,7 +151,8 @@ def product_coverage_check(manifold: ProductManifold,
         counted &= interior.reshape((res,) * c + (1,) * r)
     else:
         mu1_idx = np.zeros((n, 0), dtype=int)
-    mu2_idx = np.clip((mu2 * res).astype(int), 0, res - 1)
+    mu2_idx = (mu2_num.astype(geom.exact_dtype(mu2_den * res)) * res
+               // mu2_den).astype(int)
     idx = np.hstack([mu1_idx, mu2_idx])
     hit = np.zeros(shape, dtype=bool)
     flat = np.ravel_multi_index(tuple(idx.T), shape) if c + r else \

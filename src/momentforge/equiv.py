@@ -94,7 +94,7 @@ def equivariance_check(manifold: ProductManifold, action: ActionSpec,
     gens = moment.classification.complement_generators
     r = len(gens)
     rng = np.random.default_rng(seed)
-    pts = geom.sample_points(manifold, n_samples, seed + 1)
+    pts = geom.sample_points(manifold, n_samples, seed + 1) / geom.LATTICE
     svals = rng.random((n_samples, r))
     params = svals @ np.array(gens, dtype=float).reshape(r, action.r_total)
     moved = geom.apply_torus_element(manifold, action, params, pts)

@@ -19,6 +19,14 @@ fundamental field of a generator is sign times its row of G (sign = -1 is
 the exp(-t xi) convention; the orbits themselves follow G), and the
 covector of i_X omega is X W.  Every period, pairing and cocycle downstream
 is a product of these matrices.
+
+Samples lie on the lattice (1/P) Z^dim with P = LATTICE = 2^31 - 1, a
+prime, and are held as int64 numerators over P: a in [0, P) on the torus
+and theta slots, 2b - P with b in [0, P) on the height slots.  Every
+linear component then takes an exact rational value at a sample, with a
+denominator known from its covector, and the pairing of an integral torus
+covector K with the torus slots is exactly uniform on (1/P)Z / Z whenever
+some entry of K is nonzero mod P, however large K is.
 """
 
 from __future__ import annotations
@@ -30,6 +38,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlin
+
+LATTICE = 2 ** 31 - 1
+# sample_points allocates samples x dim numerators; the CLI rejects a
+# sample count above this many entries before drawing anything
+MAX_SAMPLE_ENTRIES = 2 ** 22
 
 
 def _fraction_rows(rows) -> tuple:
@@ -291,16 +304,28 @@ def apply_torus_element(manifold: ProductManifold, action: ActionSpec,
 
 
 def sample_points(manifold: ProductManifold, n: int, seed: int) -> np.ndarray:
-    """Seeded uniform samples; h is uniform on [-1,1], which is the uniform
-    area measure on the sphere."""
+    """Seeded uniform samples on the lattice, as int64 numerators over
+    LATTICE (see the module docs); h = (2b - P) / P is uniform on [-1, 1),
+    which is the uniform area measure on the sphere.  Float callers divide
+    by LATTICE."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    out = np.empty((n, manifold.dim))
-    m = manifold.torus_dim
-    out[:, :m] = rng.random((n, m))
-    for f in range(manifold.n_spheres):
-        o = manifold.sphere_offset(f)
-        out[:, o] = rng.random(n)
-        out[:, o + 1] = rng.uniform(-1.0, 1.0, n)
+    # the top 31 bits of raw 64-bit draws are uniform on [0, 2^31) = [0, P];
+    # every draw of P itself is drawn again
+    bits = np.random.default_rng(seed).bit_generator
+    raw = bits.random_raw((n, manifold.dim))
+    raw >>= 33
+    out = raw.view(np.int64)
+    while (again := out == LATTICE).any():
+        out[again] = bits.random_raw(int(again.sum())) >> 33
+    heights = out[:, manifold.torus_dim + 1::2]
+    heights *= 2
+    heights -= LATTICE
     return out
+
+
+def exact_dtype(bound: int):
+    """int64 when bound, the caller's bound on every intermediate it
+    computes, stays below 2^63; object (Python ints) otherwise, on which
+    the same numpy code runs without overflow."""
+    return np.int64 if bound < 2 ** 63 else object

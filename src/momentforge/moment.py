@@ -92,6 +92,49 @@ class GeneralizedMoment:
             out[:, i] = np.mod(pts @ cov - base @ cov, 1.0)
         return out
 
+    def lattice_values(self, nums: np.ndarray) -> tuple:
+        """mu at the lattice points nums / geom.LATTICE, exactly: returns
+        (mu1_num, mu1_den, mu2_num, mu2_den) with mu1 = mu1_num / mu1_den
+        and mu2 = mu2_num / mu2_den in [0, 1), the lift of mu2_values.
+
+        Each part takes one common denominator, the lcm of its entries'
+        denominators times P.  mu2 is the pairing with nums minus the
+        basepoint's, mod d2 P; its coefficients enter as their residues of
+        least absolute value, so an integral torus covector K enters only
+        as K mod P, and the int64 bound below holds for covectors of any
+        size on up to three slots."""
+        p = geom.LATTICE
+        den1 = math.lcm(1, *(x.denominator for row in self.mu1 for x in row))
+        mu1 = _pairings([[int(x * den1) for x in row] for row in self.mu1],
+                        [0] * self.c, nums, den1 * p)
+        den2 = math.lcm(1, *(x.denominator for row in self.mu2 for x in row))
+        mod = den2 * p
+        a2 = [[(int(x * den2) + mod // 2) % mod - mod // 2 for x in row]
+              for row in self.mu2]
+        base = [round(b) * p for b in self.manifold.basepoint()]
+        offsets = [-sum(a * b for a, b in zip(row, base)) % mod for row in a2]
+        return mu1, den1 * p, _pairings(a2, offsets, nums, mod) % mod, mod
+
+
+def _pairings(coeffs: list, offsets: list, nums: np.ndarray,
+              den: int) -> np.ndarray:
+    """offset_i + <coeff row i, num> for every row of nums (entries at most
+    P in absolute value), one column per coefficient row, exactly: int64
+    when den and every |offset_i| + sum_j |coeff_ij| P stay below 2^63,
+    Python ints otherwise."""
+    dtype = geom.exact_dtype(max([den] + [
+        abs(o) + sum(map(abs, row)) * geom.LATTICE
+        for row, o in zip(coeffs, offsets)]))
+    used = [j for j in range(nums.shape[1]) if any(row[j] for row in coeffs)]
+    cols = np.asarray(nums.T[used], dtype=dtype)
+    out = np.empty((len(coeffs), len(nums)), dtype=dtype)
+    for acc, row, offset in zip(out, coeffs, offsets):
+        acc[...] = offset
+        for j, col in zip(used, cols):
+            if row[j]:
+                acc += row[j] * col
+    return out.T
+
 
 def generalized_moment(manifold: ProductManifold, action: ActionSpec,
                        omega_prime: ProductForm,

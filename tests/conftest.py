@@ -1,13 +1,15 @@
 """Shared builders for the recurring corpus instances, the field and
-pairing oracles written out from the README conventions, and the
-determinantal divisors of an integer matrix."""
+pairing oracles written out from the README conventions, the Fraction
+oracle of the moment at lattice samples, and the determinantal divisors
+of an integer matrix."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from momentforge import hamclass, ratlin
+from momentforge import geom, hamclass, moment, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
@@ -48,6 +50,32 @@ def pairing(m, form, u, w):
         o = m.sphere_offset(f)
         total += c * (u[o] * w[o + 1] - u[o + 1] * w[o])
     return total
+
+
+def scenario_moment(sc):
+    """The generalized moment of a loaded scenario, built as the CLI
+    builds it."""
+    res = hamclass.integralize_with_retry(
+        sc.manifold, sc.action, sc.form, classify(sc.manifold, sc.action),
+        sc.max_denominator)
+    return moment.generalized_moment(sc.manifold, sc.action,
+                                     res.omega_prime, res.classification)
+
+
+def lattice_oracle(mom, nums):
+    """mu at the points nums / P in Fractions, one (mu1, mu2) pair of
+    tuples per row: covector . x, and for mu2 covector . (x - basepoint)
+    reduced mod 1."""
+    p = geom.LATTICE
+    base = [Fraction(int(b)) for b in mom.manifold.basepoint()]
+    out = []
+    for row in nums.tolist():
+        x = [Fraction(n, p) for n in row]
+        mu1 = tuple(sum(a * xi for a, xi in zip(cov, x)) for cov in mom.mu1)
+        mu2 = tuple(sum(a * (xi - b) for a, xi, b in zip(cov, x, base)) % 1
+                    for cov in mom.mu2)
+        out.append((mu1, mu2))
+    return out
 
 
 def determinantal_divisor(m, k):

@@ -47,7 +47,7 @@ def test_criterion_01_two_torus_fidelity():
     for sign, flip in ((1, 1.0), (-1, -1.0)):
         a = ActionSpec(sc.action.translations, sc.action.rotations, sign)
         res, mom, z = pipeline(sc.manifold, a)
-        pts = geom.sample_points(sc.manifold, 1000, 0)
+        pts = geom.sample_points(sc.manifold, 1000, 0) / geom.LATTICE
         expect = np.mod(flip * np.stack([pts[:, 1], -pts[:, 0]], axis=1),
                         1.0)
         ok &= moment.circle_distance(mom.mu2_values(pts), expect) < 1e-9
@@ -158,7 +158,7 @@ def test_criterion_06_convexity():
     t0 = time.perf_counter()
     sc = scenario("s2xt2_reduce")
     res, mom, _ = pipeline(sc.manifold, sc.action)
-    pts = geom.sample_points(sc.manifold, 100000, 0)
+    pts = geom.sample_points(sc.manifold, 100000, 0) / geom.LATTICE
     mu1 = mom.mu1_values(pts)[:, 0]
     circ = mom.mu2_values(pts)[:, 0]
     ok = mu1.min() <= -0.95 and mu1.max() >= 0.95

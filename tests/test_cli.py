@@ -4,9 +4,12 @@ enforcement, seed precedence, and deterministic report emission."""
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from momentforge import cli, geom
+
+from conftest import lattice_oracle, scenario_moment
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -89,6 +92,13 @@ generators = 1 0 0 0 |
     (GOOD + "[pipeline]\nmax_denominator = -5\n",
      "max_denominator must be at least 1"),
     (GOOD + "[pipeline]\nseed = -2\n", "seed must be non-negative, got -2"),
+    # the sample arrays are budgeted before anything is drawn
+    (GOOD + "[pipeline]\nsamples = 1000000000\n",
+     ": samples = 1000000000 needs 2000000000 sample entries \\(dim 2\\), "
+     f"above the budget of {geom.MAX_SAMPLE_ENTRIES}"),
+    (GOOD + "[pipeline]\ncoverage_samples = 1000000000\n",
+     "coverage_samples = 1000000000 needs 2000000000 sample entries "
+     f"\\(dim 2\\), above the budget of {geom.MAX_SAMPLE_ENTRIES}"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     with pytest.raises(cli.ConfigError, match=fragment):
@@ -388,16 +398,40 @@ def test_report_emission_and_determinism(tmp_path):
                      "matrices.csv"}
 
 
-def test_sample_csv_shape(tmp_path):
-    sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
+@pytest.mark.parametrize("name,header", [
+    ("two_torus", "x0/P,x1/P,mu2_0/P,mu2_1/P"),
+    ("s2xt2_reduce", "x0/P,x1/P,x2/P,x3/P,mu1_0/P,mu2_0/P,mu2_1/P"),
+    ("s2xs2", "x0/P,x1/P,x2/P,x3/P,mu1_0/2P,mu1_1/2P"),
+])
+def test_sample_csv_shape(tmp_path, name, header):
+    """The table holds integer numerators, its denominators in the header,
+    and every row's mu columns are the exact moment of its point."""
+    p = geom.LATTICE
+    sc = cli.load_scenario(cli.bundled_scenario_path(name))
     report = cli.run_scenario(sc)
     cli.emit_report(report, tmp_path)
     lines = (tmp_path / "moment_samples.csv").read_text().splitlines()
-    assert lines[0] == "x0,x1,mu2_0,mu2_1"
+    assert lines[0] == header.replace("2P", str(2 * p)).replace("P", str(p))
     assert len(lines) == 1 + sc.samples
-    # every row must round-trip through repr exactly
-    first = lines[1].split(",")[0]
-    assert repr(float(first)) == first
+    dens = [int(col.split("/")[1]) for col in lines[0].split(",")]
+    rows = [[int(field) for field in line.split(",")] for line in lines[1:]]
+    dim = sc.manifold.dim
+    mom = scenario_moment(sc)
+    oracle = lattice_oracle(mom, np.array([row[:dim] for row in rows]))
+    for row, (mu1, mu2) in zip(rows, oracle):
+        assert [Fraction(v, d) for v, d in zip(row[dim:], dens[dim:])] \
+            == list(mu1 + mu2)
+
+
+def test_huge_torus_form_covers_its_image(tmp_path, capsys):
+    """Covectors of 10^300 on the 2-torus: lattice samples do not alias, so
+    the circle image is covered and the run passes."""
+    path = write(tmp_path, GOOD.replace("0 1 ; -1 0", "0 1e300 ; -1e300 0"))
+    assert cli.main(["all", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    [fraction] = [line.split(" = ")[1] for line in out
+                  if line.startswith("coverage_fraction = ")]
+    assert float(fraction) >= 0.99
 
 
 def test_coverage_csv_matches_report(tmp_path):

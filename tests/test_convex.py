@@ -135,7 +135,7 @@ def test_mixed_polytope_and_samples(s2xt2_mixed):
     m, a = s2xt2_mixed
     poly, mom = polytope_of(m, a)
     assert poly.vertices == ((-1,), (1,))
-    pts = geom.sample_points(m, 1000, 0)
+    pts = geom.sample_points(m, 1000, 0) / geom.LATTICE
     assert poly.contains(mom.mu1_values(pts)).all()
     mu2 = mom.mu2_values(pts)
     assert np.all((mu2 >= 0) & (mu2 < 1))
@@ -154,7 +154,7 @@ def test_sampled_image_lies_in_polytope(data):
                    sign)
     poly, mom = polytope_of(m, a)
     assert set(poly.vertices) <= pole_images(height_coefficients(m, mom))
-    pts = geom.sample_points(m, 500, 0)
+    pts = geom.sample_points(m, 500, 0) / geom.LATTICE
     # the poles themselves map onto the boundary
     pts[:8, 1::2] = np.sign(pts[:8, 1::2])
     assert poly.contains(mom.mu1_values(pts)).all()

@@ -251,21 +251,49 @@ def test_fixed_points_submanifold():
 # sampling and the action
 
 def test_sampling_reproducible_and_in_range():
+    """Numerators over the prime P: a in [0, P) on the torus and theta
+    slots, the odd 2b - P in [-P, P) on the heights."""
+    p = geom.LATTICE
     m = torus2()
     a = geom.sample_points(m, 4, 0)
     b = geom.sample_points(m, 4, 0)
-    assert np.array_equal(a, b)
-    assert len({tuple(p) for p in a}) == 4
-    assert np.all((a >= 0) & (a < 1))
-    s = geom.sample_points(sphere(), 100, 1)
-    assert np.all(np.abs(s[:, 1]) <= 1)
+    assert a.dtype == np.int64 and np.array_equal(a, b)
+    assert len({tuple(row) for row in a}) == 4
+    assert np.all((a >= 0) & (a < p))
+    s = geom.sample_points(s2xt2(), 1000, 1)
+    assert np.all((s[:, :3] >= 0) & (s[:, :3] < p))
+    assert np.all((s[:, 3] >= -p) & (s[:, 3] < p) & (s[:, 3] % 2 == 1))
+    # the heights fill both hemispheres
+    assert (s[:, 3] < -p // 2).any() and (s[:, 3] > p // 2).any()
     assert not np.array_equal(geom.sample_points(m, 4, 2), a)
+
+
+def test_sampling_draws_p_again(monkeypatch):
+    """A raw draw whose top 31 bits read P is drawn again, so every slot
+    stays uniform on [0, P)."""
+    p = geom.LATTICE
+    draws = iter([np.array([[p << 33, 5 << 33], [p << 33, 7 << 33]],
+                           dtype=np.uint64),
+                  np.array([p << 33, 3 << 33], dtype=np.uint64),
+                  np.array([11 << 33], dtype=np.uint64)])
+
+    class Bits:
+        def random_raw(self, size):
+            out = next(draws)
+            assert out.size == np.prod(size)
+            return out
+
+    class Rng:
+        bit_generator = Bits()
+
+    monkeypatch.setattr(geom.np.random, "default_rng", lambda seed: Rng())
+    assert geom.sample_points(torus2(), 2, 0).tolist() == [[11, 5], [3, 7]]
 
 
 def test_apply_torus_element_group_law():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0)), ((1,), (0,)))
-    x = geom.sample_points(m, 5, 3)
+    x = geom.sample_points(m, 5, 3) / geom.LATTICE
     one = geom.apply_torus_element(m, a, [0.2, 0.3], x)
     two = geom.apply_torus_element(
         m, a, [0.1, 0.25], geom.apply_torus_element(m, a, [0.1, 0.05], x))

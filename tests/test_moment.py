@@ -1,14 +1,24 @@
 """Generalized moment construction: the concrete 2-torus values under both
-sign conventions, path independence, fiber factorization, and the
-fixed-point local model."""
+sign conventions, path independence, exact values at lattice samples,
+fiber factorization, and the fixed-point local model."""
+
+import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentforge import geom, hamclass, moment
-from momentforge.geom import ActionSpec, ProductForm
+from momentforge import cli, geom, hamclass, moment
+from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
+                              ProductManifold, SphereFactor)
 
-from conftest import classify, s2xs2, s2xt2, sphere, torus2
+from conftest import (classify, lattice_oracle, s2xs2, s2xt2,
+                      scenario_moment, sphere, torus2)
+
+BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
+           "s2xt2_reduce", "t2_gcd2"]
 
 
 def build(m, a, max_den=64):
@@ -27,7 +37,7 @@ def test_two_torus_moment_is_q_minus_p(t2_translations):
     m, a = t2_translations
     mom = build(m, a)
     assert mom.c == 0 and mom.r == 2
-    pts = geom.sample_points(m, 50, 0)
+    pts = geom.sample_points(m, 50, 0) / geom.LATTICE
     vals = mom.mu2_values(pts)
     expect = np.mod(np.stack([pts[:, 1], -pts[:, 0]], axis=1), 1.0)
     assert moment.circle_distance(vals, expect) < 1e-12
@@ -37,7 +47,7 @@ def test_two_torus_moment_minus_convention():
     m = torus2()
     a = ActionSpec(((1, 0), (0, 1)), ((), ()), sign=-1)
     mom = build(m, a)
-    pts = geom.sample_points(m, 50, 0)
+    pts = geom.sample_points(m, 50, 0) / geom.LATTICE
     vals = mom.mu2_values(pts)
     expect = np.mod(np.stack([-pts[:, 1], pts[:, 0]], axis=1), 1.0)
     assert moment.circle_distance(vals, expect) < 1e-12
@@ -51,7 +61,7 @@ def test_sphere_moment_is_height():
     a = ActionSpec(((),), ((1,),))
     mom = build(m, a)
     assert mom.c == 1 and mom.r == 0
-    pts = geom.sample_points(m, 50, 0)
+    pts = geom.sample_points(m, 50, 0) / geom.LATTICE
     assert np.allclose(mom.mu1_values(pts)[:, 0], pts[:, 1])
 
 
@@ -102,6 +112,104 @@ def test_path_independence_over_lattice_offsets(t2_translations):
         n = rng.integers(-3, 4, 2)
         assert moment.circle_distance(mom.mu2_values(x + n),
                                       mom.mu2_values(x)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact values at lattice samples
+
+def lattice_samples(m, n=200, seed=0):
+    """Seeded samples plus the lattice's two extreme points: every torus
+    and theta numerator at 0 with the heights at -P, and at P - 1 with the
+    heights at P - 2."""
+    p = geom.LATTICE
+    corners = np.zeros((2, m.dim), dtype=np.int64)
+    corners[1] = p - 1
+    corners[0, m.torus_dim + 1::2] = -p
+    corners[1, m.torus_dim + 1::2] = p - 2
+    return np.vstack([geom.sample_points(m, n, seed), corners])
+
+
+def assert_matches_oracle(mom, nums):
+    """Every row of lattice_values equals the Fraction oracle; returns the
+    two numerator arrays."""
+    mu1, den1, mu2, den2 = mom.lattice_values(nums)
+    assert mu1.shape == (len(nums), mom.c)
+    assert mu2.shape == (len(nums), mom.r)
+    got = [(tuple(Fraction(v, den1) for v in a),
+            tuple(Fraction(v, den2) for v in b))
+           for a, b in zip(mu1.tolist(), mu2.tolist())]
+    assert got == lattice_oracle(mom, nums)
+    return mu1, mu2
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_lattice_values_exact_on_bundled_scenarios(name):
+    sc = cli.load_scenario(cli.bundled_scenario_path(name))
+    mom = scenario_moment(sc)
+    nums = lattice_samples(sc.manifold)
+    mu1, mu2 = assert_matches_oracle(mom, nums)
+    assert mu1.dtype == np.int64 and mu2.dtype == np.int64
+    # the float evaluators agree with the exact values
+    _, den1, _, den2 = mom.lattice_values(nums[:1])
+    pts = nums / geom.LATTICE
+    assert np.allclose(mom.mu1_values(pts), mu1 / den1, atol=1e-12)
+    assert moment.circle_distance(mom.mu2_values(pts), mu2 / den2) < 1e-9
+
+
+def test_lattice_values_exact_on_huge_torus_form():
+    """Covectors of 10^300 stay int64: only K mod P enters the products,
+    and mu2 does not alias to 0 as a 2^-53 float grid did."""
+    big = 10 ** 300
+    m = torus2(((0, big), (-big, 0)))
+    mom = build(m, ActionSpec(((1, 0), (0, 1)), ((), ())))
+    mu1, mu2 = assert_matches_oracle(mom, lattice_samples(m))
+    assert mu2.dtype == np.int64
+    assert len(set(mu2[:200, 0].tolist())) > 190
+    # one circle row with four huge torus slots
+    m = ProductManifold(FlatTorusFactor(((0, big, 1, 0), (-big, 0, 0, 1),
+                                         (-1, 0, 0, big), (0, -1, -big, 0))),
+                        ())
+    mom = build(m, ActionSpec(((1, 1, 1, 1),), ((),)))
+    assert all(abs(x) > big // 2 for x in mom.mu2[0])
+    assert_matches_oracle(mom, lattice_samples(m))
+
+
+def test_lattice_values_exact_past_int64():
+    """A sphere coefficient of 10^30 bounds mu1 past 2^63 and a denominator
+    of 3^40 on a circle row's height slot bounds mu2 past it: both run on
+    Python ints, with the same values as the oracle."""
+    m = sphere(10 ** 30)
+    mom = build(m, ActionSpec(((),), ((1,),)))
+    mu1, _ = assert_matches_oracle(mom, lattice_samples(m))
+    assert mu1.dtype == object
+    m, a = s2xt2(), ActionSpec(((0, 0), (1, 0), (0, 1)),
+                               ((1,), (0,), (2,)))
+    mom = build(m, a)
+    bent = tuple(row[:3] + (row[3] + Fraction(1, 3 ** 40),)
+                 for row in mom.mu2)
+    mom = dataclasses.replace(mom, mu2=bent)
+    _, mu2 = assert_matches_oracle(mom, lattice_samples(m))
+    assert mu2.dtype == object
+
+
+@given(st.integers(1, 10 ** 40), st.lists(st.integers(1, 10 ** 25),
+                                          max_size=2),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.sampled_from((1, -1)))
+@settings(max_examples=30, deadline=None)
+def test_lattice_values_exact_on_generated_forms(w, halves, speeds, sign):
+    """T^2 x (S^2)^n with an integral torus weight w, sphere coefficients
+    k/2, one rotation per sphere and two translations that may also
+    rotate the spheres."""
+    n = len(halves)
+    m = ProductManifold(FlatTorusFactor(((0, w), (-w, 0))),
+                        tuple(SphereFactor(Fraction(k, 2)) for k in halves))
+    a = ActionSpec(((1, 0), (0, 1)) + ((0, 0),) * n,
+                   (tuple(speeds[:n]), tuple(speeds[2:2 + n]))
+                   + tuple(tuple(int(i == f) for i in range(n))
+                           for f in range(n)), sign)
+    mom = build(m, a)
+    assert_matches_oracle(mom, lattice_samples(m, 50, w % 1000))
 
 
 # ---------------------------------------------------------------------------
