@@ -526,9 +526,16 @@ def _run_convexity(report, scenario, mom):
         raise ConfigError(f"convexity: grid = {grid} with c = {c}, r = {r} "
                           f"needs {cells} coverage cells or corners, above "
                           f"the budget of {convex.MAX_COVERAGE_CELLS}")
+    g = sum(any(cov[M.sphere_offset(f) + 1] for cov in mom.mu1)
+            for f in range(M.n_spheres))
+    if 2 ** g > convex.MAX_POLES:
+        raise ConfigError(f"convexity: {g} spheres enter mu1, so the "
+                          f"polytope has 2^{g} pole images, above the "
+                          f"budget of {convex.MAX_POLES}")
+    polytope = convex.moment_polytope(mom)
     report.add("convexity", "hull_vertices",
-               [list(v) for v in convex.moment_polytope(mom).vertices])
-    cov = convex.product_coverage_check(M, mom, scenario.grid,
+               [list(v) for v in polytope.vertices])
+    cov = convex.product_coverage_check(M, mom, polytope, scenario.grid,
                                         scenario.coverage_samples,
                                         scenario.seed)
     report.add("convexity", "coverage_fraction", cov.fraction)

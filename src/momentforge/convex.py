@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .moment import GeneralizedMoment
 # product_coverage_check allocates dense arrays of grid^(c+r) cells and
 # (grid+1)^c corners; neither may exceed this many entries
 MAX_COVERAGE_CELLS = 2 ** 20
+# moment_polytope visits 2^(spheres whose height enters mu1) pole images
+MAX_POLES = 2 ** 16
 
 
 class PreconditionViolated(Exception):
@@ -66,17 +69,19 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
     With k = rank w, every (k-1)-subset of generators that spans a
     hyperplane of k independent coordinates gives a facet normal (its
     cofactor vector); the left kernel of w pins the remaining directions.
-    A pole image is a vertex when its tight normals have rank k."""
+    A pole image is a vertex when its tight normals have rank k.  All of
+    it runs on the integer numerators of w over one common denominator d;
+    Fractions are built only for the returned vertices and offsets."""
     manifold = moment.manifold
     c = moment.c
     w = [[cov[manifold.sphere_offset(f) + 1]
           for f in range(manifold.n_spheres)] for cov in moment.mu1]
-    rows: list = []
-    for i in range(c):
-        if ratlin.integer_rank([w[j] for j in rows + [i]]) > len(rows):
-            rows.append(i)
-    k = len(rows)
     gens = [g for g in zip(*w) if any(g)]
+    frac = [any(type(g[i]) is not int for g in gens) for i in range(c)]
+    gens, d = ratlin._scaled(gens)
+    # pivot columns: the greedy independent rows of w
+    rows = ratlin._eliminate([list(g) for g in gens])[0]
+    k = len(rows)
 
     facets = set()
     for subset in itertools.combinations(gens, k - 1) if k else ():
@@ -90,18 +95,22 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
             facets.add(tuple(sign * full.get(i, 0) for i in range(c)))
     normals = sorted(facets)
     offsets = [sum(abs(_dot(nv, g)) for g in gens) for nv in normals]
+    coords = [[g[i] for g in gens] for i in range(c)]
     vertices = set()
     for sigma in itertools.product((-1, 1), repeat=len(gens)):
-        v = tuple(_dot(sigma, [g[i] for g in gens]) for i in range(c))
+        v = tuple(_dot(sigma, row) for row in coords)
         tight = [nv for nv, b in zip(normals, offsets)
                  if abs(_dot(nv, v)) == b]
-        if ratlin.integer_rank(tight) == k:
+        if len(tight) >= k and ratlin.integer_rank(tight) == k:
             vertices.add(v)
+    vertices = [tuple(Fraction(x, d) if f else x // d for x, f in zip(v, frac))
+                for v in sorted(vertices)]
+    offsets = [Fraction(b, d) if any(frac) else b // d for b in offsets]
     if k < c:
         pinned = ratlin.lattice_split(w)[0]
         normals += [tuple(e) for e in pinned]
         offsets += [0] * len(pinned)
-    return MomentPolytope(c, tuple(sorted(vertices)), tuple(normals),
+    return MomentPolytope(c, tuple(vertices), tuple(normals),
                           tuple(offsets))
 
 
@@ -119,6 +128,7 @@ class CoverageReport:
 
 def product_coverage_check(manifold: ProductManifold,
                            moment: GeneralizedMoment,
+                           polytope: MomentPolytope,
                            grid_resolution: int, n: int,
                            seed: int) -> CoverageReport:
     """Bin image samples over (cells of the box around the mu1 polytope) x
@@ -134,7 +144,6 @@ def product_coverage_check(manifold: ProductManifold,
     shape = (res,) * (c + r) if c + r else (1,)
     counted = np.ones(shape, dtype=bool)
     if c:
-        polytope = moment_polytope(moment)
         half = np.abs(np.array(polytope.vertices, dtype=float)).max(axis=0)
         lo = -half
         span = np.where(half > 0, 2 * half, 1.0)

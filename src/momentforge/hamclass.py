@@ -72,10 +72,8 @@ def classify_action(p: tuple) -> ActionClassification:
     """Split the acting torus along the rows of the period matrix p."""
     n = len(p)
     ham, comp = ratlin.lattice_split(p)
-    if ham:
-        ham, _ = ratlin.hermite_normal_form(ham)
-    if comp:
-        comp, _ = ratlin.hermite_normal_form(comp)
+    ratlin._hermite(ham, n)
+    ratlin._hermite(comp, n)
     cls = ActionClassification(tuple(map(tuple, ham)),
                                tuple(map(tuple, comp)), n)
     if cls.c + cls.r != n:

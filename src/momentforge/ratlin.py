@@ -135,38 +135,40 @@ def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
     """Row-style Hermite normal form: (H, U) with U m = H, U unimodular,
     H upper echelon with positive pivots and reduced entries above them."""
     rows, cols = _check_rect(m)
-    h = [[int(x) for x in row] for row in m]
-    u = identity(rows)
+    a = [[int(x) for x in row] + e for row, e in zip(m, identity(rows))]
+    _hermite(a, cols)
+    return [row[:cols] for row in a], [row[cols:] for row in a]
+
+
+def _hermite(h: Mat, cols: int) -> Mat:
+    """Reduce the integer rows h in place, and return them, to the Hermite
+    form of their first cols columns; row operations act on whole rows."""
+    rows = len(h)
     r = 0
     for c in range(cols):
         piv = next((i for i in range(r, rows) if h[i][c] != 0), None)
         if piv is None:
             continue
         h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
         while True:
             nz = [i for i in range(r + 1, rows) if h[i][c] != 0]
             if not nz:
                 break
             for i in nz:
                 q = h[i][c] // h[r][c]
-                h[i] = [h[i][k] - q * h[r][k] for k in range(cols)]
-                u[i] = [u[i][k] - q * u[r][k] for k in range(rows)]
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
                 if h[i][c] != 0 and abs(h[i][c]) < abs(h[r][c]):
                     h[r], h[i] = h[i], h[r]
-                    u[r], u[i] = u[i], u[r]
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
-                h[i] = [h[i][k] - q * h[r][k] for k in range(cols)]
-                u[i] = [u[i][k] - q * u[r][k] for k in range(rows)]
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
         r += 1
         if r == rows:
             break
-    return h, u
+    return h
 
 
 def lattice_split(m: Mat) -> tuple[Mat, Mat]:
@@ -199,10 +201,10 @@ def smith_diagonal(m: Mat) -> list:
     diagonal (Kannan and Bachem 1979), and gcd / lcm exchanges then make
     each entry divide the next."""
     rows, cols = _check_rect(m)
-    h, _ = hermite_normal_form(m)
+    h = _hermite([[int(x) for x in row] for row in m], cols)
     while any(x for i, row in enumerate(h) for j, x in enumerate(row)
               if i != j):
-        h, _ = hermite_normal_form(transpose(h))
+        h = _hermite(transpose(h), len(h))
     d = [h[i][i] for i in range(min(rows, cols))]
     for i in range(len(d)):
         for j in range(i + 1, len(d)):

@@ -1,7 +1,7 @@
 """Shared builders for the recurring corpus instances, the field and
 pairing oracles written out from the README conventions, the Fraction
-oracle of the moment at lattice samples, and the determinantal divisors
-of an integer matrix."""
+oracles of the moment at lattice samples and of the moment polytope, and
+the determinantal divisors of an integer matrix."""
 
 import itertools
 import math
@@ -76,6 +76,51 @@ def lattice_oracle(mom, nums):
                     for cov in mom.mu2)
         out.append((mu1, mu2))
     return out
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def fraction_moment_polytope(mom):
+    """convex.moment_polytope computed in Fraction arithmetic on w itself:
+    the greedy independent rows, the cofactor normals, the offsets and the
+    tight-normal rank test of every pole image."""
+    manifold = mom.manifold
+    c = mom.c
+    w = [[cov[manifold.sphere_offset(f) + 1]
+          for f in range(manifold.n_spheres)] for cov in mom.mu1]
+    rows = []
+    for i in range(c):
+        if ratlin.integer_rank([w[j] for j in rows + [i]]) > len(rows):
+            rows.append(i)
+    k = len(rows)
+    gens = [g for g in zip(*w) if any(g)]
+
+    facets = set()
+    for subset in itertools.combinations(gens, k - 1) if k else ():
+        cof = [(-1) ** j * ratlin.determinant(
+            [[g[i] for i in rows if i != row] for g in subset])
+            for j, row in enumerate(rows)]
+        if any(cof):
+            cof = ratlin.clear_denominators(cof)
+            sign = -1 if next(x for x in cof if x) < 0 else 1
+            full = dict(zip(rows, cof))
+            facets.add(tuple(sign * full.get(i, 0) for i in range(c)))
+    normals = sorted(facets)
+    offsets = [sum(abs(_dot(nv, g)) for g in gens) for nv in normals]
+    vertices = set()
+    for sigma in itertools.product((-1, 1), repeat=len(gens)):
+        v = tuple(_dot(sigma, [g[i] for g in gens]) for i in range(c))
+        tight = [nv for nv, b in zip(normals, offsets)
+                 if abs(_dot(nv, v)) == b]
+        if ratlin.integer_rank(tight) == k:
+            vertices.add(v)
+    if k < c:
+        pinned = ratlin.lattice_split(w)[0]
+        normals += [tuple(e) for e in pinned]
+        offsets += [0] * len(pinned)
+    return (tuple(sorted(vertices)), tuple(normals), tuple(offsets))
 
 
 def determinantal_divisor(m, k):

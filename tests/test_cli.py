@@ -2,12 +2,13 @@
 enforcement, seed precedence, and deterministic report emission."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from momentforge import cli, geom
+from momentforge import cli, convex, geom
 
 from conftest import lattice_oracle, scenario_moment
 
@@ -61,6 +62,15 @@ generators = 1 0 0 0 |
 """
 
 
+# one generator turning 17 spheres: all 17 heights enter mu1
+SEVENTEEN_SPHERES = f"""
+[manifold]
+spheres = {" ".join(["0.5"] * 17)}
+[action]
+generators = | {" ".join(["1"] * 17)}
+"""
+
+
 @pytest.mark.parametrize("text,fragment", [
     (GOOD.replace("generators = 1 0 | ; 0 1 |", "generators = 1 0 ; 0 1 |"),
      "'|'"),
@@ -99,10 +109,17 @@ generators = 1 0 0 0 |
     (GOOD + "[pipeline]\ncoverage_samples = 1000000000\n",
      "coverage_samples = 1000000000 needs 2000000000 sample entries "
      f"\\(dim 2\\), above the budget of {geom.MAX_SAMPLE_ENTRIES}"),
+    # so are the pole images of the moment polytope, before it is built
+    (SEVENTEEN_SPHERES, "convexity: 17 spheres enter mu1, so the polytope "
+     f"has 2\\^17 pole images, above the budget of {convex.MAX_POLES}"),
 ])
-def test_config_errors(tmp_path, text, fragment):
-    with pytest.raises(cli.ConfigError, match=fragment):
-        cli.load_scenario(write(tmp_path, text))
+def test_config_errors(tmp_path, capsys, text, fragment):
+    """The whole run ends in exit 2 and one config error line, whether the
+    parser or a stage's budget rejects the input."""
+    assert cli.main(["all", "--scenario", str(write(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert re.search(fragment, err)
 
 
 def test_seed_precedence(tmp_path, monkeypatch):
@@ -237,6 +254,19 @@ grid = 100
     assert err.startswith("config error: convexity: grid = 100 with c = 10, "
                           f"r = 0 needs {101 ** 10} coverage cells or "
                           "corners")
+
+
+def test_convexity_builds_the_polytope_once(monkeypatch):
+    """hull_vertices and the coverage grid read one polytope."""
+    real, calls = convex.moment_polytope, []
+
+    def counted(mom):
+        calls.append(mom)
+        return real(mom)
+
+    monkeypatch.setattr(convex, "moment_polytope", counted)
+    cli.run_scenario(cli.load_scenario(cli.bundled_scenario_path("s2xs2")))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("generators,fragment", [

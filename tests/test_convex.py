@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentforge import convex, geom, hamclass, moment, ratlin
@@ -16,7 +16,8 @@ from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
 from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
-                      s2xs2, s2xt2, sphere, torus2, torus4)
+                      fraction_moment_polytope, s2xs2, s2xt2, sphere, torus2,
+                      torus4)
 
 
 def pipeline(m, a):
@@ -116,7 +117,7 @@ def test_degenerate_polytope_is_a_segment():
     mid = np.array(poly.vertices, dtype=float).mean(axis=0)
     assert poly.contains(mid).all()
     assert not poly.contains(mid + [1e-3, -1e-3]).any()
-    rep = convex.product_coverage_check(m, mom, 10, 5000, 0)
+    rep = convex.product_coverage_check(m, mom, poly, 10, 5000, 0)
     assert rep.n_counted_cells == 0 and rep.fraction == 1.0
 
 
@@ -126,7 +127,7 @@ def test_four_spheres_polytope():
     speeds = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     poly, mom = polytope_of(m, rotations(speeds))
     assert mom.c == 4 and len(poly.vertices) == 16 and len(poly.normals) == 4
-    rep = convex.product_coverage_check(m, mom, 5, 20000, 0)
+    rep = convex.product_coverage_check(m, mom, poly, 5, 20000, 0)
     assert rep.n_counted_cells == 5 ** 4
     assert rep.fraction >= 0.99
 
@@ -160,13 +161,62 @@ def test_sampled_image_lies_in_polytope(data):
     assert poly.contains(mom.mu1_values(pts)).all()
 
 
+entries = st.one_of(st.integers(-3, 3),
+                    st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def height_matrices(draw):
+    """w (c x n), c 1-3 and n 0-5: each column fresh, zero, or a rational
+    multiple of an earlier column."""
+    c = draw(st.integers(1, 3))
+    cols = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("fresh", "zero", "parallel")))
+        if kind == "parallel" and cols:
+            scale = draw(entries)
+            cols.append([scale * x for x in draw(st.sampled_from(cols))])
+        elif kind == "zero":
+            cols.append([0] * c)
+        else:
+            cols.append(draw(st.lists(entries, min_size=c, max_size=c)))
+    return [list(row) for row in zip(*cols)] if cols else [[]] * c
+
+
+def typed(xs):
+    return [(type(x), x) for x in xs]
+
+
+@given(height_matrices())
+@example([[F(1, 2), F(1, 2)], [0, F(1, 2)]])
+@example([[1, 0, 2], [F(1, 3), 0, F(2, 3)]])
+@example([[0, F(-5, 6)], [0, F(5, 6)], [0, 0]])
+@example([[], []])
+@settings(max_examples=200, deadline=None)
+def test_moment_polytope_matches_fraction_oracle(w):
+    """The integer construction returns the vertices, normals and offsets
+    that Fraction arithmetic on w returns, equal in value and type."""
+    n = len(w[0])
+    m = ProductManifold(FlatTorusFactor(STD2),
+                        tuple(SphereFactor(F(1, 2)) for _ in range(n)))
+    mu1 = tuple(tuple([0, 0] + [x for h in row for x in (0, h)])
+                for row in w)
+    mom = moment.GeneralizedMoment(m, None, None, None, mu1, ())
+    poly = convex.moment_polytope(mom)
+    vertices, normals, offsets = fraction_moment_polytope(mom)
+    assert [typed(v) for v in poly.vertices] == [typed(v) for v in vertices]
+    assert [typed(nv) for nv in poly.normals] == [typed(nv) for nv in normals]
+    assert typed(poly.offsets) == typed(offsets)
+
+
 # ---------------------------------------------------------------------------
 # coverage
 
 def test_two_torus_coverage(t2_translations):
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    rep = convex.product_coverage_check(m, mom, 50, 100000, 0)
+    rep = convex.product_coverage_check(
+        m, mom, convex.moment_polytope(mom), 50, 100000, 0)
     assert rep.n_counted_cells == 2500
     assert rep.fraction >= 0.99
 
@@ -174,7 +224,8 @@ def test_two_torus_coverage(t2_translations):
 def test_pure_hamiltonian_coverage_reduces_to_hull(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
-    rep = convex.product_coverage_check(m, mom, 15, 60000, 0)
+    rep = convex.product_coverage_check(
+        m, mom, convex.moment_polytope(mom), 15, 60000, 0)
     assert rep.n_counted_cells == 15 ** 2
     assert rep.fraction >= 0.99
 
@@ -191,7 +242,7 @@ def test_interior_cells_match_per_corner_loop():
         corners = [-half + (np.array(cell) + corner) / res * 2 * half
                    for corner in np.ndindex(2, 2)]
         expected += bool(poly.contains(corners, tol=1e-12).all())
-    rep = convex.product_coverage_check(m, mom, res, 1000, 0)
+    rep = convex.product_coverage_check(m, mom, poly, res, 1000, 0)
     assert 0 < expected < res * res
     assert rep.n_counted_cells == expected
 
@@ -201,7 +252,8 @@ def test_three_sphere_coverage_regression():
     200k samples (25 per cell) cover it."""
     m = spheres(3)
     _, mom = pipeline(m, rotations([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-    rep = convex.product_coverage_check(m, mom, 20, 200000, 0)
+    rep = convex.product_coverage_check(
+        m, mom, convex.moment_polytope(mom), 20, 200000, 0)
     assert rep.n_counted_cells == 8000
     assert rep.fraction >= 0.99
 

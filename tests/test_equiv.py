@@ -6,11 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from momentforge import equiv, hamclass, moment
+from momentforge import cli, equiv, geom, hamclass, moment
 from momentforge.geom import ActionSpec, ProductForm
 
 from conftest import (STD4, classify, field_vector, pairing, s2xs2, s2xt2,
-                      sphere, torus2, torus4)
+                      scenario_moment, sphere, torus2, torus4)
 
 
 def pipeline(m, a):
@@ -191,6 +191,24 @@ def test_natural_equivariance_without_fixed_points(t2_translations):
     assert not verdict.has_fixed_points
     assert not verdict.orbits_isotropic
     assert not verdict.naturally_equivariant
+
+
+@pytest.mark.parametrize("name", ["two_torus", "two_torus_sqrt2",
+                                  "t4_split", "sphere", "s2xs2",
+                                  "s2xt2_reduce", "t2_gcd2", None])
+def test_fixed_point_flag_matches_fixed_point_set(name, t2_translations):
+    """has_fixed_points reads the translations alone; it agrees with the
+    enumerated fixed point set on the bundled scenarios and a
+    translation-only action."""
+    if name is None:
+        m, a = t2_translations
+        _, mom, z = pipeline(m, a)
+    else:
+        sc = cli.load_scenario(cli.bundled_scenario_path(name))
+        m, a, mom = sc.manifold, sc.action, scenario_moment(sc)
+        z = equiv.cocycle_matrix(a, mom.omega_prime, mom.classification)
+    assert equiv.natural_equivariance(mom, z).has_fixed_points \
+        == (geom.fixed_point_set(m, a).kind != "empty")
 
 
 def test_natural_equivariance_negative_control():
