@@ -31,10 +31,20 @@ CHECK_ORDER = ("classify", "integralize", "moment", "equivariance",
 
 
 class ConfigError(Exception):
-    pass
+    """A bad input or an over-budget request: exit 2.  Raised from inside a
+    stage, it carries the report of the stages that completed, with the
+    stage recorded as a failed `within_budget` key."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 def _fmt(value) -> str:
+    # exact ints and Fractions, most of what a report holds, go first: the
+    # abstract np.integer check below is slow
+    if type(value) is int or type(value) is Fraction:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -523,15 +533,16 @@ def _run_convexity(report, scenario, mom):
     grid, c, r = scenario.grid, mom.c, mom.r
     cells = max(grid ** (c + r), (grid + 1) ** c)
     if cells > convex.MAX_COVERAGE_CELLS:
-        raise ConfigError(f"convexity: grid = {grid} with c = {c}, r = {r} "
-                          f"needs {cells} coverage cells or corners, above "
-                          f"the budget of {convex.MAX_COVERAGE_CELLS}")
+        _over_budget(report, "convexity",
+                     f"grid = {grid} with c = {c}, r = {r} needs {cells} "
+                     "coverage cells or corners, above the budget of "
+                     f"{convex.MAX_COVERAGE_CELLS}")
     g = sum(any(cov[M.sphere_offset(f) + 1] for cov in mom.mu1)
             for f in range(M.n_spheres))
     if 2 ** g > convex.MAX_POLES:
-        raise ConfigError(f"convexity: {g} spheres enter mu1, so the "
-                          f"polytope has 2^{g} pole images, above the "
-                          f"budget of {convex.MAX_POLES}")
+        _over_budget(report, "convexity",
+                     f"{g} spheres enter mu1, so the polytope has 2^{g} "
+                     f"pole images, above the budget of {convex.MAX_POLES}")
     polytope = convex.moment_polytope(mom)
     report.add("convexity", "hull_vertices",
                [list(v) for v in polytope.vertices])
@@ -548,6 +559,13 @@ def _run_convexity(report, scenario, mom):
         report.add("convexity", "cycle_direction", list(lift.direction))
         report.add("convexity", "cycle_winding", lift.winding)
         report.require("convexity", "cycle_lift_verified", lift.verified)
+
+
+def _over_budget(report, check: str, why: str):
+    """Stop the run at a stage whose request exceeds a budget; the report
+    keeps the stages that completed."""
+    report.require(check, "within_budget", False)
+    raise ConfigError(f"{check}: {why}", report)
 
 
 def _run_betti(report, scenario, omega_prime, cls):
@@ -620,13 +638,16 @@ def main(argv=None) -> int:
                                  max_denominator=args.max_denominator)
         requested = None if args.command == "all" else (args.command,)
         report = run_scenario(scenario, requested)
+        status = 0 if report.passed else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        if exc.report is None:
+            return 2
+        report, status = exc.report, 2
     sys.stdout.write(report.render())
     if args.out:
         emit_report(report, args.out)
-    return 0 if report.passed else 1
+    return status
 
 
 if __name__ == "__main__":

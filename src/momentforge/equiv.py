@@ -138,9 +138,11 @@ def isotropic_orbit_test(action: ActionSpec,
                          omega_prime: ProductForm) -> IsotropyReport:
     """All generator pairings omega(X_i, X_j), the matrix G W G^T (the
     forms are constant, so it holds at every point); orbits are isotropic
-    iff every one vanishes."""
+    iff every one vanishes.  The field covectors are sign * G W, so the
+    sign applied once more cancels."""
     g = action.orbit_matrix()
-    pairings = _pairings(ratlin.mat_mul(g, omega_prime.matrix()), g)
+    pairings = [[action.sign * v for v in row] for row in _pairings(
+        geom.field_covectors(action, omega_prime), g)]
     isotropic = not any(v for row in pairings for v in row)
     return IsotropyReport(tuple(tuple(row) for row in pairings), isotropic)
 

@@ -48,15 +48,16 @@ MAX_SAMPLE_ENTRIES = 2 ** 22
 def _fraction_rows(rows) -> tuple:
     """Rows of exact entries: Fractions stay as they are, ints and floats
     convert (a float converts exactly)."""
-    return tuple(tuple(x if isinstance(x, Fraction) else Fraction(x)
-                       for x in row) for row in rows)
+    return tuple(tuple([x if type(x) is Fraction else Fraction(x)
+                        for x in row]) for row in rows)
 
 
 @dataclass(frozen=True)
 class FlatTorusFactor:
     """R^m / Z^m with the constant form u^T Omega w; Omega must be
     antisymmetric and nondegenerate, m even.  Entries are held as
-    Fractions."""
+    Fractions, and scaled once to integer numerators over one denominator,
+    from which antisymmetry and nondegeneracy are decided."""
 
     omega: tuple
 
@@ -68,14 +69,12 @@ class FlatTorusFactor:
             raise ValueError("torus dimension must be even")
         if any(len(row) != m for row in rows):
             raise ValueError("omega must be square")
-        # a == -b without building -b: reduced Fractions compare by parts
-        for i in range(m):
-            for j in range(i, m):
-                a, b = rows[i][j], rows[j][i]
-                if a.numerator != -b.numerator \
-                        or a.denominator != b.denominator:
-                    raise ValueError("omega must be antisymmetric")
-        if m > 0 and ratlin.determinant(rows) == 0:
+        nums, d = ratlin._scaled(rows)
+        object.__setattr__(self, "_scaled", (nums, d))
+        if any(nums[i][j] != -nums[j][i]
+               for i in range(m) for j in range(i, m)):
+            raise ValueError("omega must be antisymmetric")
+        if m > 0 and ratlin.determinant(nums) == 0:
             raise ValueError("degenerate torus form (zero determinant)")
 
     @property
@@ -100,17 +99,30 @@ class SphereFactor:
 @dataclass(frozen=True)
 class ProductForm:
     """A constant invariant 2-form on a ProductManifold: the torus block
-    plus one dtheta ^ dh coefficient per sphere, all held as Fractions."""
+    plus one dtheta ^ dh coefficient per sphere, all held as Fractions.
+
+    The form is scaled once, when it is built: its matrix W is held as
+    integer numerators over one denominator, which field_covectors and the
+    nondegeneracy test read, so neither scales W again.  torus_omega may be
+    a FlatTorusFactor: the form then reuses the factor's nondegeneracy
+    verdict, and its numerators when W is the torus block alone."""
 
     torus_omega: tuple | None
     sphere_coeffs: tuple
 
     def __post_init__(self):
-        if self.torus_omega is not None:
+        torus = self.torus_omega
+        factor = torus if isinstance(torus, FlatTorusFactor) else None
+        if torus is not None:
             object.__setattr__(self, "torus_omega",
-                               _fraction_rows(self.torus_omega))
+                               factor.omega if factor else
+                               _fraction_rows(torus))
         [coeffs] = _fraction_rows([self.sphere_coeffs])
         object.__setattr__(self, "sphere_coeffs", coeffs)
+        object.__setattr__(self, "_scaled", factor._scaled
+                           if factor and not coeffs
+                           else ratlin._scaled(self.matrix()))
+        object.__setattr__(self, "_torus_ok", True if factor else None)
 
     def matrix(self) -> list:
         """W, dim x dim and exact: the torus block, then [[0, c], [-c, 0]]
@@ -128,8 +140,12 @@ class ProductForm:
     def is_nondegenerate(self) -> bool:
         if not all(self.sphere_coeffs):
             return False
-        return not self.torus_omega \
-            or ratlin.determinant(self.torus_omega) != 0
+        if self._torus_ok is None:
+            m = len(self.torus_omega or ())
+            w = self._scaled[0]
+            object.__setattr__(self, "_torus_ok", not m or ratlin.determinant(
+                [row[:m] for row in w[:m]]) != 0)
+        return self._torus_ok
 
 
 @dataclass(frozen=True)
@@ -167,9 +183,8 @@ class ProductManifold:
         return self.torus_dim + 2 * f
 
     def form(self) -> ProductForm:
-        return ProductForm(
-            self.torus.omega if self.torus is not None else None,
-            tuple(s.area_coefficient for s in self.spheres))
+        return ProductForm(self.torus,
+                           tuple(s.area_coefficient for s in self.spheres))
 
     def basepoint(self) -> np.ndarray:
         """Torus origin, spheres at the south pole (theta=0, h=-1)."""
@@ -245,12 +260,14 @@ def field_covectors(action: ActionSpec, form: ProductForm,
                     coeffs=None) -> list:
     """The covectors of i_X omega, sign * (coeffs G) W: one row per
     generator, or per integer combination of generators when coeffs (one
-    row of r_total integers per combination) is given."""
+    row of r_total integers per combination) is given.  W enters as the
+    numerators the form was scaled to when it was built."""
     rows = action.orbit_matrix()
     if coeffs is not None:
         rows = ratlin.mat_mul(coeffs, rows)
-    return ratlin.mat_mul([[action.sign * x for x in row] for row in rows],
-                          form.matrix())
+    return ratlin._product(
+        *ratlin._scaled([[action.sign * x for x in row] for row in rows]),
+        *form._scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import geom, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
@@ -121,14 +122,15 @@ def form_from_class_coefficients(manifold: ProductManifold,
                                  coeffs) -> ProductForm:
     """Inverse of form_class_coefficients, for exact coefficients."""
     m = manifold.torus_dim
-    om = [[0] * m for _ in range(m)] if m else None
-    sph = [0] * manifold.n_spheres
+    zero = Fraction(0)
+    om = [[zero] * m for _ in range(m)] if m else None
+    sph = [zero] * manifold.n_spheres
     for label, q in zip(h2_class_labels(manifold), coeffs):
         if label[0] == "torus":
             om[label[1]][label[2]] = q
             om[label[2]][label[1]] = -q
         else:
-            sph[label[1]] = q / 2
+            sph[label[1]] = Fraction(q, 2)
     return ProductForm(om, sph)
 
 
@@ -140,6 +142,13 @@ def integralize_form(manifold: ProductManifold, action: ActionSpec,
     denominator <= max_denominator, check that the rounded form is still
     nondegenerate and splits the action as `classification` (the form's
     own) does, then scale it integral.
+
+    The rounding, the integral scaling and the deviation run in integer
+    numerators: each class coefficient n / d rounds to a coprime p / s
+    (ratlin.rational_round), k is the lcm of the s, omega_prime's
+    coefficients are the integers p k / s, and the deviation, the largest
+    |p d - n s| / (s d), is found by cross-multiplication and divided once,
+    so it is the correctly rounded float.
 
     The rounding needs no exactness constraints.  A combination of
     generators is Hamiltonian iff its combined translation vanishes (the
@@ -162,9 +171,15 @@ def integralize_form(manifold: ProductManifold, action: ActionSpec,
             != classification:
         raise RoundingBrokeConditionB(f"max_denominator={max_denominator}")
     k = math.lcm(*[x.denominator for x in q])
-    omega_prime = form_from_class_coefficients(manifold, [x * k for x in q])
-    max_dev = float(max(abs(x - y) for x, y in zip(q, a)))
-    return IntegralizationResult(omega_prime, k, tuple(q), max_dev,
+    omega_prime = form_from_class_coefficients(
+        manifold, [Fraction(x.numerator * (k // x.denominator)) for x in q])
+    dev, dev_den = 0, 1
+    for x, y in zip(q, a):
+        err = abs(x.numerator * y.denominator - y.numerator * x.denominator)
+        err_den = x.denominator * y.denominator
+        if err * dev_den > dev * err_den:
+            dev, dev_den = err, err_den
+    return IntegralizationResult(omega_prime, k, tuple(q), dev / dev_den,
                                  classification)
 
 

@@ -5,9 +5,13 @@ ample at the sizes this package ever sees (matrices up to ~12x12 plus a
 handful of homology columns).  The kernels scale each matrix to integer
 numerators over one common denominator, compute in Python ints (products,
 and fraction-free Bareiss elimination with exact division), and build
-Fractions only at the output.  No floating point enters any routine in this
-module: scenario numbers are Fractions from parse time on, so every caller
-already holds exact data.
+Fractions only at the output.  A caller that holds an operand already
+scaled (a form is scaled once, when it is built) multiplies it with the
+private `_product`, which takes integer numerators and their denominator.
+`rational_round` walks the continued fraction of n / d and compares its
+candidates by integer cross-multiplication.  No floating point enters any
+routine in this module: scenario numbers are Fractions from parse time on,
+so every caller already holds exact data.
 
 The Hermite normal form does all the lattice work: `lattice_split` reads a
 saturated integer kernel and a basis completing it from the Hermite
@@ -87,12 +91,18 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     Fraction over the product of the two common denominators, or an int
     when neither operand has one.  An empty a has no rows, whatever b is,
     so the product is empty."""
-    ra, ca = _check_rect(a)
-    rb, cb = _check_rect(b)
-    if ra and ca != rb:
+    _check_rect(a)
+    _check_rect(b)
+    return _product(*_scaled(a), *_scaled(b))
+
+
+def _product(na: Mat, da: int, nb: Mat, db: int) -> Mat:
+    """mat_mul of the scaled operands na / da and nb / db (integer rows),
+    which it leaves alone."""
+    if na and len(na[0]) != len(nb):
         raise ValueError("shape mismatch in mat_mul")
-    (na, da), (nb, db) = _scaled(a), _scaled(b)
     d = da * db
+    cb = len(nb[0]) if nb else 0
     out = []
     for row in na:
         acc = [0] * cb
@@ -218,32 +228,38 @@ def smith_diagonal(m: Mat) -> list:
 def rational_round(x, max_denominator: int) -> Fraction:
     """Best rational approximation of x with denominator <= max_denominator.
 
-    Continued-fraction convergents and semiconvergents; on an exact tie in
-    the approximation error the smaller denominator wins.
+    Continued-fraction convergents and semiconvergents of x = n / d, in
+    integers; on an exact tie in the approximation error the smaller
+    denominator wins.  The only Fraction built is the result.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    target = Fraction(x)
-    if target.denominator <= max_denominator:
-        return target
-    # walk the continued fraction of |target|
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    n, d = x.numerator, x.denominator
+    if d <= max_denominator:
+        return x
+    # walk the continued fraction of t / d, t = |n|
+    t = abs(n)
     p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = abs(target.numerator), target.denominator
+    a_n, a_d = t, d
     while True:
-        a = n // d
+        a = a_n // a_d
         p2, q2 = a * p1 + p0, a * q1 + q0
         if q2 > max_denominator:
             break
         p0, q0, p1, q1 = p1, q1, p2, q2
-        n, d = d, n - a * d
-    # best semiconvergent still within the bound, against the last convergent
+        a_n, a_d = a_d, a_n - a * a_d
+    # the best semiconvergent still within the bound against the last
+    # convergent: their errors |p d - t q| / (q d) compare by
+    # cross-multiplication, and on a tie the convergent, whose denominator
+    # is the smaller, wins
+    p, q = p1, q1
     k = (max_denominator - q0) // q1
-    cands = [Fraction(p1, q1)]
     if k > 0:
-        cands.append(Fraction(k * p1 + p0, k * q1 + q0))
-    t = abs(target)
-    best = min(cands, key=lambda f: (abs(f - t), f.denominator))
-    return -best if target < 0 else best
+        ps, qs = k * p1 + p0, k * q1 + q0
+        if abs(ps * d - t * qs) * q1 < abs(p1 * d - t * q1) * qs:
+            p, q = ps, qs
+    return Fraction(-p if n < 0 else p, q)
 
 
 def determinant(m: Mat) -> Fraction:

@@ -1,13 +1,15 @@
 """Shared builders for the recurring corpus instances, the field and
 pairing oracles written out from the README conventions, the Fraction
-oracles of the moment at lattice samples and of the moment polytope, and
-the determinantal divisors of an integer matrix."""
+oracles of the moment at lattice samples and of the moment polytope, the
+determinantal divisors of an integer matrix, and a strategy for decimal
+coefficients of the exact-forms shape."""
 
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from momentforge import geom, hamclass, moment, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
@@ -173,3 +175,16 @@ def s2xt2_mixed():
     """S^2 x T^2 with a Hamiltonian rotation and two translations."""
     return s2xt2(), ActionSpec(((0, 0), (1, 0), (0, 1)),
                                ((1,), (0,), (0,)))
+
+
+@st.composite
+def exact_decimals(draw):
+    """Class coefficients as the exact-forms workload writes them and the
+    parser reads them: decimals of 15-17 significant digits, magnitude in
+    [0.05, 2], either sign."""
+    sig = draw(st.integers(min_value=15, max_value=17))
+    exp, lo, hi = draw(st.sampled_from(((sig + 1, 5, 10), (sig, 1, 10),
+                                        (sig - 1, 1, 2))))
+    digits = draw(st.integers(min_value=lo * 10 ** (sig - 1),
+                              max_value=hi * 10 ** (sig - 1) - 1))
+    return draw(st.sampled_from((1, -1))) * Fraction(digits, 10 ** exp)

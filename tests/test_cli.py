@@ -256,6 +256,33 @@ grid = 100
                           "corners")
 
 
+def test_over_budget_stage_keeps_the_completed_sections(tmp_path, capsys):
+    """Twenty rotated spheres ask for 2^20 pole images: the run still exits
+    2 with a config error, but prints and writes the sections that
+    completed, and the report fails on convexity.within_budget."""
+    path = write(tmp_path, f"""
+[manifold]
+spheres = {" ".join(["0.5"] * 20)}
+[action]
+generators = | {" ".join(["1"] * 20)}
+""")
+    out = tmp_path / "out"
+    assert cli.main(["all", "--scenario", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: convexity: 20 spheres "
+                                   "enter mu1")
+    report = (out / "report.txt").read_text()
+    assert report == captured.out
+    for section in ("[classify]", "[integralize]", "[moment]",
+                    "[equivariance]",
+                    "[convexity]\nwithin_budget = false\n"):
+        assert section in report
+    assert "[betti]" not in report
+    assert report.endswith("overall = FAIL\n"
+                           "failures = convexity.within_budget\n")
+    assert (out / "moment_samples.csv").is_file()
+
+
 def test_convexity_builds_the_polytope_once(monkeypatch):
     """hull_vertices and the coverage grid read one polytope."""
     real, calls = convex.moment_polytope, []

@@ -8,15 +8,19 @@ classification preservation over randomized irrational instances.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentforge import hamclass, ratlin
+from momentforge import cli, geom, hamclass, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import classify, field_vector, pairing, s2xt2, sphere, torus2
+from conftest import (classify, exact_decimals, field_vector, pairing, s2xt2,
+                      sphere, torus2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,3 +279,80 @@ def test_retry_doubles_the_bound(t2_translations):
     # bound admits a nonzero approximation
     assert res.omega_prime.is_nondegenerate()
     assert res.q[0] != 0
+
+
+@given(exact_decimals(), exact_decimals(),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_integral_form_and_deviation_match_fraction_arithmetic(w, c, bound):
+    """On 15-17-digit decimal forms the integer scaling and deviation equal
+    their Fraction definitions: omega' = k q, and max_deviation is
+    float(max |q_i - a_i|) to the bit."""
+    m = ProductManifold(FlatTorusFactor(((0, w), (-w, 0))),
+                        (SphereFactor(abs(c)),))
+    a = ActionSpec(((1, 0), (0, 1)), ((0,), (0,)))
+    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+                                          bound)
+    coeffs = hamclass.form_class_coefficients(m, m.form())
+    assert res.max_deviation == float(max(abs(x - y)
+                                          for x, y in zip(res.q, coeffs)))
+    assert hamclass.form_class_coefficients(m, res.omega_prime) \
+        == [x * res.k for x in res.q]
+    assert all(isinstance(x, Fraction)
+               for x in res.omega_prime.torus_omega[0]
+               + res.omega_prime.sphere_coeffs)
+
+
+# ---------------------------------------------------------------------------
+# work per op on the exact-forms shape
+
+T12 = Path(__file__).parent / "scenarios" / "t12_dense.ini"
+
+
+def _rows(m) -> tuple:
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
+
+
+def _proportional(m, omega) -> bool:
+    """m = s omega for some rational s, as for the integer numerators of
+    omega over any denominator."""
+    m, omega = _rows(m), _rows(omega)
+    if len(m) != len(omega) or not omega[0][1]:
+        return False
+    s = m[0][1] / omega[0][1]
+    return m == tuple(tuple(s * x for x in row) for row in omega)
+
+
+def test_t12_input_determinant_once_and_each_form_scaled_once(monkeypatch):
+    """On the dense decimal T^12 golden input, one op (load and run) takes
+    the input form's determinant once, in the torus factor, whose verdict
+    the form reuses, and each form's matrix W is scaled to integer
+    numerators once, when the form is built: field_covectors and the
+    nondegeneracy test read those numerators."""
+    dets, scalings, forms = [], [], []
+    real_det, real_scaled = ratlin.determinant, ratlin._scaled
+    real_init = geom.ProductForm.__post_init__
+
+    def built(form):
+        real_init(form)
+        forms.append(form)
+
+    def scaled(m):
+        # integer rows, such as the numerators a determinant is taken of,
+        # have nothing to scale
+        if any(type(x) is not int for row in m for x in row):
+            scalings.append(_rows(m))
+        return real_scaled(m)
+
+    monkeypatch.setattr(ratlin, "determinant",
+                        lambda m: dets.append(m) or real_det(m))
+    monkeypatch.setattr(ratlin, "_scaled", scaled)
+    monkeypatch.setattr(geom.ProductForm, "__post_init__", built)
+    scenario = cli.load_scenario(T12)
+    cli.run_scenario(scenario)
+    omega = scenario.manifold.torus.omega
+    assert sum(_proportional(m, omega) for m in dets) == 1
+    # the input form, the rounded candidate and the integral form
+    assert len(forms) == 3
+    for form in forms:
+        assert scalings.count(_rows(form.matrix())) == 1

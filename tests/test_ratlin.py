@@ -1,5 +1,6 @@
 """Exact linear algebra, verified against independent oracles: exhaustive
-denominator scans for rational rounding, the closed-form 4x4 Pfaffian
+denominator scans for rational rounding (floats, and exact decimals of the
+exact-forms shape with constructed ties), the closed-form 4x4 Pfaffian
 squared against the determinant, the dense matrix product, the defining
 identities of the Hermite form, the lattice split's characterization, the
 Smith invariants against determinantal divisors, and elimination over
@@ -10,12 +11,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from momentforge import ratlin
 
-from conftest import determinantal_divisor
+from conftest import determinantal_divisor, exact_decimals
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -190,6 +191,30 @@ def test_rational_round_matches_exhaustive_scan(x, max_den):
     want = _best_by_scan(x, max_den)
     assert abs(got - Fraction(x)) == abs(want - Fraction(x))
     assert got.denominator == want.denominator
+
+
+@given(exact_decimals(), st.integers(min_value=1, max_value=64))
+@settings(max_examples=120, deadline=None)
+def test_rational_round_matches_exhaustive_scan_on_exact_decimals(x,
+                                                                  max_den):
+    assert ratlin.rational_round(x, max_den) == _best_by_scan(x, max_den)
+
+
+@given(exact_decimals(), st.integers(min_value=2, max_value=64))
+@settings(max_examples=120, deadline=None)
+def test_rational_round_exact_tie_goes_to_the_smaller_denominator(x,
+                                                                 max_den):
+    """The midpoint of the two best candidates around x, the nearest
+    fractions below and above it, is an exact tie; for a bound of 2 or more
+    their denominators differ, and the smaller one wins."""
+    dens = range(1, max_den + 1)
+    lo = max(Fraction(math.floor(x * q), q) for q in dens)
+    hi = min(Fraction(math.ceil(x * q), q) for q in dens)
+    assume(lo != hi)
+    tie = (lo + hi) / 2
+    want = min(lo, hi, key=lambda f: f.denominator)
+    assert ratlin.rational_round(tie, max_den) == want
+    assert _best_by_scan(tie, max_den) == want
 
 
 def test_rational_round_rejects_bad_bound():
