@@ -80,7 +80,8 @@ class Scenario:
 
 def _number(token: str, where: str) -> Fraction:
     """A scenario number, exactly: an integer, a decimal or p/q.  The
-    coverage check bins mu1 as floats, so it must have a finite one."""
+    polytope's facet test and the coverage grid's corners are floats, so
+    it must have a finite one."""
     try:
         x = Fraction(token)
         float(x)
@@ -91,11 +92,24 @@ def _number(token: str, where: str) -> Fraction:
 
 
 def _parse_matrix(text: str, where: str) -> list:
-    rows = [[_number(x, where) for x in chunk.split()]
-            for chunk in text.split(";") if chunk.strip()]
+    """Rows of exact numbers.  A token below the diagonal that reads as
+    the negation of its partner above (n and -n, n unsigned) reuses that
+    entry negated; any other token is parsed as written."""
+    tokens = [chunk.split() for chunk in text.split(";") if chunk.strip()]
+    rows = []
+    for i, row in enumerate(tokens):
+        rows.append([
+            -rows[j][i] if j < i < len(tokens[j])
+            and _negates(x, tokens[j][i]) else _number(x, where)
+            for j, x in enumerate(row)])
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"{where}: ragged matrix")
     return rows
+
+
+def _negates(x: str, y: str) -> bool:
+    n = y if x == "-" + y else x if y == "-" + x else ""
+    return n[:1] not in ("", "+", "-")
 
 
 def _parse_generators(text: str, torus_dim: int, n_spheres: int,
@@ -129,7 +143,7 @@ def _parse_generators(text: str, torus_dim: int, n_spheres: int,
 
 def load_scenario(path, *, seed=None, sign=None,
                   max_denominator=None) -> Scenario:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)    # '%' is text
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -346,25 +360,66 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+# two decimal digits per little-endian 16-bit unit.  Entries 100-199 are
+# 00-99; entry v < 100 is a number's leftmost pair, v with no leading zero
+# (0: all NUL, left of the number).  A number's last pair writes 0 as "0".
+_PAIRS = np.frombuffer("".join(
+    [str(v or "").rjust(2, "\0") for v in range(100)]
+    + [f"{v:02d}" for v in range(100)]).encode(), dtype="<u2")
+_LAST_PAIRS = np.concatenate([np.frombuffer(b"\0" b"0", "<u2"), _PAIRS[1:]])
+
+
+def _decimal_table(a: np.ndarray) -> bytes:
+    """The rows of a 2-D integer table as "%d" per cell writes them,
+    comma-separated, one line per row.  An int64 table is written with
+    numpy integer arithmetic: a fixed run of 16-bit units per cell (the
+    separator before it and its sign, then its digits two at a time), and
+    one pass that deletes the NUL bytes left of every number."""
+    n, cols = a.shape
+    if a.dtype == object or not a.size:
+        line = ",".join(["%d"] * cols) + "\n"
+        return ((line * n) % tuple(a.ravel().tolist())).encode()
+    mag = np.abs(a.ravel()).view(np.uint64)    # |-2^63| wraps to 2^63
+    top = int(mag.max())
+    width = (len(str(top)) + 1) // 2
+    cells = np.empty((a.size, width + 1), dtype="<u2")
+    seps = np.array([ord("\n")] + [ord(",")] * (cols - 1), dtype="<u2")
+    np.add((a < 0) * np.uint16(ord("-") << 8), seps,
+           out=cells[:, 0].reshape(a.shape))
+    idx = np.empty(a.size, dtype=np.intp)
+    table = _LAST_PAIRS
+    for k in range(width, 0, -1):
+        if top < 2 ** 32:
+            mag = mag.astype(np.uint32, copy=False)    # faster division
+        q = mag // 100
+        # a magnitude below 100 is its own index, any other 100 + its last
+        # two digits
+        np.minimum(mag, mag - q * 100 + 100, out=idx, casting="unsafe")
+        cells[:, k] = table[idx]
+        table, mag, top = _PAIRS, q, top // 100
+    # each row starts with a newline: the table's first one goes to its end
+    return cells.tobytes().translate(None, b"\0")[1:] + b"\n"
+
+
 def emit_report(report: Report, out_dir) -> list:
     """Write the structured text report plus the three CSV tables; returns
     the written paths.  Bytes are a pure function of the report: the
-    sample table holds integers, its denominators in the header."""
+    sample table holds integers, its denominators in the header, and is
+    written by _decimal_table in one vectorized pass."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write(name, text):
+    def write(name, data: bytes):
         p = out / name
-        p.write_bytes(text.encode("utf-8"))
+        p.write_bytes(data)
         written.append(p)
 
-    write("report.txt", report.render())
+    write("report.txt", report.render().encode())
     if report.samples is not None:
-        n, cols = report.samples.shape
-        line = ",".join(["%d"] * cols) + "\n"
-        write("moment_samples.csv", ",".join(report.sample_header) + "\n"
-              + (line * n) % tuple(report.samples.ravel().tolist()))
+        write("moment_samples.csv",
+              (",".join(report.sample_header) + "\n").encode()
+              + _decimal_table(report.samples))
     rows = ["grid_resolution,n_counted_cells,n_hit_cells,fraction,"
             "empty_cell_witnesses"]
     if report.coverage is not None:
@@ -372,13 +427,13 @@ def emit_report(report: Report, out_dir) -> list:
         rows.append(f"{cov.grid_resolution},{cov.n_counted_cells},"
                     f"{cov.n_hit_cells},{_fmt(cov.fraction)},"
                     + " ".join(str(e) for e in cov.empty_cells))
-    write("coverage.csv", "\n".join(rows) + "\n")
+    write("coverage.csv", ("\n".join(rows) + "\n").encode())
     rows = ["name,i,j,value"]
     for name, mat in report.matrices:
         for i, r in enumerate(mat):
             for j, v in enumerate(r):
                 rows.append(f"{name},{i},{j},{_fmt(v)}")
-    write("matrices.csv", "\n".join(rows) + "\n")
+    write("matrices.csv", ("\n".join(rows) + "\n").encode())
     return written
 
 

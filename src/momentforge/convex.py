@@ -134,23 +134,30 @@ def product_coverage_check(manifold: ProductManifold,
     """Bin image samples over (cells of the box around the mu1 polytope) x
     (circle bins) and report the hit fraction.  Only mu1 cells whose every
     corner lies in the polytope count in the denominator.  The samples are
-    lattice points: a circle bin is the exact floor(res mu2), and mu1 bins
-    from the exact quotient rounded once."""
+    lattice points, so every bin is an exact integer floor: a circle bin is
+    floor(res mu2), and a mu1 bin is floor(res (mu1 + h) / 2h) for the
+    exact half-width h of the box, clipped to the grid."""
     mu1_num, mu1_den, mu2_num, mu2_den = moment.lattice_values(
         geom.sample_points(manifold, n, seed))
-    mu1 = np.asarray(mu1_num / mu1_den, dtype=float)
     c, r = moment.c, moment.r
     res = grid_resolution
     shape = (res,) * (c + r) if c + r else (1,)
     counted = np.ones(shape, dtype=bool)
+    flat = np.zeros(n, dtype=np.int64)
     if c:
-        half = np.abs(np.array(polytope.vertices, dtype=float)).max(axis=0)
-        lo = -half
-        span = np.where(half > 0, 2 * half, 1.0)
-        mu1_idx = np.clip(((mu1 - lo) / span * res).astype(int), 0, res - 1)
+        half = [max(abs(v[i]) for v in polytope.vertices) for i in range(c)]
+        for col, h in zip(mu1_num.T, half):
+            # the box spans 2h, or 1 where h = 0; |mu1| <= h at every
+            # point, so no intermediate exceeds that span times den1 res
+            hn, hd = h.numerator, h.denominator
+            span = (2 * hn or 1) * mu1_den
+            num = col.astype(geom.exact_dtype(span * res)) * hd + hn * mu1_den
+            flat = flat * res + np.clip(num * res // span, 0,
+                                        res - 1).astype(np.int64)
         # corner lattice of the mu1 cells; a cell counts when all 2^c of
         # its corners lie in the polytope
-        axes = [lo[i] + np.arange(res + 1) / res * span[i] for i in range(c)]
+        axes = [-float(h) + np.arange(res + 1) / res * float(2 * h or 1)
+                for h in half]
         lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         inside = polytope.contains(lattice.reshape(-1, c), tol=1e-12)
         inside = inside.reshape((res + 1,) * c)
@@ -158,14 +165,11 @@ def product_coverage_check(manifold: ProductManifold,
         for corner in np.ndindex(*([2] * c)):
             interior &= inside[tuple(slice(b, b + res) for b in corner)]
         counted &= interior.reshape((res,) * c + (1,) * r)
-    else:
-        mu1_idx = np.zeros((n, 0), dtype=int)
-    mu2_idx = (mu2_num.astype(geom.exact_dtype(mu2_den * res)) * res
-               // mu2_den).astype(int)
-    idx = np.hstack([mu1_idx, mu2_idx])
+    dtype = geom.exact_dtype(mu2_den * res)
+    for col in mu2_num.T:
+        flat = flat * res + (col.astype(dtype) * res // mu2_den).astype(
+            np.int64)
     hit = np.zeros(shape, dtype=bool)
-    flat = np.ravel_multi_index(tuple(idx.T), shape) if c + r else \
-        np.zeros(n, dtype=int)
     hit.ravel()[flat] = True
     n_counted = int(counted.sum())
     n_hit = int((hit & counted).sum())

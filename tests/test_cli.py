@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from momentforge import cli, convex, geom
 
@@ -88,6 +91,9 @@ generators = | {" ".join(["1"] * 17)}
      "'1e400' is not a finite number"),
     (GOOD + "[reduce]\ngenerators = 0\nvalues = 1/0\n",
      "'1/0' is not a finite number"),
+    # a '%' is read as written, not as an interpolation
+    (GOOD.replace("0 1 ; -1 0", "0 1 ; -1 0 %"), "'%' is not a finite number"),
+    (GOOD + "[pipeline]\nseed = 5%\n", r"\[pipeline\] seed not an integer"),
     # the decimal Pfaffian 0.1 * 3 - 0.3 * 1 is exactly 0
     (T4_DECIMAL_DEGENERATE, "degenerate"),
     # every pipeline count and bound must be positive
@@ -478,6 +484,39 @@ def test_sample_csv_shape(tmp_path, name, header):
     for row, (mu1, mu2) in zip(rows, oracle):
         assert [Fraction(v, d) for v, d in zip(row[dim:], dens[dim:])] \
             == list(mu1 + mu2)
+
+
+def percent_d_table(a):
+    """The oracle of the sample table's bytes: one "%d" per cell."""
+    n, cols = a.shape
+    line = ",".join(["%d"] * cols) + "\n"
+    return ((line * n) % tuple(a.ravel().tolist())).encode()
+
+
+# every digit count and its carry edges, either sign
+DECIMAL_EDGES = sorted({s * v for k in range(19)
+                        for v in (10 ** k, 10 ** k - 1) for s in (1, -1)})
+
+
+@given(hnp.arrays(np.int64, st.tuples(st.integers(1, 60), st.integers(1, 12)),
+                  elements=st.one_of(
+                      st.integers(-(2 ** 63 - 1), 2 ** 63 - 1),
+                      st.integers(-(2 ** 32), 2 ** 32),
+                      st.sampled_from(DECIMAL_EDGES))))
+def test_decimal_table_matches_percent_d(a):
+    assert cli._decimal_table(a) == percent_d_table(a)
+
+
+def test_object_sample_table_writes_percent_d(tmp_path):
+    """A sphere of area 10^13 puts Python ints in the sample table; they
+    are written as "%d" writes them."""
+    path = write(tmp_path, "[manifold]\nspheres = 10000000000000\n"
+                           "[action]\ngenerators = | 1\n")
+    report = cli.run_scenario(cli.load_scenario(path), ("moment",))
+    assert report.samples.dtype == object
+    cli.emit_report(report, tmp_path / "out")
+    text = (tmp_path / "out" / "moment_samples.csv").read_bytes()
+    assert text.split(b"\n", 1)[1] == percent_d_table(report.samples)
 
 
 def test_huge_torus_form_covers_its_image(tmp_path, capsys):

@@ -4,6 +4,7 @@ lifting."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,8 +17,8 @@ from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
 from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
-                      fraction_moment_polytope, s2xs2, s2xt2, sphere, torus2,
-                      torus4)
+                      fraction_moment_polytope, lattice_oracle, s2xs2, s2xt2,
+                      sphere, torus2, torus4)
 
 
 def pipeline(m, a):
@@ -256,6 +257,44 @@ def test_three_sphere_coverage_regression():
         m, mom, convex.moment_polytope(mom), 20, 200000, 0)
     assert rep.n_counted_cells == 8000
     assert rep.fraction >= 0.99
+
+
+def test_coverage_bins_are_exact_floors(monkeypatch):
+    """One crafted lattice point at a time lands in the cell the Fraction
+    floors give: mu1 bin floor(res (mu1 + h) / 2h) clipped to the grid,
+    circle bin floor(res mu2).  The points sit on each interior mu1 bin
+    edge, at both ends of the box, and in between; h = 3/2 is not an
+    integer."""
+    m = ProductManifold(FlatTorusFactor(STD2),
+                        tuple(SphereFactor(F(1, 2)) for _ in range(3)))
+    _, mom = pipeline(m, ActionSpec(((1, 0), (0, 0)),
+                                    ((0, 0, 0), (1, 1, 1))))
+    poly = convex.moment_polytope(mom)
+    assert (mom.c, mom.r) == (1, 1)
+    [h] = {max(abs(v[0]) for v in poly.vertices)}
+    assert h == F(3, 2)
+    p, res = geom.LATTICE, 3
+    # mu1 is half the sum of the three heights
+    heights = [(-p, -p, -p), (-p, 0, 0), (p, 0, 0), (p, p, p), (0, 0, 0),
+               (-p, 1, 0), (p, -1, 0), (p - 2, p, p), (-p + 1, -p, -p),
+               (p // 3, -p // 7, 5)]
+    edges = set()
+    for t, hs in zip(itertools.cycle((0, 1, p // 3, p - 1)), heights):
+        point = np.array([[5, t, 7, hs[0], 11, hs[1], 13, hs[2]]],
+                         dtype=np.int64)
+        monkeypatch.setattr(geom, "sample_points", lambda *args: point)
+        rep = convex.product_coverage_check(m, mom, poly, res, 1, 0)
+        [((mu1,), (mu2,))] = lattice_oracle(mom, point)
+        q = res * (mu1 + h) / (2 * h)
+        if q.denominator == 1:
+            edges.add(q)
+        cell = (min(max(math.floor(q), 0), res - 1) * res
+                + math.floor(res * mu2))
+        assert rep.n_counted_cells == res * res
+        assert rep.n_hit_cells == 1
+        assert rep.empty_cells == tuple(e for e in range(res * res)
+                                        if e != cell)
+    assert edges == set(range(res + 1))
 
 
 # ---------------------------------------------------------------------------
