@@ -24,11 +24,6 @@ from . import convex, equiv, geom, hamclass, moment as moment_mod, reduction
 from .geom import (ActionSpec, FlatTorusFactor, ProductForm, ProductManifold,
                    SphereFactor)
 
-SUBCOMMANDS = ("classify", "integralize", "moment", "equivariance",
-               "convexity", "reduce", "betti", "all")
-CHECK_ORDER = ("classify", "integralize", "moment", "equivariance",
-               "convexity", "reduce", "betti")
-
 
 class ConfigError(Exception):
     """A bad input or an over-budget request: exit 2.  Raised from inside a
@@ -49,8 +44,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (list, tuple)):
@@ -141,8 +134,23 @@ def _parse_generators(text: str, torus_dim: int, n_spheres: int,
     return tuple(translations), tuple(rotations)
 
 
+# [pipeline] key -> (default, minimum); the two sample counts are also
+# budgeted: samples times the manifold's dim must fit geom.MAX_SAMPLE_ENTRIES
+_PIPELINE = {"seed": (0, 0), "max_denominator": (64, 1),
+             "samples": (1000, 1), "coverage_samples": (20000, 1),
+             "grid": (50, 1)}
+# [expect] key -> whether its value is a matrix (else an integer)
+_EXPECT = {"c": False, "r": False, "k": False, "z": True,
+           "omega_prime_torus": True}
+
+
 def load_scenario(path, *, seed=None, sign=None,
                   max_denominator=None) -> Scenario:
+    """Parse a scenario file into exact data, raising ConfigError at the
+    first bad key: the manifold, the action, the checks, [reduce], then
+    the [expect] and [pipeline] keys, each through its key table.  The
+    seed, sign and max_denominator arguments override the file; the seed
+    is resolved flag > MOMENTFORGE_SEED > file > 0."""
     parser = configparser.ConfigParser(interpolation=None)    # '%' is text
     try:
         text = Path(path).read_text()
@@ -158,14 +166,21 @@ def load_scenario(path, *, seed=None, sign=None,
             raise ConfigError(f"{path}: missing [{section}] {key}")
         return parser.get(section, key)
 
-    def get(section, key, default=None):
-        return parser.get(section, key, fallback=default)
+    def integer(section, key, default=None, minimum=None, value=None):
+        """The key as an integer, or value when an override is given, at
+        least minimum when one is given."""
+        if value is None:
+            try:
+                value = int(parser.get(section, key, fallback=default))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {key} not an "
+                                  "integer") from exc
+        if minimum is not None and value < minimum:
+            bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+            raise ConfigError(f"{path}: {key} must be {bound}, got {value}")
+        return value
 
-    try:
-        torus_dim = int(get("manifold", "torus_dim", "0"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [manifold] torus_dim not an "
-                          "integer") from exc
+    torus_dim = integer("manifold", "torus_dim", 0, 0)
     torus = None
     if torus_dim:
         omega = _parse_matrix(need("manifold", "torus_omega"),
@@ -178,11 +193,10 @@ def load_scenario(path, *, seed=None, sign=None,
         except ValueError as exc:
             raise ConfigError(f"{path}: [manifold] torus_omega: "
                               f"{exc}") from exc
-    sphere_text = get("manifold", "spheres", "") or ""
     where = f"{path} [manifold] spheres"
     try:
-        spheres = tuple(SphereFactor(_number(x, where))
-                        for x in sphere_text.split())
+        spheres = tuple(SphereFactor(_number(x, where)) for x in
+                        parser.get("manifold", "spheres", fallback="").split())
     except ValueError as exc:
         raise ConfigError(f"{path}: [manifold] spheres: {exc}") from exc
     try:
@@ -193,7 +207,7 @@ def load_scenario(path, *, seed=None, sign=None,
     translations, rotations = _parse_generators(
         need("action", "generators"), torus_dim, len(spheres),
         f"{path} [action] generators")
-    sign_text = sign or get("action", "sign", "plus")
+    sign_text = sign or parser.get("action", "sign", fallback="plus")
     if sign_text not in ("plus", "minus"):
         raise ConfigError(f"{path}: sign must be 'plus' or 'minus'")
     try:
@@ -202,31 +216,7 @@ def load_scenario(path, *, seed=None, sign=None,
     except ValueError as exc:
         raise ConfigError(f"{path}: [action] {exc}") from exc
 
-    def intval(section, key, default):
-        try:
-            return int(get(section, key, str(default)))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [{section}] {key} not an "
-                              "integer") from exc
-
-    def positive(key, default, override=None):
-        value = intval("pipeline", key, default) if override is None \
-            else override
-        if value < 1:
-            raise ConfigError(f"{path}: {key} must be at least 1, got "
-                              f"{value}")
-        return value
-
-    def sample_count(key, default):
-        value = positive(key, default)
-        entries = value * manifold.dim
-        if entries > geom.MAX_SAMPLE_ENTRIES:
-            raise ConfigError(f"{path}: {key} = {value} needs {entries} "
-                              f"sample entries (dim {manifold.dim}), above "
-                              f"the budget of {geom.MAX_SAMPLE_ENTRIES}")
-        return value
-
-    checks = tuple((get("checks", "run", None)
+    checks = tuple((parser.get("checks", "run", fallback=None)
                     or "classify integralize moment equivariance convexity "
                        "betti").split())
     for check in checks:
@@ -262,46 +252,35 @@ def load_scenario(path, *, seed=None, sign=None,
     expect = {}
     if parser.has_section("expect"):
         for key, raw in parser.items("expect"):
-            if key in ("z", "omega_prime_torus"):
-                expect[key] = _parse_matrix(raw, f"{path} [expect] {key}")
-            elif key in ("c", "r", "k"):
-                try:
-                    expect[key] = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: [expect] {key} not an "
-                                      "integer") from exc
-            else:
+            if key not in _EXPECT:
                 raise ConfigError(f"{path}: unknown expectation {key!r}")
+            if key == "omega_prime_torus" and torus is None:
+                raise ConfigError(f"{path}: [expect] omega_prime_torus "
+                                  "needs a torus factor (torus_dim = 0)")
+            expect[key] = _parse_matrix(raw, f"{path} [expect] {key}") \
+                if _EXPECT[key] else integer("expect", key)
 
     env_seed = os.environ.get("MOMENTFORGE_SEED")
-    if seed is not None:
-        eff_seed = seed
-    elif env_seed is not None:
+    if seed is None and env_seed is not None:
         try:
-            eff_seed = int(env_seed)
+            seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError("MOMENTFORGE_SEED is not an integer") from exc
-    else:
-        eff_seed = intval("pipeline", "seed", 0)
-    if eff_seed < 0:
-        raise ConfigError(f"{path}: seed must be non-negative, got "
-                          f"{eff_seed}")
+    overrides = {"seed": seed, "max_denominator": max_denominator}
+    pipeline = {}
+    for key, (default, minimum) in _PIPELINE.items():
+        value = pipeline[key] = integer("pipeline", key, default, minimum,
+                                        overrides.get(key))
+        entries = value * manifold.dim
+        if key.endswith("samples") and entries > geom.MAX_SAMPLE_ENTRIES:
+            raise ConfigError(f"{path}: {key} = {value} needs {entries} "
+                              f"sample entries (dim {manifold.dim}), above "
+                              f"the budget of {geom.MAX_SAMPLE_ENTRIES}")
 
-    return Scenario(
-        name=Path(path).stem,
-        manifold=manifold,
-        action=action,
-        form=manifold.form(),
-        max_denominator=positive("max_denominator", 64, max_denominator),
-        seed=eff_seed,
-        samples=sample_count("samples", 1000),
-        coverage_samples=sample_count("coverage_samples", 20000),
-        grid=positive("grid", 50),
-        checks=checks,
-        reduce_indices=reduce_indices,
-        reduce_values=reduce_values,
-        expect=expect,
-    )
+    return Scenario(name=Path(path).stem, manifold=manifold, action=action,
+                    form=manifold.form(), checks=checks,
+                    reduce_indices=reduce_indices,
+                    reduce_values=reduce_values, expect=expect, **pipeline)
 
 
 def bundled_scenario_path(name: str):
@@ -309,13 +288,6 @@ def bundled_scenario_path(name: str):
     if not ref.is_file():
         raise ConfigError(f"no bundled scenario named {name!r}")
     return ref
-
-
-def resolve_scenario(arg: str):
-    p = Path(arg)
-    if p.is_file():
-        return p
-    return bundled_scenario_path(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +310,9 @@ class Report:
 
     def add(self, check: str, key: str, value):
         self.sections.setdefault(check, {})[key] = value
+
+    def matrix(self, name: str, rows):
+        self.matrices.append((name, [list(r) for r in rows]))
 
     def require(self, check: str, key: str, ok: bool):
         self.add(check, key, bool(ok))
@@ -441,19 +416,15 @@ def emit_report(report: Report, out_dir) -> list:
 # pipeline
 
 def run_scenario(scenario: Scenario, requested=None) -> Report:
-    """Execute the requested checks in dependency order.  Deterministic for
-    a fixed (scenario, seed)."""
-    wanted = list(requested or scenario.checks)
+    """Run the prelude, then every STAGES entry that the request (by
+    default the scenario's checks) names, in table order.  The prelude
+    classifies the action and integralizes the form; its moment is what
+    every stage reads, so a failed integralization ends the run there.
+    Deterministic for a fixed (scenario, seed)."""
+    wanted = requested or scenario.checks
     for check in wanted:
         if check not in CHECK_ORDER:
             raise ConfigError(f"unknown check {check!r}")
-    if scenario.reduce_indices and "reduce" in scenario.checks \
-            and "reduce" not in wanted and requested is None:
-        wanted.append("reduce")
-    # every later stage needs the classification and the integral form
-    checks = [c for c in CHECK_ORDER
-              if c in wanted or c in ("classify", "integralize")]
-
     report = Report(scenario.name, {
         "seed": scenario.seed,
         "sign": "plus" if scenario.action.sign == 1 else "minus",
@@ -462,40 +433,50 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
         "grid": scenario.grid,
         "circle_tol": moment_mod.CIRCLE_TOL,
     })
-    M, A = scenario.manifold, scenario.action
+    mom = _prelude(report, scenario)
+    if mom is not None:
+        for name, stage in STAGES.items():
+            if name in wanted:
+                stage(report, scenario, mom)
+    return report
 
+
+def _expect(report, scenario, check: str, key: str, observed, name=None):
+    """Require the observed integer or matrix to equal the scenario's
+    [expect] key, when it sets one."""
+    if key in scenario.expect:
+        if not isinstance(observed, int):
+            observed = [list(r) for r in observed]
+        report.require(check, f"{name or key}_matches_expected",
+                       observed == scenario.expect[key])
+
+
+def _prelude(report, scenario):
+    """Classify the action and integralize the form.  Returns the moment
+    of the integral form, or None when rounding breaks the form at every
+    denominator bound."""
+    M, A = scenario.manifold, scenario.action
     p = hamclass.period_matrix(M, A, scenario.form)
     cls = hamclass.classify_action(p)
-    if "classify" in checks:
-        report.add("classify", "c", cls.c)
-        report.add("classify", "r", cls.r)
-        report.add("classify", "b1", M.b1)
-        diag = A.effectiveness_diagonal()
-        report.add("classify", "effective",
-                   diag[:A.r_total] == [1] * A.r_total)
-        report.add("classify", "effectiveness_diagonal", diag)
-        report.matrices.append(("period_matrix", [list(r) for r in p]))
-        report.matrices.append(
-            ("hamiltonian_basis", [list(v) for v in cls.hamiltonian_basis]))
-        report.matrices.append(
-            ("complement_generators",
-             [list(v) for v in cls.complement_generators]))
-        if "c" in scenario.expect:
-            report.require("classify", "c_matches_expected",
-                           cls.c == scenario.expect["c"])
-        if "r" in scenario.expect:
-            report.require("classify", "r_matches_expected",
-                           cls.r == scenario.expect["r"])
-
+    report.add("classify", "c", cls.c)
+    report.add("classify", "r", cls.r)
+    report.add("classify", "b1", M.b1)
+    diag = A.effectiveness_diagonal()
+    report.add("classify", "effective", diag[:A.r_total] == [1] * A.r_total)
+    report.add("classify", "effectiveness_diagonal", diag)
+    report.matrix("period_matrix", p)
+    report.matrix("hamiltonian_basis", cls.hamiltonian_basis)
+    report.matrix("complement_generators", cls.complement_generators)
+    _expect(report, scenario, "classify", "c", cls.c)
+    _expect(report, scenario, "classify", "r", cls.r)
     try:
         result = hamclass.integralize_with_retry(M, A, scenario.form, cls,
                                                  scenario.max_denominator)
     except (hamclass.RoundingBrokeNondegeneracy,
             hamclass.RoundingBrokeConditionB) as exc:
-        # every later stage needs the integral form
         report.add("integralize", "error", f"{type(exc).__name__}: {exc}")
         report.require("integralize", "converged", False)
-        return report
+        return None
     omega_prime = result.omega_prime
     report.add("integralize", "k", result.k)
     report.add("integralize", "max_deviation", result.max_deviation)
@@ -504,33 +485,12 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
     report.require("integralize", "h2_periods_integral",
                    all(x.denominator == 1 for x in coeffs))
     if omega_prime.torus_omega is not None:
-        report.matrices.append(
-            ("omega_prime_torus",
-             [list(r) for r in omega_prime.torus_omega]))
-    report.matrices.append(("omega_prime_spheres",
-                            [list(omega_prime.sphere_coeffs)]))
-    if "k" in scenario.expect:
-        report.require("integralize", "k_matches_expected",
-                       result.k == scenario.expect["k"])
-    if "omega_prime_torus" in scenario.expect:
-        report.require("integralize", "omega_prime_matches_expected",
-                       [list(r) for r in omega_prime.torus_omega]
-                       == scenario.expect["omega_prime_torus"])
-
-    mom = moment_mod.generalized_moment(M, A, omega_prime, cls)
-
-    if "moment" in checks:
-        _run_moment(report, scenario, mom)
-    z = equiv.cocycle_matrix(A, omega_prime, cls)
-    if "equivariance" in checks:
-        _run_equivariance(report, scenario, mom, z)
-    if "convexity" in checks:
-        _run_convexity(report, scenario, mom)
-    if "betti" in checks:
-        _run_betti(report, scenario, omega_prime, cls)
-    if "reduce" in checks and scenario.reduce_indices:
-        _run_reduce(report, scenario, mom)
-    return report
+        report.matrix("omega_prime_torus", omega_prime.torus_omega)
+    report.matrix("omega_prime_spheres", [omega_prime.sphere_coeffs])
+    _expect(report, scenario, "integralize", "k", result.k)
+    _expect(report, scenario, "integralize", "omega_prime_torus",
+            omega_prime.torus_omega, "omega_prime")
+    return moment_mod.generalized_moment(M, A, omega_prime, cls)
 
 
 def _run_moment(report, scenario, mom):
@@ -541,8 +501,7 @@ def _run_moment(report, scenario, mom):
         x.denominator == 1 for cov in covs for x in cov[:M.torus_dim]))
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
-    report.matrices.append(
-        ("mu2_covectors", [list(t) for t in mom.torus_covectors]))
+    report.matrix("mu2_covectors", mom.torus_covectors)
     nums = geom.sample_points(M, scenario.samples, scenario.seed)
     mu1, den1, mu2, den2 = mom.lattice_values(nums)
     report.samples = np.hstack([nums, mu1, mu2])
@@ -560,11 +519,11 @@ def _run_moment(report, scenario, mom):
         report.add("moment", f"fiber_components_{i}", fact.d)
 
 
-def _run_equivariance(report, scenario, mom, z):
-    report.matrices.append(("cocycle", [list(r) for r in z]))
-    if "z" in scenario.expect:
-        report.require("equivariance", "z_matches_expected",
-                       [list(r) for r in z] == scenario.expect["z"])
+def _run_equivariance(report, scenario, mom):
+    z = equiv.cocycle_matrix(scenario.action, mom.omega_prime,
+                             mom.classification)
+    report.matrix("cocycle", z)
+    _expect(report, scenario, "equivariance", "z", z)
     report.require("equivariance", "z_zero_diagonal",
                    all(z[i][i] == 0 for i in range(len(z))))
     eq = equiv.exact_equivariance(mom, z)
@@ -623,9 +582,9 @@ def _over_budget(report, check: str, why: str):
     raise ConfigError(f"{check}: {why}", report)
 
 
-def _run_betti(report, scenario, omega_prime, cls):
-    M, A = scenario.manifold, scenario.action
-    rep = convex.betti_bound_check(M, A, omega_prime, cls)
+def _run_betti(report, scenario, mom):
+    rep = convex.betti_bound_check(scenario.manifold, scenario.action,
+                                   mom.omega_prime, mom.classification)
     report.add("betti", "rank", rep.rank)
     report.add("betti", "r", rep.r)
     report.add("betti", "b1", rep.b1)
@@ -636,16 +595,12 @@ def _run_betti(report, scenario, omega_prime, cls):
 def _run_reduce(report, scenario, mom):
     """Stage-wise reduction: one generator at a time, heredity checked at
     every stage."""
-    manifold, action = scenario.manifold, scenario.action
-    current = (manifold, action, mom)
-    indices = list(scenario.reduce_indices)
-    values = list(scenario.reduce_values)
-    original = list(range(action.r_total))
-    for stage, (idx, val) in enumerate(zip(indices, values)):
-        man, act, mo = current
-        local_idx = original.index(idx)
-        problem = reduction.ReductionProblem(man, act, mo, (local_idx,),
-                                             (val,))
+    current = (scenario.manifold, scenario.action, mom)
+    original = list(range(scenario.action.r_total))
+    for stage, (idx, val) in enumerate(zip(scenario.reduce_indices,
+                                           scenario.reduce_values)):
+        problem = reduction.ReductionProblem(
+            *current, (original.index(idx),), (val,))
         try:
             verdict = reduction.regular_value_check(problem)
             reduced = reduction.reduce_at(problem) if verdict.regular \
@@ -670,6 +625,14 @@ def _run_reduce(report, scenario, mom):
         current = (reduced.manifold, reduced.action, reduced.moment)
 
 
+# the stages after the prelude, in the order they run; each takes
+# (report, scenario, moment) and calls the library through its modules
+STAGES = {"moment": _run_moment, "equivariance": _run_equivariance,
+          "convexity": _run_convexity, "betti": _run_betti,
+          "reduce": _run_reduce}
+CHECK_ORDER = ("classify", "integralize", *STAGES)
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -678,7 +641,7 @@ def main(argv=None) -> int:
         prog="momentforge",
         description="construct and verify generalized moment maps on "
                     "products of flat tori and spheres")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=CHECK_ORDER + ("all",))
     parser.add_argument("--scenario", required=True,
                         help="bundled scenario name or path to an .ini file")
     parser.add_argument("--seed", type=int, default=None)
@@ -688,7 +651,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        path = resolve_scenario(args.scenario)
+        path = Path(args.scenario)
+        if not path.is_file():
+            path = bundled_scenario_path(args.scenario)
         scenario = load_scenario(path, seed=args.seed, sign=args.sign,
                                  max_denominator=args.max_denominator)
         requested = None if args.command == "all" else (args.command,)

@@ -83,6 +83,13 @@ generators = | {" ".join(["1"] * 17)}
     (GOOD + "[expect]\nfoo = 1\n", "unknown expectation"),
     (GOOD + "[reduce]\ngenerators = 0\nvalues = 0 1\n", "one value per"),
     (GOOD.replace("torus_dim = 2", "torus_dim = x"), "not an integer"),
+    # the key is named, not the torus_omega shape it would imply
+    (GOOD.replace("torus_dim = 2", "torus_dim = -2"),
+     ": torus_dim must be non-negative, got -2"),
+    # an expected integral torus form needs a torus to compare with
+    ("[manifold]\nspheres = 1\n[action]\ngenerators = | 1\n"
+     "[expect]\nomega_prime_torus = 0 1 ; -1 0\n",
+     r"\[expect\] omega_prime_torus needs a torus factor"),
     (GOOD.replace("torus_dim = 2", "torus_dim = 2\nspheres = inf"),
      "'inf' is not a finite number"),
     (GOOD.replace("torus_dim = 2", "torus_dim = 2\nspheres = 1e400"),
@@ -349,10 +356,24 @@ def test_expectations_enforced(tmp_path):
     assert "equivariance.z_matches_expected" in report.failures
 
 
-def test_subcommand_runs_prerequisites_only(tmp_path):
-    sc = cli.load_scenario(write(tmp_path, GOOD))
-    report = cli.run_scenario(sc, ("betti",))
-    assert set(report.sections) == {"classify", "integralize", "betti"}
+STAGE_ORDER = ("classify", "integralize", "moment", "equivariance",
+               "convexity", "betti", "reduce")
+
+
+@pytest.mark.parametrize("cmd", STAGE_ORDER)
+def test_subcommand_runs_prerequisites_only(cmd):
+    """A subcommand writes the classify and integralize prelude and its own
+    section, nothing else."""
+    sc = cli.load_scenario(cli.bundled_scenario_path("s2xt2_reduce"))
+    report = cli.run_scenario(sc, (cmd,))
+    assert set(report.sections) == {"classify", "integralize", cmd}
+
+
+def test_all_writes_the_sections_in_stage_order():
+    """`all` runs the stages in the order they are listed, betti before
+    reduce, as the s2xt2_reduce golden report has them."""
+    sc = cli.load_scenario(cli.bundled_scenario_path("s2xt2_reduce"))
+    assert tuple(cli.run_scenario(sc).sections) == STAGE_ORDER
 
 
 def test_all_bundled_scenarios_pass():
