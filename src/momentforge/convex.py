@@ -137,8 +137,9 @@ def product_coverage_check(manifold: ProductManifold,
     lattice points, so every bin is an exact integer floor: a circle bin is
     floor(res mu2), and a mu1 bin is floor(res (mu1 + h) / 2h) for the
     exact half-width h of the box, clipped to the grid."""
-    mu1_num, mu1_den, mu2_num, mu2_den = moment.lattice_values(
-        geom.sample_points(manifold, n, seed))
+    nums = geom.sample_points(manifold, n, seed)
+    mu1_num, mu2_num = moment.mu1_values(nums), moment.mu2_values(nums)
+    mu1_den, mu2_den = moment.mu1_den, moment.mu2_den
     c, r = moment.c, moment.r
     res = grid_resolution
     shape = (res,) * (c + r) if c + r else (1,)

@@ -1,19 +1,17 @@
 """Equivariance structure of the circle-valued part: the integer cocycle
-matrix, the affine torus self-action it defines, the exact equivariance
-certificate, and the isotropy / fixed-point / local-freeness verdict
-chain."""
+matrix, the exact certificate that mu2 is equivariant under the affine
+torus self-action it defines, and the isotropy / fixed-point /
+local-freeness verdict chain."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import geom, ratlin
-from .geom import ActionSpec, ProductForm, ProductManifold
+from .geom import ActionSpec, ProductForm
 from .hamclass import ActionClassification
-from .moment import CIRCLE_TOL, GeneralizedMoment, circle_distance
+from .moment import GeneralizedMoment
 
 
 class NonIntegerPeriod(Exception):
@@ -61,53 +59,13 @@ def cocycle_matrix(action: ActionSpec, omega_prime: ProductForm,
     return z
 
 
-def affine_apply(z: list, s, t) -> np.ndarray:
-    """The affine self-action of the r-torus defined by Z, in additive form:
-    output_i = t_i + sum_j Z[i][j] s_j mod 1."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r = len(z)
-    if s.shape[-1] != r or t.shape[-1] != r:
-        raise ValueError("dimension mismatch")
-    zmat = np.array(z, dtype=float) if r else np.zeros((0, 0))
-    return np.mod(t + s @ zmat.T, 1.0)
-
-
 @dataclass(frozen=True)
 class EquivarianceReport:
-    """Sampled errors are floats; the exact certificate samples no points
-    and its errors are exact residuals."""
+    """The exact certificate's largest residuals."""
 
-    n_samples: int
-    max_mu2_error: float | Fraction
-    max_mu1_invariance_error: float | Fraction
+    max_mu2_error: Fraction
+    max_mu1_invariance_error: Fraction
     passed: bool
-
-
-def equivariance_check(manifold: ProductManifold, action: ActionSpec,
-                       moment: GeneralizedMoment, z: list,
-                       n_samples: int = 1000, seed: int = 0,
-                       tol: float = CIRCLE_TOL) -> EquivarianceReport:
-    """Sample group elements t of the non-Hamiltonian subtorus and points x;
-    compare mu2(t.x) with the affine action applied to mu2(x), and check
-    that mu1 is invariant under the subtorus."""
-    gens = moment.classification.complement_generators
-    r = len(gens)
-    rng = np.random.default_rng(seed)
-    pts = geom.sample_points(manifold, n_samples, seed + 1) / geom.LATTICE
-    svals = rng.random((n_samples, r))
-    params = svals @ np.array(gens, dtype=float).reshape(r, action.r_total)
-    moved = geom.apply_torus_element(manifold, action, params, pts)
-    max_mu2 = 0.0
-    max_mu1 = 0.0
-    if r:
-        expected = affine_apply(z, svals, moment.mu2_values(pts))
-        max_mu2 = circle_distance(moment.mu2_values(moved), expected)
-    if moment.c:
-        max_mu1 = float(np.max(np.abs(moment.mu1_values(moved)
-                                      - moment.mu1_values(pts))))
-    passed = max_mu2 < tol and max_mu1 < tol
-    return EquivarianceReport(n_samples, max_mu2, max_mu1, passed)
 
 
 def exact_equivariance(moment: GeneralizedMoment,
@@ -124,7 +82,7 @@ def exact_equivariance(moment: GeneralizedMoment,
     mu2_error = _max_abs([[x - y for x, y in zip(row, z_row)]
                           for row, z_row in zip(mu2, z)])
     mu1_error = _max_abs(_pairings(moment.mu1, orbits))
-    return EquivarianceReport(0, mu2_error, mu1_error,
+    return EquivarianceReport(mu2_error, mu1_error,
                               mu2_error == 0 and mu1_error == 0)
 
 

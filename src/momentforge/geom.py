@@ -193,16 +193,6 @@ class ProductManifold:
             x[self.sphere_offset(f) + 1] = -1.0
         return x
 
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Reduce torus and theta coordinates mod 1."""
-        x = np.array(x, dtype=float)
-        m = self.torus_dim
-        x[..., :m] = np.mod(x[..., :m], 1.0)
-        for f in range(self.n_spheres):
-            o = self.sphere_offset(f)
-            x[..., o] = np.mod(x[..., o], 1.0)
-        return x
-
 
 @dataclass(frozen=True)
 class ActionSpec:
@@ -300,26 +290,6 @@ def fixed_point_set(manifold: ProductManifold,
                          tuple(pole_choices))
 
 
-def apply_torus_element(manifold: ProductManifold, action: ActionSpec,
-                        params, points: np.ndarray) -> np.ndarray:
-    """Act with the group element exp(sum_j params_j * eta_j): translate the
-    torus coordinates and rotate each sphere along the orbit matrix G, which
-    does not depend on the sign.
-
-    params has shape (r_total,), one element acting on every point, or
-    (n, r_total), row i acting on point i."""
-    params = np.asarray(params, dtype=float)
-    out = np.array(points, dtype=float)
-    m = manifold.torus_dim
-    for j, (v, s) in enumerate(zip(action.translations, action.rotations)):
-        t = params[..., j]
-        for i in range(m):
-            out[..., i] += t * v[i]
-        for f in range(manifold.n_spheres):
-            out[..., manifold.sphere_offset(f)] += t * s[f]
-    return manifold.wrap(out)
-
-
 def sample_points(manifold: ProductManifold, n: int, seed: int) -> np.ndarray:
     """Seeded uniform samples on the lattice, as int64 numerators over
     LATTICE (see the module docs); h = (2b - P) / P is uniform on [-1, 1),
@@ -335,9 +305,8 @@ def sample_points(manifold: ProductManifold, n: int, seed: int) -> np.ndarray:
     out = raw.view(np.int64)
     while (again := out == LATTICE).any():
         out[again] = bits.random_raw(int(again.sum())) >> 33
-    heights = out[:, manifold.torus_dim + 1::2]
-    heights *= 2
-    heights -= LATTICE
+    heights = slice(manifold.torus_dim + 1, None, 2)
+    out[:, heights] = out[:, heights] * 2 - LATTICE
     return out
 
 

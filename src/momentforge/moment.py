@@ -5,8 +5,10 @@ factorization, and fixed-point local models.
 Every component is linear in the flat coordinates, so the moment is two
 exact covector matrices: mu1, one row per Hamiltonian basis vector, and
 mu2, one row per complement generator, both rows of one
-geom.field_covectors product against the integral form.  The float
-evaluators read those rows; the exact stages pair them with G.
+geom.field_covectors product against the integral form.  mu1_values and
+mu2_values pair those rows with lattice samples, exactly, as integer
+numerators over one denominator per part; the exact stages pair them with
+G.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from . import geom
 from .geom import ActionSpec, ProductForm, ProductManifold
 from .hamclass import ActionClassification
 
-CIRCLE_TOL = 1e-9
-
 
 class GeneratorIsHamiltonian(Exception):
     pass
@@ -30,16 +30,6 @@ class GeneratorIsHamiltonian(Exception):
 
 class NotAFixedPoint(Exception):
     pass
-
-
-def circle_distance(a, b) -> float:
-    """Distance on R/Z: min over integer shifts."""
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.max(np.abs(d - np.round(d)))) if d.size else 0.0
-
-
-def _floats(row) -> np.ndarray:
-    return np.array([float(x) for x in row])
 
 
 @dataclass(frozen=True)
@@ -73,47 +63,50 @@ class GeneralizedMoment:
         m = self.manifold.torus_dim
         return tuple(tuple(int(x) for x in row[:m]) for row in self.mu2)
 
-    def mu1_values(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.c))
-        for i, row in enumerate(self.mu1):
-            out[:, i] = pts @ _floats(row)
-        return out
+    @property
+    def mu1_den(self) -> int:
+        """The denominator of mu1_values."""
+        return _denominator(self.mu1)
 
-    def mu2_values(self, points: np.ndarray) -> np.ndarray:
-        """The real lift along the straight path from the basepoint, mod 1.
-        Lifts along other paths differ by <covector, lattice vector>, an
-        integer, since the torus slots are integral."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        base = self.manifold.basepoint()
-        out = np.empty((pts.shape[0], self.r))
-        for i, row in enumerate(self.mu2):
-            cov = _floats(row)
-            out[:, i] = np.mod(pts @ cov - base @ cov, 1.0)
-        return out
+    @property
+    def mu2_den(self) -> int:
+        """The denominator of mu2_values."""
+        return _denominator(self.mu2)
 
-    def lattice_values(self, nums: np.ndarray) -> tuple:
-        """mu at the lattice points nums / geom.LATTICE, exactly: returns
-        (mu1_num, mu1_den, mu2_num, mu2_den) with mu1 = mu1_num / mu1_den
-        and mu2 = mu2_num / mu2_den in [0, 1), the lift of mu2_values.
+    def mu1_values(self, nums: np.ndarray) -> np.ndarray:
+        """mu1 at the lattice points nums / geom.LATTICE, exactly: one row
+        of c numerators over mu1_den per point."""
+        den = self.mu1_den
+        scale = den // geom.LATTICE
+        return _pairings([[int(x * scale) for x in row] for row in self.mu1],
+                         [0] * self.c, nums, den)
 
-        Each part takes one common denominator, the lcm of its entries'
-        denominators times P.  mu2 is the pairing with nums minus the
-        basepoint's, mod d2 P; its coefficients enter as their residues of
-        least absolute value, so an integral torus covector K enters only
-        as K mod P, and the int64 bound below holds for covectors of any
-        size on up to three slots."""
-        p = geom.LATTICE
-        den1 = math.lcm(1, *(x.denominator for row in self.mu1 for x in row))
-        mu1 = _pairings([[int(x * den1) for x in row] for row in self.mu1],
-                        [0] * self.c, nums, den1 * p)
-        den2 = math.lcm(1, *(x.denominator for row in self.mu2 for x in row))
-        mod = den2 * p
-        a2 = [[(int(x * den2) + mod // 2) % mod - mod // 2 for x in row]
+    def mu2_values(self, nums: np.ndarray) -> np.ndarray:
+        """mu2 at the lattice points nums / geom.LATTICE, exactly: one row
+        of r numerators over mu2_den per point, each in [0, mu2_den).  It is
+        the real lift along the straight path from the basepoint, mod 1;
+        lifts along other paths differ by <covector, lattice vector>, an
+        integer, since the torus slots are integral.
+
+        The pairing with nums minus the basepoint's is taken mod mu2_den;
+        the coefficients enter as their residues of least absolute value,
+        so an integral torus covector K enters only as K mod P, and the
+        int64 bound of _pairings holds for covectors of any size on up to
+        three slots."""
+        mod = self.mu2_den
+        scale = mod // geom.LATTICE
+        a2 = [[(int(x * scale) + mod // 2) % mod - mod // 2 for x in row]
               for row in self.mu2]
-        base = [round(b) * p for b in self.manifold.basepoint()]
+        base = [round(b) * geom.LATTICE for b in self.manifold.basepoint()]
         offsets = [-sum(a * b for a, b in zip(row, base)) % mod for row in a2]
-        return mu1, den1 * p, _pairings(a2, offsets, nums, mod) % mod, mod
+        return _pairings(a2, offsets, nums, mod) % mod
+
+
+def _denominator(rows: tuple) -> int:
+    """One common denominator for the values of the covector rows at
+    lattice points: the lcm of the entries' denominators times P."""
+    return math.lcm(1, *(x.denominator for row in rows for x in row)) \
+        * geom.LATTICE
 
 
 def _pairings(coeffs: list, offsets: list, nums: np.ndarray,
@@ -121,7 +114,11 @@ def _pairings(coeffs: list, offsets: list, nums: np.ndarray,
     """offset_i + <coeff row i, num> for every row of nums (entries at most
     P in absolute value), one column per coefficient row, exactly: int64
     when den and every |offset_i| + sum_j |coeff_ij| P stay below 2^63,
-    Python ints otherwise."""
+    Python ints otherwise.  Float nums raise: the cast would truncate them
+    to integers without a word."""
+    if nums.dtype.kind not in "iuO":
+        raise TypeError("moment values take integer lattice numerators, "
+                        f"not {nums.dtype}")
     dtype = geom.exact_dtype(max([den] + [
         abs(o) + sum(map(abs, row)) * geom.LATTICE
         for row, o in zip(coeffs, offsets)]))

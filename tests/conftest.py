@@ -1,13 +1,16 @@
 """Shared builders for the recurring corpus instances, the field and
 pairing oracles written out from the README conventions, the Fraction
 oracles of the moment at lattice samples and of the moment polytope, the
-determinantal divisors of an integer matrix, and a strategy for decimal
-coefficients of the exact-forms shape."""
+float oracles of the moment, the torus action and sampled equivariance,
+the determinantal divisors of an integer matrix, and a strategy for
+decimal coefficients of the exact-forms shape."""
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -78,6 +81,108 @@ def lattice_oracle(mom, nums):
                     for cov in mom.mu2)
         out.append((mu1, mu2))
     return out
+
+
+def circle_distance(a, b) -> float:
+    """Distance on R/Z: min over integer shifts."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return float(np.max(np.abs(d - np.round(d)))) if d.size else 0.0
+
+
+def _floats(row) -> np.ndarray:
+    return np.array([float(x) for x in row])
+
+
+def float_mu1(mom, points) -> np.ndarray:
+    """mu1 at float points, one column per Hamiltonian covector."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((pts.shape[0], mom.c))
+    for i, row in enumerate(mom.mu1):
+        out[:, i] = pts @ _floats(row)
+    return out
+
+
+def float_mu2(mom, points) -> np.ndarray:
+    """The real lift along the straight path from the basepoint, mod 1.
+    Lifts along other paths differ by <covector, lattice vector>, an
+    integer, since the torus slots are integral."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    base = mom.manifold.basepoint()
+    out = np.empty((pts.shape[0], mom.r))
+    for i, row in enumerate(mom.mu2):
+        cov = _floats(row)
+        out[:, i] = np.mod(pts @ cov - base @ cov, 1.0)
+    return out
+
+
+def wrap(manifold, x) -> np.ndarray:
+    """Reduce torus and theta coordinates mod 1."""
+    x = np.array(x, dtype=float)
+    m = manifold.torus_dim
+    x[..., :m] = np.mod(x[..., :m], 1.0)
+    for f in range(manifold.n_spheres):
+        o = manifold.sphere_offset(f)
+        x[..., o] = np.mod(x[..., o], 1.0)
+    return x
+
+
+def apply_torus_element(manifold, action, params, points) -> np.ndarray:
+    """Act with the group element exp(sum_j params_j * eta_j): translate the
+    torus coordinates and rotate each sphere along the orbit matrix G, which
+    does not depend on the sign.
+
+    params has shape (r_total,), one element acting on every point, or
+    (n, r_total), row i acting on point i."""
+    params = np.asarray(params, dtype=float)
+    out = np.array(points, dtype=float)
+    m = manifold.torus_dim
+    for j, (v, s) in enumerate(zip(action.translations, action.rotations)):
+        t = params[..., j]
+        for i in range(m):
+            out[..., i] += t * v[i]
+        for f in range(manifold.n_spheres):
+            out[..., manifold.sphere_offset(f)] += t * s[f]
+    return wrap(manifold, out)
+
+
+def affine_apply(z, s, t) -> np.ndarray:
+    """The affine self-action of the r-torus defined by Z, in additive form:
+    output_i = t_i + sum_j Z[i][j] s_j mod 1."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    r = len(z)
+    if s.shape[-1] != r or t.shape[-1] != r:
+        raise ValueError("dimension mismatch")
+    zmat = np.array(z, dtype=float) if r else np.zeros((0, 0))
+    return np.mod(t + s @ zmat.T, 1.0)
+
+
+SampledEquivariance = namedtuple(
+    "SampledEquivariance", "max_mu2_error max_mu1_invariance_error passed")
+
+
+def equivariance_check(manifold, action, moment, z, n_samples=1000, seed=0,
+                       tol=1e-9) -> SampledEquivariance:
+    """Sample group elements t of the non-Hamiltonian subtorus and points x;
+    compare mu2(t.x) with the affine action applied to mu2(x), and check
+    that mu1 is invariant under the subtorus."""
+    gens = moment.classification.complement_generators
+    r = len(gens)
+    rng = np.random.default_rng(seed)
+    pts = geom.sample_points(manifold, n_samples, seed + 1) / geom.LATTICE
+    svals = rng.random((n_samples, r))
+    params = svals @ np.array(gens, dtype=float).reshape(r, action.r_total)
+    moved = apply_torus_element(manifold, action, params, pts)
+    max_mu2 = 0.0
+    max_mu1 = 0.0
+    if r:
+        expected = affine_apply(z, svals, float_mu2(moment, pts))
+        max_mu2 = circle_distance(float_mu2(moment, moved), expected)
+    if moment.c:
+        max_mu1 = float(np.max(np.abs(float_mu1(moment, moved)
+                                      - float_mu1(moment, pts))))
+    passed = max_mu2 < tol and max_mu1 < tol
+    return SampledEquivariance(max_mu2, max_mu1, passed)
 
 
 def _dot(u, v):

@@ -13,8 +13,8 @@ from momentforge import equiv, geom, hamclass, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import (classify, field_vector, pairing, s2xt2, sphere,
-                      torus2)
+from conftest import (apply_torus_element, classify, field_vector, pairing,
+                      s2xt2, sphere, torus2, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_layout_and_basepoint():
 
 def test_wrap():
     m = s2xt2()
-    x = m.wrap(np.array([1.25, -0.5, 2.5, 0.3]))
+    x = wrap(m, np.array([1.25, -0.5, 2.5, 0.3]))
     assert np.allclose(x, [0.25, 0.5, 0.5, 0.3])
 
 
@@ -112,7 +112,7 @@ def test_sign_flips_fields_only():
     assert geom.field_covectors(a, m.form()) == [[0, -1]]
     # the orbit map ignores the sign convention
     assert a.orbit_matrix() == [[1, 0]]
-    moved = geom.apply_torus_element(m, a, [0.25], np.zeros(2))
+    moved = apply_torus_element(m, a, [0.25], np.zeros(2))
     assert np.allclose(moved, [0.25, 0.0])
 
 
@@ -294,15 +294,15 @@ def test_apply_torus_element_group_law():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0)), ((1,), (0,)))
     x = geom.sample_points(m, 5, 3) / geom.LATTICE
-    one = geom.apply_torus_element(m, a, [0.2, 0.3], x)
-    two = geom.apply_torus_element(
-        m, a, [0.1, 0.25], geom.apply_torus_element(m, a, [0.1, 0.05], x))
+    one = apply_torus_element(m, a, [0.2, 0.3], x)
+    two = apply_torus_element(
+        m, a, [0.1, 0.25], apply_torus_element(m, a, [0.1, 0.05], x))
     assert np.allclose(one, two)
     # a full turn of any generator is the identity
-    full = geom.apply_torus_element(m, a, [1.0, 0.0], x)
+    full = apply_torus_element(m, a, [1.0, 0.0], x)
     assert np.allclose(full, x)
     # (n, r_total) params act row by row, exactly as n single calls
     params = np.random.default_rng(4).random((len(x), a.r_total))
-    rows = [geom.apply_torus_element(m, a, p, xi) for p, xi in zip(params, x)]
-    assert np.array_equal(geom.apply_torus_element(m, a, params, x),
+    rows = [apply_torus_element(m, a, p, xi) for p, xi in zip(params, x)]
+    assert np.array_equal(apply_torus_element(m, a, params, x),
                           np.array(rows))

@@ -14,8 +14,9 @@ from momentforge import cli, geom, hamclass, moment
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import (classify, lattice_oracle, s2xs2, s2xt2,
-                      scenario_moment, sphere, torus2)
+from conftest import (circle_distance, classify, float_mu1, float_mu2,
+                      lattice_oracle, s2xs2, s2xt2, scenario_moment, sphere,
+                      torus2)
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -38,9 +39,9 @@ def test_two_torus_moment_is_q_minus_p(t2_translations):
     mom = build(m, a)
     assert mom.c == 0 and mom.r == 2
     pts = geom.sample_points(m, 50, 0) / geom.LATTICE
-    vals = mom.mu2_values(pts)
+    vals = float_mu2(mom, pts)
     expect = np.mod(np.stack([pts[:, 1], -pts[:, 0]], axis=1), 1.0)
-    assert moment.circle_distance(vals, expect) < 1e-12
+    assert circle_distance(vals, expect) < 1e-12
 
 
 def test_two_torus_moment_minus_convention():
@@ -48,9 +49,9 @@ def test_two_torus_moment_minus_convention():
     a = ActionSpec(((1, 0), (0, 1)), ((), ()), sign=-1)
     mom = build(m, a)
     pts = geom.sample_points(m, 50, 0) / geom.LATTICE
-    vals = mom.mu2_values(pts)
+    vals = float_mu2(mom, pts)
     expect = np.mod(np.stack([-pts[:, 1], pts[:, 0]], axis=1), 1.0)
-    assert moment.circle_distance(vals, expect) < 1e-12
+    assert circle_distance(vals, expect) < 1e-12
 
 
 def test_sphere_moment_is_height():
@@ -62,7 +63,7 @@ def test_sphere_moment_is_height():
     mom = build(m, a)
     assert mom.c == 1 and mom.r == 0
     pts = geom.sample_points(m, 50, 0) / geom.LATTICE
-    assert np.allclose(mom.mu1_values(pts)[:, 0], pts[:, 1])
+    assert np.allclose(float_mu1(mom, pts)[:, 0], pts[:, 1])
 
 
 def test_moment_at_basepoint():
@@ -70,8 +71,8 @@ def test_moment_at_basepoint():
                                ((1,), (0,), (0,)))
     mom = build(m, a)
     bp = m.basepoint()
-    assert np.allclose(mom.mu2_values(bp), 0.0)
-    assert mom.mu1_values(bp)[0, 0] == pytest.approx(-1.0)
+    assert np.allclose(float_mu2(mom, bp), 0.0)
+    assert float_mu1(mom, bp)[0, 0] == pytest.approx(-1.0)
 
 
 def test_pure_hamiltonian_has_no_circle_part():
@@ -110,8 +111,8 @@ def test_path_independence_over_lattice_offsets(t2_translations):
     for _ in range(20):
         x = rng.random(2)
         n = rng.integers(-3, 4, 2)
-        assert moment.circle_distance(mom.mu2_values(x + n),
-                                      mom.mu2_values(x)) < 1e-12
+        assert circle_distance(float_mu2(mom, x + n),
+                               float_mu2(mom, x)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +131,10 @@ def lattice_samples(m, n=200, seed=0):
 
 
 def assert_matches_oracle(mom, nums):
-    """Every row of lattice_values equals the Fraction oracle; returns the
-    two numerator arrays."""
-    mu1, den1, mu2, den2 = mom.lattice_values(nums)
+    """Every row of mu1_values and mu2_values equals the Fraction oracle;
+    returns the two numerator arrays."""
+    mu1, mu2 = mom.mu1_values(nums), mom.mu2_values(nums)
+    den1, den2 = mom.mu1_den, mom.mu2_den
     assert mu1.shape == (len(nums), mom.c)
     assert mu2.shape == (len(nums), mom.r)
     got = [(tuple(Fraction(v, den1) for v in a),
@@ -149,11 +151,10 @@ def test_lattice_values_exact_on_bundled_scenarios(name):
     nums = lattice_samples(sc.manifold)
     mu1, mu2 = assert_matches_oracle(mom, nums)
     assert mu1.dtype == np.int64 and mu2.dtype == np.int64
-    # the float evaluators agree with the exact values
-    _, den1, _, den2 = mom.lattice_values(nums[:1])
+    # the float oracles agree with the exact values
     pts = nums / geom.LATTICE
-    assert np.allclose(mom.mu1_values(pts), mu1 / den1, atol=1e-12)
-    assert moment.circle_distance(mom.mu2_values(pts), mu2 / den2) < 1e-9
+    assert np.allclose(float_mu1(mom, pts), mu1 / mom.mu1_den, atol=1e-12)
+    assert circle_distance(float_mu2(mom, pts), mu2 / mom.mu2_den) < 1e-9
 
 
 def test_lattice_values_exact_on_huge_torus_form():
@@ -210,6 +211,17 @@ def test_lattice_values_exact_on_generated_forms(w, halves, speeds, sign):
                            for f in range(n)), sign)
     mom = build(m, a)
     assert_matches_oracle(mom, lattice_samples(m, 50, w % 1000))
+
+
+def test_moment_values_reject_float_points(t2_translations):
+    """Float points are not lattice numerators: both evaluators raise
+    instead of truncating them to integers."""
+    m, a = t2_translations
+    mom = build(m, a)
+    pts = geom.sample_points(m, 5, 0) / geom.LATTICE
+    for values in (mom.mu1_values, mom.mu2_values):
+        with pytest.raises(TypeError, match="integer lattice numerators"):
+            values(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,10 @@ def test_no_scipy_imports():
 
 
 def test_exact_layers_import_no_numpy():
-    """ratlin, hamclass and reduction decide everything on exact data;
-    floats live only in the sampling layers."""
-    assert imports_of("numpy", ("ratlin", "hamclass", "reduction")) == []
+    """ratlin, hamclass, equiv and reduction decide everything on exact
+    data; floats live only in the sampling layers."""
+    assert imports_of("numpy", ("ratlin", "hamclass", "equiv",
+                                "reduction")) == []
 
 
 def test_every_public_name_is_used():

@@ -10,7 +10,7 @@ import pytest
 from momentforge import hamclass, moment, reduction
 from momentforge.geom import ActionSpec
 
-from conftest import classify, s2xs2, s2xt2, sphere
+from conftest import classify, float_mu1, s2xs2, s2xt2, sphere
 
 
 def pipeline(m, a):
@@ -141,7 +141,7 @@ def test_induced_moment_hamiltonian_only():
     induced = reduction.induced_moment(reduced)
     assert induced.c == 1
     pts = np.array([[0.0, 0.3]])
-    assert induced.mu1_values(pts)[0, 0] == pytest.approx(0.3)
+    assert float_mu1(induced, pts)[0, 0] == pytest.approx(0.3)
 
 
 # ---------------------------------------------------------------------------
