@@ -64,9 +64,9 @@ class Scenario:
 
 
 def _number(token: str, where: str) -> Fraction:
-    """A scenario number, exactly: an integer, a decimal or p/q.  The
-    polytope's facet test and the coverage grid's corners are floats, so
-    it must have a finite one."""
+    """A scenario number, exactly: an integer, a decimal or p/q, with a
+    finite float value.  That caps it at 309 digits: the report prints
+    exact values, and Python prints no int of more than 4300 digits."""
     try:
         x = Fraction(token)
         float(x)
@@ -535,11 +535,11 @@ def _run_equivariance(report, scenario, mom):
 def _run_convexity(report, scenario, mom):
     M = scenario.manifold
     grid, c, r = scenario.grid, mom.c, mom.r
-    cells = max(grid ** (c + r), (grid + 1) ** c)
+    cells = grid ** (c + r)
     if cells > convex.MAX_COVERAGE_CELLS:
         _over_budget(report, "convexity",
                      f"grid = {grid} with c = {c}, r = {r} needs {cells} "
-                     "coverage cells or corners, above the budget of "
+                     "coverage cells, above the budget of "
                      f"{convex.MAX_COVERAGE_CELLS}")
     g = sum(any(cov[M.sphere_offset(f) + 1] for cov in mom.mu1)
             for f in range(M.n_spheres))

@@ -6,6 +6,7 @@ lifting."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,8 +17,7 @@ from .geom import ActionSpec, ProductForm, ProductManifold
 from .hamclass import ActionClassification
 from .moment import GeneralizedMoment
 
-# product_coverage_check allocates dense arrays of grid^(c+r) cells and
-# (grid+1)^c corners; neither may exceed this many entries
+# product_coverage_check allocates grid^(c+r) cells, at most this many
 MAX_COVERAGE_CELLS = 2 ** 20
 # moment_polytope visits 2^(spheres whose height enters mu1) pole images
 MAX_POLES = 2 ** 16
@@ -49,15 +49,21 @@ class MomentPolytope:
     normals: tuple    # exact integer normals
     offsets: tuple    # exact b per normal
 
-    def contains(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Facet test over an (N, c) array (or one point); a point counts
-        as inside within Euclidean distance tol of every facet."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        n = np.array(self.normals, dtype=float).reshape(len(self.normals),
-                                                         self.dim)
-        b = np.array(self.offsets, dtype=float)
-        slack = b + tol * np.linalg.norm(n, axis=1)
-        return np.all(np.abs(p @ n.T) <= slack, axis=1)
+    def contains(self, nums, den: int, half=0) -> np.ndarray:
+        """Exact box test over an (N, c) array of integer numerators over
+        den: true where the box centred at a row, with half-widths
+        half / den (one int, or one per axis), lies in the polytope, that
+        is where |<n, centre>| + <|n|, half> <= b for every facet n.  A
+        point is a box with half = 0; float numerators raise TypeError."""
+        half = [half] * self.dim if isinstance(half, int) else half
+        bounds = [b * den // 1 - _dot(map(abs, nv), half)
+                  for nv, b in zip(self.normals, self.offsets)]
+        top = operator.index(np.abs(nums).max(initial=0))
+        cols = np.asarray(nums, dtype=geom.exact_dtype(max(
+            abs(b) + sum(map(abs, nv)) * top
+            for nv, b in zip(self.normals, bounds)))).T
+        return np.all([abs(sum(a * col for a, col in zip(nv, cols) if a))
+                       <= b for nv, b in zip(self.normals, bounds)], axis=0)
 
 
 def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
@@ -132,8 +138,8 @@ def product_coverage_check(manifold: ProductManifold,
                            grid_resolution: int, n: int,
                            seed: int) -> CoverageReport:
     """Bin image samples over (cells of the box around the mu1 polytope) x
-    (circle bins) and report the hit fraction.  Only mu1 cells whose every
-    corner lies in the polytope count in the denominator.  The samples are
+    (circle bins) and report the hit fraction.  Only mu1 cells that lie in
+    the polytope, exactly, count in the denominator.  The samples are
     lattice points, so every bin is an exact integer floor: a circle bin is
     floor(res mu2), and a mu1 bin is floor(res (mu1 + h) / 2h) for the
     exact half-width h of the box, clipped to the grid."""
@@ -146,26 +152,24 @@ def product_coverage_check(manifold: ProductManifold,
     counted = np.ones(shape, dtype=bool)
     flat = np.zeros(n, dtype=np.int64)
     if c:
-        half = [max(abs(v[i]) for v in polytope.vertices) for i in range(c)]
-        for col, h in zip(mu1_num.T, half):
-            # the box spans 2h, or 1 where h = 0; |mu1| <= h at every
-            # point, so no intermediate exceeds that span times den1 res
-            hn, hd = h.numerator, h.denominator
-            span = (2 * hn or 1) * mu1_den
-            num = col.astype(geom.exact_dtype(span * res)) * hd + hn * mu1_den
-            flat = flat * res + np.clip(num * res // span, 0,
+        # the box spans 2h, or 1 where h = 0: h = x / e and the span s / e;
+        # |mu1| <= h at every point, so no intermediate exceeds s den1 res
+        [xs], e = ratlin._scaled([[max(abs(v[i]) for v in polytope.vertices)
+                                   for i in range(c)]])
+        spans = [2 * x or e for x in xs]
+        for col, x, s in zip(mu1_num.T, xs, spans):
+            num = col.astype(geom.exact_dtype(s * mu1_den * res)) * e \
+                + x * mu1_den
+            flat = flat * res + np.clip(num * res // (s * mu1_den), 0,
                                         res - 1).astype(np.int64)
-        # corner lattice of the mu1 cells; a cell counts when all 2^c of
-        # its corners lie in the polytope
-        axes = [-float(h) + np.arange(res + 1) / res * float(2 * h or 1)
-                for h in half]
-        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        inside = polytope.contains(lattice.reshape(-1, c), tol=1e-12)
-        inside = inside.reshape((res + 1,) * c)
-        interior = np.ones((res,) * c, dtype=bool)
-        for corner in np.ndindex(*([2] * c)):
-            interior &= inside[tuple(slice(b, b + res) for b in corner)]
-        counted &= interior.reshape((res,) * c + (1,) * r)
+        # a mu1 cell counts when its box, with centre and half-widths s
+        # over 2 res e, lies in the polytope
+        dtype = geom.exact_dtype(2 * res * e * max(spans))
+        centres = np.indices((res,) * c, dtype).reshape(c, -1).T * 2 + 1
+        centres *= np.array(spans, dtype)
+        centres -= np.array(xs, dtype) * 2 * res
+        counted &= polytope.contains(centres, 2 * res * e, spans).reshape(
+            (res,) * c + (1,) * r)
     dtype = geom.exact_dtype(mu2_den * res)
     for col in mu2_num.T:
         flat = flat * res + (col.astype(dtype) * res // mu2_den).astype(

@@ -3,7 +3,7 @@ their products.
 
 Coordinate conventions, used by every downstream module:
 
-* a point is a flat float vector: the torus coordinates (representatives in
+* a point is a flat vector: the torus coordinates (representatives in
   [0,1)) come first, then one (theta, h) pair per sphere with theta-period 1
   and h in [-1, 1];
 * the sphere area form is c * dtheta ^ dh, so the total area is 2c and the
@@ -186,12 +186,10 @@ class ProductManifold:
         return ProductForm(self.torus,
                            tuple(s.area_coefficient for s in self.spheres))
 
-    def basepoint(self) -> np.ndarray:
-        """Torus origin, spheres at the south pole (theta=0, h=-1)."""
-        x = np.zeros(self.dim)
-        for f in range(self.n_spheres):
-            x[self.sphere_offset(f) + 1] = -1.0
-        return x
+    def basepoint(self) -> list:
+        """Torus origin, spheres at the south pole (theta=0, h=-1), as a
+        new list of ints."""
+        return [0] * self.torus_dim + [0, -1] * self.n_spheres
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,7 @@ def fixed_point_set(manifold: ProductManifold,
     rotated = [f for f in range(manifold.n_spheres)
                if any(r[f] for r in action.rotations)]
     pole_choices = []
-    for combo in itertools.product((-1.0, 1.0), repeat=len(rotated)):
+    for combo in itertools.product((-1, 1), repeat=len(rotated)):
         x = manifold.basepoint()
         for f, h in zip(rotated, combo):
             x[manifold.sphere_offset(f) + 1] = h

@@ -97,7 +97,7 @@ class GeneralizedMoment:
         scale = mod // geom.LATTICE
         a2 = [[(int(x * scale) + mod // 2) % mod - mod // 2 for x in row]
               for row in self.mu2]
-        base = [round(b) * geom.LATTICE for b in self.manifold.basepoint()]
+        base = [b * geom.LATTICE for b in self.manifold.basepoint()]
         offsets = [-sum(a * b for a, b in zip(row, base)) % mod for row in a2]
         return _pairings(a2, offsets, nums, mod) % mod
 
@@ -186,8 +186,7 @@ def _require_fixed(manifold, action, p):
         raise NotAFixedPoint("action translates the torus factor")
     for f in range(manifold.n_spheres):
         if any(r[f] for r in action.rotations):
-            h = p[manifold.sphere_offset(f) + 1]
-            if abs(abs(h) - 1.0) > 1e-12:
+            if abs(p[manifold.sphere_offset(f) + 1]) != 1:
                 raise NotAFixedPoint(f"sphere {f} not at a pole")
 
 
@@ -203,7 +202,6 @@ def local_weights(manifold: ProductManifold, action: ActionSpec,
     orient * (the h entry of its field covector) / c, which is sign * speed
     at the south pole and the opposite at the north pole; torus planes are
     untranslated here and carry weight zero."""
-    p = np.asarray(p, dtype=float)
     _require_fixed(manifold, action, p)
     form = manifold.form()
     covs = geom.field_covectors(action, form)
@@ -236,7 +234,6 @@ def local_model_check(manifold: ProductManifold, moment: GeneralizedMoment,
     must equal alpha / 2, alpha the plane's weight paired with the
     component's generator.  mu1 depends on the heights alone, so p
     minimizes it iff orient * cov[h] >= 0 on every sphere."""
-    p = np.asarray(p, dtype=float)
     data = local_weights(manifold, moment.action, p)
     max_res = Fraction(0)
     minima = []

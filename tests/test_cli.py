@@ -265,8 +265,7 @@ grid = 100
     assert cli.main(["convexity", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: convexity: grid = 100 with c = 10, "
-                          f"r = 0 needs {101 ** 10} coverage cells or "
-                          "corners")
+                          f"r = 0 needs {100 ** 10} coverage cells, above")
 
 
 def test_over_budget_stage_keeps_the_completed_sections(tmp_path, capsys):

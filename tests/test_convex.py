@@ -17,7 +17,7 @@ from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
 from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
-                      float_mu1, float_mu2, fraction_moment_polytope,
+                      float_mu2, fraction_moment_polytope,
                       lattice_oracle, s2xs2, s2xt2, sphere, torus2, torus4)
 
 
@@ -58,11 +58,19 @@ def pole_images(w):
             for sigma in itertools.product((-1, 1), repeat=n)}
 
 
+def numerators(points):
+    """Exact points as integer numerators over one common denominator."""
+    den = math.lcm(*(F(x).denominator for p in points for x in p))
+    return [[int(x * den) for x in p] for p in points], den
+
+
 def test_sphere_polytope_is_an_interval():
     poly, _ = polytope_of(sphere(), rotations([(1,)]))
     assert poly.vertices == ((F(-1, 2),), (F(1, 2),))
-    assert poly.contains([[0.0], [0.5], [-0.5]]).all()
-    assert not poly.contains([[0.6], [-0.5001]]).any()
+    assert poly.contains([[0], [1], [-1]], 2).all()
+    assert not poly.contains([[6000], [-5001]], 10000).any()
+    with pytest.raises(TypeError):
+        poly.contains([[0.5]], 1)
 
 
 def test_s2xs2_polytope_is_a_square(s2xs2_rotations):
@@ -70,8 +78,8 @@ def test_s2xs2_polytope_is_a_square(s2xs2_rotations):
     half = F(1, 2)
     assert poly.vertices == ((-half, -half), (-half, half),
                              (half, -half), (half, half))
-    assert poly.contains([0.5, 0.5]).all()
-    assert not poly.contains([0.5, 0.51]).any()
+    assert poly.contains([[1, 1]], 2).all()
+    assert not poly.contains([[50, 51]], 100).any()
 
 
 def test_three_spheres_polytope_is_a_cube():
@@ -92,8 +100,8 @@ def test_sheared_polytope_is_a_parallelogram():
     assert len(poly.normals) == 2
     # the centre and an edge midpoint are in; the bounding-box corners off
     # the parallelogram are not
-    assert poly.contains([[0.0, 0.0], [0.5, 0.0], [-0.5, -0.5]]).all()
-    assert not poly.contains([[1.0, -0.5], [-1.0, 0.5]]).any()
+    assert poly.contains([[0, 0], [1, 0], [-1, -1]], 2).all()
+    assert not poly.contains([[2, -1], [-2, 1]], 2).any()
 
 
 def test_hexagon_keeps_only_the_extreme_pole_images():
@@ -105,7 +113,7 @@ def test_hexagon_keeps_only_the_extreme_pole_images():
     assert len(pole_images(w)) == 7
     assert len(poly.vertices) == 6 and len(poly.normals) == 3
     assert set(poly.vertices) == pole_images(w) - {(0, 0)}
-    assert poly.contains(np.array(poly.vertices, dtype=float)).all()
+    assert poly.contains(*numerators(poly.vertices)).all()
 
 
 def test_degenerate_polytope_is_a_segment():
@@ -115,9 +123,10 @@ def test_degenerate_polytope_is_a_segment():
     poly, mom = polytope_of(m, a)
     assert mom.c == 2
     assert len(poly.vertices) == 2
-    mid = np.array(poly.vertices, dtype=float).mean(axis=0)
-    assert poly.contains(mid).all()
-    assert not poly.contains(mid + [1e-3, -1e-3]).any()
+    mid = [F(sum(xs), 2) for xs in zip(*poly.vertices)]
+    assert poly.contains(*numerators([mid])).all()
+    off = [mid[0] + F(1, 1000), mid[1] - F(1, 1000)]
+    assert not poly.contains(*numerators([off])).any()
     rep = convex.product_coverage_check(m, mom, poly, 10, 5000, 0)
     assert rep.n_counted_cells == 0 and rep.fraction == 1.0
 
@@ -137,9 +146,9 @@ def test_mixed_polytope_and_samples(s2xt2_mixed):
     m, a = s2xt2_mixed
     poly, mom = polytope_of(m, a)
     assert poly.vertices == ((-1,), (1,))
-    pts = geom.sample_points(m, 1000, 0) / geom.LATTICE
-    assert poly.contains(float_mu1(mom, pts)).all()
-    mu2 = float_mu2(mom, pts)
+    nums = geom.sample_points(m, 1000, 0)
+    assert poly.contains(mom.mu1_values(nums), mom.mu1_den).all()
+    mu2 = float_mu2(mom, nums / geom.LATTICE)
     assert np.all((mu2 >= 0) & (mu2 < 1))
 
 
@@ -156,10 +165,10 @@ def test_sampled_image_lies_in_polytope(data):
                    sign)
     poly, mom = polytope_of(m, a)
     assert set(poly.vertices) <= pole_images(height_coefficients(m, mom))
-    pts = geom.sample_points(m, 500, 0) / geom.LATTICE
+    nums = geom.sample_points(m, 500, 0)
     # the poles themselves map onto the boundary
-    pts[:8, 1::2] = np.sign(pts[:8, 1::2])
-    assert poly.contains(float_mu1(mom, pts)).all()
+    nums[:8, 1::2] = np.sign(nums[:8, 1::2]) * geom.LATTICE
+    assert poly.contains(mom.mu1_values(nums), mom.mu1_den).all()
 
 
 entries = st.one_of(st.integers(-3, 3),
@@ -232,20 +241,25 @@ def test_pure_hamiltonian_coverage_reduces_to_hull(s2xs2_rotations):
 
 
 def test_interior_cells_match_per_corner_loop():
-    """The vectorized interior mask counts the cells a per-cell, per-corner
-    loop over contains counts, on a sheared image that cuts the grid."""
-    m = s2xs2()
-    poly, mom = polytope_of(m, rotations([(1, 1), (0, 1)]))
-    res = 8
-    half = np.abs(np.array(poly.vertices, dtype=float)).max(axis=0)
-    expected = 0
-    for cell in np.ndindex(res, res):
-        corners = [-half + (np.array(cell) + corner) / res * 2 * half
-                   for corner in np.ndindex(2, 2)]
-        expected += bool(poly.contains(corners, tol=1e-12).all())
-    rep = convex.product_coverage_check(m, mom, poly, res, 1000, 0)
-    assert 0 < expected < res * res
-    assert rep.n_counted_cells == expected
+    """The interior mask counts the cells a per-cell, per-corner Fraction
+    loop over the facet inequalities counts, on a sheared image that cuts
+    the grid.  At sphere coefficients 10^6 a float test with an absolute
+    tolerance counted 57 of the 60 cells."""
+    for coeff, res in ((F(1, 2), 8), (10 ** 6, 12)):
+        m = s2xs2(coeff, coeff)
+        poly, mom = polytope_of(m, rotations([(1, 1), (0, 1)]))
+        half = [max(abs(v[i]) for v in poly.vertices) for i in range(2)]
+        expected = 0
+        for cell in itertools.product(range(res), repeat=2):
+            corners = itertools.product(*(
+                [-h + F(2 * h * (i + b), res) for b in (0, 1)]
+                for h, i in zip(half, cell)))
+            expected += all(abs(sum(a * x for a, x in zip(nv, p))) <= b
+                            for p in corners
+                            for nv, b in zip(poly.normals, poly.offsets))
+        rep = convex.product_coverage_check(m, mom, poly, res, 1000, 0)
+        assert 0 < expected < res * res
+        assert rep.n_counted_cells == expected
 
 
 def test_three_sphere_coverage_regression():

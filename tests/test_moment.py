@@ -268,9 +268,10 @@ def test_not_a_fixed_point_paths():
         moment.local_weights(m, a, m.basepoint())
     b = ActionSpec(((0, 0),), ((1,),))
     x = m.basepoint()
-    x[3] = 0.25   # sphere not at a pole
-    with pytest.raises(moment.NotAFixedPoint):
-        moment.local_weights(m, b, x)
+    for h in (0.25, 1 - 2 ** -45):   # sphere not at a pole
+        x[3] = h
+        with pytest.raises(moment.NotAFixedPoint):
+            moment.local_weights(m, b, x)
 
 
 def test_local_model_quadratic_fit():

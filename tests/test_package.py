@@ -6,15 +6,26 @@ from pathlib import Path
 import momentforge
 
 
+def package_nodes():
+    """(module file, node) for every syntax node of the package."""
+    for path in sorted(Path(momentforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_no_assert_statements():
     """`python -O` strips assert statements, so checks in the package must
     raise explicitly."""
-    found = []
-    for path in sorted(Path(momentforge.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    assert [f"{name}:{node.lineno}" for name, node in package_nodes()
+            if isinstance(node, ast.Assert)] == []
+
+
+def test_no_tolerance_literals():
+    """The package compares exactly: no float literal in (0, 1e-3), the
+    range of absolute tolerances, is left in it."""
+    assert [f"{name}:{node.lineno}" for name, node in package_nodes()
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < node.value < 1e-3] == []
 
 
 def imports_of(package: str, modules=("*",)) -> list:
