@@ -19,6 +19,10 @@ from .moment import GeneralizedMoment
 
 # product_coverage_check allocates grid^(c+r) cells, at most this many
 MAX_COVERAGE_CELLS = 2 ** 20
+# it bins its draw in chunks of this many rows at first, doubling each time
+COVERAGE_CHUNK = 1024
+# and tests the mu1 cell centres this many numerators at a time
+CELL_BLOCK_ENTRIES = 2 ** 18
 # moment_polytope visits 2^(spheres whose height enters mu1) pole images
 MAX_POLES = 2 ** 16
 
@@ -142,46 +146,81 @@ def product_coverage_check(manifold: ProductManifold,
     the polytope, exactly, count in the denominator.  The samples are
     lattice points, so every bin is an exact integer floor: a circle bin is
     floor(res mu2), and a mu1 bin is floor(res (mu1 + h) / 2h) for the
-    exact half-width h of the box, clipped to the grid."""
-    nums = geom.sample_points(manifold, n, seed)
-    mu1_num, mu2_num = moment.mu1_values(nums), moment.mu2_values(nums)
-    mu1_den, mu2_den = moment.mu1_den, moment.mu2_den
+    exact half-width h of the box, clipped to the grid.
+
+    n caps the draw: rows of the seeded n-row draw are binned in chunks of
+    COVERAGE_CHUNK rows, doubling, and the draw stops once every counted
+    cell is hit.  Later rows could only hit cells again, so the report is
+    that of all n rows: every counted cell hit, no empty witness.  While a
+    counted cell stays empty the draw runs on to n, and with no counted
+    cell nothing is drawn."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     c, r = moment.c, moment.r
     res = grid_resolution
-    shape = (res,) * (c + r) if c + r else (1,)
-    counted = np.ones(shape, dtype=bool)
-    flat = np.zeros(n, dtype=np.int64)
+    mu1_den, mu2_den = moment.mu1_den, moment.mu2_den
+    # the counted cells that no binned sample has hit yet
+    left = np.ones((res,) * (c + r) if c + r else (1,), dtype=bool)
+    axes = []
     if c:
         # the box spans 2h, or 1 where h = 0: h = x / e and the span s / e;
         # |mu1| <= h at every point, so no intermediate exceeds s den1 res
         [xs], e = ratlin._scaled([[max(abs(v[i]) for v in polytope.vertices)
                                    for i in range(c)]])
         spans = [2 * x or e for x in xs]
-        for col, x, s in zip(mu1_num.T, xs, spans):
-            num = col.astype(geom.exact_dtype(s * mu1_den * res)) * e \
-                + x * mu1_den
+        axes = [(x, s, geom.exact_dtype(s * mu1_den * res))
+                for x, s in zip(xs, spans)]
+        left &= _counted_cells(polytope, res, xs, e, spans).reshape(
+            (res,) * c + (1,) * r)
+    mu2_dtype = geom.exact_dtype(mu2_den * res)
+
+    def cells(nums):
+        flat = np.zeros(len(nums), dtype=np.int64)
+        for col, (x, s, dtype) in zip(moment.mu1_values(nums).T, axes):
+            num = col.astype(dtype) * e + x * mu1_den
             flat = flat * res + np.clip(num * res // (s * mu1_den), 0,
                                         res - 1).astype(np.int64)
-        # a mu1 cell counts when its box, with centre and half-widths s
-        # over 2 res e, lies in the polytope
-        dtype = geom.exact_dtype(2 * res * e * max(spans))
-        centres = np.indices((res,) * c, dtype).reshape(c, -1).T * 2 + 1
-        centres *= np.array(spans, dtype)
-        centres -= np.array(xs, dtype) * 2 * res
-        counted &= polytope.contains(centres, 2 * res * e, spans).reshape(
-            (res,) * c + (1,) * r)
-    dtype = geom.exact_dtype(mu2_den * res)
-    for col in mu2_num.T:
-        flat = flat * res + (col.astype(dtype) * res // mu2_den).astype(
-            np.int64)
-    hit = np.zeros(shape, dtype=bool)
-    hit.ravel()[flat] = True
-    n_counted = int(counted.sum())
-    n_hit = int((hit & counted).sum())
-    empty = np.flatnonzero(counted & ~hit)[:16]
+        for col in moment.mu2_values(nums).T:
+            flat = flat * res + (col.astype(mu2_dtype) * res
+                                 // mu2_den).astype(np.int64)
+        return flat
+
+    n_counted = int(left.sum())
+    start, size = 0, COVERAGE_CHUNK
+    while start < n and left.any():
+        stop = min(n, start + size)
+        left.ravel()[cells(geom.sample_points(manifold, n, seed, start,
+                                              stop))] = False
+        start, size = stop, 2 * size
+    n_hit = n_counted - int(left.sum())
     fraction = n_hit / n_counted if n_counted else 1.0
     return CoverageReport(res, fraction, n_counted, n_hit,
-                          tuple(int(e) for e in empty))
+                          tuple(int(i) for i in np.flatnonzero(left)[:16]))
+
+
+def _counted_cells(polytope: MomentPolytope, res: int, xs: list, e: int,
+                   spans: list) -> np.ndarray:
+    """The flat res^c mask of the mu1 cells whose box lies in the polytope:
+    the cell with digit d on an axis has centre ((2 d + 1) s - 2 res x) /
+    (2 res e) there and half-width s / (2 res e).  The centres are built
+    axis by axis and tested in blocks of at most CELL_BLOCK_ENTRIES
+    numerators, so memory does not grow with c."""
+    c = len(xs)
+    dtype = geom.exact_dtype(2 * res * e * max(spans))
+    centre = [np.array([(2 * d + 1) * s - 2 * res * x for d in range(res)],
+                       dtype) for x, s in zip(xs, spans)]
+    total = res ** c
+    step = max(1, CELL_BLOCK_ENTRIES // c)
+    counted = np.empty(total, dtype=bool)
+    for lo in range(0, total, step):
+        hi = min(total, lo + step)
+        rest = np.arange(lo, hi)
+        centres = np.empty((c, hi - lo), dtype)
+        for axis in reversed(range(c)):
+            rest, digit = np.divmod(rest, res)
+            centres[axis] = centre[axis][digit]
+        counted[lo:hi] = polytope.contains(centres.T, 2 * res * e, spans)
+    return counted
 
 
 @dataclass(frozen=True)

@@ -288,20 +288,34 @@ def fixed_point_set(manifold: ProductManifold,
                          tuple(pole_choices))
 
 
-def sample_points(manifold: ProductManifold, n: int, seed: int) -> np.ndarray:
+def sample_points(manifold: ProductManifold, n: int, seed: int,
+                  start: int = 0, stop: int | None = None) -> np.ndarray:
     """Seeded uniform samples on the lattice, as int64 numerators over
     LATTICE (see the module docs); h = (2b - P) / P is uniform on [-1, 1),
     which is the uniform area measure on the sphere.  Float callers divide
-    by LATTICE."""
+    by LATTICE.
+
+    The result is rows start..stop (stop defaults to n) of the n-row draw
+    for seed, equal to slicing the full draw: the stream is advanced past
+    the first start rows and only the range is drawn.  A range that holds
+    a raw draw of P is cut from the full draw instead, since redraws come
+    from the stream after all n rows."""
+    stop = n if stop is None else stop
     if n < 1:
         raise ValueError("need at least one sample")
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"rows {start}..{stop} lie outside a draw of {n}")
     # the top 31 bits of raw 64-bit draws are uniform on [0, 2^31) = [0, P];
     # every draw of P itself is drawn again
     bits = np.random.default_rng(seed).bit_generator
-    raw = bits.random_raw((n, manifold.dim))
+    if start:
+        bits.advance(start * manifold.dim)
+    raw = bits.random_raw((stop - start, manifold.dim))
     raw >>= 33
     out = raw.view(np.int64)
     while (again := out == LATTICE).any():
+        if stop - start < n:
+            return sample_points(manifold, n, seed)[start:stop]
         out[again] = bits.random_raw(int(again.sum())) >> 33
     heights = slice(manifold.torus_dim + 1, None, 2)
     out[:, heights] = out[:, heights] * 2 - LATTICE

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -63,12 +64,12 @@ class GeneralizedMoment:
         m = self.manifold.torus_dim
         return tuple(tuple(int(x) for x in row[:m]) for row in self.mu2)
 
-    @property
+    @cached_property
     def mu1_den(self) -> int:
         """The denominator of mu1_values."""
         return _denominator(self.mu1)
 
-    @property
+    @cached_property
     def mu2_den(self) -> int:
         """The denominator of mu2_values."""
         return _denominator(self.mu2)
@@ -76,10 +77,7 @@ class GeneralizedMoment:
     def mu1_values(self, nums: np.ndarray) -> np.ndarray:
         """mu1 at the lattice points nums / geom.LATTICE, exactly: one row
         of c numerators over mu1_den per point."""
-        den = self.mu1_den
-        scale = den // geom.LATTICE
-        return _pairings([[int(x * scale) for x in row] for row in self.mu1],
-                         [0] * self.c, nums, den)
+        return self._mu1_pairing(nums)
 
     def mu2_values(self, nums: np.ndarray) -> np.ndarray:
         """mu2 at the lattice points nums / geom.LATTICE, exactly: one row
@@ -91,15 +89,28 @@ class GeneralizedMoment:
         The pairing with nums minus the basepoint's is taken mod mu2_den;
         the coefficients enter as their residues of least absolute value,
         so an integral torus covector K enters only as K mod P, and the
-        int64 bound of _pairings holds for covectors of any size on up to
+        int64 bound of _Pairing holds for covectors of any size on up to
         three slots."""
+        return self._mu2_pairing(nums) % self.mu2_den
+
+    # The pairings are set up once per moment, so evaluating the moment
+    # chunk by chunk costs no more set-up than evaluating it once.
+    @cached_property
+    def _mu1_pairing(self):
+        den = self.mu1_den
+        scale = den // geom.LATTICE
+        return _Pairing([[int(x * scale) for x in row] for row in self.mu1],
+                        [0] * self.c, den)
+
+    @cached_property
+    def _mu2_pairing(self):
         mod = self.mu2_den
         scale = mod // geom.LATTICE
         a2 = [[(int(x * scale) + mod // 2) % mod - mod // 2 for x in row]
               for row in self.mu2]
         base = [b * geom.LATTICE for b in self.manifold.basepoint()]
         offsets = [-sum(a * b for a, b in zip(row, base)) % mod for row in a2]
-        return _pairings(a2, offsets, nums, mod) % mod
+        return _Pairing(a2, offsets, mod)
 
 
 def _denominator(rows: tuple) -> int:
@@ -109,28 +120,34 @@ def _denominator(rows: tuple) -> int:
         * geom.LATTICE
 
 
-def _pairings(coeffs: list, offsets: list, nums: np.ndarray,
-              den: int) -> np.ndarray:
-    """offset_i + <coeff row i, num> for every row of nums (entries at most
-    P in absolute value), one column per coefficient row, exactly: int64
-    when den and every |offset_i| + sum_j |coeff_ij| P stay below 2^63,
-    Python ints otherwise.  Float nums raise: the cast would truncate them
-    to integers without a word."""
-    if nums.dtype.kind not in "iuO":
-        raise TypeError("moment values take integer lattice numerators, "
-                        f"not {nums.dtype}")
-    dtype = geom.exact_dtype(max([den] + [
-        abs(o) + sum(map(abs, row)) * geom.LATTICE
-        for row, o in zip(coeffs, offsets)]))
-    used = [j for j in range(nums.shape[1]) if any(row[j] for row in coeffs)]
-    cols = np.asarray(nums.T[used], dtype=dtype)
-    out = np.empty((len(coeffs), len(nums)), dtype=dtype)
-    for acc, row, offset in zip(out, coeffs, offsets):
-        acc[...] = offset
-        for j, col in zip(used, cols):
-            if row[j]:
-                acc += row[j] * col
-    return out.T
+class _Pairing:
+    """nums -> offset_i + <coeff row i, num> for every row of nums (entries
+    at most P in absolute value), one column per coefficient row, exactly:
+    int64 when den and every |offset_i| + sum_j |coeff_ij| P stay below
+    2^63, Python ints otherwise.  Float nums raise: the cast would truncate
+    them to integers without a word."""
+
+    def __init__(self, coeffs: list, offsets: list, den: int):
+        self.dtype = geom.exact_dtype(max([den] + [
+            abs(o) + sum(map(abs, row)) * geom.LATTICE
+            for row, o in zip(coeffs, offsets)]))
+        self.used = [j for j in range(len(coeffs[0]) if coeffs else 0)
+                     if any(row[j] for row in coeffs)]
+        self.rows = [([row[j] for j in self.used], offset)
+                     for row, offset in zip(coeffs, offsets)]
+
+    def __call__(self, nums: np.ndarray) -> np.ndarray:
+        if nums.dtype.kind not in "iuO":
+            raise TypeError("moment values take integer lattice numerators, "
+                            f"not {nums.dtype}")
+        cols = np.asarray(nums.T[self.used], dtype=self.dtype)
+        out = np.empty((len(self.rows), len(nums)), dtype=self.dtype)
+        for acc, (row, offset) in zip(out, self.rows):
+            acc[...] = offset
+            for a, col in zip(row, cols):
+                if a:
+                    acc += a * col
+        return out.T
 
 
 def generalized_moment(manifold: ProductManifold, action: ActionSpec,

@@ -1,8 +1,9 @@
 """Shared builders for the recurring corpus instances, the field and
 pairing oracles written out from the README conventions, the Fraction
 oracles of the moment at lattice samples and of the moment polytope, the
-float oracles of the moment, the torus action and sampled equivariance,
-the determinantal divisors of an integer matrix, and a strategy for
+float oracles of the moment and the torus action, the exact lattice oracle
+of sampled equivariance, the single-pass coverage check, the
+determinantal divisors of an integer matrix, and a strategy for
 decimal coefficients of the exact-forms shape."""
 
 import itertools
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from momentforge import geom, hamclass, moment, ratlin
+from momentforge import convex, geom, hamclass, moment, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
@@ -161,28 +162,79 @@ SampledEquivariance = namedtuple(
     "SampledEquivariance", "max_mu2_error max_mu1_invariance_error passed")
 
 
-def equivariance_check(manifold, action, moment, z, n_samples=1000, seed=0,
-                       tol=1e-9) -> SampledEquivariance:
-    """Sample group elements t of the non-Hamiltonian subtorus and points x;
-    compare mu2(t.x) with the affine action applied to mu2(x), and check
-    that mu1 is invariant under the subtorus."""
+def equivariance_check(manifold, action, moment, z, n_samples=1000,
+                       seed=0) -> SampledEquivariance:
+    """Sample lattice group elements t = S / P of the non-Hamiltonian
+    subtorus and lattice points x; compare mu2(t.x) with the affine action
+    applied to mu2(x), and check that mu1 is invariant under the subtorus.
+    The move is integer arithmetic mod P on the numerators and every value
+    is exact, so a large covector aliases nothing: the errors are exact
+    Fractions, and the check passes when both are 0."""
     gens = moment.classification.complement_generators
-    r = len(gens)
+    p = geom.LATTICE
     rng = np.random.default_rng(seed)
-    pts = geom.sample_points(manifold, n_samples, seed + 1) / geom.LATTICE
-    svals = rng.random((n_samples, r))
-    params = svals @ np.array(gens, dtype=float).reshape(r, action.r_total)
-    moved = apply_torus_element(manifold, action, params, pts)
-    max_mu2 = 0.0
-    max_mu1 = 0.0
-    if r:
-        expected = affine_apply(z, svals, float_mu2(moment, pts))
-        max_mu2 = circle_distance(float_mu2(moment, moved), expected)
+    nums = geom.sample_points(manifold, n_samples, seed + 1)
+    s = rng.integers(0, p, (n_samples, len(gens))).astype(object)
+    params = s @ np.array(gens, dtype=object).reshape(len(gens),
+                                                      action.r_total)
+    moved = nums.astype(object)
+    orbit = np.array(action.orbit_matrix(), dtype=object)
+    slots = list(range(manifold.torus_dim)) + [
+        manifold.sphere_offset(f) for f in range(manifold.n_spheres)]
+    moved[:, slots] = (moved[:, slots] + params @ orbit[:, slots]) % p
+    moved = moved.astype(np.int64)
+    max_mu2 = max_mu1 = Fraction(0)
+    if gens:
+        den = moment.mu2_den
+        shift = s @ np.array(z, dtype=object).T * (den // p)
+        gap = (moment.mu2_values(moved).astype(object)
+               - moment.mu2_values(nums) - shift) % den
+        max_mu2 = Fraction(int(np.minimum(gap, den - gap).max()), den)
     if moment.c:
-        max_mu1 = float(np.max(np.abs(float_mu1(moment, moved)
-                                      - float_mu1(moment, pts))))
-    passed = max_mu2 < tol and max_mu1 < tol
-    return SampledEquivariance(max_mu2, max_mu1, passed)
+        gap = (moment.mu1_values(moved).astype(object)
+               - moment.mu1_values(nums))
+        max_mu1 = Fraction(int(abs(gap).max()), moment.mu1_den)
+    return SampledEquivariance(max_mu2, max_mu1, max_mu2 == max_mu1 == 0)
+
+
+def full_draw_coverage(manifold, mom, polytope, res, n, seed):
+    """convex.product_coverage_check in one pass over the whole n-row draw,
+    as it ran before the early exit: every sample is binned, and the
+    counted mask is tested on all res^c cell centres at once."""
+    nums = geom.sample_points(manifold, n, seed)
+    mu1_num, mu2_num = mom.mu1_values(nums), mom.mu2_values(nums)
+    mu1_den, mu2_den = mom.mu1_den, mom.mu2_den
+    c, r = mom.c, mom.r
+    shape = (res,) * (c + r) if c + r else (1,)
+    counted = np.ones(shape, dtype=bool)
+    flat = np.zeros(n, dtype=np.int64)
+    if c:
+        [xs], e = ratlin._scaled([[max(abs(v[i]) for v in polytope.vertices)
+                                   for i in range(c)]])
+        spans = [2 * x or e for x in xs]
+        for col, x, s in zip(mu1_num.T, xs, spans):
+            num = col.astype(geom.exact_dtype(s * mu1_den * res)) * e \
+                + x * mu1_den
+            flat = flat * res + np.clip(num * res // (s * mu1_den), 0,
+                                        res - 1).astype(np.int64)
+        dtype = geom.exact_dtype(2 * res * e * max(spans))
+        centres = np.indices((res,) * c, dtype).reshape(c, -1).T * 2 + 1
+        centres *= np.array(spans, dtype)
+        centres -= np.array(xs, dtype) * 2 * res
+        counted &= polytope.contains(centres, 2 * res * e, spans).reshape(
+            (res,) * c + (1,) * r)
+    dtype = geom.exact_dtype(mu2_den * res)
+    for col in mu2_num.T:
+        flat = flat * res + (col.astype(dtype) * res // mu2_den).astype(
+            np.int64)
+    hit = np.zeros(shape, dtype=bool)
+    hit.ravel()[flat] = True
+    n_counted = int(counted.sum())
+    n_hit = int((hit & counted).sum())
+    empty = np.flatnonzero(counted & ~hit)[:16]
+    fraction = n_hit / n_counted if n_counted else 1.0
+    return convex.CoverageReport(res, fraction, n_counted, n_hit,
+                                 tuple(int(e) for e in empty))
 
 
 def _dot(u, v):

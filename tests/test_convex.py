@@ -12,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentforge import convex, geom, hamclass, moment, ratlin
+from momentforge import cli, convex, geom, hamclass, moment, ratlin
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
 from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
-                      float_mu2, fraction_moment_polytope,
-                      lattice_oracle, s2xs2, s2xt2, sphere, torus2, torus4)
+                      float_mu2, fraction_moment_polytope, full_draw_coverage,
+                      lattice_oracle, s2xs2, s2xt2, scenario_moment, sphere,
+                      torus2, torus4)
 
 
 def pipeline(m, a):
@@ -296,7 +297,8 @@ def test_coverage_bins_are_exact_floors(monkeypatch):
     for t, hs in zip(itertools.cycle((0, 1, p // 3, p - 1)), heights):
         point = np.array([[5, t, 7, hs[0], 11, hs[1], 13, hs[2]]],
                          dtype=np.int64)
-        monkeypatch.setattr(geom, "sample_points", lambda *args: point)
+        monkeypatch.setattr(geom, "sample_points",
+                            lambda m, n, seed, start, stop: point[start:stop])
         rep = convex.product_coverage_check(m, mom, poly, res, 1, 0)
         [((mu1,), (mu2,))] = lattice_oracle(mom, point)
         q = res * (mu1 + h) / (2 * h)
@@ -309,6 +311,89 @@ def test_coverage_bins_are_exact_floors(monkeypatch):
         assert rep.empty_cells == tuple(e for e in range(res * res)
                                         if e != cell)
     assert edges == set(range(res + 1))
+
+
+BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
+           "s2xt2_reduce", "t2_gcd2"]
+# two rotated spheres at grid 20 with 2.5 samples per cell: some counted
+# cells stay empty, so the draw runs to the cap
+UNDERSAMPLED = """
+[manifold]
+spheres = 0.5 0.5
+[action]
+generators = | 1 0 ; | 0 1
+[pipeline]
+grid = 20
+coverage_samples = 1000
+"""
+
+
+def coverage_inputs(tmp_path):
+    """(name, manifold, moment, polytope, grid, samples, seed) for the
+    bundled scenarios, the undersampled pair of spheres, the three-sphere
+    grid-20 regression, the segment with no counted cell and an
+    undersampled parallelogram, whose empty witnesses tell the axes
+    apart."""
+    path = tmp_path / "undersampled.ini"
+    path.write_text(UNDERSAMPLED)
+    scenarios = [cli.load_scenario(cli.bundled_scenario_path(name))
+                 for name in BUNDLED] + [cli.load_scenario(path)]
+    for sc in scenarios:
+        mom = scenario_moment(sc)
+        yield (sc.name, sc.manifold, mom, convex.moment_polytope(mom),
+               sc.grid, sc.coverage_samples, sc.seed)
+    for name, m, a, res, n in (
+            ("three spheres", spheres(3),
+             rotations([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 20, 200000),
+            ("segment", sphere(), rotations([(1,), (1,)]), 10, 5000),
+            ("parallelogram", s2xs2(), rotations([(1, 1), (0, 1)]), 12,
+             300)):
+        poly, mom = polytope_of(m, a)
+        yield name, m, mom, poly, res, n, 0
+
+
+def test_coverage_report_is_the_full_draws(tmp_path):
+    """The early exit reports what binning all n rows in one pass reports,
+    field by field, where every counted cell is hit early, where some stay
+    empty (fraction below 1) and where no cell counts."""
+    fractions = {}
+    for name, m, mom, poly, res, n, seed in coverage_inputs(tmp_path):
+        rep = convex.product_coverage_check(m, mom, poly, res, n, seed)
+        assert rep == full_draw_coverage(m, mom, poly, res, n, seed), name
+        fractions[name] = rep.fraction, rep.n_counted_cells
+    assert fractions["undersampled"][0] < 1
+    assert fractions["parallelogram"][0] < 1
+    assert fractions["segment"] == (1.0, 0)
+
+
+def test_coverage_draw_stops_once_every_counted_cell_is_hit(
+        monkeypatch, tmp_path, t2_translations):
+    """The rows drawn, counted through geom.sample_points: fewer than the
+    cap once every counted cell is hit, all of it while a cell stays empty,
+    none when no cell counts."""
+    drawn = []
+    sample_points = geom.sample_points
+
+    def counting(*args):
+        rows = sample_points(*args)
+        drawn.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(geom, "sample_points", counting)
+    m, a = t2_translations
+    _, mom = pipeline(m, a)
+    rep = convex.product_coverage_check(
+        m, mom, convex.moment_polytope(mom), 50, 100000, 0)
+    assert rep.fraction == 1.0 and 0 < sum(drawn) < 100000
+    assert drawn[0] == convex.COVERAGE_CHUNK
+    inputs = {name: rest for name, *rest in coverage_inputs(tmp_path)}
+    for name, rows in (("undersampled", 1000), ("segment", 0)):
+        drawn.clear()
+        convex.product_coverage_check(*inputs[name])
+        assert sum(drawn) == rows, name
+    # the cap is still a sample count, even where nothing would be drawn
+    with pytest.raises(ValueError, match="at least one sample"):
+        convex.product_coverage_check(*inputs["segment"][:4], 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,23 @@ def bend(cov, slot, by=1):
     return tuple(cov)
 
 
+def test_sampled_equivariance_is_exact_for_large_covectors():
+    """The sampled oracle moves lattice points by lattice group elements
+    with integers mod P, so a two-torus form of 10^12 passes with both
+    errors exactly 0 (float group elements read 2.4e-4 there), and a wrong
+    cocycle still fails."""
+    big = 10 ** 12
+    m = torus2(((0, big), (-big, 0)))
+    a = ActionSpec(((1, 0), (0, 1)), ((), ()))
+    _, mom, z = pipeline(m, a)
+    assert z == [[0, big], [-big, 0]]
+    rep = equivariance_check(m, a, mom, z, n_samples=300, seed=0)
+    assert rep.passed
+    assert rep.max_mu2_error == 0 and rep.max_mu1_invariance_error == 0
+    assert not equivariance_check(m, a, mom, [[0, 1], [-1, 0]],
+                                  n_samples=300, seed=0).passed
+
+
 def test_exact_equivariance_negative_controls(s2xt2_mixed):
     """The certificate reads the moment's own covectors: a moved torus slot
     breaks equivariance of mu2, or invariance of mu1."""

@@ -290,6 +290,57 @@ def test_sampling_draws_p_again(monkeypatch):
     assert geom.sample_points(torus2(), 2, 0).tolist() == [[11, 5], [3, 7]]
 
 
+def test_sample_rows_are_slices_of_the_full_draw():
+    """Rows start..stop come from the stream advanced past the first start
+    rows, and equal the same rows of the full draw."""
+    for m, n, seed in ((torus2(), 37, 4), (s2xt2(), 5000, 1),
+                       (sphere(), 1024, 9)):
+        full = geom.sample_points(m, n, seed)
+        for start, stop in ((0, n), (0, 1), (3, 17), (n - 1, n), (n, n),
+                            (5, n), (n // 3, 2 * n // 3)):
+            rows = geom.sample_points(m, n, seed, start, stop)
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, full[start:stop])
+    for start, stop in ((-1, 3), (4, 3), (0, 38)):
+        with pytest.raises(ValueError, match="outside a draw of 37"):
+            geom.sample_points(torus2(), 37, 4, start, stop)
+
+
+def test_sample_rows_with_p_in_a_later_chunk(monkeypatch):
+    """A raw draw of P inside a row range is redrawn from the stream after
+    all n rows, as in the full draw, so the range is cut from the full
+    draw; ranges without P read only their own rows."""
+    p, n, dim = geom.LATTICE, 6, 2
+    stream = [(7 * i + 1) << 33 for i in range(n * dim + 4)]
+    stream[9] = stream[4] = p << 33      # rows 4 and 2
+    stream[n * dim] = p << 33            # the first redraw is P again
+
+    class Bits:
+        pos = 0
+
+        def advance(self, delta):
+            self.pos += delta
+
+        def random_raw(self, size):
+            k = int(np.prod(size))
+            self.pos += k
+            return np.array(stream[self.pos - k:self.pos],
+                            dtype=np.uint64).reshape(size)
+
+    class Rng:
+        def __init__(self):
+            self.bit_generator = Bits()
+
+    monkeypatch.setattr(geom.np.random, "default_rng", lambda seed: Rng())
+    full = geom.sample_points(torus2(), n, 0)
+    # the two P slots take the redraws after P: 7 * 13 + 1, then 7 * 14 + 1
+    assert full[4, 1] == 92 and full[2, 0] == 99
+    assert p not in full
+    for start, stop in ((4, 6), (3, 5), (0, 2), (5, 6), (0, n)):
+        assert np.array_equal(geom.sample_points(torus2(), n, 0, start, stop),
+                              full[start:stop])
+
+
 def test_apply_torus_element_group_law():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0)), ((1,), (0,)))
