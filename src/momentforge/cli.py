@@ -18,8 +18,6 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import convex, equiv, geom, hamclass, moment as moment_mod, reduction
 from .geom import (ActionSpec, FlatTorusFactor, ProductForm, ProductManifold,
                    SphereFactor)
@@ -291,9 +289,9 @@ class Report:
     provenance: dict
     sections: dict = field(default_factory=dict)   # check -> ordered dict
     matrices: list = field(default_factory=list)   # (name, rows)
-    samples: np.ndarray | None = None              # integer numerators
+    samples: object = None                         # integer numerators
     sample_header: tuple = ()
-    coverage: object = None                        # convex.CoverageReport
+    coverage: object = None                        # sample.CoverageReport
     failures: list = field(default_factory=list)
 
     @property
@@ -327,52 +325,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-# two decimal digits per little-endian 16-bit unit.  Entries 100-199 are
-# 00-99; entry v < 100 is a number's leftmost pair, v with no leading zero
-# (0: all NUL, left of the number).  A number's last pair writes 0 as "0".
-_PAIRS = np.frombuffer("".join(
-    [str(v or "").rjust(2, "\0") for v in range(100)]
-    + [f"{v:02d}" for v in range(100)]).encode(), dtype="<u2")
-_LAST_PAIRS = np.concatenate([np.frombuffer(b"\0" b"0", "<u2"), _PAIRS[1:]])
-
-
-def _decimal_table(a: np.ndarray) -> bytes:
-    """The rows of a 2-D integer table as "%d" per cell writes them,
-    comma-separated, one line per row.  An int64 table is written with
-    numpy integer arithmetic: a fixed run of 16-bit units per cell (the
-    separator before it and its sign, then its digits two at a time), and
-    one pass that deletes the NUL bytes left of every number."""
-    n, cols = a.shape
-    if a.dtype == object or not a.size:
-        line = ",".join(["%d"] * cols) + "\n"
-        return ((line * n) % tuple(a.ravel().tolist())).encode()
-    mag = np.abs(a.ravel()).view(np.uint64)    # |-2^63| wraps to 2^63
-    top = int(mag.max())
-    width = (len(str(top)) + 1) // 2
-    cells = np.empty((a.size, width + 1), dtype="<u2")
-    seps = np.array([ord("\n")] + [ord(",")] * (cols - 1), dtype="<u2")
-    np.add((a < 0) * np.uint16(ord("-") << 8), seps,
-           out=cells[:, 0].reshape(a.shape))
-    idx = np.empty(a.size, dtype=np.intp)
-    table = _LAST_PAIRS
-    for k in range(width, 0, -1):
-        if top < 2 ** 32:
-            mag = mag.astype(np.uint32, copy=False)    # faster division
-        q = mag // 100
-        # a magnitude below 100 is its own index, any other 100 + its last
-        # two digits
-        np.minimum(mag, mag - q * 100 + 100, out=idx, casting="unsafe")
-        cells[:, k] = table[idx]
-        table, mag, top = _PAIRS, q, top // 100
-    # each row starts with a newline: the table's first one goes to its end
-    return cells.tobytes().translate(None, b"\0")[1:] + b"\n"
-
-
 def emit_report(report: Report, out_dir) -> list:
     """Write the structured text report plus the three CSV tables; returns
     the written paths.  Bytes are a pure function of the report: the
     sample table holds integers, its denominators in the header, and is
-    written by _decimal_table in one vectorized pass."""
+    written by sample.decimal_table in one vectorized pass."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -384,9 +341,10 @@ def emit_report(report: Report, out_dir) -> list:
 
     write("report.txt", report.render().encode())
     if report.samples is not None:
+        from . import sample
         write("moment_samples.csv",
               (",".join(report.sample_header) + "\n").encode()
-              + _decimal_table(report.samples))
+              + sample.decimal_table(report.samples))
     rows = ["grid_resolution,n_counted_cells,n_hit_cells,fraction,"
             "empty_cell_witnesses"]
     if report.coverage is not None:
@@ -485,22 +443,15 @@ def _prelude(report, scenario):
 
 
 def _run_moment(report, scenario, mom):
+    from . import sample
     M = scenario.manifold
-    covs = geom.field_covectors(scenario.action, mom.omega_prime,
-                                mom.classification.complement_generators)
     report.require("moment", "mu2_loop_periods_integral", all(
-        x.denominator == 1 for cov in covs for x in cov[:M.torus_dim]))
+        x.denominator == 1 for cov in mom.mu2 for x in cov[:M.torus_dim]))
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrix("mu2_covectors", mom.torus_covectors)
-    nums = geom.sample_points(M, scenario.samples, scenario.seed)
-    report.samples = np.hstack([nums, mom.mu1_values(nums),
-                                mom.mu2_values(nums)])
-    den1, den2 = mom.mu1_den, mom.mu2_den
-    report.sample_header = tuple(
-        [f"x{i}/{geom.LATTICE}" for i in range(M.dim)]
-        + [f"mu1_{i}/{den1}" for i in range(mom.c)]
-        + [f"mu2_{i}/{den2}" for i in range(mom.r)])
+    report.sample_header, report.samples = sample.moment_table(
+        M, mom, scenario.samples, scenario.seed)
     if mom.r:
         # the straight lift minus the one shifted by the loop e_0: exactly
         # -<covector, e_0>, an integer by mu2_loop_periods_integral
@@ -533,14 +484,15 @@ def _run_equivariance(report, scenario, mom):
 
 
 def _run_convexity(report, scenario, mom):
+    from . import sample
     M = scenario.manifold
     grid, c, r = scenario.grid, mom.c, mom.r
     cells = grid ** (c + r)
-    if cells > convex.MAX_COVERAGE_CELLS:
+    if cells > sample.MAX_COVERAGE_CELLS:
         _over_budget(report, "convexity",
                      f"grid = {grid} with c = {c}, r = {r} needs {cells} "
                      "coverage cells, above the budget of "
-                     f"{convex.MAX_COVERAGE_CELLS}")
+                     f"{sample.MAX_COVERAGE_CELLS}")
     g = sum(any(cov[M.sphere_offset(f) + 1] for cov in mom.mu1)
             for f in range(M.n_spheres))
     if 2 ** g > convex.MAX_POLES:
@@ -550,7 +502,7 @@ def _run_convexity(report, scenario, mom):
     polytope = convex.moment_polytope(mom)
     report.add("convexity", "hull_vertices",
                [list(v) for v in polytope.vertices])
-    cov = convex.product_coverage_check(M, mom, polytope, scenario.grid,
+    cov = sample.product_coverage_check(M, mom, polytope, scenario.grid,
                                         scenario.coverage_samples,
                                         scenario.seed)
     report.add("convexity", "coverage_fraction", cov.fraction)

@@ -1,28 +1,19 @@
 """Image structure of the generalized moment: the exact moment polytope of
-the Hamiltonian part, product coverage of the full image, the exact
-no-extremum predicate, the first-Betti-number bound, and explicit cycle
-lifting."""
+the Hamiltonian part, the exact no-extremum predicate, the first-Betti-number
+bound, and explicit cycle lifting.  The sampled coverage of the full image
+is sample.product_coverage_check."""
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import geom, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
 from .hamclass import ActionClassification
 from .moment import GeneralizedMoment
 
-# product_coverage_check allocates grid^(c+r) cells, at most this many
-MAX_COVERAGE_CELLS = 2 ** 20
-# it bins its draw in chunks of this many rows at first, doubling each time
-COVERAGE_CHUNK = 1024
-# and tests the mu1 cell centres this many numerators at a time
-CELL_BLOCK_ENTRIES = 2 ** 18
 # moment_polytope visits 2^(spheres whose height enters mu1) pole images
 MAX_POLES = 2 ** 16
 
@@ -53,21 +44,17 @@ class MomentPolytope:
     normals: tuple    # exact integer normals
     offsets: tuple    # exact b per normal
 
-    def contains(self, nums, den: int, half=0) -> np.ndarray:
+    def contains(self, nums, den: int, half=0):
         """Exact box test over an (N, c) array of integer numerators over
         den: true where the box centred at a row, with half-widths
         half / den (one int, or one per axis), lies in the polytope, that
         is where |<n, centre>| + <|n|, half> <= b for every facet n.  A
         point is a box with half = 0; float numerators raise TypeError."""
+        from . import sample
         half = [half] * self.dim if isinstance(half, int) else half
-        bounds = [b * den // 1 - _dot(map(abs, nv), half)
-                  for nv, b in zip(self.normals, self.offsets)]
-        top = operator.index(np.abs(nums).max(initial=0))
-        cols = np.asarray(nums, dtype=geom.exact_dtype(max(
-            abs(b) + sum(map(abs, nv)) * top
-            for nv, b in zip(self.normals, bounds)))).T
-        return np.all([abs(sum(a * col for a, col in zip(nv, cols) if a))
-                       <= b for nv, b in zip(self.normals, bounds)], axis=0)
+        return sample.within(self.normals, [
+            b * den // 1 - _dot(map(abs, nv), half)
+            for nv, b in zip(self.normals, self.offsets)], nums)
 
 
 def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
@@ -122,105 +109,6 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
         offsets += [0] * len(pinned)
     return MomentPolytope(c, tuple(vertices), tuple(normals),
                           tuple(offsets))
-
-
-# ---------------------------------------------------------------------------
-# coverage
-
-@dataclass(frozen=True)
-class CoverageReport:
-    grid_resolution: int
-    fraction: float
-    n_counted_cells: int
-    n_hit_cells: int
-    empty_cells: tuple   # first few witnesses, as flat cell indices
-
-
-def product_coverage_check(manifold: ProductManifold,
-                           moment: GeneralizedMoment,
-                           polytope: MomentPolytope,
-                           grid_resolution: int, n: int,
-                           seed: int) -> CoverageReport:
-    """Bin image samples over (cells of the box around the mu1 polytope) x
-    (circle bins) and report the hit fraction.  Only mu1 cells that lie in
-    the polytope, exactly, count in the denominator.  The samples are
-    lattice points, so every bin is an exact integer floor: a circle bin is
-    floor(res mu2), and a mu1 bin is floor(res (mu1 + h) / 2h) for the
-    exact half-width h of the box, clipped to the grid.
-
-    n caps the draw: rows of the seeded n-row draw are binned in chunks of
-    COVERAGE_CHUNK rows, doubling, and the draw stops once every counted
-    cell is hit.  Later rows could only hit cells again, so the report is
-    that of all n rows: every counted cell hit, no empty witness.  While a
-    counted cell stays empty the draw runs on to n, and with no counted
-    cell nothing is drawn."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    c, r = moment.c, moment.r
-    res = grid_resolution
-    mu1_den, mu2_den = moment.mu1_den, moment.mu2_den
-    # the counted cells that no binned sample has hit yet
-    left = np.ones((res,) * (c + r) if c + r else (1,), dtype=bool)
-    axes = []
-    if c:
-        # the box spans 2h, or 1 where h = 0: h = x / e and the span s / e;
-        # |mu1| <= h at every point, so no intermediate exceeds s den1 res
-        [xs], e = ratlin._scaled([[max(abs(v[i]) for v in polytope.vertices)
-                                   for i in range(c)]])
-        spans = [2 * x or e for x in xs]
-        axes = [(x, s, geom.exact_dtype(s * mu1_den * res))
-                for x, s in zip(xs, spans)]
-        left &= _counted_cells(polytope, res, xs, e, spans).reshape(
-            (res,) * c + (1,) * r)
-    mu2_dtype = geom.exact_dtype(mu2_den * res)
-
-    def cells(nums):
-        flat = np.zeros(len(nums), dtype=np.int64)
-        for col, (x, s, dtype) in zip(moment.mu1_values(nums).T, axes):
-            num = col.astype(dtype) * e + x * mu1_den
-            flat = flat * res + np.clip(num * res // (s * mu1_den), 0,
-                                        res - 1).astype(np.int64)
-        for col in moment.mu2_values(nums).T:
-            flat = flat * res + (col.astype(mu2_dtype) * res
-                                 // mu2_den).astype(np.int64)
-        return flat
-
-    n_counted = int(left.sum())
-    start, size = 0, COVERAGE_CHUNK
-    while start < n and left.any():
-        stop = min(n, start + size)
-        left.ravel()[cells(geom.sample_points(manifold, n, seed, start,
-                                              stop))] = False
-        start, size = stop, 2 * size
-    n_hit = n_counted - int(left.sum())
-    fraction = n_hit / n_counted if n_counted else 1.0
-    return CoverageReport(res, fraction, n_counted, n_hit,
-                          tuple(int(i) for i in np.flatnonzero(left)[:16]))
-
-
-def _counted_cells(polytope: MomentPolytope, res: int, xs: list, e: int,
-                   spans: list) -> np.ndarray:
-    """The flat res^c mask of the mu1 cells whose box lies in the polytope:
-    the cell with digit d on an axis has centre ((2 d + 1) s - 2 res x) /
-    (2 res e) there and half-width s / (2 res e).  The centres are built
-    axis by axis and tested in blocks of at most CELL_BLOCK_ENTRIES
-    numerators, so memory does not grow with c."""
-    c = len(xs)
-    dtype = geom.exact_dtype(2 * res * e * max(spans))
-    centre = [np.array([(2 * d + 1) * s - 2 * res * x for d in range(res)],
-                       dtype) for x, s in zip(xs, spans)]
-    total = res ** c
-    step = max(1, CELL_BLOCK_ENTRIES // c)
-    counted = np.empty(total, dtype=bool)
-    for lo in range(0, total, step):
-        hi = min(total, lo + step)
-        rest = np.arange(lo, hi)
-        centres = np.empty((c, hi - lo), dtype)
-        for axis in reversed(range(c)):
-            rest, digit = np.divmod(rest, res)
-            centres[axis] = centre[axis][digit]
-        counted[lo:hi] = polytope.contains(centres.T, 2 * res * e, spans)
-    return counted
 
 
 @dataclass(frozen=True)

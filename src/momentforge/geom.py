@@ -19,14 +19,6 @@ fundamental field of a generator is sign times its row of G (sign = -1 is
 the exp(-t xi) convention; the orbits themselves follow G), and the
 covector of i_X omega is X W.  Every period, pairing and cocycle downstream
 is a product of these matrices.
-
-Samples lie on the lattice (1/P) Z^dim with P = LATTICE = 2^31 - 1, a
-prime, and are held as int64 numerators over P: a in [0, P) on the torus
-and theta slots, 2b - P with b in [0, P) on the height slots.  Every
-linear component then takes an exact rational value at a sample, with a
-denominator known from its covector, and the pairing of an integral torus
-covector K with the torus slots is exactly uniform on (1/P)Z / Z whenever
-some entry of K is nonzero mod P, however large K is.
 """
 
 from __future__ import annotations
@@ -35,13 +27,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ratlin
 
+# samples lie on (1/LATTICE) Z^dim; momentforge.sample draws them
 LATTICE = 2 ** 31 - 1
-# sample_points allocates samples x dim numerators; the CLI rejects a
-# sample count above this many entries before drawing anything
+# sample.sample_points allocates samples x dim numerators; the CLI rejects
+# a sample count above this many entries before drawing anything
 MAX_SAMPLE_ENTRIES = 2 ** 22
 
 
@@ -259,7 +250,7 @@ def field_covectors(action: ActionSpec, form: ProductForm,
 
 
 # ---------------------------------------------------------------------------
-# fixed points and sampling
+# fixed points
 
 @dataclass(frozen=True)
 class FixedPointSet:
@@ -286,44 +277,3 @@ def fixed_point_set(manifold: ProductManifold,
     finite = manifold.torus_dim == 0 and len(rotated) == manifold.n_spheres
     return FixedPointSet("finite" if finite else "submanifold",
                          tuple(pole_choices))
-
-
-def sample_points(manifold: ProductManifold, n: int, seed: int,
-                  start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Seeded uniform samples on the lattice, as int64 numerators over
-    LATTICE (see the module docs); h = (2b - P) / P is uniform on [-1, 1),
-    which is the uniform area measure on the sphere.  Float callers divide
-    by LATTICE.
-
-    The result is rows start..stop (stop defaults to n) of the n-row draw
-    for seed, equal to slicing the full draw: the stream is advanced past
-    the first start rows and only the range is drawn.  A range that holds
-    a raw draw of P is cut from the full draw instead, since redraws come
-    from the stream after all n rows."""
-    stop = n if stop is None else stop
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"rows {start}..{stop} lie outside a draw of {n}")
-    # the top 31 bits of raw 64-bit draws are uniform on [0, 2^31) = [0, P];
-    # every draw of P itself is drawn again
-    bits = np.random.default_rng(seed).bit_generator
-    if start:
-        bits.advance(start * manifold.dim)
-    raw = bits.random_raw((stop - start, manifold.dim))
-    raw >>= 33
-    out = raw.view(np.int64)
-    while (again := out == LATTICE).any():
-        if stop - start < n:
-            return sample_points(manifold, n, seed)[start:stop]
-        out[again] = bits.random_raw(int(again.sum())) >> 33
-    heights = slice(manifold.torus_dim + 1, None, 2)
-    out[:, heights] = out[:, heights] * 2 - LATTICE
-    return out
-
-
-def exact_dtype(bound: int):
-    """int64 when bound, the caller's bound on every intermediate it
-    computes, stays below 2^63; object (Python ints) otherwise, on which
-    the same numpy code runs without overflow."""
-    return np.int64 if bound < 2 ** 63 else object

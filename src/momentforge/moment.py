@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-import numpy as np
-
-from . import geom
+from . import geom, ratlin
 from .geom import ActionSpec, ProductForm, ProductManifold
 from .hamclass import ActionClassification
 
@@ -66,20 +64,21 @@ class GeneralizedMoment:
 
     @cached_property
     def mu1_den(self) -> int:
-        """The denominator of mu1_values."""
-        return _denominator(self.mu1)
+        """The denominator of mu1_values: P times the lcm of the
+        denominators in mu1."""
+        return ratlin._scaled(self.mu1)[1] * geom.LATTICE
 
     @cached_property
     def mu2_den(self) -> int:
-        """The denominator of mu2_values."""
-        return _denominator(self.mu2)
+        """The denominator of mu2_values, likewise from mu2."""
+        return ratlin._scaled(self.mu2)[1] * geom.LATTICE
 
-    def mu1_values(self, nums: np.ndarray) -> np.ndarray:
+    def mu1_values(self, nums):
         """mu1 at the lattice points nums / geom.LATTICE, exactly: one row
         of c numerators over mu1_den per point."""
-        return self._mu1_pairing(nums)
+        return self._pairings[0](nums)
 
-    def mu2_values(self, nums: np.ndarray) -> np.ndarray:
+    def mu2_values(self, nums):
         """mu2 at the lattice points nums / geom.LATTICE, exactly: one row
         of r numerators over mu2_den per point, each in [0, mu2_den).  It is
         the real lift along the straight path from the basepoint, mod 1;
@@ -89,65 +88,23 @@ class GeneralizedMoment:
         The pairing with nums minus the basepoint's is taken mod mu2_den;
         the coefficients enter as their residues of least absolute value,
         so an integral torus covector K enters only as K mod P, and the
-        int64 bound of _Pairing holds for covectors of any size on up to
-        three slots."""
-        return self._mu2_pairing(nums) % self.mu2_den
-
-    # The pairings are set up once per moment, so evaluating the moment
-    # chunk by chunk costs no more set-up than evaluating it once.
-    @cached_property
-    def _mu1_pairing(self):
-        den = self.mu1_den
-        scale = den // geom.LATTICE
-        return _Pairing([[int(x * scale) for x in row] for row in self.mu1],
-                        [0] * self.c, den)
+        int64 bound of sample.Pairing holds for covectors of any size on up
+        to three slots."""
+        return self._pairings[1](nums) % self.mu2_den
 
     @cached_property
-    def _mu2_pairing(self):
+    def _pairings(self) -> tuple:
+        """The mu1 and mu2 pairings, set up once per moment, so evaluating
+        the moment chunk by chunk costs no more set-up than evaluating it
+        once.  The first set-up loads the sampling module, and numpy."""
+        from .sample import Pairing
         mod = self.mu2_den
-        scale = mod // geom.LATTICE
-        a2 = [[(int(x * scale) + mod // 2) % mod - mod // 2 for x in row]
-              for row in self.mu2]
+        a2 = [[(a + mod // 2) % mod - mod // 2 for a in row]
+              for row in ratlin._scaled(self.mu2)[0]]
         base = [b * geom.LATTICE for b in self.manifold.basepoint()]
         offsets = [-sum(a * b for a, b in zip(row, base)) % mod for row in a2]
-        return _Pairing(a2, offsets, mod)
-
-
-def _denominator(rows: tuple) -> int:
-    """One common denominator for the values of the covector rows at
-    lattice points: the lcm of the entries' denominators times P."""
-    return math.lcm(1, *(x.denominator for row in rows for x in row)) \
-        * geom.LATTICE
-
-
-class _Pairing:
-    """nums -> offset_i + <coeff row i, num> for every row of nums (entries
-    at most P in absolute value), one column per coefficient row, exactly:
-    int64 when den and every |offset_i| + sum_j |coeff_ij| P stay below
-    2^63, Python ints otherwise.  Float nums raise: the cast would truncate
-    them to integers without a word."""
-
-    def __init__(self, coeffs: list, offsets: list, den: int):
-        self.dtype = geom.exact_dtype(max([den] + [
-            abs(o) + sum(map(abs, row)) * geom.LATTICE
-            for row, o in zip(coeffs, offsets)]))
-        self.used = [j for j in range(len(coeffs[0]) if coeffs else 0)
-                     if any(row[j] for row in coeffs)]
-        self.rows = [([row[j] for j in self.used], offset)
-                     for row, offset in zip(coeffs, offsets)]
-
-    def __call__(self, nums: np.ndarray) -> np.ndarray:
-        if nums.dtype.kind not in "iuO":
-            raise TypeError("moment values take integer lattice numerators, "
-                            f"not {nums.dtype}")
-        cols = np.asarray(nums.T[self.used], dtype=self.dtype)
-        out = np.empty((len(self.rows), len(nums)), dtype=self.dtype)
-        for acc, (row, offset) in zip(out, self.rows):
-            acc[...] = offset
-            for a, col in zip(row, cols):
-                if a:
-                    acc += a * col
-        return out.T
+        return (Pairing(ratlin._scaled(self.mu1)[0], [0] * self.c,
+                        self.mu1_den), Pairing(a2, offsets, mod))
 
 
 def generalized_moment(manifold: ProductManifold, action: ActionSpec,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from momentforge import convex, geom, hamclass, moment, ratlin
+from momentforge import geom, hamclass, moment, ratlin, sample
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
@@ -173,7 +173,7 @@ def equivariance_check(manifold, action, moment, z, n_samples=1000,
     gens = moment.classification.complement_generators
     p = geom.LATTICE
     rng = np.random.default_rng(seed)
-    nums = geom.sample_points(manifold, n_samples, seed + 1)
+    nums = sample.sample_points(manifold, n_samples, seed + 1)
     s = rng.integers(0, p, (n_samples, len(gens))).astype(object)
     params = s @ np.array(gens, dtype=object).reshape(len(gens),
                                                       action.r_total)
@@ -198,10 +198,10 @@ def equivariance_check(manifold, action, moment, z, n_samples=1000,
 
 
 def full_draw_coverage(manifold, mom, polytope, res, n, seed):
-    """convex.product_coverage_check in one pass over the whole n-row draw,
+    """sample.product_coverage_check in one pass over the whole n-row draw,
     as it ran before the early exit: every sample is binned, and the
     counted mask is tested on all res^c cell centres at once."""
-    nums = geom.sample_points(manifold, n, seed)
+    nums = sample.sample_points(manifold, n, seed)
     mu1_num, mu2_num = mom.mu1_values(nums), mom.mu2_values(nums)
     mu1_den, mu2_den = mom.mu1_den, mom.mu2_den
     c, r = mom.c, mom.r
@@ -213,17 +213,17 @@ def full_draw_coverage(manifold, mom, polytope, res, n, seed):
                                    for i in range(c)]])
         spans = [2 * x or e for x in xs]
         for col, x, s in zip(mu1_num.T, xs, spans):
-            num = col.astype(geom.exact_dtype(s * mu1_den * res)) * e \
+            num = col.astype(sample.exact_dtype(s * mu1_den * res)) * e \
                 + x * mu1_den
             flat = flat * res + np.clip(num * res // (s * mu1_den), 0,
                                         res - 1).astype(np.int64)
-        dtype = geom.exact_dtype(2 * res * e * max(spans))
+        dtype = sample.exact_dtype(2 * res * e * max(spans))
         centres = np.indices((res,) * c, dtype).reshape(c, -1).T * 2 + 1
         centres *= np.array(spans, dtype)
         centres -= np.array(xs, dtype) * 2 * res
         counted &= polytope.contains(centres, 2 * res * e, spans).reshape(
             (res,) * c + (1,) * r)
-    dtype = geom.exact_dtype(mu2_den * res)
+    dtype = sample.exact_dtype(mu2_den * res)
     for col in mu2_num.T:
         flat = flat * res + (col.astype(dtype) * res // mu2_den).astype(
             np.int64)
@@ -233,7 +233,7 @@ def full_draw_coverage(manifold, mom, polytope, res, n, seed):
     n_hit = int((hit & counted).sum())
     empty = np.flatnonzero(counted & ~hit)[:16]
     fraction = n_hit / n_counted if n_counted else 1.0
-    return convex.CoverageReport(res, fraction, n_counted, n_hit,
+    return sample.CoverageReport(res, fraction, n_counted, n_hit,
                                  tuple(int(e) for e in empty))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from momentforge import (cli, convex, equiv, geom, hamclass, moment,
-                         reduction)
+                         reduction, sample)
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
@@ -48,7 +48,7 @@ def test_criterion_01_two_torus_fidelity():
     for sign, flip in ((1, 1.0), (-1, -1.0)):
         a = ActionSpec(sc.action.translations, sc.action.rotations, sign)
         res, mom, z = pipeline(sc.manifold, a)
-        nums = geom.sample_points(sc.manifold, 1000, 0)
+        nums = sample.sample_points(sc.manifold, 1000, 0)
         pts = nums / geom.LATTICE
         expect = np.mod(flip * np.stack([pts[:, 1], -pts[:, 0]], axis=1),
                         1.0)
@@ -161,7 +161,7 @@ def test_criterion_06_convexity():
     t0 = time.perf_counter()
     sc = scenario("s2xt2_reduce")
     res, mom, _ = pipeline(sc.manifold, sc.action)
-    nums = geom.sample_points(sc.manifold, 100000, 0)
+    nums = sample.sample_points(sc.manifold, 100000, 0)
     mu1 = (mom.mu1_values(nums) / mom.mu1_den)[:, 0]
     circ = (mom.mu2_values(nums) / mom.mu2_den)[:, 0]
     ok = mu1.min() <= -0.95 and mu1.max() >= 0.95

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from momentforge import cli, convex, geom
+from momentforge import cli, convex, geom, sample
 
 from conftest import lattice_oracle, scenario_moment
 
@@ -327,17 +327,20 @@ def test_bad_reduce_generators_are_config_errors(tmp_path, capsys,
 
 
 def test_non_integral_loop_periods_fail(monkeypatch):
-    """mu2_loop_periods_integral reads the exact periods of the form the
-    moment was built from: a half-integral form fails it."""
+    """mu2_loop_periods_integral reads the exact periods of the moment's
+    mu2 rows: the moment of a form with half-integral periods (3/2 times
+    the integral one) fails it."""
     real = cli.moment_mod.generalized_moment
 
     def halved(manifold, action, omega_prime, cls):
         mom = real(manifold, action, omega_prime, cls)
         half = geom.ProductForm(
-            [[Fraction(x) / 2 for x in row]
+            [[Fraction(3 * x, 2) for x in row]
              for row in omega_prime.torus_omega],
             omega_prime.sphere_coeffs)
-        return dataclasses.replace(mom, omega_prime=half)
+        mu2 = geom.field_covectors(action, half, cls.complement_generators)
+        return dataclasses.replace(mom, omega_prime=half,
+                                   mu2=tuple(map(tuple, mu2)))
 
     sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
     assert cli.run_scenario(sc, ("moment",)).sections["moment"][
@@ -524,7 +527,7 @@ DECIMAL_EDGES = sorted({s * v for k in range(19)
                       st.integers(-(2 ** 32), 2 ** 32),
                       st.sampled_from(DECIMAL_EDGES))))
 def test_decimal_table_matches_percent_d(a):
-    assert cli._decimal_table(a) == percent_d_table(a)
+    assert sample.decimal_table(a) == percent_d_table(a)
 
 
 def test_object_sample_table_writes_percent_d(tmp_path):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentforge import cli, convex, geom, hamclass, moment, ratlin
+from momentforge import (cli, convex, geom, hamclass, moment, ratlin,
+                         sample)
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
                               SphereFactor)
 
@@ -70,7 +71,7 @@ def test_sphere_polytope_is_an_interval():
     assert poly.vertices == ((F(-1, 2),), (F(1, 2),))
     assert poly.contains([[0], [1], [-1]], 2).all()
     assert not poly.contains([[6000], [-5001]], 10000).any()
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="polytope test"):
         poly.contains([[0.5]], 1)
 
 
@@ -105,6 +106,18 @@ def test_sheared_polytope_is_a_parallelogram():
     assert not poly.contains([[2, -1], [-2, 1]], 2).any()
 
 
+def test_contains_pairs_exactly_past_int64():
+    """int64 numerators whose pairings could pass 2^63 are paired in Python
+    ints: the far corner (2^63 - 1)(1, 1) / 4 of the diamond pairs to
+    2^64 - 2 with the normal (1, 1), which int64 would wrap to -2, within
+    the bound 4."""
+    poly, _ = polytope_of(s2xs2(), rotations([(1, 1), (1, -1)]))
+    assert set(poly.normals) == {(1, -1), (1, 1)}
+    big = 2 ** 63 - 1
+    assert not poly.contains(np.array([[big, big], [big, -big]]), 4).any()
+    assert poly.contains(np.array([[big, 0], [0, -big]]), big).all()
+
+
 def test_hexagon_keeps_only_the_extreme_pole_images():
     """Three spheres under two rotations: the zonotope is a hexagon, so two
     of the eight pole images (the centre, twice) are not vertices."""
@@ -128,7 +141,7 @@ def test_degenerate_polytope_is_a_segment():
     assert poly.contains(*numerators([mid])).all()
     off = [mid[0] + F(1, 1000), mid[1] - F(1, 1000)]
     assert not poly.contains(*numerators([off])).any()
-    rep = convex.product_coverage_check(m, mom, poly, 10, 5000, 0)
+    rep = sample.product_coverage_check(m, mom, poly, 10, 5000, 0)
     assert rep.n_counted_cells == 0 and rep.fraction == 1.0
 
 
@@ -138,7 +151,7 @@ def test_four_spheres_polytope():
     speeds = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     poly, mom = polytope_of(m, rotations(speeds))
     assert mom.c == 4 and len(poly.vertices) == 16 and len(poly.normals) == 4
-    rep = convex.product_coverage_check(m, mom, poly, 5, 20000, 0)
+    rep = sample.product_coverage_check(m, mom, poly, 5, 20000, 0)
     assert rep.n_counted_cells == 5 ** 4
     assert rep.fraction >= 0.99
 
@@ -147,7 +160,7 @@ def test_mixed_polytope_and_samples(s2xt2_mixed):
     m, a = s2xt2_mixed
     poly, mom = polytope_of(m, a)
     assert poly.vertices == ((-1,), (1,))
-    nums = geom.sample_points(m, 1000, 0)
+    nums = sample.sample_points(m, 1000, 0)
     assert poly.contains(mom.mu1_values(nums), mom.mu1_den).all()
     mu2 = float_mu2(mom, nums / geom.LATTICE)
     assert np.all((mu2 >= 0) & (mu2 < 1))
@@ -166,7 +179,7 @@ def test_sampled_image_lies_in_polytope(data):
                    sign)
     poly, mom = polytope_of(m, a)
     assert set(poly.vertices) <= pole_images(height_coefficients(m, mom))
-    nums = geom.sample_points(m, 500, 0)
+    nums = sample.sample_points(m, 500, 0)
     # the poles themselves map onto the boundary
     nums[:8, 1::2] = np.sign(nums[:8, 1::2]) * geom.LATTICE
     assert poly.contains(mom.mu1_values(nums), mom.mu1_den).all()
@@ -226,7 +239,7 @@ def test_moment_polytope_matches_fraction_oracle(w):
 def test_two_torus_coverage(t2_translations):
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    rep = convex.product_coverage_check(
+    rep = sample.product_coverage_check(
         m, mom, convex.moment_polytope(mom), 50, 100000, 0)
     assert rep.n_counted_cells == 2500
     assert rep.fraction >= 0.99
@@ -235,7 +248,7 @@ def test_two_torus_coverage(t2_translations):
 def test_pure_hamiltonian_coverage_reduces_to_hull(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
-    rep = convex.product_coverage_check(
+    rep = sample.product_coverage_check(
         m, mom, convex.moment_polytope(mom), 15, 60000, 0)
     assert rep.n_counted_cells == 15 ** 2
     assert rep.fraction >= 0.99
@@ -258,7 +271,7 @@ def test_interior_cells_match_per_corner_loop():
             expected += all(abs(sum(a * x for a, x in zip(nv, p))) <= b
                             for p in corners
                             for nv, b in zip(poly.normals, poly.offsets))
-        rep = convex.product_coverage_check(m, mom, poly, res, 1000, 0)
+        rep = sample.product_coverage_check(m, mom, poly, res, 1000, 0)
         assert 0 < expected < res * res
         assert rep.n_counted_cells == expected
 
@@ -268,7 +281,7 @@ def test_three_sphere_coverage_regression():
     200k samples (25 per cell) cover it."""
     m = spheres(3)
     _, mom = pipeline(m, rotations([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-    rep = convex.product_coverage_check(
+    rep = sample.product_coverage_check(
         m, mom, convex.moment_polytope(mom), 20, 200000, 0)
     assert rep.n_counted_cells == 8000
     assert rep.fraction >= 0.99
@@ -297,9 +310,9 @@ def test_coverage_bins_are_exact_floors(monkeypatch):
     for t, hs in zip(itertools.cycle((0, 1, p // 3, p - 1)), heights):
         point = np.array([[5, t, 7, hs[0], 11, hs[1], 13, hs[2]]],
                          dtype=np.int64)
-        monkeypatch.setattr(geom, "sample_points",
+        monkeypatch.setattr(sample, "sample_points",
                             lambda m, n, seed, start, stop: point[start:stop])
-        rep = convex.product_coverage_check(m, mom, poly, res, 1, 0)
+        rep = sample.product_coverage_check(m, mom, poly, res, 1, 0)
         [((mu1,), (mu2,))] = lattice_oracle(mom, point)
         q = res * (mu1 + h) / (2 * h)
         if q.denominator == 1:
@@ -358,7 +371,7 @@ def test_coverage_report_is_the_full_draws(tmp_path):
     empty (fraction below 1) and where no cell counts."""
     fractions = {}
     for name, m, mom, poly, res, n, seed in coverage_inputs(tmp_path):
-        rep = convex.product_coverage_check(m, mom, poly, res, n, seed)
+        rep = sample.product_coverage_check(m, mom, poly, res, n, seed)
         assert rep == full_draw_coverage(m, mom, poly, res, n, seed), name
         fractions[name] = rep.fraction, rep.n_counted_cells
     assert fractions["undersampled"][0] < 1
@@ -368,32 +381,32 @@ def test_coverage_report_is_the_full_draws(tmp_path):
 
 def test_coverage_draw_stops_once_every_counted_cell_is_hit(
         monkeypatch, tmp_path, t2_translations):
-    """The rows drawn, counted through geom.sample_points: fewer than the
+    """The rows drawn, counted through sample.sample_points: fewer than the
     cap once every counted cell is hit, all of it while a cell stays empty,
     none when no cell counts."""
     drawn = []
-    sample_points = geom.sample_points
+    sample_points = sample.sample_points
 
     def counting(*args):
         rows = sample_points(*args)
         drawn.append(len(rows))
         return rows
 
-    monkeypatch.setattr(geom, "sample_points", counting)
+    monkeypatch.setattr(sample, "sample_points", counting)
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    rep = convex.product_coverage_check(
+    rep = sample.product_coverage_check(
         m, mom, convex.moment_polytope(mom), 50, 100000, 0)
     assert rep.fraction == 1.0 and 0 < sum(drawn) < 100000
-    assert drawn[0] == convex.COVERAGE_CHUNK
+    assert drawn[0] == sample.COVERAGE_CHUNK
     inputs = {name: rest for name, *rest in coverage_inputs(tmp_path)}
     for name, rows in (("undersampled", 1000), ("segment", 0)):
         drawn.clear()
-        convex.product_coverage_check(*inputs[name])
+        sample.product_coverage_check(*inputs[name])
         assert sum(drawn) == rows, name
     # the cap is still a sample count, even where nothing would be drawn
     with pytest.raises(ValueError, match="at least one sample"):
-        convex.product_coverage_check(*inputs["segment"][:4], 0, 0)
+        sample.product_coverage_check(*inputs["segment"][:4], 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentforge import equiv, geom, hamclass, ratlin
+from momentforge import equiv, geom, hamclass, ratlin, sample
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
@@ -255,17 +255,17 @@ def test_sampling_reproducible_and_in_range():
     slots, the odd 2b - P in [-P, P) on the heights."""
     p = geom.LATTICE
     m = torus2()
-    a = geom.sample_points(m, 4, 0)
-    b = geom.sample_points(m, 4, 0)
+    a = sample.sample_points(m, 4, 0)
+    b = sample.sample_points(m, 4, 0)
     assert a.dtype == np.int64 and np.array_equal(a, b)
     assert len({tuple(row) for row in a}) == 4
     assert np.all((a >= 0) & (a < p))
-    s = geom.sample_points(s2xt2(), 1000, 1)
+    s = sample.sample_points(s2xt2(), 1000, 1)
     assert np.all((s[:, :3] >= 0) & (s[:, :3] < p))
     assert np.all((s[:, 3] >= -p) & (s[:, 3] < p) & (s[:, 3] % 2 == 1))
     # the heights fill both hemispheres
     assert (s[:, 3] < -p // 2).any() and (s[:, 3] > p // 2).any()
-    assert not np.array_equal(geom.sample_points(m, 4, 2), a)
+    assert not np.array_equal(sample.sample_points(m, 4, 2), a)
 
 
 def test_sampling_draws_p_again(monkeypatch):
@@ -286,8 +286,8 @@ def test_sampling_draws_p_again(monkeypatch):
     class Rng:
         bit_generator = Bits()
 
-    monkeypatch.setattr(geom.np.random, "default_rng", lambda seed: Rng())
-    assert geom.sample_points(torus2(), 2, 0).tolist() == [[11, 5], [3, 7]]
+    monkeypatch.setattr(sample.np.random, "default_rng", lambda seed: Rng())
+    assert sample.sample_points(torus2(), 2, 0).tolist() == [[11, 5], [3, 7]]
 
 
 def test_sample_rows_are_slices_of_the_full_draw():
@@ -295,15 +295,15 @@ def test_sample_rows_are_slices_of_the_full_draw():
     rows, and equal the same rows of the full draw."""
     for m, n, seed in ((torus2(), 37, 4), (s2xt2(), 5000, 1),
                        (sphere(), 1024, 9)):
-        full = geom.sample_points(m, n, seed)
+        full = sample.sample_points(m, n, seed)
         for start, stop in ((0, n), (0, 1), (3, 17), (n - 1, n), (n, n),
                             (5, n), (n // 3, 2 * n // 3)):
-            rows = geom.sample_points(m, n, seed, start, stop)
+            rows = sample.sample_points(m, n, seed, start, stop)
             assert rows.dtype == np.int64
             assert np.array_equal(rows, full[start:stop])
     for start, stop in ((-1, 3), (4, 3), (0, 38)):
         with pytest.raises(ValueError, match="outside a draw of 37"):
-            geom.sample_points(torus2(), 37, 4, start, stop)
+            sample.sample_points(torus2(), 37, 4, start, stop)
 
 
 def test_sample_rows_with_p_in_a_later_chunk(monkeypatch):
@@ -331,20 +331,21 @@ def test_sample_rows_with_p_in_a_later_chunk(monkeypatch):
         def __init__(self):
             self.bit_generator = Bits()
 
-    monkeypatch.setattr(geom.np.random, "default_rng", lambda seed: Rng())
-    full = geom.sample_points(torus2(), n, 0)
+    monkeypatch.setattr(sample.np.random, "default_rng", lambda seed: Rng())
+    full = sample.sample_points(torus2(), n, 0)
     # the two P slots take the redraws after P: 7 * 13 + 1, then 7 * 14 + 1
     assert full[4, 1] == 92 and full[2, 0] == 99
     assert p not in full
     for start, stop in ((4, 6), (3, 5), (0, 2), (5, 6), (0, n)):
-        assert np.array_equal(geom.sample_points(torus2(), n, 0, start, stop),
-                              full[start:stop])
+        assert np.array_equal(
+            sample.sample_points(torus2(), n, 0, start, stop),
+            full[start:stop])
 
 
 def test_apply_torus_element_group_law():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0)), ((1,), (0,)))
-    x = geom.sample_points(m, 5, 3) / geom.LATTICE
+    x = sample.sample_points(m, 5, 3) / geom.LATTICE
     one = apply_torus_element(m, a, [0.2, 0.3], x)
     two = apply_torus_element(
         m, a, [0.1, 0.25], apply_torus_element(m, a, [0.1, 0.05], x))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentforge import cli, geom, hamclass, moment
+from momentforge import cli, geom, hamclass, moment, sample
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
@@ -38,7 +38,7 @@ def test_two_torus_moment_is_q_minus_p(t2_translations):
     m, a = t2_translations
     mom = build(m, a)
     assert mom.c == 0 and mom.r == 2
-    pts = geom.sample_points(m, 50, 0) / geom.LATTICE
+    pts = sample.sample_points(m, 50, 0) / geom.LATTICE
     vals = float_mu2(mom, pts)
     expect = np.mod(np.stack([pts[:, 1], -pts[:, 0]], axis=1), 1.0)
     assert circle_distance(vals, expect) < 1e-12
@@ -48,7 +48,7 @@ def test_two_torus_moment_minus_convention():
     m = torus2()
     a = ActionSpec(((1, 0), (0, 1)), ((), ()), sign=-1)
     mom = build(m, a)
-    pts = geom.sample_points(m, 50, 0) / geom.LATTICE
+    pts = sample.sample_points(m, 50, 0) / geom.LATTICE
     vals = float_mu2(mom, pts)
     expect = np.mod(np.stack([-pts[:, 1], pts[:, 0]], axis=1), 1.0)
     assert circle_distance(vals, expect) < 1e-12
@@ -62,7 +62,7 @@ def test_sphere_moment_is_height():
     a = ActionSpec(((),), ((1,),))
     mom = build(m, a)
     assert mom.c == 1 and mom.r == 0
-    pts = geom.sample_points(m, 50, 0) / geom.LATTICE
+    pts = sample.sample_points(m, 50, 0) / geom.LATTICE
     assert np.allclose(float_mu1(mom, pts)[:, 0], pts[:, 1])
 
 
@@ -127,7 +127,7 @@ def lattice_samples(m, n=200, seed=0):
     corners[1] = p - 1
     corners[0, m.torus_dim + 1::2] = -p
     corners[1, m.torus_dim + 1::2] = p - 2
-    return np.vstack([geom.sample_points(m, n, seed), corners])
+    return np.vstack([sample.sample_points(m, n, seed), corners])
 
 
 def assert_matches_oracle(mom, nums):
@@ -218,7 +218,7 @@ def test_moment_values_reject_float_points(t2_translations):
     instead of truncating them to integers."""
     m, a = t2_translations
     mom = build(m, a)
-    pts = geom.sample_points(m, 5, 0) / geom.LATTICE
+    pts = sample.sample_points(m, 5, 0) / geom.LATTICE
     for values in (mom.mu1_values, mom.mu2_values):
         with pytest.raises(TypeError, match="integer lattice numerators"):
             values(pts)

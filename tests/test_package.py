@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import momentforge
@@ -53,10 +56,25 @@ def test_no_scipy_imports():
 
 
 def test_exact_layers_import_no_numpy():
-    """ratlin, hamclass, equiv and reduction decide everything on exact
-    data; floats live only in the sampling layers."""
-    assert imports_of("numpy", ("ratlin", "hamclass", "equiv",
-                                "reduction")) == []
+    """Every module but sample decides on exact data; numpy, and the floats
+    and lattice numerators with it, live only in the sampling module."""
+    assert {at.split(":")[0] for at in imports_of("numpy")} == {"sample.py"}
+
+
+def test_exact_subcommands_load_no_numpy():
+    """The subcommands that sample nothing run without loading numpy."""
+    code = ("import sys; from momentforge import cli; "
+            "status = cli.main([sys.argv[1], '--scenario', 's2xt2_reduce']); "
+            "print(status, 'numpy' in sys.modules)")
+    src = str(Path(momentforge.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get(
+               "PYTHONPATH", "")])}
+    for cmd in ("classify", "integralize", "equivariance", "betti",
+                "reduce"):
+        proc = subprocess.run([sys.executable, "-c", code, cmd], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "0 False", (cmd, proc.stderr)
 
 
 def test_every_public_name_is_used():
