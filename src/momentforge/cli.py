@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import convex, equiv, geom, hamclass, moment as moment_mod, reduction
+from . import (convex, equiv, geom, hamclass, moment as moment_mod, ratlin,
+               reduction)
 from .geom import (ActionSpec, FlatTorusFactor, ProductForm, ProductManifold,
                    SphereFactor)
 
@@ -61,33 +64,42 @@ class Scenario:
     expect: dict = field(default_factory=dict)
 
 
-def _number(token: str, where: str) -> Fraction:
-    """A scenario number, exactly: an integer, a decimal or p/q, with a
-    finite float value.  That caps it at 309 digits: the report prints
-    exact values, and Python prints no int of more than 4300 digits."""
-    try:
-        x = Fraction(token)
-        float(x)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+# what Fraction(token) accepts (Python 3.11 on), spaces aside
+_TOKEN = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
+                    r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)")
+
+
+def _number(token: str, where: str) -> tuple:
+    """A scenario number as (numerator, denominator): an integer, a decimal
+    (with an exponent) or p/q, with a finite float value.  That caps it at
+    309 digits: Python prints no int of more than 4300 digits."""
+    try:    # AttributeError: no match, so no groups
+        sign, whole, den, frac, exp = _TOKEN.fullmatch(token).groups()
+        frac, e = frac or "", int(exp or 0)
+        n = int(sign + (whole + frac or "0")) * 10 ** max(e, 0)
+        d = int(den or 10 ** len(frac.replace("_", ""))) * 10 ** max(-e, 0)
+        n / d    # OverflowError past the float range, ZeroDivisionError
+    except (AttributeError, ArithmeticError, ValueError) as exc:
         raise ConfigError(f"{where}: {token!r} is not a finite "
                           "number") from exc
-    return x
+    return n, d
 
 
-def _parse_matrix(text: str, where: str) -> list:
-    """Rows of exact numbers.  A token below the diagonal that reads as
-    the negation of its partner above (n and -n, n unsigned) reuses that
-    entry negated; any other token is parsed as written."""
+def _parse_matrix(text: str, where: str) -> tuple:
+    """Rows of exact numbers as (N, d), integer rows over one denominator.
+    A token below the diagonal that reads as the negation of its partner
+    above (n and -n, n unsigned) reuses that entry negated."""
     tokens = [chunk.split() for chunk in text.split(";") if chunk.strip()]
     rows = []
     for i, row in enumerate(tokens):
         rows.append([
-            -rows[j][i] if j < i < len(tokens[j])
+            (-rows[j][i][0], rows[j][i][1]) if j < i < len(tokens[j])
             and _negates(x, tokens[j][i]) else _number(x, where)
             for j, x in enumerate(row)])
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"{where}: ragged matrix")
-    return rows
+    d = math.lcm(*[d for row in rows for _, d in row])
+    return [[n * (d // e) for n, e in row] for row in rows], d
 
 
 def _negates(x: str, y: str) -> bool:
@@ -173,19 +185,19 @@ def load_scenario(path, *, seed=None, sign=None,
     torus_dim = integer("manifold", "torus_dim", 0, 0)
     torus = None
     if torus_dim:
-        omega = _parse_matrix(need("manifold", "torus_omega"),
-                              f"{path} [manifold] torus_omega")
+        omega, den = _parse_matrix(need("manifold", "torus_omega"),
+                                   f"{path} [manifold] torus_omega")
         if len(omega) != torus_dim:
             raise ConfigError(f"{path}: torus_omega is not "
                               f"{torus_dim}x{torus_dim}")
         try:
-            torus = FlatTorusFactor(tuple(map(tuple, omega)))
+            torus = FlatTorusFactor(omega, den)
         except ValueError as exc:
             raise ConfigError(f"{path}: [manifold] torus_omega: "
                               f"{exc}") from exc
     where = f"{path} [manifold] spheres"
     try:
-        spheres = tuple(SphereFactor(_number(x, where)) for x in
+        spheres = tuple(SphereFactor(Fraction(*_number(x, where))) for x in
                         parser.get("manifold", "spheres", fallback="").split())
     except ValueError as exc:
         raise ConfigError(f"{path}: [manifold] spheres: {exc}") from exc
@@ -222,7 +234,7 @@ def load_scenario(path, *, seed=None, sign=None,
         except ValueError as exc:
             raise ConfigError(f"{path}: [reduce] {exc}") from exc
         reduce_values = tuple(
-            _number(x, f"{path} [reduce] values")
+            Fraction(*_number(x, f"{path} [reduce] values"))
             for x in need("reduce", "values").split())
         if len(reduce_indices) != len(reduce_values):
             raise ConfigError(f"{path}: [reduce] needs one value per "
@@ -247,8 +259,9 @@ def load_scenario(path, *, seed=None, sign=None,
             if key == "omega_prime_torus" and torus is None:
                 raise ConfigError(f"{path}: [expect] omega_prime_torus "
                                   "needs a torus factor (torus_dim = 0)")
-            expect[key] = _parse_matrix(raw, f"{path} [expect] {key}") \
-                if _EXPECT[key] else integer("expect", key)
+            expect[key] = ratlin._fractions(*_parse_matrix(
+                raw, f"{path} [expect] {key}")) if _EXPECT[key] \
+                else integer("expect", key)
 
     env_seed = os.environ.get("MOMENTFORGE_SEED")
     if seed is None and env_seed is not None:
@@ -433,13 +446,16 @@ def _prelude(report, scenario):
     coeffs = hamclass.form_class_coefficients(M, omega_prime)
     report.require("integralize", "h2_periods_integral",
                    all(x.denominator == 1 for x in coeffs))
-    if omega_prime.torus_omega is not None:
-        report.matrix("omega_prime_torus", omega_prime.torus_omega)
+    m, den = M.torus_dim, omega_prime.den
+    torus = ratlin._fractions([r[:m] for r in omega_prime.nums[:m]], den)
+    if torus:
+        report.matrix("omega_prime_torus", torus)
     report.matrix("omega_prime_spheres", [omega_prime.sphere_coeffs])
     _expect(report, scenario, "integralize", "k", result.k)
-    _expect(report, scenario, "integralize", "omega_prime_torus",
-            omega_prime.torus_omega, "omega_prime")
-    return moment_mod.generalized_moment(M, A, omega_prime, cls)
+    _expect(report, scenario, "integralize", "omega_prime_torus", torus,
+            "omega_prime")
+    return moment_mod.generalized_moment(M, A, omega_prime, cls,
+                                         result.covectors)
 
 
 def _run_moment(report, scenario, mom):
@@ -463,8 +479,7 @@ def _run_moment(report, scenario, mom):
 
 
 def _run_equivariance(report, scenario, mom):
-    z = equiv.cocycle_matrix(scenario.action, mom.omega_prime,
-                             mom.classification)
+    z = equiv.cocycle_matrix(mom)
     report.matrix("cocycle", z)
     _expect(report, scenario, "equivariance", "z", z)
     eq = equiv.exact_equivariance(mom, z)
@@ -525,8 +540,7 @@ def _over_budget(report, check: str, why: str):
 
 
 def _run_betti(report, scenario, mom):
-    rep = convex.betti_bound_check(scenario.manifold, scenario.action,
-                                   mom.omega_prime, mom.classification)
+    rep = convex.betti_bound_check(mom)
     report.add("betti", "rank", rep.rank)
     report.add("betti", "r", rep.r)
     report.add("betti", "b1", rep.b1)

@@ -9,9 +9,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geom, ratlin
-from .geom import ActionSpec, ProductForm, ProductManifold
-from .hamclass import ActionClassification
+from . import ratlin
+from .geom import ProductManifold
 from .moment import GeneralizedMoment
 
 # moment_polytope visits 2^(spheres whose height enters mu1) pole images
@@ -140,20 +139,17 @@ class BettiReport:
     equality: bool
 
 
-def betti_bound_check(manifold: ProductManifold, action: ActionSpec,
-                      form: ProductForm,
-                      classification: ActionClassification) -> BettiReport:
-    """Rank of the period matrix restricted to the complement generators
-    must equal r (totally non-Hamiltonian restriction) and r <= b1."""
-    rows = [cov[:manifold.torus_dim] for cov in geom.field_covectors(
-        action, form, classification.complement_generators)]
-    rank = ratlin.integer_rank(rows) if rows else 0
-    if rank < classification.r:
+def betti_bound_check(moment: GeneralizedMoment) -> BettiReport:
+    """Rank of the period matrix restricted to the complement generators,
+    the torus slots of mu2, must equal r (totally non-Hamiltonian
+    restriction) and r <= b1."""
+    r = moment.classification.r
+    rank = ratlin.integer_rank(moment.torus_covectors)
+    if rank < r:
         raise PreconditionViolated(
             "some combination of complement generators is Hamiltonian")
-    b1 = manifold.b1
-    return BettiReport(rank, classification.r, b1,
-                       classification.r <= b1, classification.r == b1)
+    b1 = moment.manifold.b1
+    return BettiReport(rank, r, b1, r <= b1, r == b1)
 
 
 # ---------------------------------------------------------------------------

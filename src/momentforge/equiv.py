@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geom, ratlin
-from .geom import ActionSpec, ProductForm
+from . import ratlin
+from .geom import ActionSpec
 from .hamclass import ActionClassification
 from .moment import GeneralizedMoment
 
@@ -37,18 +37,15 @@ def _max_abs(m: list):
     return max((abs(x) for row in m for x in row), default=0)
 
 
-def cocycle_matrix(action: ActionSpec, omega_prime: ProductForm,
-                   classification: ActionClassification) -> list:
+def cocycle_matrix(moment: GeneralizedMoment) -> list:
     """Z[i][j] = integral of the i-th generator's contracted form over the
-    j-th circle orbit: Z = (field covectors of H) (H G)^T for the complement
-    generators H and the orbit matrix G.  Entries are exact and must be
-    integers; the diagonal must vanish.
-
+    j-th circle orbit: Z = mu2 (H G)^T for the complement generators H and
+    the orbit matrix G, exact, with integer entries and a zero diagonal.
     Sphere orbits are latitude circles, which pair to zero, so only the
     torus windings contribute and no basepoint enters."""
-    gens = classification.complement_generators
-    z = _pairings(geom.field_covectors(action, omega_prime, gens),
-                  ratlin.mat_mul(gens, action.orbit_matrix()))
+    z = _pairings(moment.mu2, ratlin.mat_mul(
+        moment.classification.complement_generators,
+        moment.action.orbit_matrix()))
     for i, row in enumerate(z):
         for j, entry in enumerate(row):
             if entry.denominator != 1:
@@ -93,14 +90,13 @@ class IsotropyReport:
 
 
 def isotropic_orbit_test(action: ActionSpec,
-                         omega_prime: ProductForm) -> IsotropyReport:
-    """All generator pairings omega(X_i, X_j), the matrix G W G^T (the
-    forms are constant, so it holds at every point); orbits are isotropic
-    iff every one vanishes.  The field covectors are sign * G W, so the
-    sign applied once more cancels."""
-    g = action.orbit_matrix()
-    pairings = [[action.sign * v for v in row] for row in _pairings(
-        geom.field_covectors(action, omega_prime), g)]
+                         covectors: tuple) -> IsotropyReport:
+    """All generator pairings omega(X_i, X_j): the field covectors (as
+    geom.field_covectors gives them) paired with the fields sign G, at
+    every point; orbits are isotropic iff every one vanishes."""
+    fields = [[action.sign * x for x in col]
+              for col in zip(*action.orbit_matrix())]
+    pairings = ratlin._product(*covectors, fields, 1)
     isotropic = not any(v for row in pairings for v in row)
     return IsotropyReport(tuple(tuple(row) for row in pairings), isotropic)
 
@@ -129,7 +125,7 @@ def natural_equivariance(moment: GeneralizedMoment,
     action = moment.action
     # geom.fixed_point_set(...).kind != "empty", without listing the poles
     has_fp = not any(any(v) for v in action.translations)
-    iso = isotropic_orbit_test(action, moment.omega_prime)
+    iso = isotropic_orbit_test(action, moment.covectors)
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = _max_abs(_pairings(moment.mu2, action.orbit_matrix()))
     mu2_invariant = max_err == 0

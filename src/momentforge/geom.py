@@ -24,53 +24,59 @@ is a product of these matrices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import ratlin
 
 # samples lie on (1/LATTICE) Z^dim; momentforge.sample draws them
-LATTICE = 2 ** 31 - 1
+LATTICE = ratlin.P
 # sample.sample_points allocates samples x dim numerators; the CLI rejects
 # a sample count above this many entries before drawing anything
 MAX_SAMPLE_ENTRIES = 2 ** 22
 
 
-def _fraction_rows(rows) -> tuple:
-    """Rows of exact entries: Fractions stay as they are, ints and floats
-    convert (a float converts exactly)."""
-    return tuple(tuple([x if type(x) is Fraction else Fraction(x)
-                        for x in row]) for row in rows)
+def _numerators(rows, den: int = 1) -> tuple:
+    """(N, d), N / d = rows / den in lowest terms, N a tuple of int rows;
+    entries that are not ints or Fractions convert exactly (floats too)."""
+    nums, d = ratlin._scaled([[x if type(x) in (int, Fraction) else
+                               Fraction(x) for x in row] for row in rows])
+    d *= den
+    g = math.gcd(d, *itertools.chain.from_iterable(nums))
+    return tuple(tuple([x // g for x in row]) if g > 1 else tuple(row)
+                 for row in nums), d // g
 
 
 @dataclass(frozen=True)
 class FlatTorusFactor:
     """R^m / Z^m with the constant form u^T Omega w; Omega must be
-    antisymmetric and nondegenerate, m even.  Entries are held as
-    Fractions, and scaled once to integer numerators over one denominator,
-    from which antisymmetry and nondegeneracy are decided."""
+    antisymmetric and nondegenerate, m even.  It is held as nums / den in
+    lowest terms (nums may be given as exact rows), from which both are
+    decided."""
 
-    omega: tuple
+    nums: tuple
+    den: int = 1
 
     def __post_init__(self):
-        m = len(self.omega)
-        rows = _fraction_rows(self.omega)
-        object.__setattr__(self, "omega", rows)
+        m = len(self.nums)
         if m % 2 != 0:
             raise ValueError("torus dimension must be even")
-        if any(len(row) != m for row in rows):
+        if any(len(row) != m for row in self.nums):
             raise ValueError("omega must be square")
-        nums, d = ratlin._scaled(rows)
-        object.__setattr__(self, "_scaled", (nums, d))
-        if any(nums[i][j] != -nums[j][i]
-               for i in range(m) for j in range(i, m)):
+        nums, d = _numerators(self.nums, self.den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", d)
+        if tuple(zip(*nums)) != tuple(tuple([-x for x in row])
+                                      for row in nums):
             raise ValueError("omega must be antisymmetric")
-        if m > 0 and ratlin.determinant(nums) == 0:
+        if not ratlin.nonsingular(nums):
             raise ValueError("degenerate torus form (zero determinant)")
 
     @property
     def dim(self) -> int:
-        return len(self.omega)
+        return len(self.nums)
 
 
 @dataclass(frozen=True)
@@ -87,55 +93,53 @@ class SphereFactor:
             raise ValueError("sphere area coefficient must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProductForm:
-    """A constant invariant 2-form on a ProductManifold: the torus block
-    plus one dtheta ^ dh coefficient per sphere, all held as Fractions.
+    """A constant invariant 2-form on a ProductManifold, built from the
+    torus block (None, exact rows or a FlatTorusFactor) and one
+    dtheta ^ dh coefficient per sphere, and held as its matrix W = nums /
+    den in lowest terms; torus_omega and sphere_coeffs are Fraction views.
+    A FlatTorusFactor lends the form its nondegeneracy verdict, and its
+    numerators when W is the torus block alone."""
 
-    The form is scaled once, when it is built: its matrix W is held as
-    integer numerators over one denominator, which field_covectors and the
-    nondegeneracy test read, so neither scales W again.  torus_omega may be
-    a FlatTorusFactor: the form then reuses the factor's nondegeneracy
-    verdict, and its numerators when W is the torus block alone."""
+    nums: tuple
+    den: int
+    torus_dim: int
 
-    torus_omega: tuple | None
-    sphere_coeffs: tuple
+    def __init__(self, torus_omega, sphere_coeffs=()):
+        factor = isinstance(torus_omega, FlatTorusFactor)
+        torus, den = (torus_omega.nums, torus_omega.den) if factor else \
+            (torus_omega or (), 1)
+        m, nums = len(torus), torus
+        if not factor or sphere_coeffs:
+            n = m + 2 * len(sphere_coeffs)
+            w = [list(row) + [0] * (n - m) for row in torus]
+            w += [[0] * n for _ in range(n - m)]
+            for o, c in zip(range(m, n, 2), map(Fraction, sphere_coeffs)):
+                w[o][o + 1], w[o + 1][o] = c * den, -c * den
+            nums, den = _numerators(w, den)
+        for key, value in (("nums", nums), ("den", den), ("torus_dim", m),
+                           ("_torus_ok", factor or None)):
+            object.__setattr__(self, key, value)
 
-    def __post_init__(self):
-        torus = self.torus_omega
-        factor = torus if isinstance(torus, FlatTorusFactor) else None
-        if torus is not None:
-            object.__setattr__(self, "torus_omega",
-                               factor.omega if factor else
-                               _fraction_rows(torus))
-        [coeffs] = _fraction_rows([self.sphere_coeffs])
-        object.__setattr__(self, "sphere_coeffs", coeffs)
-        object.__setattr__(self, "_scaled", factor._scaled
-                           if factor and not coeffs
-                           else ratlin._scaled(self.matrix()))
-        object.__setattr__(self, "_torus_ok", True if factor else None)
+    @cached_property
+    def torus_omega(self) -> tuple | None:
+        m = self.torus_dim
+        return tuple(tuple(Fraction(x, self.den) for x in row[:m])
+                     for row in self.nums[:m]) if m else None
 
-    def matrix(self) -> list:
-        """W, dim x dim and exact: the torus block, then [[0, c], [-c, 0]]
-        per sphere."""
-        m = len(self.torus_omega or ())
-        n = m + 2 * len(self.sphere_coeffs)
-        w = [[0] * n for _ in range(n)]
-        for i, row in enumerate(self.torus_omega or ()):
-            w[i][:m] = row
-        for f, c in enumerate(self.sphere_coeffs):
-            o = m + 2 * f
-            w[o][o + 1], w[o + 1][o] = c, -c
-        return w
+    @cached_property
+    def sphere_coeffs(self) -> tuple:
+        return tuple(Fraction(self.nums[o][o + 1], self.den)
+                     for o in range(self.torus_dim, len(self.nums), 2))
 
     def is_nondegenerate(self) -> bool:
-        if not all(self.sphere_coeffs):
+        m, w = self.torus_dim, self.nums
+        if not all(w[o][o + 1] for o in range(m, len(w), 2)):
             return False
         if self._torus_ok is None:
-            m = len(self.torus_omega or ())
-            w = self._scaled[0]
-            object.__setattr__(self, "_torus_ok", not m or ratlin.determinant(
-                [row[:m] for row in w[:m]]) != 0)
+            object.__setattr__(self, "_torus_ok", ratlin.nonsingular(
+                [row[:m] for row in w[:m]]))
         return self._torus_ok
 
 
@@ -212,6 +216,9 @@ class ActionSpec:
         for v, s in zip(self.translations, self.rotations):
             if not any(v) and not any(s):
                 raise ValueError("trivial generator")
+        object.__setattr__(self, "_orbits", [
+            list(v) + [x for speed in s for x in (speed, 0)]
+            for v, s in zip(self.translations, self.rotations)])
 
     @property
     def r_total(self) -> int:
@@ -225,9 +232,8 @@ class ActionSpec:
     def orbit_matrix(self) -> list:
         """G, r_total x dim: per generator its orbit direction in flat
         coordinates, the translation and then (speed, 0) per sphere.  It
-        does not depend on the sign."""
-        return [list(v) + [x for speed in s for x in (speed, 0)]
-                for v, s in zip(self.translations, self.rotations)]
+        does not depend on the sign; it is built once, and callers share it."""
+        return self._orbits
 
     def effectiveness_diagonal(self) -> list:
         """The Smith invariants of the generator matrix; the action is
@@ -235,18 +241,11 @@ class ActionSpec:
         return ratlin.smith_diagonal(self.generator_matrix())
 
 
-def field_covectors(action: ActionSpec, form: ProductForm,
-                    coeffs=None) -> list:
-    """The covectors of i_X omega, sign * (coeffs G) W: one row per
-    generator, or per integer combination of generators when coeffs (one
-    row of r_total integers per combination) is given.  W enters as the
-    numerators the form was scaled to when it was built."""
-    rows = action.orbit_matrix()
-    if coeffs is not None:
-        rows = ratlin.mat_mul(coeffs, rows)
-    return ratlin._product(
-        *ratlin._scaled([[action.sign * x for x in row] for row in rows]),
-        *form._scaled)
+def field_covectors(action: ActionSpec, form: ProductForm) -> tuple:
+    """The covectors of i_X omega, one row per generator: sign G W, as
+    (N, d), integer numerators over the form's denominator."""
+    fields = [[action.sign * x for x in row] for row in action.orbit_matrix()]
+    return ratlin._product(fields, 1, form.nums, 1), form.den
 
 
 # ---------------------------------------------------------------------------

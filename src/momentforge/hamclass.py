@@ -44,12 +44,6 @@ class ActionClassification:
                                   # basis of Z^r_total, in HNF
     r_total: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "hamiltonian_basis",
-                           tuple(tuple(v) for v in self.hamiltonian_basis))
-        object.__setattr__(self, "complement_generators",
-                           tuple(tuple(v) for v in self.complement_generators))
-
     @property
     def c(self) -> int:
         return len(self.hamiltonian_basis)
@@ -66,11 +60,13 @@ def period_matrix(manifold: ProductManifold, action: ActionSpec,
     of the generators' field covectors, since the period of a constant
     1-form over the coordinate loop e_k is its k-th entry."""
     m = manifold.torus_dim
-    return tuple(tuple(row[:m]) for row in geom.field_covectors(action, form))
+    nums, d = geom.field_covectors(action, form)
+    return tuple(map(tuple, ratlin._fractions([row[:m] for row in nums], d)))
 
 
 def classify_action(p: tuple) -> ActionClassification:
-    """Split the acting torus along the rows of the period matrix p."""
+    """Split the acting torus along the rows of the period matrix p (or of
+    any multiple of it, such as its integer numerators)."""
     n = len(p)
     ham, comp = ratlin.lattice_split(p)
     ratlin._hermite(ham, n)
@@ -94,6 +90,7 @@ class IntegralizationResult:
                                  # intermediate form, in the H^2 basis order
     max_deviation: float         # sup-norm coefficient distance to omega
     classification: ActionClassification
+    covectors: tuple             # geom.field_covectors of omega_prime
 
 
 def h2_class_labels(manifold: ProductManifold) -> list:
@@ -101,36 +98,34 @@ def h2_class_labels(manifold: ProductManifold) -> list:
     dx_i ^ dx_j (i < j) then unit-area sphere classes."""
     m = manifold.torus_dim
     labels = [("torus", i, j) for i in range(m) for j in range(i + 1, m)]
-    labels += [("sphere", f) for f in range(manifold.n_spheres)]
-    return labels
+    return labels + [("sphere", f) for f in range(manifold.n_spheres)]
 
 
 def form_class_coefficients(manifold: ProductManifold,
                             form: ProductForm) -> list:
     """Coefficients of a form in the H^2 basis (these are exactly its
     periods over the canonical 2-cycles)."""
-    coeffs = []
-    for label in h2_class_labels(manifold):
-        if label[0] == "torus":
-            coeffs.append(form.torus_omega[label[1]][label[2]])
-        else:
-            coeffs.append(2 * form.sphere_coeffs[label[1]])
-    return coeffs
+    return ratlin._fractions([_class_numerators(manifold, form)],
+                             form.den)[0]
+
+
+def _class_numerators(manifold: ProductManifold, form: ProductForm) -> list:
+    w, o = form.nums, manifold.sphere_offset
+    return [w[lab[1]][lab[2]] if lab[0] == "torus"
+            else 2 * w[o(lab[1])][o(lab[1]) + 1]
+            for lab in h2_class_labels(manifold)]
 
 
 def form_from_class_coefficients(manifold: ProductManifold,
                                  coeffs) -> ProductForm:
     """Inverse of form_class_coefficients, for exact coefficients."""
     m = manifold.torus_dim
-    zero = Fraction(0)
-    om = [[zero] * m for _ in range(m)] if m else None
-    sph = [zero] * manifold.n_spheres
+    om, sph = [[0] * m for _ in range(m)], []
     for label, q in zip(h2_class_labels(manifold), coeffs):
         if label[0] == "torus":
-            om[label[1]][label[2]] = q
-            om[label[2]][label[1]] = -q
+            om[label[1]][label[2]], om[label[2]][label[1]] = q, -q
         else:
-            sph[label[1]] = Fraction(q, 2)
+            sph.append(Fraction(q, 2))
     return ProductForm(om, sph)
 
 
@@ -139,48 +134,41 @@ def integralize_form(manifold: ProductManifold, action: ActionSpec,
                      classification: ActionClassification,
                      max_denominator: int) -> IntegralizationResult:
     """Round the form's class coefficients to the best rationals with
-    denominator <= max_denominator, check that the rounded form is still
-    nondegenerate and splits the action as `classification` (the form's
-    own) does, then scale it integral.
+    denominator <= max_denominator, scale them integral, and check that the
+    integral form is still nondegenerate and splits the action as
+    `classification` (the form's own) does.
 
-    The rounding, the integral scaling and the deviation run in integer
-    numerators: each class coefficient n / d rounds to a coprime p / s
-    (ratlin.rational_round), k is the lcm of the s, omega_prime's
-    coefficients are the integers p k / s, and the deviation, the largest
-    |p d - n s| / (s d), is found by cross-multiplication and divided once,
-    so it is the correctly rounded float.
+    All in integer numerators: each class coefficient n / d rounds to a
+    coprime p / s, k is the lcm of the s, and omega_prime's coefficients
+    are the integers p k / s.  omega_prime is k times the rounded form, so
+    both checks read as they would on it; omega_prime's field covectors
+    serve the classification re-check and the moment.  The deviation, the
+    largest |p d - n s| / (s d), is taken over the common denominator k d
+    and divided once, so it is the correctly rounded float.
 
-    The rounding needs no exactness constraints.  A combination of
-    generators is Hamiltonian iff its combined translation vanishes (the
-    torus block is nondegenerate), and then its contraction with every
-    class has zero loop periods; so no class can break it.  The
-    classification re-check stays as the safety net.
-
+    The rounding needs no exactness constraints: a combination of
+    generators is Hamiltonian iff its combined translation vanishes, and
+    then no class gives it loop periods.  The re-check is the safety net.
     Raises RoundingBrokeNondegeneracy / RoundingBrokeConditionB when the
-    denominator bound is too coarse; see integralize_with_retry.
-    """
+    denominator bound is too coarse; see integralize_with_retry."""
     if not form.is_nondegenerate():
         raise ValueError("input form is degenerate")
-    a = form_class_coefficients(manifold, form)
-    q = [ratlin.rational_round(x, max_denominator) for x in a]
-    candidate = form_from_class_coefficients(manifold, q)
-    if not candidate.is_nondegenerate():
+    a, d = _class_numerators(manifold, form), form.den
+    q = [ratlin.rational_round(n, d, max_denominator) for n in a]
+    k = math.lcm(*[s for _, s in q])
+    omega_prime = form_from_class_coefficients(
+        manifold, [p * (k // s) for p, s in q])
+    if not omega_prime.is_nondegenerate():
         raise RoundingBrokeNondegeneracy(
             f"max_denominator={max_denominator}")
-    if classify_action(period_matrix(manifold, action, candidate)) \
-            != classification:
+    covectors = geom.field_covectors(action, omega_prime)
+    m = manifold.torus_dim
+    if classify_action([row[:m] for row in covectors[0]]) != classification:
         raise RoundingBrokeConditionB(f"max_denominator={max_denominator}")
-    k = math.lcm(*[x.denominator for x in q])
-    omega_prime = form_from_class_coefficients(
-        manifold, [Fraction(x.numerator * (k // x.denominator)) for x in q])
-    dev, dev_den = 0, 1
-    for x, y in zip(q, a):
-        err = abs(x.numerator * y.denominator - y.numerator * x.denominator)
-        err_den = x.denominator * y.denominator
-        if err * dev_den > dev * err_den:
-            dev, dev_den = err, err_den
-    return IntegralizationResult(omega_prime, k, tuple(q), dev / dev_den,
-                                 classification)
+    dev = max(abs(p * d - n * s) * (k // s) for (p, s), n in zip(q, a))
+    return IntegralizationResult(omega_prime, k,
+                                 tuple(Fraction(p, s) for p, s in q),
+                                 dev / (k * d), classification, covectors)
 
 
 def integralize_with_retry(manifold: ProductManifold, action: ActionSpec,

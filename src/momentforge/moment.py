@@ -4,17 +4,16 @@ factorization, and fixed-point local models.
 
 Every component is linear in the flat coordinates, so the moment is two
 exact covector matrices: mu1, one row per Hamiltonian basis vector, and
-mu2, one row per complement generator, both rows of one
-geom.field_covectors product against the integral form.  mu1_values and
-mu2_values pair those rows with lattice samples, exactly, as integer
-numerators over one denominator per part; the exact stages pair them with
-G.
+mu2, one row per complement generator, the classification's basis times
+the field covectors that the moment holds.  mu1_values and mu2_values
+pair those rows with lattice samples, exactly, as integer numerators over
+one denominator per part; the exact stages pair them with G.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -36,10 +35,10 @@ class GeneralizedMoment:
     """mu = (mu1, mu2), both computed against the same integral form.  mu1
     holds one exact covector per Hamiltonian basis vector, supported on the
     sphere height slots, and mu2 one per complement generator, its torus
-    slots integral: the rows of sign (B G) W for B the classification's
-    basis in order.  No additive constant enters mu1, since the unit-speed
-    rotation of a coefficient-1 sphere gives exactly the height coordinate.
-    """
+    slots integral: B times covectors, the rows sign G W of
+    geom.field_covectors, for B the classification's basis in order.  No
+    additive constant enters mu1, since the unit-speed rotation of a
+    coefficient-1 sphere gives exactly the height coordinate."""
 
     manifold: ProductManifold
     action: ActionSpec
@@ -47,6 +46,7 @@ class GeneralizedMoment:
     classification: ActionClassification
     mu1: tuple    # c exact covectors, length dim
     mu2: tuple    # r exact covectors, length dim
+    covectors: tuple = field(repr=False, compare=False)
 
     @property
     def c(self) -> int:
@@ -56,7 +56,7 @@ class GeneralizedMoment:
     def r(self) -> int:
         return len(self.mu2)
 
-    @property
+    @cached_property
     def torus_covectors(self) -> tuple:
         """The integral torus slots of mu2 as ints."""
         m = self.manifold.torus_dim
@@ -109,16 +109,15 @@ class GeneralizedMoment:
 
 def generalized_moment(manifold: ProductManifold, action: ActionSpec,
                        omega_prime: ProductForm,
-                       classification: ActionClassification
-                       ) -> GeneralizedMoment:
-    """One field covector product for the whole basis, split at c: the
-    Hamiltonian rows must have no periods, and every circle row needs a
-    nonzero integral torus part."""
+                       classification: ActionClassification,
+                       covectors) -> GeneralizedMoment:
+    """The basis times covectors, the field covectors of omega_prime,
+    split at c: the Hamiltonian rows must have no periods, and every circle
+    row needs a nonzero integral torus part."""
     m = manifold.torus_dim
-    rows = [tuple(row) for row in geom.field_covectors(
-        action, omega_prime,
+    rows = [tuple(row) for row in ratlin._product(
         classification.hamiltonian_basis
-        + classification.complement_generators)]
+        + classification.complement_generators, 1, *covectors)]
     mu1, mu2 = rows[:classification.c], rows[classification.c:]
     if any(any(row[:m]) for row in mu1):
         raise ValueError("Hamiltonian basis vector has nonzero periods")
@@ -129,7 +128,7 @@ def generalized_moment(manifold: ProductManifold, action: ActionSpec,
         if any(x.denominator != 1 for x in row[:m]):
             raise ValueError("form is not integral: non-integer loop periods")
     return GeneralizedMoment(manifold, action, omega_prime, classification,
-                             tuple(mu1), tuple(mu2))
+                             tuple(mu1), tuple(mu2), covectors)
 
 
 @dataclass(frozen=True)
@@ -173,17 +172,14 @@ def local_weights(manifold: ProductManifold, action: ActionSpec,
                   p) -> FixedPointLocalData:
     """Isotropy weights of the linearized action, one covector per
     symplectic plane.  On the plane of sphere f a generator weighs
-    orient * (the h entry of its field covector) / c, which is sign * speed
-    at the south pole and the opposite at the north pole; torus planes are
-    untranslated here and carry weight zero."""
+    orient * (the h entry of its field covector, sign * speed * c) / c:
+    sign * speed at the south pole and the opposite at the north pole;
+    torus planes are untranslated here and carry weight zero."""
     _require_fixed(manifold, action, p)
-    form = manifold.form()
-    covs = geom.field_covectors(action, form)
     weights = []
-    for f, c in enumerate(form.sphere_coeffs):
-        orient = _orientation(manifold, p, f)
-        h = manifold.sphere_offset(f) + 1
-        weights.append(tuple(orient * cov[h] / c for cov in covs))
+    for f in range(manifold.n_spheres):
+        unit = _orientation(manifold, p, f) * action.sign
+        weights.append(tuple(Fraction(unit * r[f]) for r in action.rotations))
     for k in range(manifold.torus_dim // 2):
         weights.append(tuple(0 for _ in range(action.r_total)))
     return FixedPointLocalData(tuple(weights))

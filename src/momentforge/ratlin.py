@@ -5,13 +5,11 @@ ample at the sizes this package ever sees (matrices up to ~12x12 plus a
 handful of homology columns).  The kernels scale each matrix to integer
 numerators over one common denominator, compute in Python ints (products,
 and fraction-free Bareiss elimination with exact division), and build
-Fractions only at the output.  A caller that holds an operand already
-scaled (a form is scaled once, when it is built) multiplies it with the
-private `_product`, which takes integer numerators and their denominator.
-`rational_round` walks the continued fraction of n / d and compares its
-candidates by integer cross-multiplication.  No floating point enters any
-routine in this module: scenario numbers are Fractions from parse time on,
-so every caller already holds exact data.
+Fractions only at the output.  A caller that holds integer numerators
+over one denominator, as forms and field covectors are held, multiplies
+them with the private `_product`, decides nondegeneracy with
+`nonsingular` and rounds n / d with `rational_round`.  No floating point
+enters any routine in this module.
 
 The Hermite normal form does all the lattice work: `lattice_split` reads a
 saturated integer kernel and a basis completing it from the Hermite
@@ -24,8 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Vec = list
 Mat = list  # list of rows
+P = 2 ** 31 - 1  # the prime of the nondegeneracy test and the sample lattice
 
 
 def _check_rect(m: Mat) -> tuple[int, int]:
@@ -101,7 +99,6 @@ def _product(na: Mat, da: int, nb: Mat, db: int) -> Mat:
     which it leaves alone."""
     if na and len(na[0]) != len(nb):
         raise ValueError("shape mismatch in mat_mul")
-    d = da * db
     cb = len(nb[0]) if nb else 0
     out = []
     for row in na:
@@ -111,9 +108,14 @@ def _product(na: Mat, da: int, nb: Mat, db: int) -> Mat:
                 for j, y in enumerate(b_row):
                     if y:
                         acc[j] += x * y
-        out.append(acc if d == 1 else
-                   [Fraction(v, d) if v else 0 for v in acc])
-    return out
+        out.append(acc)
+    return _fractions(out, da * db)
+
+
+def _fractions(n: Mat, d: int) -> Mat:
+    """The exact rows n / d: n itself when d is 1, else Fractions and 0."""
+    return n if d == 1 else [[Fraction(v, d) if v else 0 for v in row]
+                             for row in n]
 
 
 def transpose(m: Mat) -> Mat:
@@ -121,7 +123,7 @@ def transpose(m: Mat) -> Mat:
     return [[m[i][j] for i in range(rows)] for j in range(cols)]
 
 
-def clear_denominators(v: Vec) -> Vec:
+def clear_denominators(v: list) -> list:
     """Scale a rational vector to a primitive integer vector (gcd 1)."""
     [ints], _ = _scaled([v])
     g = math.gcd(*ints)
@@ -225,19 +227,17 @@ def smith_diagonal(m: Mat) -> list:
 # ---------------------------------------------------------------------------
 # scalar helpers
 
-def rational_round(x, max_denominator: int) -> Fraction:
-    """Best rational approximation of x with denominator <= max_denominator.
-
-    Continued-fraction convergents and semiconvergents of x = n / d, in
-    integers; on an exact tie in the approximation error the smaller
-    denominator wins.  The only Fraction built is the result.
-    """
+def rational_round(n: int, d: int, max_denominator: int) -> tuple:
+    """(p, s), coprime with 0 < s <= max_denominator: the best rational
+    approximation of n / d (d > 0), from the continued-fraction convergents
+    and semiconvergents, in integers; on an exact tie in the approximation
+    error the smaller denominator wins."""
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    n, d = x.numerator, x.denominator
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
     if d <= max_denominator:
-        return x
+        return n, d
     # walk the continued fraction of t / d, t = |n|
     t = abs(n)
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -259,7 +259,7 @@ def rational_round(x, max_denominator: int) -> Fraction:
         ps, qs = k * p1 + p0, k * q1 + q0
         if abs(ps * d - t * qs) * q1 < abs(p1 * d - t * q1) * qs:
             p, q = ps, qs
-    return Fraction(-p if n < 0 else p, q)
+    return (-p if n < 0 else p), q
 
 
 def determinant(m: Mat) -> Fraction:
@@ -275,3 +275,29 @@ def determinant(m: Mat) -> Fraction:
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * last, d ** n)
+
+
+def nonsingular(a: Mat) -> bool:
+    """Whether the antisymmetric integer matrix a is nonsingular: a nonzero
+    Pfaffian mod the prime P proves it, and at residue 0 Bareiss
+    elimination decides.  On the upper triangle, u[k][l - k - 1] = a_kl:
+    each step takes the Schur complement of the pivot block (0, 1), moving
+    a nonzero a_0c to a_01 first by adding row and column c to 1."""
+    u = [[x % P for x in row[k + 1:]] for k, row in enumerate(a)]
+    while u:
+        n = len(u)
+        c = next((c for c, x in enumerate(u[0], 1) if x), None)
+        if c is None:
+            return len(_eliminate([list(row) for row in a])[0]) == len(a)
+        if c > 1:
+            u[0][0] = u[0][c - 1]
+            u[1] = [(x + (u[c][l - c - 1] if l > c else -u[l][c - l - 1]
+                          if l < c else 0)) % P
+                    for l, x in zip(range(2, n), u[1])]
+        inv = pow(u[0][0], -1, P)
+        a0, a1 = u[0][1:], u[1]
+        r0, r1 = [x * inv % P for x in a0], [x * inv % P for x in a1]
+        u = [[(x + b * y - a * z) % P
+              for x, y, z in zip(u[k], r0[k - 1:], r1[k - 1:])]
+             for k, a, b in zip(range(2, n), a0, a1)]
+    return True

@@ -78,11 +78,10 @@ def _reduced_sphere(problem: ReductionProblem, gen_idx: int) -> int:
 def _level_height(problem: ReductionProblem, gen_idx: int,
                   value: Fraction) -> Fraction:
     """Invert the mu1 coordinate of the reduced generator on its sphere,
-    exactly: divide by the height entry of the generator's covector."""
+    exactly: divide by the height entry of its field covector."""
     f = _reduced_sphere(problem, gen_idx)
-    cov = geom.field_covectors(problem.action,
-                               problem.moment.omega_prime)[gen_idx]
-    return value / cov[problem.manifold.sphere_offset(f) + 1]
+    nums, d = problem.moment.covectors
+    return value * d / nums[gen_idx][problem.manifold.sphere_offset(f) + 1]
 
 
 def regular_value_check(problem: ReductionProblem) -> RegularValueVerdict:
@@ -169,10 +168,11 @@ def reduce_at(problem: ReductionProblem) -> ReducedSpace:
                            tuple(old_form.sphere_coeffs[f] for f in keep))
     if not new_form.is_nondegenerate():
         raise DegenerateReducedForm(f"reduced form {new_form}")
+    covectors = geom.field_covectors(new_action, new_form)
     cls = hamclass.classify_action(
-        hamclass.period_matrix(new_manifold, new_action, new_form))
+        [row[:new_manifold.torus_dim] for row in covectors[0]])
     new_moment = moment_mod.generalized_moment(new_manifold, new_action,
-                                               new_form, cls)
+                                               new_form, cls, covectors)
     return ReducedSpace(new_manifold, new_action, new_form, new_moment,
                         tuple(reduced_spheres), heights, problem)
 

@@ -32,6 +32,14 @@ def classify(m, a, form=None):
         hamclass.period_matrix(m, a, form or m.form()))
 
 
+def covectors(a, form, coeffs=None):
+    """geom.field_covectors as exact rows: one per generator, or one per
+    integer combination of generators in coeffs."""
+    nums, d = geom.field_covectors(a, form)
+    return ratlin._product(ratlin.identity(a.r_total) if coeffs is None
+                           else coeffs, 1, nums, d)
+
+
 def field_vector(m, a, coeffs):
     """The fundamental field of sum_j coeffs_j X_j in flat coordinates:
     sign times the combined translation on the torus coordinates and sign
@@ -65,7 +73,8 @@ def scenario_moment(sc):
         sc.manifold, sc.action, sc.form, classify(sc.manifold, sc.action),
         sc.max_denominator)
     return moment.generalized_moment(sc.manifold, sc.action,
-                                     res.omega_prime, res.classification)
+                                     res.omega_prime, res.classification,
+                                     res.covectors)
 
 
 def lattice_oracle(mom, nums):

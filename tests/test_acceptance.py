@@ -36,8 +36,8 @@ def pipeline(m, a, max_den=64):
     res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
                                           max_den)
     mom = moment.generalized_moment(m, a, res.omega_prime,
-                                    res.classification)
-    z = equiv.cocycle_matrix(a, res.omega_prime, res.classification)
+                                    res.classification, res.covectors)
+    z = equiv.cocycle_matrix(mom)
     return res, mom, z
 
 
@@ -150,7 +150,8 @@ def test_criterion_05_fixed_point_chain():
             ok &= nat.orbits_isotropic and nat.z_is_zero
             ok &= nat.max_mu2_invariance_error < 1e-9
     sc = scenario("two_torus")
-    neg = equiv.isotropic_orbit_test(sc.action, sc.form)
+    neg = equiv.isotropic_orbit_test(
+        sc.action, geom.field_covectors(sc.action, sc.form))
     ok &= not neg.isotropic
     verdict(5, ok, "fixed points force isotropic orbits, zero cocycle, and "
                    "invariant circle moments; 2-torus control fails "
@@ -184,9 +185,8 @@ def test_criterion_07_betti_bound():
     ok = True
     for name in BUNDLED:
         sc = scenario(name)
-        res, _, _ = pipeline(sc.manifold, sc.action, sc.max_denominator)
-        rep = convex.betti_bound_check(sc.manifold, sc.action,
-                                       res.omega_prime, res.classification)
+        _, mom, _ = pipeline(sc.manifold, sc.action, sc.max_denominator)
+        rep = convex.betti_bound_check(mom)
         ok &= rep.rank == rep.r and rep.bound_holds
         if name == "two_torus":
             ok &= rep.equality and rep.r == 2

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from momentforge import cli, convex, geom, sample
 
-from conftest import lattice_oracle, scenario_moment
+from conftest import covectors, lattice_oracle, scenario_moment
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -96,6 +96,11 @@ generators = | {" ".join(["1"] * 17)}
      "'1e400' is not a finite number"),
     (GOOD.replace("0 1 ; -1 0", "0 1e400 ; -1e400 0"),
      "'1e400' is not a finite number"),
+    # a 400-digit plain decimal is as far past the float range as 1e400
+    (GOOD.replace("0 1 ; -1 0", f"0 {'9' * 400}.5 ; -{'9' * 400}.5 0"),
+     f"'{'9' * 400}.5' is not a finite number"),
+    (GOOD.replace("torus_dim = 2", f"torus_dim = 2\nspheres = {'9' * 400}"),
+     f"'{'9' * 400}' is not a finite number"),
     (GOOD + "[reduce]\ngenerators = 0\nvalues = 1/0\n",
      "'1/0' is not a finite number"),
     # a '%' is read as written, not as an interpolation
@@ -133,6 +138,39 @@ def test_config_errors(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert re.search(fragment, err)
+
+
+@pytest.mark.parametrize("token", ["0", "-0", "0.0", "+1.5", "-.5", "5.",
+                                   "1.4142135623730951", "1e300", "1.5e-3",
+                                   "3/7", "-6/4"])
+def test_number_reads_what_fraction_reads(token):
+    n, d = cli._number(token, "where")
+    assert Fraction(n, d) == Fraction(token)
+
+
+@pytest.mark.parametrize("token", ["1e400", "inf", "nan", "1/0", "0x10",
+                                   "1.5/2", "--1", ".", "1.d", "1e", "e5"])
+def test_number_rejects_what_fraction_rejects_or_cannot_float(token):
+    with pytest.raises(cli.ConfigError, match="is not a finite number"):
+        cli._number(token, "where")
+    with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
+        float(Fraction(token))
+
+
+def test_lower_triangle_reuses_the_negated_upper_entry(monkeypatch):
+    """Each lower token that negates its upper partner reuses that entry,
+    so only the 10 tokens on and above the diagonal are parsed, and the
+    rows are those of parsing every token."""
+    text = ("0 1.5 -3/7 0 ; -1.5 0 2e-1 1 ; 3/7 -2e-1 0 -0.25 ; "
+            "-0 -1 0.25 0")
+    calls = []
+    real = cli._number
+    monkeypatch.setattr(cli, "_number",
+                        lambda x, where: calls.append(x) or real(x, where))
+    nums, d = cli._parse_matrix(text, "where")
+    assert len(calls) == 10
+    assert [[Fraction(x, d) for x in row] for row in nums] == [
+        [Fraction(t) for t in row.split()] for row in text.split(";")]
 
 
 def test_seed_precedence(tmp_path, monkeypatch):
@@ -332,15 +370,17 @@ def test_non_integral_loop_periods_fail(monkeypatch):
     the integral one) fails it."""
     real = cli.moment_mod.generalized_moment
 
-    def halved(manifold, action, omega_prime, cls):
-        mom = real(manifold, action, omega_prime, cls)
+    def halved(manifold, action, omega_prime, cls, held):
+        mom = real(manifold, action, omega_prime, cls, held)
         half = geom.ProductForm(
             [[Fraction(3 * x, 2) for x in row]
              for row in omega_prime.torus_omega],
             omega_prime.sphere_coeffs)
-        mu2 = geom.field_covectors(action, half, cls.complement_generators)
+        mu2 = covectors(action, half, cls.complement_generators)
         return dataclasses.replace(mom, omega_prime=half,
-                                   mu2=tuple(map(tuple, mu2)))
+                                   mu2=tuple(map(tuple, mu2)),
+                                   covectors=geom.field_covectors(action,
+                                                                  half))
 
     sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
     assert cli.run_scenario(sc, ("moment",)).sections["moment"][

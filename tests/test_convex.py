@@ -27,7 +27,7 @@ def pipeline(m, a):
     res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
                                           64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
-                                    res.classification)
+                                    res.classification, res.covectors)
     return res, mom
 
 
@@ -225,7 +225,7 @@ def test_moment_polytope_matches_fraction_oracle(w):
                         tuple(SphereFactor(F(1, 2)) for _ in range(n)))
     mu1 = tuple(tuple([0, 0] + [x for h in row for x in (0, h)])
                 for row in w)
-    mom = moment.GeneralizedMoment(m, None, None, None, mu1, ())
+    mom = moment.GeneralizedMoment(m, None, None, None, mu1, (), None)
     poly = convex.moment_polytope(mom)
     vertices, normals, offsets = fraction_moment_polytope(mom)
     assert [typed(v) for v in poly.vertices] == [typed(v) for v in vertices]
@@ -450,24 +450,21 @@ def test_no_extremum_requires_circle_part(s2xs2_rotations):
 
 def test_betti_bound_cases(t2_translations, s2xs2_rotations, s2xt2_mixed):
     for m, a in (t2_translations, s2xs2_rotations, s2xt2_mixed):
-        res, _ = pipeline(m, a)
-        rep = convex.betti_bound_check(m, a, res.omega_prime,
-                                       res.classification)
+        _, mom = pipeline(m, a)
+        rep = convex.betti_bound_check(mom)
         assert rep.rank == rep.r
         assert rep.bound_holds
     m, a = t2_translations
-    res, _ = pipeline(m, a)
-    rep = convex.betti_bound_check(m, a, res.omega_prime,
-                                   res.classification)
+    _, mom = pipeline(m, a)
+    rep = convex.betti_bound_check(mom)
     assert rep.equality  # r = b1 = 2
 
 
 def test_betti_sphere_vacuous():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
-    res, _ = pipeline(m, a)
-    rep = convex.betti_bound_check(m, a, res.omega_prime,
-                                   res.classification)
+    _, mom = pipeline(m, a)
+    rep = convex.betti_bound_check(mom)
     assert rep.r == 0 and rep.b1 == 0 and rep.bound_holds
 
 

@@ -10,16 +10,16 @@ from momentforge import cli, equiv, geom, hamclass, moment
 from momentforge.geom import ActionSpec, ProductForm
 
 from conftest import (STD4, affine_apply, circle_distance, classify,
-                      equivariance_check, field_vector, pairing, s2xs2, s2xt2,
-                      scenario_moment, sphere, torus2, torus4)
+                      covectors, equivariance_check, field_vector, pairing,
+                      s2xs2, s2xt2, scenario_moment, sphere, torus2, torus4)
 
 
 def pipeline(m, a):
     res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
                                           64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
-                                    res.classification)
-    z = equiv.cocycle_matrix(a, res.omega_prime, res.classification)
+                                    res.classification, res.covectors)
+    z = equiv.cocycle_matrix(mom)
     return res, mom, z
 
 
@@ -62,11 +62,16 @@ def test_cocycle_is_the_form_pairing(t2_translations):
 
 
 def test_cocycle_rejects_non_integral_form(t2_translations):
+    """The moment of a non-integral form, built past generalized_moment's
+    own integrality check, pairs to a half-integral cocycle."""
     m, a = t2_translations
     cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
     half = ProductForm(((0, 0.5), (-0.5, 0)), ())
+    mom = moment.GeneralizedMoment(m, a, half, cls, (), tuple(map(
+        tuple, covectors(a, half, cls.complement_generators))),
+                                   geom.field_covectors(a, half))
     with pytest.raises(equiv.NonIntegerPeriod):
-        equiv.cocycle_matrix(a, half, cls)
+        equiv.cocycle_matrix(mom)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,7 @@ def test_exact_equivariance_negative_controls(s2xt2_mixed):
 
 def test_s2xs2_orbits_isotropic(s2xs2_rotations):
     m, a = s2xs2_rotations
-    rep = equiv.isotropic_orbit_test(a, m.form())
+    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form()))
     assert rep.isotropic
     fields = [field_vector(m, a, g) for g in ((1, 0), (0, 1))]
     assert rep.pairings == tuple(tuple(pairing(m, m.form(), u, w)
@@ -172,7 +177,7 @@ def test_s2xs2_orbits_isotropic(s2xs2_rotations):
 
 def test_two_torus_orbits_not_isotropic(t2_translations):
     m, a = t2_translations
-    rep = equiv.isotropic_orbit_test(a, m.form())
+    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form()))
     assert not rep.isotropic
 
 
@@ -224,7 +229,7 @@ def test_fixed_point_flag_matches_fixed_point_set(name, t2_translations):
     else:
         sc = cli.load_scenario(cli.bundled_scenario_path(name))
         m, a, mom = sc.manifold, sc.action, scenario_moment(sc)
-        z = equiv.cocycle_matrix(a, mom.omega_prime, mom.classification)
+        z = equiv.cocycle_matrix(mom)
     assert equiv.natural_equivariance(mom, z).has_fixed_points \
         == (geom.fixed_point_set(m, a).kind != "empty")
 

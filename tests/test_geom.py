@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentforge import equiv, geom, hamclass, ratlin, sample
+from momentforge import equiv, geom, hamclass, moment, ratlin, sample
 from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
                               ProductManifold, SphereFactor)
 
-from conftest import (apply_torus_element, classify, field_vector, pairing,
-                      s2xt2, sphere, torus2, wrap)
+from conftest import (apply_torus_element, classify, covectors, field_vector,
+                      pairing, s2xt2, sphere, torus2, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +33,43 @@ def test_torus_factor_rejects_bad_forms():
         assert not ProductForm(degenerate, ()).is_nondegenerate()
 
 
+def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback():
+    """The prime form P (dx1 ^ dx2) has determinant P^2, 0 mod P: only the
+    exact fallback accepts it.  A T^4 form whose Pfaffian af - be + cd is
+    exactly 0, with every entry 2 mod P, is still a zero determinant."""
+    p = ratlin.P
+    torus = FlatTorusFactor(((0, p), (-p, 0)))
+    assert torus.nums == ((0, p), (-p, 0)) and torus.den == 1
+    assert ProductForm(torus, ()).is_nondegenerate()
+    pfaffian_zero = ((0, 1, 1, 1), (-1, 0, 1, 2), (-1, -1, 0, 1),
+                     (-1, -2, -1, 0))
+    with pytest.raises(ValueError, match="zero determinant"):
+        FlatTorusFactor(tuple(tuple((p + 2) * x for x in row)
+                              for row in pfaffian_zero))
+
+
+def test_forms_hold_integer_numerators_over_one_denominator():
+    """nums / den is W in lowest terms: the torus block over a common
+    denominator, then the sphere pairs; the Fraction views read it."""
+    torus = FlatTorusFactor([[0, 25], [-25, 0]], 10)
+    assert (torus.nums, torus.den) == (((0, 5), (-5, 0)), 2)
+    form = ProductForm(torus, (Fraction(1, 3),))
+    assert form.den == 6 and form.torus_dim == 2
+    assert form.nums == ((0, 15, 0, 0), (-15, 0, 0, 0), (0, 0, 0, 2),
+                         (0, 0, -2, 0))
+    assert form.torus_omega == ((0, Fraction(5, 2)), (Fraction(-5, 2), 0))
+    assert form.sphere_coeffs == (Fraction(1, 3),)
+    assert form == ProductForm(((0, 2.5), (-2.5, 0)), (Fraction(2, 6),))
+
+
 def test_factors_and_forms_hold_fractions():
     """Library callers may pass ints or floats; factors and forms hold the
     exact Fraction of each (a float converts exactly)."""
     torus = FlatTorusFactor(((0, 0.5), (-0.5, 0)))
-    form = ProductForm(torus.omega, (SphereFactor(0.1).area_coefficient,))
-    assert torus.omega == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
+    form = ProductForm(((0, 0.5), (-0.5, 0)),
+                       (SphereFactor(0.1).area_coefficient,))
+    assert (torus.nums, torus.den) == (((0, 1), (-1, 0)), 2)
+    assert form.torus_omega == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
     assert form.sphere_coeffs == (Fraction(0.1),)
     assert all(isinstance(x, Fraction)
                for x in form.torus_omega[0] + form.sphere_coeffs)
@@ -102,14 +133,14 @@ def test_sphere_rotation_field_speed_two():
     a = ActionSpec(((),), ((2,),))
     assert a.orbit_matrix() == [[2, 0]]
     assert field_vector(m, a, [1]) == [2, 0]
-    assert geom.field_covectors(a, m.form()) == [[0, 1]]
+    assert covectors(a, m.form()) == [[0, 1]]
 
 
 def test_sign_flips_fields_only():
     m = torus2()
     a = ActionSpec(((1, 0),), ((),), sign=-1)
     assert field_vector(m, a, [1]) == [-1, 0]
-    assert geom.field_covectors(a, m.form()) == [[0, -1]]
+    assert covectors(a, m.form()) == [[0, -1]]
     # the orbit map ignores the sign convention
     assert a.orbit_matrix() == [[1, 0]]
     moved = apply_torus_element(m, a, [0.25], np.zeros(2))
@@ -122,8 +153,8 @@ def test_combination_field():
     assert ratlin.mat_mul([[2, 3]], a.orbit_matrix()) == [[3, 0, 2, 0]]
     assert field_vector(m, a, [2, 3]) == [3, 0, 2, 0]
     # i_X omega for X = (3, 0 | 2, 0): 3 (0, 1) on the torus, c * 2 on h
-    assert geom.field_covectors(a, m.form(), [[2, 3]]) == [[0, 3, 0, 2]]
-    assert geom.field_covectors(a, m.form(), []) == []
+    assert covectors(a, m.form(), [[2, 3]]) == [[0, 3, 0, 2]]
+    assert covectors(a, m.form(), []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +164,17 @@ def test_pairing_and_contraction_on_torus():
     m = torus2()
     form = m.form()
     assert pairing(m, form, [1, 0], [0, 1]) == 1
-    assert form.matrix() == [[0, 1], [-1, 0]]
+    assert (form.nums, form.den) == (((0, 1), (-1, 0)), 1)
     a = ActionSpec(((1, 0),), ((),))
-    assert geom.field_covectors(a, form) == [[0, 1]]
+    assert covectors(a, form) == [[0, 1]]
 
 
 def test_contraction_on_sphere():
     m = sphere(0.5)
     form = m.form()
-    assert form.matrix() == [[0, 0.5], [-0.5, 0]]
+    assert (form.nums, form.den) == (((0, 1), (-1, 0)), 2)
     a = ActionSpec(((),), ((1,),))
-    assert geom.field_covectors(a, form) == [[0, 0.5]]
+    assert covectors(a, form) == [[0, 0.5]]
 
 
 def test_contraction_is_the_pairing_covector():
@@ -153,7 +184,7 @@ def test_contraction_is_the_pairing_covector():
     form = m.form()
     for sign in (1, -1):
         a = ActionSpec(((1, 2),), ((3,),), sign)
-        [cov] = geom.field_covectors(a, form)
+        [cov] = covectors(a, form)
         x = field_vector(m, a, [1])
         for k in range(m.dim):
             e = [int(i == k) for i in range(m.dim)]
@@ -204,19 +235,22 @@ def test_matrix_model_matches_the_oracle(product, combos):
     units = [[int(i == j) for i in range(a.r_total)]
              for j in range(a.r_total)]
     combos = [row[:a.r_total] for row in combos]
-    for coeffs, covs in ((units, geom.field_covectors(a, form)),
-                         (combos, geom.field_covectors(a, form, combos))):
+    for coeffs, covs in ((units, covectors(a, form)),
+                         (combos, covectors(a, form, combos))):
         assert covs == [[pairing(m, form, field_vector(m, a, g), e)
                          for e in basis] for g in coeffs]
     fields = [field_vector(m, a, g) for g in units]
-    assert equiv.isotropic_orbit_test(a, form).pairings == tuple(
+    assert equiv.isotropic_orbit_test(
+        a, geom.field_covectors(a, form)).pairings == tuple(
         tuple(pairing(m, form, u, w) for w in fields) for u in fields)
     cls = classify(m, a, form)
     res = hamclass.integralize_with_retry(m, a, form, cls, 64)
     gens = cls.complement_generators
     # Z pairs the field of H_i with the orbit of H_j, which follows the
     # generator data: sign times the field
-    assert equiv.cocycle_matrix(a, res.omega_prime, cls) == [
+    mom = moment.generalized_moment(m, a, res.omega_prime, cls,
+                                    res.covectors)
+    assert equiv.cocycle_matrix(mom) == [
         [a.sign * pairing(m, res.omega_prime, field_vector(m, a, gi),
                           field_vector(m, a, gj)) for gj in gens]
         for gi in gens]

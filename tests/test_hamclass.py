@@ -196,6 +196,16 @@ def test_h2_labels_order():
     assert hamclass.h2_class_labels(m) == [("torus", 0, 1), ("sphere", 0)]
 
 
+def test_class_coefficient_order():
+    """Torus classes dx_i ^ dx_j row by row (i < j), then one unit-area
+    class per sphere, whose coefficient is the area 2c."""
+    omega = ((0, 1, 2, 3), (-1, 0, 4, 5), (-2, -4, 0, 6), (-3, -5, -6, 0))
+    m = ProductManifold(FlatTorusFactor(omega),
+                        (SphereFactor(7), SphereFactor(8)))
+    assert hamclass.form_class_coefficients(m, m.form()) == [
+        1, 2, 3, 4, 5, 6, 14, 16]
+
+
 # ---------------------------------------------------------------------------
 # integralization
 
@@ -309,50 +319,32 @@ def test_integral_form_and_deviation_match_fraction_arithmetic(w, c, bound):
 T12 = Path(__file__).parent / "scenarios" / "t12_dense.ini"
 
 
-def _rows(m) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+def test_t12_prelude_builds_each_exact_object_once(monkeypatch):
+    """On the dense decimal T^12 golden input, one op (load and run) builds
+    two forms, the input form and omega_prime, with no rounded candidate
+    between them; it decides the nondegeneracy of each once, from its
+    torus numerators, and takes no exact determinant of a torus block; and
+    it computes the field covectors at most once per form."""
+    forms, decided, dets, covs = [], [], [], []
+    real_init = geom.ProductForm.__init__
 
-
-def _proportional(m, omega) -> bool:
-    """m = s omega for some rational s, as for the integer numerators of
-    omega over any denominator."""
-    m, omega = _rows(m), _rows(omega)
-    if len(m) != len(omega) or not omega[0][1]:
-        return False
-    s = m[0][1] / omega[0][1]
-    return m == tuple(tuple(s * x for x in row) for row in omega)
-
-
-def test_t12_input_determinant_once_and_each_form_scaled_once(monkeypatch):
-    """On the dense decimal T^12 golden input, one op (load and run) takes
-    the input form's determinant once, in the torus factor, whose verdict
-    the form reuses, and each form's matrix W is scaled to integer
-    numerators once, when the form is built: field_covectors and the
-    nondegeneracy test read those numerators."""
-    dets, scalings, forms = [], [], []
-    real_det, real_scaled = ratlin.determinant, ratlin._scaled
-    real_init = geom.ProductForm.__post_init__
-
-    def built(form):
-        real_init(form)
+    def built(form, *args):
+        real_init(form, *args)
         forms.append(form)
 
-    def scaled(m):
-        # integer rows, such as the numerators a determinant is taken of,
-        # have nothing to scale
-        if any(type(x) is not int for row in m for x in row):
-            scalings.append(_rows(m))
-        return real_scaled(m)
-
-    monkeypatch.setattr(ratlin, "determinant",
-                        lambda m: dets.append(m) or real_det(m))
-    monkeypatch.setattr(ratlin, "_scaled", scaled)
-    monkeypatch.setattr(geom.ProductForm, "__post_init__", built)
+    monkeypatch.setattr(geom.ProductForm, "__init__", built)
+    for module, name, log in ((ratlin, "nonsingular", decided),
+                              (ratlin, "determinant", dets),
+                              (geom, "field_covectors", covs)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, log=log:
+                            log.append(args) or real(*args))
     scenario = cli.load_scenario(T12)
-    cli.run_scenario(scenario)
-    omega = scenario.manifold.torus.omega
-    assert sum(_proportional(m, omega) for m in dets) == 1
-    # the input form, the rounded candidate and the integral form
-    assert len(forms) == 3
-    for form in forms:
-        assert scalings.count(_rows(form.matrix())) == 1
+    assert cli.run_scenario(scenario).passed
+    assert len(forms) == 2
+    assert forms[0] is scenario.form
+    # no spheres: each form's matrix is its torus block
+    assert [tuple(map(tuple, a)) for (a,) in decided] \
+        == [form.nums for form in forms]
+    assert dets == []
+    assert len(covs) <= 2

@@ -26,7 +26,7 @@ def build(m, a, max_den=64):
     res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
                                           max_den)
     return moment.generalized_moment(m, a, res.omega_prime,
-                                     res.classification)
+                                     res.classification, res.covectors)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +89,16 @@ def test_moment_rejects_hamiltonian_circle_generator():
     a = ActionSpec(((),), ((1,),))
     cls = hamclass.ActionClassification((), ((1,),), 1)
     with pytest.raises(moment.GeneratorIsHamiltonian):
-        moment.generalized_moment(m, a, m.form(), cls)
+        moment.generalized_moment(m, a, m.form(), cls,
+                                  geom.field_covectors(a, m.form()))
 
 
 def test_moment_rejects_non_integral_circle_form(t2_translations):
     m, a = t2_translations
     bad = ProductForm(((0, 0.5), (-0.5, 0)), ())
     with pytest.raises(ValueError):
-        moment.generalized_moment(m, a, bad, classify(m, a))
+        moment.generalized_moment(m, a, bad, classify(m, a),
+                                  geom.field_covectors(a, bad))
 
 
 # ---------------------------------------------------------------------------

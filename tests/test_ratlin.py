@@ -175,11 +175,17 @@ def _best_by_scan(x, max_den):
     return best[1]
 
 
+def rounded(x, max_den) -> Fraction:
+    """ratlin.rational_round of the exact value of x, as a Fraction."""
+    return Fraction(*ratlin.rational_round(*Fraction(x).as_integer_ratio(),
+                                           max_den))
+
+
 def test_rational_round_known_values():
-    assert ratlin.rational_round(math.sqrt(2), 5) == Fraction(7, 5)
-    assert ratlin.rational_round(math.pi, 7) == Fraction(22, 7)
-    assert ratlin.rational_round(0.5, 10) == Fraction(1, 2)
-    assert ratlin.rational_round(-math.pi, 7) == Fraction(-22, 7)
+    assert rounded(math.sqrt(2), 5) == Fraction(7, 5)
+    assert rounded(math.pi, 7) == Fraction(22, 7)
+    assert rounded(0.5, 10) == Fraction(1, 2)
+    assert rounded(-math.pi, 7) == Fraction(-22, 7)
 
 
 @given(st.floats(min_value=-10, max_value=10,
@@ -187,7 +193,7 @@ def test_rational_round_known_values():
        st.integers(min_value=1, max_value=40))
 @settings(max_examples=120, deadline=None)
 def test_rational_round_matches_exhaustive_scan(x, max_den):
-    got = ratlin.rational_round(x, max_den)
+    got = rounded(x, max_den)
     want = _best_by_scan(x, max_den)
     assert abs(got - Fraction(x)) == abs(want - Fraction(x))
     assert got.denominator == want.denominator
@@ -197,7 +203,7 @@ def test_rational_round_matches_exhaustive_scan(x, max_den):
 @settings(max_examples=120, deadline=None)
 def test_rational_round_matches_exhaustive_scan_on_exact_decimals(x,
                                                                   max_den):
-    assert ratlin.rational_round(x, max_den) == _best_by_scan(x, max_den)
+    assert rounded(x, max_den) == _best_by_scan(x, max_den)
 
 
 @given(exact_decimals(), st.integers(min_value=2, max_value=64))
@@ -213,13 +219,21 @@ def test_rational_round_exact_tie_goes_to_the_smaller_denominator(x,
     assume(lo != hi)
     tie = (lo + hi) / 2
     want = min(lo, hi, key=lambda f: f.denominator)
-    assert ratlin.rational_round(tie, max_den) == want
+    assert rounded(tie, max_den) == want
     assert _best_by_scan(tie, max_den) == want
+
+
+def test_rational_round_takes_any_pair_over_its_value():
+    """A pair with a common factor rounds as its lowest terms do: 50 / 100
+    is 1/2 within a bound of 2, and the walk never runs past it."""
+    assert ratlin.rational_round(50, 100, 2) == (1, 2)
+    assert ratlin.rational_round(-6, 4, 8) == (-3, 2)
+    assert ratlin.rational_round(14142, 10000, 5) == (7, 5)
 
 
 def test_rational_round_rejects_bad_bound():
     with pytest.raises(ValueError):
-        ratlin.rational_round(1.0, 0)
+        ratlin.rational_round(1, 1, 0)
 
 
 @given(st.lists(small_ints, min_size=6, max_size=6))
@@ -326,3 +340,54 @@ def test_mat_mul_without_denominators_returns_ints(a, cols, as_fractions,
     if as_fractions:
         b = [[Fraction(x) for x in row] for row in b]
     assert all(type(x) is int for row in ratlin.mat_mul(a, b) for x in row)
+
+
+# ---------------------------------------------------------------------------
+# nondegeneracy mod P
+
+P = ratlin.P
+# entries near 0, and near multiples of P, whose residues are small
+near_p = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda k: k * P),
+                   st.integers(-3, 3).map(lambda k: k * P + 1))
+
+
+def antisymmetric(n, upper) -> list:
+    """The n x n antisymmetric matrix with the given entries above the
+    diagonal, row by row."""
+    a, it = [[0] * n for _ in range(n)], iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = x = next(it)
+            a[j][i] = -x
+    return a
+
+
+@given(st.integers(0, 7).flatmap(lambda n: st.lists(
+    near_p, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda upper: antisymmetric(n, upper))))
+@settings(max_examples=300, deadline=None)
+def test_nonsingular_is_a_nonzero_determinant(a):
+    assert ratlin.nonsingular(a) == (ratlin.determinant(a) != 0)
+
+
+def test_nonsingular_falls_back_to_exact_elimination_at_residue_zero(
+        monkeypatch):
+    """A Pfaffian of residue 0 decides nothing: P J and a T^4 form of
+    Pfaffian P are nonsingular, those of Pfaffian P - P and 0 are not, and
+    only the exact elimination, run only then, says so.  Pivots off a_01
+    are moved there first."""
+    calls = []
+    real = ratlin._eliminate
+    monkeypatch.setattr(ratlin, "_eliminate",
+                        lambda a, *args: calls.append(a) or real(a, *args))
+    # Pf = a01 a23 - a02 a13 + a03 a12
+    assert ratlin.nonsingular(antisymmetric(2, [P]))
+    assert ratlin.nonsingular(antisymmetric(4, [P, 1, 1, 1, 1, 1]))
+    assert not ratlin.nonsingular(antisymmetric(4, [P, P, 0, 0, 1, 1]))
+    # a_01 = 0: row and column 3 are added to 1, reading a_23 below a_13
+    assert not ratlin.nonsingular(antisymmetric(4, [0, 0, 1, 0, 0, 1]))
+    assert len(calls) == 4
+    assert ratlin.nonsingular(antisymmetric(2, [P + 1]))
+    assert ratlin.nonsingular(antisymmetric(4, [0, 1, 3, P + 2, 5, 0]))
+    assert not ratlin.nonsingular(antisymmetric(3, [1, 2, 3]))
+    assert len(calls) == 5

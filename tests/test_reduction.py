@@ -17,7 +17,7 @@ def pipeline(m, a):
     res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
                                           64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
-                                    res.classification)
+                                    res.classification, res.covectors)
     return res, mom
 
 
