@@ -1,8 +1,8 @@
 """Batch driver: scenario files in, deterministic reports and CSV tables
 out.
 
-Scenario files are flat INI-style key/value text with one section per
-concern; see the bundled files under momentforge/scenarios for the format.
+Scenario files are INI text with one section per concern, read by
+_read_ini; see the bundled files under momentforge/scenarios for the format.
 Exit codes: 0 success, 1 a check failed, 2 configuration error.  The seed
 precedence is flag > MOMENTFORGE_SEED > scenario file > 0.
 """
@@ -10,7 +10,6 @@ precedence is flag > MOMENTFORGE_SEED > scenario file > 0.
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
 import re
@@ -72,12 +71,19 @@ _TOKEN = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
 def _number(token: str, where: str) -> tuple:
     """A scenario number as (numerator, denominator): an integer, a decimal
     (with an exponent) or p/q, with a finite float value.  That caps it at
-    309 digits: Python prints no int of more than 4300 digits."""
+    309 digits: Python prints no int of more than 4300 digits.  A plain
+    integer or decimal skips the regex."""
     try:    # AttributeError: no match, so no groups
-        sign, whole, den, frac, exp = _TOKEN.fullmatch(token).groups()
-        frac, e = frac or "", int(exp or 0)
-        n = int(sign + (whole + frac or "0")) * 10 ** max(e, 0)
-        d = int(den or 10 ** len(frac.replace("_", ""))) * 10 ** max(-e, 0)
+        whole, _, frac = token.partition(".")
+        unsigned = whole[1:] if whole[:1] in ("+", "-") else whole
+        if (unsigned + frac).isdecimal():    # the digits \d and int read
+            n, d = int(whole + frac), 10 ** len(frac)
+        else:
+            sign, whole, den, frac, exp = _TOKEN.fullmatch(token).groups()
+            frac, e = frac or "", int(exp or 0)
+            n = int(sign + (whole + frac or "0")) * 10 ** max(e, 0)
+            d = int(den or 10 ** len(frac.replace("_", ""))) \
+                * 10 ** max(-e, 0)
         n / d    # OverflowError past the float range, ZeroDivisionError
     except (AttributeError, ArithmeticError, ValueError) as exc:
         raise ConfigError(f"{where}: {token!r} is not a finite "
@@ -136,6 +142,54 @@ def _parse_generators(text: str, torus_dim: int, n_spheres: int,
     return tuple(translations), tuple(rotations)
 
 
+def _read_ini(text: str, path) -> dict:
+    """The scenario file as {section: {key: value}}, in one pass: [section]
+    headers, `key = value` lines (keys lower-cased, both sides stripped),
+    full-line # and ; comments, and continuation lines, indented past
+    their key's line, which join its value with newlines (a blank line
+    inside a value is kept, trailing ones are not).  Nothing is
+    interpolated, and # or ; after a value is part of it.  A duplicate
+    section or key, a key before any section, a line that is neither, and
+    a [DEFAULT] section raise ConfigError with the line number."""
+    sections, values, key, indent = {}, None, None, 0
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            if not stripped and key is not None:
+                values[key] += "\n"
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            values[key] += "\n" + stripped
+            continue
+        indent, where = depth, f"{path}: line {number}:"
+        if stripped[0] == "[":
+            name, key = stripped[1:-1], None
+            if stripped[-1] != "]" or not name:
+                raise ConfigError(f"{where} a section header is [name] "
+                                  f"alone on its line, not {stripped!r}")
+            if name == "DEFAULT":
+                raise ConfigError(f"{where} a [DEFAULT] section is not "
+                                  "supported")
+            if name in sections:
+                raise ConfigError(f"{where} section [{name}] appears twice")
+            values = sections[name] = {}
+            continue
+        key, eq, value = stripped.partition("=")
+        key = key.rstrip().lower()
+        if not eq or not key:
+            raise ConfigError(f"{where} expected 'key = value', not "
+                              f"{stripped!r}")
+        if values is None:
+            raise ConfigError(f"{where} key {key!r} comes before any "
+                              "[section] header")
+        if key in values:
+            raise ConfigError(f"{where} [{name}] {key} appears twice")
+        values[key] = value.lstrip()
+    return {name: {k: v.rstrip() for k, v in keys.items()}
+            for name, keys in sections.items()}
+
+
 # [pipeline] key -> (default, minimum); the two sample counts are also
 # budgeted: samples times the manifold's dim must fit geom.MAX_SAMPLE_ENTRIES
 _PIPELINE = {"seed": (0, 0), "max_denominator": (64, 1),
@@ -153,27 +207,27 @@ def load_scenario(path, *, seed=None, sign=None,
     the [expect] and [pipeline] keys, each through its key table.  The
     seed, sign and max_denominator arguments override the file; the seed
     is resolved flag > MOMENTFORGE_SEED > file > 0."""
-    parser = configparser.ConfigParser(interpolation=None)    # '%' is text
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    ini = _read_ini(text, path)
+
+    def get(section, key, default=None):
+        return ini.get(section, {}).get(key, default)
 
     def need(section, key):
-        if not parser.has_option(section, key):
+        value = get(section, key)
+        if value is None:
             raise ConfigError(f"{path}: missing [{section}] {key}")
-        return parser.get(section, key)
+        return value
 
     def integer(section, key, default=None, minimum=None, value=None):
         """The key as an integer, or value when an override is given, at
         least minimum when one is given."""
         if value is None:
             try:
-                value = int(parser.get(section, key, fallback=default))
+                value = int(get(section, key, default))
             except ValueError as exc:
                 raise ConfigError(f"{path}: [{section}] {key} not an "
                                   "integer") from exc
@@ -198,7 +252,7 @@ def load_scenario(path, *, seed=None, sign=None,
     where = f"{path} [manifold] spheres"
     try:
         spheres = tuple(SphereFactor(Fraction(*_number(x, where))) for x in
-                        parser.get("manifold", "spheres", fallback="").split())
+                        get("manifold", "spheres", "").split())
     except ValueError as exc:
         raise ConfigError(f"{path}: [manifold] spheres: {exc}") from exc
     try:
@@ -209,7 +263,7 @@ def load_scenario(path, *, seed=None, sign=None,
     translations, rotations = _parse_generators(
         need("action", "generators"), torus_dim, len(spheres),
         f"{path} [action] generators")
-    sign_text = sign or parser.get("action", "sign", fallback="plus")
+    sign_text = sign or get("action", "sign", "plus")
     if sign_text not in ("plus", "minus"):
         raise ConfigError(f"{path}: sign must be 'plus' or 'minus'")
     try:
@@ -218,7 +272,7 @@ def load_scenario(path, *, seed=None, sign=None,
     except ValueError as exc:
         raise ConfigError(f"{path}: [action] {exc}") from exc
 
-    checks = tuple((parser.get("checks", "run", fallback=None)
+    checks = tuple((get("checks", "run")
                     or "classify integralize moment equivariance convexity "
                        "betti").split())
     for check in checks:
@@ -227,7 +281,7 @@ def load_scenario(path, *, seed=None, sign=None,
 
     reduce_indices: tuple = ()
     reduce_values: tuple = ()
-    if parser.has_section("reduce"):
+    if "reduce" in ini:
         try:
             reduce_indices = tuple(
                 int(x) for x in need("reduce", "generators").split())
@@ -252,8 +306,8 @@ def load_scenario(path, *, seed=None, sign=None,
                                   "rotations can be reduced")
 
     expect = {}
-    if parser.has_section("expect"):
-        for key, raw in parser.items("expect"):
+    if "expect" in ini:
+        for key, raw in ini["expect"].items():
             if key not in _EXPECT:
                 raise ConfigError(f"{path}: unknown expectation {key!r}")
             if key == "omega_prime_torus" and torus is None:
@@ -306,6 +360,7 @@ class Report:
     sample_header: tuple = ()
     coverage: object = None                        # sample.CoverageReport
     failures: list = field(default_factory=list)
+    _text: str = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -313,6 +368,7 @@ class Report:
 
     def add(self, check: str, key: str, value):
         self.sections.setdefault(check, {})[key] = value
+        self._text = None
 
     def matrix(self, name: str, rows):
         self.matrices.append((name, [list(r) for r in rows]))
@@ -323,6 +379,10 @@ class Report:
             self.failures.append(f"{check}.{key}")
 
     def render(self) -> str:
+        """The text report, built once until add or require changes it (it
+        holds no matrix)."""
+        if self._text is not None:
+            return self._text
         lines = [f"scenario = {self.scenario}"]
         for key in sorted(self.provenance):
             lines.append(f"{key} = {_fmt(self.provenance[key])}")
@@ -335,29 +395,32 @@ class Report:
         lines.append(f"overall = {'pass' if self.passed else 'FAIL'}")
         if self.failures:
             lines.append("failures = " + ", ".join(self.failures))
-        return "\n".join(lines) + "\n"
+        self._text = "\n".join(lines) + "\n"
+        return self._text
 
 
 def emit_report(report: Report, out_dir) -> list:
     """Write the structured text report plus the three CSV tables; returns
     the written paths.  Bytes are a pure function of the report: the
     sample table holds integers, its denominators in the header, and is
-    written by sample.decimal_table in one vectorized pass."""
+    streamed into its file in blocks of rows (sample.table_blocks)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write(name, data: bytes):
+    def write(name, data: bytes, blocks=()):
         p = out / name
-        p.write_bytes(data)
+        with p.open("wb") as f:
+            f.write(data)
+            f.writelines(blocks)
         written.append(p)
 
     write("report.txt", report.render().encode())
     if report.samples is not None:
         from . import sample
         write("moment_samples.csv",
-              (",".join(report.sample_header) + "\n").encode()
-              + sample.decimal_table(report.samples))
+              (",".join(report.sample_header) + "\n").encode(),
+              sample.table_blocks(report.samples))
     rows = ["grid_resolution,n_counted_cells,n_hit_cells,fraction,"
             "empty_cell_witnesses"]
     if report.coverage is not None:
@@ -369,8 +432,8 @@ def emit_report(report: Report, out_dir) -> list:
     rows = ["name,i,j,value"]
     for name, mat in report.matrices:
         for i, r in enumerate(mat):
-            for j, v in enumerate(r):
-                rows.append(f"{name},{i},{j},{_fmt(v)}")
+            head = f"{name},{i},"
+            rows.extend([f"{head}{j},{v!s}" for j, v in enumerate(r)])
     write("matrices.csv", ("\n".join(rows) + "\n").encode())
     return written
 
@@ -382,8 +445,10 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
     """Run the prelude, then every STAGES entry that the request (by
     default the scenario's checks) names, in table order.  The prelude
     classifies the action and integralizes the form; its moment is what
-    every stage reads, so a failed integralization ends the run there.
-    Deterministic for a fixed (scenario, seed)."""
+    every stage reads, so a failed integralization ends the run there.  So
+    does a STAGE_ERRORS exception, recorded as the failed key
+    `<stage>.error = <Type>: <message>`.  Deterministic for a fixed
+    (scenario, seed)."""
     wanted = requested or scenario.checks
     for check in wanted:
         if check not in CHECK_ORDER:
@@ -395,11 +460,15 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
         "samples": scenario.samples,
         "grid": scenario.grid,
     })
-    mom = _prelude(report, scenario)
-    if mom is not None:
-        for name, stage in STAGES.items():
-            if name in wanted:
-                stage(report, scenario, mom)
+    stage = "integralize"    # the prelude ends by building the moment
+    try:
+        mom = _prelude(report, scenario)
+        for stage, run in STAGES.items():
+            if mom is not None and stage in wanted:
+                run(report, scenario, mom)
+    except STAGE_ERRORS as exc:
+        report.add(stage, "error", f"{type(exc).__name__}: {exc}")
+        report.failures.append(f"{stage}.error")
     return report
 
 
@@ -482,7 +551,7 @@ def _run_equivariance(report, scenario, mom):
     z = equiv.cocycle_matrix(mom)
     report.matrix("cocycle", z)
     _expect(report, scenario, "equivariance", "z", z)
-    eq = equiv.exact_equivariance(mom, z)
+    eq = equiv.exact_equivariance(mom)
     report.add("equivariance", "max_mu2_error", eq.max_mu2_error)
     report.add("equivariance", "max_mu1_invariance_error",
                eq.max_mu1_invariance_error)
@@ -587,6 +656,13 @@ STAGES = {"moment": _run_moment, "equivariance": _run_equivariance,
           "convexity": _run_convexity, "betti": _run_betti,
           "reduce": _run_reduce}
 CHECK_ORDER = ("classify", "integralize", *STAGES)
+# what the library raises when an input breaks a stage's mathematics: the
+# run ends in a failed report, not a traceback
+STAGE_ERRORS = (convex.PreconditionViolated, convex.NoIntegerDirection,
+                equiv.NonIntegerPeriod, equiv.FixedPointChainBroken,
+                reduction.NotInvariantOnOrbits,
+                moment_mod.GeneratorIsHamiltonian, reduction.NotRegular,
+                reduction.DegenerateReducedForm)
 
 
 # ---------------------------------------------------------------------------

@@ -65,19 +65,23 @@ class EquivarianceReport:
     passed: bool
 
 
-def exact_equivariance(moment: GeneralizedMoment,
-                       z: list) -> EquivarianceReport:
+def exact_equivariance(moment: GeneralizedMoment) -> EquivarianceReport:
     """The equivariance identity itself, exactly.  Every component is linear
     in the flat coordinates and the subtorus element s moves x to
-    x + s (H G), so mu2(s.x) - mu2(x) = (mu2 covectors) (H G)^T s: mu2 is
-    equivariant under the affine action of Z iff that matrix is Z, and mu1
-    is invariant iff (mu1 covectors) (H G)^T = 0.  The errors are the
-    largest residual entries; no points are sampled."""
-    orbits = ratlin.mat_mul(moment.classification.complement_generators,
-                            moment.action.orbit_matrix())
-    mu2 = _pairings(moment.mu2, orbits)
-    mu2_error = _max_abs([[x - y for x, y in zip(row, z_row)]
-                          for row, z_row in zip(mu2, z)])
+    x + s (H G), so mu2(s.x) - mu2(x) = (mu2 covectors) (H G)^T s.  mu2 is
+    equivariant under the affine action of the cocycle iff that matrix is
+    the pairing of the complement fields under the form, sign H P H^T with
+    P = G W G^T the isotropy pairings, and mu1 is invariant iff
+    (mu1 covectors) (H G)^T = 0.  The errors are the largest residual
+    entries; no points are sampled."""
+    h = moment.classification.complement_generators
+    orbits = ratlin.mat_mul(h, moment.action.orbit_matrix())
+    p = isotropic_orbit_test(moment.action, moment.covectors).pairings
+    sign = moment.action.sign
+    mu2_error = _max_abs([[x - sign * y for x, y in zip(row, form_row)]
+                          for row, form_row in zip(
+                              _pairings(moment.mu2, orbits),
+                              _pairings(ratlin.mat_mul(h, p), h))])
     mu1_error = _max_abs(_pairings(moment.mu1, orbits))
     return EquivarianceReport(mu2_error, mu1_error,
                               mu2_error == 0 and mu1_error == 0)

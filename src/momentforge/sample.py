@@ -28,6 +28,8 @@ MAX_COVERAGE_CELLS = 2 ** 20
 COVERAGE_CHUNK = 1024
 # and tests the mu1 cell centres this many numerators at a time
 CELL_BLOCK_ENTRIES = 2 ** 18
+# table_blocks writes the sample table this many cells (or one row) at a time
+TABLE_BLOCK_ENTRIES = 2 ** 13
 
 
 def sample_points(manifold: ProductManifold, n: int, seed: int,
@@ -266,3 +268,12 @@ def decimal_table(a: np.ndarray) -> bytes:
         table, mag, top = _PAIRS, q, top // 100
     # each row starts with a newline: the table's first one goes to its end
     return cells.tobytes().translate(None, b"\0")[1:] + b"\n"
+
+
+def table_blocks(a: np.ndarray):
+    """decimal_table(a) as the bytes of consecutive blocks of whole rows,
+    each of at most TABLE_BLOCK_ENTRIES cells or one row, so that its
+    temporaries stay small whatever the table's length."""
+    step = max(1, TABLE_BLOCK_ENTRIES // max(1, a.shape[1]))
+    for lo in range(0, len(a), step):
+        yield decimal_table(a[lo:lo + step])

@@ -1,6 +1,7 @@
 """Scenario driver: parsing, bundled resolution, exit codes, expectation
 enforcement, seed precedence, and deterministic report emission."""
 
+import configparser
 import dataclasses
 import re
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from momentforge import cli, convex, geom, sample
+from momentforge import (cli, convex, equiv, geom, moment as moment_mod,
+                         reduction, sample)
 
 from conftest import covectors, lattice_oracle, scenario_moment
 
@@ -155,6 +157,90 @@ def test_number_rejects_what_fraction_rejects_or_cannot_float(token):
         cli._number(token, "where")
     with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
         float(Fraction(token))
+
+
+# every plain integer and decimal shape, with decimal digits that are not
+# ASCII and a superscript digit that no number takes
+@given(st.text("0123456789+-.\u0661\u0662\uff13\u00b2", max_size=8)
+       | st.from_regex(r"[-+]?0*[0-9]{0,4}(\.[0-9]{0,4})?", fullmatch=True))
+def test_number_fast_path_reads_what_the_token_regex_reads(token):
+    """A token of digits, signs and points reads as the regex path reads
+    it, or is rejected as there: with "e0" appended, which scales by 1,
+    every such token takes the regex path."""
+    try:
+        expected = cli._number(token + "e0", "where")
+    except cli.ConfigError:
+        with pytest.raises(cli.ConfigError, match="is not a finite number"):
+            cli._number(token, "where")
+    else:
+        assert cli._number(token, "where") == expected
+
+
+def configparser_sections(text):
+    """The oracle of the scenario reader: what configparser reads from
+    the INI subset that scenario files use."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+BLANK_OR_COMMENT = st.sampled_from(["", "   ", "# note", "; a = b",
+                                    "  # indented", "\t; %(x)s"])
+CONTINUATION = st.tuples(
+    st.sampled_from([" ", "  ", "\t", "    "]),
+    st.text("ab 1.5/-;:%#=|[]", min_size=1, max_size=10).filter(
+        lambda t: t.strip() and t.strip()[0] not in "#;")).map("".join)
+
+
+@st.composite
+def ini_texts(draw):
+    """Texts in the reader's subset: section headers, mixed-case keys with
+    values that hold '%', ':' and ';', comments, blank lines and
+    continuation lines."""
+    lines = draw(st.lists(BLANK_OR_COMMENT, max_size=2))
+    for name in draw(st.lists(st.text("abMN _.", min_size=1, max_size=8),
+                              min_size=1, max_size=4, unique=True)):
+        lines.append(f"[{name}]")
+        for key in draw(st.lists(st.text("abcXYZ_019", min_size=1,
+                                         max_size=6),
+                                 max_size=4, unique_by=str.lower)):
+            space = st.sampled_from(["", " ", "  "])
+            lines.append(f"{key}{draw(space)}={draw(space)}"
+                         + draw(st.text("ab 1.5/-;:%#=|[]", max_size=12)))
+            lines += draw(st.lists(CONTINUATION | BLANK_OR_COMMENT,
+                                   max_size=3))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(ini_texts())
+def test_reader_reads_what_configparser_reads(text):
+    assert cli._read_ini(text, "s.ini") == configparser_sections(text)
+
+
+@pytest.mark.parametrize("text,fragment", [
+    (GOOD + "[pipeline]\nseed = 1\nSeed = 2\n",
+     r"line 9: \[pipeline\] seed appears twice"),
+    (GOOD + "[action]\nsign = plus\n", r"line 7: section \[action\] appears"),
+    ("torus_dim = 2\n" + GOOD, "line 1: key 'torus_dim' comes before any"),
+    (GOOD + "[pipeline]\nseed\n", "line 8: expected 'key = value', not 'seed'"),
+    (GOOD + "[pipeline]\nseed: 4\n", "line 8: expected 'key = value'"),
+    (GOOD + "[pipeline]\n= 4\n", "line 8: expected 'key = value'"),
+    ("[DEFAULT]\nseed = 1\n" + GOOD,
+     r"line 1: a \[DEFAULT\] section is not supported"),
+    (GOOD.replace("[action]", "[action] # note"),
+     r"line 5: a section header is \[name\] alone on its line"),
+    (GOOD + "[]\n", r"line 7: a section header is \[name\] alone"),
+])
+def test_malformed_files_are_config_errors(tmp_path, capsys, text, fragment):
+    """Each form the reader rejects ends in exit 2 and one config error
+    line that names the line, with no report."""
+    path = write(tmp_path, text)
+    assert cli.main(["all", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"config error: {path}: ")
+    assert re.search(fragment, line)
 
 
 def test_lower_triangle_reuses_the_negated_upper_entry(monkeypatch):
@@ -391,6 +477,71 @@ def test_non_integral_loop_periods_fail(monkeypatch):
     assert "moment.mu2_loop_periods_integral" in report.failures
 
 
+def test_perturbed_mu2_row_fails_the_equivariance_certificate(monkeypatch):
+    """A moment whose mu2 row is no longer a primitive of the contracted
+    form fails the certificate: one torus slot moved by 1 off the
+    diagonal of Z leaves Z integral with a zero diagonal, yet differs from
+    the form's pairing sign H P H^T by 1."""
+    real = cli.moment_mod.generalized_moment
+
+    def bent(*args):
+        mom = real(*args)
+        row = list(mom.mu2[0])
+        row[1] += 1
+        return dataclasses.replace(mom, mu2=(tuple(row),) + mom.mu2[1:])
+
+    sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
+    monkeypatch.setattr(cli.moment_mod, "generalized_moment", bent)
+    report = cli.run_scenario(sc, ("equivariance",))
+    section = report.sections["equivariance"]
+    assert section["max_mu2_error"] == 1
+    assert section["equivariant"] is False
+    assert "equivariance.equivariant" in report.failures
+
+
+# exception -> (module, function that raises it, stage whose key it fails)
+STAGE_RAISES = {
+    convex.PreconditionViolated: (convex, "betti_bound_check", "betti"),
+    convex.NoIntegerDirection: (convex, "cycle_lift", "convexity"),
+    equiv.NonIntegerPeriod: (equiv, "cocycle_matrix", "equivariance"),
+    equiv.FixedPointChainBroken: (equiv, "natural_equivariance",
+                                  "equivariance"),
+    reduction.NotInvariantOnOrbits: (reduction, "induced_moment", "reduce"),
+    moment_mod.GeneratorIsHamiltonian: (moment_mod, "generalized_moment",
+                                        "integralize"),
+    reduction.NotRegular: (reduction, "reduce_at", "reduce"),
+    reduction.DegenerateReducedForm: (reduction, "reduce_at", "reduce"),
+}
+
+
+def test_stage_errors_are_the_listed_exceptions():
+    assert set(cli.STAGE_ERRORS) == set(STAGE_RAISES)
+
+
+@pytest.mark.parametrize("exc", STAGE_RAISES, ids=lambda e: e.__name__)
+def test_stage_exception_ends_in_a_failed_report(tmp_path, capsys,
+                                                 monkeypatch, exc):
+    """A library exception inside a stage ends the run with exit 1 and a
+    report whose last section is that stage, with `<stage>.error` as its
+    failed key, and no traceback."""
+    module, name, stage = STAGE_RAISES[exc]
+
+    def raises(*args, **kwargs):
+        raise exc("planted")
+
+    monkeypatch.setattr(module, name, raises)
+    out = tmp_path / "out"
+    assert cli.main(["all", "--scenario", "s2xt2_reduce",
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (out / "report.txt").read_text() == captured.out
+    sections = captured.out.split("\n\n")
+    assert sections[-2].startswith(f"[{stage}]\n")
+    assert sections[-2].endswith(f"\nerror = {exc.__name__}: planted")
+    assert sections[-1] == f"overall = FAIL\nfailures = {stage}.error\n"
+
+
 def test_expectations_enforced(tmp_path):
     bad = write(tmp_path, GOOD + "[expect]\nz = 0 2 ; -2 0\n")
     sc = cli.load_scenario(bad)
@@ -522,6 +673,55 @@ def test_report_emission_and_determinism(tmp_path):
     names = {f.name for f in files1}
     assert names == {"report.txt", "moment_samples.csv", "coverage.csv",
                      "matrices.csv"}
+
+
+def test_render_is_cached_until_the_report_changes():
+    report = cli.Report("s", {"seed": 0})
+    first = report.render()
+    assert report.render() is first
+    report.add("moment", "c", 1)
+    assert report.render().endswith("[moment]\nc = 1\n\noverall = pass\n")
+    report.matrix("cocycle", [[0, 1], [-1, 0]])
+    assert report.render() == first.replace(
+        "\noverall", "\n[moment]\nc = 1\n\noverall")
+    report.require("moment", "ok", False)
+    assert report.render().endswith("ok = false\n\noverall = FAIL\n"
+                                    "failures = moment.ok\n")
+
+
+def test_main_builds_the_report_text_once(tmp_path, capsys, monkeypatch):
+    """stdout and report.txt share one rendering."""
+    builds = []
+    real = cli.Report.render
+    monkeypatch.setattr(cli.Report, "render", lambda self: builds.append(
+        self._text is None) or real(self))
+    assert cli.main(["all", "--scenario", "two_torus",
+                     "--out", str(tmp_path)]) == 0
+    assert builds == [True, False]
+    assert (tmp_path / "report.txt").read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_sample_table_is_written_in_row_blocks(tmp_path, monkeypatch, dtype):
+    """A table of two and a half blocks is written as three blocks of at
+    most TABLE_BLOCK_ENTRIES cells, whose bytes are one "%d" per cell."""
+    cols = 7
+    step = sample.TABLE_BLOCK_ENTRIES // cols
+    rng = np.random.default_rng(0)
+    a = rng.integers(-(2 ** 62), 2 ** 62, (5 * step // 2, cols)).astype(dtype)
+    if dtype is object:
+        a[::3, 2] *= 10 ** 30
+    blocks = []
+    real = sample.decimal_table
+    monkeypatch.setattr(sample, "decimal_table",
+                        lambda b: blocks.append(b.shape) or real(b))
+    report = cli.Report("s", {})
+    report.sample_header = tuple(f"c{j}" for j in range(cols))
+    report.samples = a
+    cli.emit_report(report, tmp_path)
+    assert blocks == [(step, cols), (step, cols), (len(a) - 2 * step, cols)]
+    assert (tmp_path / "moment_samples.csv").read_bytes() == (
+        b"c0,c1,c2,c3,c4,c5,c6\n" + percent_d_table(a))
 
 
 @pytest.mark.parametrize("name,header", [
