@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import (convex, equiv, geom, hamclass, moment as moment_mod, ratlin,
                reduction)
-from .geom import (ActionSpec, FlatTorusFactor, ProductForm, ProductManifold,
-                   SphereFactor)
+from .geom import ActionSpec, ProductManifold
 
 
 class ConfigError(Exception):
@@ -51,7 +50,6 @@ class Scenario:
     name: str
     manifold: ProductManifold
     action: ActionSpec
-    form: ProductForm
     max_denominator: int
     seed: int
     samples: int
@@ -237,28 +235,19 @@ def load_scenario(path, *, seed=None, sign=None,
         return value
 
     torus_dim = integer("manifold", "torus_dim", 0, 0)
-    torus = None
-    if torus_dim:
-        omega, den = _parse_matrix(need("manifold", "torus_omega"),
-                                   f"{path} [manifold] torus_omega")
-        if len(omega) != torus_dim:
-            raise ConfigError(f"{path}: torus_omega is not "
-                              f"{torus_dim}x{torus_dim}")
-        try:
-            torus = FlatTorusFactor(omega, den)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [manifold] torus_omega: "
-                              f"{exc}") from exc
+    omega, den = _parse_matrix(need("manifold", "torus_omega"),
+                               f"{path} [manifold] torus_omega") \
+        if torus_dim else ((), 1)
+    if len(omega) != torus_dim:
+        raise ConfigError(f"{path}: torus_omega is not "
+                          f"{torus_dim}x{torus_dim}")
     where = f"{path} [manifold] spheres"
+    spheres = [Fraction(*_number(x, where))
+               for x in get("manifold", "spheres", "").split()]
     try:
-        spheres = tuple(SphereFactor(Fraction(*_number(x, where))) for x in
-                        get("manifold", "spheres", "").split())
+        manifold = ProductManifold(omega, spheres, den)
     except ValueError as exc:
-        raise ConfigError(f"{path}: [manifold] spheres: {exc}") from exc
-    try:
-        manifold = ProductManifold(torus, spheres)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: [manifold] {exc}") from exc
 
     translations, rotations = _parse_generators(
         need("action", "generators"), torus_dim, len(spheres),
@@ -310,7 +299,7 @@ def load_scenario(path, *, seed=None, sign=None,
         for key, raw in ini["expect"].items():
             if key not in _EXPECT:
                 raise ConfigError(f"{path}: unknown expectation {key!r}")
-            if key == "omega_prime_torus" and torus is None:
+            if key == "omega_prime_torus" and not torus_dim:
                 raise ConfigError(f"{path}: [expect] omega_prime_torus "
                                   "needs a torus factor (torus_dim = 0)")
             expect[key] = ratlin._fractions(*_parse_matrix(
@@ -335,7 +324,7 @@ def load_scenario(path, *, seed=None, sign=None,
                               f"the budget of {geom.MAX_SAMPLE_ENTRIES}")
 
     return Scenario(name=Path(path).stem, manifold=manifold, action=action,
-                    form=manifold.form(), checks=checks,
+                    checks=checks,
                     reduce_indices=reduce_indices,
                     reduce_values=reduce_values, expect=expect, **pipeline)
 
@@ -487,7 +476,7 @@ def _prelude(report, scenario):
     of the integral form, or None when rounding breaks the form at every
     denominator bound."""
     M, A = scenario.manifold, scenario.action
-    p = hamclass.period_matrix(M, A, scenario.form)
+    p = hamclass.period_matrix(A, M.form)
     cls = hamclass.classify_action(p)
     report.add("classify", "c", cls.c)
     report.add("classify", "r", cls.r)
@@ -501,7 +490,7 @@ def _prelude(report, scenario):
     _expect(report, scenario, "classify", "c", cls.c)
     _expect(report, scenario, "classify", "r", cls.r)
     try:
-        result = hamclass.integralize_with_retry(M, A, scenario.form, cls,
+        result = hamclass.integralize_with_retry(A, M.form, cls,
                                                  scenario.max_denominator)
     except (hamclass.RoundingBrokeNondegeneracy,
             hamclass.RoundingBrokeConditionB) as exc:
@@ -512,7 +501,7 @@ def _prelude(report, scenario):
     report.add("integralize", "k", result.k)
     report.add("integralize", "max_deviation", result.max_deviation)
     report.add("integralize", "q", list(result.q))
-    coeffs = hamclass.form_class_coefficients(M, omega_prime)
+    coeffs = hamclass.form_class_coefficients(omega_prime)
     report.require("integralize", "h2_periods_integral",
                    all(x.denominator == 1 for x in coeffs))
     m, den = M.torus_dim, omega_prime.den
@@ -529,14 +518,14 @@ def _prelude(report, scenario):
 
 def _run_moment(report, scenario, mom):
     from . import sample
-    M = scenario.manifold
+    m = scenario.manifold.torus_dim
     report.require("moment", "mu2_loop_periods_integral", all(
-        x.denominator == 1 for cov in mom.mu2 for x in cov[:M.torus_dim]))
+        x.denominator == 1 for cov in mom.mu2 for x in cov[:m]))
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrix("mu2_covectors", mom.torus_covectors)
     report.sample_header, report.samples = sample.moment_table(
-        M, mom, scenario.samples, scenario.seed)
+        mom, scenario.samples, scenario.seed)
     if mom.r:
         # the straight lift minus the one shifted by the loop e_0: exactly
         # -<covector, e_0>, an integer by mu2_loop_periods_integral
@@ -551,18 +540,18 @@ def _run_equivariance(report, scenario, mom):
     z = equiv.cocycle_matrix(mom)
     report.matrix("cocycle", z)
     _expect(report, scenario, "equivariance", "z", z)
-    eq = equiv.exact_equivariance(mom)
+    iso = equiv.isotropic_orbit_test(mom.action, mom.covectors)
+    eq = equiv.exact_equivariance(mom, iso)
     report.add("equivariance", "max_mu2_error", eq.max_mu2_error)
     report.add("equivariance", "max_mu1_invariance_error",
                eq.max_mu1_invariance_error)
     report.require("equivariance", "equivariant", eq.passed)
-    nat = equiv.natural_equivariance(mom, z)
+    nat = equiv.natural_equivariance(mom, z, iso)
     report.add("equivariance", "has_fixed_points", nat.has_fixed_points)
     report.add("equivariance", "orbits_isotropic", nat.orbits_isotropic)
     report.add("equivariance", "naturally_equivariant",
                nat.naturally_equivariant)
-    free = equiv.local_freeness_check(scenario.action, z,
-                                      mom.classification)
+    free = equiv.local_freeness_check(mom, z)
     report.add("equivariance", "z_rank", free.z_rank)
     report.add("equivariance", "local_freeness", free.note)
 
@@ -586,7 +575,7 @@ def _run_convexity(report, scenario, mom):
     polytope = convex.moment_polytope(mom)
     report.add("convexity", "hull_vertices",
                [list(v) for v in polytope.vertices])
-    cov = sample.product_coverage_check(M, mom, polytope, scenario.grid,
+    cov = sample.product_coverage_check(mom, polytope, scenario.grid,
                                         scenario.coverage_samples,
                                         scenario.seed)
     report.add("convexity", "coverage_fraction", cov.fraction)
@@ -595,7 +584,7 @@ def _run_convexity(report, scenario, mom):
     if mom.r:
         ext = convex.circle_extremum_check(mom)
         report.require("convexity", "no_local_extrema", ext.passed)
-        lift = convex.cycle_lift(M, mom)
+        lift = convex.cycle_lift(mom)
         report.add("convexity", "cycle_direction", list(lift.direction))
         report.add("convexity", "cycle_winding", lift.winding)
         report.require("convexity", "cycle_lift_verified", lift.verified)
@@ -620,22 +609,19 @@ def _run_betti(report, scenario, mom):
 def _run_reduce(report, scenario, mom):
     """Stage-wise reduction: one generator at a time, heredity checked at
     every stage."""
-    current = (scenario.manifold, scenario.action, mom)
     original = list(range(scenario.action.r_total))
     for stage, (idx, val) in enumerate(zip(scenario.reduce_indices,
                                            scenario.reduce_values)):
-        problem = reduction.ReductionProblem(
-            *current, (original.index(idx),), (val,))
         try:
-            verdict = reduction.regular_value_check(problem)
-            reduced = reduction.reduce_at(problem) if verdict.regular \
-                else None
+            reduced = reduction.reduce_at(reduction.ReductionProblem(
+                mom, (original.index(idx),), (val,)))
         except reduction.NotFree:
             report.require("reduce", f"stage{stage}_free", False)
             break
-        report.require("reduce", f"stage{stage}_regular", verdict.regular)
-        if not verdict.regular:
+        except reduction.NotRegular:
+            report.require("reduce", f"stage{stage}_regular", False)
             break
+        report.require("reduce", f"stage{stage}_regular", True)
         reduction.induced_moment(reduced)
         report.add("reduce", f"stage{stage}_dimension", reduced.dim)
         her = reduction.heredity_check(reduced)
@@ -647,7 +633,7 @@ def _run_reduce(report, scenario, mom):
             report.require("reduce", f"stage{stage}_mu2_surjective",
                            her.surjective)
         original = [j for j in original if j != idx]
-        current = (reduced.manifold, reduced.action, reduced.moment)
+        mom = reduced.moment
 
 
 # the stages after the prelude, in the order they run; each takes
@@ -661,7 +647,7 @@ CHECK_ORDER = ("classify", "integralize", *STAGES)
 STAGE_ERRORS = (convex.PreconditionViolated, convex.NoIntegerDirection,
                 equiv.NonIntegerPeriod, equiv.FixedPointChainBroken,
                 reduction.NotInvariantOnOrbits,
-                moment_mod.GeneratorIsHamiltonian, reduction.NotRegular,
+                moment_mod.GeneratorIsHamiltonian,
                 reduction.DegenerateReducedForm)
 
 

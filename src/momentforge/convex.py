@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .geom import ProductManifold
 from .moment import GeneralizedMoment
 
 # moment_polytope visits 2^(spheres whose height enters mu1) pole images
@@ -163,8 +162,7 @@ class CycleLift:
     verified: bool
 
 
-def cycle_lift(manifold: ProductManifold,
-               moment: GeneralizedMoment) -> CycleLift:
+def cycle_lift(moment: GeneralizedMoment) -> CycleLift:
     """An integer torus direction u whose loop x + t u freezes mu1 and the
     first r-1 circle coordinates while winding the last circle a minimal
     (gcd-limited) number of times.  Every component is linear, so along the
@@ -176,7 +174,7 @@ def cycle_lift(manifold: ProductManifold,
     left kernel of the first covectors as columns."""
     if moment.r < 1:
         raise ValueError("need at least one circle component")
-    m = manifold.torus_dim
+    m = moment.manifold.torus_dim
     covs = list(moment.torus_covectors)
     first, last = covs[:-1], covs[-1]
     lattice, _ = ratlin.lattice_split(

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from . import ratlin
 from .geom import ActionSpec
-from .hamclass import ActionClassification
 from .moment import GeneralizedMoment
 
 
@@ -57,37 +56,6 @@ def cocycle_matrix(moment: GeneralizedMoment) -> list:
 
 
 @dataclass(frozen=True)
-class EquivarianceReport:
-    """The exact certificate's largest residuals."""
-
-    max_mu2_error: Fraction
-    max_mu1_invariance_error: Fraction
-    passed: bool
-
-
-def exact_equivariance(moment: GeneralizedMoment) -> EquivarianceReport:
-    """The equivariance identity itself, exactly.  Every component is linear
-    in the flat coordinates and the subtorus element s moves x to
-    x + s (H G), so mu2(s.x) - mu2(x) = (mu2 covectors) (H G)^T s.  mu2 is
-    equivariant under the affine action of the cocycle iff that matrix is
-    the pairing of the complement fields under the form, sign H P H^T with
-    P = G W G^T the isotropy pairings, and mu1 is invariant iff
-    (mu1 covectors) (H G)^T = 0.  The errors are the largest residual
-    entries; no points are sampled."""
-    h = moment.classification.complement_generators
-    orbits = ratlin.mat_mul(h, moment.action.orbit_matrix())
-    p = isotropic_orbit_test(moment.action, moment.covectors).pairings
-    sign = moment.action.sign
-    mu2_error = _max_abs([[x - sign * y for x, y in zip(row, form_row)]
-                          for row, form_row in zip(
-                              _pairings(moment.mu2, orbits),
-                              _pairings(ratlin.mat_mul(h, p), h))])
-    mu1_error = _max_abs(_pairings(moment.mu1, orbits))
-    return EquivarianceReport(mu2_error, mu1_error,
-                              mu2_error == 0 and mu1_error == 0)
-
-
-@dataclass(frozen=True)
 class IsotropyReport:
     pairings: tuple      # r_total x r_total generator pairings
     isotropic: bool
@@ -106,6 +74,39 @@ def isotropic_orbit_test(action: ActionSpec,
 
 
 @dataclass(frozen=True)
+class EquivarianceReport:
+    """The exact certificate's largest residuals."""
+
+    max_mu2_error: Fraction
+    max_mu1_invariance_error: Fraction
+    passed: bool
+
+
+def exact_equivariance(moment: GeneralizedMoment,
+                       iso: IsotropyReport) -> EquivarianceReport:
+    """The equivariance identity itself, exactly.  Every component is linear
+    in the flat coordinates and the subtorus element s moves x to
+    x + s (H G), so mu2(s.x) - mu2(x) = (mu2 covectors) (H G)^T s.  mu2 is
+    equivariant under the affine action of the cocycle iff that matrix is
+    the pairing of the complement fields under the form, sign H P H^T with
+    P = G W G^T the isotropy pairings of iso (isotropic_orbit_test of the
+    moment's action and covectors), and mu1 is invariant iff
+    (mu1 covectors) (H G)^T = 0.  The errors are the largest residual
+    entries; no points are sampled."""
+    h = moment.classification.complement_generators
+    orbits = ratlin.mat_mul(h, moment.action.orbit_matrix())
+    sign = moment.action.sign
+    mu2_error = _max_abs([[x - sign * y for x, y in zip(row, form_row)]
+                          for row, form_row in zip(
+                              _pairings(moment.mu2, orbits),
+                              _pairings(ratlin.mat_mul(h, iso.pairings),
+                                        h))])
+    mu1_error = _max_abs(_pairings(moment.mu1, orbits))
+    return EquivarianceReport(mu2_error, mu1_error,
+                              mu2_error == 0 and mu1_error == 0)
+
+
+@dataclass(frozen=True)
 class NaturalEquivarianceVerdict:
     has_fixed_points: bool
     orbits_isotropic: bool
@@ -115,12 +116,12 @@ class NaturalEquivarianceVerdict:
     max_mu2_invariance_error: Fraction
 
 
-def natural_equivariance(moment: GeneralizedMoment,
-                         z: list) -> NaturalEquivarianceVerdict:
-    """Verdict chain: fixed points imply isotropic orbits, a vanishing
-    cocycle z (from cocycle_matrix), and full invariance of the circle
-    part.  Without fixed points the three properties are still reported
-    (isotropy can hold anyway).
+def natural_equivariance(moment: GeneralizedMoment, z: list,
+                         iso: IsotropyReport) -> NaturalEquivarianceVerdict:
+    """Verdict chain: fixed points imply isotropic orbits (iso, from
+    isotropic_orbit_test), a vanishing cocycle z (from cocycle_matrix),
+    and full invariance of the circle part.  Without fixed points the
+    three properties are still reported (isotropy can hold anyway).
 
     mu2 is invariant under the whole torus iff (mu2 covectors) G^T = 0.
     That matrix is sign * H P, P = G W G^T the isotropy pairings, so
@@ -129,7 +130,6 @@ def natural_equivariance(moment: GeneralizedMoment,
     action = moment.action
     # geom.fixed_point_set(...).kind != "empty", without listing the poles
     has_fp = not any(any(v) for v in action.translations)
-    iso = isotropic_orbit_test(action, moment.covectors)
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = _max_abs(_pairings(moment.mu2, action.orbit_matrix()))
     mu2_invariant = max_err == 0
@@ -154,17 +154,16 @@ class LocalFreenessVerdict:
     note: str
 
 
-def local_freeness_check(action: ActionSpec, z: list,
-                         classification: ActionClassification
-                         ) -> LocalFreenessVerdict:
+def local_freeness_check(moment: GeneralizedMoment,
+                         z: list) -> LocalFreenessVerdict:
     """If Z has full rank the subtorus action is locally free; the converse
     is never claimed.  Finiteness of stabilizers is read off the integer
     direction matrix of the complement generators."""
-    r = classification.r
+    r = moment.classification.r
     rank = ratlin.integer_rank(z) if z else 0
     if rank == r and r > 0:
-        dirs = ratlin.mat_mul(classification.complement_generators,
-                              action.generator_matrix())
+        dirs = ratlin.mat_mul(moment.classification.complement_generators,
+                              moment.action.generator_matrix())
         finite = ratlin.integer_rank(dirs) == r
         note = "rank(Z) = r: action locally free" if finite else \
             "rank(Z) = r but direction matrix degenerate (unexpected)"

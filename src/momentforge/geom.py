@@ -49,77 +49,27 @@ def _numerators(rows, den: int = 1) -> tuple:
                  for row in nums), d // g
 
 
-@dataclass(frozen=True)
-class FlatTorusFactor:
-    """R^m / Z^m with the constant form u^T Omega w; Omega must be
-    antisymmetric and nondegenerate, m even.  It is held as nums / den in
-    lowest terms (nums may be given as exact rows), from which both are
-    decided."""
-
-    nums: tuple
-    den: int = 1
-
-    def __post_init__(self):
-        m = len(self.nums)
-        if m % 2 != 0:
-            raise ValueError("torus dimension must be even")
-        if any(len(row) != m for row in self.nums):
-            raise ValueError("omega must be square")
-        nums, d = _numerators(self.nums, self.den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", d)
-        if tuple(zip(*nums)) != tuple(tuple([-x for x in row])
-                                      for row in nums):
-            raise ValueError("omega must be antisymmetric")
-        if not ratlin.nonsingular(nums):
-            raise ValueError("degenerate torus form (zero determinant)")
-
-    @property
-    def dim(self) -> int:
-        return len(self.nums)
-
-
-@dataclass(frozen=True)
-class SphereFactor:
-    """S^2 in cylindrical coordinates (theta, h) with form c dtheta ^ dh;
-    c is held as a Fraction."""
-
-    area_coefficient: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "area_coefficient",
-                           Fraction(self.area_coefficient))
-        if not self.area_coefficient > 0:
-            raise ValueError("sphere area coefficient must be positive")
-
-
 @dataclass(frozen=True, init=False)
 class ProductForm:
-    """A constant invariant 2-form on a ProductManifold, built from the
-    torus block (None, exact rows or a FlatTorusFactor) and one
-    dtheta ^ dh coefficient per sphere, and held as its matrix W = nums /
-    den in lowest terms; torus_omega and sphere_coeffs are Fraction views.
-    A FlatTorusFactor lends the form its nondegeneracy verdict, and its
-    numerators when W is the torus block alone."""
+    """A constant invariant 2-form on T^m x (S^2)^n, built from the torus
+    block (None or exact rows, over den) and one dtheta ^ dh coefficient
+    per sphere, and held as its matrix W = nums / den in lowest terms;
+    torus_omega and sphere_coeffs are Fraction views."""
 
     nums: tuple
     den: int
     torus_dim: int
 
-    def __init__(self, torus_omega, sphere_coeffs=()):
-        factor = isinstance(torus_omega, FlatTorusFactor)
-        torus, den = (torus_omega.nums, torus_omega.den) if factor else \
-            (torus_omega or (), 1)
-        m, nums = len(torus), torus
-        if not factor or sphere_coeffs:
-            n = m + 2 * len(sphere_coeffs)
-            w = [list(row) + [0] * (n - m) for row in torus]
-            w += [[0] * n for _ in range(n - m)]
-            for o, c in zip(range(m, n, 2), map(Fraction, sphere_coeffs)):
-                w[o][o + 1], w[o + 1][o] = c * den, -c * den
-            nums, den = _numerators(w, den)
-        for key, value in (("nums", nums), ("den", den), ("torus_dim", m),
-                           ("_torus_ok", factor or None)):
+    def __init__(self, torus_omega, sphere_coeffs=(), den=1):
+        torus = torus_omega or ()
+        m = len(torus)
+        n = m + 2 * len(sphere_coeffs)
+        w = [list(row) + [0] * (n - m) for row in torus]
+        w += [[0] * n for _ in range(n - m)]
+        for o, c in zip(range(m, n, 2), map(Fraction, sphere_coeffs)):
+            w[o][o + 1], w[o + 1][o] = c * den, -c * den
+        nums, den = _numerators(w, den)
+        for key, value in (("nums", nums), ("den", den), ("torus_dim", m)):
             object.__setattr__(self, key, value)
 
     @cached_property
@@ -133,39 +83,61 @@ class ProductForm:
         return tuple(Fraction(self.nums[o][o + 1], self.den)
                      for o in range(self.torus_dim, len(self.nums), 2))
 
-    def is_nondegenerate(self) -> bool:
+    @cached_property
+    def _nondegenerate(self) -> bool:
         m, w = self.torus_dim, self.nums
-        if not all(w[o][o + 1] for o in range(m, len(w), 2)):
-            return False
-        if self._torus_ok is None:
-            object.__setattr__(self, "_torus_ok", ratlin.nonsingular(
-                [row[:m] for row in w[:m]]))
-        return self._torus_ok
+        return all(w[o][o + 1] for o in range(m, len(w), 2)) and \
+            ratlin.nonsingular([row[:m] for row in w[:m]])
+
+    def is_nondegenerate(self) -> bool:
+        """Every sphere coefficient is nonzero and the torus block is
+        nonsingular, decided once per form (mod P, with the exact
+        fallback)."""
+        return self._nondegenerate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProductManifold:
-    """At most one flat-torus factor plus any number of sphere factors."""
+    """T^m x (S^2)^n with its symplectic form: the torus block
+    torus_omega (exact rows over den, Omega on R^m / Z^m) and one area
+    coefficient c per sphere.  The manifold is its validated form: its
+    shape is read from form, which is built once."""
 
-    torus: FlatTorusFactor | None
-    spheres: tuple = ()
+    form: ProductForm
 
-    def __post_init__(self):
-        object.__setattr__(self, "spheres", tuple(self.spheres))
-        if self.dim == 0:
-            raise ValueError("empty manifold")
+    def __init__(self, torus_omega=None, spheres=(), den=1):
+        torus = torus_omega or ()
+        m = len(torus)
+        if m % 2 != 0:
+            raise ValueError("torus_omega: torus dimension must be even")
+        if any(len(row) != m for row in torus):
+            raise ValueError("torus_omega: omega must be square")
+        spheres = [Fraction(c) for c in spheres]
+        if not all(c > 0 for c in spheres):
+            raise ValueError("spheres: sphere area coefficient must be "
+                             "positive")
+        if not m and not spheres:
+            raise ValueError("empty manifold: no torus_omega and no spheres")
+        form = ProductForm(torus, spheres, den)
+        w = form.nums
+        if any(w[i][j] != -w[j][i] for i in range(m) for j in range(i, m)):
+            raise ValueError("torus_omega: omega must be antisymmetric")
+        if not form.is_nondegenerate():
+            raise ValueError("torus_omega: degenerate torus form (zero "
+                             "determinant)")
+        object.__setattr__(self, "form", form)
 
     @property
     def torus_dim(self) -> int:
-        return self.torus.dim if self.torus is not None else 0
+        return self.form.torus_dim
 
     @property
     def n_spheres(self) -> int:
-        return len(self.spheres)
+        return (self.dim - self.torus_dim) // 2
 
     @property
     def dim(self) -> int:
-        return self.torus_dim + 2 * self.n_spheres
+        return len(self.form.nums)
 
     @property
     def b1(self) -> int:
@@ -176,10 +148,6 @@ class ProductManifold:
         if not 0 <= f < self.n_spheres:
             raise IndexError("sphere index out of range")
         return self.torus_dim + 2 * f
-
-    def form(self) -> ProductForm:
-        return ProductForm(self.torus,
-                           tuple(s.area_coefficient for s in self.spheres))
 
     def basepoint(self) -> list:
         """Torus origin, spheres at the south pole (theta=0, h=-1), as a

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geom, ratlin
-from .geom import ActionSpec, ProductForm, ProductManifold
+from .geom import ActionSpec, ProductForm
 
 
 class RoundingBrokeNondegeneracy(Exception):
@@ -53,13 +53,12 @@ class ActionClassification:
         return len(self.complement_generators)
 
 
-def period_matrix(manifold: ProductManifold, action: ActionSpec,
-                  form: ProductForm) -> tuple:
+def period_matrix(action: ActionSpec, form: ProductForm) -> tuple:
     """The period matrix, r_total x b1: row j holds the exact periods of
     i_{X_j} omega over the H_1 coordinate loops.  These are the torus slots
     of the generators' field covectors, since the period of a constant
     1-form over the coordinate loop e_k is its k-th entry."""
-    m = manifold.torus_dim
+    m = form.torus_dim
     nums, d = geom.field_covectors(action, form)
     return tuple(map(tuple, ratlin._fractions([row[:m] for row in nums], d)))
 
@@ -93,44 +92,41 @@ class IntegralizationResult:
     covectors: tuple             # geom.field_covectors of omega_prime
 
 
-def h2_class_labels(manifold: ProductManifold) -> list:
+def h2_class_labels(form: ProductForm) -> list:
     """Order of the invariant integral H^2 basis: torus coordinate classes
     dx_i ^ dx_j (i < j) then unit-area sphere classes."""
-    m = manifold.torus_dim
+    m = form.torus_dim
     labels = [("torus", i, j) for i in range(m) for j in range(i + 1, m)]
-    return labels + [("sphere", f) for f in range(manifold.n_spheres)]
+    return labels + [("sphere", f) for f in range((len(form.nums) - m) // 2)]
 
 
-def form_class_coefficients(manifold: ProductManifold,
-                            form: ProductForm) -> list:
+def form_class_coefficients(form: ProductForm) -> list:
     """Coefficients of a form in the H^2 basis (these are exactly its
     periods over the canonical 2-cycles)."""
-    return ratlin._fractions([_class_numerators(manifold, form)],
-                             form.den)[0]
+    return ratlin._fractions([_class_numerators(form)], form.den)[0]
 
 
-def _class_numerators(manifold: ProductManifold, form: ProductForm) -> list:
-    w, o = form.nums, manifold.sphere_offset
+def _class_numerators(form: ProductForm) -> list:
+    w, m = form.nums, form.torus_dim
     return [w[lab[1]][lab[2]] if lab[0] == "torus"
-            else 2 * w[o(lab[1])][o(lab[1]) + 1]
-            for lab in h2_class_labels(manifold)]
+            else 2 * w[m + 2 * lab[1]][m + 2 * lab[1] + 1]
+            for lab in h2_class_labels(form)]
 
 
-def form_from_class_coefficients(manifold: ProductManifold,
-                                 coeffs) -> ProductForm:
-    """Inverse of form_class_coefficients, for exact coefficients."""
-    m = manifold.torus_dim
-    om, sph = [[0] * m for _ in range(m)], []
-    for label, q in zip(h2_class_labels(manifold), coeffs):
-        if label[0] == "torus":
-            om[label[1]][label[2]], om[label[2]][label[1]] = q, -q
-        else:
-            sph.append(Fraction(q, 2))
-    return ProductForm(om, sph)
+def form_from_class_coefficients(torus_dim: int, coeffs) -> ProductForm:
+    """Inverse of form_class_coefficients, for exact coefficients in the
+    h2_class_labels order of a form with this torus dimension; every
+    coefficient past the torus classes is a sphere's."""
+    m, coeffs = torus_dim, iter(coeffs)
+    om = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            om[i][j] = next(coeffs)
+            om[j][i] = -om[i][j]
+    return ProductForm(om, [Fraction(q, 2) for q in coeffs])
 
 
-def integralize_form(manifold: ProductManifold, action: ActionSpec,
-                     form: ProductForm,
+def integralize_form(action: ActionSpec, form: ProductForm,
                      classification: ActionClassification,
                      max_denominator: int) -> IntegralizationResult:
     """Round the form's class coefficients to the best rationals with
@@ -153,16 +149,16 @@ def integralize_form(manifold: ProductManifold, action: ActionSpec,
     denominator bound is too coarse; see integralize_with_retry."""
     if not form.is_nondegenerate():
         raise ValueError("input form is degenerate")
-    a, d = _class_numerators(manifold, form), form.den
+    a, d = _class_numerators(form), form.den
     q = [ratlin.rational_round(n, d, max_denominator) for n in a]
     k = math.lcm(*[s for _, s in q])
+    m = form.torus_dim
     omega_prime = form_from_class_coefficients(
-        manifold, [p * (k // s) for p, s in q])
+        m, [p * (k // s) for p, s in q])
     if not omega_prime.is_nondegenerate():
         raise RoundingBrokeNondegeneracy(
             f"max_denominator={max_denominator}")
     covectors = geom.field_covectors(action, omega_prime)
-    m = manifold.torus_dim
     if classify_action([row[:m] for row in covectors[0]]) != classification:
         raise RoundingBrokeConditionB(f"max_denominator={max_denominator}")
     dev = max(abs(p * d - n * s) * (k // s) for (p, s), n in zip(q, a))
@@ -171,8 +167,7 @@ def integralize_form(manifold: ProductManifold, action: ActionSpec,
                                  dev / (k * d), classification, covectors)
 
 
-def integralize_with_retry(manifold: ProductManifold, action: ActionSpec,
-                           form: ProductForm,
+def integralize_with_retry(action: ActionSpec, form: ProductForm,
                            classification: ActionClassification,
                            max_denominator: int) -> IntegralizationResult:
     """Retry policy for the open conditions: double the denominator bound
@@ -180,8 +175,7 @@ def integralize_with_retry(manifold: ProductManifold, action: ActionSpec,
     bound = max_denominator
     while True:
         try:
-            return integralize_form(manifold, action, form, classification,
-                                    bound)
+            return integralize_form(action, form, classification, bound)
         except (RoundingBrokeNondegeneracy, RoundingBrokeConditionB):
             if bound >= 2 ** 16:
                 raise

@@ -194,8 +194,7 @@ class LocalModelReport:
     passed: bool
 
 
-def local_model_check(manifold: ProductManifold, moment: GeneralizedMoment,
-                      p) -> LocalModelReport:
+def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
     """Compare mu1 with the quadratic normal form at a fixed point, exactly,
     and check the minimum/weight-sign consequence.
 
@@ -204,6 +203,7 @@ def local_model_check(manifold: ProductManifold, moment: GeneralizedMoment,
     must equal alpha / 2, alpha the plane's weight paired with the
     component's generator.  mu1 depends on the heights alone, so p
     minimizes it iff orient * cov[h] >= 0 on every sphere."""
+    manifold = moment.manifold
     data = local_weights(manifold, moment.action, p)
     max_res = Fraction(0)
     minima = []

@@ -35,12 +35,10 @@ class DegenerateReducedForm(Exception):
 
 @dataclass(frozen=True)
 class ReductionProblem:
-    """Reduce by the subtorus spanned by the given generator indices (which
-    must act only on sphere factors) at the given mu1 levels, one per
-    reduced generator."""
+    """Reduce the moment's manifold by the subtorus spanned by the given
+    generator indices (which must act only on sphere factors) at the given
+    mu1 levels, one per reduced generator."""
 
-    manifold: ProductManifold
-    action: ActionSpec
     moment: GeneralizedMoment
     reduce_indices: tuple
     values: tuple
@@ -52,7 +50,7 @@ class ReductionProblem:
         if len(self.reduce_indices) != len(self.values):
             raise ValueError("one level value per reduced generator")
         for i in self.reduce_indices:
-            if any(self.action.translations[i]):
+            if any(self.moment.action.translations[i]):
                 raise ValueError(
                     "reduced subtorus must act only on sphere factors")
 
@@ -64,36 +62,25 @@ class RegularValueVerdict:
     witnesses: tuple   # per reduced generator: (sphere index, height)
 
 
-def _reduced_sphere(problem: ReductionProblem, gen_idx: int) -> int:
-    """The single sphere a reduced generator rotates; structural reduction
-    supports exactly one."""
-    speeds = problem.action.rotations[gen_idx]
-    rotated = [f for f, s in enumerate(speeds) if s]
-    if len(rotated) != 1:
-        raise NotFree("structural reduction needs a generator rotating "
-                      "exactly one sphere")
-    return rotated[0]
-
-
-def _level_height(problem: ReductionProblem, gen_idx: int,
-                  value: Fraction) -> Fraction:
-    """Invert the mu1 coordinate of the reduced generator on its sphere,
-    exactly: divide by the height entry of its field covector."""
-    f = _reduced_sphere(problem, gen_idx)
-    nums, d = problem.moment.covectors
-    return value * d / nums[gen_idx][problem.manifold.sphere_offset(f) + 1]
-
-
 def regular_value_check(problem: ReductionProblem) -> RegularValueVerdict:
     """A level is regular iff every reduced sphere height is interior; the
     poles are exactly the critical values (the differential of the height
-    vanishes there)."""
+    vanishes there).  The height inverts the mu1 coordinate of the reduced
+    generator on its sphere, exactly: the level divided by the height
+    entry of its field covector.  Structural reduction supports a
+    generator that rotates exactly one sphere."""
+    mom = problem.moment
+    nums, d = mom.covectors
     witnesses = []
     regular = True
     in_image = True
     for idx, val in zip(problem.reduce_indices, problem.values):
-        f = _reduced_sphere(problem, idx)
-        h = _level_height(problem, idx, val)
+        rotated = [f for f, s in enumerate(mom.action.rotations[idx]) if s]
+        if len(rotated) != 1:
+            raise NotFree("structural reduction needs a generator rotating "
+                          "exactly one sphere")
+        f = rotated[0]
+        h = val * d / nums[idx][mom.manifold.sphere_offset(f) + 1]
         witnesses.append((f, h))
         if not -1 <= h <= 1:
             in_image = False
@@ -105,12 +92,12 @@ def regular_value_check(problem: ReductionProblem) -> RegularValueVerdict:
 
 @dataclass(frozen=True)
 class ReducedSpace:
-    """The quotient and what it inherits.  When every factor is reduced the
-    quotient is a point: manifold, action, form and moment are None."""
+    """The quotient and what it inherits; its form is moment.omega_prime.
+    When every factor is reduced the quotient is a point: manifold,
+    action and moment are None."""
 
     manifold: ProductManifold | None
     action: ActionSpec | None
-    form: ProductForm | None
     moment: GeneralizedMoment | None
     reduced_spheres: tuple
     level_heights: tuple
@@ -122,16 +109,17 @@ class ReducedSpace:
 
 
 def reduce_at(problem: ReductionProblem) -> ReducedSpace:
-    """Delete each reduced sphere factor and restrict everything else."""
+    """Delete each reduced sphere factor and restrict everything else.
+    Raises NotRegular at a critical or outside level, and NotFree where
+    the reduced circle does not act freely on the level set."""
     verdict = regular_value_check(problem)
     if not verdict.regular:
         raise NotRegular(f"witnesses: {verdict.witnesses}")
-    manifold = problem.manifold
-    action = problem.action
+    mom = problem.moment
+    manifold, action = mom.manifold, mom.action
     reduced_spheres = []
-    for idx in problem.reduce_indices:
-        f = _reduced_sphere(problem, idx)
-        s = problem.action.rotations[idx][f]
+    for idx, (f, _) in zip(problem.reduce_indices, verdict.witnesses):
+        s = action.rotations[idx][f]
         if abs(s) != 1:
             raise NotFree(f"speed {s} circle has Z/{abs(s)} stabilizers "
                           "on the level set")
@@ -139,8 +127,7 @@ def reduce_at(problem: ReductionProblem) -> ReducedSpace:
             raise NotFree("two reduced generators rotate the same sphere")
         reduced_spheres.append(f)
     if not reduced_spheres:
-        return ReducedSpace(manifold, action, problem.moment.omega_prime,
-                            problem.moment, (), (), problem)
+        return ReducedSpace(manifold, action, mom, (), (), problem)
     keep = [f for f in range(manifold.n_spheres)
             if f not in reduced_spheres]
     residual_idx = [j for j in range(action.r_total)
@@ -149,32 +136,38 @@ def reduce_at(problem: ReductionProblem) -> ReducedSpace:
         if any(action.rotations[j][f] for f in reduced_spheres):
             raise NotFree("a residual generator moves a reduced sphere")
     heights = tuple(h for _, h in verdict.witnesses)
-    if manifold.torus is None and not keep:
+    if not manifold.torus_dim and not keep:
         # the level set is one free orbit, and no residual generator is
         # left to act on the point it collapses to
-        return ReducedSpace(None, None, None, None, tuple(reduced_spheres),
+        return ReducedSpace(None, None, None, tuple(reduced_spheres),
                             heights, problem)
 
-    new_manifold = ProductManifold(
-        manifold.torus,
-        tuple(manifold.spheres[f] for f in keep))
+    new_manifold = _keep_spheres(mom.omega_prime, keep)
     new_action = ActionSpec(
         tuple(action.translations[j] for j in residual_idx),
         tuple(tuple(action.rotations[j][f] for f in keep)
               for j in residual_idx),
         action.sign)
-    old_form = problem.moment.omega_prime
-    new_form = ProductForm(old_form.torus_omega,
-                           tuple(old_form.sphere_coeffs[f] for f in keep))
-    if not new_form.is_nondegenerate():
-        raise DegenerateReducedForm(f"reduced form {new_form}")
+    new_form = new_manifold.form
     covectors = geom.field_covectors(new_action, new_form)
     cls = hamclass.classify_action(
         [row[:new_manifold.torus_dim] for row in covectors[0]])
     new_moment = moment_mod.generalized_moment(new_manifold, new_action,
                                                new_form, cls, covectors)
-    return ReducedSpace(new_manifold, new_action, new_form, new_moment,
+    return ReducedSpace(new_manifold, new_action, new_moment,
                         tuple(reduced_spheres), heights, problem)
+
+
+def _keep_spheres(form: ProductForm, keep: list) -> ProductManifold:
+    """The manifold whose form is form with every sphere but those in keep
+    dropped from nums / den: the reduced manifold and the reduced form."""
+    m, w = form.torus_dim, form.nums
+    try:
+        return ProductManifold([row[:m] for row in w[:m]],
+                               [Fraction(w[m + 2 * f][m + 2 * f + 1],
+                                         form.den) for f in keep], form.den)
+    except ValueError as exc:
+        raise DegenerateReducedForm(f"reduced form: {exc}") from exc
 
 
 def induced_moment(reduced: ReducedSpace) -> GeneralizedMoment:
@@ -185,7 +178,7 @@ def induced_moment(reduced: ReducedSpace) -> GeneralizedMoment:
     rows of the orbit matrix G."""
     problem = reduced.parent
     parent = problem.moment
-    g = problem.action.orbit_matrix()
+    g = parent.action.orbit_matrix()
     orbits = [g[idx] for idx in problem.reduce_indices]
     covs = parent.mu1 + parent.mu2
     if any(x for row in ratlin.mat_mul(orbits, ratlin.transpose(covs))

@@ -117,13 +117,12 @@ def within(normals, bounds: list, nums) -> np.ndarray:
     return (abs(pairs) <= bounds).all(axis=1)
 
 
-def moment_table(manifold: ProductManifold, moment: GeneralizedMoment,
-                 n: int, seed: int) -> tuple:
+def moment_table(moment: GeneralizedMoment, n: int, seed: int) -> tuple:
     """The header and the rows of the sample table: per sample of the
     seeded n-row draw its numerators over LATTICE, then mu1's over mu1_den
     and mu2's over mu2_den."""
-    nums = sample_points(manifold, n, seed)
-    return (tuple([f"x{i}/{LATTICE}" for i in range(manifold.dim)]
+    nums = sample_points(moment.manifold, n, seed)
+    return (tuple([f"x{i}/{LATTICE}" for i in range(moment.manifold.dim)]
                   + [f"mu1_{i}/{moment.mu1_den}" for i in range(moment.c)]
                   + [f"mu2_{i}/{moment.mu2_den}" for i in range(moment.r)]),
             np.hstack([nums, moment.mu1_values(nums),
@@ -142,8 +141,7 @@ class CoverageReport:
     empty_cells: tuple   # first few witnesses, as flat cell indices
 
 
-def product_coverage_check(manifold: ProductManifold,
-                           moment: GeneralizedMoment,
+def product_coverage_check(moment: GeneralizedMoment,
                            polytope: MomentPolytope,
                            grid_resolution: int, n: int,
                            seed: int) -> CoverageReport:
@@ -195,7 +193,7 @@ def product_coverage_check(manifold: ProductManifold,
     start, size = 0, COVERAGE_CHUNK
     while start < n and left.any():
         stop = min(n, start + size)
-        left.ravel()[cells(sample_points(manifold, n, seed, start,
+        left.ravel()[cells(sample_points(moment.manifold, n, seed, start,
                                          stop))] = False
         start, size = stop, 2 * size
     n_hit = n_counted - int(left.sum())

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import strategies as st
 
 from momentforge import geom, hamclass, moment, ratlin, sample
-from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
-                              SphereFactor)
+from momentforge.geom import ActionSpec, ProductManifold
 
 STD2 = ((0, 1), (-1, 0))
 STD4 = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))
@@ -29,7 +28,7 @@ def classify(m, a, form=None):
     """The classification integralization starts from: that of the form
     itself (the manifold's own form by default)."""
     return hamclass.classify_action(
-        hamclass.period_matrix(m, a, form or m.form()))
+        hamclass.period_matrix(a, form or m.form))
 
 
 def covectors(a, form, coeffs=None):
@@ -70,7 +69,7 @@ def scenario_moment(sc):
     """The generalized moment of a loaded scenario, built as the CLI
     builds it."""
     res = hamclass.integralize_with_retry(
-        sc.manifold, sc.action, sc.form, classify(sc.manifold, sc.action),
+        sc.action, sc.manifold.form, classify(sc.manifold, sc.action),
         sc.max_denominator)
     return moment.generalized_moment(sc.manifold, sc.action,
                                      res.omega_prime, res.classification,
@@ -206,11 +205,11 @@ def equivariance_check(manifold, action, moment, z, n_samples=1000,
     return SampledEquivariance(max_mu2, max_mu1, max_mu2 == max_mu1 == 0)
 
 
-def full_draw_coverage(manifold, mom, polytope, res, n, seed):
+def full_draw_coverage(mom, polytope, res, n, seed):
     """sample.product_coverage_check in one pass over the whole n-row draw,
     as it ran before the early exit: every sample is binned, and the
     counted mask is tested on all res^c cell centres at once."""
-    nums = sample.sample_points(manifold, n, seed)
+    nums = sample.sample_points(mom.manifold, n, seed)
     mu1_num, mu2_num = mom.mu1_values(nums), mom.mu2_values(nums)
     mu1_den, mu2_den = mom.mu1_den, mom.mu2_den
     c, r = mom.c, mom.r
@@ -305,23 +304,23 @@ def determinantal_divisor(m, k):
 
 
 def torus2(omega=STD2):
-    return ProductManifold(FlatTorusFactor(omega), ())
+    return ProductManifold(omega)
 
 
 def torus4():
-    return ProductManifold(FlatTorusFactor(STD4), ())
+    return ProductManifold(STD4)
 
 
 def sphere(c=0.5):
-    return ProductManifold(None, (SphereFactor(c),))
+    return ProductManifold(None, (c,))
 
 
 def s2xs2(c1=0.5, c2=0.5):
-    return ProductManifold(None, (SphereFactor(c1), SphereFactor(c2)))
+    return ProductManifold(None, (c1, c2))
 
 
 def s2xt2(c=1, omega=STD2):
-    return ProductManifold(FlatTorusFactor(omega), (SphereFactor(c),))
+    return ProductManifold(omega, (c,))
 
 
 @pytest.fixture

@@ -13,8 +13,7 @@ import pytest
 
 from momentforge import (cli, convex, equiv, geom, hamclass, moment,
                          reduction, sample)
-from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
-                              ProductManifold, SphereFactor)
+from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (affine_apply, circle_distance, classify,
                       equivariance_check, field_vector, pairing)
@@ -33,7 +32,7 @@ def scenario(name):
 
 
 def pipeline(m, a, max_den=64):
-    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
                                           max_den)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification, res.covectors)
@@ -75,8 +74,7 @@ def test_criterion_02_period_integrality():
         for cov in mom.torus_covectors:
             for p in cov:
                 ok &= abs(p - round(p)) < 1e-9
-        for coeff in hamclass.form_class_coefficients(sc.manifold,
-                                                      res.omega_prime):
+        for coeff in hamclass.form_class_coefficients(res.omega_prime):
             ok &= Fraction(coeff).denominator == 1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
@@ -89,22 +87,21 @@ def test_criterion_03_integralization():
     t0 = time.perf_counter()
     sc = scenario("two_torus_sqrt2")
     res = hamclass.integralize_with_retry(
-        sc.manifold, sc.action, sc.form,
+        sc.action, sc.manifold.form,
         classify(sc.manifold, sc.action), 5)
     ok = res.omega_prime.torus_omega == ((0, 7), (-7, 0)) and res.k == 5
     # 20 randomized irrational instances must keep the classification
     rng = np.random.default_rng(7)
-    m = ProductManifold(FlatTorusFactor(((0, 1), (-1, 0))),
-                        (SphereFactor(1.0),))
+    m = ProductManifold(((0, 1), (-1, 0)), (1.0,))
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    base = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
+    base = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     for _ in range(20):
         w = float(rng.uniform(0.5, 3.0)) * math.sqrt(2)
         c = float(rng.uniform(0.2, 2.0)) * math.pi / 3.0
         form = ProductForm(((0, w), (-w, 0)), (c,))
-        r2 = hamclass.integralize_with_retry(m, a, form, base, 8)
+        r2 = hamclass.integralize_with_retry(a, form, base, 8)
         got = hamclass.classify_action(
-            hamclass.period_matrix(m, a, r2.omega_prime))
+            hamclass.period_matrix(a, r2.omega_prime))
         ok &= got == base and r2.omega_prime.is_nondegenerate()
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
@@ -145,13 +142,14 @@ def test_criterion_05_fixed_point_chain():
         sc = scenario(name)
         res, mom, z = pipeline(sc.manifold, sc.action, sc.max_denominator)
         fps = geom.fixed_point_set(sc.manifold, sc.action)
-        nat = equiv.natural_equivariance(mom, z)
+        nat = equiv.natural_equivariance(
+            mom, z, equiv.isotropic_orbit_test(mom.action, mom.covectors))
         if fps.kind != "empty":
             ok &= nat.orbits_isotropic and nat.z_is_zero
             ok &= nat.max_mu2_invariance_error < 1e-9
     sc = scenario("two_torus")
     neg = equiv.isotropic_orbit_test(
-        sc.action, geom.field_covectors(sc.action, sc.form))
+        sc.action, geom.field_covectors(sc.action, sc.manifold.form))
     ok &= not neg.isotropic
     verdict(5, ok, "fixed points force isotropic orbits, zero cocycle, and "
                    "invariant circle moments; 2-torus control fails "
@@ -199,7 +197,7 @@ def test_criterion_08_cycle_lift():
     for name in ("t4_split", "two_torus"):
         sc = scenario(name)
         _, mom, _ = pipeline(sc.manifold, sc.action)
-        lift = convex.cycle_lift(sc.manifold, mom)
+        lift = convex.cycle_lift(mom)
         ok &= lift.verified
         ok &= lift.max_frozen_deviation < 1e-9
         ok &= abs(lift.winding) == 1
@@ -210,24 +208,21 @@ def test_criterion_08_cycle_lift():
 def test_criterion_09_reduction_heredity():
     sc = scenario("s2xt2_reduce")
     _, mom, _ = pipeline(sc.manifold, sc.action)
-    problem = reduction.ReductionProblem(sc.manifold, sc.action, mom,
-                                         (0,), (0.0,))
+    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
     reduced = reduction.reduce_at(problem)
     her = reduction.heredity_check(reduced, circle_bins=50)
     ok = reduced.manifold.torus_dim == 2 and reduced.manifold.n_spheres == 0
     ok &= her.residual_non_hamiltonian and her.circle_bins_hit == 50
     # two-stage variant: S^2 x S^2 x T^2 reduced one sphere at a time
-    m = ProductManifold(FlatTorusFactor(((0, 1), (-1, 0))),
-                        (SphereFactor(1.0), SphereFactor(1.0)))
+    m = ProductManifold(((0, 1), (-1, 0)), (1.0, 1.0))
     a = ActionSpec(((0, 0), (0, 0), (1, 0), (0, 1)),
                    ((1, 0), (0, 1), (0, 0), (0, 0)))
     _, mom2, _ = pipeline(m, a)
     stage1 = reduction.reduce_at(
-        reduction.ReductionProblem(m, a, mom2, (0,), (0.0,)))
+        reduction.ReductionProblem(mom2, (0,), (0.0,)))
     ok &= reduction.heredity_check(stage1).passed
     stage2 = reduction.reduce_at(
-        reduction.ReductionProblem(stage1.manifold, stage1.action,
-                                   stage1.moment, (0,), (0.5,)))
+        reduction.ReductionProblem(stage1.moment, (0,), (0.5,)))
     ok &= reduction.heredity_check(stage2).passed
     verdict(9, ok, "reduced 2-torus keeps a nonzero residual period and "
                    "covers all 50 circle bins; two-stage variant passes "
@@ -273,11 +268,11 @@ def test_criterion_10_fiber_connectedness():
 
 
 def test_criterion_11_local_model():
-    m = ProductManifold(None, (SphereFactor(1.0), SphereFactor(1.0)))
+    m = ProductManifold(None, (1.0, 1.0))
     a = ActionSpec(((), ()), ((2, 0), (0, 3)))
     _, mom, _ = pipeline(m, a)
     south = m.basepoint()
-    rep = moment.local_model_check(m, mom, south)
+    rep = moment.local_model_check(mom, south)
     data = moment.local_weights(m, a, south)
     ok = rep.max_residual < 1e-4
     ok &= data.weights == ((2, 0), (0, 3))   # rotation speeds, south signs

@@ -110,6 +110,20 @@ generators = | {" ".join(["1"] * 17)}
     (GOOD + "[pipeline]\nseed = 5%\n", r"\[pipeline\] seed not an integer"),
     # the decimal Pfaffian 0.1 * 3 - 0.3 * 1 is exactly 0
     (T4_DECIMAL_DEGENERATE, "degenerate"),
+    # a malformed [manifold]: each message names its key
+    (GOOD.replace("0 1 ; -1 0", "0 0 ; 0 0"),
+     r"\[manifold\] torus_omega: degenerate torus form \(zero determinant\)"),
+    (GOOD.replace("torus_dim = 2", "torus_dim = 3"),
+     "torus_omega is not 3x3"),
+    (GOOD.replace("torus_dim = 2", "torus_dim = 3").replace(
+        "0 1 ; -1 0", "0 1 0 ; -1 0 0 ; 0 0 0"),
+     r"\[manifold\] torus_omega: torus dimension must be even"),
+    (GOOD.replace("torus_dim = 2", "torus_dim = 2\nspheres = 0"),
+     r"\[manifold\] spheres: sphere area coefficient must be positive"),
+    (GOOD.replace("torus_dim = 2", "torus_dim = 2\nspheres = -1"),
+     r"\[manifold\] spheres: sphere area coefficient must be positive"),
+    ("[manifold]\n[action]\ngenerators = |\n",
+     r"\[manifold\] empty manifold: no torus_omega and no spheres"),
     # every pipeline count and bound must be positive
     (GOOD + "[pipeline]\nsamples = 0\n", r": samples must be at least 1"),
     (GOOD + "[pipeline]\nsamples = -1\n", r": samples must be at least 1"),
@@ -306,15 +320,28 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "overall = FAIL" in out
 
 
-def test_critical_reduce_level_fails_with_report(tmp_path, capsys):
-    """A pole is a critical level: the run stops reducing there and exits 1
-    with its report instead of raising."""
+def test_critical_reduce_level_fails_with_report(tmp_path, capsys,
+                                                 monkeypatch):
+    """A pole is a critical level, and a level past it lies outside the
+    image: reduce_at raises NotRegular, which the run records as the
+    failed key stage0_regular, and it stops reducing there and exits 1
+    with its report instead of raising.  A NotRegular planted in
+    reduce_at reads the same."""
     text = cli.bundled_scenario_path("s2xt2_reduce").read_text()
-    pole = write(tmp_path, text.replace("values = 0", "values = 1"))
-    assert cli.main(["all", "--scenario", str(pole)]) == 1
-    out = capsys.readouterr().out
-    assert "stage0_regular = false" in out
-    assert "failures = reduce.stage0_regular" in out
+    tail = ("\n[reduce]\nstage0_regular = false\n\noverall = FAIL\n"
+            "failures = reduce.stage0_regular\n")
+    for value in ("1", "-3"):
+        pole = write(tmp_path, text.replace("values = 0",
+                                            f"values = {value}"))
+        assert cli.main(["all", "--scenario", str(pole)]) == 1
+        assert capsys.readouterr().out.endswith(tail)
+
+    def raises(*args, **kwargs):
+        raise reduction.NotRegular("planted")
+
+    monkeypatch.setattr(reduction, "reduce_at", raises)
+    assert cli.main(["all", "--scenario", "s2xt2_reduce"]) == 1
+    assert capsys.readouterr().out.endswith(tail)
 
 
 def test_exhausted_integralization_fails_with_report(tmp_path, capsys):
@@ -509,7 +536,6 @@ STAGE_RAISES = {
     reduction.NotInvariantOnOrbits: (reduction, "induced_moment", "reduce"),
     moment_mod.GeneratorIsHamiltonian: (moment_mod, "generalized_moment",
                                         "integralize"),
-    reduction.NotRegular: (reduction, "reduce_at", "reduce"),
     reduction.DegenerateReducedForm: (reduction, "reduce_at", "reduce"),
 }
 

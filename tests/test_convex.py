@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from momentforge import (cli, convex, geom, hamclass, moment, ratlin,
                          sample)
-from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductManifold,
-                              SphereFactor)
+from momentforge.geom import ActionSpec, ProductManifold
 
 from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
                       float_mu2, fraction_moment_polytope, full_draw_coverage,
@@ -24,7 +23,7 @@ from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
                                           64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification, res.covectors)
@@ -40,7 +39,7 @@ def rotations(speeds):
 
 
 def spheres(n, c=0.5):
-    return ProductManifold(None, tuple(SphereFactor(c) for _ in range(n)))
+    return ProductManifold(None, (c,) * n)
 
 
 def polytope_of(m, a):
@@ -141,7 +140,7 @@ def test_degenerate_polytope_is_a_segment():
     assert poly.contains(*numerators([mid])).all()
     off = [mid[0] + F(1, 1000), mid[1] - F(1, 1000)]
     assert not poly.contains(*numerators([off])).any()
-    rep = sample.product_coverage_check(m, mom, poly, 10, 5000, 0)
+    rep = sample.product_coverage_check(mom, poly, 10, 5000, 0)
     assert rep.n_counted_cells == 0 and rep.fraction == 1.0
 
 
@@ -151,7 +150,7 @@ def test_four_spheres_polytope():
     speeds = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     poly, mom = polytope_of(m, rotations(speeds))
     assert mom.c == 4 and len(poly.vertices) == 16 and len(poly.normals) == 4
-    rep = sample.product_coverage_check(m, mom, poly, 5, 20000, 0)
+    rep = sample.product_coverage_check(mom, poly, 5, 20000, 0)
     assert rep.n_counted_cells == 5 ** 4
     assert rep.fraction >= 0.99
 
@@ -174,7 +173,7 @@ def test_mixed_polytope_and_samples(s2xt2_mixed):
 @settings(max_examples=40, deadline=None)
 def test_sampled_image_lies_in_polytope(data):
     speeds, coeffs, sign = data
-    m = ProductManifold(None, tuple(SphereFactor(c) for c in coeffs))
+    m = ProductManifold(None, coeffs)
     a = ActionSpec(tuple(() for _ in speeds), tuple(map(tuple, speeds)),
                    sign)
     poly, mom = polytope_of(m, a)
@@ -221,8 +220,7 @@ def test_moment_polytope_matches_fraction_oracle(w):
     """The integer construction returns the vertices, normals and offsets
     that Fraction arithmetic on w returns, equal in value and type."""
     n = len(w[0])
-    m = ProductManifold(FlatTorusFactor(STD2),
-                        tuple(SphereFactor(F(1, 2)) for _ in range(n)))
+    m = ProductManifold(STD2, (F(1, 2),) * n)
     mu1 = tuple(tuple([0, 0] + [x for h in row for x in (0, h)])
                 for row in w)
     mom = moment.GeneralizedMoment(m, None, None, None, mu1, (), None)
@@ -240,7 +238,7 @@ def test_two_torus_coverage(t2_translations):
     m, a = t2_translations
     _, mom = pipeline(m, a)
     rep = sample.product_coverage_check(
-        m, mom, convex.moment_polytope(mom), 50, 100000, 0)
+        mom, convex.moment_polytope(mom), 50, 100000, 0)
     assert rep.n_counted_cells == 2500
     assert rep.fraction >= 0.99
 
@@ -249,7 +247,7 @@ def test_pure_hamiltonian_coverage_reduces_to_hull(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
     rep = sample.product_coverage_check(
-        m, mom, convex.moment_polytope(mom), 15, 60000, 0)
+        mom, convex.moment_polytope(mom), 15, 60000, 0)
     assert rep.n_counted_cells == 15 ** 2
     assert rep.fraction >= 0.99
 
@@ -271,7 +269,7 @@ def test_interior_cells_match_per_corner_loop():
             expected += all(abs(sum(a * x for a, x in zip(nv, p))) <= b
                             for p in corners
                             for nv, b in zip(poly.normals, poly.offsets))
-        rep = sample.product_coverage_check(m, mom, poly, res, 1000, 0)
+        rep = sample.product_coverage_check(mom, poly, res, 1000, 0)
         assert 0 < expected < res * res
         assert rep.n_counted_cells == expected
 
@@ -282,7 +280,7 @@ def test_three_sphere_coverage_regression():
     m = spheres(3)
     _, mom = pipeline(m, rotations([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     rep = sample.product_coverage_check(
-        m, mom, convex.moment_polytope(mom), 20, 200000, 0)
+        mom, convex.moment_polytope(mom), 20, 200000, 0)
     assert rep.n_counted_cells == 8000
     assert rep.fraction >= 0.99
 
@@ -293,8 +291,7 @@ def test_coverage_bins_are_exact_floors(monkeypatch):
     circle bin floor(res mu2).  The points sit on each interior mu1 bin
     edge, at both ends of the box, and in between; h = 3/2 is not an
     integer."""
-    m = ProductManifold(FlatTorusFactor(STD2),
-                        tuple(SphereFactor(F(1, 2)) for _ in range(3)))
+    m = ProductManifold(STD2, (F(1, 2),) * 3)
     _, mom = pipeline(m, ActionSpec(((1, 0), (0, 0)),
                                     ((0, 0, 0), (1, 1, 1))))
     poly = convex.moment_polytope(mom)
@@ -312,7 +309,7 @@ def test_coverage_bins_are_exact_floors(monkeypatch):
                          dtype=np.int64)
         monkeypatch.setattr(sample, "sample_points",
                             lambda m, n, seed, start, stop: point[start:stop])
-        rep = sample.product_coverage_check(m, mom, poly, res, 1, 0)
+        rep = sample.product_coverage_check(mom, poly, res, 1, 0)
         [((mu1,), (mu2,))] = lattice_oracle(mom, point)
         q = res * (mu1 + h) / (2 * h)
         if q.denominator == 1:
@@ -342,7 +339,7 @@ coverage_samples = 1000
 
 
 def coverage_inputs(tmp_path):
-    """(name, manifold, moment, polytope, grid, samples, seed) for the
+    """(name, moment, polytope, grid, samples, seed) for the
     bundled scenarios, the undersampled pair of spheres, the three-sphere
     grid-20 regression, the segment with no counted cell and an
     undersampled parallelogram, whose empty witnesses tell the axes
@@ -353,8 +350,8 @@ def coverage_inputs(tmp_path):
                  for name in BUNDLED] + [cli.load_scenario(path)]
     for sc in scenarios:
         mom = scenario_moment(sc)
-        yield (sc.name, sc.manifold, mom, convex.moment_polytope(mom),
-               sc.grid, sc.coverage_samples, sc.seed)
+        yield (sc.name, mom, convex.moment_polytope(mom), sc.grid,
+               sc.coverage_samples, sc.seed)
     for name, m, a, res, n in (
             ("three spheres", spheres(3),
              rotations([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 20, 200000),
@@ -362,7 +359,7 @@ def coverage_inputs(tmp_path):
             ("parallelogram", s2xs2(), rotations([(1, 1), (0, 1)]), 12,
              300)):
         poly, mom = polytope_of(m, a)
-        yield name, m, mom, poly, res, n, 0
+        yield name, mom, poly, res, n, 0
 
 
 def test_coverage_report_is_the_full_draws(tmp_path):
@@ -370,9 +367,9 @@ def test_coverage_report_is_the_full_draws(tmp_path):
     field by field, where every counted cell is hit early, where some stay
     empty (fraction below 1) and where no cell counts."""
     fractions = {}
-    for name, m, mom, poly, res, n, seed in coverage_inputs(tmp_path):
-        rep = sample.product_coverage_check(m, mom, poly, res, n, seed)
-        assert rep == full_draw_coverage(m, mom, poly, res, n, seed), name
+    for name, mom, poly, res, n, seed in coverage_inputs(tmp_path):
+        rep = sample.product_coverage_check(mom, poly, res, n, seed)
+        assert rep == full_draw_coverage(mom, poly, res, n, seed), name
         fractions[name] = rep.fraction, rep.n_counted_cells
     assert fractions["undersampled"][0] < 1
     assert fractions["parallelogram"][0] < 1
@@ -396,7 +393,7 @@ def test_coverage_draw_stops_once_every_counted_cell_is_hit(
     m, a = t2_translations
     _, mom = pipeline(m, a)
     rep = sample.product_coverage_check(
-        m, mom, convex.moment_polytope(mom), 50, 100000, 0)
+        mom, convex.moment_polytope(mom), 50, 100000, 0)
     assert rep.fraction == 1.0 and 0 < sum(drawn) < 100000
     assert drawn[0] == sample.COVERAGE_CHUNK
     inputs = {name: rest for name, *rest in coverage_inputs(tmp_path)}
@@ -406,7 +403,7 @@ def test_coverage_draw_stops_once_every_counted_cell_is_hit(
         assert sum(drawn) == rows, name
     # the cap is still a sample count, even where nothing would be drawn
     with pytest.raises(ValueError, match="at least one sample"):
-        sample.product_coverage_check(*inputs["segment"][:4], 0, 0)
+        sample.product_coverage_check(*inputs["segment"][:3], 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +412,7 @@ def test_coverage_draw_stops_once_every_counted_cell_is_hit(
 def test_no_local_extremum_passes(s2xt2_mixed):
     # T^6 with four translations: the predicate reads only the covectors,
     # so its cost does not grow with the torus dimension
-    t6 = ProductManifold(FlatTorusFactor(STD6), ())
+    t6 = ProductManifold(STD6)
     translations = tuple(tuple(int(k == j) for k in range(6))
                          for j in range(4))
     t6_action = ActionSpec(translations, ((),) * 4)
@@ -476,7 +473,7 @@ def test_two_torus_cycle_lift(t2_translations):
     single turn (sign set by the orientation conventions)."""
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, mom)
+    lift = convex.cycle_lift(mom)
     assert lift.verified
     assert abs(lift.winding) == 1
     assert lift.max_frozen_deviation == 0
@@ -486,7 +483,7 @@ def test_t4_split_cycle_lift():
     m = torus4()
     a = ActionSpec(((1, 0, 0, 0), (0, 0, 1, 0)), ((), ()))
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, mom)
+    lift = convex.cycle_lift(mom)
     assert lift.verified
     assert abs(lift.winding) == 1
     # the admissible loop stays inside the plane the first covector kills
@@ -498,7 +495,7 @@ def test_gcd_limits_the_winding():
     m = torus2()
     a = ActionSpec(((2, 0),), ((),))
     _, mom = pipeline(m, a)
-    lift = convex.cycle_lift(m, mom)
+    lift = convex.cycle_lift(mom)
     assert abs(lift.winding) == 2  # covector (0, 2): no loop winds once
 
 
@@ -507,9 +504,9 @@ def test_cycle_lift_negative_control(s2xt2_mixed):
     is not verified."""
     m, a = s2xt2_mixed
     _, mom = pipeline(m, a)
-    assert convex.cycle_lift(m, mom).verified
+    assert convex.cycle_lift(mom).verified
     bent = dataclasses.replace(mom, mu1=((1, 1) + mom.mu1[0][2:],))
-    lift = convex.cycle_lift(m, bent)
+    lift = convex.cycle_lift(bent)
     assert not lift.verified and lift.max_frozen_deviation == 1
 
 
@@ -517,7 +514,7 @@ def test_cycle_lift_requires_circle_part(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
     with pytest.raises(ValueError):
-        convex.cycle_lift(m, mom)
+        convex.cycle_lift(mom)
 
 
 def translations_moment(form):
@@ -525,7 +522,7 @@ def translations_moment(form):
     m = len(form)
     a = ActionSpec(tuple(tuple(int(i == j) for j in range(m))
                          for i in range(m)), ((),) * m)
-    return pipeline(ProductManifold(FlatTorusFactor(form), ()), a)[1]
+    return pipeline(ProductManifold(form), a)[1]
 
 
 TORI = {len(form): translations_moment(form) for form in (STD2, STD4, STD6)}
@@ -553,9 +550,9 @@ def test_cycle_lift_matches_the_saturated_kernel(data):
          // determinantal_divisor(first, k))
     if g == 0:
         with pytest.raises(convex.NoIntegerDirection):
-            convex.cycle_lift(mom.manifold, mom)
+            convex.cycle_lift(mom)
         return
-    lift = convex.cycle_lift(mom.manifold, mom)
+    lift = convex.cycle_lift(mom)
     assert all(sum(x * y for x, y in zip(cov, lift.direction)) == 0
                for cov in first)
     assert lift.winding == sum(x * y for x, y in zip(last, lift.direction))

@@ -15,12 +15,17 @@ from conftest import (STD4, affine_apply, circle_distance, classify,
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
                                           64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification, res.covectors)
     z = equiv.cocycle_matrix(mom)
     return res, mom, z
+
+
+def isotropy(mom):
+    """The isotropy report that the equivariance verdicts of mom share."""
+    return equiv.isotropic_orbit_test(mom.action, mom.covectors)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +70,7 @@ def test_cocycle_rejects_non_integral_form(t2_translations):
     """The moment of a non-integral form, built past generalized_moment's
     own integrality check, pairs to a half-integral cocycle."""
     m, a = t2_translations
-    cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     half = ProductForm(((0, 0.5), (-0.5, 0)), ())
     mom = moment.GeneralizedMoment(m, a, half, cls, (), tuple(map(
         tuple, covectors(a, half, cls.complement_generators))),
@@ -108,7 +113,7 @@ def test_two_torus_equivariance(t2_translations):
     rep = equivariance_check(m, a, mom, z, n_samples=300, seed=0)
     assert rep.passed
     assert rep.max_mu2_error < 1e-9
-    exact = equiv.exact_equivariance(mom)
+    exact = equiv.exact_equivariance(mom, isotropy(mom))
     assert exact.passed
     assert exact.max_mu2_error == 0
 
@@ -119,7 +124,7 @@ def test_mixed_equivariance(s2xt2_mixed):
     rep = equivariance_check(m, a, mom, z, n_samples=300, seed=0)
     assert rep.passed
     assert rep.max_mu1_invariance_error < 1e-9
-    exact = equiv.exact_equivariance(mom)
+    exact = equiv.exact_equivariance(mom, isotropy(mom))
     assert exact.passed
     assert exact.max_mu1_invariance_error == 0
 
@@ -154,11 +159,11 @@ def test_exact_equivariance_negative_controls(s2xt2_mixed):
     m, a = s2xt2_mixed
     _, mom, _ = pipeline(m, a)
     bent = dataclasses.replace(mom, mu2=(bend(mom.mu2[0], 0),) + mom.mu2[1:])
-    rep = equiv.exact_equivariance(bent)
+    rep = equiv.exact_equivariance(bent, isotropy(bent))
     assert not rep.passed
     assert rep.max_mu2_error == 1 and rep.max_mu1_invariance_error == 0
     bent = dataclasses.replace(mom, mu1=(bend(mom.mu1[0], 1, -3),))
-    rep = equiv.exact_equivariance(bent)
+    rep = equiv.exact_equivariance(bent, isotropy(bent))
     assert not rep.passed
     assert rep.max_mu2_error == 0 and rep.max_mu1_invariance_error == 3
 
@@ -168,49 +173,43 @@ def test_exact_equivariance_negative_controls(s2xt2_mixed):
 
 def test_s2xs2_orbits_isotropic(s2xs2_rotations):
     m, a = s2xs2_rotations
-    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form()))
+    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form))
     assert rep.isotropic
     fields = [field_vector(m, a, g) for g in ((1, 0), (0, 1))]
-    assert rep.pairings == tuple(tuple(pairing(m, m.form(), u, w)
+    assert rep.pairings == tuple(tuple(pairing(m, m.form, u, w)
                                        for w in fields) for u in fields)
 
 
 def test_two_torus_orbits_not_isotropic(t2_translations):
     m, a = t2_translations
-    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form()))
+    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form))
     assert not rep.isotropic
 
 
 def test_natural_equivariance_chain_with_fixed_points(s2xs2_rotations):
     m, a = s2xs2_rotations
     res, mom, z = pipeline(m, a)
-    verdict = equiv.natural_equivariance(mom, z)
+    verdict = equiv.natural_equivariance(mom, z, isotropy(mom))
     assert verdict.has_fixed_points
     assert verdict.orbits_isotropic
     assert verdict.z_is_zero
     assert verdict.naturally_equivariant
 
 
-def test_natural_equivariance_chain_violation_raises(s2xs2_rotations,
-                                                     monkeypatch):
+def test_natural_equivariance_chain_violation_raises(s2xs2_rotations):
     """With fixed points present, non-isotropic orbits contradict the
     theorem; the check raises instead of returning a verdict."""
     m, a = s2xs2_rotations
     res, mom, z = pipeline(m, a)
-    real = equiv.isotropic_orbit_test
-
-    def not_isotropic(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), isotropic=False)
-
-    monkeypatch.setattr(equiv, "isotropic_orbit_test", not_isotropic)
+    not_isotropic = dataclasses.replace(isotropy(mom), isotropic=False)
     with pytest.raises(equiv.FixedPointChainBroken, match="not isotropic"):
-        equiv.natural_equivariance(mom, z)
+        equiv.natural_equivariance(mom, z, not_isotropic)
 
 
 def test_natural_equivariance_without_fixed_points(t2_translations):
     m, a = t2_translations
     res, mom, z = pipeline(m, a)
-    verdict = equiv.natural_equivariance(mom, z)
+    verdict = equiv.natural_equivariance(mom, z, isotropy(mom))
     assert not verdict.has_fixed_points
     assert not verdict.orbits_isotropic
     assert not verdict.naturally_equivariant
@@ -230,7 +229,7 @@ def test_fixed_point_flag_matches_fixed_point_set(name, t2_translations):
         sc = cli.load_scenario(cli.bundled_scenario_path(name))
         m, a, mom = sc.manifold, sc.action, scenario_moment(sc)
         z = equiv.cocycle_matrix(mom)
-    assert equiv.natural_equivariance(mom, z).has_fixed_points \
+    assert equiv.natural_equivariance(mom, z, isotropy(mom)).has_fixed_points \
         == (geom.fixed_point_set(m, a).kind != "empty")
 
 
@@ -240,9 +239,10 @@ def test_natural_equivariance_negative_control():
     m = torus4()
     a = ActionSpec(((1, 0, 0, 0), (0, 0, 1, 0)), ((), ()))
     _, mom, z = pipeline(m, a)
-    assert equiv.natural_equivariance(mom, z).naturally_equivariant
+    assert equiv.natural_equivariance(mom, z,
+                                      isotropy(mom)).naturally_equivariant
     bent = dataclasses.replace(mom, mu2=(bend(mom.mu2[0], 2),) + mom.mu2[1:])
-    verdict = equiv.natural_equivariance(bent, z)
+    verdict = equiv.natural_equivariance(bent, z, isotropy(bent))
     assert not verdict.mu2_invariant and not verdict.naturally_equivariant
     assert verdict.max_mu2_invariance_error == 1
 
@@ -253,7 +253,7 @@ def test_hamiltonian_only_full_invariance():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
     res, mom, z = pipeline(m, a)
-    verdict = equiv.natural_equivariance(mom, z)
+    verdict = equiv.natural_equivariance(mom, z, isotropy(mom))
     assert verdict.naturally_equivariant
     assert verdict.max_mu2_invariance_error == 0.0
 
@@ -263,8 +263,8 @@ def test_hamiltonian_only_full_invariance():
 
 def test_local_freeness_full_rank(t2_translations):
     m, a = t2_translations
-    res, _, z = pipeline(m, a)
-    verdict = equiv.local_freeness_check(a, z, res.classification)
+    _, mom, z = pipeline(m, a)
+    verdict = equiv.local_freeness_check(mom, z)
     assert verdict.hypothesis_holds
     assert verdict.stabilizers_finite
 
@@ -274,8 +274,8 @@ def test_local_freeness_not_applicable_on_split_t4():
     made even though the action is in fact free."""
     m = torus4()
     a = ActionSpec(((1, 0, 0, 0), (0, 0, 1, 0)), ((), ()))
-    res, _, z = pipeline(m, a)
-    verdict = equiv.local_freeness_check(a, z, res.classification)
+    _, mom, z = pipeline(m, a)
+    verdict = equiv.local_freeness_check(mom, z)
     assert not verdict.hypothesis_holds
     assert verdict.stabilizers_finite is None
     assert "not applicable" in verdict.note
@@ -284,6 +284,6 @@ def test_local_freeness_not_applicable_on_split_t4():
 def test_local_freeness_vacuous_for_r_zero():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
-    res, _, z = pipeline(m, a)
-    verdict = equiv.local_freeness_check(a, z, res.classification)
+    _, mom, z = pipeline(m, a)
+    verdict = equiv.local_freeness_check(mom, z)
     assert verdict.hypothesis_holds and verdict.stabilizers_finite

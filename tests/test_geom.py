@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentforge import equiv, geom, hamclass, moment, ratlin, sample
-from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
-                              ProductManifold, SphereFactor)
+from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (apply_torus_element, classify, covectors, field_vector,
                       pairing, s2xt2, sphere, torus2, wrap)
@@ -21,54 +20,71 @@ from conftest import (apply_torus_element, classify, covectors, field_vector,
 # factors and validation
 
 def test_torus_factor_rejects_bad_forms():
-    with pytest.raises(ValueError):
-        FlatTorusFactor(((0, 1), (1, 0)))          # not antisymmetric
-    with pytest.raises(ValueError):
-        FlatTorusFactor(((0,),))                   # odd dimension
+    """The manifold validates its torus block once, naming torus_omega:
+    antisymmetric, even-sized, square and nondegenerate."""
+    for torus, message in ((((0, 1), (1, 0)), "antisymmetric"),
+                           (((0, 1), (-1, 1)), "antisymmetric"),
+                           (((0,),), "even"),
+                           (((0, 1), (-1,)), "square"),
+                           (((0, 1, 0), (-1, 0)), "square")):
+        with pytest.raises(ValueError, match=f"^torus_omega: .*{message}"):
+            ProductManifold(torus)
     # dense and singular: a = b = c = d = f = 1, e = 2, so af - be + cd = 0
     dense = ((0, 1, 1, 1), (-1, 0, 1, 2), (-1, -1, 0, 1), (-1, -2, -1, 0))
     for degenerate in (((0, 0), (0, 0)), dense):
-        with pytest.raises(ValueError, match="zero determinant"):
-            FlatTorusFactor(degenerate)
+        with pytest.raises(ValueError,
+                           match="^torus_omega: .*zero determinant"):
+            ProductManifold(degenerate, (1,))
         assert not ProductForm(degenerate, ()).is_nondegenerate()
 
 
-def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback():
+def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback(
+        monkeypatch):
     """The prime form P (dx1 ^ dx2) has determinant P^2, 0 mod P: only the
     exact fallback accepts it.  A T^4 form whose Pfaffian af - be + cd is
-    exactly 0, with every entry 2 mod P, is still a zero determinant."""
+    exactly 0, with every entry 2 mod P, is still a zero determinant.  The
+    verdict is decided once per form and cached on it."""
     p = ratlin.P
-    torus = FlatTorusFactor(((0, p), (-p, 0)))
-    assert torus.nums == ((0, p), (-p, 0)) and torus.den == 1
-    assert ProductForm(torus, ()).is_nondegenerate()
+    calls = []
+    real = ratlin.nonsingular
+    monkeypatch.setattr(ratlin, "nonsingular",
+                        lambda a: calls.append(a) or real(a))
+    form = ProductManifold(((0, p), (-p, 0))).form
+    assert form.nums == ((0, p), (-p, 0)) and form.den == 1
+    assert form.is_nondegenerate() and form.is_nondegenerate()
+    assert calls == [[(0, p), (-p, 0)]]
     pfaffian_zero = ((0, 1, 1, 1), (-1, 0, 1, 2), (-1, -1, 0, 1),
                      (-1, -2, -1, 0))
     with pytest.raises(ValueError, match="zero determinant"):
-        FlatTorusFactor(tuple(tuple((p + 2) * x for x in row)
+        ProductManifold(tuple(tuple((p + 2) * x for x in row)
                               for row in pfaffian_zero))
 
 
 def test_forms_hold_integer_numerators_over_one_denominator():
     """nums / den is W in lowest terms: the torus block over a common
     denominator, then the sphere pairs; the Fraction views read it."""
-    torus = FlatTorusFactor([[0, 25], [-25, 0]], 10)
-    assert (torus.nums, torus.den) == (((0, 5), (-5, 0)), 2)
-    form = ProductForm(torus, (Fraction(1, 3),))
+    m = ProductManifold([[0, 25], [-25, 0]], (Fraction(1, 3),), 10)
+    form = m.form
     assert form.den == 6 and form.torus_dim == 2
     assert form.nums == ((0, 15, 0, 0), (-15, 0, 0, 0), (0, 0, 0, 2),
                          (0, 0, -2, 0))
     assert form.torus_omega == ((0, Fraction(5, 2)), (Fraction(-5, 2), 0))
     assert form.sphere_coeffs == (Fraction(1, 3),)
     assert form == ProductForm(((0, 2.5), (-2.5, 0)), (Fraction(2, 6),))
+    assert (m.torus_dim, m.n_spheres, m.dim) == (2, 1, 4)
+    torus = ProductManifold([[0, 25], [-25, 0]], (), 10).form
+    assert (torus.nums, torus.den) == (((0, 5), (-5, 0)), 2)
 
 
 def test_factors_and_forms_hold_fractions():
-    """Library callers may pass ints or floats; factors and forms hold the
-    exact Fraction of each (a float converts exactly)."""
-    torus = FlatTorusFactor(((0, 0.5), (-0.5, 0)))
-    form = ProductForm(((0, 0.5), (-0.5, 0)),
-                       (SphereFactor(0.1).area_coefficient,))
-    assert (torus.nums, torus.den) == (((0, 1), (-1, 0)), 2)
+    """Library callers may pass ints or floats; manifolds and forms hold
+    the exact Fraction of each (a float converts exactly)."""
+    m = ProductManifold(((0, 0.5), (-0.5, 0)), (0.1,))
+    form = ProductForm(((0, 0.5), (-0.5, 0)), (0.1,))
+    assert m.form == form
+    assert ProductManifold(((0, 0.5), (-0.5, 0))).form.nums == \
+        ((0, 1), (-1, 0))
+    assert ProductManifold(((0, 0.5), (-0.5, 0))).form.den == 2
     assert form.torus_omega == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
     assert form.sphere_coeffs == (Fraction(0.1),)
     assert all(isinstance(x, Fraction)
@@ -76,15 +92,15 @@ def test_factors_and_forms_hold_fractions():
 
 
 def test_sphere_factor_rejects_nonpositive_area():
-    with pytest.raises(ValueError):
-        SphereFactor(0.0)
-    with pytest.raises(ValueError):
-        SphereFactor(-1.0)
+    for spheres in ((0.0,), (-1.0,), (1, 0), (Fraction(-1, 3),)):
+        with pytest.raises(ValueError, match="^spheres: .*positive"):
+            ProductManifold(((0, 1), (-1, 0)), spheres)
 
 
 def test_empty_manifold_rejected():
-    with pytest.raises(ValueError):
-        ProductManifold(None, ())
+    for empty in ((), (None, ()), ((), (), 5)):
+        with pytest.raises(ValueError, match="empty manifold"):
+            ProductManifold(*empty)
 
 
 def test_layout_and_basepoint():
@@ -133,14 +149,14 @@ def test_sphere_rotation_field_speed_two():
     a = ActionSpec(((),), ((2,),))
     assert a.orbit_matrix() == [[2, 0]]
     assert field_vector(m, a, [1]) == [2, 0]
-    assert covectors(a, m.form()) == [[0, 1]]
+    assert covectors(a, m.form) == [[0, 1]]
 
 
 def test_sign_flips_fields_only():
     m = torus2()
     a = ActionSpec(((1, 0),), ((),), sign=-1)
     assert field_vector(m, a, [1]) == [-1, 0]
-    assert covectors(a, m.form()) == [[0, -1]]
+    assert covectors(a, m.form) == [[0, -1]]
     # the orbit map ignores the sign convention
     assert a.orbit_matrix() == [[1, 0]]
     moved = apply_torus_element(m, a, [0.25], np.zeros(2))
@@ -153,8 +169,8 @@ def test_combination_field():
     assert ratlin.mat_mul([[2, 3]], a.orbit_matrix()) == [[3, 0, 2, 0]]
     assert field_vector(m, a, [2, 3]) == [3, 0, 2, 0]
     # i_X omega for X = (3, 0 | 2, 0): 3 (0, 1) on the torus, c * 2 on h
-    assert covectors(a, m.form(), [[2, 3]]) == [[0, 3, 0, 2]]
-    assert covectors(a, m.form(), []) == []
+    assert covectors(a, m.form, [[2, 3]]) == [[0, 3, 0, 2]]
+    assert covectors(a, m.form, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +178,7 @@ def test_combination_field():
 
 def test_pairing_and_contraction_on_torus():
     m = torus2()
-    form = m.form()
+    form = m.form
     assert pairing(m, form, [1, 0], [0, 1]) == 1
     assert (form.nums, form.den) == (((0, 1), (-1, 0)), 1)
     a = ActionSpec(((1, 0),), ((),))
@@ -171,7 +187,7 @@ def test_pairing_and_contraction_on_torus():
 
 def test_contraction_on_sphere():
     m = sphere(0.5)
-    form = m.form()
+    form = m.form
     assert (form.nums, form.den) == (((0, 1), (-1, 0)), 2)
     a = ActionSpec(((),), ((1,),))
     assert covectors(a, form) == [[0, 0.5]]
@@ -181,7 +197,7 @@ def test_contraction_is_the_pairing_covector():
     """(i_X omega)(e_k) = omega(X, e_k), exactly, on every basis vector
     and for both signs."""
     m = s2xt2()
-    form = m.form()
+    form = m.form
     for sign in (1, -1):
         a = ActionSpec(((1, 2),), ((3,),), sign)
         [cov] = covectors(a, form)
@@ -207,16 +223,14 @@ def products(draw):
             omega[i][j] = draw(rationals)
             omega[j][i] = -omega[i][j]
     assume(m == 0 or ratlin.determinant(omega) != 0)
-    spheres = [SphereFactor(Fraction(draw(st.integers(1, 8)),
-                                     draw(st.integers(1, 4))))
+    spheres = [Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 4)))
                for _ in range(n)]
     ints = st.integers(-2, 2)
     gens = [(tuple(draw(ints) for _ in range(m)),
              tuple(draw(ints) for _ in range(n)))
             for _ in range(draw(st.integers(1, 4)))]
     assume(all(any(v) or any(s) for v, s in gens))
-    manifold = ProductManifold(FlatTorusFactor(omega) if m else None,
-                               spheres)
+    manifold = ProductManifold(omega, spheres)
     action = ActionSpec(tuple(v for v, _ in gens), tuple(s for _, s in gens),
                         draw(st.sampled_from((1, -1))))
     return manifold, action
@@ -229,7 +243,7 @@ def test_matrix_model_matches_the_oracle(product, combos):
     """Field covectors, isotropy pairings and the cocycle of the integral
     form all agree with the oracle pairing of the oracle fields."""
     m, a = product
-    form = m.form()
+    form = m.form
     basis = [[int(i == k) for i in range(m.dim)]
              for k in range(m.dim)]
     units = [[int(i == j) for i in range(a.r_total)]
@@ -244,7 +258,7 @@ def test_matrix_model_matches_the_oracle(product, combos):
         a, geom.field_covectors(a, form)).pairings == tuple(
         tuple(pairing(m, form, u, w) for w in fields) for u in fields)
     cls = classify(m, a, form)
-    res = hamclass.integralize_with_retry(m, a, form, cls, 64)
+    res = hamclass.integralize_with_retry(a, form, cls, 64)
     gens = cls.complement_generators
     # Z pairs the field of H_i with the orbit of H_j, which follows the
     # generator data: sign times the field
@@ -260,7 +274,7 @@ def test_matrix_model_matches_the_oracle(product, combos):
 # fixed points
 
 def test_fixed_points_double_rotation():
-    m = ProductManifold(None, (SphereFactor(0.5), SphereFactor(0.5)))
+    m = ProductManifold(None, (0.5, 0.5))
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     fps = geom.fixed_point_set(m, a)
     assert fps.kind == "finite"

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentforge import cli, geom, hamclass, ratlin
-from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
-                              ProductManifold, SphereFactor)
+from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (classify, exact_decimals, field_vector, pairing, s2xt2,
                       sphere, torus2)
@@ -71,9 +70,9 @@ def test_period_matrix_vs_quadrature():
     integral of omega(X, d) over [0, 1]; entry (j, k) is the loop d = e_k,
     and any other loop is the matching combination of entries."""
     m = s2xt2(c=0.7, omega=((0, 1.5), (-1.5, 0)))
-    form = m.form()
+    form = m.form
     a = ActionSpec(((2, -1), (0, 0), (1, 3)), ((1,), (1,), (-2,)))
-    p = hamclass.period_matrix(m, a, form)
+    p = hamclass.period_matrix(a, form)
     for j in range(a.r_total):
         x = field_vector(m, a, [int(i == j) for i in range(a.r_total)])
         for direction in [(1, 0), (0, 1), (2, 3)]:
@@ -87,7 +86,7 @@ def test_period_matrix_vs_quadrature():
 
 def test_period_matrix_std_t2(t2_translations):
     m, a = t2_translations
-    p = hamclass.period_matrix(m, a, m.form())
+    p = hamclass.period_matrix(a, m.form)
     assert p == ((0, 1), (-1, 0))
     assert any(p[0])
 
@@ -95,13 +94,13 @@ def test_period_matrix_std_t2(t2_translations):
 def test_period_matrix_sphere_rotation_rows_vanish():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
-    p = hamclass.period_matrix(m, a, m.form())
+    p = hamclass.period_matrix(a, m.form)
     assert p == ((),)
 
 
 def test_period_matrix_mixed(s2xt2_mixed):
     m, a = s2xt2_mixed
-    p = hamclass.period_matrix(m, a, m.form())
+    p = hamclass.period_matrix(a, m.form)
     assert p == ((0, 0), (0, 1), (-1, 0))
     assert not any(p[0])
 
@@ -113,21 +112,21 @@ def test_classify_trivial_rows():
     # all generators Hamiltonian: c = r_total, r = 0
     m = sphere()
     a = ActionSpec(((), ()), ((1,), (2,)))
-    cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     assert cls.c == 2 and cls.r == 0
     assert cls.hamiltonian_basis == ((1, 0), (0, 1))
 
 
 def test_classify_fully_non_hamiltonian(t2_translations):
     m, a = t2_translations
-    cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     assert cls.c == 0 and cls.r == 2
     assert cls.complement_generators == ((1, 0), (0, 1))
 
 
 def test_classify_mixed(s2xt2_mixed):
     m, a = s2xt2_mixed
-    cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     assert cls.c == 1 and cls.r == 2
     assert cls.hamiltonian_basis == ((1, 0, 0),)
 
@@ -137,7 +136,7 @@ def test_classify_saturates_the_kernel():
     # come out primitive even though the period data only sees 2x it
     m = sphere()
     a = ActionSpec(((), ()), ((2,), (1,)))
-    cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     assert cls.c == 2
     assert all(math.gcd(*[abs(x) for x in v]) == 1
                for v in cls.hamiltonian_basis)
@@ -147,7 +146,7 @@ def test_classify_hamiltonian_combination():
     # generators (1,0)+rot and (1,0): the difference is Hamiltonian
     m = s2xt2()
     a = ActionSpec(((1, 0), (1, 0)), ((1,), (0,)))
-    cls = hamclass.classify_action(hamclass.period_matrix(m, a, m.form()))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     assert cls.c == 1 and cls.r == 1
     assert cls.hamiltonian_basis == ((1, -1),)
 
@@ -157,11 +156,16 @@ def test_classify_hamiltonian_combination():
 
 def test_class_coefficients_round_trip():
     m = s2xt2(c=0.75, omega=((0, 1.5), (-1.5, 0)))
-    coeffs = hamclass.form_class_coefficients(m, m.form())
+    coeffs = hamclass.form_class_coefficients(m.form)
     assert coeffs == [1.5, 1.5]
-    back = hamclass.form_from_class_coefficients(m, coeffs)
+    back = hamclass.form_from_class_coefficients(2, coeffs)
     assert back.torus_omega[0][1] == 1.5
     assert float(back.sphere_coeffs[0]) == 0.75
+    # the torus dimension and the count give the shape: past the torus
+    # classes every coefficient is a sphere's
+    assert back == m.form
+    assert hamclass.form_from_class_coefficients(0, coeffs) \
+        == ProductManifold(None, (0.75, 0.75)).form
 
 
 def test_class_coefficients_vs_quadrature():
@@ -170,11 +174,10 @@ def test_class_coefficients_vs_quadrature():
     square: [0, 1]^2 for the coordinate 2-torus (i, j), theta in [0, 1]
     and h in [-1, 1] for a sphere."""
     dense = ((0, 1, 2, 0), (-1, 0, 0.5, 3), (-2, -0.5, 0, 1), (0, -3, -1, 0))
-    m = ProductManifold(FlatTorusFactor(dense),
-                        (SphereFactor(0.7), SphereFactor(1.5)))
-    form = m.form()
-    coeffs = hamclass.form_class_coefficients(m, form)
-    labels = hamclass.h2_class_labels(m)
+    m = ProductManifold(dense, (0.7, 1.5))
+    form = m.form
+    coeffs = hamclass.form_class_coefficients(form)
+    labels = hamclass.h2_class_labels(m.form)
     assert len(coeffs) == len(labels) == 8
     for label, coeff in zip(labels, coeffs):
         if label[0] == "torus":
@@ -193,16 +196,15 @@ def test_class_coefficients_vs_quadrature():
 
 def test_h2_labels_order():
     m = s2xt2()
-    assert hamclass.h2_class_labels(m) == [("torus", 0, 1), ("sphere", 0)]
+    assert hamclass.h2_class_labels(m.form) == [("torus", 0, 1), ("sphere", 0)]
 
 
 def test_class_coefficient_order():
     """Torus classes dx_i ^ dx_j row by row (i < j), then one unit-area
     class per sphere, whose coefficient is the area 2c."""
     omega = ((0, 1, 2, 3), (-1, 0, 4, 5), (-2, -4, 0, 6), (-3, -5, -6, 0))
-    m = ProductManifold(FlatTorusFactor(omega),
-                        (SphereFactor(7), SphereFactor(8)))
-    assert hamclass.form_class_coefficients(m, m.form()) == [
+    m = ProductManifold(omega, (7, 8))
+    assert hamclass.form_class_coefficients(m.form) == [
         1, 2, 3, 4, 5, 6, 14, 16]
 
 
@@ -212,7 +214,7 @@ def test_class_coefficient_order():
 def test_integralize_sqrt2(t2_translations):
     m, a = t2_translations
     form = ProductForm(((0, math.sqrt(2)), (-math.sqrt(2), 0)), ())
-    res = hamclass.integralize_form(m, a, form, classify(m, a, form), 5)
+    res = hamclass.integralize_form(a, form, classify(m, a, form), 5)
     assert res.q == (Fraction(7, 5),)
     assert res.k == 5
     assert res.omega_prime.torus_omega == ((0, 7), (-7, 0))
@@ -222,7 +224,7 @@ def test_integralize_sqrt2(t2_translations):
 
 def test_integralize_already_integral(t2_translations):
     m, a = t2_translations
-    res = hamclass.integralize_form(m, a, m.form(), classify(m, a), 64)
+    res = hamclass.integralize_form(a, m.form, classify(m, a), 64)
     assert res.k == 1
     assert res.omega_prime.torus_omega == ((0, 1), (-1, 0))
     assert res.max_deviation == 0.0
@@ -231,7 +233,7 @@ def test_integralize_already_integral(t2_translations):
 def test_integralize_sphere_area():
     m = sphere(0.7)
     a = ActionSpec(((),), ((1,),))
-    res = hamclass.integralize_form(m, a, m.form(), classify(m, a), 5)
+    res = hamclass.integralize_form(a, m.form, classify(m, a), 5)
     # class coefficient 1.4 rounds to 7/5, scaled to 7
     assert res.k == 5
     assert res.omega_prime.sphere_coeffs == (Fraction(7, 2),)
@@ -242,13 +244,13 @@ def test_integralize_respects_exactness_constraints():
     to keep the same contraction-exactness pattern."""
     m = s2xt2(c=0.5 * math.sqrt(3))
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
                                           16)
     cls = hamclass.classify_action(
-        hamclass.period_matrix(m, a, res.omega_prime))
+        hamclass.period_matrix(a, res.omega_prime))
     assert cls == res.classification
     assert cls.c == 1 and cls.r == 2
-    coeffs = hamclass.form_class_coefficients(m, res.omega_prime)
+    coeffs = hamclass.form_class_coefficients(res.omega_prime)
     assert all(Fraction(x).denominator == 1 for x in coeffs)
 
 
@@ -257,14 +259,14 @@ def test_integralize_randomized_preserves_classification():
     m, a_spec = s2xt2(), ActionSpec(((0, 0), (1, 0), (0, 1)),
                                     ((1,), (0,), (0,)))
     base = hamclass.classify_action(
-        hamclass.period_matrix(m, a_spec, m.form()))
+        hamclass.period_matrix(a_spec, m.form))
     for _ in range(20):
         w = float(rng.uniform(0.5, 3.0)) * math.sqrt(2)
         c = float(rng.uniform(0.2, 2.0)) * math.sqrt(3)
         form = ProductForm(((0, w), (-w, 0)), (c,))
-        res = hamclass.integralize_with_retry(m, a_spec, form, base, 8)
+        res = hamclass.integralize_with_retry(a_spec, form, base, 8)
         got = hamclass.classify_action(
-            hamclass.period_matrix(m, a_spec, res.omega_prime))
+            hamclass.period_matrix(a_spec, res.omega_prime))
         assert got == base
         assert res.omega_prime.is_nondegenerate()
 
@@ -273,7 +275,7 @@ def test_integralize_rejects_degenerate_input(t2_translations):
     m, a = t2_translations
     with pytest.raises(ValueError):
         hamclass.integralize_form(
-            m, a, ProductForm(((0, 1), (-1, 0)), (0,)), classify(m, a), 5)
+            a, ProductForm(((0, 1), (-1, 0)), (0,)), classify(m, a), 5)
 
 
 def test_retry_doubles_the_bound(t2_translations):
@@ -283,7 +285,7 @@ def test_retry_doubles_the_bound(t2_translations):
     m, a = t2_translations
     tiny = 1e-3
     form = ProductForm(((0, tiny), (-tiny, 0)), ())
-    res = hamclass.integralize_with_retry(m, a, form, classify(m, a, form),
+    res = hamclass.integralize_with_retry(a, form, classify(m, a, form),
                                           1)
     # 1e-3 rounds to 0 at small bounds (degenerate) until the denominator
     # bound admits a nonzero approximation
@@ -298,15 +300,14 @@ def test_integral_form_and_deviation_match_fraction_arithmetic(w, c, bound):
     """On 15-17-digit decimal forms the integer scaling and deviation equal
     their Fraction definitions: omega' = k q, and max_deviation is
     float(max |q_i - a_i|) to the bit."""
-    m = ProductManifold(FlatTorusFactor(((0, w), (-w, 0))),
-                        (SphereFactor(abs(c)),))
+    m = ProductManifold(((0, w), (-w, 0)), (abs(c),))
     a = ActionSpec(((1, 0), (0, 1)), ((0,), (0,)))
-    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
                                           bound)
-    coeffs = hamclass.form_class_coefficients(m, m.form())
+    coeffs = hamclass.form_class_coefficients(m.form)
     assert res.max_deviation == float(max(abs(x - y)
                                           for x, y in zip(res.q, coeffs)))
-    assert hamclass.form_class_coefficients(m, res.omega_prime) \
+    assert hamclass.form_class_coefficients(res.omega_prime) \
         == [x * res.k for x in res.q]
     assert all(isinstance(x, Fraction)
                for x in res.omega_prime.torus_omega[0]
@@ -342,7 +343,7 @@ def test_t12_prelude_builds_each_exact_object_once(monkeypatch):
     scenario = cli.load_scenario(T12)
     assert cli.run_scenario(scenario).passed
     assert len(forms) == 2
-    assert forms[0] is scenario.form
+    assert forms[0] is scenario.manifold.form
     # no spheres: each form's matrix is its torus block
     assert [tuple(map(tuple, a)) for (a,) in decided] \
         == [form.nums for form in forms]

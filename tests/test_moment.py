@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentforge import cli, geom, hamclass, moment, sample
-from momentforge.geom import (ActionSpec, FlatTorusFactor, ProductForm,
-                              ProductManifold, SphereFactor)
+from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (circle_distance, classify, float_mu1, float_mu2,
                       lattice_oracle, s2xs2, s2xt2, scenario_moment, sphere,
@@ -23,7 +22,7 @@ BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
 
 
 def build(m, a, max_den=64):
-    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
                                           max_den)
     return moment.generalized_moment(m, a, res.omega_prime,
                                      res.classification, res.covectors)
@@ -89,8 +88,8 @@ def test_moment_rejects_hamiltonian_circle_generator():
     a = ActionSpec(((),), ((1,),))
     cls = hamclass.ActionClassification((), ((1,),), 1)
     with pytest.raises(moment.GeneratorIsHamiltonian):
-        moment.generalized_moment(m, a, m.form(), cls,
-                                  geom.field_covectors(a, m.form()))
+        moment.generalized_moment(m, a, m.form, cls,
+                                  geom.field_covectors(a, m.form))
 
 
 def test_moment_rejects_non_integral_circle_form(t2_translations):
@@ -169,9 +168,8 @@ def test_lattice_values_exact_on_huge_torus_form():
     assert mu2.dtype == np.int64
     assert len(set(mu2[:200, 0].tolist())) > 190
     # one circle row with four huge torus slots
-    m = ProductManifold(FlatTorusFactor(((0, big, 1, 0), (-big, 0, 0, 1),
-                                         (-1, 0, 0, big), (0, -1, -big, 0))),
-                        ())
+    m = ProductManifold(((0, big, 1, 0), (-big, 0, 0, 1),
+                         (-1, 0, 0, big), (0, -1, -big, 0)))
     mom = build(m, ActionSpec(((1, 1, 1, 1),), ((),)))
     assert all(abs(x) > big // 2 for x in mom.mu2[0])
     assert_matches_oracle(mom, lattice_samples(m))
@@ -205,8 +203,8 @@ def test_lattice_values_exact_on_generated_forms(w, halves, speeds, sign):
     k/2, one rotation per sphere and two translations that may also
     rotate the spheres."""
     n = len(halves)
-    m = ProductManifold(FlatTorusFactor(((0, w), (-w, 0))),
-                        tuple(SphereFactor(Fraction(k, 2)) for k in halves))
+    m = ProductManifold(((0, w), (-w, 0)),
+                        tuple(Fraction(k, 2) for k in halves))
     a = ActionSpec(((1, 0), (0, 1)) + ((0, 0),) * n,
                    (tuple(speeds[:n]), tuple(speeds[2:2 + n]))
                    + tuple(tuple(int(i == f) for i in range(n))
@@ -280,7 +278,7 @@ def test_local_model_quadratic_fit():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     mom = build(m, a)
-    rep = moment.local_model_check(m, mom, m.basepoint())
+    rep = moment.local_model_check(mom, m.basepoint())
     assert rep.max_residual < 1e-4
     assert all(rep.minima)
     assert rep.weight_sign_ok
@@ -293,5 +291,5 @@ def test_local_model_minimum_forces_nonnegative_weights():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((2, 0), (0, 3)))
     mom = build(m, a)
-    rep = moment.local_model_check(m, mom, m.basepoint())
+    rep = moment.local_model_check(mom, m.basepoint())
     assert rep.weight_sign_ok and rep.passed

@@ -14,7 +14,7 @@ from conftest import classify, float_mu1, s2xs2, s2xt2, sphere
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m, a, m.form(), classify(m, a),
+    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
                                           64)
     mom = moment.generalized_moment(m, a, res.omega_prime,
                                     res.classification, res.covectors)
@@ -25,7 +25,7 @@ def mixed_problem(value=0.0):
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
     _, mom = pipeline(m, a)
-    return reduction.ReductionProblem(m, a, mom, (0,), (value,))
+    return reduction.ReductionProblem(mom, (0,), (value,))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_problem_rejects_translating_generator():
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
     _, mom = pipeline(m, a)
     with pytest.raises(ValueError):
-        reduction.ReductionProblem(m, a, mom, (1,), (0.0,))
+        reduction.ReductionProblem(mom, (1,), (0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_reduce_nothing_is_identity():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(m, a, mom, (), ())
+    problem = reduction.ReductionProblem(mom, (), ())
     reduced = reduction.reduce_at(problem)
     assert reduced.manifold is m
     assert reduced.moment is mom
@@ -86,7 +86,7 @@ def test_reduce_s2xs2_leaves_hamiltonian_sphere():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(m, a, mom, (0,), (0.0,))
+    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
     reduced = reduction.reduce_at(problem)
     assert reduced.manifold.n_spheres == 1
     assert reduced.moment.c == 1 and reduced.moment.r == 0
@@ -96,7 +96,7 @@ def test_speed_two_reduction_refused():
     m = sphere(1.0)
     a = ActionSpec(((),), ((2,),))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(m, a, mom, (0,), (0.0,))
+    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
     with pytest.raises(reduction.NotFree):
         reduction.reduce_at(problem)
 
@@ -105,7 +105,7 @@ def test_residual_generator_moving_reduced_sphere_refused():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (1, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(m, a, mom, (0,), (0.0,))
+    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
     with pytest.raises(reduction.NotFree):
         reduction.reduce_at(problem)
 
@@ -125,7 +125,7 @@ def test_induced_moment_negative_control():
     problem = mixed_problem(0.5)
     mom = problem.moment
     cov = list(mom.mu2[0])
-    cov[problem.manifold.sphere_offset(0)] = 1
+    cov[mom.manifold.sphere_offset(0)] = 1
     bent = dataclasses.replace(mom, mu2=(tuple(cov),) + mom.mu2[1:])
     reduced = reduction.reduce_at(dataclasses.replace(problem, moment=bent))
     with pytest.raises(reduction.NotInvariantOnOrbits):
@@ -136,7 +136,7 @@ def test_induced_moment_hamiltonian_only():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(m, a, mom, (0,), (0.25,))
+    problem = reduction.ReductionProblem(mom, (0,), (0.25,))
     reduced = reduction.reduce_at(problem)
     induced = reduction.induced_moment(reduced)
     assert induced.c == 1
@@ -174,7 +174,7 @@ def test_heredity_vacuous_when_residual_hamiltonian():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(m, a, mom, (0,), (0.0,))
+    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
     reduced = reduction.reduce_at(problem)
     verdict = reduction.heredity_check(reduced)
     assert not verdict.applicable
@@ -184,22 +184,19 @@ def test_heredity_vacuous_when_residual_hamiltonian():
 def test_two_stage_reduction():
     """S^2 x S^2 x T^2: peel one sphere per stage; the torus translations
     and their circle moments survive both."""
-    from momentforge.geom import (FlatTorusFactor, ProductManifold,
-                                  SphereFactor)
-    m = ProductManifold(FlatTorusFactor(((0, 1), (-1, 0))),
-                        (SphereFactor(1.0), SphereFactor(1.0)))
+    from momentforge.geom import ProductManifold
+    m = ProductManifold(((0, 1), (-1, 0)), (1.0, 1.0))
     a = ActionSpec(((0, 0), (0, 0), (1, 0), (0, 1)),
                    ((1, 0), (0, 1), (0, 0), (0, 0)))
     _, mom = pipeline(m, a)
 
     stage1 = reduction.reduce_at(
-        reduction.ReductionProblem(m, a, mom, (0,), (0.0,)))
+        reduction.ReductionProblem(mom, (0,), (0.0,)))
     assert stage1.manifold.n_spheres == 1
     assert reduction.heredity_check(stage1).passed
 
     stage2 = reduction.reduce_at(
-        reduction.ReductionProblem(stage1.manifold, stage1.action,
-                                   stage1.moment, (0,), (0.5,)))
+        reduction.ReductionProblem(stage1.moment, (0,), (0.5,)))
     assert stage2.manifold.n_spheres == 0
     assert stage2.manifold.torus_dim == 2
     verdict = reduction.heredity_check(stage2)
