@@ -613,8 +613,7 @@ def _run_reduce(report, scenario, mom):
     for stage, (idx, val) in enumerate(zip(scenario.reduce_indices,
                                            scenario.reduce_values)):
         try:
-            reduced = reduction.reduce_at(reduction.ReductionProblem(
-                mom, (original.index(idx),), (val,)))
+            reduced = reduction.reduce_at(mom, original.index(idx), val)
         except reduction.NotFree:
             report.require("reduce", f"stage{stage}_free", False)
             break
@@ -647,8 +646,7 @@ CHECK_ORDER = ("classify", "integralize", *STAGES)
 STAGE_ERRORS = (convex.PreconditionViolated, convex.NoIntegerDirection,
                 equiv.NonIntegerPeriod, equiv.FixedPointChainBroken,
                 reduction.NotInvariantOnOrbits,
-                moment_mod.GeneratorIsHamiltonian,
-                reduction.DegenerateReducedForm)
+                moment_mod.GeneratorIsHamiltonian)
 
 
 # ---------------------------------------------------------------------------

@@ -156,18 +156,16 @@ class LocalFreenessVerdict:
 
 def local_freeness_check(moment: GeneralizedMoment,
                          z: list) -> LocalFreenessVerdict:
-    """If Z has full rank the subtorus action is locally free; the converse
-    is never claimed.  Finiteness of stabilizers is read off the integer
-    direction matrix of the complement generators."""
+    """If Z has full rank the subtorus action is locally free, with finite
+    stabilizers; the converse is never claimed."""
     r = moment.classification.r
     rank = ratlin.integer_rank(z) if z else 0
     if rank == r and r > 0:
-        dirs = ratlin.mat_mul(moment.classification.complement_generators,
-                              moment.action.generator_matrix())
-        finite = ratlin.integer_rank(dirs) == r
-        note = "rank(Z) = r: action locally free" if finite else \
-            "rank(Z) = r but direction matrix degenerate (unexpected)"
-        return LocalFreenessVerdict(rank, r, True, finite, note)
+        # Z = mu2 (H G)^T, so rank Z = r forces rank H G = r, and G is the
+        # generator matrix with zero columns added: the direction matrix
+        # of H has full rank, so the stabilizers are finite
+        return LocalFreenessVerdict(rank, r, True, True,
+                                    "rank(Z) = r: action locally free")
     if r == 0:
         return LocalFreenessVerdict(0, 0, True, True, "vacuous: r = 0")
     return LocalFreenessVerdict(rank, r, False, None,

@@ -27,11 +27,6 @@ class RoundingBrokeConditionB(Exception):
     larger denominator bound."""
 
 
-class SplittingIncomplete(Exception):
-    """The Hamiltonian basis and its complement do not together span the
-    acting torus."""
-
-
 @dataclass(frozen=True)
 class ActionClassification:
     """Splitting of the acting torus into its Hamiltonian part (kernel of
@@ -70,12 +65,8 @@ def classify_action(p: tuple) -> ActionClassification:
     ham, comp = ratlin.lattice_split(p)
     ratlin._hermite(ham, n)
     ratlin._hermite(comp, n)
-    cls = ActionClassification(tuple(map(tuple, ham)),
-                               tuple(map(tuple, comp)), n)
-    if cls.c + cls.r != n:
-        raise SplittingIncomplete(
-            f"c + r = {cls.c} + {cls.r} does not span r_total = {n}")
-    return cls
+    return ActionClassification(tuple(map(tuple, ham)),
+                                tuple(map(tuple, comp)), n)
 
 
 # ---------------------------------------------------------------------------

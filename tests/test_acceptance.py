@@ -208,8 +208,7 @@ def test_criterion_08_cycle_lift():
 def test_criterion_09_reduction_heredity():
     sc = scenario("s2xt2_reduce")
     _, mom, _ = pipeline(sc.manifold, sc.action)
-    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
-    reduced = reduction.reduce_at(problem)
+    reduced = reduction.reduce_at(mom, 0, 0.0)
     her = reduction.heredity_check(reduced, circle_bins=50)
     ok = reduced.manifold.torus_dim == 2 and reduced.manifold.n_spheres == 0
     ok &= her.residual_non_hamiltonian and her.circle_bins_hit == 50
@@ -218,11 +217,9 @@ def test_criterion_09_reduction_heredity():
     a = ActionSpec(((0, 0), (0, 0), (1, 0), (0, 1)),
                    ((1, 0), (0, 1), (0, 0), (0, 0)))
     _, mom2, _ = pipeline(m, a)
-    stage1 = reduction.reduce_at(
-        reduction.ReductionProblem(mom2, (0,), (0.0,)))
+    stage1 = reduction.reduce_at(mom2, 0, 0.0)
     ok &= reduction.heredity_check(stage1).passed
-    stage2 = reduction.reduce_at(
-        reduction.ReductionProblem(stage1.moment, (0,), (0.5,)))
+    stage2 = reduction.reduce_at(stage1.moment, 0, 0.5)
     ok &= reduction.heredity_check(stage2).passed
     verdict(9, ok, "reduced 2-torus keeps a nonzero residual period and "
                    "covers all 50 circle bins; two-stage variant passes "

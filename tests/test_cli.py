@@ -400,6 +400,44 @@ values = {values}
         assert f"stage{last}_{key} = {value}" in lines
 
 
+@pytest.mark.parametrize("order", ["1 0", "0 1"])
+def test_stage_wise_reduction_remaps_the_generators(tmp_path, order):
+    """S^2 x S^2 x T^2 reduced one sphere per stage, in either order: the
+    CLI maps each listed generator to its index among the residual ones,
+    so its stages read what two reduce_at calls in that order give."""
+    path = write(tmp_path, f"""
+[manifold]
+torus_dim = 2
+torus_omega = 0 1 ; -1 0
+spheres = 1 1
+[action]
+generators = 0 0 | 1 0 ; 0 0 | 0 1 ; 1 0 | 0 0 ; 0 1 | 0 0
+[checks]
+run = classify integralize moment equivariance convexity betti reduce
+[reduce]
+generators = {order}
+values = 0 1/2
+[pipeline]
+grid = 8
+""")
+    sc = cli.load_scenario(path)
+    report = cli.run_scenario(sc)
+    assert report.passed
+    first = int(order.split()[0])
+    stage0 = reduction.reduce_at(scenario_moment(sc), first, 0)
+    stage1 = reduction.reduce_at(stage0.moment, 0, Fraction(1, 2))
+    assert stage0.sphere == first and stage1.manifold.n_spheres == 0
+    section = report.sections["reduce"]
+    for i, reduced in enumerate((stage0, stage1)):
+        her = reduction.heredity_check(reduced)
+        assert section[f"stage{i}_regular"] is True
+        assert section[f"stage{i}_dimension"] == reduced.dim
+        assert section[f"stage{i}_heredity_applicable"] is her.applicable
+        assert section[f"stage{i}_non_hamiltonian"] \
+            is her.residual_non_hamiltonian
+        assert section[f"stage{i}_mu2_surjective"] is her.surjective
+
+
 def test_coverage_grid_over_budget_is_config_error(tmp_path, capsys):
     """Ten rotated spheres at grid 100 ask for 101^10 polytope corners: the
     run stops before allocating them, naming the grid and its shape."""
@@ -536,7 +574,6 @@ STAGE_RAISES = {
     reduction.NotInvariantOnOrbits: (reduction, "induced_moment", "reduce"),
     moment_mod.GeneratorIsHamiltonian: (moment_mod, "generalized_moment",
                                         "integralize"),
-    reduction.DegenerateReducedForm: (reduction, "reduce_at", "reduce"),
 }
 
 

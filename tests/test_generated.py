@@ -26,8 +26,9 @@ def scenario_texts(draw):
     """T^m x (S^2)^n with m in {0, 2, 4} and n <= 3 (n >= 1 when m = 0), a
     torus form of integer, decimal or p/q entries whose lower triangle
     negates the upper one as text, 1-3 integer generators and an optional
-    [reduce] of generator 0.  Degenerate forms, trivial generators and
-    translating reductions are valid draws: they end in exit 2."""
+    [reduce] of an ordered subset of the generators, one level each.
+    Degenerate forms, trivial generators and translating reductions are
+    valid draws: they end in exit 2."""
     m = draw(st.sampled_from((0, 2, 4)))
     n = draw(st.integers(1 if m == 0 else 0, 3))
     kind = draw(st.sampled_from(("integer", "decimal", "fraction")))
@@ -59,8 +60,11 @@ def scenario_texts(draw):
               f"seed = {draw(st.integers(0, 9))}", "samples = 50",
               "coverage_samples = 500", "grid = 4"]
     if n and draw(st.booleans()):
-        level = draw(st.sampled_from(("0", "1/3", "-0.5", "1")))
-        lines += ["[reduce]", "generators = 0", f"values = {level}"]
+        order = draw(st.permutations(range(len(gens))))
+        order = order[:draw(st.integers(1, len(gens)))]
+        level = st.sampled_from(("0", "1/3", "-0.5", "1"))
+        lines += ["[reduce]", "generators = " + " ".join(map(str, order)),
+                  "values = " + " ".join(draw(level) for _ in order)]
     return "\n".join(lines) + "\n", len(gens)
 
 

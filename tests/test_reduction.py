@@ -21,73 +21,56 @@ def pipeline(m, a):
     return res, mom
 
 
-def mixed_problem(value=0.0):
+def mixed_moment():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    _, mom = pipeline(m, a)
-    return reduction.ReductionProblem(mom, (0,), (value,))
+    return pipeline(m, a)[1]
 
 
 # ---------------------------------------------------------------------------
 # regular values
 
 def test_interior_value_is_regular():
-    verdict = reduction.regular_value_check(mixed_problem(0.0))
-    assert verdict.regular and verdict.in_image
-    assert verdict.witnesses == ((0, 0.0),)
+    reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
+    assert (reduced.sphere, reduced.height) == (0, 0)
 
 
 def test_pole_value_is_critical():
-    verdict = reduction.regular_value_check(mixed_problem(1.0))
-    assert not verdict.regular and verdict.in_image
+    mom = mixed_moment()
+    with pytest.raises(reduction.NotRegular):
+        reduction.reduce_at(mom, 0, 1.0)
     # the pole test is exact: a level 1e-13 below the pole is regular
-    near = mixed_problem(1 - Fraction(1, 10 ** 13))
-    assert reduction.regular_value_check(near).regular
+    near = reduction.reduce_at(mom, 0, 1 - Fraction(1, 10 ** 13))
+    assert 0 < near.height < 1
 
 
 def test_value_outside_image_rejected():
-    verdict = reduction.regular_value_check(mixed_problem(1.5))
-    assert not verdict.regular and not verdict.in_image
     with pytest.raises(reduction.NotRegular):
-        reduction.reduce_at(mixed_problem(1.5))
+        reduction.reduce_at(mixed_moment(), 0, 1.5)
 
 
 def test_problem_rejects_translating_generator():
-    m = s2xt2()
-    a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    _, mom = pipeline(m, a)
     with pytest.raises(ValueError):
-        reduction.ReductionProblem(mom, (1,), (0.0,))
+        reduction.reduce_at(mixed_moment(), 1, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # the reduced space
 
 def test_reduce_mixed_action_to_torus():
-    reduced = reduction.reduce_at(mixed_problem(0.0))
+    reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
     assert reduced.manifold.n_spheres == 0
     assert reduced.manifold.torus_dim == 2
     assert reduced.action.r_total == 2
     assert reduced.moment.r == 2 and reduced.moment.c == 0
-    assert reduced.level_heights == (0.0,)
-
-
-def test_reduce_nothing_is_identity():
-    m = s2xt2()
-    a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(mom, (), ())
-    reduced = reduction.reduce_at(problem)
-    assert reduced.manifold is m
-    assert reduced.moment is mom
+    assert reduced.height == 0
 
 
 def test_reduce_s2xs2_leaves_hamiltonian_sphere():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
-    reduced = reduction.reduce_at(problem)
+    reduced = reduction.reduce_at(mom, 0, 0.0)
     assert reduced.manifold.n_spheres == 1
     assert reduced.moment.c == 1 and reduced.moment.r == 0
 
@@ -96,25 +79,23 @@ def test_speed_two_reduction_refused():
     m = sphere(1.0)
     a = ActionSpec(((),), ((2,),))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
     with pytest.raises(reduction.NotFree):
-        reduction.reduce_at(problem)
+        reduction.reduce_at(mom, 0, 0.0)
 
 
 def test_residual_generator_moving_reduced_sphere_refused():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (1, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
     with pytest.raises(reduction.NotFree):
-        reduction.reduce_at(problem)
+        reduction.reduce_at(mom, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # the induced moment
 
 def test_induced_moment_well_defined():
-    reduced = reduction.reduce_at(mixed_problem(0.5))
+    reduced = reduction.reduce_at(mixed_moment(), 0, 0.5)
     got = reduction.induced_moment(reduced)
     assert got is reduced.moment  # never NotInvariantOnOrbits on valid input
 
@@ -122,12 +103,11 @@ def test_induced_moment_well_defined():
 def test_induced_moment_negative_control():
     """A parent circle covector with a theta slot on the reduced sphere
     varies along the collapsed orbits."""
-    problem = mixed_problem(0.5)
-    mom = problem.moment
+    mom = mixed_moment()
     cov = list(mom.mu2[0])
     cov[mom.manifold.sphere_offset(0)] = 1
     bent = dataclasses.replace(mom, mu2=(tuple(cov),) + mom.mu2[1:])
-    reduced = reduction.reduce_at(dataclasses.replace(problem, moment=bent))
+    reduced = reduction.reduce_at(bent, 0, 0.5)
     with pytest.raises(reduction.NotInvariantOnOrbits):
         reduction.induced_moment(reduced)
 
@@ -136,8 +116,7 @@ def test_induced_moment_hamiltonian_only():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(mom, (0,), (0.25,))
-    reduced = reduction.reduce_at(problem)
+    reduced = reduction.reduce_at(mom, 0, 0.25)
     induced = reduction.induced_moment(reduced)
     assert induced.c == 1
     pts = np.array([[0.0, 0.3]])
@@ -148,7 +127,7 @@ def test_induced_moment_hamiltonian_only():
 # heredity
 
 def test_heredity_on_mixed_action():
-    reduced = reduction.reduce_at(mixed_problem(0.0))
+    reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
     verdict = reduction.heredity_check(reduced)
     assert verdict.applicable
     assert verdict.residual_non_hamiltonian
@@ -159,7 +138,7 @@ def test_heredity_on_mixed_action():
 def test_heredity_negative_control():
     """A residual circle component with a zero torus covector is neither
     non-Hamiltonian nor onto the circle."""
-    reduced = reduction.reduce_at(mixed_problem(0.0))
+    reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
     mom = reduced.moment
     flat = (0,) * len(mom.mu2[0])
     broken = dataclasses.replace(
@@ -174,8 +153,7 @@ def test_heredity_vacuous_when_residual_hamiltonian():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
-    problem = reduction.ReductionProblem(mom, (0,), (0.0,))
-    reduced = reduction.reduce_at(problem)
+    reduced = reduction.reduce_at(mom, 0, 0.0)
     verdict = reduction.heredity_check(reduced)
     assert not verdict.applicable
     assert "vacuous" in verdict.note
@@ -190,13 +168,11 @@ def test_two_stage_reduction():
                    ((1, 0), (0, 1), (0, 0), (0, 0)))
     _, mom = pipeline(m, a)
 
-    stage1 = reduction.reduce_at(
-        reduction.ReductionProblem(mom, (0,), (0.0,)))
+    stage1 = reduction.reduce_at(mom, 0, 0.0)
     assert stage1.manifold.n_spheres == 1
     assert reduction.heredity_check(stage1).passed
 
-    stage2 = reduction.reduce_at(
-        reduction.ReductionProblem(stage1.moment, (0,), (0.5,)))
+    stage2 = reduction.reduce_at(stage1.moment, 0, 0.5)
     assert stage2.manifold.n_spheres == 0
     assert stage2.manifold.torus_dim == 2
     verdict = reduction.heredity_check(stage2)
