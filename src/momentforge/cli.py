@@ -19,8 +19,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import (convex, equiv, geom, hamclass, moment as moment_mod, ratlin,
-               reduction)
+from . import convex, equiv, geom, hamclass, moment as moment_mod, reduction
 from .geom import ActionSpec, ProductManifold
 
 
@@ -40,6 +39,13 @@ def _fmt(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
+
+
+def _fractions(rows, d: int) -> list:
+    """The exact rows rows / d as report values: ints, and a Fraction only
+    where d does not divide the numerator."""
+    return [[x // d if x % d == 0 else Fraction(x, d) for x in row]
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +248,7 @@ def load_scenario(path, *, seed=None, sign=None,
         raise ConfigError(f"{path}: torus_omega is not "
                           f"{torus_dim}x{torus_dim}")
     where = f"{path} [manifold] spheres"
-    spheres = [Fraction(*_number(x, where))
+    spheres = [Fraction(*_number(x, where)) * den
                for x in get("manifold", "spheres", "").split()]
     try:
         manifold = ProductManifold(omega, spheres, den)
@@ -302,7 +308,7 @@ def load_scenario(path, *, seed=None, sign=None,
             if key == "omega_prime_torus" and not torus_dim:
                 raise ConfigError(f"{path}: [expect] omega_prime_torus "
                                   "needs a torus factor (torus_dim = 0)")
-            expect[key] = ratlin._fractions(*_parse_matrix(
+            expect[key] = _fractions(*_parse_matrix(
                 raw, f"{path} [expect] {key}")) if _EXPECT[key] \
                 else integer("expect", key)
 
@@ -465,8 +471,6 @@ def _expect(report, scenario, check: str, key: str, observed, name=None):
     """Require the observed integer or matrix to equal the scenario's
     [expect] key, when it sets one."""
     if key in scenario.expect:
-        if not isinstance(observed, int):
-            observed = [list(r) for r in observed]
         report.require(check, f"{name or key}_matches_expected",
                        observed == scenario.expect[key])
 
@@ -484,7 +488,7 @@ def _prelude(report, scenario):
     diag = A.effectiveness_diagonal()
     report.add("classify", "effective", diag[:A.r_total] == [1] * A.r_total)
     report.add("classify", "effectiveness_diagonal", diag)
-    report.matrix("period_matrix", p)
+    report.matrix("period_matrix", _fractions(*p))
     report.matrix("hamiltonian_basis", cls.hamiltonian_basis)
     report.matrix("complement_generators", cls.complement_generators)
     _expect(report, scenario, "classify", "c", cls.c)
@@ -492,8 +496,7 @@ def _prelude(report, scenario):
     try:
         result = hamclass.integralize_with_retry(A, M.form, cls,
                                                  scenario.max_denominator)
-    except (hamclass.RoundingBrokeNondegeneracy,
-            hamclass.RoundingBrokeConditionB) as exc:
+    except hamclass.RoundingBrokeNondegeneracy as exc:
         report.add("integralize", "error", f"{type(exc).__name__}: {exc}")
         report.require("integralize", "converged", False)
         return None
@@ -501,14 +504,14 @@ def _prelude(report, scenario):
     report.add("integralize", "k", result.k)
     report.add("integralize", "max_deviation", result.max_deviation)
     report.add("integralize", "q", list(result.q))
-    coeffs = hamclass.form_class_coefficients(omega_prime)
-    report.require("integralize", "h2_periods_integral",
-                   all(x.denominator == 1 for x in coeffs))
-    m, den = M.torus_dim, omega_prime.den
-    torus = ratlin._fractions([r[:m] for r in omega_prime.nums[:m]], den)
+    m, w, den = M.torus_dim, omega_prime.nums, omega_prime.den
+    report.require("integralize", "h2_periods_integral", all(
+        n % den == 0 for n in hamclass.class_numerators(omega_prime)))
+    torus = _fractions([r[:m] for r in w[:m]], den)
     if torus:
         report.matrix("omega_prime_torus", torus)
-    report.matrix("omega_prime_spheres", [omega_prime.sphere_coeffs])
+    report.matrix("omega_prime_spheres", _fractions(
+        [[w[o][o + 1] for o in range(m, len(w), 2)]], den))
     _expect(report, scenario, "integralize", "k", result.k)
     _expect(report, scenario, "integralize", "omega_prime_torus", torus,
             "omega_prime")
@@ -518,9 +521,9 @@ def _prelude(report, scenario):
 
 def _run_moment(report, scenario, mom):
     from . import sample
-    m = scenario.manifold.torus_dim
+    m, (nums, d) = scenario.manifold.torus_dim, mom.mu2
     report.require("moment", "mu2_loop_periods_integral", all(
-        x.denominator == 1 for cov in mom.mu2 for x in cov[:m]))
+        x % d == 0 for cov in nums for x in cov[:m]))
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrix("mu2_covectors", mom.torus_covectors)
@@ -566,7 +569,7 @@ def _run_convexity(report, scenario, mom):
                      f"grid = {grid} with c = {c}, r = {r} needs {cells} "
                      "coverage cells, above the budget of "
                      f"{sample.MAX_COVERAGE_CELLS}")
-    g = sum(any(cov[M.sphere_offset(f) + 1] for cov in mom.mu1)
+    g = sum(any(cov[M.sphere_offset(f) + 1] for cov in mom.mu1[0])
             for f in range(M.n_spheres))
     if 2 ** g > convex.MAX_POLES:
         _over_budget(report, "convexity",
@@ -574,7 +577,7 @@ def _run_convexity(report, scenario, mom):
                      f"pole images, above the budget of {convex.MAX_POLES}")
     polytope = convex.moment_polytope(mom)
     report.add("convexity", "hull_vertices",
-               [list(v) for v in polytope.vertices])
+               _fractions(polytope.vertices, polytope.den))
     cov = sample.product_coverage_check(mom, polytope, scenario.grid,
                                         scenario.coverage_samples,
                                         scenario.seed)

@@ -38,9 +38,10 @@ class MomentPolytope:
     does not span enter with b = 0."""
 
     dim: int
-    vertices: tuple   # exact points, sorted
-    normals: tuple    # exact integer normals
-    offsets: tuple    # exact b per normal
+    vertices: tuple   # integer rows over den, sorted
+    normals: tuple    # integer normals
+    offsets: tuple    # integer b per normal, over den
+    den: int
 
     def contains(self, nums, den: int, half=0):
         """Exact box test over an (N, c) array of integer numerators over
@@ -51,7 +52,7 @@ class MomentPolytope:
         from . import sample
         half = [half] * self.dim if isinstance(half, int) else half
         return sample.within(self.normals, [
-            b * den // 1 - _dot(map(abs, nv), half)
+            b * den // self.den - _dot(map(abs, nv), half)
             for nv, b in zip(self.normals, self.offsets)], nums)
 
 
@@ -65,15 +66,13 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
     hyperplane of k independent coordinates gives a facet normal (its
     cofactor vector); the left kernel of w pins the remaining directions.
     A pole image is a vertex when its tight normals have rank k.  All of
-    it runs on the integer numerators of w over one common denominator d;
-    Fractions are built only for the returned vertices and offsets."""
+    it runs on the integer numerators of w over mu1's denominator d, which
+    the vertices and offsets keep."""
     manifold = moment.manifold
-    c = moment.c
+    c, (nums, d) = moment.c, moment.mu1
     w = [[cov[manifold.sphere_offset(f) + 1]
-          for f in range(manifold.n_spheres)] for cov in moment.mu1]
+          for f in range(manifold.n_spheres)] for cov in nums]
     gens = [g for g in zip(*w) if any(g)]
-    frac = [any(type(g[i]) is not int for g in gens) for i in range(c)]
-    gens, d = ratlin._scaled(gens)
     # pivot columns: the greedy independent rows of w
     rows = ratlin._eliminate([list(g) for g in gens])[0]
     k = len(rows)
@@ -98,15 +97,12 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
                  if abs(_dot(nv, v)) == b]
         if len(tight) >= k and ratlin.integer_rank(tight) == k:
             vertices.add(v)
-    vertices = [tuple(Fraction(x, d) if f else x // d for x, f in zip(v, frac))
-                for v in sorted(vertices)]
-    offsets = [Fraction(b, d) if any(frac) else b // d for b in offsets]
     if k < c:
         pinned = ratlin.lattice_split(w)[0]
         normals += [tuple(e) for e in pinned]
         offsets += [0] * len(pinned)
-    return MomentPolytope(c, tuple(vertices), tuple(normals),
-                          tuple(offsets))
+    return MomentPolytope(c, tuple(sorted(vertices)), tuple(normals),
+                          tuple(offsets), d)
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,7 @@ def betti_bound_check(moment: GeneralizedMoment) -> BettiReport:
 class CycleLift:
     direction: tuple        # integer torus direction of the loop
     winding: int            # exact winding of the last circle component
-    max_frozen_deviation: int    # largest exact |<frozen covector, u>|
+    max_frozen_deviation: Fraction  # largest exact |<frozen covector, u>|
     verified: bool
 
 
@@ -188,9 +184,12 @@ def cycle_lift(moment: GeneralizedMoment) -> CycleLift:
     if not winding:
         raise NoIntegerDirection(
             "last covector vanishes on the admissible lattice")
-    frozen = first + [cov[:m] for cov in moment.mu1]
-    deviation = max((abs(_dot(cov, u)) for cov in frozen), default=0)
-    return CycleLift(tuple(u), winding, deviation, deviation == 0)
+    # the frozen pairings, over mu1's denominator d
+    nums, d = moment.mu1
+    deviation = max([abs(_dot(cov, u)) * d for cov in first]
+                    + [abs(_dot(cov[:m], u)) for cov in nums], default=0)
+    return CycleLift(tuple(u), winding, Fraction(deviation, d),
+                     deviation == 0)
 
 
 def _bezout(a: int, b: int) -> tuple:

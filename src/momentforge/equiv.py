@@ -24,16 +24,15 @@ class FixedPointChainBroken(Exception):
 
 
 def _pairings(rows: list, cols: list) -> list:
-    """The exact matrix [<row_i, col_j>], rows times cols transposed; it has
-    no columns when cols is empty."""
-    if not cols:
-        return [[] for _ in rows]
-    return ratlin.mat_mul(rows, ratlin.transpose(cols))
+    """The integer matrix [<row_i, col_j>], rows times cols transposed."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
+            for row in rows]
 
 
-def _max_abs(m: list):
-    """The largest |entry| of an exact matrix, 0 when it is empty."""
-    return max((abs(x) for row in m for x in row), default=0)
+def _max_abs(m: list, d: int):
+    """The largest |entry| of the exact matrix m / d, a Fraction or 0."""
+    top = max((abs(x) for row in m for x in row), default=0)
+    return Fraction(top, d) if top else 0
 
 
 def cocycle_matrix(moment: GeneralizedMoment) -> list:
@@ -42,13 +41,15 @@ def cocycle_matrix(moment: GeneralizedMoment) -> list:
     the orbit matrix G, exact, with integer entries and a zero diagonal.
     Sphere orbits are latitude circles, which pair to zero, so only the
     torus windings contribute and no basepoint enters."""
-    z = _pairings(moment.mu2, ratlin.mat_mul(
+    nums, d = moment.mu2
+    z = _pairings(nums, ratlin.mat_mul(
         moment.classification.complement_generators,
         moment.action.orbit_matrix()))
     for i, row in enumerate(z):
         for j, entry in enumerate(row):
-            if entry.denominator != 1:
-                raise NonIntegerPeriod(f"Z[{i}][{j}] = {entry}")
+            if entry % d:
+                raise NonIntegerPeriod(f"Z[{i}][{j}] = {Fraction(entry, d)}")
+    z = [[x // d for x in row] for row in z]
     for i in range(len(z)):
         if z[i][i] != 0:
             raise NonIntegerPeriod(f"nonzero diagonal Z[{i}][{i}] = {z[i][i]}")
@@ -57,7 +58,7 @@ def cocycle_matrix(moment: GeneralizedMoment) -> list:
 
 @dataclass(frozen=True)
 class IsotropyReport:
-    pairings: tuple      # r_total x r_total generator pairings
+    pairings: tuple      # (N, d): r_total x r_total generator pairings
     isotropic: bool
 
 
@@ -66,11 +67,12 @@ def isotropic_orbit_test(action: ActionSpec,
     """All generator pairings omega(X_i, X_j): the field covectors (as
     geom.field_covectors gives them) paired with the fields sign G, at
     every point; orbits are isotropic iff every one vanishes."""
+    nums, d = covectors
     fields = [[action.sign * x for x in col]
               for col in zip(*action.orbit_matrix())]
-    pairings = ratlin._product(*covectors, fields, 1)
+    pairings = ratlin.mat_mul(nums, fields)
     isotropic = not any(v for row in pairings for v in row)
-    return IsotropyReport(tuple(tuple(row) for row in pairings), isotropic)
+    return IsotropyReport((pairings, d), isotropic)
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,13 @@ def exact_equivariance(moment: GeneralizedMoment,
     h = moment.classification.complement_generators
     orbits = ratlin.mat_mul(h, moment.action.orbit_matrix())
     sign = moment.action.sign
-    mu2_error = _max_abs([[x - sign * y for x, y in zip(row, form_row)]
-                          for row, form_row in zip(
-                              _pairings(moment.mu2, orbits),
-                              _pairings(ratlin.mat_mul(h, iso.pairings),
-                                        h))])
-    mu1_error = _max_abs(_pairings(moment.mu1, orbits))
+    (n2, d2), (p, dp) = moment.mu2, iso.pairings
+    # the two sides over the common denominator d2 dp
+    mu2_error = _max_abs([[x * dp - sign * y * d2 for x, y in zip(
+        row, form_row)] for row, form_row in zip(
+            _pairings(n2, orbits), _pairings(ratlin.mat_mul(h, p), h))],
+        d2 * dp)
+    mu1_error = _max_abs(_pairings(moment.mu1[0], orbits), moment.mu1[1])
     return EquivarianceReport(mu2_error, mu1_error,
                               mu2_error == 0 and mu1_error == 0)
 
@@ -131,7 +134,8 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
     # geom.fixed_point_set(...).kind != "empty", without listing the poles
     has_fp = not any(any(v) for v in action.translations)
     z_zero = all(all(e == 0 for e in row) for row in z)
-    max_err = _max_abs(_pairings(moment.mu2, action.orbit_matrix()))
+    max_err = _max_abs(_pairings(moment.mu2[0], action.orbit_matrix()),
+                       moment.mu2[1])
     mu2_invariant = max_err == 0
     if has_fp:
         for holds, what in ((iso.isotropic, "orbits not isotropic"),

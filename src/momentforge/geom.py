@@ -24,10 +24,8 @@ is a product of these matrices.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import ratlin
 
@@ -43,18 +41,14 @@ def _numerators(rows, den: int = 1) -> tuple:
     entries that are not ints or Fractions convert exactly (floats too)."""
     nums, d = ratlin._scaled([[x if type(x) in (int, Fraction) else
                                Fraction(x) for x in row] for row in rows])
-    d *= den
-    g = math.gcd(d, *itertools.chain.from_iterable(nums))
-    return tuple(tuple([x // g for x in row]) if g > 1 else tuple(row)
-                 for row in nums), d // g
+    return ratlin.lowest(nums, d * den)
 
 
 @dataclass(frozen=True, init=False)
 class ProductForm:
     """A constant invariant 2-form on T^m x (S^2)^n, built from the torus
-    block (None or exact rows, over den) and one dtheta ^ dh coefficient
-    per sphere, and held as its matrix W = nums / den in lowest terms;
-    torus_omega and sphere_coeffs are Fraction views."""
+    block (None or exact rows) and one dtheta ^ dh coefficient per sphere,
+    all over den, and held as its matrix W = nums / den in lowest terms."""
 
     nums: tuple
     den: int
@@ -66,28 +60,14 @@ class ProductForm:
         n = m + 2 * len(sphere_coeffs)
         w = [list(row) + [0] * (n - m) for row in torus]
         w += [[0] * n for _ in range(n - m)]
-        for o, c in zip(range(m, n, 2), map(Fraction, sphere_coeffs)):
-            w[o][o + 1], w[o + 1][o] = c * den, -c * den
+        for o, c in zip(range(m, n, 2), sphere_coeffs):
+            w[o][o + 1], w[o + 1][o] = c, -c
         nums, den = _numerators(w, den)
-        for key, value in (("nums", nums), ("den", den), ("torus_dim", m)):
+        nondegenerate = all(nums[o][o + 1] for o in range(m, n, 2)) and \
+            ratlin.nonsingular([row[:m] for row in nums[:m]])
+        for key, value in (("nums", nums), ("den", den), ("torus_dim", m),
+                           ("_nondegenerate", nondegenerate)):
             object.__setattr__(self, key, value)
-
-    @cached_property
-    def torus_omega(self) -> tuple | None:
-        m = self.torus_dim
-        return tuple(tuple(Fraction(x, self.den) for x in row[:m])
-                     for row in self.nums[:m]) if m else None
-
-    @cached_property
-    def sphere_coeffs(self) -> tuple:
-        return tuple(Fraction(self.nums[o][o + 1], self.den)
-                     for o in range(self.torus_dim, len(self.nums), 2))
-
-    @cached_property
-    def _nondegenerate(self) -> bool:
-        m, w = self.torus_dim, self.nums
-        return all(w[o][o + 1] for o in range(m, len(w), 2)) and \
-            ratlin.nonsingular([row[:m] for row in w[:m]])
 
     def is_nondegenerate(self) -> bool:
         """Every sphere coefficient is nonzero and the torus block is
@@ -99,8 +79,8 @@ class ProductForm:
 @dataclass(frozen=True, init=False)
 class ProductManifold:
     """T^m x (S^2)^n with its symplectic form: the torus block
-    torus_omega (exact rows over den, Omega on R^m / Z^m) and one area
-    coefficient c per sphere.  The manifold is its validated form: its
+    torus_omega (exact rows, Omega on R^m / Z^m) and one area coefficient
+    c per sphere, all over den.  The manifold is its validated form: its
     shape is read from form, which is built once."""
 
     form: ProductForm
@@ -112,7 +92,6 @@ class ProductManifold:
             raise ValueError("torus_omega: torus dimension must be even")
         if any(len(row) != m for row in torus):
             raise ValueError("torus_omega: omega must be square")
-        spheres = [Fraction(c) for c in spheres]
         if not all(c > 0 for c in spheres):
             raise ValueError("spheres: sphere area coefficient must be "
                              "positive")
@@ -192,11 +171,6 @@ class ActionSpec:
     def r_total(self) -> int:
         return len(self.translations)
 
-    def generator_matrix(self) -> list:
-        """Integer matrix with one row (v_j | s_j) per generator."""
-        return [list(v) + list(s)
-                for v, s in zip(self.translations, self.rotations)]
-
     def orbit_matrix(self) -> list:
         """G, r_total x dim: per generator its orbit direction in flat
         coordinates, the translation and then (speed, 0) per sphere.  It
@@ -204,16 +178,18 @@ class ActionSpec:
         return self._orbits
 
     def effectiveness_diagonal(self) -> list:
-        """The Smith invariants of the generator matrix; the action is
-        effective when the first r_total of them are all 1."""
-        return ratlin.smith_diagonal(self.generator_matrix())
+        """The Smith invariants of the generator matrix, one row (v_j | s_j)
+        per generator; the action is effective when the first r_total of
+        them are all 1."""
+        return ratlin.smith_diagonal(
+            [v + s for v, s in zip(self.translations, self.rotations)])
 
 
 def field_covectors(action: ActionSpec, form: ProductForm) -> tuple:
     """The covectors of i_X omega, one row per generator: sign G W, as
     (N, d), integer numerators over the form's denominator."""
     fields = [[action.sign * x for x in row] for row in action.orbit_matrix()]
-    return ratlin._product(fields, 1, form.nums, 1), form.den
+    return ratlin.mat_mul(fields, form.nums), form.den
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,6 @@ class RoundingBrokeNondegeneracy(Exception):
     denominator bound."""
 
 
-class RoundingBrokeConditionB(Exception):
-    """The rational rounding killed a non-Hamiltonian period; retry with a
-    larger denominator bound."""
-
-
 @dataclass(frozen=True)
 class ActionClassification:
     """Splitting of the acting torus into its Hamiltonian part (kernel of
@@ -49,20 +44,20 @@ class ActionClassification:
 
 
 def period_matrix(action: ActionSpec, form: ProductForm) -> tuple:
-    """The period matrix, r_total x b1: row j holds the exact periods of
-    i_{X_j} omega over the H_1 coordinate loops.  These are the torus slots
-    of the generators' field covectors, since the period of a constant
-    1-form over the coordinate loop e_k is its k-th entry."""
+    """The period matrix, r_total x b1, as (N, d): row j holds the exact
+    periods of i_{X_j} omega over the H_1 coordinate loops.  These are the
+    torus slots of the generators' field covectors, since the period of a
+    constant 1-form over the coordinate loop e_k is its k-th entry."""
     m = form.torus_dim
     nums, d = geom.field_covectors(action, form)
-    return tuple(map(tuple, ratlin._fractions([row[:m] for row in nums], d)))
+    return [row[:m] for row in nums], d
 
 
 def classify_action(p: tuple) -> ActionClassification:
-    """Split the acting torus along the rows of the period matrix p (or of
-    any multiple of it, such as its integer numerators)."""
-    n = len(p)
-    ham, comp = ratlin.lattice_split(p)
+    """Split the acting torus along the rows of the period matrix p, a
+    pair (N, d), which the split reads through N alone."""
+    n = len(p[0])
+    ham, comp = ratlin.lattice_split(p[0])
     ratlin._hermite(ham, n)
     ratlin._hermite(comp, n)
     return ActionClassification(tuple(map(tuple, ham)),
@@ -83,38 +78,32 @@ class IntegralizationResult:
     covectors: tuple             # geom.field_covectors of omega_prime
 
 
-def h2_class_labels(form: ProductForm) -> list:
-    """Order of the invariant integral H^2 basis: torus coordinate classes
-    dx_i ^ dx_j (i < j) then unit-area sphere classes."""
-    m = form.torus_dim
-    labels = [("torus", i, j) for i in range(m) for j in range(i + 1, m)]
-    return labels + [("sphere", f) for f in range((len(form.nums) - m) // 2)]
-
-
 def form_class_coefficients(form: ProductForm) -> list:
     """Coefficients of a form in the H^2 basis (these are exactly its
-    periods over the canonical 2-cycles)."""
-    return ratlin._fractions([_class_numerators(form)], form.den)[0]
+    periods over the canonical 2-cycles), as Fractions."""
+    return [Fraction(n, form.den) for n in class_numerators(form)]
 
 
-def _class_numerators(form: ProductForm) -> list:
+def class_numerators(form: ProductForm) -> list:
+    """The form's class coefficients as integer numerators over form.den,
+    in the order of the invariant integral H^2 basis: the torus coordinate
+    classes dx_i ^ dx_j (i < j), then the unit-area sphere classes."""
     w, m = form.nums, form.torus_dim
-    return [w[lab[1]][lab[2]] if lab[0] == "torus"
-            else 2 * w[m + 2 * lab[1]][m + 2 * lab[1] + 1]
-            for lab in h2_class_labels(form)]
+    return [w[i][j] for i in range(m) for j in range(i + 1, m)] \
+        + [2 * w[o][o + 1] for o in range(m, len(w), 2)]
 
 
 def form_from_class_coefficients(torus_dim: int, coeffs) -> ProductForm:
     """Inverse of form_class_coefficients, for exact coefficients in the
-    h2_class_labels order of a form with this torus dimension; every
+    class_numerators order of a form with this torus dimension; every
     coefficient past the torus classes is a sphere's."""
     m, coeffs = torus_dim, iter(coeffs)
     om = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            om[i][j] = next(coeffs)
+            om[i][j] = 2 * next(coeffs)
             om[j][i] = -om[i][j]
-    return ProductForm(om, [Fraction(q, 2) for q in coeffs])
+    return ProductForm(om, list(coeffs), 2)
 
 
 def integralize_form(action: ActionSpec, form: ProductForm,
@@ -122,40 +111,34 @@ def integralize_form(action: ActionSpec, form: ProductForm,
                      max_denominator: int) -> IntegralizationResult:
     """Round the form's class coefficients to the best rationals with
     denominator <= max_denominator, scale them integral, and check that the
-    integral form is still nondegenerate and splits the action as
-    `classification` (the form's own) does.
+    integral form is still nondegenerate.  It then splits the action as
+    `classification` (the form's own) does: the periods are sign V Omega
+    for the translations V, and the split reads only their column space,
+    which is V's whenever Omega is nonsingular.
 
     All in integer numerators: each class coefficient n / d rounds to a
     coprime p / s, k is the lcm of the s, and omega_prime's coefficients
     are the integers p k / s.  omega_prime is k times the rounded form, so
-    both checks read as they would on it; omega_prime's field covectors
-    serve the classification re-check and the moment.  The deviation, the
-    largest |p d - n s| / (s d), is taken over the common denominator k d
-    and divided once, so it is the correctly rounded float.
-
-    The rounding needs no exactness constraints: a combination of
-    generators is Hamiltonian iff its combined translation vanishes, and
-    then no class gives it loop periods.  The re-check is the safety net.
-    Raises RoundingBrokeNondegeneracy / RoundingBrokeConditionB when the
+    the check reads as it would on it; omega_prime's field covectors serve
+    the moment.  The deviation, the largest |p d - n s| / (s d), is taken
+    over the common denominator k d and divided once, so it is the
+    correctly rounded float.  Raises RoundingBrokeNondegeneracy when the
     denominator bound is too coarse; see integralize_with_retry."""
     if not form.is_nondegenerate():
         raise ValueError("input form is degenerate")
-    a, d = _class_numerators(form), form.den
+    a, d = class_numerators(form), form.den
     q = [ratlin.rational_round(n, d, max_denominator) for n in a]
     k = math.lcm(*[s for _, s in q])
-    m = form.torus_dim
     omega_prime = form_from_class_coefficients(
-        m, [p * (k // s) for p, s in q])
+        form.torus_dim, [p * (k // s) for p, s in q])
     if not omega_prime.is_nondegenerate():
         raise RoundingBrokeNondegeneracy(
             f"max_denominator={max_denominator}")
-    covectors = geom.field_covectors(action, omega_prime)
-    if classify_action([row[:m] for row in covectors[0]]) != classification:
-        raise RoundingBrokeConditionB(f"max_denominator={max_denominator}")
     dev = max(abs(p * d - n * s) * (k // s) for (p, s), n in zip(q, a))
     return IntegralizationResult(omega_prime, k,
                                  tuple(Fraction(p, s) for p, s in q),
-                                 dev / (k * d), classification, covectors)
+                                 dev / (k * d), classification,
+                                 geom.field_covectors(action, omega_prime))
 
 
 def integralize_with_retry(action: ActionSpec, form: ProductForm,
@@ -167,7 +150,7 @@ def integralize_with_retry(action: ActionSpec, form: ProductForm,
     while True:
         try:
             return integralize_form(action, form, classification, bound)
-        except (RoundingBrokeNondegeneracy, RoundingBrokeConditionB):
+        except RoundingBrokeNondegeneracy:
             if bound >= 2 ** 16:
                 raise
             bound = min(2 * bound, 2 ** 16)

@@ -3,11 +3,11 @@ circle-valued components for the non-Hamiltonian complement, fiber
 factorization, and fixed-point local models.
 
 Every component is linear in the flat coordinates, so the moment is two
-exact covector matrices: mu1, one row per Hamiltonian basis vector, and
-mu2, one row per complement generator, the classification's basis times
-the field covectors that the moment holds.  mu1_values and mu2_values
-pair those rows with lattice samples, exactly, as integer numerators over
-one denominator per part; the exact stages pair them with G.
+exact covector matrices, each a pair (N, d) in lowest terms: mu1, one row
+per Hamiltonian basis vector, and mu2, one row per complement generator,
+the classification's basis times the field covectors that the moment
+holds.  mu1_values and mu2_values pair those rows with lattice samples,
+exactly; the exact stages pair them with G.
 """
 
 from __future__ import annotations
@@ -44,34 +44,34 @@ class GeneralizedMoment:
     action: ActionSpec
     omega_prime: ProductForm
     classification: ActionClassification
-    mu1: tuple    # c exact covectors, length dim
-    mu2: tuple    # r exact covectors, length dim
+    mu1: tuple    # (N, d): c exact covectors, length dim
+    mu2: tuple    # (N, d): r exact covectors, length dim
     covectors: tuple = field(repr=False, compare=False)
 
     @property
     def c(self) -> int:
-        return len(self.mu1)
+        return len(self.mu1[0])
 
     @property
     def r(self) -> int:
-        return len(self.mu2)
+        return len(self.mu2[0])
 
     @cached_property
     def torus_covectors(self) -> tuple:
         """The integral torus slots of mu2 as ints."""
-        m = self.manifold.torus_dim
-        return tuple(tuple(int(x) for x in row[:m]) for row in self.mu2)
+        m, (nums, d) = self.manifold.torus_dim, self.mu2
+        return tuple(tuple(x // d for x in row[:m]) for row in nums)
 
-    @cached_property
+    @property
     def mu1_den(self) -> int:
-        """The denominator of mu1_values: P times the lcm of the
-        denominators in mu1."""
-        return ratlin._scaled(self.mu1)[1] * geom.LATTICE
+        """The denominator of mu1_values: P times mu1's, which is the lcm
+        of the reduced denominators in mu1."""
+        return self.mu1[1] * geom.LATTICE
 
-    @cached_property
+    @property
     def mu2_den(self) -> int:
         """The denominator of mu2_values, likewise from mu2."""
-        return ratlin._scaled(self.mu2)[1] * geom.LATTICE
+        return self.mu2[1] * geom.LATTICE
 
     def mu1_values(self, nums):
         """mu1 at the lattice points nums / geom.LATTICE, exactly: one row
@@ -100,11 +100,11 @@ class GeneralizedMoment:
         from .sample import Pairing
         mod = self.mu2_den
         a2 = [[(a + mod // 2) % mod - mod // 2 for a in row]
-              for row in ratlin._scaled(self.mu2)[0]]
+              for row in self.mu2[0]]
         base = [b * geom.LATTICE for b in self.manifold.basepoint()]
         offsets = [-sum(a * b for a, b in zip(row, base)) % mod for row in a2]
-        return (Pairing(ratlin._scaled(self.mu1)[0], [0] * self.c,
-                        self.mu1_den), Pairing(a2, offsets, mod))
+        return (Pairing(self.mu1[0], [0] * self.c, self.mu1_den),
+                Pairing(a2, offsets, mod))
 
 
 def generalized_moment(manifold: ProductManifold, action: ActionSpec,
@@ -112,23 +112,24 @@ def generalized_moment(manifold: ProductManifold, action: ActionSpec,
                        classification: ActionClassification,
                        covectors) -> GeneralizedMoment:
     """The basis times covectors, the field covectors of omega_prime,
-    split at c: the Hamiltonian rows must have no periods, and every circle
-    row needs a nonzero integral torus part."""
-    m = manifold.torus_dim
-    rows = [tuple(row) for row in ratlin._product(
-        classification.hamiltonian_basis
-        + classification.complement_generators, 1, *covectors)]
-    mu1, mu2 = rows[:classification.c], rows[classification.c:]
-    if any(any(row[:m]) for row in mu1):
+    split at c, each part in its own lowest terms: the Hamiltonian rows
+    must have no periods, and every circle row needs a nonzero integral
+    torus part."""
+    m, c = manifold.torus_dim, classification.c
+    nums, d = covectors
+    rows = ratlin.mat_mul(classification.hamiltonian_basis
+                          + classification.complement_generators, nums)
+    mu1, mu2 = ratlin.lowest(rows[:c], d), ratlin.lowest(rows[c:], d)
+    if any(any(row[:m]) for row in mu1[0]):
         raise ValueError("Hamiltonian basis vector has nonzero periods")
-    for row in mu2:
+    for row in mu2[0]:
         if not any(row[:m]):
             raise GeneratorIsHamiltonian(
                 "all loop periods vanish for this generator")
-        if any(x.denominator != 1 for x in row[:m]):
+        if any(x % mu2[1] for x in row[:m]):
             raise ValueError("form is not integral: non-integer loop periods")
     return GeneralizedMoment(manifold, action, omega_prime, classification,
-                             tuple(mu1), tuple(mu2), covectors)
+                             mu1, mu2, covectors)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ def local_weights(manifold: ProductManifold, action: ActionSpec,
     weights = []
     for f in range(manifold.n_spheres):
         unit = _orientation(manifold, p, f) * action.sign
-        weights.append(tuple(Fraction(unit * r[f]) for r in action.rotations))
+        weights.append(tuple(unit * r[f] for r in action.rotations))
     for k in range(manifold.torus_dim // 2):
         weights.append(tuple(0 for _ in range(action.r_total)))
     return FixedPointLocalData(tuple(weights))
@@ -205,17 +206,21 @@ def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
     minimizes it iff orient * cov[h] >= 0 on every sphere."""
     manifold = moment.manifold
     data = local_weights(manifold, moment.action, p)
+    (nums, d), form = moment.mu1, moment.omega_prime
     max_res = Fraction(0)
     minima = []
     sign_ok = True
-    for xi, cov in zip(moment.classification.hamiltonian_basis, moment.mu1):
+    for xi, cov in zip(moment.classification.hamiltonian_basis, nums):
         alphas = [sum(w * g for w, g in zip(weight, xi))
                   for weight in data.weights]
         is_min = True
-        for f, c in enumerate(moment.omega_prime.sphere_coeffs):
-            slope = _orientation(manifold, p, f) \
-                * cov[manifold.sphere_offset(f) + 1]
-            max_res = max(max_res, abs(slope / (2 * c) - alphas[f] / 2))
+        for f in range(manifold.n_spheres):
+            h = manifold.sphere_offset(f) + 1
+            slope = _orientation(manifold, p, f) * cov[h]
+            # slope is d times mu1's, so it is compared with c d
+            cd = Fraction(form.nums[h - 1][h] * d, form.den)
+            max_res = max(max_res,
+                          abs(slope / (2 * cd) - Fraction(alphas[f], 2)))
             is_min = is_min and slope >= 0
         minima.append(is_min)
         if is_min and any(alpha < 0 for alpha in alphas):

@@ -1,15 +1,14 @@
-"""Exact integer / rational linear algebra.
+"""Exact integer linear algebra.
 
-Matrices are plain Python lists (or tuples) of ints or Fractions, which is
-ample at the sizes this package ever sees (matrices up to ~12x12 plus a
-handful of homology columns).  The kernels scale each matrix to integer
-numerators over one common denominator, compute in Python ints (products,
-and fraction-free Bareiss elimination with exact division), and build
-Fractions only at the output.  A caller that holds integer numerators
-over one denominator, as forms and field covectors are held, multiplies
-them with the private `_product`, decides nondegeneracy with
-`nonsingular` and rounds n / d with `rational_round`.  No floating point
-enters any routine in this module.
+Past the parser an exact matrix is a pair (N, d), integer rows over one
+positive denominator.  The kernels read N alone, since a positive scale
+changes no rank, kernel, Hermite or Smith form and scales a determinant by
+d^n; `mat_mul` multiplies integer rows, so a product of pairs is
+(Na Nb, da db), and `lowest` puts a pair in lowest terms.  Rows are plain
+Python lists (or tuples) of ints, ample at the sizes this package ever
+sees (up to ~12x12 plus a handful of homology columns).  Only `_scaled`,
+at the parse boundary, reads Fractions; no floating point enters any
+routine in this module.
 
 The Hermite normal form does all the lattice work: `lattice_split` reads a
 saturated integer kernel and a basis completing it from the Hermite
@@ -19,8 +18,8 @@ Hermite forms, with no transform at all.
 
 from __future__ import annotations
 
+import itertools
 import math
-from fractions import Fraction
 
 Mat = list  # list of rows
 P = 2 ** 31 - 1  # the prime of the nondegeneracy test and the sample lattice
@@ -39,11 +38,16 @@ def _check_rect(m: Mat) -> tuple[int, int]:
 def _scaled(m: Mat) -> tuple[Mat, int]:
     """(N, d) with m = N / d: fresh rows of integer numerators over the
     least common denominator d of the entries (ints and Fractions)."""
-    d = math.lcm(*[x.denominator for row in m for x in row
-                   if type(x) is not int])
-    if d == 1:
-        return [[x.numerator for x in row] for row in m], 1
+    d = math.lcm(*[x.denominator for row in m for x in row])
     return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def lowest(n: Mat, d: int) -> tuple:
+    """The pair (N, d) in lowest terms, N as a tuple of int rows: d is then
+    the lcm of the reduced denominators of the entries n / d."""
+    g = math.gcd(d, *itertools.chain.from_iterable(n))
+    return tuple(tuple([x // g for x in row]) if g > 1 else tuple(row)
+                 for row in n), d // g
 
 
 def _eliminate(a: Mat, jordan: bool = False) -> tuple[list, int, int]:
@@ -84,38 +88,24 @@ def identity(n: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Exact product, summed in integer numerators; zero factors are
-    skipped, since the matrices here are sparse.  Each nonzero entry is one
-    Fraction over the product of the two common denominators, or an int
-    when neither operand has one.  An empty a has no rows, whatever b is,
-    so the product is empty."""
+    """The integer product, with zero factors skipped, since the matrices
+    here are sparse.  An empty a has no rows, whatever b is, so the product
+    is empty."""
     _check_rect(a)
     _check_rect(b)
-    return _product(*_scaled(a), *_scaled(b))
-
-
-def _product(na: Mat, da: int, nb: Mat, db: int) -> Mat:
-    """mat_mul of the scaled operands na / da and nb / db (integer rows),
-    which it leaves alone."""
-    if na and len(na[0]) != len(nb):
+    if a and len(a[0]) != len(b):
         raise ValueError("shape mismatch in mat_mul")
-    cb = len(nb[0]) if nb else 0
+    cb = len(b[0]) if b else 0
     out = []
-    for row in na:
+    for row in a:
         acc = [0] * cb
-        for x, b_row in zip(row, nb):
+        for x, b_row in zip(row, b):
             if x:
                 for j, y in enumerate(b_row):
                     if y:
                         acc[j] += x * y
         out.append(acc)
-    return _fractions(out, da * db)
-
-
-def _fractions(n: Mat, d: int) -> Mat:
-    """The exact rows n / d: n itself when d is 1, else Fractions and 0."""
-    return n if d == 1 else [[Fraction(v, d) if v else 0 for v in row]
-                             for row in n]
+    return out
 
 
 def transpose(m: Mat) -> Mat:
@@ -124,20 +114,20 @@ def transpose(m: Mat) -> Mat:
 
 
 def clear_denominators(v: list) -> list:
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    [ints], _ = _scaled([v])
-    g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    """Divide an integer vector by the gcd of its entries, to a primitive
+    vector (gcd 1)."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
 
 
 # ---------------------------------------------------------------------------
 # rank
 
 def integer_rank(m: Mat) -> int:
-    """Rank over Q of an integer (or rational) matrix, by fraction-free
-    Bareiss elimination."""
+    """Rank over Q of an integer matrix, by fraction-free Bareiss
+    elimination."""
     _check_rect(m)
-    return len(_eliminate(_scaled(m)[0])[0])
+    return len(_eliminate([list(row) for row in m])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +137,7 @@ def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
     """Row-style Hermite normal form: (H, U) with U m = H, U unimodular,
     H upper echelon with positive pivots and reduced entries above them."""
     rows, cols = _check_rect(m)
-    a = [[int(x) for x in row] + e for row, e in zip(m, identity(rows))]
+    a = [list(row) + e for row, e in zip(m, identity(rows))]
     _hermite(a, cols)
     return [row[:cols] for row in a], [row[cols:] for row in a]
 
@@ -184,7 +174,7 @@ def _hermite(h: Mat, cols: int) -> Mat:
 
 
 def lattice_split(m: Mat) -> tuple[Mat, Mat]:
-    """(K, C) for a rational matrix m with n rows: K is a Z-basis of the
+    """(K, C) for an integer matrix m with n rows: K is a Z-basis of the
     integer left kernel {x in Z^n : x m = 0}, which is always saturated,
     and C completes K to a basis of Z^n.
 
@@ -194,7 +184,7 @@ def lattice_split(m: Mat) -> tuple[Mat, Mat]:
     C are then the rows of the Hermite transform U whose Hermite rows
     vanish and do not."""
     n, _ = _check_rect(m)
-    a, _ = _scaled(transpose(m))
+    a = transpose(m)
     pivots, last, _ = _eliminate(a, jordan=True)
     if not pivots:
         return identity(n), []
@@ -213,7 +203,7 @@ def smith_diagonal(m: Mat) -> list:
     diagonal (Kannan and Bachem 1979), and gcd / lcm exchanges then make
     each entry divide the next."""
     rows, cols = _check_rect(m)
-    h = _hermite([[int(x) for x in row] for row in m], cols)
+    h = _hermite([list(row) for row in m], cols)
     while any(x for i, row in enumerate(h) for j, x in enumerate(row)
               if i != j):
         h = _hermite(transpose(h), len(h))
@@ -262,19 +252,17 @@ def rational_round(n: int, d: int, max_denominator: int) -> tuple:
     return (-p if n < 0 else p), q
 
 
-def determinant(m: Mat) -> Fraction:
-    """Exact determinant, det N / d^n for m = N / d, by Bareiss elimination.
+def determinant(m: Mat) -> int:
+    """Exact determinant of an integer matrix, by Bareiss elimination; for
+    a pair (N, d) of order n it is det N / d^n.
 
     For an antisymmetric form it is the square of the Pfaffian, so it is
     zero exactly when the form is degenerate."""
     n, cols = _check_rect(m)
     if n != cols:
         raise ValueError("not square")
-    a, d = _scaled(m)
-    pivots, last, sign = _eliminate(a)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * last, d ** n)
+    pivots, last, sign = _eliminate([list(row) for row in m])
+    return sign * last if len(pivots) == n else 0
 
 
 def nonsingular(a: Mat) -> bool:

@@ -84,17 +84,17 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
 
     # the reduced form is omega_prime with sphere f dropped from nums / den
     m, w = manifold.torus_dim, moment.omega_prime.nums
-    den = moment.omega_prime.den
     new_manifold = ProductManifold(
         [row[:m] for row in w[:m]],
-        [Fraction(w[m + 2 * g][m + 2 * g + 1], den) for g in keep], den)
+        [w[m + 2 * g][m + 2 * g + 1] for g in keep], moment.omega_prime.den)
     new_action = ActionSpec(
         tuple(action.translations[j] for j in residual),
         tuple(tuple(action.rotations[j][g] for g in keep) for j in residual),
         action.sign)
     new_form = new_manifold.form
     covectors = geom.field_covectors(new_action, new_form)
-    cls = hamclass.classify_action([row[:m] for row in covectors[0]])
+    cls = hamclass.classify_action(hamclass.period_matrix(new_action,
+                                                          new_form))
     new_moment = moment_mod.generalized_moment(new_manifold, new_action,
                                                new_form, cls, covectors)
     return ReducedSpace(new_manifold, new_action, new_moment, f, h, moment,
@@ -109,8 +109,8 @@ def induced_moment(reduced: ReducedSpace) -> GeneralizedMoment:
     row of the orbit matrix G."""
     parent = reduced.parent
     orbit = parent.action.orbit_matrix()[reduced.generator]
-    if any(ratlin.mat_mul([orbit],
-                          ratlin.transpose(parent.mu1 + parent.mu2))[0]):
+    if any(ratlin.mat_mul([orbit], ratlin.transpose(
+            parent.mu1[0] + parent.mu2[0]))[0]):
         raise NotInvariantOnOrbits(
             "a parent moment component varies along a collapsed orbit")
     return reduced.moment

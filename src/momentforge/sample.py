@@ -169,8 +169,8 @@ def product_coverage_check(moment: GeneralizedMoment,
     if c:
         # the box spans 2h, or 1 where h = 0: h = x / e and the span s / e;
         # |mu1| <= h at every point, so no intermediate exceeds s den1 res
-        [xs], e = ratlin._scaled([[max(abs(v[i]) for v in polytope.vertices)
-                                   for i in range(c)]])
+        [xs], e = ratlin.lowest([[max(abs(v[i]) for v in polytope.vertices)
+                                  for i in range(c)]], polytope.den)
         spans = [2 * x or e for x in xs]
         axes = [(x, s, exact_dtype(s * mu1_den * res))
                 for x, s in zip(xs, spans)]

@@ -1,6 +1,8 @@
-"""Shared builders for the recurring corpus instances, the field and
-pairing oracles written out from the README conventions, the Fraction
-oracles of the moment at lattice samples and of the moment polytope, the
+"""Shared builders for the recurring corpus instances, the exact pairs
+(N, d) of the library and their Fraction rows, the field and pairing
+oracles written out from the README conventions, elimination over
+Fractions, the Fraction oracles of the moment at lattice samples and of
+the moment polytope, the
 float oracles of the moment and the torus action, the exact lattice oracle
 of sampled equivariance, the single-pass coverage check, the
 determinantal divisors of an integer matrix, and a strategy for
@@ -24,6 +26,77 @@ STD6 = ((0, 1, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
         (0, 0, -1, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, -1, 0))
 
 
+def pair(rows) -> tuple:
+    """Exact rows (ints, Fractions or floats) as the library holds them:
+    (N, d), integer rows over one positive denominator, in lowest terms."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    nums = [[int(x * d) for x in row] for row in rows]
+    g = math.gcd(d, *itertools.chain.from_iterable(nums))
+    return [[x // g for x in row] for row in nums], d // g
+
+
+def fractions(p) -> list:
+    """The rows of the pair p = (N, d) as Fractions."""
+    nums, d = p
+    return [[Fraction(x, d) for x in row] for row in nums]
+
+
+def torus_omega(form) -> list:
+    """The torus block of a form, as Fraction rows."""
+    m = form.torus_dim
+    return fractions(([row[:m] for row in form.nums[:m]], form.den))
+
+
+def sphere_coeffs(form) -> tuple:
+    """The dtheta ^ dh coefficient of each sphere of a form, as Fractions."""
+    w, m = form.nums, form.torus_dim
+    return tuple(Fraction(w[o][o + 1], form.den)
+                 for o in range(m, len(w), 2))
+
+
+def fraction_rref(a, cols):
+    """Reduce the Fraction rows a in place, one normalised Fraction per
+    step; return the pivot columns."""
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots
+
+
+def fraction_rank(m):
+    return len(fraction_rref([[Fraction(x) for x in row] for row in m],
+                             len(m[0]) if m else 0))
+
+
+def fraction_determinant(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [a[i][j] - f * a[c][j] for j in range(n)]
+    return det
+
+
 def classify(m, a, form=None):
     """The classification integralization starts from: that of the form
     itself (the manifold's own form by default)."""
@@ -32,11 +105,11 @@ def classify(m, a, form=None):
 
 
 def covectors(a, form, coeffs=None):
-    """geom.field_covectors as exact rows: one per generator, or one per
+    """geom.field_covectors as Fraction rows: one per generator, or one per
     integer combination of generators in coeffs."""
     nums, d = geom.field_covectors(a, form)
-    return ratlin._product(ratlin.identity(a.r_total) if coeffs is None
-                           else coeffs, 1, nums, d)
+    return fractions((ratlin.mat_mul(ratlin.identity(a.r_total)
+                                     if coeffs is None else coeffs, nums), d))
 
 
 def field_vector(m, a, coeffs):
@@ -56,10 +129,10 @@ def field_vector(m, a, coeffs):
 def pairing(m, form, u, w):
     """omega(u, w) = u^T Omega w on the torus block plus
     c (u_theta w_h - u_h w_theta) on each sphere."""
-    k = m.torus_dim
-    total = sum(u[i] * form.torus_omega[i][j] * w[j]
+    k, omega = m.torus_dim, torus_omega(form)
+    total = sum(u[i] * omega[i][j] * w[j]
                 for i in range(k) for j in range(k))
-    for f, c in enumerate(form.sphere_coeffs):
+    for f, c in enumerate(sphere_coeffs(form)):
         o = m.sphere_offset(f)
         total += c * (u[o] * w[o + 1] - u[o + 1] * w[o])
     return total
@@ -85,9 +158,10 @@ def lattice_oracle(mom, nums):
     out = []
     for row in nums.tolist():
         x = [Fraction(n, p) for n in row]
-        mu1 = tuple(sum(a * xi for a, xi in zip(cov, x)) for cov in mom.mu1)
+        mu1 = tuple(sum(a * xi for a, xi in zip(cov, x))
+                    for cov in fractions(mom.mu1))
         mu2 = tuple(sum(a * (xi - b) for a, xi, b in zip(cov, x, base)) % 1
-                    for cov in mom.mu2)
+                    for cov in fractions(mom.mu2))
         out.append((mu1, mu2))
     return out
 
@@ -106,7 +180,7 @@ def float_mu1(mom, points) -> np.ndarray:
     """mu1 at float points, one column per Hamiltonian covector."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty((pts.shape[0], mom.c))
-    for i, row in enumerate(mom.mu1):
+    for i, row in enumerate(fractions(mom.mu1)):
         out[:, i] = pts @ _floats(row)
     return out
 
@@ -118,7 +192,7 @@ def float_mu2(mom, points) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     base = mom.manifold.basepoint()
     out = np.empty((pts.shape[0], mom.r))
-    for i, row in enumerate(mom.mu2):
+    for i, row in enumerate(fractions(mom.mu2)):
         cov = _floats(row)
         out[:, i] = np.mod(pts @ cov - base @ cov, 1.0)
     return out
@@ -217,8 +291,8 @@ def full_draw_coverage(mom, polytope, res, n, seed):
     counted = np.ones(shape, dtype=bool)
     flat = np.zeros(n, dtype=np.int64)
     if c:
-        [xs], e = ratlin._scaled([[max(abs(v[i]) for v in polytope.vertices)
-                                   for i in range(c)]])
+        [xs], e = ratlin.lowest([[max(abs(v[i]) for v in polytope.vertices)
+                                  for i in range(c)]], polytope.den)
         spans = [2 * x or e for x in xs]
         for col, x, s in zip(mu1_num.T, xs, spans):
             num = col.astype(sample.exact_dtype(s * mu1_den * res)) * e \
@@ -256,21 +330,23 @@ def fraction_moment_polytope(mom):
     manifold = mom.manifold
     c = mom.c
     w = [[cov[manifold.sphere_offset(f) + 1]
-          for f in range(manifold.n_spheres)] for cov in mom.mu1]
+          for f in range(manifold.n_spheres)] for cov in fractions(mom.mu1)]
     rows = []
     for i in range(c):
-        if ratlin.integer_rank([w[j] for j in rows + [i]]) > len(rows):
+        if fraction_rank([w[j] for j in rows + [i]]) > len(rows):
             rows.append(i)
     k = len(rows)
     gens = [g for g in zip(*w) if any(g)]
 
     facets = set()
     for subset in itertools.combinations(gens, k - 1) if k else ():
-        cof = [(-1) ** j * ratlin.determinant(
+        cof = [(-1) ** j * fraction_determinant(
             [[g[i] for i in rows if i != row] for g in subset])
             for j, row in enumerate(rows)]
         if any(cof):
-            cof = ratlin.clear_denominators(cof)
+            d = math.lcm(*[x.denominator for x in cof])
+            g = math.gcd(*[int(x * d) for x in cof])
+            cof = [int(x * d) // g for x in cof]
             sign = -1 if next(x for x in cof if x) < 0 else 1
             full = dict(zip(rows, cof))
             facets.add(tuple(sign * full.get(i, 0) for i in range(c)))
@@ -281,10 +357,10 @@ def fraction_moment_polytope(mom):
         v = tuple(_dot(sigma, [g[i] for g in gens]) for i in range(c))
         tight = [nv for nv, b in zip(normals, offsets)
                  if abs(_dot(nv, v)) == b]
-        if ratlin.integer_rank(tight) == k:
+        if fraction_rank(tight) == k:
             vertices.add(v)
     if k < c:
-        pinned = ratlin.lattice_split(w)[0]
+        pinned = ratlin.lattice_split(pair(w)[0])[0]
         normals += [tuple(e) for e in pinned]
         offsets += [0] * len(pinned)
     return (tuple(sorted(vertices)), tuple(normals), tuple(offsets))

@@ -89,7 +89,8 @@ def test_criterion_03_integralization():
     res = hamclass.integralize_with_retry(
         sc.action, sc.manifold.form,
         classify(sc.manifold, sc.action), 5)
-    ok = res.omega_prime.torus_omega == ((0, 7), (-7, 0)) and res.k == 5
+    ok = (res.omega_prime.nums, res.omega_prime.den) \
+        == (((0, 7), (-7, 0)), 1) and res.k == 5
     # 20 randomized irrational instances must keep the classification
     rng = np.random.default_rng(7)
     m = ProductManifold(((0, 1), (-1, 0)), (1.0,))

@@ -15,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 from momentforge import (cli, convex, equiv, geom, moment as moment_mod,
                          reduction, sample)
 
-from conftest import covectors, lattice_oracle, scenario_moment
+from conftest import (covectors, lattice_oracle, pair, scenario_moment,
+                      sphere_coeffs, torus_omega)
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -524,12 +525,10 @@ def test_non_integral_loop_periods_fail(monkeypatch):
     def halved(manifold, action, omega_prime, cls, held):
         mom = real(manifold, action, omega_prime, cls, held)
         half = geom.ProductForm(
-            [[Fraction(3 * x, 2) for x in row]
-             for row in omega_prime.torus_omega],
-            omega_prime.sphere_coeffs)
+            [[3 * x / 2 for x in row] for row in torus_omega(omega_prime)],
+            sphere_coeffs(omega_prime))
         mu2 = covectors(action, half, cls.complement_generators)
-        return dataclasses.replace(mom, omega_prime=half,
-                                   mu2=tuple(map(tuple, mu2)),
+        return dataclasses.replace(mom, omega_prime=half, mu2=pair(mu2),
                                    covectors=geom.field_covectors(action,
                                                                   half))
 
@@ -551,9 +550,10 @@ def test_perturbed_mu2_row_fails_the_equivariance_certificate(monkeypatch):
 
     def bent(*args):
         mom = real(*args)
-        row = list(mom.mu2[0])
-        row[1] += 1
-        return dataclasses.replace(mom, mu2=(tuple(row),) + mom.mu2[1:])
+        nums, d = mom.mu2
+        row = list(nums[0])
+        row[1] += d
+        return dataclasses.replace(mom, mu2=((tuple(row),) + nums[1:], d))
 
     sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
     monkeypatch.setattr(cli.moment_mod, "generalized_moment", bent)

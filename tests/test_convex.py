@@ -17,9 +17,9 @@ from momentforge import (cli, convex, geom, hamclass, moment, ratlin,
 from momentforge.geom import ActionSpec, ProductManifold
 
 from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
-                      float_mu2, fraction_moment_polytope, full_draw_coverage,
-                      lattice_oracle, s2xs2, s2xt2, scenario_moment, sphere,
-                      torus2, torus4)
+                      float_mu2, fraction_moment_polytope, fractions,
+                      full_draw_coverage, lattice_oracle, pair, s2xs2, s2xt2,
+                      scenario_moment, sphere, torus2, torus4)
 
 
 def pipeline(m, a):
@@ -50,7 +50,7 @@ def polytope_of(m, a):
 def height_coefficients(m, mom):
     """w (c x n): the exact coefficient of each sphere height in mu1."""
     return [[cov[m.sphere_offset(f) + 1]
-             for f in range(m.n_spheres)] for cov in mom.mu1]
+             for f in range(m.n_spheres)] for cov in fractions(mom.mu1)]
 
 
 def pole_images(w):
@@ -65,9 +65,20 @@ def numerators(points):
     return [[int(x * den) for x in p] for p in points], den
 
 
+def vertices(poly):
+    """The polytope's vertices as exact points: their numerators over
+    poly.den."""
+    return tuple(tuple(F(x, poly.den) for x in v) for v in poly.vertices)
+
+
+def offsets(poly):
+    """The polytope's facet offsets, exactly."""
+    return tuple(F(b, poly.den) for b in poly.offsets)
+
+
 def test_sphere_polytope_is_an_interval():
     poly, _ = polytope_of(sphere(), rotations([(1,)]))
-    assert poly.vertices == ((F(-1, 2),), (F(1, 2),))
+    assert vertices(poly) == ((F(-1, 2),), (F(1, 2),))
     assert poly.contains([[0], [1], [-1]], 2).all()
     assert not poly.contains([[6000], [-5001]], 10000).any()
     with pytest.raises(TypeError, match="polytope test"):
@@ -77,7 +88,7 @@ def test_sphere_polytope_is_an_interval():
 def test_s2xs2_polytope_is_a_square(s2xs2_rotations):
     poly, _ = polytope_of(*s2xs2_rotations)
     half = F(1, 2)
-    assert poly.vertices == ((-half, -half), (-half, half),
+    assert vertices(poly) == ((-half, -half), (-half, half),
                              (half, -half), (half, half))
     assert poly.contains([[1, 1]], 2).all()
     assert not poly.contains([[50, 51]], 100).any()
@@ -87,7 +98,7 @@ def test_three_spheres_polytope_is_a_cube():
     poly, _ = polytope_of(spheres(3), rotations([(1, 0, 0), (0, 1, 0),
                                                  (0, 0, 1)]))
     half = F(1, 2)
-    assert set(poly.vertices) == set(itertools.product((-half, half),
+    assert set(vertices(poly)) == set(itertools.product((-half, half),
                                                        repeat=3))
     assert len(poly.normals) == 3
 
@@ -97,7 +108,7 @@ def test_sheared_polytope_is_a_parallelogram():
     poly, mom = polytope_of(m, rotations([(1, 1), (0, 1)]))
     half = F(1, 2)
     assert height_coefficients(m, mom) == [[half, half], [0, half]]
-    assert poly.vertices == ((-1, -half), (0, -half), (0, half), (1, half))
+    assert vertices(poly) == ((-1, -half), (0, -half), (0, half), (1, half))
     assert len(poly.normals) == 2
     # the centre and an edge midpoint are in; the bounding-box corners off
     # the parallelogram are not
@@ -124,9 +135,9 @@ def test_hexagon_keeps_only_the_extreme_pole_images():
     poly, mom = polytope_of(m, rotations([(1, 0, 1), (0, 1, 1)]))
     w = height_coefficients(m, mom)
     assert len(pole_images(w)) == 7
-    assert len(poly.vertices) == 6 and len(poly.normals) == 3
-    assert set(poly.vertices) == pole_images(w) - {(0, 0)}
-    assert poly.contains(*numerators(poly.vertices)).all()
+    assert len(vertices(poly)) == 6 and len(poly.normals) == 3
+    assert set(vertices(poly)) == pole_images(w) - {(0, 0)}
+    assert poly.contains(*numerators(vertices(poly))).all()
 
 
 def test_degenerate_polytope_is_a_segment():
@@ -135,8 +146,8 @@ def test_degenerate_polytope_is_a_segment():
     m, a = sphere(), rotations([(1,), (1,)])
     poly, mom = polytope_of(m, a)
     assert mom.c == 2
-    assert len(poly.vertices) == 2
-    mid = [F(sum(xs), 2) for xs in zip(*poly.vertices)]
+    assert len(vertices(poly)) == 2
+    mid = [F(sum(xs), 2) for xs in zip(*vertices(poly))]
     assert poly.contains(*numerators([mid])).all()
     off = [mid[0] + F(1, 1000), mid[1] - F(1, 1000)]
     assert not poly.contains(*numerators([off])).any()
@@ -149,7 +160,7 @@ def test_four_spheres_polytope():
     m = spheres(4)
     speeds = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     poly, mom = polytope_of(m, rotations(speeds))
-    assert mom.c == 4 and len(poly.vertices) == 16 and len(poly.normals) == 4
+    assert mom.c == 4 and len(vertices(poly)) == 16 and len(poly.normals) == 4
     rep = sample.product_coverage_check(mom, poly, 5, 20000, 0)
     assert rep.n_counted_cells == 5 ** 4
     assert rep.fraction >= 0.99
@@ -158,7 +169,7 @@ def test_four_spheres_polytope():
 def test_mixed_polytope_and_samples(s2xt2_mixed):
     m, a = s2xt2_mixed
     poly, mom = polytope_of(m, a)
-    assert poly.vertices == ((-1,), (1,))
+    assert vertices(poly) == ((-1,), (1,))
     nums = sample.sample_points(m, 1000, 0)
     assert poly.contains(mom.mu1_values(nums), mom.mu1_den).all()
     mu2 = float_mu2(mom, nums / geom.LATTICE)
@@ -177,7 +188,7 @@ def test_sampled_image_lies_in_polytope(data):
     a = ActionSpec(tuple(() for _ in speeds), tuple(map(tuple, speeds)),
                    sign)
     poly, mom = polytope_of(m, a)
-    assert set(poly.vertices) <= pole_images(height_coefficients(m, mom))
+    assert set(vertices(poly)) <= pole_images(height_coefficients(m, mom))
     nums = sample.sample_points(m, 500, 0)
     # the poles themselves map onto the boundary
     nums[:8, 1::2] = np.sign(nums[:8, 1::2]) * geom.LATTICE
@@ -206,10 +217,6 @@ def height_matrices(draw):
     return [list(row) for row in zip(*cols)] if cols else [[]] * c
 
 
-def typed(xs):
-    return [(type(x), x) for x in xs]
-
-
 @given(height_matrices())
 @example([[F(1, 2), F(1, 2)], [0, F(1, 2)]])
 @example([[1, 0, 2], [F(1, 3), 0, F(2, 3)]])
@@ -217,18 +224,19 @@ def typed(xs):
 @example([[], []])
 @settings(max_examples=200, deadline=None)
 def test_moment_polytope_matches_fraction_oracle(w):
-    """The integer construction returns the vertices, normals and offsets
-    that Fraction arithmetic on w returns, equal in value and type."""
+    """The integer construction on mu1's pair returns the vertices,
+    normals and offsets that Fraction arithmetic on w returns, the normals
+    as ints."""
     n = len(w[0])
     m = ProductManifold(STD2, (F(1, 2),) * n)
-    mu1 = tuple(tuple([0, 0] + [x for h in row for x in (0, h)])
-                for row in w)
-    mom = moment.GeneralizedMoment(m, None, None, None, mu1, (), None)
+    mu1 = pair([[0, 0] + [x for h in row for x in (0, h)] for row in w])
+    mom = moment.GeneralizedMoment(m, None, None, None, mu1, ((), 1), None)
     poly = convex.moment_polytope(mom)
-    vertices, normals, offsets = fraction_moment_polytope(mom)
-    assert [typed(v) for v in poly.vertices] == [typed(v) for v in vertices]
-    assert [typed(nv) for nv in poly.normals] == [typed(nv) for nv in normals]
-    assert typed(poly.offsets) == typed(offsets)
+    want_vertices, want_normals, want_offsets = fraction_moment_polytope(mom)
+    assert vertices(poly) == want_vertices
+    assert poly.normals == want_normals
+    assert all(type(x) is int for nv in poly.normals for x in nv)
+    assert offsets(poly) == want_offsets
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +268,7 @@ def test_interior_cells_match_per_corner_loop():
     for coeff, res in ((F(1, 2), 8), (10 ** 6, 12)):
         m = s2xs2(coeff, coeff)
         poly, mom = polytope_of(m, rotations([(1, 1), (0, 1)]))
-        half = [max(abs(v[i]) for v in poly.vertices) for i in range(2)]
+        half = [max(abs(v[i]) for v in vertices(poly)) for i in range(2)]
         expected = 0
         for cell in itertools.product(range(res), repeat=2):
             corners = itertools.product(*(
@@ -268,7 +276,7 @@ def test_interior_cells_match_per_corner_loop():
                 for h, i in zip(half, cell)))
             expected += all(abs(sum(a * x for a, x in zip(nv, p))) <= b
                             for p in corners
-                            for nv, b in zip(poly.normals, poly.offsets))
+                            for nv, b in zip(poly.normals, offsets(poly)))
         rep = sample.product_coverage_check(mom, poly, res, 1000, 0)
         assert 0 < expected < res * res
         assert rep.n_counted_cells == expected
@@ -296,7 +304,7 @@ def test_coverage_bins_are_exact_floors(monkeypatch):
                                     ((0, 0, 0), (1, 1, 1))))
     poly = convex.moment_polytope(mom)
     assert (mom.c, mom.r) == (1, 1)
-    [h] = {max(abs(v[0]) for v in poly.vertices)}
+    [h] = {max(abs(v[0]) for v in vertices(poly))}
     assert h == F(3, 2)
     p, res = geom.LATTICE, 3
     # mu1 is half the sum of the three heights
@@ -429,7 +437,8 @@ def test_constant_component_negative_control(s2xt2_mixed):
     must fail."""
     m, a = s2xt2_mixed
     _, mom = pipeline(m, a)
-    broken = dataclasses.replace(mom, mu2=mom.mu2 + ((0, 0, 0, 0),))
+    broken = dataclasses.replace(
+        mom, mu2=(mom.mu2[0] + ((0, 0, 0, 0),), mom.mu2[1]))
     rep = convex.circle_extremum_check(broken)
     assert not rep.passed
     assert not all(rep.covectors_nonzero)
@@ -505,7 +514,8 @@ def test_cycle_lift_negative_control(s2xt2_mixed):
     m, a = s2xt2_mixed
     _, mom = pipeline(m, a)
     assert convex.cycle_lift(mom).verified
-    bent = dataclasses.replace(mom, mu1=((1, 1) + mom.mu1[0][2:],))
+    (row,), d = mom.mu1
+    bent = dataclasses.replace(mom, mu1=(((d, d) + row[2:],), d))
     lift = convex.cycle_lift(bent)
     assert not lift.verified and lift.max_frozen_deviation == 1
 
@@ -543,7 +553,7 @@ def test_cycle_lift_matches_the_saturated_kernel(data):
     the span of first."""
     m, covs = data
     base = TORI[m]
-    mom = dataclasses.replace(base, mu2=tuple(map(tuple, covs)))
+    mom = dataclasses.replace(base, mu2=(tuple(map(tuple, covs)), 1))
     first, last = covs[:-1], covs[-1]
     k = ratlin.integer_rank(first)
     g = (determinantal_divisor(first + [last], k + 1)

@@ -10,8 +10,9 @@ from momentforge import cli, equiv, geom, hamclass, moment
 from momentforge.geom import ActionSpec, ProductForm
 
 from conftest import (STD4, affine_apply, circle_distance, classify,
-                      covectors, equivariance_check, field_vector, pairing,
-                      s2xs2, s2xt2, scenario_moment, sphere, torus2, torus4)
+                      covectors, equivariance_check, field_vector, fractions,
+                      pair, pairing, s2xs2, s2xt2, scenario_moment, sphere,
+                      torus2, torus4)
 
 
 def pipeline(m, a):
@@ -72,9 +73,10 @@ def test_cocycle_rejects_non_integral_form(t2_translations):
     m, a = t2_translations
     cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
     half = ProductForm(((0, 0.5), (-0.5, 0)), ())
-    mom = moment.GeneralizedMoment(m, a, half, cls, (), tuple(map(
-        tuple, covectors(a, half, cls.complement_generators))),
-                                   geom.field_covectors(a, half))
+    mom = moment.GeneralizedMoment(
+        m, a, half, cls, ((), 1),
+        pair(covectors(a, half, cls.complement_generators)),
+        geom.field_covectors(a, half))
     with pytest.raises(equiv.NonIntegerPeriod):
         equiv.cocycle_matrix(mom)
 
@@ -129,11 +131,12 @@ def test_mixed_equivariance(s2xt2_mixed):
     assert exact.max_mu1_invariance_error == 0
 
 
-def bend(cov, slot, by=1):
-    """The covector with `by` added to one slot."""
-    cov = list(cov)
-    cov[slot] += by
-    return tuple(cov)
+def bend(p, slot, by=1):
+    """The pair p = (N, d) with `by` added to one slot of its first row."""
+    nums, d = p
+    first = list(nums[0])
+    first[slot] += by * d
+    return (tuple(first),) + tuple(nums[1:]), d
 
 
 def test_sampled_equivariance_is_exact_for_large_covectors():
@@ -158,11 +161,11 @@ def test_exact_equivariance_negative_controls(s2xt2_mixed):
     breaks equivariance of mu2, or invariance of mu1."""
     m, a = s2xt2_mixed
     _, mom, _ = pipeline(m, a)
-    bent = dataclasses.replace(mom, mu2=(bend(mom.mu2[0], 0),) + mom.mu2[1:])
+    bent = dataclasses.replace(mom, mu2=bend(mom.mu2, 0))
     rep = equiv.exact_equivariance(bent, isotropy(bent))
     assert not rep.passed
     assert rep.max_mu2_error == 1 and rep.max_mu1_invariance_error == 0
-    bent = dataclasses.replace(mom, mu1=(bend(mom.mu1[0], 1, -3),))
+    bent = dataclasses.replace(mom, mu1=bend(mom.mu1, 1, -3))
     rep = equiv.exact_equivariance(bent, isotropy(bent))
     assert not rep.passed
     assert rep.max_mu2_error == 0 and rep.max_mu1_invariance_error == 3
@@ -176,8 +179,8 @@ def test_s2xs2_orbits_isotropic(s2xs2_rotations):
     rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form))
     assert rep.isotropic
     fields = [field_vector(m, a, g) for g in ((1, 0), (0, 1))]
-    assert rep.pairings == tuple(tuple(pairing(m, m.form, u, w)
-                                       for w in fields) for u in fields)
+    assert fractions(rep.pairings) == [[pairing(m, m.form, u, w)
+                                        for w in fields] for u in fields]
 
 
 def test_two_torus_orbits_not_isotropic(t2_translations):
@@ -241,7 +244,7 @@ def test_natural_equivariance_negative_control():
     _, mom, z = pipeline(m, a)
     assert equiv.natural_equivariance(mom, z,
                                       isotropy(mom)).naturally_equivariant
-    bent = dataclasses.replace(mom, mu2=(bend(mom.mu2[0], 2),) + mom.mu2[1:])
+    bent = dataclasses.replace(mom, mu2=bend(mom.mu2, 2))
     verdict = equiv.natural_equivariance(bent, z, isotropy(bent))
     assert not verdict.mu2_invariant and not verdict.naturally_equivariant
     assert verdict.max_mu2_invariance_error == 1

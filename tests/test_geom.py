@@ -13,7 +13,8 @@ from momentforge import equiv, geom, hamclass, moment, ratlin, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (apply_torus_element, classify, covectors, field_vector,
-                      pairing, s2xt2, sphere, torus2, wrap)
+                      fractions, pair, pairing, s2xt2, sphere, sphere_coeffs,
+                      torus2, torus_omega, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -61,34 +62,34 @@ def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback(
 
 
 def test_forms_hold_integer_numerators_over_one_denominator():
-    """nums / den is W in lowest terms: the torus block over a common
-    denominator, then the sphere pairs; the Fraction views read it."""
-    m = ProductManifold([[0, 25], [-25, 0]], (Fraction(1, 3),), 10)
+    """nums / den is W in lowest terms: the torus block and the sphere
+    pairs, all over den, reduced together."""
+    m = ProductManifold([[0, 25], [-25, 0]], (Fraction(10, 3),), 10)
     form = m.form
     assert form.den == 6 and form.torus_dim == 2
     assert form.nums == ((0, 15, 0, 0), (-15, 0, 0, 0), (0, 0, 0, 2),
                          (0, 0, -2, 0))
-    assert form.torus_omega == ((0, Fraction(5, 2)), (Fraction(-5, 2), 0))
-    assert form.sphere_coeffs == (Fraction(1, 3),)
+    assert torus_omega(form) == [[0, Fraction(5, 2)], [Fraction(-5, 2), 0]]
+    assert sphere_coeffs(form) == (Fraction(1, 3),)
     assert form == ProductForm(((0, 2.5), (-2.5, 0)), (Fraction(2, 6),))
+    assert form == ProductForm(((0, 5), (-5, 0)), (Fraction(2, 3),), 2)
     assert (m.torus_dim, m.n_spheres, m.dim) == (2, 1, 4)
     torus = ProductManifold([[0, 25], [-25, 0]], (), 10).form
     assert (torus.nums, torus.den) == (((0, 5), (-5, 0)), 2)
 
 
 def test_factors_and_forms_hold_fractions():
-    """Library callers may pass ints or floats; manifolds and forms hold
-    the exact Fraction of each (a float converts exactly)."""
+    """Library callers may pass ints, Fractions or floats; manifolds and
+    forms hold the exact value of each as numerators over one denominator
+    (a float converts exactly)."""
     m = ProductManifold(((0, 0.5), (-0.5, 0)), (0.1,))
     form = ProductForm(((0, 0.5), (-0.5, 0)), (0.1,))
     assert m.form == form
     assert ProductManifold(((0, 0.5), (-0.5, 0))).form.nums == \
         ((0, 1), (-1, 0))
     assert ProductManifold(((0, 0.5), (-0.5, 0))).form.den == 2
-    assert form.torus_omega == ((0, Fraction(1, 2)), (Fraction(-1, 2), 0))
-    assert form.sphere_coeffs == (Fraction(0.1),)
-    assert all(isinstance(x, Fraction)
-               for x in form.torus_omega[0] + form.sphere_coeffs)
+    assert torus_omega(form) == [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
+    assert sphere_coeffs(form) == (Fraction(0.1),)
 
 
 def test_sphere_factor_rejects_nonpositive_area():
@@ -222,7 +223,7 @@ def products(draw):
         for j in range(i + 1, m):
             omega[i][j] = draw(rationals)
             omega[j][i] = -omega[i][j]
-    assume(m == 0 or ratlin.determinant(omega) != 0)
+    assume(m == 0 or ratlin.determinant(pair(omega)[0]) != 0)
     spheres = [Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 4)))
                for _ in range(n)]
     ints = st.integers(-2, 2)
@@ -254,9 +255,9 @@ def test_matrix_model_matches_the_oracle(product, combos):
         assert covs == [[pairing(m, form, field_vector(m, a, g), e)
                          for e in basis] for g in coeffs]
     fields = [field_vector(m, a, g) for g in units]
-    assert equiv.isotropic_orbit_test(
-        a, geom.field_covectors(a, form)).pairings == tuple(
-        tuple(pairing(m, form, u, w) for w in fields) for u in fields)
+    assert fractions(equiv.isotropic_orbit_test(
+        a, geom.field_covectors(a, form)).pairings) == [
+        [pairing(m, form, u, w) for w in fields] for u in fields]
     cls = classify(m, a, form)
     res = hamclass.integralize_with_retry(a, form, cls, 64)
     gens = cls.complement_generators

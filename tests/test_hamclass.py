@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from momentforge import cli, geom, hamclass, ratlin
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
-from conftest import (classify, exact_decimals, field_vector, pairing, s2xt2,
-                      sphere, torus2)
+from conftest import (classify, exact_decimals, field_vector, fractions,
+                      pairing, s2xt2, sphere, sphere_coeffs, torus2,
+                      torus_omega)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,7 @@ def test_period_matrix_vs_quadrature():
     m = s2xt2(c=0.7, omega=((0, 1.5), (-1.5, 0)))
     form = m.form
     a = ActionSpec(((2, -1), (0, 0), (1, 3)), ((1,), (1,), (-2,)))
-    p = hamclass.period_matrix(a, form)
+    p = fractions(hamclass.period_matrix(a, form))
     for j in range(a.r_total):
         x = field_vector(m, a, [int(i == j) for i in range(a.r_total)])
         for direction in [(1, 0), (0, 1), (2, 3)]:
@@ -87,22 +88,22 @@ def test_period_matrix_vs_quadrature():
 def test_period_matrix_std_t2(t2_translations):
     m, a = t2_translations
     p = hamclass.period_matrix(a, m.form)
-    assert p == ((0, 1), (-1, 0))
-    assert any(p[0])
+    assert p == ([[0, 1], [-1, 0]], 1)
+    assert any(p[0][0])
 
 
 def test_period_matrix_sphere_rotation_rows_vanish():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
     p = hamclass.period_matrix(a, m.form)
-    assert p == ((),)
+    assert fractions(p) == [[]]
 
 
 def test_period_matrix_mixed(s2xt2_mixed):
     m, a = s2xt2_mixed
     p = hamclass.period_matrix(a, m.form)
-    assert p == ((0, 0), (0, 1), (-1, 0))
-    assert not any(p[0])
+    assert fractions(p) == [[0, 0], [0, 1], [-1, 0]]
+    assert not any(p[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +160,8 @@ def test_class_coefficients_round_trip():
     coeffs = hamclass.form_class_coefficients(m.form)
     assert coeffs == [1.5, 1.5]
     back = hamclass.form_from_class_coefficients(2, coeffs)
-    assert back.torus_omega[0][1] == 1.5
-    assert float(back.sphere_coeffs[0]) == 0.75
+    assert torus_omega(back)[0][1] == 1.5
+    assert float(sphere_coeffs(back)[0]) == 0.75
     # the torus dimension and the count give the shape: past the torus
     # classes every coefficient is a sphere's
     assert back == m.form
@@ -177,7 +178,8 @@ def test_class_coefficients_vs_quadrature():
     m = ProductManifold(dense, (0.7, 1.5))
     form = m.form
     coeffs = hamclass.form_class_coefficients(form)
-    labels = hamclass.h2_class_labels(m.form)
+    labels = [("torus", i, j) for i in range(4) for j in range(i + 1, 4)] \
+        + [("sphere", f) for f in range(2)]
     assert len(coeffs) == len(labels) == 8
     for label, coeff in zip(labels, coeffs):
         if label[0] == "torus":
@@ -194,9 +196,10 @@ def test_class_coefficients_vs_quadrature():
         assert float(coeff) == pytest.approx(numeric, abs=1e-9)
 
 
-def test_h2_labels_order():
-    m = s2xt2()
-    assert hamclass.h2_class_labels(m.form) == [("torus", 0, 1), ("sphere", 0)]
+def test_class_numerators_order():
+    """The torus class, then the sphere's area 2c, over the form's den."""
+    m = s2xt2(c=0.75, omega=((0, 1.25), (-1.25, 0)))
+    assert (hamclass.class_numerators(m.form), m.form.den) == ([5, 6], 4)
 
 
 def test_class_coefficient_order():
@@ -217,7 +220,8 @@ def test_integralize_sqrt2(t2_translations):
     res = hamclass.integralize_form(a, form, classify(m, a, form), 5)
     assert res.q == (Fraction(7, 5),)
     assert res.k == 5
-    assert res.omega_prime.torus_omega == ((0, 7), (-7, 0))
+    assert (res.omega_prime.nums, res.omega_prime.den) \
+        == (((0, 7), (-7, 0)), 1)
     assert res.max_deviation == pytest.approx(abs(1.4 - math.sqrt(2)),
                                               abs=1e-12)
 
@@ -226,7 +230,8 @@ def test_integralize_already_integral(t2_translations):
     m, a = t2_translations
     res = hamclass.integralize_form(a, m.form, classify(m, a), 64)
     assert res.k == 1
-    assert res.omega_prime.torus_omega == ((0, 1), (-1, 0))
+    assert (res.omega_prime.nums, res.omega_prime.den) \
+        == (((0, 1), (-1, 0)), 1)
     assert res.max_deviation == 0.0
 
 
@@ -236,7 +241,7 @@ def test_integralize_sphere_area():
     res = hamclass.integralize_form(a, m.form, classify(m, a), 5)
     # class coefficient 1.4 rounds to 7/5, scaled to 7
     assert res.k == 5
-    assert res.omega_prime.sphere_coeffs == (Fraction(7, 2),)
+    assert sphere_coeffs(res.omega_prime) == (Fraction(7, 2),)
 
 
 def test_integralize_respects_exactness_constraints():
@@ -309,9 +314,8 @@ def test_integral_form_and_deviation_match_fraction_arithmetic(w, c, bound):
                                           for x, y in zip(res.q, coeffs)))
     assert hamclass.form_class_coefficients(res.omega_prime) \
         == [x * res.k for x in res.q]
-    assert all(isinstance(x, Fraction)
-               for x in res.omega_prime.torus_omega[0]
-               + res.omega_prime.sphere_coeffs)
+    assert all(type(x) is int
+               for row in res.omega_prime.nums for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from momentforge import cli, geom, hamclass, moment, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (circle_distance, classify, float_mu1, float_mu2,
-                      lattice_oracle, s2xs2, s2xt2, scenario_moment, sphere,
-                      torus2)
+                      fractions, lattice_oracle, pair, s2xs2, s2xt2,
+                      scenario_moment, sphere, torus2)
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -78,7 +78,7 @@ def test_pure_hamiltonian_has_no_circle_part():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
     mom = build(m, a)
-    assert mom.r == 0 and mom.mu2 == ()
+    assert mom.r == 0 and mom.mu2 == ((), 1)
 
 
 def test_moment_rejects_hamiltonian_circle_generator():
@@ -171,7 +171,7 @@ def test_lattice_values_exact_on_huge_torus_form():
     m = ProductManifold(((0, big, 1, 0), (-big, 0, 0, 1),
                          (-1, 0, 0, big), (0, -1, -big, 0)))
     mom = build(m, ActionSpec(((1, 1, 1, 1),), ((),)))
-    assert all(abs(x) > big // 2 for x in mom.mu2[0])
+    assert all(abs(x) > big // 2 for x in fractions(mom.mu2)[0])
     assert_matches_oracle(mom, lattice_samples(m))
 
 
@@ -186,9 +186,9 @@ def test_lattice_values_exact_past_int64():
     m, a = s2xt2(), ActionSpec(((0, 0), (1, 0), (0, 1)),
                                ((1,), (0,), (2,)))
     mom = build(m, a)
-    bent = tuple(row[:3] + (row[3] + Fraction(1, 3 ** 40),)
-                 for row in mom.mu2)
-    mom = dataclasses.replace(mom, mu2=bent)
+    bent = [row[:3] + [row[3] + Fraction(1, 3 ** 40)]
+            for row in fractions(mom.mu2)]
+    mom = dataclasses.replace(mom, mu2=pair(bent))
     _, mu2 = assert_matches_oracle(mom, lattice_samples(m))
     assert mu2.dtype == object
 

@@ -61,6 +61,23 @@ def test_exact_layers_import_no_numpy():
     assert {at.split(":")[0] for at in imports_of("numpy")} == {"sample.py"}
 
 
+def test_exact_kernels_import_no_fractions():
+    """ratlin computes on integer numerators over one denominator, the one
+    exact matrix type past the parser; Fractions are built only where the
+    CLI renders a value."""
+    assert imports_of("fractions", ("ratlin",)) == []
+
+
+def test_only_the_form_constructor_scales_rationals():
+    """ratlin._scaled, which reads Fraction rows into integer numerators,
+    is referenced only in geom, where the form constructor takes caller
+    rows; every other exact matrix is a pair (N, d) already."""
+    users = {name for name, node in package_nodes()
+             if isinstance(node, ast.Name) and node.id == "_scaled"
+             or isinstance(node, ast.Attribute) and node.attr == "_scaled"}
+    assert users == {"geom.py"}
+
+
 def test_exact_subcommands_load_no_numpy():
     """The subcommands that sample nothing run without loading numpy."""
     code = ("import sys; from momentforge import cli; "

@@ -4,7 +4,8 @@ exact-forms shape with constructed ties), the closed-form 4x4 Pfaffian
 squared against the determinant, the dense matrix product, the defining
 identities of the Hermite form, the lattice split's characterization, the
 Smith invariants against determinantal divisors, and elimination over
-Fractions for the integer kernels."""
+Fractions for the integer kernels.  A rational matrix m enters a kernel as
+the library holds it, the pair (N, d) with m = N / d."""
 
 import copy
 import math
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from momentforge import ratlin
 
-from conftest import determinantal_divisor, exact_decimals
+from conftest import (determinantal_divisor, exact_decimals,
+                      fraction_determinant, fraction_rank, fractions, pair)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -70,12 +72,13 @@ def rational_matrices(draw, square=False, integral=False):
        st.data())
 @settings(max_examples=100, deadline=None)
 def test_mat_mul_is_the_dense_product(a, cols, data):
-    """Skipping zero factors and summing numerators over a common
-    denominator change no entry."""
+    """Skipping zero factors changes no entry, and the product of the pairs
+    (Na, da) and (Nb, db) is (Na Nb, da db)."""
     b = data.draw(st.lists(st.lists(rationals, min_size=cols,
                                     max_size=cols),
                            min_size=len(a[0]), max_size=len(a[0])))
-    assert ratlin.mat_mul(a, b) == [
+    (na, da), (nb, db) = pair(a), pair(b)
+    assert fractions((ratlin.mat_mul(na, nb), da * db)) == [
         [sum(a[i][k] * b[k][j] for k in range(len(b)))
          for j in range(cols)] for i in range(len(a))]
 
@@ -130,17 +133,18 @@ def test_lattice_split_is_the_saturated_left_kernel(m):
     """K m = 0 with n - rank m rows, so K spans the left kernel over Q, and
     [K; C] unimodular, so K is a Z-basis of the kernel's integer points
     (a saturated lattice) and C completes it."""
-    k, c = ratlin.lattice_split(m)
-    assert len(k) == len(m) - ratlin.integer_rank(m)
+    nums, _ = pair(m)
+    k, c = ratlin.lattice_split(nums)
+    assert len(k) == len(m) - fraction_rank(m)
     assert all(type(x) is int for row in k + c for x in row)
-    assert not any(x for row in ratlin.mat_mul(k, m) for x in row)
+    assert not any(x for row in ratlin.mat_mul(k, nums) for x in row)
     assert abs(ratlin.determinant(k + c)) == 1
 
 
 def test_lattice_split_saturates():
     """x / 2 + y / 3 = 0 has the rational solution (1, -3/2); its integer
     points are the multiples of (2, -3)."""
-    k, c = ratlin.lattice_split([[Fraction(1, 2)], [Fraction(1, 3)]])
+    k, c = ratlin.lattice_split(pair([[Fraction(1, 2)], [Fraction(1, 3)]])[0])
     assert k in ([[2, -3]], [[-2, 3]])
     assert len(c) == 1
     assert ratlin.lattice_split([[], []]) == (ratlin.identity(2), [])
@@ -250,71 +254,33 @@ def test_antisymmetric_determinant_is_pfaffian_squared(entries):
 
 
 def test_clear_denominators():
-    assert ratlin.clear_denominators(
-        [Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
+    [nums], _ = pair([[Fraction(1, 2), Fraction(1, 3)]])
+    assert ratlin.clear_denominators(nums) == [3, 2]
     assert ratlin.clear_denominators([2, 4]) == [1, 2]
+    assert ratlin.clear_denominators([-6, 4]) == [-3, 2]
     assert ratlin.clear_denominators([0, 0]) == [0, 0]
 
 
 # ---------------------------------------------------------------------------
 # the integer kernels against elimination over Fractions
 #
-# The reference oracles below eliminate in Fraction arithmetic, one
-# normalised Fraction per step: slow, but exact by construction.
-
-def _fraction_determinant(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            a[i] = [a[i][j] - f * a[c][j] for j in range(n)]
-    return det
-
-
-def _fraction_rref(a, cols):
-    """Reduce the Fraction rows a in place; return the pivot columns."""
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-    return pivots
-
-
-def _fraction_rank(m):
-    return len(_fraction_rref([[Fraction(x) for x in row] for row in m],
-                              len(m[0])))
-
+# The reference oracles (conftest.fraction_rank and fraction_determinant)
+# eliminate in Fraction arithmetic, one normalised Fraction per step: slow,
+# but exact by construction.  The kernels read the numerators of the pair.
 
 @given(rational_matrices(square=True))
 @settings(max_examples=150, deadline=None)
 def test_determinant_matches_fraction_elimination(m):
-    det = ratlin.determinant(m)
-    assert type(det) is Fraction
-    assert det == _fraction_determinant(m)
+    nums, d = pair(m)
+    det = ratlin.determinant(nums)
+    assert type(det) is int
+    assert Fraction(det, d ** len(m)) == fraction_determinant(m)
 
 
 @given(rational_matrices())
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_fraction_elimination(m):
-    assert ratlin.integer_rank(m) == _fraction_rank(m)
+    assert ratlin.integer_rank(pair(m)[0]) == fraction_rank(m)
 
 
 @given(rational_matrices(square=True))
@@ -322,6 +288,7 @@ def test_rank_matches_fraction_elimination(m):
 def test_kernels_leave_their_input_alone(m):
     """Elimination works on fresh rows: tuple rows are accepted and list
     rows come back unchanged."""
+    m, _ = pair(m)
     before = copy.deepcopy(m)
     rows = tuple(tuple(row) for row in m)
     for f in (ratlin.determinant, ratlin.integer_rank,
@@ -335,10 +302,12 @@ def test_kernels_leave_their_input_alone(m):
 @settings(max_examples=60, deadline=None)
 def test_mat_mul_without_denominators_returns_ints(a, cols, as_fractions,
                                                    data):
-    """Integral Fractions have no denominator either."""
+    """Integral Fractions have no denominator either: their pair is over
+    1, and the product of integer rows is integer rows."""
     b = data.draw(int_matrix(len(a[0]), cols))
     if as_fractions:
-        b = [[Fraction(x) for x in row] for row in b]
+        b, d = pair([[Fraction(x) for x in row] for row in b])
+        assert d == 1
     assert all(type(x) is int for row in ratlin.mat_mul(a, b) for x in row)
 
 

@@ -104,9 +104,10 @@ def test_induced_moment_negative_control():
     """A parent circle covector with a theta slot on the reduced sphere
     varies along the collapsed orbits."""
     mom = mixed_moment()
-    cov = list(mom.mu2[0])
-    cov[mom.manifold.sphere_offset(0)] = 1
-    bent = dataclasses.replace(mom, mu2=(tuple(cov),) + mom.mu2[1:])
+    nums, d = mom.mu2
+    cov = list(nums[0])
+    cov[mom.manifold.sphere_offset(0)] = d
+    bent = dataclasses.replace(mom, mu2=((tuple(cov),) + nums[1:], d))
     reduced = reduction.reduce_at(bent, 0, 0.5)
     with pytest.raises(reduction.NotInvariantOnOrbits):
         reduction.induced_moment(reduced)
@@ -140,9 +141,10 @@ def test_heredity_negative_control():
     non-Hamiltonian nor onto the circle."""
     reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
     mom = reduced.moment
-    flat = (0,) * len(mom.mu2[0])
-    broken = dataclasses.replace(
-        reduced, moment=dataclasses.replace(mom, mu2=(flat,) + mom.mu2[1:]))
+    nums, d = mom.mu2
+    flat = (0,) * len(nums[0])
+    broken = dataclasses.replace(reduced, moment=dataclasses.replace(
+        mom, mu2=((flat,) + nums[1:], d)))
     verdict = reduction.heredity_check(broken)
     assert verdict.applicable
     assert not verdict.residual_non_hamiltonian and not verdict.surjective
