@@ -1,7 +1,7 @@
 """Image structure of the generalized moment: the exact moment polytope of
-the Hamiltonian part, the exact no-extremum predicate, the first-Betti-number
-bound, and explicit cycle lifting.  The sampled coverage of the full image
-is sample.product_coverage_check."""
+the Hamiltonian part, the first-Betti-number bound, and explicit cycle
+lifting.  The sampled coverage of the full image is
+sample.product_coverage_check."""
 
 from __future__ import annotations
 
@@ -14,14 +14,6 @@ from .moment import GeneralizedMoment
 
 # moment_polytope visits 2^(spheres whose height enters mu1) pole images
 MAX_POLES = 2 ** 16
-
-
-class PreconditionViolated(Exception):
-    pass
-
-
-class NoIntegerDirection(Exception):
-    pass
 
 
 def _dot(u, v):
@@ -105,23 +97,6 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
                           tuple(offsets), d)
 
 
-@dataclass(frozen=True)
-class ExtremumReport:
-    covectors_nonzero: tuple
-    passed: bool
-
-
-def circle_extremum_check(moment: GeneralizedMoment) -> ExtremumReport:
-    """Exact no-local-extremum test for the circle components.  A component
-    is x -> <a, x> mod 1 on the torus coordinates (plus sphere terms); a
-    nonzero integer covector a makes it a submersion onto the circle, so it
-    has no local extremum; a zero covector fails the check."""
-    if moment.r < 1:
-        raise ValueError("no circle components to check")
-    nonzero = tuple(any(cov) for cov in moment.torus_covectors)
-    return ExtremumReport(nonzero, all(nonzero))
-
-
 # ---------------------------------------------------------------------------
 # Betti bound
 
@@ -136,13 +111,10 @@ class BettiReport:
 
 def betti_bound_check(moment: GeneralizedMoment) -> BettiReport:
     """Rank of the period matrix restricted to the complement generators,
-    the torus slots of mu2, must equal r (totally non-Hamiltonian
-    restriction) and r <= b1."""
+    the torus slots of mu2: r, as the complement completes the period
+    matrix's left kernel to a basis, so r <= b1, the column count."""
     r = moment.classification.r
     rank = ratlin.integer_rank(moment.torus_covectors)
-    if rank < r:
-        raise PreconditionViolated(
-            "some combination of complement generators is Hamiltonian")
     b1 = moment.manifold.b1
     return BettiReport(rank, r, b1, r <= b1, r == b1)
 
@@ -164,7 +136,8 @@ def cycle_lift(moment: GeneralizedMoment) -> CycleLift:
     (gcd-limited) number of times.  Every component is linear, so along the
     loop a component moves by <covector, u> t from any base point: the
     frozen deviation is the largest such pairing, exactly, and the winding
-    is <last, u>.
+    is <last, u>, nonzero since the covectors have rank r.  mu1 has no
+    torus slots and u is admissible, so the deviation is 0.
 
     The admissible lattice {u in Z^m : <first_i, u> = 0} is the integer
     left kernel of the first covectors as columns."""
@@ -181,9 +154,6 @@ def cycle_lift(moment: GeneralizedMoment) -> CycleLift:
         a, b = _bezout(winding, _dot(last, w))
         u = [a * x + b * y for x, y in zip(u, w)]
         winding = _dot(last, u)
-    if not winding:
-        raise NoIntegerDirection(
-            "last covector vanishes on the admissible lattice")
     # the frozen pairings, over mu1's denominator d
     nums, d = moment.mu1
     deviation = max([abs(_dot(cov, u)) * d for cov in first]

@@ -13,16 +13,6 @@ from .geom import ActionSpec
 from .moment import GeneralizedMoment
 
 
-class NonIntegerPeriod(Exception):
-    """A cocycle entry failed the integrality check: the form fed in was
-    not actually integral."""
-
-
-class FixedPointChainBroken(Exception):
-    """The action has fixed points, yet one of their consequences (isotropic
-    orbits, a vanishing cocycle, an invariant circle part) fails."""
-
-
 def _pairings(rows: list, cols: list) -> list:
     """The integer matrix [<row_i, col_j>], rows times cols transposed."""
     return [[sum(a * b for a, b in zip(row, col)) for col in cols]
@@ -38,22 +28,15 @@ def _max_abs(m: list, d: int):
 def cocycle_matrix(moment: GeneralizedMoment) -> list:
     """Z[i][j] = integral of the i-th generator's contracted form over the
     j-th circle orbit: Z = mu2 (H G)^T for the complement generators H and
-    the orbit matrix G, exact, with integer entries and a zero diagonal.
-    Sphere orbits are latitude circles, which pair to zero, so only the
-    torus windings contribute and no basepoint enters."""
+    the orbit matrix G, exact.  Sphere orbits are latitude circles, which
+    pair to zero (mu2 vanishes on the theta slots, G on the heights), so
+    only the integral torus slots of mu2 meet the integer translations:
+    Z is an integer matrix, and no basepoint enters.  It is
+    sign H P H^T (exact_equivariance), so its diagonal is 0."""
     nums, d = moment.mu2
-    z = _pairings(nums, ratlin.mat_mul(
+    return [[x // d for x in row] for row in _pairings(nums, ratlin.mat_mul(
         moment.classification.complement_generators,
-        moment.action.orbit_matrix()))
-    for i, row in enumerate(z):
-        for j, entry in enumerate(row):
-            if entry % d:
-                raise NonIntegerPeriod(f"Z[{i}][{j}] = {Fraction(entry, d)}")
-    z = [[x // d for x in row] for row in z]
-    for i in range(len(z)):
-        if z[i][i] != 0:
-            raise NonIntegerPeriod(f"nonzero diagonal Z[{i}][{i}] = {z[i][i]}")
-    return z
+        moment.action.orbit_matrix()))]
 
 
 @dataclass(frozen=True)
@@ -121,10 +104,11 @@ class NaturalEquivarianceVerdict:
 
 def natural_equivariance(moment: GeneralizedMoment, z: list,
                          iso: IsotropyReport) -> NaturalEquivarianceVerdict:
-    """Verdict chain: fixed points imply isotropic orbits (iso, from
-    isotropic_orbit_test), a vanishing cocycle z (from cocycle_matrix),
-    and full invariance of the circle part.  Without fixed points the
-    three properties are still reported (isotropy can hold anyway).
+    """Isotropic orbits (iso, from isotropic_orbit_test), a vanishing
+    cocycle z (from cocycle_matrix), and full invariance of the circle
+    part.  Fixed points imply all three: with no translation, G is 0 on
+    the torus slots, so P = G W G^T = 0.  Without fixed points the three
+    are still reported (isotropy can hold anyway).
 
     mu2 is invariant under the whole torus iff (mu2 covectors) G^T = 0.
     That matrix is sign * H P, P = G W G^T the isotropy pairings, so
@@ -137,13 +121,6 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
     max_err = _max_abs(_pairings(moment.mu2[0], action.orbit_matrix()),
                        moment.mu2[1])
     mu2_invariant = max_err == 0
-    if has_fp:
-        for holds, what in ((iso.isotropic, "orbits not isotropic"),
-                            (z_zero, "cocycle nonzero"),
-                            (mu2_invariant, "mu2 not invariant")):
-            if not holds:
-                raise FixedPointChainBroken(
-                    f"fixed points present but {what}")
     natural = iso.isotropic and z_zero and mu2_invariant
     return NaturalEquivarianceVerdict(has_fp, iso.isotropic, z_zero,
                                       mu2_invariant, natural, max_err)
@@ -153,8 +130,6 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
 class LocalFreenessVerdict:
     z_rank: int
     r: int
-    hypothesis_holds: bool   # rank(Z) == r
-    stabilizers_finite: bool | None  # None when the corollary is silent
     note: str
 
 
@@ -168,9 +143,9 @@ def local_freeness_check(moment: GeneralizedMoment,
         # Z = mu2 (H G)^T, so rank Z = r forces rank H G = r, and G is the
         # generator matrix with zero columns added: the direction matrix
         # of H has full rank, so the stabilizers are finite
-        return LocalFreenessVerdict(rank, r, True, True,
+        return LocalFreenessVerdict(rank, r,
                                     "rank(Z) = r: action locally free")
     if r == 0:
-        return LocalFreenessVerdict(0, 0, True, True, "vacuous: r = 0")
-    return LocalFreenessVerdict(rank, r, False, None,
+        return LocalFreenessVerdict(0, 0, "vacuous: r = 0")
+    return LocalFreenessVerdict(rank, r,
                                 "corollary not applicable: rank(Z) < r")

@@ -74,7 +74,6 @@ class IntegralizationResult:
     q: tuple                     # rational class coefficients of the
                                  # intermediate form, in the H^2 basis order
     max_deviation: float         # sup-norm coefficient distance to omega
-    classification: ActionClassification
     covectors: tuple             # geom.field_covectors of omega_prime
 
 
@@ -107,14 +106,13 @@ def form_from_class_coefficients(torus_dim: int, coeffs) -> ProductForm:
 
 
 def integralize_form(action: ActionSpec, form: ProductForm,
-                     classification: ActionClassification,
                      max_denominator: int) -> IntegralizationResult:
     """Round the form's class coefficients to the best rationals with
     denominator <= max_denominator, scale them integral, and check that the
-    integral form is still nondegenerate.  It then splits the action as
-    `classification` (the form's own) does: the periods are sign V Omega
-    for the translations V, and the split reads only their column space,
-    which is V's whenever Omega is nonsingular.
+    integral form is still nondegenerate.  The form's own classification
+    then splits the action for omega_prime too: the periods are
+    sign V Omega for the translations V, and the split reads only their
+    column space, which is V's whenever Omega is nonsingular.
 
     All in integer numerators: each class coefficient n / d rounds to a
     coprime p / s, k is the lcm of the s, and omega_prime's coefficients
@@ -137,19 +135,18 @@ def integralize_form(action: ActionSpec, form: ProductForm,
     dev = max(abs(p * d - n * s) * (k // s) for (p, s), n in zip(q, a))
     return IntegralizationResult(omega_prime, k,
                                  tuple(Fraction(p, s) for p, s in q),
-                                 dev / (k * d), classification,
+                                 dev / (k * d),
                                  geom.field_covectors(action, omega_prime))
 
 
 def integralize_with_retry(action: ActionSpec, form: ProductForm,
-                           classification: ActionClassification,
                            max_denominator: int) -> IntegralizationResult:
     """Retry policy for the open conditions: double the denominator bound
     until 2**16, then give up."""
     bound = max_denominator
     while True:
         try:
-            return integralize_form(action, form, classification, bound)
+            return integralize_form(action, form, bound)
         except RoundingBrokeNondegeneracy:
             if bound >= 2 ** 16:
                 raise

@@ -22,10 +22,6 @@ from .geom import ActionSpec, ProductForm, ProductManifold
 from .hamclass import ActionClassification
 
 
-class GeneratorIsHamiltonian(Exception):
-    pass
-
-
 class NotAFixedPoint(Exception):
     pass
 
@@ -112,24 +108,17 @@ def generalized_moment(manifold: ProductManifold, action: ActionSpec,
                        classification: ActionClassification,
                        covectors) -> GeneralizedMoment:
     """The basis times covectors, the field covectors of omega_prime,
-    split at c, each part in its own lowest terms: the Hamiltonian rows
-    must have no periods, and every circle row needs a nonzero integral
-    torus part."""
-    m, c = manifold.torus_dim, classification.c
-    nums, d = covectors
+    split at c, each part in its own lowest terms.  classification must be
+    that of a form whose periods have the left kernel of omega_prime's (its
+    own, or the form it integralizes).  Then the Hamiltonian rows B p
+    vanish on the torus slots, and the circle rows C p have rank r, so no
+    torus part is zero, and it is integral since omega_prime is."""
+    c, (nums, d) = classification.c, covectors
     rows = ratlin.mat_mul(classification.hamiltonian_basis
                           + classification.complement_generators, nums)
-    mu1, mu2 = ratlin.lowest(rows[:c], d), ratlin.lowest(rows[c:], d)
-    if any(any(row[:m]) for row in mu1[0]):
-        raise ValueError("Hamiltonian basis vector has nonzero periods")
-    for row in mu2[0]:
-        if not any(row[:m]):
-            raise GeneratorIsHamiltonian(
-                "all loop periods vanish for this generator")
-        if any(x % mu2[1] for x in row[:m]):
-            raise ValueError("form is not integral: non-integer loop periods")
     return GeneralizedMoment(manifold, action, omega_prime, classification,
-                             mu1, mu2, covectors)
+                             ratlin.lowest(rows[:c], d),
+                             ratlin.lowest(rows[c:], d), covectors)
 
 
 @dataclass(frozen=True)

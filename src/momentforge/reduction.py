@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geom, hamclass, moment as moment_mod, ratlin
+from . import geom, hamclass, moment as moment_mod
 from .geom import ActionSpec, ProductManifold
 from .moment import GeneralizedMoment
 
@@ -25,23 +25,20 @@ class NotFree(Exception):
     pass
 
 
-class NotInvariantOnOrbits(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ReducedSpace:
-    """The quotient by the circle of parent's generator, where the reduced
-    sphere has the given height; its form is moment.omega_prime.  A point
-    quotient has manifold, action and moment None."""
+    """The quotient by a circle that rotates one sphere, where that sphere
+    has the given height; its form is moment.omega_prime.  A point
+    quotient has manifold, action and moment None.  The parent moment
+    descends with no check: the collapsed orbit lies on the sphere's theta
+    slot, where no field covector has an entry, so every parent component
+    is constant on it."""
 
     manifold: ProductManifold | None
     action: ActionSpec | None
     moment: GeneralizedMoment | None
     sphere: int
     height: Fraction
-    parent: GeneralizedMoment
-    generator: int
 
     @property
     def dim(self) -> int:
@@ -80,7 +77,7 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
     if not manifold.torus_dim and not keep:
         # the level set is one free orbit, and no residual generator is
         # left to act on the point it collapses to
-        return ReducedSpace(None, None, None, f, h, moment, generator)
+        return ReducedSpace(None, None, None, f, h)
 
     # the reduced form is omega_prime with sphere f dropped from nums / den
     m, w = manifold.torus_dim, moment.omega_prime.nums
@@ -97,23 +94,7 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
                                                           new_form))
     new_moment = moment_mod.generalized_moment(new_manifold, new_action,
                                                new_form, cls, covectors)
-    return ReducedSpace(new_manifold, new_action, new_moment, f, h, moment,
-                        generator)
-
-
-def induced_moment(reduced: ReducedSpace) -> GeneralizedMoment:
-    """The reduced moment, checked to be well defined: the parent moment
-    must be constant on the collapsed orbits of the level set.  A
-    component moves along the orbit of generator j by <covector, G_j>, so
-    every parent covector must pair to zero with the reduced generator's
-    row of the orbit matrix G."""
-    parent = reduced.parent
-    orbit = parent.action.orbit_matrix()[reduced.generator]
-    if any(ratlin.mat_mul([orbit], ratlin.transpose(
-            parent.mu1[0] + parent.mu2[0]))[0]):
-        raise NotInvariantOnOrbits(
-            "a parent moment component varies along a collapsed orbit")
-    return reduced.moment
+    return ReducedSpace(new_manifold, new_action, new_moment, f, h)
 
 
 @dataclass(frozen=True)

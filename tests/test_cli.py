@@ -5,6 +5,7 @@ import configparser
 import dataclasses
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from momentforge import (cli, convex, equiv, geom, moment as moment_mod,
-                         reduction, sample)
+from momentforge import cli, convex, geom, reduction, sample
 
-from conftest import (covectors, lattice_oracle, pair, scenario_moment,
-                      sphere_coeffs, torus_omega)
+from conftest import lattice_oracle, scenario_moment
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -434,9 +433,6 @@ grid = 8
         assert section[f"stage{i}_regular"] is True
         assert section[f"stage{i}_dimension"] == reduced.dim
         assert section[f"stage{i}_heredity_applicable"] is her.applicable
-        assert section[f"stage{i}_non_hamiltonian"] \
-            is her.residual_non_hamiltonian
-        assert section[f"stage{i}_mu2_surjective"] is her.surjective
 
 
 def test_coverage_grid_over_budget_is_config_error(tmp_path, capsys):
@@ -456,6 +452,22 @@ grid = 100
     err = capsys.readouterr().err
     assert err.startswith("config error: convexity: grid = 100 with c = 10, "
                           f"r = 0 needs {100 ** 10} coverage cells, above")
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, below):
+    """--out naming an existing file, or a directory that cannot be made
+    under one: the report is printed, then a config error, exit 2, and no
+    traceback."""
+    out = tmp_path / "taken"
+    out.write_text("")
+    out = out / "sub" if below else out
+    assert cli.main(["all", "--scenario", "two_torus", "--out",
+                     str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("scenario = two_torus\n")
+    assert captured.out.endswith("overall = pass\n")
+    assert captured.err.startswith(f"config error: cannot write {out}: ")
 
 
 def test_over_budget_stage_keeps_the_completed_sections(tmp_path, capsys):
@@ -516,36 +528,9 @@ def test_bad_reduce_generators_are_config_errors(tmp_path, capsys,
     assert fragment in capsys.readouterr().err
 
 
-def test_non_integral_loop_periods_fail(monkeypatch):
-    """mu2_loop_periods_integral reads the exact periods of the moment's
-    mu2 rows: the moment of a form with half-integral periods (3/2 times
-    the integral one) fails it."""
-    real = cli.moment_mod.generalized_moment
-
-    def halved(manifold, action, omega_prime, cls, held):
-        mom = real(manifold, action, omega_prime, cls, held)
-        half = geom.ProductForm(
-            [[3 * x / 2 for x in row] for row in torus_omega(omega_prime)],
-            sphere_coeffs(omega_prime))
-        mu2 = covectors(action, half, cls.complement_generators)
-        return dataclasses.replace(mom, omega_prime=half, mu2=pair(mu2),
-                                   covectors=geom.field_covectors(action,
-                                                                  half))
-
-    sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
-    assert cli.run_scenario(sc, ("moment",)).sections["moment"][
-        "mu2_loop_periods_integral"] is True
-    monkeypatch.setattr(cli.moment_mod, "generalized_moment", halved)
-    report = cli.run_scenario(sc, ("moment",))
-    assert report.sections["moment"]["mu2_loop_periods_integral"] is False
-    assert "moment.mu2_loop_periods_integral" in report.failures
-
-
-def test_perturbed_mu2_row_fails_the_equivariance_certificate(monkeypatch):
-    """A moment whose mu2 row is no longer a primitive of the contracted
-    form fails the certificate: one torus slot moved by 1 off the
-    diagonal of Z leaves Z integral with a zero diagonal, yet differs from
-    the form's pairing sign H P H^T by 1."""
+def bend_mu2(monkeypatch):
+    """Make the CLI's moments move one torus slot of their first mu2 row
+    by 1."""
     real = cli.moment_mod.generalized_moment
 
     def bent(*args):
@@ -555,8 +540,16 @@ def test_perturbed_mu2_row_fails_the_equivariance_certificate(monkeypatch):
         row[1] += d
         return dataclasses.replace(mom, mu2=((tuple(row),) + nums[1:], d))
 
-    sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
     monkeypatch.setattr(cli.moment_mod, "generalized_moment", bent)
+
+
+def test_perturbed_mu2_row_fails_the_equivariance_certificate(monkeypatch):
+    """A moment whose mu2 row is no longer a primitive of the contracted
+    form fails the certificate: one torus slot moved by 1 off the
+    diagonal of Z leaves Z integral with a zero diagonal, yet differs from
+    the form's pairing sign H P H^T by 1."""
+    sc = cli.load_scenario(cli.bundled_scenario_path("two_torus"))
+    bend_mu2(monkeypatch)
     report = cli.run_scenario(sc, ("equivariance",))
     section = report.sections["equivariance"]
     assert section["max_mu2_error"] == 1
@@ -564,45 +557,85 @@ def test_perturbed_mu2_row_fails_the_equivariance_certificate(monkeypatch):
     assert "equivariance.equivariant" in report.failures
 
 
-# exception -> (module, function that raises it, stage whose key it fails)
-STAGE_RAISES = {
-    convex.PreconditionViolated: (convex, "betti_bound_check", "betti"),
-    convex.NoIntegerDirection: (convex, "cycle_lift", "convexity"),
-    equiv.NonIntegerPeriod: (equiv, "cocycle_matrix", "equivariance"),
-    equiv.FixedPointChainBroken: (equiv, "natural_equivariance",
-                                  "equivariance"),
-    reduction.NotInvariantOnOrbits: (reduction, "induced_moment", "reduce"),
-    moment_mod.GeneratorIsHamiltonian: (moment_mod, "generalized_moment",
-                                        "integralize"),
+UNDERSAMPLED = """[manifold]
+spheres = 0.5 0.5
+[action]
+generators = | 1 0 ; | 0 1
+[pipeline]
+grid = 20
+coverage_samples = 1000
+"""
+
+# every key that Report.require can receive (stage<i> for any stage), and
+# a planted input that makes it false: a scenario, the text replacements
+# that plant the defect in it, and whether mu2 is bent (bend_mu2)
+REQUIRED_KEY_PLANTS = {
+    "classify.c_matches_expected": ("two_torus", {"c = 0": "c = 1"}),
+    "classify.r_matches_expected": ("two_torus", {"r = 2": "r = 1"}),
+    "integralize.k_matches_expected": ("two_torus", {"k = 1": "k = 2"}),
+    "integralize.omega_prime_matches_expected": (
+        "two_torus", {"omega_prime_torus = 0 1 ; -1 0":
+                      "omega_prime_torus = 0 2 ; -2 0"}),
+    "equivariance.z_matches_expected": (
+        "two_torus", {"z = 0 1 ; -1 0": "z = 0 2 ; -2 0"}),
+    "integralize.converged": (
+        "two_torus", {"torus_omega = 0 1 ; -1 0":
+                      "torus_omega = 0 1e-9 ; -1e-9 0"}),
+    "equivariance.equivariant": ("two_torus", {}, True),
+    "convexity.coverage_ok": (UNDERSAMPLED, {}),
+    "convexity.within_budget": ("two_torus", {"grid = 50": "grid = 5000"}),
+    "reduce.stage<i>_free": ("s2xt2_reduce", {"0 0 | 1 ;": "0 0 | 2 ;"}),
+    "reduce.stage<i>_regular": ("s2xt2_reduce", {"values = 0": "values = 5"}),
 }
 
 
-def test_stage_errors_are_the_listed_exceptions():
-    assert set(cli.STAGE_ERRORS) == set(STAGE_RAISES)
+def any_stage(name: str) -> str:
+    """check.key with a reduce stage number read as stage<i>."""
+    return re.sub(r"\.stage[0-9]+_", ".stage<i>_", name)
 
 
-@pytest.mark.parametrize("exc", STAGE_RAISES, ids=lambda e: e.__name__)
-def test_stage_exception_ends_in_a_failed_report(tmp_path, capsys,
-                                                 monkeypatch, exc):
-    """A library exception inside a stage ends the run with exit 1 and a
-    report whose last section is that stage, with `<stage>.error` as its
-    failed key, and no traceback."""
-    module, name, stage = STAGE_RAISES[exc]
+HERE = Path(__file__).parent
+GOLDENS = sorted(p.name for p in (HERE / "golden").iterdir())
 
-    def raises(*args, **kwargs):
-        raise exc("planted")
 
-    monkeypatch.setattr(module, name, raises)
-    out = tmp_path / "out"
-    assert cli.main(["all", "--scenario", "s2xt2_reduce",
-                     "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert (out / "report.txt").read_text() == captured.out
-    sections = captured.out.split("\n\n")
-    assert sections[-2].startswith(f"[{stage}]\n")
-    assert sections[-2].endswith(f"\nerror = {exc.__name__}: planted")
-    assert sections[-1] == f"overall = FAIL\nfailures = {stage}.error\n"
+@pytest.mark.parametrize("golden", GOLDENS)
+def test_every_required_key_can_fail(monkeypatch, golden):
+    """A required key that no input can make false checks nothing: each
+    one the golden's scenario requires is in REQUIRED_KEY_PLANTS, whose
+    plants test_planted_input_fails_its_required_key makes false."""
+    seen = set()
+    real = cli.Report.require
+
+    def recorded(self, check, key, ok):
+        seen.add(any_stage(f"{check}.{key}"))
+        real(self, check, key, ok)
+
+    monkeypatch.setattr(cli.Report, "require", recorded)
+    ini = HERE / "scenarios" / f"{golden}.ini"
+    cli.run_scenario(cli.load_scenario(
+        ini if ini.is_file() else cli.bundled_scenario_path(golden)))
+    assert seen and seen <= set(REQUIRED_KEY_PLANTS), \
+        seen - set(REQUIRED_KEY_PLANTS)
+
+
+@pytest.mark.parametrize("name", REQUIRED_KEY_PLANTS)
+def test_planted_input_fails_its_required_key(tmp_path, monkeypatch, name):
+    base, edits, *bent = REQUIRED_KEY_PLANTS[name]
+    text = base if "\n" in base \
+        else cli.bundled_scenario_path(base).read_text()
+    for old, new in edits.items():
+        assert old in text, old
+        text = text.replace(old, new)
+    if bent:
+        bend_mu2(monkeypatch)
+    try:
+        report = cli.run_scenario(cli.load_scenario(write(tmp_path, text)))
+    except cli.ConfigError as exc:
+        report = exc.report
+    failed = [f for f in report.failures if any_stage(f) == name]
+    assert failed, report.failures
+    check, key = failed[0].split(".")
+    assert report.sections[check][key] is False
 
 
 def test_expectations_enforced(tmp_path):
@@ -690,8 +723,7 @@ r = 2
 
 
 @pytest.mark.parametrize("text,verdicts", [
-    (T4_IRRATIONAL_CYCLE_LIFT,
-     ("equivariant = true", "cycle_lift_verified = true")),
+    (T4_IRRATIONAL_CYCLE_LIFT, ("equivariant = true", "cycle_winding = ")),
     (T6_DENSE_LARGE_K, ("equivariant = true",)),
 ], ids=["t4-irrational-cycle-lift", "t6-dense-large-k"])
 def test_large_integral_forms_pass(tmp_path, capsys, text, verdicts):
@@ -700,7 +732,7 @@ def test_large_integral_forms_pass(tmp_path, capsys, text, verdicts):
                      "--out", str(out)]) == 0
     lines = (out / "report.txt").read_text().splitlines()
     for verdict in verdicts:
-        assert verdict in lines
+        assert any(line.startswith(verdict) for line in lines), verdict
     [diff] = [line.split(" = ")[1] for line in lines
               if line.startswith("path_difference = ")]
     assert diff.lstrip("-").isdigit()

@@ -259,7 +259,7 @@ def test_matrix_model_matches_the_oracle(product, combos):
         a, geom.field_covectors(a, form)).pairings) == [
         [pairing(m, form, u, w) for w in fields] for u in fields]
     cls = classify(m, a, form)
-    res = hamclass.integralize_with_retry(a, form, cls, 64)
+    res = hamclass.integralize_with_retry(a, form, 64)
     gens = cls.complement_generators
     # Z pairs the field of H_i with the orbit of H_j, which follows the
     # generator data: sign times the field

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentforge import cli, geom, hamclass, moment, sample
-from momentforge.geom import ActionSpec, ProductForm, ProductManifold
+from momentforge.geom import ActionSpec, ProductManifold
 
 from conftest import (circle_distance, classify, float_mu1, float_mu2,
                       fractions, lattice_oracle, pair, s2xs2, s2xt2,
@@ -22,10 +22,9 @@ BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
 
 
 def build(m, a, max_den=64):
-    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
-                                          max_den)
-    return moment.generalized_moment(m, a, res.omega_prime,
-                                     res.classification, res.covectors)
+    res = hamclass.integralize_with_retry(a, m.form, max_den)
+    return moment.generalized_moment(m, a, res.omega_prime, classify(m, a),
+                                     res.covectors)
 
 
 # ---------------------------------------------------------------------------
@@ -79,25 +78,6 @@ def test_pure_hamiltonian_has_no_circle_part():
     a = ActionSpec(((),), ((1,),))
     mom = build(m, a)
     assert mom.r == 0 and mom.mu2 == ((), 1)
-
-
-def test_moment_rejects_hamiltonian_circle_generator():
-    """A classification that puts a sphere rotation in the complement: its
-    circle row has no torus part."""
-    m = sphere()
-    a = ActionSpec(((),), ((1,),))
-    cls = hamclass.ActionClassification((), ((1,),), 1)
-    with pytest.raises(moment.GeneratorIsHamiltonian):
-        moment.generalized_moment(m, a, m.form, cls,
-                                  geom.field_covectors(a, m.form))
-
-
-def test_moment_rejects_non_integral_circle_form(t2_translations):
-    m, a = t2_translations
-    bad = ProductForm(((0, 0.5), (-0.5, 0)), ())
-    with pytest.raises(ValueError):
-        moment.generalized_moment(m, a, bad, classify(m, a),
-                                  geom.field_covectors(a, bad))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ from conftest import classify, float_mu1, s2xs2, s2xt2, sphere
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(a, m.form, classify(m, a),
-                                          64)
-    mom = moment.generalized_moment(m, a, res.omega_prime,
-                                    res.classification, res.covectors)
+    res = hamclass.integralize_with_retry(a, m.form, 64)
+    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a),
+                                    res.covectors)
     return res, mom
 
 
@@ -94,23 +93,15 @@ def test_residual_generator_moving_reduced_sphere_refused():
 # ---------------------------------------------------------------------------
 # the induced moment
 
-def test_induced_moment_well_defined():
-    reduced = reduction.reduce_at(mixed_moment(), 0, 0.5)
-    got = reduction.induced_moment(reduced)
-    assert got is reduced.moment  # never NotInvariantOnOrbits on valid input
-
-
-def test_induced_moment_negative_control():
-    """A parent circle covector with a theta slot on the reduced sphere
-    varies along the collapsed orbits."""
+def test_parent_moment_is_constant_on_the_collapsed_orbit():
+    """The reduced moment is the parent's restricted: the reduced circle's
+    orbit row lies on the sphere's theta slot, where no parent covector
+    has an entry, so every component pairs to 0 with it."""
     mom = mixed_moment()
-    nums, d = mom.mu2
-    cov = list(nums[0])
-    cov[mom.manifold.sphere_offset(0)] = d
-    bent = dataclasses.replace(mom, mu2=((tuple(cov),) + nums[1:], d))
-    reduced = reduction.reduce_at(bent, 0, 0.5)
-    with pytest.raises(reduction.NotInvariantOnOrbits):
-        reduction.induced_moment(reduced)
+    orbit = mom.action.orbit_matrix()[0]
+    assert [o for o in orbit if o] == [1]
+    for row in mom.mu1[0] + mom.mu2[0]:
+        assert sum(x * y for x, y in zip(row, orbit)) == 0
 
 
 def test_induced_moment_hamiltonian_only():
@@ -118,7 +109,7 @@ def test_induced_moment_hamiltonian_only():
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
     reduced = reduction.reduce_at(mom, 0, 0.25)
-    induced = reduction.induced_moment(reduced)
+    induced = reduced.moment
     assert induced.c == 1
     pts = np.array([[0.0, 0.3]])
     assert float_mu1(induced, pts)[0, 0] == pytest.approx(0.3)
