@@ -96,25 +96,14 @@ def _number(token: str, where: str) -> tuple:
 
 
 def _parse_matrix(text: str, where: str) -> tuple:
-    """Rows of exact numbers as (N, d), integer rows over one denominator.
-    A token below the diagonal that reads as the negation of its partner
-    above (n and -n, n unsigned) reuses that entry negated."""
-    tokens = [chunk.split() for chunk in text.split(";") if chunk.strip()]
-    rows = []
-    for i, row in enumerate(tokens):
-        rows.append([
-            (-rows[j][i][0], rows[j][i][1]) if j < i < len(tokens[j])
-            and _negates(x, tokens[j][i]) else _number(x, where)
-            for j, x in enumerate(row)])
+    """Rows of exact numbers as (N, d), integer rows over one denominator;
+    a ragged matrix is rejected here, so no kernel re-checks a shape."""
+    rows = [[_number(x, where) for x in chunk.split()]
+            for chunk in text.split(";") if chunk.strip()]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"{where}: ragged matrix")
     d = math.lcm(*[d for row in rows for _, d in row])
     return [[n * (d // e) for n, e in row] for row in rows], d
-
-
-def _negates(x: str, y: str) -> bool:
-    n = y if x == "-" + y else x if y == "-" + x else ""
-    return n[:1] not in ("", "+", "-")
 
 
 def _parse_generators(text: str, torus_dim: int, n_spheres: int,
@@ -212,8 +201,8 @@ def load_scenario(path, *, seed=None, sign=None,
     seed, sign and max_denominator arguments override the file; the seed
     is resolved flag > MOMENTFORGE_SEED > file > 0."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     ini = _read_ini(text, path)
 
@@ -487,7 +476,7 @@ def _prelude(report, scenario):
     _expect(report, scenario, "classify", "c", cls.c)
     _expect(report, scenario, "classify", "r", cls.r)
     try:
-        result = hamclass.integralize_with_retry(A, M.form,
+        result = hamclass.integralize_with_retry(M.form,
                                                  scenario.max_denominator)
     except hamclass.RoundingBrokeNondegeneracy as exc:
         report.add("integralize", "error", f"{type(exc).__name__}: {exc}")
@@ -506,8 +495,7 @@ def _prelude(report, scenario):
     _expect(report, scenario, "integralize", "k", result.k)
     _expect(report, scenario, "integralize", "omega_prime_torus", torus,
             "omega_prime")
-    return moment_mod.generalized_moment(M, A, omega_prime, cls,
-                                         result.covectors)
+    return moment_mod.generalized_moment(M, A, omega_prime, cls)
 
 
 def _run_moment(report, scenario, mom):

@@ -140,9 +140,8 @@ def cycle_lift(moment: GeneralizedMoment) -> CycleLift:
     torus slots and u is admissible, so the deviation is 0.
 
     The admissible lattice {u in Z^m : <first_i, u> = 0} is the integer
-    left kernel of the first covectors as columns."""
-    if moment.r < 1:
-        raise ValueError("need at least one circle component")
+    left kernel of the first covectors as columns; the moment needs a
+    circle part (r >= 1)."""
     m = moment.manifold.torus_dim
     covs = list(moment.torus_covectors)
     first, last = covs[:-1], covs[-1]

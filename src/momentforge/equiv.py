@@ -97,7 +97,6 @@ class NaturalEquivarianceVerdict:
     has_fixed_points: bool
     orbits_isotropic: bool
     z_is_zero: bool
-    mu2_invariant: bool
     naturally_equivariant: bool
     max_mu2_invariance_error: Fraction
 
@@ -120,16 +119,14 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = _max_abs(_pairings(moment.mu2[0], action.orbit_matrix()),
                        moment.mu2[1])
-    mu2_invariant = max_err == 0
-    natural = iso.isotropic and z_zero and mu2_invariant
+    natural = iso.isotropic and z_zero and max_err == 0
     return NaturalEquivarianceVerdict(has_fp, iso.isotropic, z_zero,
-                                      mu2_invariant, natural, max_err)
+                                      natural, max_err)
 
 
 @dataclass(frozen=True)
 class LocalFreenessVerdict:
     z_rank: int
-    r: int
     note: str
 
 
@@ -143,9 +140,7 @@ def local_freeness_check(moment: GeneralizedMoment,
         # Z = mu2 (H G)^T, so rank Z = r forces rank H G = r, and G is the
         # generator matrix with zero columns added: the direction matrix
         # of H has full rank, so the stabilizers are finite
-        return LocalFreenessVerdict(rank, r,
-                                    "rank(Z) = r: action locally free")
+        return LocalFreenessVerdict(rank, "rank(Z) = r: action locally free")
     if r == 0:
-        return LocalFreenessVerdict(0, 0, "vacuous: r = 0")
-    return LocalFreenessVerdict(rank, r,
-                                "corollary not applicable: rank(Z) < r")
+        return LocalFreenessVerdict(0, "vacuous: r = 0")
+    return LocalFreenessVerdict(rank, "corollary not applicable: rank(Z) < r")

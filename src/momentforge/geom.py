@@ -23,7 +23,6 @@ is a product of these matrices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -197,26 +196,18 @@ def field_covectors(action: ActionSpec, form: ProductForm) -> tuple:
 
 @dataclass(frozen=True)
 class FixedPointSet:
-    """'empty', a finite list of points, or a positive-dimensional
+    """'empty', a finite set of points, or a positive-dimensional
     submanifold: the pole combinations on the rotated spheres times the
     torus and the unrotated spheres."""
 
     kind: str                      # 'empty' | 'finite' | 'submanifold'
-    points: tuple = ()             # explicit pole coordinates
 
 
 def fixed_point_set(manifold: ProductManifold,
                     action: ActionSpec) -> FixedPointSet:
     if any(any(v) for v in action.translations):
         return FixedPointSet("empty")
-    rotated = [f for f in range(manifold.n_spheres)
-               if any(r[f] for r in action.rotations)]
-    pole_choices = []
-    for combo in itertools.product((-1, 1), repeat=len(rotated)):
-        x = manifold.basepoint()
-        for f, h in zip(rotated, combo):
-            x[manifold.sphere_offset(f) + 1] = h
-        pole_choices.append(tuple(x))
-    finite = manifold.torus_dim == 0 and len(rotated) == manifold.n_spheres
-    return FixedPointSet("finite" if finite else "submanifold",
-                         tuple(pole_choices))
+    rotated = sum(any(r[f] for r in action.rotations)
+                  for f in range(manifold.n_spheres))
+    finite = manifold.torus_dim == 0 and rotated == manifold.n_spheres
+    return FixedPointSet("finite" if finite else "submanifold")

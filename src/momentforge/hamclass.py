@@ -32,7 +32,6 @@ class ActionClassification:
                                 # combinations
     complement_generators: tuple  # r integer vectors completing it to a
                                   # basis of Z^r_total, in HNF
-    r_total: int
 
     @property
     def c(self) -> int:
@@ -61,7 +60,7 @@ def classify_action(p: tuple) -> ActionClassification:
     ratlin._hermite(ham, n)
     ratlin._hermite(comp, n)
     return ActionClassification(tuple(map(tuple, ham)),
-                                tuple(map(tuple, comp)), n)
+                                tuple(map(tuple, comp)))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,6 @@ class IntegralizationResult:
     q: tuple                     # rational class coefficients of the
                                  # intermediate form, in the H^2 basis order
     max_deviation: float         # sup-norm coefficient distance to omega
-    covectors: tuple             # geom.field_covectors of omega_prime
 
 
 def form_class_coefficients(form: ProductForm) -> list:
@@ -105,25 +103,24 @@ def form_from_class_coefficients(torus_dim: int, coeffs) -> ProductForm:
     return ProductForm(om, list(coeffs), 2)
 
 
-def integralize_form(action: ActionSpec, form: ProductForm,
+def integralize_form(form: ProductForm,
                      max_denominator: int) -> IntegralizationResult:
-    """Round the form's class coefficients to the best rationals with
-    denominator <= max_denominator, scale them integral, and check that the
-    integral form is still nondegenerate.  The form's own classification
-    then splits the action for omega_prime too: the periods are
-    sign V Omega for the translations V, and the split reads only their
-    column space, which is V's whenever Omega is nonsingular.
+    """Round the class coefficients of a manifold's (nondegenerate) form to
+    the best rationals with denominator <= max_denominator, scale them
+    integral, and check that the integral form is still nondegenerate.
+    The form's own classification then splits the action for omega_prime
+    too: the periods are sign V Omega for the translations V, and the
+    split reads only their column space, which is V's whenever Omega is
+    nonsingular.
 
     All in integer numerators: each class coefficient n / d rounds to a
     coprime p / s, k is the lcm of the s, and omega_prime's coefficients
     are the integers p k / s.  omega_prime is k times the rounded form, so
-    the check reads as it would on it; omega_prime's field covectors serve
-    the moment.  The deviation, the largest |p d - n s| / (s d), is taken
-    over the common denominator k d and divided once, so it is the
-    correctly rounded float.  Raises RoundingBrokeNondegeneracy when the
-    denominator bound is too coarse; see integralize_with_retry."""
-    if not form.is_nondegenerate():
-        raise ValueError("input form is degenerate")
+    the check reads as it would on it.  The deviation, the largest
+    |p d - n s| / (s d), is taken over the common denominator k d and
+    divided once, so it is the correctly rounded float.  Raises
+    RoundingBrokeNondegeneracy when the denominator bound is too coarse;
+    see integralize_with_retry."""
     a, d = class_numerators(form), form.den
     q = [ratlin.rational_round(n, d, max_denominator) for n in a]
     k = math.lcm(*[s for _, s in q])
@@ -135,18 +132,17 @@ def integralize_form(action: ActionSpec, form: ProductForm,
     dev = max(abs(p * d - n * s) * (k // s) for (p, s), n in zip(q, a))
     return IntegralizationResult(omega_prime, k,
                                  tuple(Fraction(p, s) for p, s in q),
-                                 dev / (k * d),
-                                 geom.field_covectors(action, omega_prime))
+                                 dev / (k * d))
 
 
-def integralize_with_retry(action: ActionSpec, form: ProductForm,
+def integralize_with_retry(form: ProductForm,
                            max_denominator: int) -> IntegralizationResult:
     """Retry policy for the open conditions: double the denominator bound
     until 2**16, then give up."""
     bound = max_denominator
     while True:
         try:
-            return integralize_form(action, form, bound)
+            return integralize_form(form, bound)
         except RoundingBrokeNondegeneracy:
             if bound >= 2 ** 16:
                 raise

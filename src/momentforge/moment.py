@@ -105,14 +105,15 @@ class GeneralizedMoment:
 
 def generalized_moment(manifold: ProductManifold, action: ActionSpec,
                        omega_prime: ProductForm,
-                       classification: ActionClassification,
-                       covectors) -> GeneralizedMoment:
-    """The basis times covectors, the field covectors of omega_prime,
-    split at c, each part in its own lowest terms.  classification must be
-    that of a form whose periods have the left kernel of omega_prime's (its
-    own, or the form it integralizes).  Then the Hamiltonian rows B p
-    vanish on the torus slots, and the circle rows C p have rank r, so no
-    torus part is zero, and it is integral since omega_prime is."""
+                       classification: ActionClassification
+                       ) -> GeneralizedMoment:
+    """The basis times the field covectors of omega_prime, split at c, each
+    part in its own lowest terms.  classification must be that of a form
+    whose periods have the left kernel of omega_prime's (its own, or the
+    form it integralizes).  Then the Hamiltonian rows B p vanish on the
+    torus slots, and the circle rows C p have rank r, so no torus part is
+    zero, and it is integral since omega_prime is."""
+    covectors = geom.field_covectors(action, omega_prime)
     c, (nums, d) = classification.c, covectors
     rows = ratlin.mat_mul(classification.hamiltonian_basis
                           + classification.complement_generators, nums)
@@ -126,14 +127,12 @@ class FiberFactorization:
     """Writing the component as (t -> t^d) after a fiber-connected map."""
 
     d: int
-    reduced_covector: tuple
 
 
 def fiber_connected_factorization(covector) -> FiberFactorization:
-    if not any(covector):
-        raise ValueError("zero covector has no factorization")
-    d = math.gcd(*covector)
-    return FiberFactorization(d, tuple(x // d for x in covector))
+    """d is the gcd of the integral torus covector, nonzero for every
+    circle component of a moment (its covectors have rank r)."""
+    return FiberFactorization(math.gcd(*covector))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +179,6 @@ class LocalModelReport:
     max_residual: Fraction  # exact gap between mu1 and the normal form
     minima: tuple          # per mu1 component: is p a minimum
     weight_sign_ok: bool   # weights >= 0 wherever p minimizes
-    circle_covectors_nonzero: bool
     passed: bool
 
 
@@ -214,7 +212,5 @@ def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
         minima.append(is_min)
         if is_min and any(alpha < 0 for alpha in alphas):
             sign_ok = False
-    circles_ok = all(any(t) for t in moment.torus_covectors)
-    passed = max_res == 0 and sign_ok and circles_ok
-    return LocalModelReport(max_res, tuple(minima), sign_ok, circles_ok,
-                            passed)
+    return LocalModelReport(max_res, tuple(minima), sign_ok,
+                            max_res == 0 and sign_ok)

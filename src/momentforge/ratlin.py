@@ -25,16 +25,6 @@ Mat = list  # list of rows
 P = 2 ** 31 - 1  # the prime of the nondegeneracy test and the sample lattice
 
 
-def _check_rect(m: Mat) -> tuple[int, int]:
-    rows = len(m)
-    if rows == 0:
-        return 0, 0
-    cols = len(m[0])
-    if any(len(row) != cols for row in m):
-        raise ValueError("ragged matrix")
-    return rows, cols
-
-
 def _scaled(m: Mat) -> tuple[Mat, int]:
     """(N, d) with m = N / d: fresh rows of integer numerators over the
     least common denominator d of the entries (ints and Fractions)."""
@@ -91,10 +81,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     """The integer product, with zero factors skipped, since the matrices
     here are sparse.  An empty a has no rows, whatever b is, so the product
     is empty."""
-    _check_rect(a)
-    _check_rect(b)
-    if a and len(a[0]) != len(b):
-        raise ValueError("shape mismatch in mat_mul")
     cb = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -109,8 +95,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def transpose(m: Mat) -> Mat:
-    rows, cols = _check_rect(m)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
+    return [list(col) for col in zip(*m)]
 
 
 def clear_denominators(v: list) -> list:
@@ -126,7 +111,6 @@ def clear_denominators(v: list) -> list:
 def integer_rank(m: Mat) -> int:
     """Rank over Q of an integer matrix, by fraction-free Bareiss
     elimination."""
-    _check_rect(m)
     return len(_eliminate([list(row) for row in m])[0])
 
 
@@ -136,7 +120,7 @@ def integer_rank(m: Mat) -> int:
 def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
     """Row-style Hermite normal form: (H, U) with U m = H, U unimodular,
     H upper echelon with positive pivots and reduced entries above them."""
-    rows, cols = _check_rect(m)
+    rows, cols = len(m), len(m[0]) if m else 0
     a = [list(row) + e for row, e in zip(m, identity(rows))]
     _hermite(a, cols)
     return [row[:cols] for row in a], [row[cols:] for row in a]
@@ -183,7 +167,7 @@ def lattice_split(m: Mat) -> tuple[Mat, Mat]:
     basis: canonical, and usually with far smaller entries than m.  K and
     C are then the rows of the Hermite transform U whose Hermite rows
     vanish and do not."""
-    n, _ = _check_rect(m)
+    n = len(m)
     a = transpose(m)
     pivots, last, _ = _eliminate(a, jordan=True)
     if not pivots:
@@ -202,7 +186,7 @@ def smith_diagonal(m: Mat) -> list:
     forms of the matrix and of its transpose alternate until it is
     diagonal (Kannan and Bachem 1979), and gcd / lcm exchanges then make
     each entry divide the next."""
-    rows, cols = _check_rect(m)
+    rows, cols = len(m), len(m[0]) if m else 0
     h = _hermite([list(row) for row in m], cols)
     while any(x for i, row in enumerate(h) for j, x in enumerate(row)
               if i != j):
@@ -258,9 +242,7 @@ def determinant(m: Mat) -> int:
 
     For an antisymmetric form it is the square of the Pfaffian, so it is
     zero exactly when the form is degenerate."""
-    n, cols = _check_rect(m)
-    if n != cols:
-        raise ValueError("not square")
+    n = len(m)
     pivots, last, sign = _eliminate([list(row) for row in m])
     return sign * last if len(pivots) == n else 0
 

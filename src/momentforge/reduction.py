@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geom, hamclass, moment as moment_mod
+from . import hamclass, moment as moment_mod
 from .geom import ActionSpec, ProductManifold
 from .moment import GeneralizedMoment
 
@@ -27,18 +27,15 @@ class NotFree(Exception):
 
 @dataclass(frozen=True)
 class ReducedSpace:
-    """The quotient by a circle that rotates one sphere, where that sphere
-    has the given height; its form is moment.omega_prime.  A point
-    quotient has manifold, action and moment None.  The parent moment
+    """The quotient by a circle that rotates one sphere, at an interior
+    height of that sphere; its form is moment.omega_prime.  A point
+    quotient has manifold and moment None.  The parent moment
     descends with no check: the collapsed orbit lies on the sphere's theta
     slot, where no field covector has an entry, so every parent component
     is constant on it."""
 
     manifold: ProductManifold | None
-    action: ActionSpec | None
     moment: GeneralizedMoment | None
-    sphere: int
-    height: Fraction
 
     @property
     def dim(self) -> int:
@@ -77,7 +74,7 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
     if not manifold.torus_dim and not keep:
         # the level set is one free orbit, and no residual generator is
         # left to act on the point it collapses to
-        return ReducedSpace(None, None, None, f, h)
+        return ReducedSpace(None, None)
 
     # the reduced form is omega_prime with sphere f dropped from nums / den
     m, w = manifold.torus_dim, moment.omega_prime.nums
@@ -89,12 +86,10 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
         tuple(tuple(action.rotations[j][g] for g in keep) for j in residual),
         action.sign)
     new_form = new_manifold.form
-    covectors = geom.field_covectors(new_action, new_form)
     cls = hamclass.classify_action(hamclass.period_matrix(new_action,
                                                           new_form))
-    new_moment = moment_mod.generalized_moment(new_manifold, new_action,
-                                               new_form, cls, covectors)
-    return ReducedSpace(new_manifold, new_action, new_moment, f, h)
+    return ReducedSpace(new_manifold, moment_mod.generalized_moment(
+        new_manifold, new_action, new_form, cls))
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,7 @@ class HeredityVerdict:
     applicable: bool
     residual_non_hamiltonian: bool
     circle_bins_hit: int
-    circle_bins: int
-    surjective: bool
     passed: bool
-    note: str = ""
 
 
 def heredity_check(reduced: ReducedSpace,
@@ -115,11 +107,10 @@ def heredity_check(reduced: ReducedSpace,
     Both hold iff every residual circle covector has a nonzero integer
     torus part: that is a nonzero period row, and x -> <a, x> mod 1 with a
     nonzero integer a is onto the circle, so every one of the circle_bins
-    bins is hit."""
+    bins is hit.  With no circle part left (r = 0, or a point quotient)
+    the check does not apply."""
     mom = reduced.moment
     if mom is None or mom.r == 0:
-        return HeredityVerdict(False, False, 0, circle_bins, False, False,
-                               "vacuous: residual action is Hamiltonian")
+        return HeredityVerdict(False, False, 0, False)
     onto = all(any(cov) for cov in mom.torus_covectors)
-    return HeredityVerdict(True, onto, circle_bins if onto else 0,
-                           circle_bins, onto, onto)
+    return HeredityVerdict(True, onto, circle_bins if onto else 0, onto)

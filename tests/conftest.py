@@ -141,12 +141,11 @@ def pairing(m, form, u, w):
 def scenario_moment(sc):
     """The generalized moment of a loaded scenario, built as the CLI
     builds it."""
-    res = hamclass.integralize_with_retry(sc.action, sc.manifold.form,
+    res = hamclass.integralize_with_retry(sc.manifold.form,
                                           sc.max_denominator)
     return moment.generalized_moment(sc.manifold, sc.action,
                                      res.omega_prime,
-                                     classify(sc.manifold, sc.action),
-                                     res.covectors)
+                                     classify(sc.manifold, sc.action))
 
 
 def lattice_oracle(mom, nums):

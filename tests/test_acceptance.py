@@ -32,9 +32,8 @@ def scenario(name):
 
 
 def pipeline(m, a, max_den=64):
-    res = hamclass.integralize_with_retry(a, m.form, max_den)
-    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a),
-                                    res.covectors)
+    res = hamclass.integralize_with_retry(m.form, max_den)
+    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
     z = equiv.cocycle_matrix(mom)
     return res, mom, z
 
@@ -85,7 +84,7 @@ def test_criterion_02_period_integrality():
 def test_criterion_03_integralization():
     t0 = time.perf_counter()
     sc = scenario("two_torus_sqrt2")
-    res = hamclass.integralize_with_retry(sc.action, sc.manifold.form, 5)
+    res = hamclass.integralize_with_retry(sc.manifold.form, 5)
     ok = (res.omega_prime.nums, res.omega_prime.den) \
         == (((0, 7), (-7, 0)), 1) and res.k == 5
     # 20 randomized irrational instances must keep the classification
@@ -97,7 +96,7 @@ def test_criterion_03_integralization():
         w = float(rng.uniform(0.5, 3.0)) * math.sqrt(2)
         c = float(rng.uniform(0.2, 2.0)) * math.pi / 3.0
         form = ProductForm(((0, w), (-w, 0)), (c,))
-        r2 = hamclass.integralize_with_retry(a, form, 8)
+        r2 = hamclass.integralize_with_retry(form, 8)
         got = hamclass.classify_action(
             hamclass.period_matrix(a, r2.omega_prime))
         ok &= got == base and r2.omega_prime.is_nondegenerate()

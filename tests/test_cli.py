@@ -257,18 +257,28 @@ def test_malformed_files_are_config_errors(tmp_path, capsys, text, fragment):
     assert re.search(fragment, line)
 
 
-def test_lower_triangle_reuses_the_negated_upper_entry(monkeypatch):
-    """Each lower token that negates its upper partner reuses that entry,
-    so only the 10 tokens on and above the diagonal are parsed, and the
-    rows are those of parsing every token."""
+def test_non_utf8_file_is_a_config_error(tmp_path, capsys):
+    """A scenario file is read as UTF-8 whatever the locale: a Latin-1
+    comment ends in exit 2 and one config error line, with no report, and
+    the same comment in UTF-8 is read."""
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(("# café\n" + GOOD).encode("latin-1"))
+    assert cli.main(["all", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"config error: cannot read scenario {path}: ")
+    assert "can't decode" in line
+    path.write_bytes(("# café\n" + GOOD).encode("utf-8"))
+    assert cli.load_scenario(path).name == "latin1"
+
+
+def test_matrix_rows_are_the_parsed_tokens_over_one_denominator():
+    """Every token is parsed, and the rows are its exact values over the
+    lcm of their denominators."""
     text = ("0 1.5 -3/7 0 ; -1.5 0 2e-1 1 ; 3/7 -2e-1 0 -0.25 ; "
             "-0 -1 0.25 0")
-    calls = []
-    real = cli._number
-    monkeypatch.setattr(cli, "_number",
-                        lambda x, where: calls.append(x) or real(x, where))
     nums, d = cli._parse_matrix(text, "where")
-    assert len(calls) == 10
     assert [[Fraction(x, d) for x in row] for row in nums] == [
         [Fraction(t) for t in row.split()] for row in text.split(";")]
 
@@ -426,7 +436,11 @@ grid = 8
     first = int(order.split()[0])
     stage0 = reduction.reduce_at(scenario_moment(sc), first, 0)
     stage1 = reduction.reduce_at(stage0.moment, 0, Fraction(1, 2))
-    assert stage0.sphere == first and stage1.manifold.n_spheres == 0
+    # the listed generator's sphere goes: the other generator still
+    # rotates the one sphere left
+    assert stage0.manifold.n_spheres == 1
+    assert stage0.moment.action.rotations == ((1,), (0,), (0,))
+    assert stage1.manifold.n_spheres == 0
     section = report.sections["reduce"]
     for i, reduced in enumerate((stage0, stage1)):
         her = reduction.heredity_check(reduced)

@@ -23,9 +23,8 @@ from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(a, m.form, 64)
-    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a),
-                                    res.covectors)
+    res = hamclass.integralize_with_retry(m.form, 64)
+    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
     return res, mom
 
 
@@ -480,13 +479,6 @@ def test_cycle_lift_negative_control(s2xt2_mixed):
     bent = dataclasses.replace(mom, mu1=(((d, d) + row[2:],), d))
     lift = convex.cycle_lift(bent)
     assert not lift.verified and lift.max_frozen_deviation == 1
-
-
-def test_cycle_lift_requires_circle_part(s2xs2_rotations):
-    m, a = s2xs2_rotations
-    _, mom = pipeline(m, a)
-    with pytest.raises(ValueError):
-        convex.cycle_lift(mom)
 
 
 def translations_moment(form):

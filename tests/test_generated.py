@@ -3,7 +3,8 @@ manifold universe, run through `momentforge all` twice.
 
 Every input must end in exit 0, 1 or 2 without a traceback, two runs must
 write the same bytes, and a report must split the acting torus completely,
-c + r = r_total."""
+c + r = r_total.  Where it has a [betti] section, the circle covectors have
+rank r and r <= b1: the rank argument that makes the circle part onto."""
 
 import contextlib
 import io
@@ -96,3 +97,8 @@ def test_generated_scenarios_end_in_a_deterministic_report(drawn):
         split = re.search(r"^\[classify\]\nc = (\d+)\nr = (\d+)$", stdout,
                           re.MULTILINE)
         assert int(split[1]) + int(split[2]) == r_total
+        betti = re.search(r"^\[betti\]\nrank = (\d+)\nr = (\d+)\nb1 = (\d+)$",
+                          stdout, re.MULTILINE)
+        if betti:
+            rank, r, b1 = map(int, betti.groups())
+            assert rank == r == int(split[2]) and r <= b1
