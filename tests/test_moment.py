@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from momentforge import cli, geom, hamclass, moment, sample
 from momentforge.geom import ActionSpec, ProductManifold
 
-from conftest import (circle_distance, classify, float_mu1, float_mu2,
-                      fractions, lattice_oracle, pair, s2xs2, s2xt2,
-                      scenario_moment, sphere, torus2)
+from conftest import (circle_distance, classify, covectors, float_mu1,
+                      float_mu2, fractions, lattice_oracle, pair, s2xs2,
+                      s2xt2, scenario_moment, sphere, torus2)
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -77,6 +77,27 @@ def test_pure_hamiltonian_has_no_circle_part():
     a = ActionSpec(((),), ((1,),))
     mom = build(m, a)
     assert mom.r == 0 and mom.mu2 == ((), 1)
+
+
+def test_moment_is_built_from_the_integral_form():
+    """The moment computes its field covectors from omega_prime, not from
+    the manifold's own form: on S^2 x T^2 with irrational areas the two
+    differ, and mu1, mu2 are the basis and complement times omega_prime's
+    covectors, with integral torus slots in mu2."""
+    m = s2xt2(c=0.5 * np.sqrt(3), omega=((0, np.sqrt(2)), (-np.sqrt(2), 0)))
+    a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
+    res = hamclass.integralize_with_retry(m.form, 16)
+    cls = classify(m, a)
+    mom = moment.generalized_moment(m, a, res.omega_prime, cls)
+    assert mom.covectors == geom.field_covectors(a, res.omega_prime)
+    assert mom.covectors != geom.field_covectors(a, m.form)
+    assert fractions(mom.mu1) == covectors(a, res.omega_prime,
+                                           cls.hamiltonian_basis)
+    assert fractions(mom.mu2) == covectors(a, res.omega_prime,
+                                           cls.complement_generators)
+    assert mom.c == 1 and mom.r == 2
+    assert all(x.denominator == 1 for row in fractions(mom.mu2)
+               for x in row[:m.torus_dim])
 
 
 # ---------------------------------------------------------------------------
