@@ -54,6 +54,7 @@ def _fractions(rows, d: int) -> list:
 @dataclass
 class Scenario:
     name: str
+    path: str
     manifold: ProductManifold
     action: ActionSpec
     max_denominator: int
@@ -144,7 +145,7 @@ def _read_ini(text: str, path) -> dict:
     interpolated, and # or ; after a value is part of it.  A duplicate
     section or key, a key before any section, a line that is neither, and
     a [DEFAULT] section raise ConfigError with the line number."""
-    sections, values, key, indent = {}, None, None, 0
+    sections, values, key = {}, None, None
     for number, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped[0] in "#;":
@@ -183,8 +184,7 @@ def _read_ini(text: str, path) -> dict:
             for name, keys in sections.items()}
 
 
-# [pipeline] key -> (default, minimum); the two sample counts are also
-# budgeted: samples times the manifold's dim must fit geom.MAX_SAMPLE_ENTRIES
+# [pipeline] key -> (default, minimum)
 _PIPELINE = {"seed": (0, 0), "max_denominator": (64, 1),
              "samples": (1000, 1), "coverage_samples": (20000, 1),
              "grid": (50, 1)}
@@ -310,16 +310,11 @@ def load_scenario(path, *, seed=None, sign=None,
     overrides = {"seed": seed, "max_denominator": max_denominator}
     pipeline = {}
     for key, (default, minimum) in _PIPELINE.items():
-        value = pipeline[key] = integer("pipeline", key, default, minimum,
-                                        overrides.get(key))
-        entries = value * manifold.dim
-        if key.endswith("samples") and entries > geom.MAX_SAMPLE_ENTRIES:
-            raise ConfigError(f"{path}: {key} = {value} needs {entries} "
-                              f"sample entries (dim {manifold.dim}), above "
-                              f"the budget of {geom.MAX_SAMPLE_ENTRIES}")
+        pipeline[key] = integer("pipeline", key, default, minimum,
+                                overrides.get(key))
 
-    return Scenario(name=Path(path).stem, manifold=manifold, action=action,
-                    checks=checks,
+    return Scenario(name=Path(path).stem, path=str(path), manifold=manifold,
+                    action=action, checks=checks,
                     reduce_indices=reduce_indices,
                     reduce_values=reduce_values, expect=expect, **pipeline)
 
@@ -430,11 +425,22 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
     default the scenario's checks) names, in table order.  The prelude
     classifies the action and integralizes the form; its moment is what
     every stage reads, so a failed integralization ends the run there.
+    Before it, each sample count of a stage that will run is budgeted:
+    the count times the manifold's dim must fit geom.MAX_SAMPLE_ENTRIES.
     Deterministic for a fixed (scenario, seed)."""
     wanted = requested or scenario.checks
     for check in wanted:
         if check not in CHECK_ORDER:
             raise ConfigError(f"unknown check {check!r}")
+    dim = scenario.manifold.dim
+    for stage, key in (("moment", "samples"),
+                       ("convexity", "coverage_samples")):
+        value = getattr(scenario, key)
+        if stage in wanted and value * dim > geom.MAX_SAMPLE_ENTRIES:
+            raise ConfigError(f"{scenario.path}: {key} = {value} needs "
+                              f"{value * dim} sample entries (dim {dim}), "
+                              "above the budget of "
+                              f"{geom.MAX_SAMPLE_ENTRIES}")
     report = Report(scenario.name, {
         "seed": scenario.seed,
         "sign": "plus" if scenario.action.sign == 1 else "minus",
@@ -511,8 +517,8 @@ def _run_moment(report, scenario, mom):
         report.add("moment", "path_difference",
                    -mom.torus_covectors[0][0])
     for i, cov in enumerate(mom.torus_covectors):
-        fact = moment_mod.fiber_connected_factorization(cov)
-        report.add("moment", f"fiber_components_{i}", fact.d)
+        report.add("moment", f"fiber_components_{i}",
+                   moment_mod.fiber_connected_factorization(cov))
 
 
 def _run_equivariance(report, scenario, mom):

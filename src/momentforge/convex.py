@@ -89,10 +89,10 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
                  if abs(_dot(nv, v)) == b]
         if len(tight) >= k and ratlin.integer_rank(tight) == k:
             vertices.add(v)
-    if k < c:
-        pinned = ratlin.lattice_split(w)[0]
-        normals += [tuple(e) for e in pinned]
-        offsets += [0] * len(pinned)
+    # the left kernel of w (empty when k = c) pins the unspanned directions
+    pinned = ratlin.lattice_split(w)[0]
+    normals += [tuple(e) for e in pinned]
+    offsets += [0] * len(pinned)
     return MomentPolytope(c, tuple(sorted(vertices)), tuple(normals),
                           tuple(offsets), d)
 

@@ -114,7 +114,7 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
     isotropic orbits force it to vanish, and with it Z, which is that
     matrix times H^T."""
     action = moment.action
-    # geom.fixed_point_set(...).kind != "empty", without listing the poles
+    # geom.fixed_point_set(...) != "empty", without listing the poles
     has_fp = not any(any(v) for v in action.translations)
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = _max_abs(_pairings(moment.mu2[0], action.orbit_matrix()),
@@ -135,12 +135,12 @@ def local_freeness_check(moment: GeneralizedMoment,
     """If Z has full rank the subtorus action is locally free, with finite
     stabilizers; the converse is never claimed."""
     r = moment.classification.r
-    rank = ratlin.integer_rank(z) if z else 0
-    if rank == r and r > 0:
+    if r == 0:
+        return LocalFreenessVerdict(0, "vacuous: r = 0")
+    rank = ratlin.integer_rank(z)
+    if rank == r:
         # Z = mu2 (H G)^T, so rank Z = r forces rank H G = r, and G is the
         # generator matrix with zero columns added: the direction matrix
         # of H has full rank, so the stabilizers are finite
         return LocalFreenessVerdict(rank, "rank(Z) = r: action locally free")
-    if r == 0:
-        return LocalFreenessVerdict(0, "vacuous: r = 0")
     return LocalFreenessVerdict(rank, "corollary not applicable: rank(Z) < r")

@@ -35,7 +35,7 @@ LATTICE = ratlin.P
 MAX_SAMPLE_ENTRIES = 2 ** 22
 
 
-def _numerators(rows, den: int = 1) -> tuple:
+def _numerators(rows, den: int) -> tuple:
     """(N, d), N / d = rows / den in lowest terms, N a tuple of int rows;
     entries that are not ints or Fractions convert exactly (floats too)."""
     nums, d = ratlin._scaled([[x if type(x) in (int, Fraction) else
@@ -194,20 +194,13 @@ def field_covectors(action: ActionSpec, form: ProductForm) -> tuple:
 # ---------------------------------------------------------------------------
 # fixed points
 
-@dataclass(frozen=True)
-class FixedPointSet:
-    """'empty', a finite set of points, or a positive-dimensional
-    submanifold: the pole combinations on the rotated spheres times the
-    torus and the unrotated spheres."""
-
-    kind: str                      # 'empty' | 'finite' | 'submanifold'
-
-
-def fixed_point_set(manifold: ProductManifold,
-                    action: ActionSpec) -> FixedPointSet:
+def fixed_point_set(manifold: ProductManifold, action: ActionSpec) -> str:
+    """'empty', 'finite' (a finite set of points) or 'submanifold' (of
+    positive dimension): the pole combinations on the rotated spheres
+    times the torus and the unrotated spheres."""
     if any(any(v) for v in action.translations):
-        return FixedPointSet("empty")
+        return "empty"
     rotated = sum(any(r[f] for r in action.rotations)
                   for f in range(manifold.n_spheres))
     finite = manifold.torus_dim == 0 and rotated == manifold.n_spheres
-    return FixedPointSet("finite" if finite else "submanifold")
+    return "finite" if finite else "submanifold"

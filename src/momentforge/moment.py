@@ -122,26 +122,15 @@ def generalized_moment(manifold: ProductManifold, action: ActionSpec,
                              ratlin.lowest(rows[c:], d), covectors)
 
 
-@dataclass(frozen=True)
-class FiberFactorization:
-    """Writing the component as (t -> t^d) after a fiber-connected map."""
-
-    d: int
-
-
-def fiber_connected_factorization(covector) -> FiberFactorization:
-    """d is the gcd of the integral torus covector, nonzero for every
-    circle component of a moment (its covectors have rank r)."""
-    return FiberFactorization(math.gcd(*covector))
+def fiber_connected_factorization(covector) -> int:
+    """The d that writes the circle component as (t -> t^d) after a
+    fiber-connected map: the gcd of the integral torus covector, nonzero
+    for every circle component of a moment (its covectors have rank r)."""
+    return math.gcd(*covector)
 
 
 # ---------------------------------------------------------------------------
 # fixed-point local data
-
-@dataclass(frozen=True)
-class FixedPointLocalData:
-    weights: tuple        # one integer covector (over generators) per plane
-
 
 def _require_fixed(manifold, action, p):
     if any(any(v) for v in action.translations):
@@ -158,12 +147,12 @@ def _orientation(manifold: ProductManifold, p, f: int) -> int:
 
 
 def local_weights(manifold: ProductManifold, action: ActionSpec,
-                  p) -> FixedPointLocalData:
-    """Isotropy weights of the linearized action, one covector per
-    symplectic plane.  On the plane of sphere f a generator weighs
-    orient * (the h entry of its field covector, sign * speed * c) / c:
-    sign * speed at the south pole and the opposite at the north pole;
-    torus planes are untranslated here and carry weight zero."""
+                  p) -> tuple:
+    """Isotropy weights of the linearized action, one integer covector
+    (over generators) per symplectic plane.  On the plane of sphere f a
+    generator weighs orient * (the h entry of its field covector, sign *
+    speed * c) / c: sign * speed at the south pole and the opposite at the
+    north pole; torus planes are untranslated here and carry weight zero."""
     _require_fixed(manifold, action, p)
     weights = []
     for f in range(manifold.n_spheres):
@@ -171,7 +160,7 @@ def local_weights(manifold: ProductManifold, action: ActionSpec,
         weights.append(tuple(unit * r[f] for r in action.rotations))
     for k in range(manifold.torus_dim // 2):
         weights.append(tuple(0 for _ in range(action.r_total)))
-    return FixedPointLocalData(tuple(weights))
+    return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -192,14 +181,14 @@ def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
     component's generator.  mu1 depends on the heights alone, so p
     minimizes it iff orient * cov[h] >= 0 on every sphere."""
     manifold = moment.manifold
-    data = local_weights(manifold, moment.action, p)
+    weights = local_weights(manifold, moment.action, p)
     (nums, d), form = moment.mu1, moment.omega_prime
     max_res = Fraction(0)
     minima = []
     sign_ok = True
     for xi, cov in zip(moment.classification.hamiltonian_basis, nums):
         alphas = [sum(w * g for w, g in zip(weight, xi))
-                  for weight in data.weights]
+                  for weight in weights]
         is_min = True
         for f in range(manifold.n_spheres):
             h = manifold.sphere_offset(f) + 1

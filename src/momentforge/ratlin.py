@@ -36,8 +36,7 @@ def lowest(n: Mat, d: int) -> tuple:
     """The pair (N, d) in lowest terms, N as a tuple of int rows: d is then
     the lcm of the reduced denominators of the entries n / d."""
     g = math.gcd(d, *itertools.chain.from_iterable(n))
-    return tuple(tuple([x // g for x in row]) if g > 1 else tuple(row)
-                 for row in n), d // g
+    return tuple(tuple([x // g for x in row]) for row in n), d // g
 
 
 def _eliminate(a: Mat, jordan: bool = False) -> tuple[list, int, int]:
@@ -80,11 +79,10 @@ def identity(n: int) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     """The integer product, with zero factors skipped, since the matrices
     here are sparse.  An empty a has no rows, whatever b is, so the product
-    is empty."""
-    cb = len(b[0]) if b else 0
+    is empty; every b the package passes has rows."""
     out = []
     for row in a:
-        acc = [0] * cb
+        acc = [0] * len(b[0])
         for x, b_row in zip(row, b):
             if x:
                 for j, y in enumerate(b_row):
@@ -102,7 +100,7 @@ def clear_denominators(v: list) -> list:
     """Divide an integer vector by the gcd of its entries, to a primitive
     vector (gcd 1)."""
     g = math.gcd(*v)
-    return [x // g for x in v] if g > 1 else list(v)
+    return [x // g for x in v] if g else list(v)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def integer_rank(m: Mat) -> int:
 def hermite_normal_form(m: Mat) -> tuple[Mat, Mat]:
     """Row-style Hermite normal form: (H, U) with U m = H, U unimodular,
     H upper echelon with positive pivots and reduced entries above them."""
-    rows, cols = len(m), len(m[0]) if m else 0
+    rows, cols = len(m), len(m[0])
     a = [list(row) + e for row, e in zip(m, identity(rows))]
     _hermite(a, cols)
     return [row[:cols] for row in a], [row[cols:] for row in a]
@@ -143,7 +141,7 @@ def _hermite(h: Mat, cols: int) -> Mat:
             for i in nz:
                 q = h[i][c] // h[r][c]
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                if h[i][c] != 0 and abs(h[i][c]) < abs(h[r][c]):
+                if h[i][c] != 0:    # a remainder, smaller than the pivot
                     h[r], h[i] = h[i], h[r]
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
@@ -186,7 +184,7 @@ def smith_diagonal(m: Mat) -> list:
     forms of the matrix and of its transpose alternate until it is
     diagonal (Kannan and Bachem 1979), and gcd / lcm exchanges then make
     each entry divide the next."""
-    rows, cols = len(m), len(m[0]) if m else 0
+    rows, cols = len(m), len(m[0])
     h = _hermite([list(row) for row in m], cols)
     while any(x for i, row in enumerate(h) for j, x in enumerate(row)
               if i != j):
@@ -226,13 +224,13 @@ def rational_round(n: int, d: int, max_denominator: int) -> tuple:
     # the best semiconvergent still within the bound against the last
     # convergent: their errors |p d - t q| / (q d) compare by
     # cross-multiplication, and on a tie the convergent, whose denominator
-    # is the smaller, wins
+    # is the smaller, wins.  At k = 0 it is the previous convergent (or
+    # 1/0, whose product is 0), which never wins.
     p, q = p1, q1
     k = (max_denominator - q0) // q1
-    if k > 0:
-        ps, qs = k * p1 + p0, k * q1 + q0
-        if abs(ps * d - t * qs) * q1 < abs(p1 * d - t * q1) * qs:
-            p, q = ps, qs
+    ps, qs = k * p1 + p0, k * q1 + q0
+    if abs(ps * d - t * qs) * q1 < abs(p1 * d - t * q1) * qs:
+        p, q = ps, qs
     return (-p if n < 0 else p), q
 
 

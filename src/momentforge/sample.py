@@ -85,8 +85,7 @@ class Pairing:
         self.dtype = exact_dtype(max([bound] + [
             abs(o) + sum(map(abs, row)) * top
             for row, o in zip(coeffs, offsets)]))
-        self.used = [j for j in range(len(coeffs[0]) if coeffs else 0)
-                     if any(row[j] for row in coeffs)]
+        self.used = [j for j, col in enumerate(zip(*coeffs)) if any(col)]
         self.rows = [([row[j] for j in self.used], offset)
                      for row, offset in zip(coeffs, offsets)]
 
@@ -112,8 +111,8 @@ def within(normals, bounds: list, nums) -> np.ndarray:
         raise TypeError("the polytope test takes integer numerators, "
                         f"not {nums.dtype}")
     top = int(abs(nums).max(initial=0))
-    pairs = Pairing(normals, [0] * len(normals),
-                    max(map(abs, bounds), default=0), top)(nums)
+    pairs = Pairing(normals, [0] * len(normals), max(map(abs, bounds)),
+                    top)(nums)
     return (abs(pairs) <= bounds).all(axis=1)
 
 
@@ -164,7 +163,7 @@ def product_coverage_check(moment: GeneralizedMoment,
     res = grid_resolution
     mu1_den, mu2_den = moment.mu1_den, moment.mu2_den
     # the counted cells that no binned sample has hit yet
-    left = np.ones((res,) * (c + r) if c + r else (1,), dtype=bool)
+    left = np.ones((res,) * (c + r), dtype=bool)
     axes = []
     if c:
         # the box spans 2h, or 1 where h = 0: h = x / e and the span s / e;
@@ -243,7 +242,7 @@ def decimal_table(a: np.ndarray) -> bytes:
     separator before it and its sign, then its digits two at a time), and
     one pass that deletes the NUL bytes left of every number."""
     n, cols = a.shape
-    if a.dtype == object or not a.size:
+    if a.dtype == object:
         line = ",".join(["%d"] * cols) + "\n"
         return ((line * n) % tuple(a.ravel().tolist())).encode()
     mag = np.abs(a.ravel()).view(np.uint64)    # |-2^63| wraps to 2^63
@@ -272,6 +271,6 @@ def table_blocks(a: np.ndarray):
     """decimal_table(a) as the bytes of consecutive blocks of whole rows,
     each of at most TABLE_BLOCK_ENTRIES cells or one row, so that its
     temporaries stay small whatever the table's length."""
-    step = max(1, TABLE_BLOCK_ENTRIES // max(1, a.shape[1]))
+    step = max(1, TABLE_BLOCK_ENTRIES // a.shape[1])
     for lo in range(0, len(a), step):
         yield decimal_table(a[lo:lo + step])

@@ -141,7 +141,7 @@ def test_criterion_05_fixed_point_chain():
         fps = geom.fixed_point_set(sc.manifold, sc.action)
         nat = equiv.natural_equivariance(
             mom, z, equiv.isotropic_orbit_test(mom.action, mom.covectors))
-        if fps.kind != "empty":
+        if fps != "empty":
             ok &= nat.orbits_isotropic and nat.z_is_zero
             ok &= nat.max_mu2_invariance_error < 1e-9
     sc = scenario("two_torus")
@@ -251,7 +251,7 @@ def test_criterion_10_fiber_connectedness():
         for c2 in range(-6, 7):
             if c1 == 0 and c2 == 0:
                 continue
-            d = moment.fiber_connected_factorization((c1, c2)).d
+            d = moment.fiber_connected_factorization((c1, c2))
             found = _flood_fill_components(c1, c2)
             ok &= found == d
     elapsed = time.perf_counter() - t0
@@ -267,13 +267,13 @@ def test_criterion_11_local_model():
     _, mom, _ = pipeline(m, a)
     south = m.basepoint()
     rep = moment.local_model_check(mom, south)
-    data = moment.local_weights(m, a, south)
+    weights = moment.local_weights(m, a, south)
     ok = rep.max_residual < 1e-4
-    ok &= data.weights == ((2, 0), (0, 3))   # rotation speeds, south signs
+    ok &= weights == ((2, 0), (0, 3))   # rotation speeds, south signs
     ok &= all(rep.minima) and rep.weight_sign_ok and rep.passed
     north = south.copy()
     north[1] = 1.0
-    ok &= moment.local_weights(m, a, north).weights == ((-2, 0), (0, 3))
+    ok &= moment.local_weights(m, a, north) == ((-2, 0), (0, 3))
     verdict(11, ok, "quadratic fit residual < 1e-4 near poles; weights are "
                     "the signed rotation speeds and nonnegative at the "
                     "minimizing fixed point")

@@ -4,6 +4,7 @@ enforcement, seed precedence, and deterministic report emission."""
 import configparser
 import dataclasses
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -156,6 +157,93 @@ def test_config_errors(tmp_path, capsys, text, fragment):
     assert re.search(fragment, err)
 
 
+def test_a_sample_budget_binds_only_a_stage_that_draws(tmp_path, capsys):
+    """128 unit spheres and one rotation: dim 256 puts the default 20000
+    coverage samples over the budget, yet classify and betti draw nothing
+    and pass; all, which runs convexity, still stops with the budget's
+    config error and no report."""
+    path = write(tmp_path, "[manifold]\nspheres =" + " 1" * 128
+                 + "\n[action]\ngenerators = | 1" + " 0" * 127 + "\n")
+    for cmd in ("classify", "betti"):
+        assert cli.main([cmd, "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("overall = pass\n")
+    assert cli.main(["all", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {path}: coverage_samples = 20000 needs 5120000 "
+        "sample entries (dim 256), above the budget of "
+        f"{geom.MAX_SAMPLE_ENTRIES}\n")
+
+
+def test_a_sample_count_at_the_budget_runs(tmp_path, capsys):
+    """On dim 2, MAX_SAMPLE_ENTRIES / 2 coverage samples fill the budget
+    exactly and run (the draw stops early), and one more is over it.
+    Planted for the budget test's `>` turned into `>=`."""
+    limit = geom.MAX_SAMPLE_ENTRIES // 2
+    for count, code in ((limit, 0), (limit + 1, 2)):
+        path = write(tmp_path, GOOD + f"[pipeline]\ncoverage_samples = "
+                     f"{count}\n")
+        assert cli.main(["convexity", "--scenario", str(path)]) == code
+        assert ("above the budget" in capsys.readouterr().err) == bool(code)
+
+
+def test_a_coverage_grid_at_the_budget_runs(tmp_path, capsys):
+    """two_torus has c + r = 2, so grid 1024 asks for exactly
+    MAX_COVERAGE_CELLS cells: the stage runs, and grid 1025 is over the
+    budget.  Planted for the cell budget's `>` turned into `>=`."""
+    assert 1024 ** 2 == sample.MAX_COVERAGE_CELLS
+    for grid, code in ((1024, 1), (1025, 2)):
+        path = write(tmp_path, GOOD + f"[pipeline]\ngrid = {grid}\n")
+        assert cli.main(["convexity", "--scenario", str(path)]) == code
+        assert ("within_budget" in capsys.readouterr().out) == (code == 2)
+
+
+def test_a_pole_count_at_the_budget_runs(tmp_path, capsys):
+    """16 rotated spheres give exactly MAX_POLES pole images: the polytope
+    is built (coverage then reads the known undersampled FAIL, exit 1),
+    where 17 spheres are over the budget.  Planted for the pole budget's
+    `>` turned into `>=` and for its base 2 raised to 3."""
+    assert 2 ** 16 == convex.MAX_POLES
+    path = write(tmp_path, SEVENTEEN_SPHERES.replace(" 0.5", "", 1)
+                 .replace(" 1", "", 1))
+    assert cli.main(["convexity", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "within_budget" not in out and "hull_vertices = [[-8], [8]]" in out
+
+
+def test_a_coverage_fraction_of_exactly_0_99_passes(monkeypatch, capsys):
+    """The coverage bar is >= 0.99: 99 of 100 counted cells hit passes,
+    98 fails.  Planted for `cov.fraction >= 0.99` turned into `>`."""
+    for hit, code in ((99, 0), (98, 1)):
+        monkeypatch.setattr(sample, "product_coverage_check",
+                            lambda *args, hit=hit: sample.CoverageReport(
+                                10, hit / 100, 100, hit, (0,)))
+        assert cli.main(["convexity", "--scenario", "two_torus"]) == code
+        assert (f"coverage_fraction = {hit / 100}\ncoverage_ok = "
+                f"{'true' if code == 0 else 'false'}\n"
+                in capsys.readouterr().out)
+
+
+def test_a_torus_factor_does_not_hide_a_sphere_from_the_pole_count(
+        tmp_path, capsys):
+    """T^2 x (S^2)^17 with every sphere rotated: 17 heights enter mu1, the
+    first one right after the torus slots.  Planted for the pole count's
+    height slot `sphere_offset(f) + 1` turned into `- 1`, which reads a
+    torus slot for the first sphere and counts 16."""
+    path = write(tmp_path, f"""
+[manifold]
+torus_dim = 2
+torus_omega = 0 1 ; -1 0
+spheres = {" ".join(["0.5"] * 17)}
+[action]
+generators = 0 0 | {" ".join(["1"] * 17)} ; 1 0 | {" ".join(["0"] * 17)}
+""")
+    assert cli.main(["convexity", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: convexity: 17 spheres enter mu1")
+
+
 @pytest.mark.parametrize("token", ["0", "-0", "0.0", "+1.5", "-.5", "5.",
                                    "1.4142135623730951", "1e300", "1.5e-3",
                                    "3/7", "-6/4"])
@@ -188,6 +276,30 @@ def test_number_fast_path_reads_what_the_token_regex_reads(token):
             cli._number(token, "where")
     else:
         assert cli._number(token, "where") == expected
+
+
+def test_plain_tokens_skip_the_token_regex(monkeypatch):
+    """A plain integer or decimal, signed or not, is read without the
+    regex.  Planted for the mutants of `_number`'s sign strip: `in`
+    turned into `not in`, and `whole[1:]` or `whole[:1]` widened to 2."""
+    class NoRegex:
+        def fullmatch(self, token):
+            raise AssertionError(f"{token!r} reached the regex")
+
+    monkeypatch.setattr(cli, "_TOKEN", NoRegex())
+    for token in ("5", "-5", "+5", "-.5", "12.25", "-3."):
+        assert Fraction(*cli._number(token, "where")) == Fraction(token)
+
+
+def test_a_second_bar_in_a_generator_is_a_bad_integer(tmp_path, capsys):
+    """Only the first '|' splits a generator; a second one is read as an
+    entry and rejected.  Planted for `chunk.split("|", 1)` widened to a
+    split at two bars, which unpacks three parts and crashes."""
+    path = write(tmp_path, GOOD.replace("1 0 | ;", "1 0 | 1 | ;"))
+    assert cli.main(["classify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path} [action] generators: bad integer in "
+        "'1 0 | 1 |'\n")
 
 
 def configparser_sections(text):
@@ -542,6 +654,20 @@ def test_bad_reduce_generators_are_config_errors(tmp_path, capsys,
     assert fragment in capsys.readouterr().err
 
 
+def test_reduce_generator_one_past_the_last_is_out_of_range(tmp_path):
+    """Three generators: index 3 is out of range, and the message names the
+    range 0..2.  Planted for the range test's `idx < r_total` turned into
+    `<=` (which reads a generator that is not there) and for `r_total - 1`
+    turned into `+ 1` in the message."""
+    text = cli.bundled_scenario_path("s2xt2_reduce").read_text()
+    path = write(tmp_path, text.replace("[reduce]\ngenerators = 0",
+                                        "[reduce]\ngenerators = 3"))
+    with pytest.raises(cli.ConfigError) as info:
+        cli.load_scenario(path)
+    assert str(info.value) == (f"{path}: [reduce] generator 3 out of range "
+                               "(0..2)")
+
+
 def bend_mu2(monkeypatch):
     """Make the CLI's moments move one torus slot of their first mu2 row
     by 1."""
@@ -833,6 +959,22 @@ def test_sample_table_is_written_in_row_blocks(tmp_path, monkeypatch, dtype):
         b"c0,c1,c2,c3,c4,c5,c6\n" + percent_d_table(a))
 
 
+def test_sample_table_temporaries_stay_small():
+    """A table of 10^6 cells is formatted block by block with under 4 MB
+    traced at a time; as one block it would take about 34.  Planted for
+    TABLE_BLOCK_ENTRIES = 2 ** 13 with its base raised to 3, which formats
+    the whole table as one block."""
+    a = np.arange(10 ** 6, dtype=np.int64).reshape(-1, 5)
+    tracemalloc.start()
+    try:
+        size = sum(len(block) for block in sample.table_blocks(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == len(",".join(map(str, range(10 ** 6)))) + 1
+    assert peak < 4 * 2 ** 20
+
+
 @pytest.mark.parametrize("name,header", [
     ("two_torus", "x0/P,x1/P,mu2_0/P,mu2_1/P"),
     ("s2xt2_reduce", "x0/P,x1/P,x2/P,x3/P,mu1_0/P,mu2_0/P,mu2_1/P"),
@@ -877,6 +1019,16 @@ DECIMAL_EDGES = sorted({s * v for k in range(19)
                       st.sampled_from(DECIMAL_EDGES))))
 def test_decimal_table_matches_percent_d(a):
     assert sample.decimal_table(a) == percent_d_table(a)
+
+
+def test_decimal_table_at_the_uint32_edge():
+    """Magnitudes up to 2^32 - 1 are divided as uint32; 2^32 itself, and a
+    number whose quotient by 100 is 2^32, stay uint64.  Planted for the
+    cast test `top < 2 ** 32` turned into `<=`, which wraps 2^32 to 0."""
+    a = np.array([[2 ** 32 - 1, 2 ** 32, -(2 ** 32) - 1],
+                  [0, 100 * 2 ** 32, 7]], dtype=np.int64)
+    for rows in (a[:1], a[1:], a):
+        assert sample.decimal_table(rows) == percent_d_table(rows)
 
 
 def test_object_sample_table_writes_percent_d(tmp_path):

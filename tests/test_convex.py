@@ -5,6 +5,7 @@ lifting."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -126,6 +127,18 @@ def test_contains_pairs_exactly_past_int64():
     assert poly.contains(np.array([[big, 0], [0, -big]]), big).all()
 
 
+def test_a_pairing_of_exactly_2_63_is_paired_in_python_ints():
+    """(2^62, 2^62) pairs to 2^63 with the normal (1, 1), one past the
+    int64 range, so it is paired in Python ints and lies outside the bound
+    2^63 - 1; (2^62, 2^62 - 1) lies on it.  Planted for exact_dtype's
+    `bound < 2 ** 63` turned into `<=`, under which int64 wraps the
+    pairing to -2^63 and lets the point in."""
+    half, top = 2 ** 62, 2 ** 63 - 1
+    assert sample.within([(1, 1)], [top], [[half, half]]).tolist() == [False]
+    assert sample.within([(1, 1)], [top], [[half, half - 1]]).tolist() == [
+        True]
+
+
 def test_hexagon_keeps_only_the_extreme_pole_images():
     """Three spheres under two rotations: the zonotope is a hexagon, so two
     of the eight pole images (the centre, twice) are not vertices."""
@@ -235,6 +248,25 @@ def test_moment_polytope_matches_fraction_oracle(w):
     assert poly.normals == want_normals
     assert all(type(x) is int for nv in poly.normals for x in nv)
     assert offsets(poly) == want_offsets
+
+
+def test_a_mid_edge_pole_image_of_a_4d_zonotope_is_no_vertex():
+    """k = 4, with the second generator repeated: where the pair cancels,
+    a pole image lies mid-edge, on four facets whose normals have rank 3,
+    so it is no vertex.  Planted for the vertex test's `len(tight) >= k
+    and rank == k` turned into `or`, which needs k >= 4 to show: below
+    that, k tight facets always have rank k."""
+    w = [[1, -1, 1, 1, 1, -1], [0, -1, 1, 0, 0, -1], [-1, 1, 1, 0, 1, 1],
+         [1, 0, -1, -1, -1, 0]]
+    m = ProductManifold(STD2, (F(1, 2),) * 6)
+    mu1 = pair([[0, 0] + [x for h in row for x in (0, h)] for row in w])
+    mom = moment.GeneralizedMoment(m, None, None, None, mu1, ((), 1), None)
+    poly = convex.moment_polytope(mom)
+    mid_edge = (-2, -1, -1, 0)
+    assert sum(abs(sum(a * b for a, b in zip(nv, mid_edge))) == off
+               for nv, off in zip(poly.normals, poly.offsets)) == 4
+    assert mid_edge not in poly.vertices
+    assert vertices(poly) == fraction_moment_polytope(mom)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +400,25 @@ def coverage_inputs(tmp_path):
         yield name, mom, poly, res, n, 0
 
 
+def test_cell_centres_are_tested_in_bounded_blocks():
+    """10^6 cells of a cube (c = 3, grid 100) are tested in blocks of
+    CELL_BLOCK_ENTRIES numerators, so the check traces under 32 MB where
+    one block would take about 90; the draw is capped at one sample, the
+    smallest cap.  Planted for CELL_BLOCK_ENTRIES = 2 ** 18 with its base
+    raised to 3, which tests every centre at once, and for sample_points'
+    `n < 1` turned into `n <= 1` or `n < 2`, which rejects that cap."""
+    poly, mom = polytope_of(spheres(3), rotations(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    tracemalloc.start()
+    try:
+        rep = sample.product_coverage_check(mom, poly, 100, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_counted_cells == 10 ** 6
+    assert peak < 32 * 2 ** 20
+
+
 def test_coverage_report_is_the_full_draws(tmp_path):
     """The early exit reports what binning all n rows in one pass reports,
     field by field, where every counted cell is hit early, where some stay
@@ -410,6 +461,26 @@ def test_coverage_draw_stops_once_every_counted_cell_is_hit(
     # the cap is still a sample count, even where nothing would be drawn
     with pytest.raises(ValueError, match="at least one sample"):
         sample.product_coverage_check(*inputs["segment"][:3], 0, 0)
+
+
+def test_coverage_chunks_double_up_to_the_cap(monkeypatch, t2_translations):
+    """On 1024^2 cells, 10000 samples never hit them all, so the draw runs
+    to the cap in chunks of 1024, 2048 and 4096 rows and the rest.
+    Planted for the doubling `2 * size` raised to `3 * size`."""
+    drawn = []
+    sample_points = sample.sample_points
+
+    def counting(*args):
+        rows = sample_points(*args)
+        drawn.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(sample, "sample_points", counting)
+    _, mom = pipeline(*t2_translations)
+    rep = sample.product_coverage_check(
+        mom, convex.moment_polytope(mom), 1024, 10000, 0)
+    assert rep.fraction < 1
+    assert drawn == [1024, 2048, 4096, 10000 - 7168]
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_fixed_point_flag_matches_fixed_point_set(name, t2_translations):
         m, a, mom = sc.manifold, sc.action, scenario_moment(sc)
         z = equiv.cocycle_matrix(mom)
     assert equiv.natural_equivariance(mom, z, isotropy(mom)).has_fixed_points \
-        == (geom.fixed_point_set(m, a).kind != "empty")
+        == (geom.fixed_point_set(m, a) != "empty")
 
 
 def test_natural_equivariance_negative_control():

@@ -1,15 +1,17 @@
 """Generated scenarios as a regression suite: small random INI files over the
 manifold universe, run through `momentforge all` twice.
 
-Every input must end in exit 0, 1 or 2 without a traceback, two runs must
-write the same bytes, and a report must split the acting torus completely,
-c + r = r_total.  Where it has a [betti] section, the circle covectors have
-rank r and r <= b1: the rank argument that makes the circle part onto."""
+Every input must end in exit 0, 1 or 2 without a traceback, exit 2 exactly
+when it was drawn invalid, two runs must write the same bytes, and a report
+must split the acting torus completely, c + r = r_total.  Where it has a
+[betti] section, the circle covectors have rank r and r <= b1: the rank
+argument that makes the circle part onto."""
 
 import contextlib
 import io
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -22,14 +24,27 @@ def _negated(token: str) -> str:
     return token[1:] if token.startswith("-") else "-" + token
 
 
+def _pfaffian(a) -> Fraction:
+    """The Pfaffian of an antisymmetric matrix of even order, expanded
+    along its first row."""
+    if not a:
+        return Fraction(1)
+    rest = range(1, len(a))
+    return sum((-1) ** (j + 1) * a[0][j] * _pfaffian(
+        [[a[k][l] for l in rest if l != j] for k in rest if k != j])
+        for j in rest)
+
+
 @st.composite
 def scenario_texts(draw):
     """T^m x (S^2)^n with m in {0, 2, 4} and n <= 3 (n >= 1 when m = 0), a
     torus form of integer, decimal or p/q entries whose lower triangle
     negates the upper one as text, 1-3 integer generators and an optional
     [reduce] of an ordered subset of the generators, one level each.
-    Degenerate forms, trivial generators and translating reductions are
-    valid draws: they end in exit 2."""
+    Returns the text, the generator count and whether the draw is invalid
+    on purpose: a degenerate torus form (a zero Pfaffian of the drawn
+    tokens), a trivial generator, or a [reduce] generator that translates
+    the torus.  Those are valid draws, which must end in exit 2."""
     m = draw(st.sampled_from((0, 2, 4)))
     n = draw(st.integers(1 if m == 0 else 0, 3))
     kind = draw(st.sampled_from(("integer", "decimal", "fraction")))
@@ -40,6 +55,7 @@ def scenario_texts(draw):
                               st.integers(1, 9)),
     }[kind]
     lines = ["[manifold]", f"torus_dim = {m}"]
+    invalid = False
     if m:
         rows = [["0"] * m for _ in range(m)]
         for i in range(m):
@@ -47,14 +63,18 @@ def scenario_texts(draw):
                 rows[i][j] = draw(number)
                 rows[j][i] = _negated(rows[i][j])
         lines.append("torus_omega = " + " ; ".join(map(" ".join, rows)))
+        invalid = _pfaffian([[Fraction(x) for x in row]
+                             for row in rows]) == 0
     if n:
         area = st.sampled_from(("1", "2", "0.5", "0.7", "3/2", "1e-1"))
         lines.append("spheres = " + " ".join(draw(area) for _ in range(n)))
     ints = st.integers(-2, 2)
-    gens = [" ".join(str(draw(ints)) for _ in range(m)) + " | "
-            + " ".join(str(draw(ints)) for _ in range(n))
+    gens = [([draw(ints) for _ in range(m)], [draw(ints) for _ in range(n)])
             for _ in range(draw(st.integers(1, 3)))]
-    lines += ["[action]", "generators = " + " ; ".join(gens),
+    invalid |= any(not any(v + s) for v, s in gens)
+    lines += ["[action]", "generators = " + " ; ".join(
+                  " ".join(map(str, v)) + " | " + " ".join(map(str, s))
+                  for v, s in gens),
               "sign = " + draw(st.sampled_from(("plus", "minus"))),
               "[pipeline]",
               f"max_denominator = {draw(st.sampled_from((1, 4, 64)))}",
@@ -66,7 +86,8 @@ def scenario_texts(draw):
         level = st.sampled_from(("0", "1/3", "-0.5", "1"))
         lines += ["[reduce]", "generators = " + " ".join(map(str, order)),
                   "values = " + " ".join(draw(level) for _ in order)]
-    return "\n".join(lines) + "\n", len(gens)
+        invalid |= any(any(gens[i][0]) for i in order)
+    return "\n".join(lines) + "\n", len(gens), invalid
 
 
 def _run(path: Path, out: Path) -> tuple:
@@ -83,7 +104,7 @@ def _run(path: Path, out: Path) -> tuple:
 @given(scenario_texts())
 @settings(max_examples=60, deadline=None)
 def test_generated_scenarios_end_in_a_deterministic_report(drawn):
-    text, r_total = drawn
+    text, r_total, invalid = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "generated.ini"
         path.write_text(text)
@@ -91,6 +112,7 @@ def test_generated_scenarios_end_in_a_deterministic_report(drawn):
         second = _run(path, Path(tmp) / "b")
     code, stdout, stderr, _ = first
     assert code in (0, 1, 2)
+    assert (code == 2) == invalid, (text, stderr)
     assert "Traceback" not in stdout + stderr
     assert first == second
     if stdout:

@@ -286,6 +286,21 @@ def test_retry_doubles_the_bound():
     assert res.q[0] != 0
 
 
+def test_retry_bounds_double_up_to_2_16():
+    """2/5 rounds to 0 at bound 1 and to 1/2 at bound 2 (at 3 it would be
+    1/3).  10^-6 rounds to 0 at every bound up to 2^16: from 3 the bound
+    doubles to 49152 and is then capped at 65536, the last one tried.
+    Planted for the retry's `2 * bound` raised to `3 * bound`, and for its
+    cap `2 ** 16` with the base raised to 3."""
+    x = Fraction(2, 5)
+    res = hamclass.integralize_with_retry(ProductForm(((0, x), (-x, 0))), 1)
+    assert res.k == 2 and res.q == (Fraction(1, 2),)
+    x = Fraction(1, 10 ** 6)
+    with pytest.raises(hamclass.RoundingBrokeNondegeneracy,
+                       match="^max_denominator=65536$"):
+        hamclass.integralize_with_retry(ProductForm(((0, x), (-x, 0))), 3)
+
+
 @given(exact_decimals(), exact_decimals(),
        st.integers(min_value=1, max_value=8))
 @settings(max_examples=60, deadline=None)

@@ -228,12 +228,9 @@ def test_moment_values_reject_float_points(t2_translations):
 # fiber factorization
 
 def test_fiber_factorization():
-    f = moment.fiber_connected_factorization((2, 4))
-    assert f.d == 2
-    f = moment.fiber_connected_factorization((0, 3))
-    assert f.d == 3
-    f = moment.fiber_connected_factorization((1, 1))
-    assert f.d == 1
+    assert moment.fiber_connected_factorization((2, 4)) == 2
+    assert moment.fiber_connected_factorization((0, 3)) == 3
+    assert moment.fiber_connected_factorization((1, 1)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +240,28 @@ def test_local_weights_at_poles():
     m = s2xs2()
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     south = m.basepoint()
-    data = moment.local_weights(m, a, south)
-    assert data.weights == ((1, 0), (0, 1))
+    assert moment.local_weights(m, a, south) == ((1, 0), (0, 1))
     north = south.copy()
     north[1] = 1.0
-    data = moment.local_weights(m, a, north)
-    assert data.weights == ((-1, 0), (0, 1))
+    assert moment.local_weights(m, a, north) == ((-1, 0), (0, 1))
 
 
 def test_local_weights_sign_convention():
     m = sphere()
     a = ActionSpec(((),), ((2,),), sign=-1)
-    data = moment.local_weights(m, a, m.basepoint())
-    assert data.weights == ((-2,),)
+    assert moment.local_weights(m, a, m.basepoint()) == ((-2,),)
+
+
+def test_local_weights_on_a_torus_plane_are_zero():
+    """On S^2 x T^2 a pure rotation fixes the torus times the poles: the
+    sphere's plane weighs sign * speed and the torus plane 0.  Planted for
+    the torus-plane rows of local_weights: `torus_dim // 2` with 2 raised
+    to 3 (no torus row), and the zero weight raised to 1; and for the pole
+    test's height slot `sphere_offset(f) + 1` turned into `- 1`, which
+    reads a torus slot here."""
+    m = s2xt2()
+    a = ActionSpec(((0, 0),), ((2,),))
+    assert moment.local_weights(m, a, m.basepoint()) == ((2,), (0,))
 
 
 def test_not_a_fixed_point_paths():
@@ -281,6 +287,36 @@ def test_local_model_quadratic_fit():
     assert all(rep.minima)
     assert rep.weight_sign_ok
     assert rep.passed
+
+
+def test_local_model_at_a_north_pole_is_no_minimum():
+    """At the north pole of the first sphere mu1's first component, that
+    sphere's height, is largest: p does not minimize it, and its weight
+    -1 is allowed.  Planted for `is_min and slope >= 0` and for
+    `is_min and any(alpha < 0 ...)`, each turned into `or`."""
+    m = s2xs2(1.0, 1.0)
+    a = ActionSpec(((), ()), ((1, 0), (0, 1)))
+    north = m.basepoint()
+    north[1] = 1
+    rep = moment.local_model_check(build(m, a), north)
+    assert rep.minima == (False, True)
+    assert rep.max_residual == 0 and rep.weight_sign_ok and rep.passed
+
+
+def test_local_model_fails_a_bent_mu1_whose_weight_signs_hold():
+    """Doubling mu1's first row leaves the south pole a minimum with
+    nonnegative weights, but moves the slope off the normal form: the
+    residual is 1/2 and the check fails.  Planted for `max_res == 0 and
+    sign_ok` turned into `or`."""
+    m = s2xs2(1.0, 1.0)
+    a = ActionSpec(((), ()), ((1, 0), (0, 1)))
+    mom = build(m, a)
+    nums, d = mom.mu1
+    bent = dataclasses.replace(
+        mom, mu1=((tuple(2 * x for x in nums[0]),) + nums[1:], d))
+    rep = moment.local_model_check(bent, m.basepoint())
+    assert rep.max_residual == Fraction(1, 2) and rep.weight_sign_ok
+    assert not rep.passed
 
 
 def test_local_model_minimum_forces_nonnegative_weights():

@@ -139,6 +139,23 @@ def test_lattice_split_is_the_saturated_left_kernel(m):
     assert abs(ratlin.determinant(k + c)) == 1
 
 
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    int_matrix(n, 2), st.integers(-3, 3), st.integers(-3, 3),
+    st.sampled_from((1, -1)))))
+@settings(max_examples=100, deadline=None)
+def test_lattice_split_reads_only_the_column_space(drawn):
+    """m and m A, for an invertible A, have one column space, so one
+    reduced echelon basis and one split.  Planted for the Jordan sweep of
+    `_eliminate` starting at row 1 instead of 0, which leaves the first
+    pivot row unreduced and the split dependent on m itself, and for the
+    dropped `-` of the pivot-row sign, which leaves the split dependent on
+    the sign of m's last pivot."""
+    m, s, t, e = drawn
+    a = [[1, e * s], [t, e * (s * t + 1)]]    # determinant e
+    assert ratlin.lattice_split(m) == ratlin.lattice_split(
+        ratlin.mat_mul(m, a))
+
+
 def test_lattice_split_saturates():
     """x / 2 + y / 3 = 0 has the rational solution (1, -3/2); its integer
     points are the multiples of (2, -3)."""
@@ -358,3 +375,17 @@ def test_nonsingular_falls_back_to_exact_elimination_at_residue_zero(
     assert ratlin.nonsingular(antisymmetric(4, [0, 1, 3, P + 2, 5, 0]))
     assert not ratlin.nonsingular(antisymmetric(3, [1, 2, 3]))
     assert len(calls) == 5
+
+
+def test_nonsingular_moves_a_far_pivot_into_place():
+    """Two singular T^6 forms with a_01 = 0 and their first pivot at a_02
+    and at a_03: moving it to a_01 adds row and column c to 1, reading
+    a_cl above the diagonal for l > c and -a_lc for l < c.  Planted for
+    the 1 of `u[c][l - c - 1]` and of `u[l][c - l - 1]` raised to 2: each
+    reads a neighbouring entry, and the wrong complement has a nonzero
+    Pfaffian mod P, which would call the form nonsingular."""
+    for upper in ([0, -1, 0, 1, 2, -1, -1, 1, -1, 1, 2, 0, 2, 0, 1],
+                  [0, 0, 1, -1, 1, 1, -1, 0, 0, 2, -1, -1, 1, 1, 0]):
+        a = antisymmetric(6, upper)
+        assert ratlin.determinant(a) == 0
+        assert not ratlin.nonsingular(a)
