@@ -53,7 +53,6 @@ def _fractions(rows, d: int) -> list:
 
 @dataclass
 class Scenario:
-    name: str
     path: str
     manifold: ProductManifold
     action: ActionSpec
@@ -66,6 +65,10 @@ class Scenario:
     reduce_indices: tuple = ()
     reduce_values: tuple = ()
     expect: dict = field(default_factory=dict)
+
+    @property
+    def name(self) -> str:
+        return Path(self.path).stem
 
 
 # what Fraction(token) accepts (Python 3.11 on), spaces aside
@@ -313,7 +316,7 @@ def load_scenario(path, *, seed=None, sign=None,
         pipeline[key] = integer("pipeline", key, default, minimum,
                                 overrides.get(key))
 
-    return Scenario(name=Path(path).stem, path=str(path), manifold=manifold,
+    return Scenario(path=str(path), manifold=manifold,
                     action=action, checks=checks,
                     reduce_indices=reduce_indices,
                     reduce_values=reduce_values, expect=expect, **pipeline)

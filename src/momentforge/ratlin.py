@@ -162,18 +162,16 @@ def lattice_split(m: Mat) -> tuple[Mat, Mat]:
 
     The left kernel depends only on the column space of m, so m is first
     replaced by the primitive integer rows of that space's reduced echelon
-    basis: canonical, and usually with far smaller entries than m.  K and
-    C are then the rows of the Hermite transform U whose Hermite rows
-    vanish and do not."""
+    basis, times the sign of the last pivot: usually far smaller entries
+    than m.  K and C are then the rows of the Hermite transform U whose
+    Hermite rows vanish and do not; that sign negates C and leaves K."""
     n = len(m)
     a = transpose(m)
-    pivots, last, _ = _eliminate(a, jordan=True)
+    pivots, _, _ = _eliminate(a, jordan=True)
     if not pivots:
         return identity(n), []
-    sign = 1 if last > 0 else -1    # each pivot row is last * its RREF row
     h, u = hermite_normal_form(transpose(
-        [[sign * x for x in clear_denominators(row)]
-         for row in a[:len(pivots)]]))
+        [clear_denominators(row) for row in a[:len(pivots)]]))
     return ([x for row, x in zip(h, u) if not any(row)],
             [x for row, x in zip(h, u) if any(row)])
 

@@ -11,25 +11,25 @@ A site is one place where one of five operators applies:
 
 Each mutant runs on its own copy of src/, in a temporary working directory,
 with a fixed hash seed and `--hypothesis-seed=0`, under a 60 s timeout (a
-timeout counts as killed) and a 2 GiB address-space cap.  It first runs the
-golden and acceptance tests and its module's test files, stopping at the
-first failure; a mutant that survives them is re-run against the whole
-suite before it counts as a survivor.  A survivor is resolved by a test
-that kills it, by deleting the code, or by an entry in EQUIVALENT below
-with a one-line reason.
+timeout counts as killed) and a 2 GiB address-space cap set inside the
+child.  It first runs the golden and acceptance tests and its module's
+test files, stopping at the first failure; a mutant that survives them
+is re-run against the whole suite before it counts as a survivor.  A
+survivor is resolved by a test that kills it, by deleting the code, or by
+an entry in EQUIVALENT below with a one-line reason.
 
     python tests/mutation_probe.py                  # every site, 2 workers
     python tests/mutation_probe.py --module ratlin  # one module's sites
-    python tests/mutation_probe.py --site 'convex:90 and->or'
-    python tests/mutation_probe.py --list           # the sites, not run
     python tests/mutation_probe.py --check          # EQUIVALENT is live
 
 The full run takes about an hour of CPU, 30 to 45 minutes on two workers.
 It prints, per module, the sites, the killed and the survivors, and each
 survivor as `module:line op` with its source line; it exits 1 when a
 survivor is not listed as equivalent, or a listed one is killed.
-`--check` runs no test: it exits 1 when an entry of EQUIVALENT no longer
-names a live site with its source text.
+EQUIVALENT names a site by its module, its stripped source line and its
+operator (`#k` for the k-th site with that line and operator), so moving
+a line changes no entry.  `--check` runs no test: it exits 1 when an
+entry no longer names a live site.
 
 Standard library only; pytest does not collect this file.
 """
@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import resource
 import shutil
 import signal
 import subprocess
@@ -59,74 +58,52 @@ FIRST = ("test_golden.py", "test_acceptance.py")
 OWN = {"sample": ("test_moment.py", "test_convex.py", "test_geom.py")}
 TIMEOUT_S = 60
 MEMORY_CAP = 2 * 2 ** 30
+WORKERS = 2
 
-# site -> (source line, stripped; why the mutant cannot change behaviour)
+# (module, stripped source line, operator) -> why the mutant cannot change
+# behaviour
 EQUIVALENT = {
-    "cli:235 1->2": (
-        "if torus_dim else ((), 1)",
-        "with no torus the spheres are scaled by den and the form divides "
-        "them by den again, so any positive den reads one form"),
-    "ratlin:54 0->1 #2": (
-        "for c in range(len(a[0]) if a else 0):",
-        "an empty a has no rows, so the first column breaks at r == rows"),
-    "ratlin:146 <-><=": (
-        "if h[r][c] < 0:",
-        "the pivot h[r][c] is nonzero"),
-    "ratlin:146 0->1": (
-        "if h[r][c] < 0:",
-        "the pivot h[r][c] is a nonzero integer, so < 1 is < 0"),
-    "ratlin:173 >->>=": (
-        "sign = 1 if last > 0 else -1    # each pivot row is last * its "
-        "RREF row",
-        "last is a pivot, nonzero"),
-    "ratlin:173 1->2": (
-        "sign = 1 if last > 0 else -1    # each pivot row is last * its "
-        "RREF row",
-        "doubling every entry leaves every floor quotient of _hermite, so "
-        "its transform, unchanged"),
-    "ratlin:173 1->2 #2": (
-        "sign = 1 if last > 0 else -1    # each pivot row is last * its "
-        "RREF row",
-        "as the 1->2 above: -2 scales the -1 rows by 2"),
-    "ratlin:234 <-><=": (
-        "return (-p if n < 0 else p), q",
-        "n is nonzero here: n = 0 reduces to d = 1 and returned early"),
-    "ratlin:234 0->1": (
-        "return (-p if n < 0 else p), q",
-        "n is a nonzero integer here, so < 1 is < 0"),
-    "sample:113 0->1": (
-        "top = int(abs(nums).max(initial=0))",
-        "top only picks the dtype, and it is 0 only when every numerator "
-        "is 0, which any dtype pairs exactly"),
-    "sample:214 2->3": (
-        "dtype = exact_dtype(2 * res * e * max(spans))",
-        "a larger bound only picks Python ints sooner; the centres, and so "
-        "the mask, are exact either way"),
-    "sample:217 1->2": (
-        "step = max(1, CELL_BLOCK_ENTRIES // c)",
-        "a block size: the mask is the same for any positive step"),
-    "sample:250 1->2": (
-        "width = (len(str(top)) + 1) // 2",
-        "an extra leading pair holds index 0, two NULs, which the final "
-        "translate deletes"),
-    "sample:274 1->2": (
-        "step = max(1, TABLE_BLOCK_ENTRIES // a.shape[1])",
-        "a block size: the bytes are the same for any positive step"),
-    "convex:79 <-><=": (
-        "sign = -1 if next(x for x in cof if x) < 0 else 1",
-        "the first nonzero entry of cof is nonzero"),
-    "convex:79 0->1": (
-        "sign = -1 if next(x for x in cof if x) < 0 else 1",
-        "the first nonzero entry of cof is a nonzero integer, so < 1 is "
-        "< 0"),
-    "moment:146 <-><=": (
-        "return 1 if p[manifold.sphere_offset(f) + 1] < 0 else -1",
-        "a rotated sphere's height is -1 or 1 (_require_fixed); an "
-        "unrotated one has weight 0 and mu1 slope 0 at either orientation"),
-    "moment:146 0->1": (
-        "return 1 if p[manifold.sphere_offset(f) + 1] < 0 else -1",
-        "as <-><= above: -1 < 1 and not 1 < 1 on a rotated sphere"),
+    ("cli", "if torus_dim else ((), 1)", "1->2"):
+        ("with no torus the spheres are scaled by den and the form divides "
+         "them by den again, so any positive den reads one form"),
+    ("ratlin", "for c in range(len(a[0]) if a else 0):", "0->1 #2"):
+        "an empty a has no rows, so the first column breaks at r == rows",
+    ("ratlin", "if h[r][c] < 0:", "<-><="):
+        "the pivot h[r][c] is nonzero",
+    ("ratlin", "if h[r][c] < 0:", "0->1"):
+        "the pivot h[r][c] is a nonzero integer, so < 1 is < 0",
+    ("ratlin", "return (-p if n < 0 else p), q", "<-><="):
+        "n is nonzero here: n = 0 reduces to d = 1 and returned early",
+    ("ratlin", "return (-p if n < 0 else p), q", "0->1"):
+        "n is a nonzero integer here, so < 1 is < 0",
+    ("sample", "top = int(abs(nums).max(initial=0))", "0->1"):
+        ("top only picks the dtype, and it is 0 only when every numerator is "
+         "0, which any dtype pairs exactly"),
+    ("sample", "dtype = exact_dtype(2 * res * e * max(spans))", "2->3"):
+        ("a larger bound only picks Python ints sooner; the centres, and so "
+         "the mask, are exact either way"),
+    ("sample", "step = max(1, CELL_BLOCK_ENTRIES // c)", "1->2"):
+        "a block size: the mask is the same for any positive step",
+    ("sample", "width = (len(str(top)) + 1) // 2", "1->2"):
+        ("an extra leading pair holds index 0, two NULs, which the final "
+         "translate deletes"),
+    ("sample", "step = max(1, TABLE_BLOCK_ENTRIES // a.shape[1])", "1->2"):
+        "a block size: the bytes are the same for any positive step",
+    ("convex", "sign = -1 if next(x for x in cof if x) < 0 else 1", "<-><="):
+        "the first nonzero entry of cof is nonzero",
+    ("convex", "sign = -1 if next(x for x in cof if x) < 0 else 1", "0->1"):
+        "the first nonzero entry of cof is a nonzero integer, so < 1 is < 0",
+    ("moment",
+     "return 1 if p[manifold.sphere_offset(f) + 1] < 0 else -1",
+     "<-><="):
+        ("a rotated sphere's height is -1 or 1 (_require_fixed); an unrotated "
+         "one has weight 0 and mu1 slope 0 at either orientation"),
+    ("moment",
+     "return 1 if p[manifold.sphere_offset(f) + 1] < 0 else -1",
+     "0->1"):
+        "as <-><= above: -1 < 1 and not 1 < 1 on a rotated sphere",
 }
+
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add,
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -152,6 +129,11 @@ class Site:
     @property
     def name(self) -> str:
         return f"{self.module}:{self.line} {self.op}"
+
+    @property
+    def key(self) -> tuple:
+        """The site's EQUIVALENT key, which no line number enters."""
+        return self.module, self.source, self.op
 
 
 def _op_line(node, slot: int) -> int:
@@ -193,8 +175,8 @@ def _candidates(tree):
 
 
 def sites(module: str) -> list:
-    """The module's sites in source order; a second site with the same
-    line and operator gets a #k suffix."""
+    """The module's sites in source order; the k-th site with the same
+    source line text and operator, k > 1, gets a #k suffix."""
     text = (PACKAGE / f"{module}.py").read_text()
     lines = text.splitlines()
     found = []
@@ -203,9 +185,10 @@ def sites(module: str) -> list:
         found.append((line, node.col_offset, index, slot, op))
     out, seen = [], {}
     for line, _, index, slot, op in sorted(found):
-        k = seen[line, op] = seen.get((line, op), 0) + 1
+        source = lines[line - 1].strip()
+        k = seen[source, op] = seen.get((source, op), 0) + 1
         out.append(Site(module, line, op if k == 1 else f"{op} #{k}",
-                        lines[line - 1].strip(), index, slot))
+                        source, index, slot))
     return out
 
 
@@ -234,10 +217,6 @@ def mutate(site: Site) -> str:
     return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
-def _limit():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
-
-
 def run_tests(module: str | None, source: str | None, files) -> bool:
     """Whether the test files pass on a copy of src/ in which module reads
     source (module None: the copy is unchanged but for a round trip
@@ -253,10 +232,15 @@ def run_tests(module: str | None, source: str | None, files) -> bool:
             (src / "momentforge" / f"{module}.py").write_text(source)
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
                "PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "1"}
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-               "no:cacheprovider", "--hypothesis-seed=0",
+        # the cap is set in the child itself: a preexec_fn is not safe
+        # while the pool's other thread runs
+        cmd = [sys.executable, "-c",
+               "import resource, sys, pytest; resource.setrlimit("
+               f"resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP})); "
+               "sys.exit(pytest.main(sys.argv[1:]))",
+               "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
                *[str(TESTS / f) for f in files]]
-        proc = subprocess.Popen(cmd, cwd=tmp, env=env, preexec_fn=_limit,
+        proc = subprocess.Popen(cmd, cwd=tmp, env=env,
                                 stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL,
                                 start_new_session=True)
@@ -282,45 +266,28 @@ def survives(site: Site) -> bool:
 
 
 def check() -> list:
-    """The EQUIVALENT entries that name no live site with their text."""
-    live = {s.name: s.source for m in MODULES for s in sites(m)}
-    return [f"{name}: listed as {text!r}, live as {live.get(name)!r}"
-            for name, (text, _) in EQUIVALENT.items()
-            if live.get(name) != text]
+    """The EQUIVALENT entries that name no live site."""
+    live = {s.key for m in MODULES for s in sites(m)}
+    return [key for key in EQUIVALENT if key not in live]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--module", action="append", choices=MODULES,
                         help="probe only this module (repeatable)")
-    parser.add_argument("--site", action="append",
-                        help="probe only this site, as 'module:line op'")
-    parser.add_argument("--workers", type=int, default=2,
-                        choices=(1, 2))
-    parser.add_argument("--list", action="store_true",
-                        help="print the sites and run nothing")
     parser.add_argument("--check", action="store_true",
                         help="only check that EQUIVALENT names live sites")
     args = parser.parse_args(argv)
 
     if args.check:
         stale = check()
-        for line in stale:
-            print(f"stale equivalence entry: {line}")
+        for key in stale:
+            print(f"stale equivalence entry: {key}")
         print(f"{len(EQUIVALENT)} equivalence entries, {len(stale)} stale")
         return 1 if stale else 0
 
     modules = args.module or MODULES
-    todo = [s for m in modules for s in sites(m)
-            if not args.site or s.name in args.site]
-    unknown = set(args.site or ()) - {s.name for s in todo}
-    if unknown:
-        parser.error(f"no such site: {', '.join(sorted(unknown))}")
-    if args.list:
-        for s in todo:
-            print(f"{s.name}\t{s.source}")
-        print(f"{len(todo)} sites")
-        return 0
+    todo = [s for m in modules for s in sites(m)]
     if not run_tests(None, None, all_test_files()):
         print("the unmutated copy fails the suite; nothing probed")
         return 2
@@ -335,7 +302,7 @@ def main(argv=None) -> int:
               flush=True)
         return alive
 
-    with ThreadPoolExecutor(args.workers) as pool:
+    with ThreadPoolExecutor(WORKERS) as pool:
         survived = dict(zip(todo, pool.map(probe, todo)))
     bad = 0
     print(f"{'module':<10} {'sites':>5} {'killed':>6} {'survived':>8} "
@@ -345,16 +312,16 @@ def main(argv=None) -> int:
         if not mine:
             continue
         alive = [s for s in mine if survived[s]]
-        listed = [s for s in alive if s.name in EQUIVALENT]
+        listed = [s for s in alive if s.key in EQUIVALENT]
         print(f"{m:<10} {len(mine):>5} {len(mine) - len(alive):>6} "
               f"{len(alive):>8} {len(listed):>6}")
     for s, alive in survived.items():
-        if alive and s.name not in EQUIVALENT:
+        if alive and s.key not in EQUIVALENT:
             bad += 1
             print(f"SURVIVED {s.name}\t{s.source}")
         elif alive:
             print(f"listed   {s.name}\t{s.source}")
-        elif s.name in EQUIVALENT:
+        elif s.key in EQUIVALENT:
             bad += 1
             print(f"KILLED but listed as equivalent: {s.name}\t{s.source}")
     return 1 if bad else 0

@@ -145,15 +145,16 @@ def test_lattice_split_is_the_saturated_left_kernel(m):
 @settings(max_examples=100, deadline=None)
 def test_lattice_split_reads_only_the_column_space(drawn):
     """m and m A, for an invertible A, have one column space, so one
-    reduced echelon basis and one split.  Planted for the Jordan sweep of
-    `_eliminate` starting at row 1 instead of 0, which leaves the first
-    pivot row unreduced and the split dependent on m itself, and for the
-    dropped `-` of the pivot-row sign, which leaves the split dependent on
-    the sign of m's last pivot."""
+    reduced echelon basis up to sign, one K and one Hermite form of C.
+    Planted for the Jordan sweep of `_eliminate` starting at row 1 instead
+    of 0, which leaves the first pivot row unreduced and K dependent on m
+    itself."""
     m, s, t, e = drawn
     a = [[1, e * s], [t, e * (s * t + 1)]]    # determinant e
-    assert ratlin.lattice_split(m) == ratlin.lattice_split(
-        ratlin.mat_mul(m, a))
+    (k1, c1), (k2, c2) = (ratlin.lattice_split(m),
+                          ratlin.lattice_split(ratlin.mat_mul(m, a)))
+    assert k1 == k2
+    assert ratlin._hermite(c1, len(m)) == ratlin._hermite(c2, len(m))
 
 
 def test_lattice_split_saturates():
