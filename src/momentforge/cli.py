@@ -471,7 +471,7 @@ def _prelude(report, scenario):
     of the integral form, or None when rounding breaks the form at every
     denominator bound."""
     M, A = scenario.manifold, scenario.action
-    p = hamclass.period_matrix(A, M.form)
+    p = hamclass.period_matrix(A, M)
     cls = hamclass.classify_action(p)
     report.add("classify", "c", cls.c)
     report.add("classify", "r", cls.r)
@@ -485,8 +485,7 @@ def _prelude(report, scenario):
     _expect(report, scenario, "classify", "c", cls.c)
     _expect(report, scenario, "classify", "r", cls.r)
     try:
-        result = hamclass.integralize_with_retry(M.form,
-                                                 scenario.max_denominator)
+        result = hamclass.integralize_with_retry(M, scenario.max_denominator)
     except hamclass.RoundingBrokeNondegeneracy as exc:
         report.add("integralize", "error", f"{type(exc).__name__}: {exc}")
         report.require("integralize", "converged", False)
@@ -499,8 +498,8 @@ def _prelude(report, scenario):
     torus = _fractions([r[:m] for r in w[:m]], den)
     if torus:
         report.matrix("omega_prime_torus", torus)
-    report.matrix("omega_prime_spheres", _fractions(
-        [[w[o][o + 1] for o in range(m, len(w), 2)]], den))
+    report.matrix("omega_prime_spheres",
+                  _fractions([omega_prime.sphere_coeffs], den))
     _expect(report, scenario, "integralize", "k", result.k)
     _expect(report, scenario, "integralize", "omega_prime_torus", torus,
             "omega_prime")
@@ -605,11 +604,12 @@ def _run_reduce(report, scenario, mom):
             report.require("reduce", f"stage{stage}_regular", False)
             break
         report.require("reduce", f"stage{stage}_regular", True)
-        report.add("reduce", f"stage{stage}_dimension", reduced.dim)
+        report.add("reduce", f"stage{stage}_dimension",
+                   reduced.manifold.dim if reduced else 0)
         report.add("reduce", f"stage{stage}_heredity_applicable",
                    reduction.heredity_check(reduced).applicable)
         original = [j for j in original if j != idx]
-        mom = reduced.moment
+        mom = reduced
 
 
 # the stages after the prelude, in the order they run; each takes

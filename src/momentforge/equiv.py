@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ratlin
+from . import geom, ratlin
 from .geom import ActionSpec
 from .moment import GeneralizedMoment
 
@@ -114,8 +114,7 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
     isotropic orbits force it to vanish, and with it Z, which is that
     matrix times H^T."""
     action = moment.action
-    # geom.fixed_point_set(...) != "empty", without listing the poles
-    has_fp = not any(any(v) for v in action.translations)
+    has_fp = geom.fixed_point_set(moment.manifold, action) != "empty"
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = _max_abs(_pairings(moment.mu2[0], action.orbit_matrix()),
                        moment.mu2[1])

@@ -47,7 +47,8 @@ def _numerators(rows, den: int) -> tuple:
 class ProductForm:
     """A constant invariant 2-form on T^m x (S^2)^n, built from the torus
     block (None or exact rows) and one dtheta ^ dh coefficient per sphere,
-    all over den, and held as its matrix W = nums / den in lowest terms."""
+    all over den, and held as its matrix W = nums / den in lowest terms.
+    The form owns the flat layout, so every form answers shape questions."""
 
     nums: tuple
     den: int
@@ -62,11 +63,16 @@ class ProductForm:
         for o, c in zip(range(m, n, 2), sphere_coeffs):
             w[o][o + 1], w[o + 1][o] = c, -c
         nums, den = _numerators(w, den)
-        nondegenerate = all(nums[o][o + 1] for o in range(m, n, 2)) and \
-            ratlin.nonsingular([row[:m] for row in nums[:m]])
-        for key, value in (("nums", nums), ("den", den), ("torus_dim", m),
-                           ("_nondegenerate", nondegenerate)):
+        for key, value in (("nums", nums), ("den", den), ("torus_dim", m)):
             object.__setattr__(self, key, value)
+        object.__setattr__(self, "_nondegenerate", all(self.sphere_coeffs)
+                           and ratlin.nonsingular([r[:m] for r in nums[:m]]))
+
+    @property
+    def sphere_coeffs(self) -> list:
+        """Each sphere's dtheta ^ dh coefficient, as a numerator over den."""
+        w = self.nums
+        return [w[o][o + 1] for o in range(self.torus_dim, len(w), 2)]
 
     def is_nondegenerate(self) -> bool:
         """Every sphere coefficient is nonzero and the torus block is
@@ -74,48 +80,13 @@ class ProductForm:
         fallback)."""
         return self._nondegenerate
 
-
-@dataclass(frozen=True, init=False)
-class ProductManifold:
-    """T^m x (S^2)^n with its symplectic form: the torus block
-    torus_omega (exact rows, Omega on R^m / Z^m) and one area coefficient
-    c per sphere, all over den.  The manifold is its validated form: its
-    shape is read from form, which is built once."""
-
-    form: ProductForm
-
-    def __init__(self, torus_omega=None, spheres=(), den=1):
-        torus = torus_omega or ()
-        m = len(torus)
-        if m % 2 != 0:
-            raise ValueError("torus_omega: torus dimension must be even")
-        if any(len(row) != m for row in torus):
-            raise ValueError("torus_omega: omega must be square")
-        if not all(c > 0 for c in spheres):
-            raise ValueError("spheres: sphere area coefficient must be "
-                             "positive")
-        if not m and not spheres:
-            raise ValueError("empty manifold: no torus_omega and no spheres")
-        form = ProductForm(torus, spheres, den)
-        w = form.nums
-        if any(w[i][j] != -w[j][i] for i in range(m) for j in range(i, m)):
-            raise ValueError("torus_omega: omega must be antisymmetric")
-        if not form.is_nondegenerate():
-            raise ValueError("torus_omega: degenerate torus form (zero "
-                             "determinant)")
-        object.__setattr__(self, "form", form)
-
-    @property
-    def torus_dim(self) -> int:
-        return self.form.torus_dim
-
     @property
     def n_spheres(self) -> int:
         return (self.dim - self.torus_dim) // 2
 
     @property
     def dim(self) -> int:
-        return len(self.form.nums)
+        return len(self.nums)
 
     @property
     def b1(self) -> int:
@@ -131,6 +102,34 @@ class ProductManifold:
         """Torus origin, spheres at the south pole (theta=0, h=-1), as a
         new list of ints."""
         return [0] * self.torus_dim + [0, -1] * self.n_spheres
+
+
+@dataclass(frozen=True, init=False)
+class ProductManifold(ProductForm):
+    """T^m x (S^2)^n with its symplectic form: the torus block
+    torus_omega (exact rows, Omega on R^m / Z^m) and one area coefficient
+    c per sphere, all over den.  The manifold is its form, checked to be
+    symplectic once, when it is built; it never equals a bare ProductForm."""
+
+    def __init__(self, torus_omega=None, spheres=(), den=1):
+        torus = torus_omega or ()
+        m = len(torus)
+        if m % 2 != 0:
+            raise ValueError("torus_omega: torus dimension must be even")
+        if any(len(row) != m for row in torus):
+            raise ValueError("torus_omega: omega must be square")
+        if not all(c > 0 for c in spheres):
+            raise ValueError("spheres: sphere area coefficient must be "
+                             "positive")
+        if not m and not spheres:
+            raise ValueError("empty manifold: no torus_omega and no spheres")
+        super().__init__(torus, spheres, den)
+        w = self.nums
+        if any(w[i][j] != -w[j][i] for i in range(m) for j in range(i, m)):
+            raise ValueError("torus_omega: omega must be antisymmetric")
+        if not self.is_nondegenerate():
+            raise ValueError("torus_omega: degenerate torus form (zero "
+                             "determinant)")
 
 
 @dataclass(frozen=True)

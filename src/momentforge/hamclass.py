@@ -87,7 +87,7 @@ def class_numerators(form: ProductForm) -> list:
     classes dx_i ^ dx_j (i < j), then the unit-area sphere classes."""
     w, m = form.nums, form.torus_dim
     return [w[i][j] for i in range(m) for j in range(i + 1, m)] \
-        + [2 * w[o][o + 1] for o in range(m, len(w), 2)]
+        + [2 * c for c in form.sphere_coeffs]
 
 
 def form_from_class_coefficients(torus_dim: int, coeffs) -> ProductForm:

@@ -183,6 +183,7 @@ def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
     manifold = moment.manifold
     weights = local_weights(manifold, moment.action, p)
     (nums, d), form = moment.mu1, moment.omega_prime
+    coeffs = form.sphere_coeffs
     max_res = Fraction(0)
     minima = []
     sign_ok = True
@@ -194,7 +195,7 @@ def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
             h = manifold.sphere_offset(f) + 1
             slope = _orientation(manifold, p, f) * cov[h]
             # slope is d times mu1's, so it is compared with c d
-            cd = Fraction(form.nums[h - 1][h] * d, form.den)
+            cd = Fraction(coeffs[f] * d, form.den)
             max_res = max(max_res,
                           abs(slope / (2 * cd) - Fraction(alphas[f], 2)))
             is_min = is_min and slope >= 0

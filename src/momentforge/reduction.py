@@ -25,32 +25,23 @@ class NotFree(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ReducedSpace:
-    """The quotient by a circle that rotates one sphere, at an interior
-    height of that sphere; its form is moment.omega_prime.  A point
-    quotient has manifold and moment None.  The parent moment
-    descends with no check: the collapsed orbit lies on the sphere's theta
-    slot, where no field covector has an entry, so every parent component
-    is constant on it."""
-
-    manifold: ProductManifold | None
-    moment: GeneralizedMoment | None
-
-    @property
-    def dim(self) -> int:
-        return self.manifold.dim if self.manifold is not None else 0
+# the circle bins heredity_check reports hit when the circle part is onto
+CIRCLE_BINS = 50
 
 
 def reduce_at(moment: GeneralizedMoment, generator: int,
-              level) -> ReducedSpace:
+              level) -> GeneralizedMoment | None:
     """Delete the one sphere the generator rotates and restrict everything
     else.  The level is regular iff that sphere's height is interior (the
     poles are the critical values), and the height is the level divided by
-    the height entry of the generator's field covector, exactly.  Raises
-    ValueError for a generator that translates the torus, NotRegular at a
-    critical or outside level, and NotFree where the circle does not act
-    freely on the level set."""
+    the height entry of the generator's field covector, exactly.  Returns
+    the reduced moment, whose manifold is the reduced form, or None for a
+    point quotient.  The parent moment descends with no check: the
+    collapsed orbit lies on the sphere's theta slot, where no field
+    covector has an entry, so every parent component is constant on it.
+    Raises ValueError for a generator that translates the torus,
+    NotRegular at a critical or outside level, and NotFree where the
+    circle does not act freely on the level set."""
     manifold, action = moment.manifold, moment.action
     if any(action.translations[generator]):
         raise ValueError("the reduced circle must act only on sphere factors")
@@ -74,22 +65,20 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
     if not manifold.torus_dim and not keep:
         # the level set is one free orbit, and no residual generator is
         # left to act on the point it collapses to
-        return ReducedSpace(None, None)
+        return None
 
     # the reduced form is omega_prime with sphere f dropped from nums / den
-    m, w = manifold.torus_dim, moment.omega_prime.nums
-    new_manifold = ProductManifold(
-        [row[:m] for row in w[:m]],
-        [w[m + 2 * g][m + 2 * g + 1] for g in keep], moment.omega_prime.den)
+    form = moment.omega_prime
+    m, w, coeffs = form.torus_dim, form.nums, form.sphere_coeffs
+    reduced = ProductManifold([row[:m] for row in w[:m]],
+                              [coeffs[g] for g in keep], form.den)
     new_action = ActionSpec(
         tuple(action.translations[j] for j in residual),
         tuple(tuple(action.rotations[j][g] for g in keep) for j in residual),
         action.sign)
-    new_form = new_manifold.form
     cls = hamclass.classify_action(hamclass.period_matrix(new_action,
-                                                          new_form))
-    return ReducedSpace(new_manifold, moment_mod.generalized_moment(
-        new_manifold, new_action, new_form, cls))
+                                                          reduced))
+    return moment_mod.generalized_moment(reduced, new_action, reduced, cls)
 
 
 @dataclass(frozen=True)
@@ -100,17 +89,16 @@ class HeredityVerdict:
     passed: bool
 
 
-def heredity_check(reduced: ReducedSpace,
-                   circle_bins: int = 50) -> HeredityVerdict:
-    """The residual circle action on the reduced space must stay
-    non-Hamiltonian and its circle-valued moment must still be surjective.
-    Both hold iff every residual circle covector has a nonzero integer
-    torus part: that is a nonzero period row, and x -> <a, x> mod 1 with a
-    nonzero integer a is onto the circle, so every one of the circle_bins
-    bins is hit.  With no circle part left (r = 0, or a point quotient)
-    the check does not apply."""
-    mom = reduced.moment
-    if mom is None or mom.r == 0:
+def heredity_check(moment: GeneralizedMoment | None) -> HeredityVerdict:
+    """The residual circle action on the reduced space, given by its
+    moment (None for a point quotient), must stay non-Hamiltonian and its
+    circle-valued moment must still be surjective.  Both hold iff every
+    residual circle covector has a nonzero integer torus part: that is a
+    nonzero period row, and x -> <a, x> mod 1 with a nonzero integer a is
+    onto the circle, so every one of the CIRCLE_BINS bins is hit.  With no
+    circle part left (r = 0, or a point quotient) the check does not
+    apply."""
+    if moment is None or moment.r == 0:
         return HeredityVerdict(False, False, 0, False)
-    onto = all(any(cov) for cov in mom.torus_covectors)
-    return HeredityVerdict(True, onto, circle_bins if onto else 0, onto)
+    onto = all(any(cov) for cov in moment.torus_covectors)
+    return HeredityVerdict(True, onto, CIRCLE_BINS if onto else 0, onto)

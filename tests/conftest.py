@@ -101,7 +101,7 @@ def classify(m, a, form=None):
     """The classification integralization starts from: that of the form
     itself (the manifold's own form by default)."""
     return hamclass.classify_action(
-        hamclass.period_matrix(a, form or m.form))
+        hamclass.period_matrix(a, form or m))
 
 
 def covectors(a, form, coeffs=None):
@@ -141,7 +141,7 @@ def pairing(m, form, u, w):
 def scenario_moment(sc):
     """The generalized moment of a loaded scenario, built as the CLI
     builds it."""
-    res = hamclass.integralize_with_retry(sc.manifold.form,
+    res = hamclass.integralize_with_retry(sc.manifold,
                                           sc.max_denominator)
     return moment.generalized_moment(sc.manifold, sc.action,
                                      res.omega_prime,

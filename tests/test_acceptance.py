@@ -32,7 +32,7 @@ def scenario(name):
 
 
 def pipeline(m, a, max_den=64):
-    res = hamclass.integralize_with_retry(m.form, max_den)
+    res = hamclass.integralize_with_retry(m, max_den)
     mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
     z = equiv.cocycle_matrix(mom)
     return res, mom, z
@@ -84,14 +84,14 @@ def test_criterion_02_period_integrality():
 def test_criterion_03_integralization():
     t0 = time.perf_counter()
     sc = scenario("two_torus_sqrt2")
-    res = hamclass.integralize_with_retry(sc.manifold.form, 5)
+    res = hamclass.integralize_with_retry(sc.manifold, 5)
     ok = (res.omega_prime.nums, res.omega_prime.den) \
         == (((0, 7), (-7, 0)), 1) and res.k == 5
     # 20 randomized irrational instances must keep the classification
     rng = np.random.default_rng(7)
     m = ProductManifold(((0, 1), (-1, 0)), (1.0,))
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    base = hamclass.classify_action(hamclass.period_matrix(a, m.form))
+    base = hamclass.classify_action(hamclass.period_matrix(a, m))
     for _ in range(20):
         w = float(rng.uniform(0.5, 3.0)) * math.sqrt(2)
         c = float(rng.uniform(0.2, 2.0)) * math.pi / 3.0
@@ -146,7 +146,7 @@ def test_criterion_05_fixed_point_chain():
             ok &= nat.max_mu2_invariance_error < 1e-9
     sc = scenario("two_torus")
     neg = equiv.isotropic_orbit_test(
-        sc.action, geom.field_covectors(sc.action, sc.manifold.form))
+        sc.action, geom.field_covectors(sc.action, sc.manifold))
     ok &= not neg.isotropic
     verdict(5, ok, "fixed points force isotropic orbits, zero cocycle, and "
                    "invariant circle moments; 2-torus control fails "
@@ -206,7 +206,7 @@ def test_criterion_09_reduction_heredity():
     sc = scenario("s2xt2_reduce")
     _, mom, _ = pipeline(sc.manifold, sc.action)
     reduced = reduction.reduce_at(mom, 0, 0.0)
-    her = reduction.heredity_check(reduced, circle_bins=50)
+    her = reduction.heredity_check(reduced)
     ok = reduced.manifold.torus_dim == 2 and reduced.manifold.n_spheres == 0
     ok &= her.residual_non_hamiltonian and her.circle_bins_hit == 50
     # two-stage variant: S^2 x S^2 x T^2 reduced one sphere at a time
@@ -216,7 +216,7 @@ def test_criterion_09_reduction_heredity():
     _, mom2, _ = pipeline(m, a)
     stage1 = reduction.reduce_at(mom2, 0, 0.0)
     ok &= reduction.heredity_check(stage1).passed
-    stage2 = reduction.reduce_at(stage1.moment, 0, 0.5)
+    stage2 = reduction.reduce_at(stage1, 0, 0.5)
     ok &= reduction.heredity_check(stage2).passed
     verdict(9, ok, "reduced 2-torus keeps a nonzero residual period and "
                    "covers all 50 circle bins; two-stage variant passes "

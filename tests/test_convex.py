@@ -24,7 +24,7 @@ from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m.form, 64)
+    res = hamclass.integralize_with_retry(m, 64)
     mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
     return res, mom
 

@@ -15,7 +15,7 @@ from conftest import (STD4, affine_apply, circle_distance, classify,
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m.form, 64)
+    res = hamclass.integralize_with_retry(m, 64)
     mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
     z = equiv.cocycle_matrix(mom)
     return res, mom, z
@@ -159,16 +159,16 @@ def test_exact_equivariance_negative_controls(s2xt2_mixed):
 
 def test_s2xs2_orbits_isotropic(s2xs2_rotations):
     m, a = s2xs2_rotations
-    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form))
+    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m))
     assert rep.isotropic
     fields = [field_vector(m, a, g) for g in ((1, 0), (0, 1))]
-    assert fractions(rep.pairings) == [[pairing(m, m.form, u, w)
+    assert fractions(rep.pairings) == [[pairing(m, m, u, w)
                                         for w in fields] for u in fields]
 
 
 def test_two_torus_orbits_not_isotropic(t2_translations):
     m, a = t2_translations
-    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m.form))
+    rep = equiv.isotropic_orbit_test(a, geom.field_covectors(a, m))
     assert not rep.isotropic
 
 

@@ -3,7 +3,8 @@ manifold universe, run through `momentforge all` twice.
 
 Every input must end in exit 0, 1 or 2 without a traceback, exit 2 exactly
 when it was drawn invalid, two runs must write the same bytes, and a report
-must split the acting torus completely, c + r = r_total.  Where it has a
+must split the acting torus completely, c + r = r_total, as the draw's
+[expect] c and r, computed from the drawn translations, say.  Where it has a
 [betti] section, the circle covectors have rank r and r <= b1: the rank
 argument that makes the circle part onto."""
 
@@ -18,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentforge import cli
+
+from conftest import fraction_rank
 
 
 def _negated(token: str) -> str:
@@ -40,11 +43,15 @@ def scenario_texts(draw):
     """T^m x (S^2)^n with m in {0, 2, 4} and n <= 3 (n >= 1 when m = 0), a
     torus form of integer, decimal or p/q entries whose lower triangle
     negates the upper one as text, 1-3 integer generators and an optional
-    [reduce] of an ordered subset of the generators, one level each.
-    Returns the text, the generator count and whether the draw is invalid
-    on purpose: a degenerate torus form (a zero Pfaffian of the drawn
-    tokens), a trivial generator, or a [reduce] generator that translates
-    the torus.  Those are valid draws, which must end in exit 2."""
+    [reduce] of an ordered subset of the generators, one level each.  Each
+    draw carries [expect] c and r from its construction: with the torus
+    block nondegenerate a combination is Hamiltonian iff its translation
+    vanishes, so r is the rank over Q of the drawn translation rows and
+    c = r_total - r.  Returns the text, the generator count and whether
+    the draw is invalid on purpose: a degenerate torus form (a zero
+    Pfaffian of the drawn tokens), a trivial generator, or a [reduce]
+    generator that translates the torus.  Those are valid draws, which
+    must end in exit 2."""
     m = draw(st.sampled_from((0, 2, 4)))
     n = draw(st.integers(1 if m == 0 else 0, 3))
     kind = draw(st.sampled_from(("integer", "decimal", "fraction")))
@@ -80,6 +87,8 @@ def scenario_texts(draw):
               f"max_denominator = {draw(st.sampled_from((1, 4, 64)))}",
               f"seed = {draw(st.integers(0, 9))}", "samples = 50",
               "coverage_samples = 500", "grid = 4"]
+    r = fraction_rank([v for v, _ in gens])
+    lines += ["[expect]", f"c = {len(gens) - r}", f"r = {r}"]
     if n and draw(st.booleans()):
         order = draw(st.permutations(range(len(gens))))
         order = order[:draw(st.integers(1, len(gens)))]
@@ -116,6 +125,9 @@ def test_generated_scenarios_end_in_a_deterministic_report(drawn):
     assert "Traceback" not in stdout + stderr
     assert first == second
     if stdout:
+        assert "_matches_expected = false" not in stdout, text
+        assert "c_matches_expected = true" in stdout
+        assert "r_matches_expected = true" in stdout
         split = re.search(r"^\[classify\]\nc = (\d+)\nr = (\d+)$", stdout,
                           re.MULTILINE)
         assert int(split[1]) + int(split[2]) == r_total

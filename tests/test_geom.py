@@ -3,13 +3,14 @@ the field covectors (against the conftest oracle), fixed-point sets, seeded
 sampling, and the batched torus action."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentforge import equiv, geom, hamclass, moment, ratlin, sample
+from momentforge import cli, equiv, geom, hamclass, moment, ratlin, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (apply_torus_element, classify, covectors, field_vector,
@@ -50,7 +51,7 @@ def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback(
     real = ratlin.nonsingular
     monkeypatch.setattr(ratlin, "nonsingular",
                         lambda a: calls.append(a) or real(a))
-    form = ProductManifold(((0, p), (-p, 0))).form
+    form = ProductManifold(((0, p), (-p, 0)))
     assert form.nums == ((0, p), (-p, 0)) and form.den == 1
     assert form.is_nondegenerate() and form.is_nondegenerate()
     assert calls == [[(0, p), (-p, 0)]]
@@ -64,17 +65,17 @@ def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback(
 def test_forms_hold_integer_numerators_over_one_denominator():
     """nums / den is W in lowest terms: the torus block and the sphere
     pairs, all over den, reduced together."""
-    m = ProductManifold([[0, 25], [-25, 0]], (Fraction(10, 3),), 10)
-    form = m.form
+    form = m = ProductManifold([[0, 25], [-25, 0]], (Fraction(10, 3),), 10)
     assert form.den == 6 and form.torus_dim == 2
     assert form.nums == ((0, 15, 0, 0), (-15, 0, 0, 0), (0, 0, 0, 2),
                          (0, 0, -2, 0))
     assert torus_omega(form) == [[0, Fraction(5, 2)], [Fraction(-5, 2), 0]]
     assert sphere_coeffs(form) == (Fraction(1, 3),)
-    assert form == ProductForm(((0, 2.5), (-2.5, 0)), (Fraction(2, 6),))
-    assert form == ProductForm(((0, 5), (-5, 0)), (Fraction(2, 3),), 2)
+    for other in (ProductForm(((0, 2.5), (-2.5, 0)), (Fraction(2, 6),)),
+                  ProductForm(((0, 5), (-5, 0)), (Fraction(2, 3),), 2)):
+        assert (other.nums, other.den) == (form.nums, form.den)
     assert (m.torus_dim, m.n_spheres, m.dim) == (2, 1, 4)
-    torus = ProductManifold([[0, 25], [-25, 0]], (), 10).form
+    torus = ProductManifold([[0, 25], [-25, 0]], (), 10)
     assert (torus.nums, torus.den) == (((0, 5), (-5, 0)), 2)
 
 
@@ -84,10 +85,13 @@ def test_factors_and_forms_hold_fractions():
     (a float converts exactly)."""
     m = ProductManifold(((0, 0.5), (-0.5, 0)), (0.1,))
     form = ProductForm(((0, 0.5), (-0.5, 0)), (0.1,))
-    assert m.form == form
-    assert ProductManifold(((0, 0.5), (-0.5, 0))).form.nums == \
+    assert (m.nums, m.den) == (form.nums, form.den)
+    # the manifold is its checked form, but never equals a bare form
+    assert m != form and form != m
+    assert m == ProductManifold(((0, 0.5), (-0.5, 0)), (0.1,))
+    assert ProductManifold(((0, 0.5), (-0.5, 0))).nums == \
         ((0, 1), (-1, 0))
-    assert ProductManifold(((0, 0.5), (-0.5, 0))).form.den == 2
+    assert ProductManifold(((0, 0.5), (-0.5, 0))).den == 2
     assert torus_omega(form) == [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
     assert sphere_coeffs(form) == (Fraction(0.1),)
 
@@ -113,6 +117,32 @@ def test_layout_and_basepoint():
     assert list(bp) == [0.0, 0.0, 0.0, -1.0]
     with pytest.raises(IndexError):
         m.sphere_offset(1)
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in (Path(cli.__file__).parent / "scenarios").glob("*.ini")))
+def test_every_form_answers_the_manifolds_shape(name):
+    """The layout lives on every form: omega_prime, a bare ProductForm,
+    reports the manifold's.  The manifold is its form, checked: it holds
+    the same nums and den as the unchecked ProductForm of its torus block
+    and sphere coefficients (the conftest oracles), and its sphere_coeffs
+    are theirs over den."""
+    sc = cli.load_scenario(cli.bundled_scenario_path(name))
+    m = sc.manifold
+    form = hamclass.integralize_with_retry(m, sc.max_denominator).omega_prime
+    assert type(form) is ProductForm
+    assert (form.dim, form.n_spheres, form.torus_dim, form.b1) \
+        == (m.dim, m.n_spheres, m.torus_dim, m.b1)
+    assert form.basepoint() == m.basepoint()
+    offsets = [m.sphere_offset(f) for f in range(m.n_spheres)]
+    assert [form.sphere_offset(f) for f in range(m.n_spheres)] == offsets
+    assert offsets == list(range(m.torus_dim, m.dim, 2))
+    t, s = torus_omega(m), sphere_coeffs(m)
+    over_3 = ([[3 * x for x in row] for row in t], [3 * x for x in s], 3)
+    checked, bare = ProductManifold(*over_3), ProductForm(*over_3)
+    assert (checked.nums, checked.den) == (bare.nums, bare.den) \
+        == (m.nums, m.den)
+    assert tuple(Fraction(x, m.den) for x in m.sphere_coeffs) == s
 
 
 def test_wrap():
@@ -150,14 +180,14 @@ def test_sphere_rotation_field_speed_two():
     a = ActionSpec(((),), ((2,),))
     assert a.orbit_matrix() == [[2, 0]]
     assert field_vector(m, a, [1]) == [2, 0]
-    assert covectors(a, m.form) == [[0, 1]]
+    assert covectors(a, m) == [[0, 1]]
 
 
 def test_sign_flips_fields_only():
     m = torus2()
     a = ActionSpec(((1, 0),), ((),), sign=-1)
     assert field_vector(m, a, [1]) == [-1, 0]
-    assert covectors(a, m.form) == [[0, -1]]
+    assert covectors(a, m) == [[0, -1]]
     # the orbit map ignores the sign convention
     assert a.orbit_matrix() == [[1, 0]]
     moved = apply_torus_element(m, a, [0.25], np.zeros(2))
@@ -170,8 +200,8 @@ def test_combination_field():
     assert ratlin.mat_mul([[2, 3]], a.orbit_matrix()) == [[3, 0, 2, 0]]
     assert field_vector(m, a, [2, 3]) == [3, 0, 2, 0]
     # i_X omega for X = (3, 0 | 2, 0): 3 (0, 1) on the torus, c * 2 on h
-    assert covectors(a, m.form, [[2, 3]]) == [[0, 3, 0, 2]]
-    assert covectors(a, m.form, []) == []
+    assert covectors(a, m, [[2, 3]]) == [[0, 3, 0, 2]]
+    assert covectors(a, m, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +209,7 @@ def test_combination_field():
 
 def test_pairing_and_contraction_on_torus():
     m = torus2()
-    form = m.form
+    form = m
     assert pairing(m, form, [1, 0], [0, 1]) == 1
     assert (form.nums, form.den) == (((0, 1), (-1, 0)), 1)
     a = ActionSpec(((1, 0),), ((),))
@@ -188,7 +218,7 @@ def test_pairing_and_contraction_on_torus():
 
 def test_contraction_on_sphere():
     m = sphere(0.5)
-    form = m.form
+    form = m
     assert (form.nums, form.den) == (((0, 1), (-1, 0)), 2)
     a = ActionSpec(((),), ((1,),))
     assert covectors(a, form) == [[0, 0.5]]
@@ -198,7 +228,7 @@ def test_contraction_is_the_pairing_covector():
     """(i_X omega)(e_k) = omega(X, e_k), exactly, on every basis vector
     and for both signs."""
     m = s2xt2()
-    form = m.form
+    form = m
     for sign in (1, -1):
         a = ActionSpec(((1, 2),), ((3,),), sign)
         [cov] = covectors(a, form)
@@ -244,7 +274,7 @@ def test_matrix_model_matches_the_oracle(product, combos):
     """Field covectors, isotropy pairings and the cocycle of the integral
     form all agree with the oracle pairing of the oracle fields."""
     m, a = product
-    form = m.form
+    form = m
     basis = [[int(i == k) for i in range(m.dim)]
              for k in range(m.dim)]
     units = [[int(i == j) for i in range(a.r_total)]

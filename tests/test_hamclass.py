@@ -71,7 +71,7 @@ def test_period_matrix_vs_quadrature():
     integral of omega(X, d) over [0, 1]; entry (j, k) is the loop d = e_k,
     and any other loop is the matching combination of entries."""
     m = s2xt2(c=0.7, omega=((0, 1.5), (-1.5, 0)))
-    form = m.form
+    form = m
     a = ActionSpec(((2, -1), (0, 0), (1, 3)), ((1,), (1,), (-2,)))
     p = fractions(hamclass.period_matrix(a, form))
     for j in range(a.r_total):
@@ -87,7 +87,7 @@ def test_period_matrix_vs_quadrature():
 
 def test_period_matrix_std_t2(t2_translations):
     m, a = t2_translations
-    p = hamclass.period_matrix(a, m.form)
+    p = hamclass.period_matrix(a, m)
     assert p == ([[0, 1], [-1, 0]], 1)
     assert any(p[0][0])
 
@@ -95,13 +95,13 @@ def test_period_matrix_std_t2(t2_translations):
 def test_period_matrix_sphere_rotation_rows_vanish():
     m = sphere()
     a = ActionSpec(((),), ((1,),))
-    p = hamclass.period_matrix(a, m.form)
+    p = hamclass.period_matrix(a, m)
     assert fractions(p) == [[]]
 
 
 def test_period_matrix_mixed(s2xt2_mixed):
     m, a = s2xt2_mixed
-    p = hamclass.period_matrix(a, m.form)
+    p = hamclass.period_matrix(a, m)
     assert fractions(p) == [[0, 0], [0, 1], [-1, 0]]
     assert not any(p[0][0])
 
@@ -113,21 +113,21 @@ def test_classify_trivial_rows():
     # all generators Hamiltonian: c = r_total, r = 0
     m = sphere()
     a = ActionSpec(((), ()), ((1,), (2,)))
-    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m))
     assert cls.c == 2 and cls.r == 0
     assert cls.hamiltonian_basis == ((1, 0), (0, 1))
 
 
 def test_classify_fully_non_hamiltonian(t2_translations):
     m, a = t2_translations
-    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m))
     assert cls.c == 0 and cls.r == 2
     assert cls.complement_generators == ((1, 0), (0, 1))
 
 
 def test_classify_mixed(s2xt2_mixed):
     m, a = s2xt2_mixed
-    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m))
     assert cls.c == 1 and cls.r == 2
     assert cls.hamiltonian_basis == ((1, 0, 0),)
 
@@ -137,7 +137,7 @@ def test_classify_saturates_the_kernel():
     # come out primitive even though the period data only sees 2x it
     m = sphere()
     a = ActionSpec(((), ()), ((2,), (1,)))
-    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m))
     assert cls.c == 2
     assert all(math.gcd(*[abs(x) for x in v]) == 1
                for v in cls.hamiltonian_basis)
@@ -147,7 +147,7 @@ def test_classify_hamiltonian_combination():
     # generators (1,0)+rot and (1,0): the difference is Hamiltonian
     m = s2xt2()
     a = ActionSpec(((1, 0), (1, 0)), ((1,), (0,)))
-    cls = hamclass.classify_action(hamclass.period_matrix(a, m.form))
+    cls = hamclass.classify_action(hamclass.period_matrix(a, m))
     assert cls.c == 1 and cls.r == 1
     assert cls.hamiltonian_basis == ((1, -1),)
 
@@ -157,16 +157,17 @@ def test_classify_hamiltonian_combination():
 
 def test_class_coefficients_round_trip():
     m = s2xt2(c=0.75, omega=((0, 1.5), (-1.5, 0)))
-    coeffs = hamclass.form_class_coefficients(m.form)
+    coeffs = hamclass.form_class_coefficients(m)
     assert coeffs == [1.5, 1.5]
     back = hamclass.form_from_class_coefficients(2, coeffs)
     assert torus_omega(back)[0][1] == 1.5
     assert float(sphere_coeffs(back)[0]) == 0.75
     # the torus dimension and the count give the shape: past the torus
     # classes every coefficient is a sphere's
-    assert back == m.form
-    assert hamclass.form_from_class_coefficients(0, coeffs) \
-        == ProductManifold(None, (0.75, 0.75)).form
+    assert (back.nums, back.den) == (m.nums, m.den)
+    point = hamclass.form_from_class_coefficients(0, coeffs)
+    spheres = ProductManifold(None, (0.75, 0.75))
+    assert (point.nums, point.den) == (spheres.nums, spheres.den)
 
 
 def test_class_coefficients_vs_quadrature():
@@ -176,7 +177,7 @@ def test_class_coefficients_vs_quadrature():
     and h in [-1, 1] for a sphere."""
     dense = ((0, 1, 2, 0), (-1, 0, 0.5, 3), (-2, -0.5, 0, 1), (0, -3, -1, 0))
     m = ProductManifold(dense, (0.7, 1.5))
-    form = m.form
+    form = m
     coeffs = hamclass.form_class_coefficients(form)
     labels = [("torus", i, j) for i in range(4) for j in range(i + 1, 4)] \
         + [("sphere", f) for f in range(2)]
@@ -199,7 +200,7 @@ def test_class_coefficients_vs_quadrature():
 def test_class_numerators_order():
     """The torus class, then the sphere's area 2c, over the form's den."""
     m = s2xt2(c=0.75, omega=((0, 1.25), (-1.25, 0)))
-    assert (hamclass.class_numerators(m.form), m.form.den) == ([5, 6], 4)
+    assert (hamclass.class_numerators(m), m.den) == ([5, 6], 4)
 
 
 def test_class_coefficient_order():
@@ -207,7 +208,7 @@ def test_class_coefficient_order():
     class per sphere, whose coefficient is the area 2c."""
     omega = ((0, 1, 2, 3), (-1, 0, 4, 5), (-2, -4, 0, 6), (-3, -5, -6, 0))
     m = ProductManifold(omega, (7, 8))
-    assert hamclass.form_class_coefficients(m.form) == [
+    assert hamclass.form_class_coefficients(m) == [
         1, 2, 3, 4, 5, 6, 14, 16]
 
 
@@ -227,7 +228,7 @@ def test_integralize_sqrt2():
 
 def test_integralize_already_integral(t2_translations):
     m, _ = t2_translations
-    res = hamclass.integralize_form(m.form, 64)
+    res = hamclass.integralize_form(m, 64)
     assert res.k == 1
     assert (res.omega_prime.nums, res.omega_prime.den) \
         == (((0, 1), (-1, 0)), 1)
@@ -236,7 +237,7 @@ def test_integralize_already_integral(t2_translations):
 
 def test_integralize_sphere_area():
     m = sphere(0.7)
-    res = hamclass.integralize_form(m.form, 5)
+    res = hamclass.integralize_form(m, 5)
     # class coefficient 1.4 rounds to 7/5, scaled to 7
     assert res.k == 5
     assert sphere_coeffs(res.omega_prime) == (Fraction(7, 2),)
@@ -247,7 +248,7 @@ def test_integralize_respects_exactness_constraints():
     to keep the same contraction-exactness pattern."""
     m = s2xt2(c=0.5 * math.sqrt(3))
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
-    res = hamclass.integralize_with_retry(m.form, 16)
+    res = hamclass.integralize_with_retry(m, 16)
     cls = hamclass.classify_action(
         hamclass.period_matrix(a, res.omega_prime))
     assert cls == classify(m, a)
@@ -261,7 +262,7 @@ def test_integralize_randomized_preserves_classification():
     m, a_spec = s2xt2(), ActionSpec(((0, 0), (1, 0), (0, 1)),
                                     ((1,), (0,), (0,)))
     base = hamclass.classify_action(
-        hamclass.period_matrix(a_spec, m.form))
+        hamclass.period_matrix(a_spec, m))
     for _ in range(20):
         w = float(rng.uniform(0.5, 3.0)) * math.sqrt(2)
         c = float(rng.uniform(0.2, 2.0)) * math.sqrt(3)
@@ -309,8 +310,8 @@ def test_integral_form_and_deviation_match_fraction_arithmetic(w, c, bound):
     their Fraction definitions: omega' = k q, and max_deviation is
     float(max |q_i - a_i|) to the bit."""
     m = ProductManifold(((0, w), (-w, 0)), (abs(c),))
-    res = hamclass.integralize_with_retry(m.form, bound)
-    coeffs = hamclass.form_class_coefficients(m.form)
+    res = hamclass.integralize_with_retry(m, bound)
+    coeffs = hamclass.form_class_coefficients(m)
     assert res.max_deviation == float(max(abs(x - y)
                                           for x, y in zip(res.q, coeffs)))
     assert hamclass.form_class_coefficients(res.omega_prime) \
@@ -348,7 +349,7 @@ def test_t12_prelude_builds_each_exact_object_once(monkeypatch):
     scenario = cli.load_scenario(T12)
     assert cli.run_scenario(scenario).passed
     assert len(forms) == 2
-    assert forms[0] is scenario.manifold.form
+    assert forms[0] is scenario.manifold
     # no spheres: each form's matrix is its torus block
     assert [tuple(map(tuple, a)) for (a,) in decided] \
         == [form.nums for form in forms]

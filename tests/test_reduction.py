@@ -14,7 +14,7 @@ from conftest import classify, float_mu1, s2xs2, s2xt2, sphere
 
 
 def pipeline(m, a):
-    res = hamclass.integralize_with_retry(m.form, 64)
+    res = hamclass.integralize_with_retry(m, 64)
     mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
     return res, mom
 
@@ -32,7 +32,7 @@ def test_interior_value_is_regular():
     """Level 0 is the equator of the rotated sphere, which the reduction
     deletes, leaving the torus."""
     reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
-    assert reduced.manifold.n_spheres == 0 and reduced.dim == 2
+    assert reduced.manifold.n_spheres == 0 and reduced.manifold.dim == 2
 
 
 def test_pole_value_is_critical():
@@ -44,7 +44,7 @@ def test_pole_value_is_critical():
         with pytest.raises(reduction.NotRegular):
             reduction.reduce_at(mom, 0, float(pole))
         inside = pole - Fraction(pole, 10 ** 13)
-        assert reduction.reduce_at(mom, 0, inside).dim == 2
+        assert reduction.reduce_at(mom, 0, inside).manifold.dim == 2
 
 
 def test_value_outside_image_rejected():
@@ -64,8 +64,10 @@ def test_reduce_mixed_action_to_torus():
     reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
     assert reduced.manifold.n_spheres == 0
     assert reduced.manifold.torus_dim == 2
-    assert reduced.moment.action.r_total == 2
-    assert reduced.moment.r == 2 and reduced.moment.c == 0
+    assert reduced.action.r_total == 2
+    assert reduced.r == 2 and reduced.c == 0
+    # the reduced manifold is already integral: it is its own omega_prime
+    assert reduced.omega_prime is reduced.manifold
 
 
 def test_reduce_s2xs2_leaves_hamiltonian_sphere():
@@ -74,7 +76,7 @@ def test_reduce_s2xs2_leaves_hamiltonian_sphere():
     _, mom = pipeline(m, a)
     reduced = reduction.reduce_at(mom, 0, 0.0)
     assert reduced.manifold.n_spheres == 1
-    assert reduced.moment.c == 1 and reduced.moment.r == 0
+    assert reduced.c == 1 and reduced.r == 0
 
 
 def test_speed_two_reduction_refused():
@@ -111,8 +113,7 @@ def test_induced_moment_hamiltonian_only():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
-    reduced = reduction.reduce_at(mom, 0, 0.25)
-    induced = reduced.moment
+    induced = reduction.reduce_at(mom, 0, 0.25)
     assert induced.c == 1
     pts = np.array([[0.0, 0.3]])
     assert float_mu1(induced, pts)[0, 0] == pytest.approx(0.3)
@@ -133,11 +134,9 @@ def test_heredity_negative_control():
     """A residual circle component with a zero torus covector is neither
     non-Hamiltonian nor onto the circle."""
     reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
-    mom = reduced.moment
-    nums, d = mom.mu2
+    nums, d = reduced.mu2
     flat = (0,) * len(nums[0])
-    broken = dataclasses.replace(reduced, moment=dataclasses.replace(
-        mom, mu2=((flat,) + nums[1:], d)))
+    broken = dataclasses.replace(reduced, mu2=((flat,) + nums[1:], d))
     verdict = reduction.heredity_check(broken)
     assert verdict.applicable
     assert not verdict.residual_non_hamiltonian
@@ -167,7 +166,7 @@ def test_two_stage_reduction():
     assert stage1.manifold.n_spheres == 1
     assert reduction.heredity_check(stage1).passed
 
-    stage2 = reduction.reduce_at(stage1.moment, 0, 0.5)
+    stage2 = reduction.reduce_at(stage1, 0, 0.5)
     assert stage2.manifold.n_spheres == 0
     assert stage2.manifold.torus_dim == 2
     verdict = reduction.heredity_check(stage2)
