@@ -503,7 +503,7 @@ def _prelude(report, scenario):
     _expect(report, scenario, "integralize", "k", result.k)
     _expect(report, scenario, "integralize", "omega_prime_torus", torus,
             "omega_prime")
-    return moment_mod.generalized_moment(M, A, omega_prime, cls)
+    return moment_mod.generalized_moment(A, omega_prime, cls)
 
 
 def _run_moment(report, scenario, mom):
@@ -545,7 +545,6 @@ def _run_equivariance(report, scenario, mom):
 
 def _run_convexity(report, scenario, mom):
     from . import sample
-    M = scenario.manifold
     grid, c, r = scenario.grid, mom.c, mom.r
     cells = grid ** (c + r)
     if cells > sample.MAX_COVERAGE_CELLS:
@@ -553,8 +552,7 @@ def _run_convexity(report, scenario, mom):
                      f"grid = {grid} with c = {c}, r = {r} needs {cells} "
                      "coverage cells, above the budget of "
                      f"{sample.MAX_COVERAGE_CELLS}")
-    g = sum(any(cov[M.sphere_offset(f) + 1] for cov in mom.mu1[0])
-            for f in range(M.n_spheres))
+    g = len(convex.pole_generators(mom))
     if 2 ** g > convex.MAX_POLES:
         _over_budget(report, "convexity",
                      f"{g} spheres enter mu1, so the polytope has 2^{g} "
@@ -592,7 +590,7 @@ def _run_betti(report, scenario, mom):
 def _run_reduce(report, scenario, mom):
     """Stage-wise reduction: one generator at a time, each stage required
     to be free and regular."""
-    original = list(range(scenario.action.r_total))
+    original = list(range(mom.action.r_total))
     for stage, (idx, val) in enumerate(zip(scenario.reduce_indices,
                                            scenario.reduce_values)):
         try:
@@ -605,7 +603,7 @@ def _run_reduce(report, scenario, mom):
             break
         report.require("reduce", f"stage{stage}_regular", True)
         report.add("reduce", f"stage{stage}_dimension",
-                   reduced.manifold.dim if reduced else 0)
+                   reduced.omega_prime.dim if reduced else 0)
         report.add("reduce", f"stage{stage}_heredity_applicable",
                    reduction.heredity_check(reduced).applicable)
         original = [j for j in original if j != idx]

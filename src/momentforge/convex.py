@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import ratlin
 from .moment import GeneralizedMoment
 
-# moment_polytope visits 2^(spheres whose height enters mu1) pole images
+# moment_polytope visits 2^len(pole_generators(moment)) pole images
 MAX_POLES = 2 ** 16
 
 
@@ -48,6 +48,13 @@ class MomentPolytope:
             for nv, b in zip(self.normals, self.offsets)], nums)
 
 
+def pole_generators(moment: GeneralizedMoment) -> list:
+    """The nonzero columns of w, one per sphere whose height enters mu1."""
+    form, (nums, _) = moment.omega_prime, moment.mu1
+    return [g for g in ([cov[form.sphere_offset(f) + 1] for cov in nums]
+                        for f in range(form.n_spheres)) if any(g)]
+
+
 def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
     """The exact image of mu1.  By Atiyah and Guillemin-Sternberg it is the
     hull of mu1 at the fixed points, the pole images w @ sigma with sigma in
@@ -60,11 +67,8 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
     A pole image is a vertex when its tight normals have rank k.  All of
     it runs on the integer numerators of w over mu1's denominator d, which
     the vertices and offsets keep."""
-    manifold = moment.manifold
-    c, (nums, d) = moment.c, moment.mu1
-    w = [[cov[manifold.sphere_offset(f) + 1]
-          for f in range(manifold.n_spheres)] for cov in nums]
-    gens = [g for g in zip(*w) if any(g)]
+    c, d = moment.c, moment.mu1[1]
+    gens = pole_generators(moment)
     # pivot columns: the greedy independent rows of w
     rows = ratlin._eliminate([list(g) for g in gens])[0]
     k = len(rows)
@@ -89,8 +93,8 @@ def moment_polytope(moment: GeneralizedMoment) -> MomentPolytope:
                  if abs(_dot(nv, v)) == b]
         if len(tight) >= k and ratlin.integer_rank(tight) == k:
             vertices.add(v)
-    # the left kernel of w (empty when k = c) pins the unspanned directions
-    pinned = ratlin.lattice_split(w)[0]
+    # the left kernel of w, which is coords', pins the unspanned directions
+    pinned = ratlin.lattice_split(coords)[0]
     normals += [tuple(e) for e in pinned]
     offsets += [0] * len(pinned)
     return MomentPolytope(c, tuple(sorted(vertices)), tuple(normals),
@@ -115,7 +119,7 @@ def betti_bound_check(moment: GeneralizedMoment) -> BettiReport:
     matrix's left kernel to a basis, so r <= b1, the column count."""
     r = moment.classification.r
     rank = ratlin.integer_rank(moment.torus_covectors)
-    b1 = moment.manifold.b1
+    b1 = moment.omega_prime.b1
     return BettiReport(rank, r, b1, r <= b1, r == b1)
 
 
@@ -142,7 +146,7 @@ def cycle_lift(moment: GeneralizedMoment) -> CycleLift:
     The admissible lattice {u in Z^m : <first_i, u> = 0} is the integer
     left kernel of the first covectors as columns; the moment needs a
     circle part (r >= 1)."""
-    m = moment.manifold.torus_dim
+    m = moment.omega_prime.torus_dim
     covs = list(moment.torus_covectors)
     first, last = covs[:-1], covs[-1]
     lattice, _ = ratlin.lattice_split(

@@ -114,7 +114,7 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
     isotropic orbits force it to vanish, and with it Z, which is that
     matrix times H^T."""
     action = moment.action
-    has_fp = geom.fixed_point_set(moment.manifold, action) != "empty"
+    has_fp = geom.fixed_point_set(moment.omega_prime, action) != "empty"
     z_zero = all(all(e == 0 for e in row) for row in z)
     max_err = _max_abs(_pairings(moment.mu2[0], action.orbit_matrix()),
                        moment.mu2[1])

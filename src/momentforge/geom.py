@@ -193,7 +193,7 @@ def field_covectors(action: ActionSpec, form: ProductForm) -> tuple:
 # ---------------------------------------------------------------------------
 # fixed points
 
-def fixed_point_set(manifold: ProductManifold, action: ActionSpec) -> str:
+def fixed_point_set(manifold: ProductForm, action: ActionSpec) -> str:
     """'empty', 'finite' (a finite set of points) or 'submanifold' (of
     positive dimension): the pole combinations on the rotated spheres
     times the torus and the unrotated spheres."""

@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import geom, ratlin
-from .geom import ActionSpec, ProductForm, ProductManifold
+from .geom import ActionSpec, ProductForm
 from .hamclass import ActionClassification
 
 
@@ -28,7 +28,8 @@ class NotAFixedPoint(Exception):
 
 @dataclass(frozen=True)
 class GeneralizedMoment:
-    """mu = (mu1, mu2), both computed against the same integral form.  mu1
+    """mu = (mu1, mu2), both computed against the same integral form
+    omega_prime, which answers every shape question the stages ask.  mu1
     holds one exact covector per Hamiltonian basis vector, supported on the
     sphere height slots, and mu2 one per complement generator, its torus
     slots integral: B times covectors, the rows sign G W of
@@ -36,7 +37,6 @@ class GeneralizedMoment:
     additive constant enters mu1, since the unit-speed rotation of a
     coefficient-1 sphere gives exactly the height coordinate."""
 
-    manifold: ProductManifold
     action: ActionSpec
     omega_prime: ProductForm
     classification: ActionClassification
@@ -55,7 +55,7 @@ class GeneralizedMoment:
     @cached_property
     def torus_covectors(self) -> tuple:
         """The integral torus slots of mu2 as ints."""
-        m, (nums, d) = self.manifold.torus_dim, self.mu2
+        m, (nums, d) = self.omega_prime.torus_dim, self.mu2
         return tuple(tuple(x // d for x in row[:m]) for row in nums)
 
     @property
@@ -97,27 +97,27 @@ class GeneralizedMoment:
         mod = self.mu2_den
         a2 = [[(a + mod // 2) % mod - mod // 2 for a in row]
               for row in self.mu2[0]]
-        base = [b * geom.LATTICE for b in self.manifold.basepoint()]
+        base = [b * geom.LATTICE for b in self.omega_prime.basepoint()]
         offsets = [-sum(a * b for a, b in zip(row, base)) % mod for row in a2]
         return (Pairing(self.mu1[0], [0] * self.c, self.mu1_den),
                 Pairing(a2, offsets, mod))
 
 
-def generalized_moment(manifold: ProductManifold, action: ActionSpec,
-                       omega_prime: ProductForm,
+def generalized_moment(action: ActionSpec, omega_prime: ProductForm,
                        classification: ActionClassification
                        ) -> GeneralizedMoment:
     """The basis times the field covectors of omega_prime, split at c, each
-    part in its own lowest terms.  classification must be that of a form
-    whose periods have the left kernel of omega_prime's (its own, or the
-    form it integralizes).  Then the Hamiltonian rows B p vanish on the
-    torus slots, and the circle rows C p have rank r, so no torus part is
-    zero, and it is integral since omega_prime is."""
+    part in its own lowest terms; omega_prime is the moment's one form,
+    and so its one shape.  classification must be that of a form whose
+    periods have the left kernel of omega_prime's (its own, or the form it
+    integralizes).  Then the Hamiltonian rows B p vanish on the torus
+    slots, and the circle rows C p have rank r, so no torus part is zero,
+    and it is integral since omega_prime is."""
     covectors = geom.field_covectors(action, omega_prime)
     c, (nums, d) = classification.c, covectors
     rows = ratlin.mat_mul(classification.hamiltonian_basis
                           + classification.complement_generators, nums)
-    return GeneralizedMoment(manifold, action, omega_prime, classification,
+    return GeneralizedMoment(action, omega_prime, classification,
                              ratlin.lowest(rows[:c], d),
                              ratlin.lowest(rows[c:], d), covectors)
 
@@ -141,12 +141,12 @@ def _require_fixed(manifold, action, p):
                 raise NotAFixedPoint(f"sphere {f} not at a pole")
 
 
-def _orientation(manifold: ProductManifold, p, f: int) -> int:
+def _orientation(manifold: ProductForm, p, f: int) -> int:
     """+1 when p sits at the south pole of sphere f, -1 at the north."""
     return 1 if p[manifold.sphere_offset(f) + 1] < 0 else -1
 
 
-def local_weights(manifold: ProductManifold, action: ActionSpec,
+def local_weights(manifold: ProductForm, action: ActionSpec,
                   p) -> tuple:
     """Isotropy weights of the linearized action, one integer covector
     (over generators) per symplectic plane.  On the plane of sphere f a
@@ -180,9 +180,8 @@ def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
     must equal alpha / 2, alpha the plane's weight paired with the
     component's generator.  mu1 depends on the heights alone, so p
     minimizes it iff orient * cov[h] >= 0 on every sphere."""
-    manifold = moment.manifold
-    weights = local_weights(manifold, moment.action, p)
     (nums, d), form = moment.mu1, moment.omega_prime
+    weights = local_weights(form, moment.action, p)
     coeffs = form.sphere_coeffs
     max_res = Fraction(0)
     minima = []
@@ -191,9 +190,9 @@ def local_model_check(moment: GeneralizedMoment, p) -> LocalModelReport:
         alphas = [sum(w * g for w, g in zip(weight, xi))
                   for weight in weights]
         is_min = True
-        for f in range(manifold.n_spheres):
-            h = manifold.sphere_offset(f) + 1
-            slope = _orientation(manifold, p, f) * cov[h]
+        for f in range(form.n_spheres):
+            h = form.sphere_offset(f) + 1
+            slope = _orientation(form, p, f) * cov[h]
             # slope is d times mu1's, so it is compared with c d
             cd = Fraction(coeffs[f] * d, form.den)
             max_res = max(max_res,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hamclass, moment as moment_mod
-from .geom import ActionSpec, ProductManifold
+from .geom import ActionSpec, ProductForm
 from .moment import GeneralizedMoment
 
 
@@ -35,14 +35,15 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
     else.  The level is regular iff that sphere's height is interior (the
     poles are the critical values), and the height is the level divided by
     the height entry of the generator's field covector, exactly.  Returns
-    the reduced moment, whose manifold is the reduced form, or None for a
-    point quotient.  The parent moment descends with no check: the
-    collapsed orbit lies on the sphere's theta slot, where no field
-    covector has an entry, so every parent component is constant on it.
-    Raises ValueError for a generator that translates the torus,
-    NotRegular at a critical or outside level, and NotFree where the
-    circle does not act freely on the level set."""
-    manifold, action = moment.manifold, moment.action
+    the reduced moment, or None for a point quotient; its form is
+    omega_prime less sphere f, symplectic with no check, as omega_prime's
+    torus block is nonsingular and its sphere coefficients are positive.
+    The parent moment descends with no check: the collapsed orbit lies on
+    the sphere's theta slot, where no field covector has an entry, so every
+    parent component is constant on it.  Raises ValueError for a generator
+    that translates the torus, NotRegular at a critical or outside level,
+    and NotFree where the circle does not act freely on the level set."""
+    form, action = moment.omega_prime, moment.action
     if any(action.translations[generator]):
         raise ValueError("the reduced circle must act only on sphere factors")
     rotated = [f for f, s in enumerate(action.rotations[generator]) if s]
@@ -51,7 +52,7 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
                       "exactly one sphere")
     f = rotated[0]
     nums, d = moment.covectors
-    h = Fraction(level) * d / nums[generator][manifold.sphere_offset(f) + 1]
+    h = Fraction(level) * d / nums[generator][form.sphere_offset(f) + 1]
     if not -1 < h < 1:
         raise NotRegular(f"sphere {f} at height {h}")
     s = action.rotations[generator][f]
@@ -61,24 +62,21 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
     residual = [j for j in range(action.r_total) if j != generator]
     if any(action.rotations[j][f] for j in residual):
         raise NotFree("a residual generator moves the reduced sphere")
-    keep = [g for g in range(manifold.n_spheres) if g != f]
-    if not manifold.torus_dim and not keep:
+    keep = [g for g in range(form.n_spheres) if g != f]
+    if not form.torus_dim and not keep:
         # the level set is one free orbit, and no residual generator is
         # left to act on the point it collapses to
         return None
-
-    # the reduced form is omega_prime with sphere f dropped from nums / den
-    form = moment.omega_prime
     m, w, coeffs = form.torus_dim, form.nums, form.sphere_coeffs
-    reduced = ProductManifold([row[:m] for row in w[:m]],
-                              [coeffs[g] for g in keep], form.den)
+    reduced = ProductForm([row[:m] for row in w[:m]],
+                          [coeffs[g] for g in keep], form.den)
     new_action = ActionSpec(
         tuple(action.translations[j] for j in residual),
         tuple(tuple(action.rotations[j][g] for g in keep) for j in residual),
         action.sign)
     cls = hamclass.classify_action(hamclass.period_matrix(new_action,
                                                           reduced))
-    return moment_mod.generalized_moment(reduced, new_action, reduced, cls)
+    return moment_mod.generalized_moment(new_action, reduced, cls)
 
 
 @dataclass(frozen=True)

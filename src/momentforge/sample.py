@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ratlin
 from .convex import MomentPolytope
-from .geom import LATTICE, ProductManifold
+from .geom import LATTICE, ProductForm
 from .moment import GeneralizedMoment
 
 # product_coverage_check allocates grid^(c+r) cells, at most this many
@@ -32,7 +32,7 @@ CELL_BLOCK_ENTRIES = 2 ** 18
 TABLE_BLOCK_ENTRIES = 2 ** 13
 
 
-def sample_points(manifold: ProductManifold, n: int, seed: int,
+def sample_points(form: ProductForm, n: int, seed: int,
                   start: int = 0, stop: int | None = None) -> np.ndarray:
     """Seeded uniform samples on the lattice, as int64 numerators over
     LATTICE (see the module docs); h = (2b - P) / P is uniform on [-1, 1),
@@ -53,15 +53,15 @@ def sample_points(manifold: ProductManifold, n: int, seed: int,
     # every draw of P itself is drawn again
     bits = np.random.default_rng(seed).bit_generator
     if start:
-        bits.advance(start * manifold.dim)
-    raw = bits.random_raw((stop - start, manifold.dim))
+        bits.advance(start * form.dim)
+    raw = bits.random_raw((stop - start, form.dim))
     raw >>= 33
     out = raw.view(np.int64)
     while (again := out == LATTICE).any():
         if stop - start < n:
-            return sample_points(manifold, n, seed)[start:stop]
+            return sample_points(form, n, seed)[start:stop]
         out[again] = bits.random_raw(int(again.sum())) >> 33
-    heights = slice(manifold.torus_dim + 1, None, 2)
+    heights = slice(form.torus_dim + 1, None, 2)
     out[:, heights] = out[:, heights] * 2 - LATTICE
     return out
 
@@ -120,8 +120,8 @@ def moment_table(moment: GeneralizedMoment, n: int, seed: int) -> tuple:
     """The header and the rows of the sample table: per sample of the
     seeded n-row draw its numerators over LATTICE, then mu1's over mu1_den
     and mu2's over mu2_den."""
-    nums = sample_points(moment.manifold, n, seed)
-    return (tuple([f"x{i}/{LATTICE}" for i in range(moment.manifold.dim)]
+    nums = sample_points(moment.omega_prime, n, seed)
+    return (tuple([f"x{i}/{LATTICE}" for i in range(moment.omega_prime.dim)]
                   + [f"mu1_{i}/{moment.mu1_den}" for i in range(moment.c)]
                   + [f"mu2_{i}/{moment.mu2_den}" for i in range(moment.r)]),
             np.hstack([nums, moment.mu1_values(nums),
@@ -192,7 +192,7 @@ def product_coverage_check(moment: GeneralizedMoment,
     start, size = 0, COVERAGE_CHUNK
     while start < n and left.any():
         stop = min(n, start + size)
-        left.ravel()[cells(sample_points(moment.manifold, n, seed, start,
+        left.ravel()[cells(sample_points(moment.omega_prime, n, seed, start,
                                          stop))] = False
         start, size = stop, 2 * size
     n_hit = n_counted - int(left.sum())

@@ -143,8 +143,7 @@ def scenario_moment(sc):
     builds it."""
     res = hamclass.integralize_with_retry(sc.manifold,
                                           sc.max_denominator)
-    return moment.generalized_moment(sc.manifold, sc.action,
-                                     res.omega_prime,
+    return moment.generalized_moment(sc.action, res.omega_prime,
                                      classify(sc.manifold, sc.action))
 
 
@@ -153,7 +152,7 @@ def lattice_oracle(mom, nums):
     tuples per row: covector . x, and for mu2 covector . (x - basepoint)
     reduced mod 1."""
     p = geom.LATTICE
-    base = [Fraction(int(b)) for b in mom.manifold.basepoint()]
+    base = [Fraction(int(b)) for b in mom.omega_prime.basepoint()]
     out = []
     for row in nums.tolist():
         x = [Fraction(n, p) for n in row]
@@ -189,7 +188,7 @@ def float_mu2(mom, points) -> np.ndarray:
     Lifts along other paths differ by <covector, lattice vector>, an
     integer, since the torus slots are integral."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    base = mom.manifold.basepoint()
+    base = mom.omega_prime.basepoint()
     out = np.empty((pts.shape[0], mom.r))
     for i, row in enumerate(fractions(mom.mu2)):
         cov = _floats(row)
@@ -282,7 +281,7 @@ def full_draw_coverage(mom, polytope, res, n, seed):
     """sample.product_coverage_check in one pass over the whole n-row draw,
     as it ran before the early exit: every sample is binned, and the
     counted mask is tested on all res^c cell centres at once."""
-    nums = sample.sample_points(mom.manifold, n, seed)
+    nums = sample.sample_points(mom.omega_prime, n, seed)
     mu1_num, mu2_num = mom.mu1_values(nums), mom.mu2_values(nums)
     mu1_den, mu2_den = mom.mu1_den, mom.mu2_den
     c, r = mom.c, mom.r
@@ -326,10 +325,10 @@ def fraction_moment_polytope(mom):
     """convex.moment_polytope computed in Fraction arithmetic on w itself:
     the greedy independent rows, the cofactor normals, the offsets and the
     tight-normal rank test of every pole image."""
-    manifold = mom.manifold
+    form = mom.omega_prime
     c = mom.c
-    w = [[cov[manifold.sphere_offset(f) + 1]
-          for f in range(manifold.n_spheres)] for cov in fractions(mom.mu1)]
+    w = [[cov[form.sphere_offset(f) + 1]
+          for f in range(form.n_spheres)] for cov in fractions(mom.mu1)]
     rows = []
     for i in range(c):
         if fraction_rank([w[j] for j in rows + [i]]) > len(rows):

@@ -33,7 +33,7 @@ def scenario(name):
 
 def pipeline(m, a, max_den=64):
     res = hamclass.integralize_with_retry(m, max_den)
-    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
+    mom = moment.generalized_moment(a, res.omega_prime, classify(m, a))
     z = equiv.cocycle_matrix(mom)
     return res, mom, z
 
@@ -207,7 +207,8 @@ def test_criterion_09_reduction_heredity():
     _, mom, _ = pipeline(sc.manifold, sc.action)
     reduced = reduction.reduce_at(mom, 0, 0.0)
     her = reduction.heredity_check(reduced)
-    ok = reduced.manifold.torus_dim == 2 and reduced.manifold.n_spheres == 0
+    ok = (reduced.omega_prime.torus_dim == 2
+          and reduced.omega_prime.n_spheres == 0)
     ok &= her.residual_non_hamiltonian and her.circle_bins_hit == 50
     # two-stage variant: S^2 x S^2 x T^2 reduced one sphere at a time
     m = ProductManifold(((0, 1), (-1, 0)), (1.0, 1.0))

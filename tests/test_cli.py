@@ -550,14 +550,14 @@ grid = 8
     stage1 = reduction.reduce_at(stage0, 0, Fraction(1, 2))
     # the listed generator's sphere goes: the other generator still
     # rotates the one sphere left
-    assert stage0.manifold.n_spheres == 1
+    assert stage0.omega_prime.n_spheres == 1
     assert stage0.action.rotations == ((1,), (0,), (0,))
-    assert stage1.manifold.n_spheres == 0
+    assert stage1.omega_prime.n_spheres == 0
     section = report.sections["reduce"]
     for i, reduced in enumerate((stage0, stage1)):
         her = reduction.heredity_check(reduced)
         assert section[f"stage{i}_regular"] is True
-        assert section[f"stage{i}_dimension"] == reduced.manifold.dim
+        assert section[f"stage{i}_dimension"] == reduced.omega_prime.dim
         assert section[f"stage{i}_heredity_applicable"] is her.applicable
 
 

@@ -25,7 +25,7 @@ from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
 
 def pipeline(m, a):
     res = hamclass.integralize_with_retry(m, 64)
-    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
+    mom = moment.generalized_moment(a, res.omega_prime, classify(m, a))
     return res, mom
 
 
@@ -241,7 +241,7 @@ def test_moment_polytope_matches_fraction_oracle(w):
     n = len(w[0])
     m = ProductManifold(STD2, (F(1, 2),) * n)
     mu1 = pair([[0, 0] + [x for h in row for x in (0, h)] for row in w])
-    mom = moment.GeneralizedMoment(m, None, None, None, mu1, ((), 1), None)
+    mom = moment.GeneralizedMoment(None, m, None, mu1, ((), 1), None)
     poly = convex.moment_polytope(mom)
     want_vertices, want_normals, want_offsets = fraction_moment_polytope(mom)
     assert vertices(poly) == want_vertices
@@ -260,7 +260,7 @@ def test_a_mid_edge_pole_image_of_a_4d_zonotope_is_no_vertex():
          [1, 0, -1, -1, -1, 0]]
     m = ProductManifold(STD2, (F(1, 2),) * 6)
     mu1 = pair([[0, 0] + [x for h in row for x in (0, h)] for row in w])
-    mom = moment.GeneralizedMoment(m, None, None, None, mu1, ((), 1), None)
+    mom = moment.GeneralizedMoment(None, m, None, mu1, ((), 1), None)
     poly = convex.moment_polytope(mom)
     mid_edge = (-2, -1, -1, 0)
     assert sum(abs(sum(a * b for a, b in zip(nv, mid_edge))) == off

@@ -16,7 +16,7 @@ from conftest import (STD4, affine_apply, circle_distance, classify,
 
 def pipeline(m, a):
     res = hamclass.integralize_with_retry(m, 64)
-    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
+    mom = moment.generalized_moment(a, res.omega_prime, classify(m, a))
     z = equiv.cocycle_matrix(mom)
     return res, mom, z
 

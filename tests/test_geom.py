@@ -293,7 +293,7 @@ def test_matrix_model_matches_the_oracle(product, combos):
     gens = cls.complement_generators
     # Z pairs the field of H_i with the orbit of H_j, which follows the
     # generator data: sign times the field
-    mom = moment.generalized_moment(m, a, res.omega_prime, cls)
+    mom = moment.generalized_moment(a, res.omega_prime, cls)
     assert equiv.cocycle_matrix(mom) == [
         [a.sign * pairing(m, res.omega_prime, field_vector(m, a, gi),
                           field_vector(m, a, gj)) for gj in gens]

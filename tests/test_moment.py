@@ -23,7 +23,7 @@ BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
 
 def build(m, a, max_den=64):
     res = hamclass.integralize_with_retry(m, max_den)
-    return moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
+    return moment.generalized_moment(a, res.omega_prime, classify(m, a))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_moment_is_built_from_the_integral_form():
     a = ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,)))
     res = hamclass.integralize_with_retry(m, 16)
     cls = classify(m, a)
-    mom = moment.generalized_moment(m, a, res.omega_prime, cls)
+    mom = moment.generalized_moment(a, res.omega_prime, cls)
     assert mom.covectors == geom.field_covectors(a, res.omega_prime)
     assert mom.covectors != geom.field_covectors(a, m)
     assert fractions(mom.mu1) == covectors(a, res.omega_prime,

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from momentforge import hamclass, moment, reduction
-from momentforge.geom import ActionSpec
+from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
-from conftest import classify, float_mu1, s2xs2, s2xt2, sphere
+from conftest import (STD2, classify, float_mu1, fractions, pair, s2xs2,
+                      s2xt2, sphere)
 
 
 def pipeline(m, a):
     res = hamclass.integralize_with_retry(m, 64)
-    mom = moment.generalized_moment(m, a, res.omega_prime, classify(m, a))
+    mom = moment.generalized_moment(a, res.omega_prime, classify(m, a))
     return res, mom
 
 
@@ -32,7 +33,7 @@ def test_interior_value_is_regular():
     """Level 0 is the equator of the rotated sphere, which the reduction
     deletes, leaving the torus."""
     reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
-    assert reduced.manifold.n_spheres == 0 and reduced.manifold.dim == 2
+    assert reduced.omega_prime.n_spheres == 0 and reduced.omega_prime.dim == 2
 
 
 def test_pole_value_is_critical():
@@ -44,7 +45,7 @@ def test_pole_value_is_critical():
         with pytest.raises(reduction.NotRegular):
             reduction.reduce_at(mom, 0, float(pole))
         inside = pole - Fraction(pole, 10 ** 13)
-        assert reduction.reduce_at(mom, 0, inside).manifold.dim == 2
+        assert reduction.reduce_at(mom, 0, inside).omega_prime.dim == 2
 
 
 def test_value_outside_image_rejected():
@@ -62,12 +63,35 @@ def test_problem_rejects_translating_generator():
 
 def test_reduce_mixed_action_to_torus():
     reduced = reduction.reduce_at(mixed_moment(), 0, 0.0)
-    assert reduced.manifold.n_spheres == 0
-    assert reduced.manifold.torus_dim == 2
+    assert reduced.omega_prime.n_spheres == 0
+    assert reduced.omega_prime.torus_dim == 2
     assert reduced.action.r_total == 2
     assert reduced.r == 2 and reduced.c == 0
-    # the reduced manifold is already integral: it is its own omega_prime
-    assert reduced.omega_prime is reduced.manifold
+
+
+@pytest.mark.parametrize("m, a, generator, f", [
+    (s2xt2(), ActionSpec(((0, 0), (1, 0), (0, 1)), ((1,), (0,), (0,))),
+     0, 0),
+    (s2xs2(1.0, 0.5), ActionSpec(((), ()), ((1, 0), (0, 1))), 0, 0),
+    (s2xs2(1.0, 0.5), ActionSpec(((), ()), ((1, 0), (0, 1))), 1, 1),
+    (ProductManifold(STD2, (0.75, 1.5)),
+     ActionSpec(((1, 0), (0, 0)), ((0, 0), (0, -1))), 1, 1),
+])
+def test_reduced_form_is_omega_prime_less_the_sphere(m, a, generator, f):
+    """The reduced form is a plain ProductForm: omega_prime with the
+    reduced sphere's two rows and two columns deleted, in lowest terms,
+    and nondegenerate, with no manifold check run on it."""
+    _, mom = pipeline(m, a)
+    reduced = reduction.reduce_at(mom, generator, 0)
+    form = mom.omega_prime
+    o = form.sphere_offset(f)
+    kept = [i for i in range(form.dim) if i not in (o, o + 1)]
+    w = fractions((form.nums, form.den))
+    nums, den = pair([[w[i][j] for j in kept] for i in kept])
+    assert type(reduced.omega_prime) is ProductForm
+    assert [list(row) for row in reduced.omega_prime.nums] == nums
+    assert reduced.omega_prime.den == den
+    assert reduced.omega_prime.is_nondegenerate()
 
 
 def test_reduce_s2xs2_leaves_hamiltonian_sphere():
@@ -75,7 +99,7 @@ def test_reduce_s2xs2_leaves_hamiltonian_sphere():
     a = ActionSpec(((), ()), ((1, 0), (0, 1)))
     _, mom = pipeline(m, a)
     reduced = reduction.reduce_at(mom, 0, 0.0)
-    assert reduced.manifold.n_spheres == 1
+    assert reduced.omega_prime.n_spheres == 1
     assert reduced.c == 1 and reduced.r == 0
 
 
@@ -156,18 +180,17 @@ def test_heredity_vacuous_when_residual_hamiltonian():
 def test_two_stage_reduction():
     """S^2 x S^2 x T^2: peel one sphere per stage; the torus translations
     and their circle moments survive both."""
-    from momentforge.geom import ProductManifold
     m = ProductManifold(((0, 1), (-1, 0)), (1.0, 1.0))
     a = ActionSpec(((0, 0), (0, 0), (1, 0), (0, 1)),
                    ((1, 0), (0, 1), (0, 0), (0, 0)))
     _, mom = pipeline(m, a)
 
     stage1 = reduction.reduce_at(mom, 0, 0.0)
-    assert stage1.manifold.n_spheres == 1
+    assert stage1.omega_prime.n_spheres == 1
     assert reduction.heredity_check(stage1).passed
 
     stage2 = reduction.reduce_at(stage1, 0, 0.5)
-    assert stage2.manifold.n_spheres == 0
-    assert stage2.manifold.torus_dim == 2
+    assert stage2.omega_prime.n_spheres == 0
+    assert stage2.omega_prime.torus_dim == 2
     verdict = reduction.heredity_check(stage2)
     assert verdict.passed
