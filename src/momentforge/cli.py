@@ -603,7 +603,7 @@ def _run_reduce(report, scenario, mom):
             break
         report.require("reduce", f"stage{stage}_regular", True)
         report.add("reduce", f"stage{stage}_dimension",
-                   reduced.omega_prime.dim if reduced else 0)
+                   reduced.omega_prime.dim)
         report.add("reduce", f"stage{stage}_heredity_applicable",
                    reduction.heredity_check(reduced).applicable)
         original = [j for j in original if j != idx]
@@ -632,7 +632,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="report directory")
     parser.add_argument("--sign", choices=("plus", "minus"), default=None)
-    parser.add_argument("--max-denominator", type=int, default=None)
+    parser.add_argument("--max-denominator", type=int, default=None,
+                        help="bound on k, the common denominator of the "
+                             "rounded form's class")
     args = parser.parse_args(argv)
 
     try:

@@ -69,9 +69,11 @@ def classify_action(p: tuple) -> ActionClassification:
 @dataclass(frozen=True)
 class IntegralizationResult:
     omega_prime: ProductForm     # integral invariant form (integer periods)
-    k: int                       # integer scale applied to the rational form
-    q: tuple                     # rational class coefficients of the
-                                 # intermediate form, in the H^2 basis order
+    k: int                       # the common denominator of the rounded
+                                 # class, at most the bound: omega_prime
+                                 # is k times the rounded form
+    q: tuple                     # rounded class coefficients p / k, in
+                                 # the H^2 basis order
     max_deviation: float         # sup-norm coefficient distance to omega
 
 
@@ -103,36 +105,62 @@ def form_from_class_coefficients(torus_dim: int, coeffs) -> ProductForm:
     return ProductForm(om, list(coeffs), 2)
 
 
+def _denominators(n: int, d: int, bound: int) -> list:
+    """The denominators up to the bound of the continued-fraction
+    convergents of n / d (d > 0), then, where the expansion runs past the
+    bound, of its last semiconvergent within it: the best approximation of
+    n / d with denominator at most the bound has one of the last two."""
+    out, q, last = [], 0, 1
+    while d:
+        a, n, d = n // d, d, n % d
+        if a * q + last > bound:
+            out.append((bound - last) // q * q + last)
+            break
+        q, last = a * q + last, q
+        out.append(q)
+    return out
+
+
 def integralize_form(form: ProductForm,
                      max_denominator: int) -> IntegralizationResult:
     """Round the class coefficients of a manifold's (nondegenerate) form to
-    the best rationals with denominator <= max_denominator, scale them
+    fractions over one common denominator k <= max_denominator, scale them
     integral, and check that the integral form is still nondegenerate.
     The form's own classification then splits the action for omega_prime
     too: the periods are sign V Omega for the translations V, and the
     split reads only their column space, which is V's whenever Omega is
     nonsingular.
 
-    All in integer numerators: each class coefficient n / d rounds to a
-    coprime p / s, k is the lcm of the s, and omega_prime's coefficients
-    are the integers p k / s.  omega_prime is k times the rounded form, so
-    the check reads as it would on it.  The deviation, the largest
-    |p d - n s| / (s d), is taken over the common denominator k d and
-    divided once, so it is the correctly rounded float.  Raises
+    Each class coefficient n / d rounds to the nearest p / k (half down),
+    and omega_prime's coefficients are the integers p: it is k times the
+    rounded form, so the check reads as it would on it.  k is the
+    candidate whose largest error |p d - k n| / (k d) is least, the
+    smaller on a tie, and any k errs by at most 1 / (2k).  The candidates
+    are the class's own denominator if it is within the bound (error 0),
+    and every coefficient's convergent denominators up to the bound, 1
+    among them, and best-approximation denominator at it; so with one
+    coefficient p / k is its best approximation.  Raises
     RoundingBrokeNondegeneracy when the denominator bound is too coarse;
     see integralize_with_retry."""
     a, d = class_numerators(form), form.den
-    q = [ratlin.rational_round(n, d, max_denominator) for n in a]
-    k = math.lcm(*[s for _, s in q])
-    omega_prime = form_from_class_coefficients(
-        form.torus_dim, [p * (k // s) for p, s in q])
+    exact = d // math.gcd(d, *a)
+    dens = {exact} if exact <= max_denominator else set()
+    for n in a:
+        dens.update(_denominators(n, d, max_denominator))
+
+    def error(q):
+        return Fraction(max(min(r, d - r) for r in (q * n % d for n in a)),
+                        q * d)
+
+    k = min(sorted(dens), key=error)
+    p = [-((d - 2 * k * n) // (2 * d)) for n in a]
+    omega_prime = form_from_class_coefficients(form.torus_dim, p)
     if not omega_prime.is_nondegenerate():
         raise RoundingBrokeNondegeneracy(
             f"max_denominator={max_denominator}")
-    dev = max(abs(p * d - n * s) * (k // s) for (p, s), n in zip(q, a))
     return IntegralizationResult(omega_prime, k,
-                                 tuple(Fraction(p, s) for p, s in q),
-                                 dev / (k * d))
+                                 tuple(Fraction(x, k) for x in p),
+                                 float(error(k)))
 
 
 def integralize_with_retry(form: ProductForm,

@@ -195,42 +195,7 @@ def smith_diagonal(m: Mat) -> list:
 
 
 # ---------------------------------------------------------------------------
-# scalar helpers
-
-def rational_round(n: int, d: int, max_denominator: int) -> tuple:
-    """(p, s), coprime with 0 < s <= max_denominator: the best rational
-    approximation of n / d (d > 0), from the continued-fraction convergents
-    and semiconvergents, in integers; on an exact tie in the approximation
-    error the smaller denominator wins."""
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    if d <= max_denominator:
-        return n, d
-    # walk the continued fraction of t / d, t = |n|
-    t = abs(n)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    a_n, a_d = t, d
-    while True:
-        a = a_n // a_d
-        p2, q2 = a * p1 + p0, a * q1 + q0
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p2, q2
-        a_n, a_d = a_d, a_n - a * a_d
-    # the best semiconvergent still within the bound against the last
-    # convergent: their errors |p d - t q| / (q d) compare by
-    # cross-multiplication, and on a tie the convergent, whose denominator
-    # is the smaller, wins.  At k = 0 it is the previous convergent (or
-    # 1/0, whose product is 0), which never wins.
-    p, q = p1, q1
-    k = (max_denominator - q0) // q1
-    ps, qs = k * p1 + p0, k * q1 + q0
-    if abs(ps * d - t * qs) * q1 < abs(p1 * d - t * q1) * qs:
-        p, q = ps, qs
-    return (-p if n < 0 else p), q
-
+# determinant and nondegeneracy
 
 def determinant(m: Mat) -> int:
     """Exact determinant of an integer matrix, by Bareiss elimination; for

@@ -30,19 +30,20 @@ CIRCLE_BINS = 50
 
 
 def reduce_at(moment: GeneralizedMoment, generator: int,
-              level) -> GeneralizedMoment | None:
+              level) -> GeneralizedMoment:
     """Delete the one sphere the generator rotates and restrict everything
     else.  The level is regular iff that sphere's height is interior (the
     poles are the critical values), and the height is the level divided by
     the height entry of the generator's field covector, exactly.  Returns
-    the reduced moment, or None for a point quotient; its form is
-    omega_prime less sphere f, symplectic with no check, as omega_prime's
-    torus block is nonsingular and its sphere coefficients are positive.
-    The parent moment descends with no check: the collapsed orbit lies on
-    the sphere's theta slot, where no field covector has an entry, so every
-    parent component is constant on it.  Raises ValueError for a generator
-    that translates the torus, NotRegular at a critical or outside level,
-    and NotFree where the circle does not act freely on the level set."""
+    the reduced moment; its form is omega_prime less sphere f, symplectic
+    with no check, as omega_prime's torus block is nonsingular and its
+    sphere coefficients are positive, and on a point quotient it is the
+    empty form, of dimension 0.  The parent moment descends with no
+    check: the collapsed orbit lies on the sphere's theta slot, where no
+    field covector has an entry, so every parent component is constant on
+    it.  Raises ValueError for a generator that translates the torus,
+    NotRegular at a critical or outside level, and NotFree where the
+    circle does not act freely on the level set."""
     form, action = moment.omega_prime, moment.action
     if any(action.translations[generator]):
         raise ValueError("the reduced circle must act only on sphere factors")
@@ -63,10 +64,6 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
     if any(action.rotations[j][f] for j in residual):
         raise NotFree("a residual generator moves the reduced sphere")
     keep = [g for g in range(form.n_spheres) if g != f]
-    if not form.torus_dim and not keep:
-        # the level set is one free orbit, and no residual generator is
-        # left to act on the point it collapses to
-        return None
     m, w, coeffs = form.torus_dim, form.nums, form.sphere_coeffs
     reduced = ProductForm([row[:m] for row in w[:m]],
                           [coeffs[g] for g in keep], form.den)
@@ -87,16 +84,15 @@ class HeredityVerdict:
     passed: bool
 
 
-def heredity_check(moment: GeneralizedMoment | None) -> HeredityVerdict:
+def heredity_check(moment: GeneralizedMoment) -> HeredityVerdict:
     """The residual circle action on the reduced space, given by its
-    moment (None for a point quotient), must stay non-Hamiltonian and its
-    circle-valued moment must still be surjective.  Both hold iff every
-    residual circle covector has a nonzero integer torus part: that is a
-    nonzero period row, and x -> <a, x> mod 1 with a nonzero integer a is
-    onto the circle, so every one of the CIRCLE_BINS bins is hit.  With no
-    circle part left (r = 0, or a point quotient) the check does not
-    apply."""
-    if moment is None or moment.r == 0:
+    moment, must stay non-Hamiltonian and its circle-valued moment must
+    still be surjective.  Both hold iff every residual circle covector has
+    a nonzero integer torus part: that is a nonzero period row, and
+    x -> <a, x> mod 1 with a nonzero integer a is onto the circle, so
+    every one of the CIRCLE_BINS bins is hit.  With no circle part left
+    (r = 0, as on a point quotient) the check does not apply."""
+    if moment.r == 0:
         return HeredityVerdict(False, False, 0, False)
     onto = all(any(cov) for cov in moment.torus_covectors)
     return HeredityVerdict(True, onto, CIRCLE_BINS if onto else 0, onto)

@@ -72,10 +72,6 @@ EQUIVALENT = {
         "the pivot h[r][c] is nonzero",
     ("ratlin", "if h[r][c] < 0:", "0->1"):
         "the pivot h[r][c] is a nonzero integer, so < 1 is < 0",
-    ("ratlin", "return (-p if n < 0 else p), q", "<-><="):
-        "n is nonzero here: n = 0 reduces to d = 1 and returned early",
-    ("ratlin", "return (-p if n < 0 else p), q", "0->1"):
-        "n is a nonzero integer here, so < 1 is < 0",
     ("sample", "top = int(abs(nums).max(initial=0))", "0->1"):
         ("top only picks the dtype, and it is 0 only when every numerator is "
          "0, which any dtype pairs exactly"),

@@ -492,6 +492,8 @@ def test_speed_two_reduction_fails_with_report(tmp_path, capsys):
 POINT_REDUCTIONS = {
     # one sphere reduced by its rotation
     "one-sphere": ("1", "| 1", "0", "0"),
+    # the same off the equator: the empty form, as at any regular level
+    "one-sphere-off-equator": ("1", "| 1", "0", "0.5"),
     # two spheres, reduced one after the other
     "two-spheres": ("1 1", "| 1 0 ; | 0 1", "0 1", "0 1/2"),
 }

@@ -2,8 +2,9 @@
 
 Oracles: period-matrix entries and H^2 class coefficients are checked
 against adaptive quadrature of the form along the loops and over the
-2-cycles, the rounding step against an exhaustive denominator scan, and
-classification preservation over randomized irrational instances.
+2-cycles, the rounding step against Fraction.limit_denominator (one
+coefficient) and against each coefficient's own best approximation (many),
+and classification preservation over randomized irrational instances.
 """
 
 import math
@@ -12,15 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from momentforge import cli, geom, hamclass, ratlin
+from momentforge import cli, geom, hamclass, ratlin, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (classify, exact_decimals, field_vector, fractions,
-                      pairing, s2xt2, sphere, sphere_coeffs, torus2,
-                      torus_omega)
+                      pairing, s2xt2, scenario_moment, sphere, sphere_coeffs,
+                      torus2, torus_omega)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +321,85 @@ def test_integral_form_and_deviation_match_fraction_arithmetic(w, c, bound):
                for row in res.omega_prime.nums for x in row)
 
 
+def class_form(coeffs) -> ProductManifold:
+    """The form on T^2 x (S^2)^(len - 1) whose class coefficients are coeffs
+    (the sphere ones taken positive)."""
+    w = coeffs[0]
+    return ProductManifold(((0, w), (-w, 0)),
+                           tuple(abs(x) / 2 for x in coeffs[1:]))
+
+
+def largest_error(coeffs, q) -> Fraction:
+    """The largest distance of q x to the nearest integer, over q."""
+    return max(abs(round(x * q) - x * q) for x in coeffs) / q
+
+
+@given(st.lists(exact_decimals().map(lambda x: x + (1 if x > 0 else -1)),
+                min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=64))
+@settings(max_examples=80, deadline=None)
+def test_integralize_rounds_on_one_common_denominator(coeffs, bound):
+    """Coefficients of magnitude at least 1.05, so none rounds to 0 and the
+    form stays nondegenerate: k is at most the bound, every rounded
+    coefficient is over k, within 1/(2k) of its own, and the largest error
+    is no larger than at 1 or at any coefficient's own best-approximation
+    denominator."""
+    form = class_form(coeffs)
+    res = hamclass.integralize_form(form, bound)
+    a = hamclass.form_class_coefficients(form)
+    assert 1 <= res.k <= bound
+    assert all((x * res.k).denominator == 1 for x in res.q)
+    dev = max(abs(x - y) for x, y in zip(res.q, a))
+    assert dev == largest_error(a, res.k) <= Fraction(1, 2 * res.k)
+    assert res.max_deviation == float(dev) <= 1 / (2 * res.k)
+    for q in [1] + [x.limit_denominator(bound).denominator for x in a]:
+        assert dev <= largest_error(a, q)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=30),
+                          st.integers(min_value=1, max_value=6)),
+                min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=8))
+@example([(1, 2), (2, 3)], 0)
+@settings(max_examples=60, deadline=None)
+def test_integralize_keeps_an_exact_class_within_the_bound(pairs, slack):
+    """A class whose own denominator L is within the bound keeps it: k = L,
+    the coefficients are the class's own, and the deviation is 0, also
+    where L is no single coefficient's denominator (1/2 and 2/3, L = 6)."""
+    coeffs = [Fraction(n, s) for n, s in pairs]
+    lcm = math.lcm(*[x.denominator for x in coeffs])
+    res = hamclass.integralize_form(class_form(coeffs), lcm + slack)
+    assert res.k == lcm
+    assert list(res.q) == hamclass.form_class_coefficients(class_form(coeffs))
+    assert res.max_deviation == 0
+
+
+@given(exact_decimals(), st.integers(min_value=1, max_value=64))
+@settings(max_examples=120, deadline=None)
+def test_integralize_one_coefficient_is_its_best_approximation(x, bound):
+    """With one coefficient the common denominator is the best
+    approximation's."""
+    best = x.limit_denominator(bound)
+    assume(best)
+    res = hamclass.integralize_form(class_form([x]), bound)
+    assert res.q == (best,) and res.k == best.denominator
+
+
+@given(exact_decimals(), st.integers(min_value=2, max_value=64))
+@settings(max_examples=120, deadline=None)
+def test_integralize_exact_tie_goes_to_the_smaller_denominator(x, bound):
+    """The midpoint of the nearest fractions below and above x within the
+    bound is an exact tie; for a bound of 2 or more their denominators
+    differ, and the smaller one wins."""
+    dens = range(1, bound + 1)
+    lo = max(Fraction(math.floor(x * q), q) for q in dens)
+    hi = min(Fraction(math.ceil(x * q), q) for q in dens)
+    want = min(lo, hi, key=lambda f: f.denominator)
+    assume(lo != hi and want)
+    res = hamclass.integralize_form(class_form([(lo + hi) / 2]), bound)
+    assert res.q == (want,) and res.k == want.denominator
+
+
 # ---------------------------------------------------------------------------
 # work per op on the exact-forms shape
 
@@ -355,3 +435,23 @@ def test_t12_prelude_builds_each_exact_object_once(monkeypatch):
         == [form.nums for form in forms]
     assert dets == []
     assert len(covs) <= 2
+
+
+@pytest.mark.parametrize("bound", [64, 1024])
+def test_t12_integralizes_within_the_bound_on_int64(bound):
+    """On the dense T^12 form k stays at most the bound, so the sample table
+    and both moment pairings run on int64, not on Python ints."""
+    scenario = cli.load_scenario(T12, max_denominator=bound)
+    assert hamclass.integralize_with_retry(scenario.manifold, bound).k <= bound
+    mom = scenario_moment(scenario)
+    assert [p.dtype for p in mom._pairings] == [np.int64, np.int64]
+    assert sample.moment_table(mom, 100, scenario.seed)[1].dtype == np.int64
+
+
+def test_t12_integralizes_at_a_huge_bound():
+    """Nothing scans every denominator up to the bound: at 10^12 the
+    common denominator is found among the convergents."""
+    scenario = cli.load_scenario(T12)
+    res = hamclass.integralize_with_retry(scenario.manifold, 10 ** 12)
+    assert 10 ** 11 < res.k <= 10 ** 12
+    assert res.max_deviation <= 1 / (2 * res.k)

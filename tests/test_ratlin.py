@@ -1,24 +1,20 @@
-"""Exact linear algebra, verified against independent oracles: exhaustive
-denominator scans for rational rounding (floats, and exact decimals of the
-exact-forms shape with constructed ties), the closed-form 4x4 Pfaffian
-squared against the determinant, the dense matrix product, the defining
-identities of the Hermite form, the lattice split's characterization, the
-Smith invariants against determinantal divisors, and elimination over
-Fractions for the integer kernels.  A rational matrix m enters a kernel as
-the library holds it, the pair (N, d) with m = N / d."""
+"""Exact linear algebra, verified against independent oracles: the
+closed-form 4x4 Pfaffian squared against the determinant, the dense matrix
+product, the defining identities of the Hermite form, the lattice split's
+characterization, the Smith invariants against determinantal divisors, and
+elimination over Fractions for the integer kernels.  A rational matrix m
+enters a kernel as the library holds it, the pair (N, d) with m = N / d."""
 
 import copy
-import math
 from fractions import Fraction
 
-import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentforge import ratlin
 
-from conftest import (determinantal_divisor, exact_decimals,
-                      fraction_determinant, fraction_rank, fractions, pair)
+from conftest import (determinantal_divisor, fraction_determinant,
+                      fraction_rank, fractions, pair)
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -177,83 +173,6 @@ def test_smith_diagonal_matches_determinantal_divisors(m):
          for k in range(min(len(m), len(m[0])) + 1)]
     assert ratlin.smith_diagonal(m) == [
         d[k] // d[k - 1] if d[k] else 0 for k in range(1, len(d))]
-
-
-# ---------------------------------------------------------------------------
-# rational rounding
-
-def _best_by_scan(x, max_den):
-    """Independent oracle: scan every denominator."""
-    best = None
-    t = Fraction(x)
-    for q in range(1, max_den + 1):
-        p = round(t * q)
-        f = Fraction(p, q)
-        key = (abs(f - t), f.denominator)
-        if best is None or key < best[0]:
-            best = (key, f)
-    return best[1]
-
-
-def rounded(x, max_den) -> Fraction:
-    """ratlin.rational_round of the exact value of x, as a Fraction."""
-    return Fraction(*ratlin.rational_round(*Fraction(x).as_integer_ratio(),
-                                           max_den))
-
-
-def test_rational_round_known_values():
-    assert rounded(math.sqrt(2), 5) == Fraction(7, 5)
-    assert rounded(math.pi, 7) == Fraction(22, 7)
-    assert rounded(0.5, 10) == Fraction(1, 2)
-    assert rounded(-math.pi, 7) == Fraction(-22, 7)
-
-
-@given(st.floats(min_value=-10, max_value=10,
-                 allow_nan=False, allow_infinity=False),
-       st.integers(min_value=1, max_value=40))
-@settings(max_examples=120, deadline=None)
-def test_rational_round_matches_exhaustive_scan(x, max_den):
-    got = rounded(x, max_den)
-    want = _best_by_scan(x, max_den)
-    assert abs(got - Fraction(x)) == abs(want - Fraction(x))
-    assert got.denominator == want.denominator
-
-
-@given(exact_decimals(), st.integers(min_value=1, max_value=64))
-@settings(max_examples=120, deadline=None)
-def test_rational_round_matches_exhaustive_scan_on_exact_decimals(x,
-                                                                  max_den):
-    assert rounded(x, max_den) == _best_by_scan(x, max_den)
-
-
-@given(exact_decimals(), st.integers(min_value=2, max_value=64))
-@settings(max_examples=120, deadline=None)
-def test_rational_round_exact_tie_goes_to_the_smaller_denominator(x,
-                                                                 max_den):
-    """The midpoint of the two best candidates around x, the nearest
-    fractions below and above it, is an exact tie; for a bound of 2 or more
-    their denominators differ, and the smaller one wins."""
-    dens = range(1, max_den + 1)
-    lo = max(Fraction(math.floor(x * q), q) for q in dens)
-    hi = min(Fraction(math.ceil(x * q), q) for q in dens)
-    assume(lo != hi)
-    tie = (lo + hi) / 2
-    want = min(lo, hi, key=lambda f: f.denominator)
-    assert rounded(tie, max_den) == want
-    assert _best_by_scan(tie, max_den) == want
-
-
-def test_rational_round_takes_any_pair_over_its_value():
-    """A pair with a common factor rounds as its lowest terms do: 50 / 100
-    is 1/2 within a bound of 2, and the walk never runs past it."""
-    assert ratlin.rational_round(50, 100, 2) == (1, 2)
-    assert ratlin.rational_round(-6, 4, 8) == (-3, 2)
-    assert ratlin.rational_round(14142, 10000, 5) == (7, 5)
-
-
-def test_rational_round_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        ratlin.rational_round(1, 1, 0)
 
 
 @given(st.lists(small_ints, min_size=6, max_size=6))

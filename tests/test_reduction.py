@@ -111,6 +111,17 @@ def test_speed_two_reduction_refused():
         reduction.reduce_at(mom, 0, 0.0)
 
 
+def test_generator_rotating_two_spheres_refused():
+    """Reduction deletes one sphere: a circle that rotates both factors of
+    S^2 x S^2 is refused, though the other generator leaves the first
+    sphere fixed and the level is regular on it."""
+    m = s2xs2()
+    a = ActionSpec(((), ()), ((1, 1), (0, 1)))
+    _, mom = pipeline(m, a)
+    with pytest.raises(reduction.NotFree):
+        reduction.reduce_at(mom, 0, 0.0)
+
+
 def test_residual_generator_moving_reduced_sphere_refused():
     m = s2xs2(1.0, 1.0)
     a = ActionSpec(((), ()), ((1, 0), (1, 1)))
