@@ -341,6 +341,7 @@ class Report:
     samples: object = None                         # integer numerators
     sample_header: tuple = ()
     coverage: object = None                        # sample.CoverageReport
+    stream: object = None                          # sample.Stream of the op
     failures: list = field(default_factory=list)
     _text: str = field(default=None, init=False, repr=False, compare=False)
 
@@ -511,8 +512,9 @@ def _run_moment(report, scenario, mom):
     report.add("moment", "c", mom.c)
     report.add("moment", "r", mom.r)
     report.matrix("mu2_covectors", mom.torus_covectors)
-    report.sample_header, report.samples = sample.moment_table(
-        mom, scenario.samples, scenario.seed)
+    report.stream = sample.Stream(mom.omega_prime, scenario.seed)
+    report.sample_header, report.samples = report.stream.table(
+        mom, scenario.samples)
     if mom.r:
         # the straight lift minus the one shifted by the loop e_0: exactly
         # -<covector, e_0>, an integer, as the torus slots are integral
@@ -560,9 +562,9 @@ def _run_convexity(report, scenario, mom):
     polytope = convex.moment_polytope(mom)
     report.add("convexity", "hull_vertices",
                _fractions(polytope.vertices, polytope.den))
-    cov = sample.product_coverage_check(mom, polytope, scenario.grid,
-                                        scenario.coverage_samples,
-                                        scenario.seed)
+    cov = sample.product_coverage_check(
+        mom, polytope, scenario.grid, scenario.coverage_samples,
+        report.stream or sample.Stream(mom.omega_prime, scenario.seed))
     report.add("convexity", "coverage_fraction", cov.fraction)
     report.require("convexity", "coverage_ok", cov.fraction >= 0.99)
     report.coverage = cov

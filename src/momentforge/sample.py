@@ -1,6 +1,6 @@
 """The one module that imports numpy, loaded only by the stages that
-sample: the seeded lattice draw, the exact pairing kernel of the moment
-and the polytope test, the coverage binning and the sample table.
+sample: the op's one seeded lattice stream, the exact pairing kernel of
+the moment and the polytope test, the coverage binning and the sample table.
 
 Samples lie on the lattice (1/P) Z^dim with P = geom.LATTICE = 2^31 - 1, a
 prime, and are held as int64 numerators over P: a in [0, P) on the torus
@@ -32,38 +32,47 @@ CELL_BLOCK_ENTRIES = 2 ** 18
 TABLE_BLOCK_ENTRIES = 2 ** 13
 
 
-def sample_points(form: ProductForm, n: int, seed: int,
-                  start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Seeded uniform samples on the lattice, as int64 numerators over
-    LATTICE (see the module docs); h = (2b - P) / P is uniform on [-1, 1),
-    which is the uniform area measure on the sphere.  Float callers divide
-    by LATTICE.
+def sample_points(form: ProductForm, n: int, seed: int) -> np.ndarray:
+    """The first n rows of Stream(form, seed); h = (2b - P) / P is uniform
+    on [-1, 1), which is the uniform area measure on the sphere.  Float
+    callers divide by LATTICE."""
+    return Stream(form, seed).rows(n)
 
-    The result is rows start..stop (stop defaults to n) of the n-row draw
-    for seed, equal to slicing the full draw: the stream is advanced past
-    the first start rows and only the range is drawn.  A range that holds
-    a raw draw of P is cut from the full draw instead, since redraws come
-    from the stream after all n rows."""
-    stop = n if stop is None else stop
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"rows {start}..{stop} lie outside a draw of {n}")
-    # the top 31 bits of raw 64-bit draws are uniform on [0, 2^31) = [0, P];
-    # every draw of P itself is drawn again
-    bits = np.random.default_rng(seed).bit_generator
-    if start:
-        bits.advance(start * form.dim)
-    raw = bits.random_raw((stop - start, form.dim))
-    raw >>= 33
-    out = raw.view(np.int64)
-    while (again := out == LATTICE).any():
-        if stop - start < n:
-            return sample_points(form, n, seed)[start:stop]
-        out[again] = bits.random_raw(int(again.sum())) >> 33
-    heights = slice(form.torus_dim + 1, None, 2)
-    out[:, heights] = out[:, heights] * 2 - LATTICE
-    return out
+
+class Stream:
+    """One op's samples: the rows of one np.random.default_rng(seed), in
+    the blocks the stages ask for.  head holds the sample table's rows once
+    drawn; the coverage check bins them, then draws on past them."""
+
+    def __init__(self, form: ProductForm, seed: int):
+        self.form = form
+        self.bits = np.random.default_rng(seed).bit_generator
+        self.head = np.empty((0, 0))
+
+    def rows(self, n: int) -> np.ndarray:
+        """The next n rows, as int64 numerators over LATTICE (see the
+        module docs): the top 31 bits of raw 64-bit draws, uniform on [0, P],
+        with every P drawn again as the stream continues, so that no row
+        depends on how the stream is cut into blocks."""
+        raw = self.bits.random_raw(n * self.form.dim) >> 33
+        while (again := raw == LATTICE).any():
+            raw = np.concatenate([raw[~again], self.bits.random_raw(
+                int(again.sum())) >> 33])
+        out = raw.view(np.int64).reshape(n, self.form.dim)
+        heights = slice(self.form.torus_dim + 1, None, 2)
+        out[:, heights] = out[:, heights] * 2 - LATTICE
+        return out
+
+    def table(self, moment: GeneralizedMoment, n: int) -> tuple:
+        """The header and the rows of the sample table, kept as head: the
+        first n rows' numerators over LATTICE, then mu1's and mu2's."""
+        nums = self.rows(n)
+        self.head = np.hstack([nums, moment.mu1_values(nums),
+                               moment.mu2_values(nums)])
+        return (tuple([f"x{i}/{LATTICE}" for i in range(self.form.dim)]
+                      + [f"mu1_{i}/{moment.mu1_den}" for i in range(moment.c)]
+                      + [f"mu2_{i}/{moment.mu2_den}"
+                         for i in range(moment.r)]), self.head)
 
 
 def exact_dtype(bound: int):
@@ -76,9 +85,10 @@ def exact_dtype(bound: int):
 class Pairing:
     """nums -> offset_i + <coeff row i, num> for every row of nums (entries
     at most top in absolute value, P by default), one column per
-    coefficient row, exactly: int64 when bound and every |offset_i| +
-    sum_j |coeff_ij| top stay below 2^63, Python ints otherwise.  Float
-    nums raise: the cast would truncate them to integers without a word."""
+    coefficient row, as one exact integer product: int64 when bound and
+    every |offset_i| + sum_j |coeff_ij| top, which bounds each partial sum,
+    stay below 2^63, Python ints otherwise.  Float nums raise: the cast
+    would truncate them to integers without a word."""
 
     def __init__(self, coeffs: list, offsets: list, bound: int,
                  top: int = LATTICE):
@@ -86,21 +96,16 @@ class Pairing:
             abs(o) + sum(map(abs, row)) * top
             for row, o in zip(coeffs, offsets)]))
         self.used = [j for j, col in enumerate(zip(*coeffs)) if any(col)]
-        self.rows = [([row[j] for j in self.used], offset)
-                     for row, offset in zip(coeffs, offsets)]
+        self.coef = np.array([[row[j] for row in coeffs] for j in self.used],
+                             self.dtype).reshape(len(self.used), len(coeffs))
+        self.offsets = np.array(offsets, dtype=self.dtype)
 
     def __call__(self, nums: np.ndarray) -> np.ndarray:
         if nums.dtype.kind not in "iuO":
             raise TypeError("moment values take integer lattice numerators, "
                             f"not {nums.dtype}")
-        cols = np.asarray(nums.T[self.used], dtype=self.dtype)
-        out = np.empty((len(self.rows), len(nums)), dtype=self.dtype)
-        for acc, (row, offset) in zip(out, self.rows):
-            acc[...] = offset
-            for a, col in zip(row, cols):
-                if a:
-                    acc += a * col
-        return out.T
+        cols = np.asarray(nums[:, self.used], dtype=self.dtype)
+        return cols @ self.coef + self.offsets
 
 
 def within(normals, bounds: list, nums) -> np.ndarray:
@@ -116,18 +121,6 @@ def within(normals, bounds: list, nums) -> np.ndarray:
     return (abs(pairs) <= bounds).all(axis=1)
 
 
-def moment_table(moment: GeneralizedMoment, n: int, seed: int) -> tuple:
-    """The header and the rows of the sample table: per sample of the
-    seeded n-row draw its numerators over LATTICE, then mu1's over mu1_den
-    and mu2's over mu2_den."""
-    nums = sample_points(moment.omega_prime, n, seed)
-    return (tuple([f"x{i}/{LATTICE}" for i in range(moment.omega_prime.dim)]
-                  + [f"mu1_{i}/{moment.mu1_den}" for i in range(moment.c)]
-                  + [f"mu2_{i}/{moment.mu2_den}" for i in range(moment.r)]),
-            np.hstack([nums, moment.mu1_values(nums),
-                       moment.mu2_values(nums)]))
-
-
 # ---------------------------------------------------------------------------
 # coverage
 
@@ -141,9 +134,8 @@ class CoverageReport:
 
 
 def product_coverage_check(moment: GeneralizedMoment,
-                           polytope: MomentPolytope,
-                           grid_resolution: int, n: int,
-                           seed: int) -> CoverageReport:
+                           polytope: MomentPolytope, grid_resolution: int,
+                           n: int, stream: Stream) -> CoverageReport:
     """Bin image samples over (cells of the box around the mu1 polytope) x
     (circle bins) and report the hit fraction.  Only mu1 cells that lie in
     the polytope, exactly, count in the denominator.  The samples are
@@ -151,15 +143,16 @@ def product_coverage_check(moment: GeneralizedMoment,
     floor(res mu2), and a mu1 bin is floor(res (mu1 + h) / 2h) for the
     exact half-width h of the box, clipped to the grid.
 
-    n caps the draw: rows of the seeded n-row draw are binned in chunks of
-    COVERAGE_CHUNK rows, doubling, and the draw stops once every counted
-    cell is hit.  Later rows could only hit cells again, so the report is
-    that of all n rows: every counted cell hit, no empty witness.  While a
-    counted cell stays empty the draw runs on to n, and with no counted
-    cell nothing is drawn."""
+    n caps the draw at the stream's first n rows.  The moment values of
+    the rows in stream.head are binned as they are; the stream then draws
+    on past them in blocks of COVERAGE_CHUNK rows, doubling, until n rows
+    are binned or every counted cell is hit.  Later rows could only hit
+    cells again, so the report is that of all n rows: every counted cell
+    hit, no empty witness.  This is the stream's last draw, and no block
+    is kept."""
     if n < 1:
         raise ValueError("need at least one sample")
-    c, r = moment.c, moment.r
+    c, r, dim = moment.c, moment.r, moment.omega_prime.dim
     res = grid_resolution
     mu1_den, mu2_den = moment.mu1_den, moment.mu2_den
     # the counted cells that no binned sample has hit yet
@@ -177,24 +170,25 @@ def product_coverage_check(moment: GeneralizedMoment,
             (res,) * c + (1,) * r)
     mu2_dtype = exact_dtype(mu2_den * res)
 
-    def cells(nums):
-        flat = np.zeros(len(nums), dtype=np.int64)
-        for col, (x, s, dtype) in zip(moment.mu1_values(nums).T, axes):
+    def hit(mu1, mu2):
+        flat = np.zeros(len(mu1), dtype=np.int64)
+        for col, (x, s, dtype) in zip(mu1.T, axes):
             num = col.astype(dtype) * e + x * mu1_den
             flat = flat * res + np.clip(num * res // (s * mu1_den), 0,
                                         res - 1).astype(np.int64)
-        for col in moment.mu2_values(nums).T:
+        for col in mu2.T:
             flat = flat * res + (col.astype(mu2_dtype) * res
                                  // mu2_den).astype(np.int64)
-        return flat
+        left.ravel()[flat] = False
 
     n_counted = int(left.sum())
-    start, size = 0, COVERAGE_CHUNK
-    while start < n and left.any():
-        stop = min(n, start + size)
-        left.ravel()[cells(sample_points(moment.omega_prime, n, seed, start,
-                                         stop))] = False
-        start, size = stop, 2 * size
+    head = stream.head[:n]
+    hit(head[:, dim:dim + c], head[:, dim + c:])
+    done, size = len(head), COVERAGE_CHUNK
+    while done < n and left.any():
+        nums = stream.rows(min(size, n - done))
+        hit(moment.mu1_values(nums), moment.mu2_values(nums))
+        done, size = done + len(nums), 2 * size
     n_hit = n_counted - int(left.sum())
     fraction = n_hit / n_counted if n_counted else 1.0
     return CoverageReport(res, fraction, n_counted, n_hit,
@@ -248,10 +242,14 @@ def decimal_table(a: np.ndarray) -> bytes:
     mag = np.abs(a.ravel()).view(np.uint64)    # |-2^63| wraps to 2^63
     top = int(mag.max())
     width = (len(str(top)) + 1) // 2
-    cells = np.empty((a.size, width + 1), dtype="<u2")
+    # the first row's newline unit moves to the end of the table
+    units = np.empty(a.size * (width + 1) + 1, dtype="<u2")
+    cells = units[:-1].reshape(a.size, width + 1)
     seps = np.array([ord("\n")] + [ord(",")] * (cols - 1), dtype="<u2")
     np.add((a < 0) * np.uint16(ord("-") << 8), seps,
            out=cells[:, 0].reshape(a.shape))
+    units[0] -= ord("\n")
+    units[-1] = ord("\n")
     idx = np.empty(a.size, dtype=np.intp)
     table = _LAST_PAIRS
     for k in range(width, 0, -1):
@@ -263,8 +261,7 @@ def decimal_table(a: np.ndarray) -> bytes:
         np.minimum(mag, mag - q * 100 + 100, out=idx, casting="unsafe")
         cells[:, k] = table[idx]
         table, mag, top = _PAIRS, q, top // 100
-    # each row starts with a newline: the table's first one goes to its end
-    return cells.tobytes().translate(None, b"\0")[1:] + b"\n"
+    return units.tobytes().translate(None, b"\0")
 
 
 def table_blocks(a: np.ndarray):

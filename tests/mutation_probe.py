@@ -72,6 +72,9 @@ EQUIVALENT = {
         "the pivot h[r][c] is nonzero",
     ("ratlin", "if h[r][c] < 0:", "0->1"):
         "the pivot h[r][c] is a nonzero integer, so < 1 is < 0",
+    ("sample", "self.head = np.empty((0, 0))", "0->1 #2"):
+        ("a head of no rows bins nothing and is replaced, not read, by the "
+         "table, whatever its width"),
     ("sample", "top = int(abs(nums).max(initial=0))", "0->1"):
         ("top only picks the dtype, and it is 0 only when every numerator is "
          "0, which any dtype pairs exactly"),

@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from momentforge import cli, convex, geom, reduction, sample
 
-from conftest import lattice_oracle, scenario_moment
+from conftest import full_draw_coverage, lattice_oracle, scenario_moment
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -223,6 +223,60 @@ def test_a_coverage_fraction_of_exactly_0_99_passes(monkeypatch, capsys):
         assert (f"coverage_fraction = {hit / 100}\ncoverage_ok = "
                 f"{'true' if code == 0 else 'false'}\n"
                 in capsys.readouterr().out)
+
+
+# an orbit-sampling shape: T^2 x S^2, every check and a reduction
+ORBIT = """
+[manifold]
+torus_dim = 2
+torus_omega = 0 1 ; -1 0
+spheres = 0.5
+[action]
+generators = 1 0 | 0 ; 0 1 | 0 ; 0 0 | 1
+[checks]
+run = classify integralize moment equivariance convexity betti reduce
+[reduce]
+generators = 2
+values = 0.1
+[pipeline]
+"""
+
+
+def test_an_op_draws_from_one_seeded_stream(tmp_path, monkeypatch):
+    """An `all` op makes one np.random.default_rng: the coverage check
+    bins the sample table's rows and draws on from the table's stream."""
+    made = []
+    rng = sample.np.random.default_rng
+    monkeypatch.setattr(sample.np.random, "default_rng",
+                        lambda seed: made.append(seed) or rng(seed))
+    for seed in (0, 3):
+        made.clear()
+        path = write(tmp_path, ORBIT + f"seed = {seed}\n")
+        report = cli.run_scenario(cli.load_scenario(path))
+        # an empty cell keeps the check drawing to its cap, past the table
+        assert report.coverage.fraction < 1 and "reduce" in report.sections
+        assert made == [seed]
+
+
+@pytest.mark.parametrize("pipeline", [
+    "samples = 200000\ncoverage_samples = 1000\ngrid = 10",
+    "coverage_samples = 1",
+    "samples = 5000\ncoverage_samples = 20000\ngrid = 5\nseed = 2",
+    "samples = 1000\ncoverage_samples = 20000\ngrid = 12\nseed = 1",
+])
+def test_coverage_bins_the_first_rows_of_the_stream(tmp_path, pipeline):
+    """The coverage report of an `all` op, which bins the sample table's
+    rows and draws on past them, and of `convexity` alone, which draws
+    every row itself, are the report of binning the first
+    coverage_samples rows of the seed's draw in one pass: with the table
+    longer than the cap, with a cap of one row, with every counted cell
+    hit within the table, and with the cap past the table."""
+    sc = cli.load_scenario(write(tmp_path, ORBIT + pipeline + "\n"))
+    mom = scenario_moment(sc)
+    want = full_draw_coverage(mom, convex.moment_polytope(mom), sc.grid,
+                              sc.coverage_samples, sc.seed)
+    assert cli.run_scenario(sc).coverage == want
+    assert cli.run_scenario(sc, ("convexity",)).coverage == want
 
 
 def test_a_torus_factor_does_not_hide_a_sphere_from_the_pole_count(

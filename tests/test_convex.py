@@ -23,6 +23,13 @@ from conftest import (STD2, STD4, STD6, classify, determinantal_divisor,
                       scenario_moment, sphere, torus2, torus4)
 
 
+def coverage(mom, polytope, res, n, seed):
+    """The coverage report of a fresh stream for seed, as the `convexity`
+    subcommand runs it: nothing is drawn before the check."""
+    return sample.product_coverage_check(
+        mom, polytope, res, n, sample.Stream(mom.omega_prime, seed))
+
+
 def pipeline(m, a):
     res = hamclass.integralize_with_retry(m, 64)
     mom = moment.generalized_moment(a, res.omega_prime, classify(m, a))
@@ -139,6 +146,42 @@ def test_a_pairing_of_exactly_2_63_is_paired_in_python_ints():
         True]
 
 
+@st.composite
+def edge_pairings(draw):
+    """(coeffs, offsets, top, nums) whose first row's bound |offset| +
+    sum |coeff| top lies within 3 of 2^63, on either side, with numerators
+    of at most top, extremes among them."""
+    k, u = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coeffs = draw(st.lists(st.lists(st.integers(-8, 8), min_size=u,
+                                    max_size=u), min_size=k, max_size=k)
+                  .filter(lambda rows: any(rows[0])))
+    top = draw(st.integers(1, 2 ** 40))
+    first = 2 ** 63 + draw(st.integers(-3, 3)) - sum(map(abs, coeffs[0])) * top
+    offsets = [draw(st.sampled_from((-1, 1))) * first] + [
+        draw(st.integers(-top, top)) for _ in coeffs[1:]]
+    nums = draw(st.lists(st.lists(
+        st.sampled_from((-top, top)) | st.integers(-top, top),
+        min_size=u, max_size=u), min_size=1, max_size=4))
+    return coeffs, offsets, top, nums
+
+
+@given(edge_pairings())
+@example(([[1, 1]], [0], 2 ** 62, [[2 ** 62, 2 ** 62]]))
+@example(([[1, 1]], [1], 2 ** 62 - 1, [[2 ** 62 - 1, 2 ** 62 - 1]]))
+@settings(max_examples=200, deadline=None)
+def test_pairing_matches_python_ints_at_the_int64_edge(case):
+    """The one integer product equals the pairing in Python ints, on
+    int64 just below the edge and on Python ints from it on."""
+    coeffs, offsets, top, nums = case
+    pairing = sample.Pairing(coeffs, offsets, 0, top)
+    assert (pairing.dtype == np.int64) == all(
+        abs(o) + sum(map(abs, row)) * top < 2 ** 63
+        for row, o in zip(coeffs, offsets))
+    want = [[o + sum(a * x for a, x in zip(row, num))
+             for row, o in zip(coeffs, offsets)] for num in nums]
+    assert pairing(np.array(nums, dtype=np.int64)).tolist() == want
+
+
 def test_hexagon_keeps_only_the_extreme_pole_images():
     """Three spheres under two rotations: the zonotope is a hexagon, so two
     of the eight pole images (the centre, twice) are not vertices."""
@@ -162,7 +205,7 @@ def test_degenerate_polytope_is_a_segment():
     assert poly.contains(*numerators([mid])).all()
     off = [mid[0] + F(1, 1000), mid[1] - F(1, 1000)]
     assert not poly.contains(*numerators([off])).any()
-    rep = sample.product_coverage_check(mom, poly, 10, 5000, 0)
+    rep = coverage(mom, poly, 10, 5000, 0)
     assert rep.n_counted_cells == 0 and rep.fraction == 1.0
 
 
@@ -172,7 +215,7 @@ def test_four_spheres_polytope():
     speeds = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     poly, mom = polytope_of(m, rotations(speeds))
     assert mom.c == 4 and len(vertices(poly)) == 16 and len(poly.normals) == 4
-    rep = sample.product_coverage_check(mom, poly, 5, 20000, 0)
+    rep = coverage(mom, poly, 5, 20000, 0)
     assert rep.n_counted_cells == 5 ** 4
     assert rep.fraction >= 0.99
 
@@ -275,8 +318,7 @@ def test_a_mid_edge_pole_image_of_a_4d_zonotope_is_no_vertex():
 def test_two_torus_coverage(t2_translations):
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    rep = sample.product_coverage_check(
-        mom, convex.moment_polytope(mom), 50, 100000, 0)
+    rep = coverage(mom, convex.moment_polytope(mom), 50, 100000, 0)
     assert rep.n_counted_cells == 2500
     assert rep.fraction >= 0.99
 
@@ -284,8 +326,7 @@ def test_two_torus_coverage(t2_translations):
 def test_pure_hamiltonian_coverage_reduces_to_hull(s2xs2_rotations):
     m, a = s2xs2_rotations
     _, mom = pipeline(m, a)
-    rep = sample.product_coverage_check(
-        mom, convex.moment_polytope(mom), 15, 60000, 0)
+    rep = coverage(mom, convex.moment_polytope(mom), 15, 60000, 0)
     assert rep.n_counted_cells == 15 ** 2
     assert rep.fraction >= 0.99
 
@@ -307,7 +348,7 @@ def test_interior_cells_match_per_corner_loop():
             expected += all(abs(sum(a * x for a, x in zip(nv, p))) <= b
                             for p in corners
                             for nv, b in zip(poly.normals, offsets(poly)))
-        rep = sample.product_coverage_check(mom, poly, res, 1000, 0)
+        rep = coverage(mom, poly, res, 1000, 0)
         assert 0 < expected < res * res
         assert rep.n_counted_cells == expected
 
@@ -317,8 +358,7 @@ def test_three_sphere_coverage_regression():
     200k samples (25 per cell) cover it."""
     m = spheres(3)
     _, mom = pipeline(m, rotations([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-    rep = sample.product_coverage_check(
-        mom, convex.moment_polytope(mom), 20, 200000, 0)
+    rep = coverage(mom, convex.moment_polytope(mom), 20, 200000, 0)
     assert rep.n_counted_cells == 8000
     assert rep.fraction >= 0.99
 
@@ -345,19 +385,22 @@ def test_coverage_bins_are_exact_floors(monkeypatch):
     for t, hs in zip(itertools.cycle((0, 1, p // 3, p - 1)), heights):
         point = np.array([[5, t, 7, hs[0], 11, hs[1], 13, hs[2]]],
                          dtype=np.int64)
-        monkeypatch.setattr(sample, "sample_points",
-                            lambda m, n, seed, start, stop: point[start:stop])
-        rep = sample.product_coverage_check(mom, poly, res, 1, 0)
+        monkeypatch.setattr(sample.Stream, "rows", lambda self, n: point[:n])
         [((mu1,), (mu2,))] = lattice_oracle(mom, point)
         q = res * (mu1 + h) / (2 * h)
         if q.denominator == 1:
             edges.add(q)
         cell = (min(max(math.floor(q), 0), res - 1) * res
                 + math.floor(res * mu2))
-        assert rep.n_counted_cells == res * res
-        assert rep.n_hit_cells == 1
-        assert rep.empty_cells == tuple(e for e in range(res * res)
-                                        if e != cell)
+        # the point drawn by the check, and the point the table holds
+        drawn, held = (sample.Stream(mom.omega_prime, 0) for _ in range(2))
+        held.table(mom, 1)
+        for stream in (drawn, held):
+            rep = sample.product_coverage_check(mom, poly, res, 1, stream)
+            assert rep.n_counted_cells == res * res
+            assert rep.n_hit_cells == 1
+            assert rep.empty_cells == tuple(e for e in range(res * res)
+                                            if e != cell)
     assert edges == set(range(res + 1))
 
 
@@ -405,13 +448,13 @@ def test_cell_centres_are_tested_in_bounded_blocks():
     CELL_BLOCK_ENTRIES numerators, so the check traces under 32 MB where
     one block would take about 90; the draw is capped at one sample, the
     smallest cap.  Planted for CELL_BLOCK_ENTRIES = 2 ** 18 with its base
-    raised to 3, which tests every centre at once, and for sample_points'
+    raised to 3, which tests every centre at once, and for the cap's check
     `n < 1` turned into `n <= 1` or `n < 2`, which rejects that cap."""
     poly, mom = polytope_of(spheres(3), rotations(
         [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     tracemalloc.start()
     try:
-        rep = sample.product_coverage_check(mom, poly, 100, 1, 0)
+        rep = coverage(mom, poly, 100, 1, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,7 +468,7 @@ def test_coverage_report_is_the_full_draws(tmp_path):
     empty (fraction below 1) and where no cell counts."""
     fractions = {}
     for name, mom, poly, res, n, seed in coverage_inputs(tmp_path):
-        rep = sample.product_coverage_check(mom, poly, res, n, seed)
+        rep = coverage(mom, poly, res, n, seed)
         assert rep == full_draw_coverage(mom, poly, res, n, seed), name
         fractions[name] = rep.fraction, rep.n_counted_cells
     assert fractions["undersampled"][0] < 1
@@ -433,54 +476,57 @@ def test_coverage_report_is_the_full_draws(tmp_path):
     assert fractions["segment"] == (1.0, 0)
 
 
+def counting_rows(monkeypatch) -> list:
+    """The length of every block sample.Stream.rows draws, in order."""
+    drawn = []
+    rows = sample.Stream.rows
+
+    def counting(self, n):
+        drawn.append(n)
+        return rows(self, n)
+
+    monkeypatch.setattr(sample.Stream, "rows", counting)
+    return drawn
+
+
 def test_coverage_draw_stops_once_every_counted_cell_is_hit(
         monkeypatch, tmp_path, t2_translations):
-    """The rows drawn, counted through sample.sample_points: fewer than the
+    """The rows drawn, counted through sample.Stream.rows: fewer than the
     cap once every counted cell is hit, all of it while a cell stays empty,
     none when no cell counts."""
-    drawn = []
-    sample_points = sample.sample_points
-
-    def counting(*args):
-        rows = sample_points(*args)
-        drawn.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(sample, "sample_points", counting)
+    drawn = counting_rows(monkeypatch)
     m, a = t2_translations
     _, mom = pipeline(m, a)
-    rep = sample.product_coverage_check(
-        mom, convex.moment_polytope(mom), 50, 100000, 0)
+    rep = coverage(mom, convex.moment_polytope(mom), 50, 100000, 0)
     assert rep.fraction == 1.0 and 0 < sum(drawn) < 100000
     assert drawn[0] == sample.COVERAGE_CHUNK
     inputs = {name: rest for name, *rest in coverage_inputs(tmp_path)}
     for name, rows in (("undersampled", 1000), ("segment", 0)):
         drawn.clear()
-        sample.product_coverage_check(*inputs[name])
+        coverage(*inputs[name])
         assert sum(drawn) == rows, name
     # the cap is still a sample count, even where nothing would be drawn
     with pytest.raises(ValueError, match="at least one sample"):
-        sample.product_coverage_check(*inputs["segment"][:3], 0, 0)
+        coverage(*inputs["segment"][:3], 0, 0)
 
 
 def test_coverage_chunks_double_up_to_the_cap(monkeypatch, t2_translations):
     """On 1024^2 cells, 10000 samples never hit them all, so the draw runs
     to the cap in chunks of 1024, 2048 and 4096 rows and the rest.
-    Planted for the doubling `2 * size` raised to `3 * size`."""
-    drawn = []
-    sample_points = sample.sample_points
-
-    def counting(*args):
-        rows = sample_points(*args)
-        drawn.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(sample, "sample_points", counting)
+    After a sample table of 1000 rows the chunks start past it.  Planted
+    for the doubling `2 * size` raised to `3 * size`."""
+    drawn = counting_rows(monkeypatch)
     _, mom = pipeline(*t2_translations)
-    rep = sample.product_coverage_check(
-        mom, convex.moment_polytope(mom), 1024, 10000, 0)
+    poly = convex.moment_polytope(mom)
+    rep = coverage(mom, poly, 1024, 10000, 0)
     assert rep.fraction < 1
     assert drawn == [1024, 2048, 4096, 10000 - 7168]
+    drawn.clear()
+    stream = sample.Stream(mom.omega_prime, 0)
+    stream.table(mom, 1000)
+    assert sample.product_coverage_check(mom, poly, 1024, 10000,
+                                         stream) == rep
+    assert drawn == [1000, 1024, 2048, 4096, 10000 - 8168]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from momentforge import cli, equiv, geom, hamclass, moment, ratlin, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (apply_torus_element, classify, covectors, field_vector,
-                      fractions, pair, pairing, s2xt2, sphere, sphere_coeffs,
-                      torus2, torus_omega, wrap)
+                      fractions, pair, pairing, s2xt2, scenario_moment,
+                      sphere, sphere_coeffs, torus2, torus_omega, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +344,9 @@ def test_sampling_reproducible_and_in_range():
 
 
 def test_sampling_draws_p_again(monkeypatch):
-    """A raw draw whose top 31 bits read P is drawn again, so every slot
-    stays uniform on [0, P)."""
+    """A raw draw whose top 31 bits read P is drawn again from the stream
+    as it continues: its slot and every later one take the next draws, so
+    every slot stays uniform on [0, P)."""
     p = geom.LATTICE
     draws = iter([np.array([[p << 33, 5 << 33], [p << 33, 7 << 33]],
                            dtype=np.uint64),
@@ -362,44 +363,45 @@ def test_sampling_draws_p_again(monkeypatch):
         bit_generator = Bits()
 
     monkeypatch.setattr(sample.np.random, "default_rng", lambda seed: Rng())
-    assert sample.sample_points(torus2(), 2, 0).tolist() == [[11, 5], [3, 7]]
+    assert sample.sample_points(torus2(), 2, 0).tolist() == [[5, 7], [3, 11]]
 
 
-def test_sample_rows_are_slices_of_the_full_draw():
-    """Rows start..stop come from the stream advanced past the first start
-    rows, and equal the same rows of the full draw."""
-    for m, n, seed in ((torus2(), 37, 4), (s2xt2(), 5000, 1),
-                       (sphere(), 1024, 9)):
-        full = sample.sample_points(m, n, seed)
-        for start, stop in ((0, n), (0, 1), (3, 17), (n - 1, n), (n, n),
-                            (5, n), (n // 3, 2 * n // 3)):
-            rows = sample.sample_points(m, n, seed, start, stop)
-            assert rows.dtype == np.int64
-            assert np.array_equal(rows, full[start:stop])
-    for start, stop in ((-1, 3), (4, 3), (0, 38)):
-        with pytest.raises(ValueError, match="outside a draw of 37"):
-            sample.sample_points(torus2(), 37, 4, start, stop)
+def test_first_rows_do_not_depend_on_the_draw_length():
+    """The first k rows of draws of n and of m > k rows are equal, and a
+    stream drawn in blocks reads the rows of one draw of their sum."""
+    for name, seed in (("two_torus", 4), ("s2xt2_reduce", 1),
+                       ("sphere", 9)):
+        mom = scenario_moment(cli.load_scenario(
+            cli.bundled_scenario_path(name)))
+        m = mom.omega_prime
+        full = sample.sample_points(m, 5000, seed)
+        for k, n in ((1, 1), (1, 2), (17, 37), (1024, 1024), (1000, 3000)):
+            assert np.array_equal(sample.sample_points(m, n, seed)[:k],
+                                  full[:k])
+        stream = sample.Stream(m, seed)
+        blocks = [stream.table(mom, 1000)[1][:, :m.dim]] + [
+            stream.rows(size) for size in (1024, 2048, 928)]
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert np.array_equal(np.vstack(blocks), full)
 
 
-def test_sample_rows_with_p_in_a_later_chunk(monkeypatch):
-    """A raw draw of P inside a row range is redrawn from the stream after
-    all n rows, as in the full draw, so the range is cut from the full
-    draw; ranges without P read only their own rows."""
-    p, n, dim = geom.LATTICE, 6, 2
-    stream = [(7 * i + 1) << 33 for i in range(n * dim + 4)]
-    stream[9] = stream[4] = p << 33      # rows 4 and 2
-    stream[n * dim] = p << 33            # the first redraw is P again
+def test_first_rows_do_not_depend_on_the_draw_length_past_a_raw_p(
+        monkeypatch):
+    """Raw draws of P, also as the first redraw, in rows 2 and 4 of a
+    stream of two slots a row: every draw of n rows and every blocking of
+    the stream read the same rows, none of them P."""
+    p, dim = geom.LATTICE, 2
+    values = [(7 * i + 1) << 33 for i in range(40)]
+    values[9] = values[4] = values[5] = p << 33
 
     class Bits:
-        pos = 0
-
-        def advance(self, delta):
-            self.pos += delta
+        def __init__(self):
+            self.pos = 0
 
         def random_raw(self, size):
             k = int(np.prod(size))
             self.pos += k
-            return np.array(stream[self.pos - k:self.pos],
+            return np.array(values[self.pos - k:self.pos],
                             dtype=np.uint64).reshape(size)
 
     class Rng:
@@ -407,14 +409,14 @@ def test_sample_rows_with_p_in_a_later_chunk(monkeypatch):
             self.bit_generator = Bits()
 
     monkeypatch.setattr(sample.np.random, "default_rng", lambda seed: Rng())
-    full = sample.sample_points(torus2(), n, 0)
-    # the two P slots take the redraws after P: 7 * 13 + 1, then 7 * 14 + 1
-    assert full[4, 1] == 92 and full[2, 0] == 99
-    assert p not in full
-    for start, stop in ((4, 6), (3, 5), (0, 2), (5, 6), (0, n)):
-        assert np.array_equal(
-            sample.sample_points(torus2(), n, 0, start, stop),
-            full[start:stop])
+    kept = [v >> 33 for v in values if v >> 33 != p]
+    want = np.array(kept[:12 * dim]).reshape(12, dim)
+    for n in range(1, 13):
+        assert np.array_equal(sample.sample_points(torus2(), n, 0),
+                              want[:n])
+    stream = sample.Stream(torus2(), 0)
+    blocks = [stream.rows(size) for size in (3, 1, 2, 6)]
+    assert np.array_equal(np.vstack(blocks), want)
 
 
 def test_apply_torus_element_group_law():

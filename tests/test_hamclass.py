@@ -445,7 +445,8 @@ def test_t12_integralizes_within_the_bound_on_int64(bound):
     assert hamclass.integralize_with_retry(scenario.manifold, bound).k <= bound
     mom = scenario_moment(scenario)
     assert [p.dtype for p in mom._pairings] == [np.int64, np.int64]
-    assert sample.moment_table(mom, 100, scenario.seed)[1].dtype == np.int64
+    assert sample.Stream(mom.omega_prime, scenario.seed).table(
+        mom, 100)[1].dtype == np.int64
 
 
 def test_t12_integralizes_at_a_huge_bound():
