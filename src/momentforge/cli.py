@@ -338,8 +338,7 @@ class Report:
     provenance: dict
     sections: dict = field(default_factory=dict)   # check -> ordered dict
     matrices: list = field(default_factory=list)   # (name, rows)
-    samples: object = None                         # integer numerators
-    sample_header: tuple = ()
+    samples: tuple = None                          # (header, numerators)
     coverage: object = None                        # sample.CoverageReport
     stream: object = None                          # sample.Stream of the op
     failures: list = field(default_factory=list)
@@ -401,9 +400,9 @@ def emit_report(report: Report, out_dir) -> list:
     write("report.txt", report.render().encode())
     if report.samples is not None:
         from . import sample
-        write("moment_samples.csv",
-              (",".join(report.sample_header) + "\n").encode(),
-              sample.table_blocks(report.samples))
+        header, rows = report.samples
+        write("moment_samples.csv", (",".join(header) + "\n").encode(),
+              sample.table_blocks(rows))
     rows = ["grid_resolution,n_counted_cells,n_hit_cells,fraction,"
             "empty_cell_witnesses"]
     if report.coverage is not None:
@@ -433,9 +432,6 @@ def run_scenario(scenario: Scenario, requested=None) -> Report:
     the count times the manifold's dim must fit geom.MAX_SAMPLE_ENTRIES.
     Deterministic for a fixed (scenario, seed)."""
     wanted = requested or scenario.checks
-    for check in wanted:
-        if check not in CHECK_ORDER:
-            raise ConfigError(f"unknown check {check!r}")
     dim = scenario.manifold.dim
     for stage, key in (("moment", "samples"),
                        ("convexity", "coverage_samples")):
@@ -513,8 +509,7 @@ def _run_moment(report, scenario, mom):
     report.add("moment", "r", mom.r)
     report.matrix("mu2_covectors", mom.torus_covectors)
     report.stream = sample.Stream(mom.omega_prime, scenario.seed)
-    report.sample_header, report.samples = report.stream.table(
-        mom, scenario.samples)
+    report.samples = report.stream.table(mom, scenario.samples)
     if mom.r:
         # the straight lift minus the one shifted by the loop e_0: exactly
         # -<covector, e_0>, an integer, as the torus slots are integral

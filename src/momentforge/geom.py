@@ -143,12 +143,6 @@ class ActionSpec:
     sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "translations",
-            tuple(tuple(int(v) for v in t) for t in self.translations))
-        object.__setattr__(
-            self, "rotations",
-            tuple(tuple(int(s) for s in r) for r in self.rotations))
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if len(self.translations) != len(self.rotations):

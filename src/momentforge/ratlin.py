@@ -53,8 +53,6 @@ def _eliminate(a: Mat, jordan: bool = False) -> tuple[list, int, int]:
     prev, sign = 1, 1
     for c in range(len(a[0]) if a else 0):
         r = len(pivots)
-        if r == rows:
-            break
         piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
@@ -150,8 +148,6 @@ def _hermite(h: Mat, cols: int) -> Mat:
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
         r += 1
-        if r == rows:
-            break
     return h
 
 

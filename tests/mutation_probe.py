@@ -1,6 +1,7 @@
 """Mutation probe: every line in src/momentforge must be able to fail a test.
 
-A site is one place where one of five operators applies:
+A site is one place where one of six operators applies.  Five form the
+expression family, which asks how a line computes:
 
 * swap a binary `+` and `-`;
 * swap a comparison with its neighbour (`<` `<=`, `>` `>=`, `==` `!=`,
@@ -8,6 +9,13 @@ A site is one place where one of five operators applies:
 * swap `and` and `or`;
 * raise an int constant with |v| <= 10 by one;
 * drop a unary `-` or `not`.
+
+The sixth, the statement family, asks whether a line is needed at all: it
+replaces one statement with `pass` (statement deletion, Deng, Offutt and
+Li 2013).  It applies to each statement of a function, method, class or
+branch body that holds two or more statements besides its docstring, and
+skips docstrings, imports, `def` and `class` statements and every
+statement at module level.
 
 Each mutant runs on its own copy of src/, in a temporary working directory,
 with a fixed hash seed and `--hypothesis-seed=0`, under a 60 s timeout (a
@@ -20,16 +28,23 @@ an entry in EQUIVALENT below with a one-line reason.
 
     python tests/mutation_probe.py                  # every site, 2 workers
     python tests/mutation_probe.py --module ratlin  # one module's sites
+    python tests/mutation_probe.py --family statement
+    python tests/mutation_probe.py --since origin/main
     python tests/mutation_probe.py --check          # EQUIVALENT is live
 
-The full run takes about an hour of CPU, 30 to 45 minutes on two workers.
-It prints, per module, the sites, the killed and the survivors, and each
-survivor as `module:line op` with its source line; it exits 1 when a
-survivor is not listed as equivalent, or a listed one is killed.
-EQUIVALENT names a site by its module, its stripped source line and its
-operator (`#k` for the k-th site with that line and operator), so moving
-a line changes no entry.  `--check` runs no test: it exits 1 when an
-entry no longer names a live site.
+`--since REV` probes only the sites, of both families unless `--family`
+narrows them, on the lines that `git diff REV -- src/` adds or changes; a
+statement site counts as changed when any of its lines is.  The full run
+takes about 45 minutes on two workers, 21 of them for the statement
+family; other load on the machine can push a mutant's suite past the
+timeout, which reads as a kill.  It prints, per module and family, the
+sites, the killed and the survivors, and each survivor as `module:line
+op` with its source line; it exits 1 when a survivor is not listed as
+equivalent, or a listed one is killed.  EQUIVALENT names a site
+by its module, its stripped (first) source line and its operator (`#k`
+for the k-th site with that line and operator), so moving a line changes
+no entry.  `--check` runs no test: it exits 1 when an entry no longer
+names a live site.
 
 Standard library only; pytest does not collect this file.
 """
@@ -39,11 +54,13 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import re
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +76,7 @@ OWN = {"sample": ("test_moment.py", "test_convex.py", "test_geom.py")}
 TIMEOUT_S = 60
 MEMORY_CAP = 2 * 2 ** 30
 WORKERS = 2
+FAMILIES = ("expression", "statement")
 
 # (module, stripped source line, operator) -> why the mutant cannot change
 # behaviour
@@ -67,7 +85,7 @@ EQUIVALENT = {
         ("with no torus the spheres are scaled by den and the form divides "
          "them by den again, so any positive den reads one form"),
     ("ratlin", "for c in range(len(a[0]) if a else 0):", "0->1 #2"):
-        "an empty a has no rows, so the first column breaks at r == rows",
+        "an empty a has no rows, so its one column finds no pivot",
     ("ratlin", "if h[r][c] < 0:", "<-><="):
         "the pivot h[r][c] is nonzero",
     ("ratlin", "if h[r][c] < 0:", "0->1"):
@@ -88,6 +106,9 @@ EQUIVALENT = {
          "translate deletes"),
     ("sample", "step = max(1, TABLE_BLOCK_ENTRIES // a.shape[1])", "1->2"):
         "a block size: the bytes are the same for any positive step",
+    ("sample", "if top < 2 ** 32:", "delete"):
+        ("the uint32 cast only picks a faster dtype for the same quotients "
+         "of magnitudes below 2^32"),
     ("convex", "sign = -1 if next(x for x in cof if x) < 0 else 1", "<-><="):
         "the first nonzero entry of cof is nonzero",
     ("convex", "sign = -1 if next(x for x in cof if x) < 0 else 1", "0->1"):
@@ -124,10 +145,15 @@ class Site:
     source: str    # the stripped source line
     index: int     # the node's position in ast.walk order
     slot: int      # which operator of a comparison
+    last: int      # the site's last line: a statement's may be past line
 
     @property
     def name(self) -> str:
         return f"{self.module}:{self.line} {self.op}"
+
+    @property
+    def family(self) -> str:
+        return "statement" if self.op.startswith("delete") else "expression"
 
     @property
     def key(self) -> tuple:
@@ -156,10 +182,40 @@ def _swap(op) -> str:
     return f"{_TEXT[type(op)]}->{_TEXT[_SWAP[type(op)]]}"
 
 
-def _candidates(tree):
-    """(walk index, node, slot, op text) for every site of a module."""
+_KEPT = (ast.Import, ast.ImportFrom, ast.FunctionDef, ast.AsyncFunctionDef,
+         ast.ClassDef)
+
+
+def _docstring(node) -> bool:
+    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def _statements(tree):
+    """The statements that may become `pass`: those of every body below
+    module level that holds two or more statements besides docstrings,
+    but for docstrings, imports, defs and classes."""
+    for node in ast.walk(tree):
+        for field in ("body", "orelse", "finalbody"):
+            body = getattr(node, field, None)
+            if isinstance(node, ast.Module) or not isinstance(body, list):
+                continue
+            body = [s for s in body if not _docstring(s)]
+            if len(body) >= 2:
+                yield from (s for s in body if not isinstance(s, _KEPT))
+
+
+def _candidates(tree, families=FAMILIES):
+    """(walk index, node, slot, op text) for every site of a module in the
+    given operator families."""
+    deletable = set(map(id, _statements(tree))) \
+        if "statement" in families else set()
     for index, node in enumerate(ast.walk(tree)):
-        if isinstance(node, ast.BoolOp) or isinstance(
+        if id(node) in deletable:
+            yield index, node, 0, "delete"
+        elif "expression" not in families:
+            continue
+        elif isinstance(node, ast.BoolOp) or isinstance(
                 node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub):
             yield index, node, 0, _swap(node.op)
         elif isinstance(node, ast.Compare):
@@ -173,47 +229,53 @@ def _candidates(tree):
             yield index, node, 0, f"{node.value}->{node.value + 1}"
 
 
-def sites(module: str) -> list:
-    """The module's sites in source order; the k-th site with the same
-    source line text and operator, k > 1, gets a #k suffix."""
-    text = (PACKAGE / f"{module}.py").read_text()
+def _source(module: str) -> str:
+    return (PACKAGE / f"{module}.py").read_text()
+
+
+def sites(module: str, families=FAMILIES, text: str | None = None) -> list:
+    """The module's sites (text: its source, read from the package by
+    default) in source order; the k-th site with the same source line text
+    and operator, k > 1, gets a #k suffix."""
+    text = _source(module) if text is None else text
     lines = text.splitlines()
     found = []
-    for index, node, slot, op in _candidates(ast.parse(text)):
+    for index, node, slot, op in _candidates(ast.parse(text), families):
         line = _op_line(node, slot)
-        found.append((line, node.col_offset, index, slot, op))
+        last = node.end_lineno if op == "delete" else line
+        found.append((line, node.col_offset, index, slot, op, last))
     out, seen = [], {}
-    for line, _, index, slot, op in sorted(found):
+    for line, _, index, slot, op, last in sorted(found):
         source = lines[line - 1].strip()
         k = seen[source, op] = seen.get((source, op), 0) + 1
         out.append(Site(module, line, op if k == 1 else f"{op} #{k}",
-                        source, index, slot))
+                        source, index, slot, last))
     return out
 
 
-def mutate(site: Site) -> str:
-    """The module's source with the site's operator applied."""
-    tree = ast.parse((PACKAGE / f"{site.module}.py").read_text())
-    parents = {}
-    for index, node in enumerate(ast.walk(tree)):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-        if index == site.index:
-            target = node
+def mutate(site: Site, text: str | None = None) -> str:
+    """The module's source (text, or the package's) with the site's
+    operator applied."""
+    tree = ast.parse(_source(site.module) if text is None else text)
+    # ast.walk's order, stopped at the target, with each node's parent
+    todo = deque([(tree, None)])
+    for _ in range(site.index + 1):
+        target, parent = todo.popleft()
+        todo.extend((child, target) for child in ast.iter_child_nodes(target))
     if isinstance(target, (ast.BinOp, ast.BoolOp)):
         target.op = _SWAP[type(target.op)]()
     elif isinstance(target, ast.Compare):
         target.ops[site.slot] = _SWAP[type(target.ops[site.slot])]()
     elif isinstance(target, ast.Constant):
         target.value += 1
-    else:    # a dropped unary operator: its operand takes its place
-        parent = parents[target]
+    else:    # a dropped unary operator's operand, or pass, takes its place
+        new = ast.Pass() if isinstance(target, ast.stmt) else target.operand
         for field, value in ast.iter_fields(parent):
             if value is target:
-                setattr(parent, field, target.operand)
+                setattr(parent, field, new)
             elif isinstance(value, list) and target in value:
-                value[value.index(target)] = target.operand
-    return ast.unparse(ast.fix_missing_locations(tree)) + "\n"
+                value[value.index(target)] = new
+    return ast.unparse(tree) + "\n"
 
 
 def run_tests(module: str | None, source: str | None, files) -> bool:
@@ -252,7 +314,10 @@ def run_tests(module: str | None, source: str | None, files) -> bool:
 
 
 def all_test_files() -> list:
-    return sorted(p.name for p in TESTS.glob("test_*.py"))
+    """Every test file but the probe's own, which reads the package, not
+    the mutant's copy, and so can kill no mutant."""
+    return sorted(p.name for p in TESTS.glob("test_*.py")
+                  if p.name != "test_mutation_probe.py")
 
 
 def survives(site: Site) -> bool:
@@ -270,10 +335,54 @@ def check() -> list:
     return [key for key in EQUIVALENT if key not in live]
 
 
+def changed_lines(diff: str) -> dict:
+    """{module: the new-side line numbers that a unified diff adds or
+    changes in it}, for the package modules the diff touches."""
+    out, module, line = {}, None, None
+    for text in diff.splitlines():
+        if text.startswith("diff --git "):
+            path = Path(text.rsplit(" b/", 1)[-1])
+            module = path.stem if path.parent == Path("src/momentforge") \
+                and path.stem in MODULES else None
+            line = None
+        elif module is None:
+            continue
+        elif text.startswith("@@ "):
+            line = int(re.match(r"@@ -\S+ \+(\d+)", text)[1])
+        elif line is None:
+            continue    # a file header: ---, +++, mode or index lines
+        elif text.startswith("+"):
+            out.setdefault(module, set()).add(line)
+            line += 1
+        elif text.startswith(" "):
+            line += 1
+    return out
+
+
+def touched(todo: list, changed: dict) -> list:
+    """The sites with at least one line in changed (see changed_lines)."""
+    return [s for s in todo
+            if changed.get(s.module, set()).intersection(
+                range(s.line, s.last + 1))]
+
+
+def git_diff(rev: str) -> str:
+    """`git diff REV -- src/`, with no context lines, from the repository
+    root; an unknown REV raises CalledProcessError."""
+    return subprocess.run(["git", "diff", "-U0", rev, "--", "src/"],
+                          cwd=TESTS.parent, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--module", action="append", choices=MODULES,
                         help="probe only this module (repeatable)")
+    parser.add_argument("--family", action="append", choices=FAMILIES,
+                        help="probe only this operator family (repeatable)")
+    parser.add_argument("--since", metavar="REV",
+                        help="probe only the sites on lines that `git diff "
+                             "REV -- src/` adds or changes")
     parser.add_argument("--check", action="store_true",
                         help="only check that EQUIVALENT names live sites")
     args = parser.parse_args(argv)
@@ -286,7 +395,17 @@ def main(argv=None) -> int:
         return 1 if stale else 0
 
     modules = args.module or MODULES
-    todo = [s for m in modules for s in sites(m)]
+    families = args.family or FAMILIES
+    todo = [s for m in modules for s in sites(m, families)]
+    if args.since:
+        try:
+            todo = touched(todo, changed_lines(git_diff(args.since)))
+        except subprocess.CalledProcessError as exc:
+            print(f"git diff {args.since} failed: {exc.stderr.strip()}")
+            return 2
+        print(f"{len(todo)} sites on lines changed since {args.since}")
+    if not todo:
+        return 0
     if not run_tests(None, None, all_test_files()):
         print("the unmutated copy fails the suite; nothing probed")
         return 2
@@ -304,16 +423,18 @@ def main(argv=None) -> int:
     with ThreadPoolExecutor(WORKERS) as pool:
         survived = dict(zip(todo, pool.map(probe, todo)))
     bad = 0
-    print(f"{'module':<10} {'sites':>5} {'killed':>6} {'survived':>8} "
-          f"{'listed':>6}")
+    print(f"{'module':<10} {'family':<10} {'sites':>5} {'killed':>6} "
+          f"{'survived':>8} {'listed':>6}")
     for m in modules:
-        mine = [s for s in todo if s.module == m]
-        if not mine:
-            continue
-        alive = [s for s in mine if survived[s]]
-        listed = [s for s in alive if s.key in EQUIVALENT]
-        print(f"{m:<10} {len(mine):>5} {len(mine) - len(alive):>6} "
-              f"{len(alive):>8} {len(listed):>6}")
+        for family in families:
+            mine = [s for s in todo if s.module == m and s.family == family]
+            if not mine:
+                continue
+            alive = [s for s in mine if survived[s]]
+            listed = [s for s in alive if s.key in EQUIVALENT]
+            print(f"{m:<10} {family:<10} {len(mine):>5} "
+                  f"{len(mine) - len(alive):>6} {len(alive):>8} "
+                  f"{len(listed):>6}")
     for s, alive in survived.items():
         if alive and s.key not in EQUIVALENT:
             bad += 1

@@ -147,6 +147,16 @@ generators = | {" ".join(["1"] * 17)}
     # so are the pole images of the moment polytope, before it is built
     (SEVENTEEN_SPHERES, "convexity: 17 spheres enter mu1, so the polytope "
      f"has 2\\^17 pole images, above the budget of {convex.MAX_POLES}"),
+    # each planted for the deletion of its guard's raise, without which
+    # the input runs on, or fails later with exit 1 or a traceback
+    (GOOD + "[expect]\nz = 0 1 ; -1\n", r"\[expect\] z: ragged matrix"),
+    (GOOD.replace("torus_dim = 2", "torus_dim = 2\nspheres = 1").replace(
+        "1 0 | ; 0 1 |", "1 0 | 1 1 ; 0 1 | 0"),
+     "expected 1 rotation speeds in '1 0 | 1 1'"),
+    (GOOD.replace("1 0 | ; 0 1 |", ";"), "generators: no generators"),
+    (GOOD.replace("generators = 1 0 | ; 0 1 |", "sign = plus"),
+     r"missing \[action\] generators"),
+    (GOOD + "sign = up\n", "sign must be 'plus' or 'minus'"),
 ])
 def test_config_errors(tmp_path, capsys, text, fragment):
     """The whole run ends in exit 2 and one config error line, whether the
@@ -155,6 +165,22 @@ def test_config_errors(tmp_path, capsys, text, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert re.search(fragment, err)
+
+
+def test_a_trailing_semicolon_in_generators_is_no_generator(tmp_path,
+                                                            capsys):
+    """A `;` after the last generator leaves an empty chunk, which is
+    skipped: the report is that of the same file without it.  Planted for
+    the deletion of `_parse_generators`' `continue` on an empty chunk,
+    which reads the empty chunk as a generator with no '|'."""
+    plain = write(tmp_path, GOOD)
+    assert cli.main(["all", "--scenario", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    trailing = tmp_path / "trailing.ini"
+    trailing.write_text(GOOD.replace("0 1 |", "0 1 | ;"))
+    assert cli.main(["all", "--scenario", str(trailing)]) == 0
+    assert capsys.readouterr().out == expected.replace(
+        "scenario = s", "scenario = trailing")
 
 
 def test_a_sample_budget_binds_only_a_stage_that_draws(tmp_path, capsys):
@@ -522,12 +548,15 @@ def test_critical_reduce_level_fails_with_report(tmp_path, capsys,
 
 def test_exhausted_integralization_fails_with_report(tmp_path, capsys):
     """A valid form whose class rounds to zero at every denominator bound
-    up to 2**16: the run records that integralization did not converge,
-    skips the later stages and exits 1 with its report."""
+    up to 2**16: the run records the error at the last bound and that
+    integralization did not converge, skips the later stages and exits 1
+    with its report.  Planted for the deletion of the `integralize.error`
+    line."""
     tiny = write(tmp_path, GOOD.replace("0 1 ; -1 0", "0 1e-6 ; -1e-6 0"))
     assert cli.main(["all", "--scenario", str(tiny)]) == 1
     out = capsys.readouterr().out
-    assert "converged = false" in out
+    assert ("\n[integralize]\nerror = RoundingBrokeNondegeneracy: "
+            "max_denominator=65536\nconverged = false\n") in out
     assert "failures = integralize.converged" in out
     assert "[moment]" not in out
 
@@ -1007,8 +1036,7 @@ def test_sample_table_is_written_in_row_blocks(tmp_path, monkeypatch, dtype):
     monkeypatch.setattr(sample, "decimal_table",
                         lambda b: blocks.append(b.shape) or real(b))
     report = cli.Report("s", {})
-    report.sample_header = tuple(f"c{j}" for j in range(cols))
-    report.samples = a
+    report.samples = tuple(f"c{j}" for j in range(cols)), a
     cli.emit_report(report, tmp_path)
     assert blocks == [(step, cols), (step, cols), (len(a) - 2 * step, cols)]
     assert (tmp_path / "moment_samples.csv").read_bytes() == (
@@ -1093,10 +1121,11 @@ def test_object_sample_table_writes_percent_d(tmp_path):
     path = write(tmp_path, "[manifold]\nspheres = 10000000000000\n"
                            "[action]\ngenerators = | 1\n")
     report = cli.run_scenario(cli.load_scenario(path), ("moment",))
-    assert report.samples.dtype == object
+    _, rows = report.samples
+    assert rows.dtype == object
     cli.emit_report(report, tmp_path / "out")
     text = (tmp_path / "out" / "moment_samples.csv").read_bytes()
-    assert text.split(b"\n", 1)[1] == percent_d_table(report.samples)
+    assert text.split(b"\n", 1)[1] == percent_d_table(rows)
 
 
 def test_huge_torus_form_covers_its_image(tmp_path, capsys):

@@ -79,6 +79,21 @@ def test_forms_hold_integer_numerators_over_one_denominator():
     assert (torus.nums, torus.den) == (((0, 5), (-5, 0)), 2)
 
 
+def test_forms_differ_in_any_field():
+    """Two forms are equal only when nums, den and torus_dim all are: one
+    2x2 block is a torus form or one sphere's, and the same numerators
+    over another den, or other numerators over the same den, are another
+    form.  Planted for the deletion of each field annotation of
+    ProductForm, which leaves that field out of __eq__."""
+    torus = ProductForm(((0, 1), (-1, 0)))
+    assert torus.nums == ProductForm(None, (1,)).nums
+    assert torus != ProductForm(None, (1,))
+    assert torus != ProductForm(((0, 1), (-1, 0)), (), 2)
+    assert ProductForm(((0, 1), (-1, 0)), (), 2).nums == torus.nums
+    assert torus != ProductForm(((0, 2), (-2, 0)))
+    assert torus == ProductForm(((0, 1), (-1, 0)))
+
+
 def test_factors_and_forms_hold_fractions():
     """Library callers may pass ints, Fractions or floats; manifolds and
     forms hold the exact value of each as numerators over one denominator

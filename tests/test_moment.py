@@ -319,6 +319,25 @@ def test_local_model_fails_a_bent_mu1_whose_weight_signs_hold():
     assert not rep.passed
 
 
+def test_local_model_flags_a_negative_weight_at_a_bent_minimum():
+    """Negating mu1's first row makes the north pole of the first sphere a
+    minimum of both components, while that sphere's weight there is -1:
+    the weight-sign consequence fails.  Planted for the deletion of
+    `sign_ok = False`, which the acceptance gate reads as
+    weight_sign_ok."""
+    m = s2xs2(1.0, 1.0)
+    a = ActionSpec(((), ()), ((1, 0), (0, 1)))
+    mom = build(m, a)
+    nums, d = mom.mu1
+    bent = dataclasses.replace(
+        mom, mu1=((tuple(-x for x in nums[0]),) + nums[1:], d))
+    north = m.basepoint()
+    north[1] = 1
+    rep = moment.local_model_check(bent, north)
+    assert rep.minima == (True, True)
+    assert not rep.weight_sign_ok and not rep.passed
+
+
 def test_local_model_minimum_forces_nonnegative_weights():
     """At the south pole of both spheres every weight is +speed, and the
     basepoint minimizes each mu1 coordinate."""
