@@ -18,29 +18,29 @@ skips docstrings, imports, `def` and `class` statements and every
 statement at module level.
 
 Each mutant runs on its own copy of src/, in a temporary working directory,
-with a fixed hash seed and `--hypothesis-seed=0`, under a 60 s timeout (a
-timeout counts as killed) and a 2 GiB address-space cap set inside the
-child.  It first runs the golden and acceptance tests and its module's
-test files, stopping at the first failure; a mutant that survives them
+with a fixed hash seed and `--hypothesis-seed=0`, under a cap of 60 s of
+CPU time and 2 GiB of address space, both set inside the child, and a
+600 s wall-clock backstop for a child that blocks; a mutant that hits
+either limit counts as killed.  CPU time, unlike wall time, does not grow
+with other load on the machine (the whole suite takes about 13 s of it).
+It first runs the golden and acceptance tests and its module's test
+files, stopping at the first failure; a mutant that survives them
 is re-run against the whole suite before it counts as a survivor.  A
 survivor is resolved by a test that kills it, by deleting the code, or by
 an entry in EQUIVALENT below with a one-line reason.
 
     python tests/mutation_probe.py                  # every site, 2 workers
     python tests/mutation_probe.py --module ratlin  # one module's sites
-    python tests/mutation_probe.py --family statement
     python tests/mutation_probe.py --since origin/main
     python tests/mutation_probe.py --check          # EQUIVALENT is live
 
-`--since REV` probes only the sites, of both families unless `--family`
-narrows them, on the lines that `git diff REV -- src/` adds or changes; a
-statement site counts as changed when any of its lines is.  The full run
-takes about 45 minutes on two workers, 21 of them for the statement
-family; other load on the machine can push a mutant's suite past the
-timeout, which reads as a kill.  It prints, per module and family, the
-sites, the killed and the survivors, and each survivor as `module:line
-op` with its source line; it exits 1 when a survivor is not listed as
-equivalent, or a listed one is killed.  EQUIVALENT names a site
+`--since REV` probes only the sites, of both families, on the lines that
+`git diff REV -- src/` adds or changes; a statement site counts as
+changed when any of its lines is.  The full run takes about 45 minutes on
+two workers, 21 of them for the statement family.  It prints, per module
+and family, the sites, the killed and the survivors, and each survivor as
+`module:line op` with its source line; it exits 1 when a survivor is not
+listed as equivalent, or a listed one is killed.  EQUIVALENT names a site
 by its module, its stripped (first) source line and its operator (`#k`
 for the k-th site with that line and operator), so moving a line changes
 no entry.  `--check` runs no test: it exits 1 when an entry no longer
@@ -73,7 +73,8 @@ MODULES = ("cli", "ratlin", "sample", "geom", "convex", "moment",
 # every mutant runs these first, then its module's own files
 FIRST = ("test_golden.py", "test_acceptance.py")
 OWN = {"sample": ("test_moment.py", "test_convex.py", "test_geom.py")}
-TIMEOUT_S = 60
+CPU_S = 60
+WALL_S = 600
 MEMORY_CAP = 2 * 2 ** 30
 WORKERS = 2
 FAMILIES = ("expression", "statement")
@@ -205,16 +206,12 @@ def _statements(tree):
                 yield from (s for s in body if not isinstance(s, _KEPT))
 
 
-def _candidates(tree, families=FAMILIES):
-    """(walk index, node, slot, op text) for every site of a module in the
-    given operator families."""
-    deletable = set(map(id, _statements(tree))) \
-        if "statement" in families else set()
+def _candidates(tree):
+    """(walk index, node, slot, op text) for every site of a module."""
+    deletable = set(map(id, _statements(tree)))
     for index, node in enumerate(ast.walk(tree)):
         if id(node) in deletable:
             yield index, node, 0, "delete"
-        elif "expression" not in families:
-            continue
         elif isinstance(node, ast.BoolOp) or isinstance(
                 node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub):
             yield index, node, 0, _swap(node.op)
@@ -233,14 +230,14 @@ def _source(module: str) -> str:
     return (PACKAGE / f"{module}.py").read_text()
 
 
-def sites(module: str, families=FAMILIES, text: str | None = None) -> list:
+def sites(module: str, text: str | None = None) -> list:
     """The module's sites (text: its source, read from the package by
     default) in source order; the k-th site with the same source line text
     and operator, k > 1, gets a #k suffix."""
     text = _source(module) if text is None else text
     lines = text.splitlines()
     found = []
-    for index, node, slot, op in _candidates(ast.parse(text), families):
+    for index, node, slot, op in _candidates(ast.parse(text)):
         line = _op_line(node, slot)
         last = node.end_lineno if op == "delete" else line
         found.append((line, node.col_offset, index, slot, op, last))
@@ -278,10 +275,23 @@ def mutate(site: Site, text: str | None = None) -> str:
     return ast.unparse(tree) + "\n"
 
 
+def limited(code: str, cpu_s: int) -> list:
+    """The command that runs code in a Python child capped at MEMORY_CAP
+    bytes of address space and cpu_s seconds of CPU time, at which the
+    kernel kills it, with no core file.  The caps are set in the child
+    itself: a preexec_fn is not safe while the pool's other thread runs."""
+    caps = (("RLIMIT_AS", MEMORY_CAP), ("RLIMIT_CPU", cpu_s),
+            ("RLIMIT_CORE", 0))
+    return [sys.executable, "-c", "import resource\n" + "".join(
+        f"resource.setrlimit(resource.{name}, ({v}, {v}))\n"
+        for name, v in caps) + code]
+
+
 def run_tests(module: str | None, source: str | None, files) -> bool:
     """Whether the test files pass on a copy of src/ in which module reads
     source (module None: the copy is unchanged but for a round trip
-    through ast.unparse of every module).  A timeout is a failure."""
+    through ast.unparse of every module).  A child ended by a limit
+    fails."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns(
@@ -293,20 +303,16 @@ def run_tests(module: str | None, source: str | None, files) -> bool:
             (src / "momentforge" / f"{module}.py").write_text(source)
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
                "PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "1"}
-        # the cap is set in the child itself: a preexec_fn is not safe
-        # while the pool's other thread runs
-        cmd = [sys.executable, "-c",
-               "import resource, sys, pytest; resource.setrlimit("
-               f"resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP})); "
-               "sys.exit(pytest.main(sys.argv[1:]))",
-               "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-               *[str(TESTS / f) for f in files]]
+        cmd = limited("import sys, pytest; "
+                      "sys.exit(pytest.main(sys.argv[1:]))", CPU_S) + [
+            "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+            *[str(TESTS / f) for f in files]]
         proc = subprocess.Popen(cmd, cwd=tmp, env=env,
                                 stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL,
                                 start_new_session=True)
         try:
-            return proc.wait(timeout=TIMEOUT_S) == 0
+            return proc.wait(timeout=WALL_S) == 0
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
@@ -378,8 +384,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--module", action="append", choices=MODULES,
                         help="probe only this module (repeatable)")
-    parser.add_argument("--family", action="append", choices=FAMILIES,
-                        help="probe only this operator family (repeatable)")
     parser.add_argument("--since", metavar="REV",
                         help="probe only the sites on lines that `git diff "
                              "REV -- src/` adds or changes")
@@ -395,8 +399,7 @@ def main(argv=None) -> int:
         return 1 if stale else 0
 
     modules = args.module or MODULES
-    families = args.family or FAMILIES
-    todo = [s for m in modules for s in sites(m, families)]
+    todo = [s for m in modules for s in sites(m)]
     if args.since:
         try:
             todo = touched(todo, changed_lines(git_diff(args.since)))
@@ -426,7 +429,7 @@ def main(argv=None) -> int:
     print(f"{'module':<10} {'family':<10} {'sites':>5} {'killed':>6} "
           f"{'survived':>8} {'listed':>6}")
     for m in modules:
-        for family in families:
+        for family in FAMILIES:
             mine = [s for s in todo if s.module == m and s.family == family]
             if not mine:
                 continue

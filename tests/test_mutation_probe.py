@@ -1,9 +1,11 @@
 """The mutation probe's own rules: which statements it deletes, that every
-site mutates, how `--since` reads a diff, and that EQUIVALENT is live.
-Nothing here runs a mutant."""
+site mutates, how `--since` reads a diff, how a child is capped, and that
+EQUIVALENT is live.  Nothing here runs a mutant."""
 
 import ast
 import importlib.util
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,10 +64,14 @@ def branches(x):
 '''
 
 
+def deleted_sites(text):
+    """The statement sites of text."""
+    return [s for s in probe.sites("toy", text) if s.family == "statement"]
+
+
 def deleted(text=TOY):
     """(line, stripped first line, op) of every statement site of text."""
-    return [(s.line, s.source, s.op)
-            for s in probe.sites("toy", ("statement",), text)]
+    return [(s.line, s.source, s.op) for s in deleted_sites(text)]
 
 
 def test_statement_sites_follow_the_skip_rules():
@@ -93,7 +99,7 @@ def test_statement_sites_follow_the_skip_rules():
 
 
 def test_a_statement_site_spans_its_lines_and_becomes_pass():
-    site = probe.sites("toy", ("statement",), TOY)[-1]
+    site = deleted_sites(TOY)[-1]
     assert (site.line, site.last, site.family) == (43, 44, "statement")
     mutant = probe.mutate(site, TOY)
     assert mutant.rstrip().endswith("raise\n    pass")
@@ -101,7 +107,7 @@ def test_a_statement_site_spans_its_lines_and_becomes_pass():
 
 def test_equal_lines_are_numbered():
     text = "def f(x):\n    x += 1\n    x += 1\n    return x\n"
-    assert [s.op for s in probe.sites("toy", ("statement",), text)] == [
+    assert [s.op for s in deleted_sites(text)] == [
         "delete", "delete #2", "delete"]
 
 
@@ -111,7 +117,7 @@ def test_every_site_mutates_to_new_parseable_source(module):
     from the module's own (both read back through ast.unparse)."""
     text = (probe.PACKAGE / f"{module}.py").read_text()
     original = ast.unparse(ast.parse(text)) + "\n"
-    found = probe.sites(module, probe.FAMILIES, text)
+    found = probe.sites(module, text)
     assert {s.family for s in found} == set(probe.FAMILIES)
     for site in found:
         mutant = probe.mutate(site, text)
@@ -149,7 +155,7 @@ def test_since_picks_the_sites_on_added_lines(monkeypatch):
     monkeypatch.setattr(probe, "MODULES", probe.MODULES + ("toy",))
     changed = probe.changed_lines(DIFF)
     assert changed == {"toy": {12, 29, 44}}
-    todo = probe.sites("toy", probe.FAMILIES, TOY)
+    todo = probe.sites("toy", TOY)
     picked = probe.touched(todo, changed)
     assert [(s.line, s.op) for s in picked] == [
         (28, "delete"), (29, "delete"), (29, "1->2"), (43, "delete")]
@@ -164,6 +170,16 @@ def test_context_lines_are_not_changes(monkeypatch):
             "@@ -12,3 +12,4 @@\n     y = x + 1\n-    return y\n"
             "+    z = y\n+    return z\n \n")
     assert probe.changed_lines(diff) == {"toy": {13, 14}}
+
+
+def test_a_child_is_ended_by_its_cpu_cap():
+    """A mutant's suite is capped in CPU time, which other load on the
+    machine does not use up: a busy loop under a 1 s cap is killed, and a
+    child inside its cap exits as its code says."""
+    busy = subprocess.run(probe.limited("while True: pass", 1), timeout=60)
+    assert busy.returncode == -signal.SIGKILL
+    done = subprocess.run(probe.limited("raise SystemExit(3)", 1), timeout=60)
+    assert done.returncode == 3
 
 
 def test_every_equivalence_entry_names_a_live_site():
