@@ -78,9 +78,10 @@ _TOKEN = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
 
 def _number(token: str, where: str) -> tuple:
     """A scenario number as (numerator, denominator): an integer, a decimal
-    (with an exponent) or p/q, with a finite float value.  That caps it at
-    309 digits: Python prints no int of more than 4300 digits.  A plain
-    integer or decimal skips the regex."""
+    (its |exponent| <= 4300, checked before 10 ** e is built) or p/q, with
+    a finite float value.  That caps it at 309 digits: Python prints no
+    int of more than 4300 digits.  A plain integer or decimal skips the
+    regex."""
     try:    # AttributeError: no match, so no groups
         whole, _, frac = token.partition(".")
         unsigned = whole[1:] if whole[:1] in ("+", "-") else whole
@@ -89,6 +90,8 @@ def _number(token: str, where: str) -> tuple:
         else:
             sign, whole, den, frac, exp = _TOKEN.fullmatch(token).groups()
             frac, e = frac or "", int(exp or 0)
+            if abs(e) > 4300:
+                raise ConfigError(f"{where}: {token!r} has |exponent| > 4300")
             n = int(sign + (whole + frac or "0")) * 10 ** max(e, 0)
             d = int(den or 10 ** len(frac.replace("_", ""))) \
                 * 10 ** max(-e, 0)
@@ -491,12 +494,11 @@ def _prelude(report, scenario):
     report.add("integralize", "k", result.k)
     report.add("integralize", "max_deviation", result.max_deviation)
     report.add("integralize", "q", list(result.q))
-    m, w, den = M.torus_dim, omega_prime.nums, omega_prime.den
-    torus = _fractions([r[:m] for r in w[:m]], den)
+    torus = _fractions(omega_prime.torus, omega_prime.den)
     if torus:
         report.matrix("omega_prime_torus", torus)
     report.matrix("omega_prime_spheres",
-                  _fractions([omega_prime.sphere_coeffs], den))
+                  _fractions([omega_prime.sphere_coeffs], omega_prime.den))
     _expect(report, scenario, "integralize", "k", result.k)
     _expect(report, scenario, "integralize", "omega_prime_torus", torus,
             "omega_prime")

@@ -13,12 +13,13 @@ Coordinate conventions, used by every downstream module:
 All forms in play are constant in these coordinates, so the action and the
 form are two exact matrices: the integer orbit matrix G of an ActionSpec
 (one row per generator: its translation, then (speed, 0) per sphere) and
-the form matrix W of a ProductForm, with omega(u, w) = u W w^T.  The sign
-convention and the contraction rule are applied in field_covectors: the
-fundamental field of a generator is sign times its row of G (sign = -1 is
-the exp(-t xi) convention; the orbits themselves follow G), and the
-covector of i_X omega is X W.  Every period, pairing and cocycle downstream
-is a product of these matrices.
+the form matrix W, with omega(u, w) = u W w^T: the block matrix of Omega
+and one [[0, c], [-c, 0]] per sphere, never built, as a ProductForm holds
+the blocks.  The sign convention and the contraction rule are applied in
+field_covectors: the fundamental field of a generator is sign times its
+row of G (sign = -1 is the exp(-t xi) convention; the orbits follow G),
+and the covector of i_X omega is X W.  Every period, pairing and cocycle
+downstream is a product of these matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import ratlin
 
 # samples lie on (1/LATTICE) Z^dim; momentforge.sample draws them
 LATTICE = ratlin.P
-# sample.sample_points allocates samples x dim numerators; the CLI rejects
+# a stage's sample stream draws samples x dim numerators; the CLI rejects
 # a sample count above this many entries before drawing anything
 MAX_SAMPLE_ENTRIES = 2 ** 22
 
@@ -45,34 +46,22 @@ def _numerators(rows, den: int) -> tuple:
 
 @dataclass(frozen=True, init=False)
 class ProductForm:
-    """A constant invariant 2-form on T^m x (S^2)^n, built from the torus
-    block (None or exact rows) and one dtheta ^ dh coefficient per sphere,
-    all over den, and held as its matrix W = nums / den in lowest terms.
-    The form owns the flat layout, so every form answers shape questions."""
+    """A constant invariant 2-form on T^m x (S^2)^n, held as its blocks
+    over one den in lowest terms: torus, the m x m numerators of Omega,
+    and sphere_coeffs, each sphere's dtheta ^ dh coefficient.  The form
+    owns the flat layout, so every form answers shape questions."""
 
-    nums: tuple
+    torus: tuple
+    sphere_coeffs: tuple
     den: int
-    torus_dim: int
 
     def __init__(self, torus_omega, sphere_coeffs=(), den=1):
-        torus = torus_omega or ()
-        m = len(torus)
-        n = m + 2 * len(sphere_coeffs)
-        w = [list(row) + [0] * (n - m) for row in torus]
-        w += [[0] * n for _ in range(n - m)]
-        for o, c in zip(range(m, n, 2), sphere_coeffs):
-            w[o][o + 1], w[o + 1][o] = c, -c
-        nums, den = _numerators(w, den)
-        for key, value in (("nums", nums), ("den", den), ("torus_dim", m)):
+        nums, den = _numerators([*(torus_omega or ()), sphere_coeffs], den)
+        for key, value in (("torus", nums[:-1]), ("sphere_coeffs", nums[-1]),
+                           ("den", den)):
             object.__setattr__(self, key, value)
         object.__setattr__(self, "_nondegenerate", all(self.sphere_coeffs)
-                           and ratlin.nonsingular([r[:m] for r in nums[:m]]))
-
-    @property
-    def sphere_coeffs(self) -> list:
-        """Each sphere's dtheta ^ dh coefficient, as a numerator over den."""
-        w = self.nums
-        return [w[o][o + 1] for o in range(self.torus_dim, len(w), 2)]
+                           and ratlin.nonsingular(self.torus))
 
     def is_nondegenerate(self) -> bool:
         """Every sphere coefficient is nonzero and the torus block is
@@ -81,12 +70,16 @@ class ProductForm:
         return self._nondegenerate
 
     @property
+    def torus_dim(self) -> int:
+        return len(self.torus)
+
+    @property
     def n_spheres(self) -> int:
-        return (self.dim - self.torus_dim) // 2
+        return len(self.sphere_coeffs)
 
     @property
     def dim(self) -> int:
-        return len(self.nums)
+        return self.torus_dim + 2 * self.n_spheres
 
     @property
     def b1(self) -> int:
@@ -124,7 +117,7 @@ class ProductManifold(ProductForm):
         if not m and not spheres:
             raise ValueError("empty manifold: no torus_omega and no spheres")
         super().__init__(torus, spheres, den)
-        w = self.nums
+        w = self.torus
         if any(w[i][j] != -w[j][i] for i in range(m) for j in range(i, m)):
             raise ValueError("torus_omega: omega must be antisymmetric")
         if not self.is_nondegenerate():
@@ -179,9 +172,13 @@ class ActionSpec:
 
 def field_covectors(action: ActionSpec, form: ProductForm) -> tuple:
     """The covectors of i_X omega, one row per generator: sign G W, as
-    (N, d), integer numerators over the form's denominator."""
-    fields = [[action.sign * x for x in row] for row in action.orbit_matrix()]
-    return ratlin.mat_mul(fields, form.nums), form.den
+    (N, d), integer numerators over the form's denominator.  W is block
+    diagonal, so a row is sign v Omega, then (0, sign speed c) per sphere."""
+    cols, c = list(zip(*form.torus)), form.sphere_coeffs
+    return [[action.sign * sum(x * y for x, y in zip(v, col)) for col in cols]
+            + [action.sign * x for s, k in zip(speeds, c) for x in (0, s * k)]
+            for v, speeds in zip(action.translations, action.rotations)], \
+        form.den
 
 
 # ---------------------------------------------------------------------------

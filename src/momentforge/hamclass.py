@@ -87,8 +87,8 @@ def class_numerators(form: ProductForm) -> list:
     """The form's class coefficients as integer numerators over form.den,
     in the order of the invariant integral H^2 basis: the torus coordinate
     classes dx_i ^ dx_j (i < j), then the unit-area sphere classes."""
-    w, m = form.nums, form.torus_dim
-    return [w[i][j] for i in range(m) for j in range(i + 1, m)] \
+    w = form.torus
+    return [x for i, row in enumerate(w) for x in row[i + 1:]] \
         + [2 * c for c in form.sphere_coeffs]
 
 

@@ -64,9 +64,8 @@ def reduce_at(moment: GeneralizedMoment, generator: int,
     if any(action.rotations[j][f] for j in residual):
         raise NotFree("a residual generator moves the reduced sphere")
     keep = [g for g in range(form.n_spheres) if g != f]
-    m, w, coeffs = form.torus_dim, form.nums, form.sphere_coeffs
-    reduced = ProductForm([row[:m] for row in w[:m]],
-                          [coeffs[g] for g in keep], form.den)
+    reduced = ProductForm(form.torus, [form.sphere_coeffs[g] for g in keep],
+                          form.den)
     new_action = ActionSpec(
         tuple(action.translations[j] for j in residual),
         tuple(tuple(action.rotations[j][g] for g in keep) for j in residual),

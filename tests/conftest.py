@@ -44,15 +44,24 @@ def fractions(p) -> list:
 
 def torus_omega(form) -> list:
     """The torus block of a form, as Fraction rows."""
-    m = form.torus_dim
-    return fractions(([row[:m] for row in form.nums[:m]], form.den))
+    return fractions((form.torus, form.den))
 
 
 def sphere_coeffs(form) -> tuple:
     """The dtheta ^ dh coefficient of each sphere of a form, as Fractions."""
-    w, m = form.nums, form.torus_dim
-    return tuple(Fraction(w[o][o + 1], form.den)
-                 for o in range(m, len(w), 2))
+    return tuple(Fraction(c, form.den) for c in form.sphere_coeffs)
+
+
+def dense(form) -> tuple:
+    """The form matrix W, which the library never builds, as integer rows
+    over form.den: the torus block, then [[0, c], [-c, 0]] per sphere,
+    zero elsewhere."""
+    m, n = form.torus_dim, form.dim
+    w = [list(row) + [0] * (n - m) for row in form.torus]
+    w += [[0] * n for _ in range(n - m)]
+    for o, c in zip(range(m, n, 2), form.sphere_coeffs):
+        w[o][o + 1], w[o + 1][o] = c, -c
+    return tuple(map(tuple, w))
 
 
 def fraction_rref(a, cols):

@@ -275,12 +275,12 @@ def mutate(site: Site, text: str | None = None) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def limited(code: str, cpu_s: int) -> list:
-    """The command that runs code in a Python child capped at MEMORY_CAP
-    bytes of address space and cpu_s seconds of CPU time, at which the
-    kernel kills it, with no core file.  The caps are set in the child
+def limited(code: str, cpu_s: int, memory: int = MEMORY_CAP) -> list:
+    """The command that runs code in a Python child capped at memory bytes
+    of address space and cpu_s seconds of CPU time, at which the kernel
+    kills it, with no core file.  The caps are set in the child
     itself: a preexec_fn is not safe while the pool's other thread runs."""
-    caps = (("RLIMIT_AS", MEMORY_CAP), ("RLIMIT_CPU", cpu_s),
+    caps = (("RLIMIT_AS", memory), ("RLIMIT_CPU", cpu_s),
             ("RLIMIT_CORE", 0))
     return [sys.executable, "-c", "import resource\n" + "".join(
         f"resource.setrlimit(resource.{name}, ({v}, {v}))\n"

@@ -85,7 +85,7 @@ def test_criterion_03_integralization():
     t0 = time.perf_counter()
     sc = scenario("two_torus_sqrt2")
     res = hamclass.integralize_with_retry(sc.manifold, 5)
-    ok = (res.omega_prime.nums, res.omega_prime.den) \
+    ok = (res.omega_prime.torus, res.omega_prime.den) \
         == (((0, 7), (-7, 0)), 1) and res.k == 5
     # 20 randomized irrational instances must keep the classification
     rng = np.random.default_rng(7)

@@ -4,6 +4,7 @@ enforcement, seed precedence, and deterministic report emission."""
 import configparser
 import dataclasses
 import re
+import subprocess
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from momentforge import cli, convex, geom, reduction, sample
 
 from conftest import full_draw_coverage, lattice_oracle, scenario_moment
+from mutation_probe import limited
 
 BUNDLED = ["two_torus", "two_torus_sqrt2", "t4_split", "sphere", "s2xs2",
            "s2xt2_reduce", "t2_gcd2"]
@@ -339,6 +341,49 @@ def test_number_rejects_what_fraction_rejects_or_cannot_float(token):
         cli._number(token, "where")
     with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
         float(Fraction(token))
+
+
+def test_number_bounds_the_exponent_before_any_power():
+    """An exponent of magnitude at most 4300 is read, as the int digit
+    limit bounds the digits; one past it is rejected, however small the
+    value it writes.  Planted for the comparison with the bound."""
+    assert cli._number("1e-4300", "where") == (1, 10 ** 4300)
+    for token in ("1e-4301", "-2.5e4301"):
+        with pytest.raises(cli.ConfigError, match=r"\|exponent\| > 4300"):
+            cli._number(token, "where")
+
+
+def classify_capped(path, cpu_s: int, memory: int):
+    """`momentforge classify` on the scenario at path, run by a Python
+    child that caps itself at cpu_s seconds of CPU time and memory bytes
+    of address space (mutation_probe.limited)."""
+    code = ("import sys\nfrom momentforge import cli\nsys.exit(cli.main("
+            f"['classify', '--scenario', {str(path)!r}]))")
+    return subprocess.run(
+        limited(code, cpu_s, memory), capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(cli.__file__).parents[1])}, timeout=60)
+
+
+def test_a_huge_exponent_is_rejected_within_seconds(tmp_path):
+    """1e999999999 is a config error before 10 ** 999999999 is built: a
+    child capped at 5 s of CPU ends in exit 2, not killed at the cap."""
+    path = write(tmp_path, GOOD.replace("0 1 ; -1 0",
+                                        "0 1e999999999 ; -1e999999999 0"))
+    run = classify_capped(path, 5, 2 ** 30)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("config error:")
+    assert "Traceback" not in run.stderr
+
+
+def test_classify_on_4000_spheres_fits_600_mb(tmp_path):
+    """The form is its blocks, so 4000 unit spheres and one rotation
+    classify in O(dim) memory: under a 600 MB address space cap, where a
+    dense dim x dim form matrix ends in MemoryError."""
+    path = write(tmp_path, "[manifold]\nspheres = " + " 1" * 4000
+                 + "\n[action]\ngenerators = | 1" + " 0" * 3999 + "\n")
+    run = classify_capped(path, 20, 600 * 2 ** 20)
+    assert run.returncode == 0, run.stderr
+    assert "overall = pass" in run.stdout
 
 
 # every plain integer and decimal shape, with decimal digits that are not

@@ -7,7 +7,10 @@ must split the acting torus completely, c + r = r_total, as the draw's
 [expect] c and r, computed from the drawn translations, say.  Where it has a
 [betti] section, the circle covectors have rank r and r <= b1: the rank
 argument that makes the circle part onto.  Where it writes a cocycle
-matrix, Z is the pairing of the complement fields under omega_prime."""
+matrix, Z is the pairing of the complement fields under omega_prime.  A
+valid draw is run again under a unimodular change of generator basis and a
+permutation of its spheres, and every report key that names a property of
+the action, not of its basis, must not change."""
 
 import contextlib
 import io
@@ -23,7 +26,7 @@ from momentforge import cli
 
 from momentforge.geom import ProductForm
 
-from conftest import fraction_rank, pairing
+from conftest import determinantal_divisor, fraction_rank, pairing
 
 
 def _negated(token: str) -> str:
@@ -141,9 +144,73 @@ def _cocycle_oracle(matrices: dict, gens: list, sign: int) -> list:
     return [[sign * pairing(form, form, u, w) for w in hg] for u in hg]
 
 
-@given(scenario_texts())
+@st.composite
+def basis_changes(draw, r: int, n: int) -> tuple:
+    """A unimodular row operation on r generators, as its r x r matrix:
+    a swap of two rows, a negation of one, or ± one row added to another;
+    and a permutation of n spheres."""
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    i, j = draw(st.permutations(range(r)))[:2] if r > 1 else (0, None)
+    kind = draw(st.sampled_from(("swap", "negate", "add") if r > 1
+                                else ("negate",)))
+    if kind == "swap":
+        u[i], u[j] = u[j], u[i]
+    elif kind == "negate":
+        u[i][i] = -1
+    else:
+        u[i][j] = draw(st.sampled_from((1, -1)))
+    return u, draw(st.permutations(range(n)))
+
+
+def _changed(text: str, gens: list, u: list, perm: list) -> tuple:
+    """The draw without [expect] and [reduce], its generators replaced by
+    u times them and its spheres permuted, each sphere's coefficient with
+    its rotation column.  Returns the text and the new generators."""
+    rows = [[sum(a * x for a, x in zip(row, column)) for column in
+             zip(*[v + s for v, s in gens])] for row in u]
+    m = len(gens[0][0])
+    new = [(row[:m], [row[m + k] for k in perm]) for row in rows]
+    lines = text.split("[expect]")[0].splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("spheres = "):
+            areas = line.split()[2:]
+            lines[i] = "spheres = " + " ".join(areas[k] for k in perm)
+        if line.startswith("generators = "):
+            lines[i] = "generators = " + " ; ".join(
+                " ".join(map(str, v)) + " | " + " ".join(map(str, s))
+                for v, s in new)
+    return "\n".join(lines) + "\n", new
+
+
+# report keys that name a property of the action and the form, not of the
+# generator basis or the order of the spheres
+_INVARIANT = {"classify": ("c", "r", "effective", "effectiveness_diagonal"),
+              "equivariance": ("equivariant", "has_fixed_points",
+                               "orbits_isotropic", "naturally_equivariant",
+                               "z_rank"),
+              "betti": ("rank", "r", "b1", "equality")}
+
+
+def _invariants(stdout: str) -> dict:
+    """The _INVARIANT keys of a report, and its number of hull vertices."""
+    sections, name = {}, None
+    for line in stdout.splitlines():
+        if line.startswith("["):
+            name = line[1:-1]
+        elif " = " in line and name:
+            key, value = line.split(" = ", 1)
+            sections.setdefault(name, {})[key] = value
+    out = {(section, key): sections[section][key]
+           for section, keys in _INVARIANT.items() if section in sections
+           for key in keys}
+    hull = sections.get("convexity", {}).get("hull_vertices")
+    out["hull_vertices"] = hull and hull.count("[") - 1
+    return out
+
+
+@given(scenario_texts(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_generated_scenarios_end_in_a_deterministic_report(drawn):
+def test_generated_scenarios_end_in_a_deterministic_report(drawn, data):
     text, gens, sign, invalid = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "generated.ini"
@@ -170,3 +237,25 @@ def test_generated_scenarios_end_in_a_deterministic_report(drawn):
     matrices = _matrices(files.get("matrices.csv", b""))
     if "cocycle" in matrices:
         assert matrices["cocycle"] == _cocycle_oracle(matrices, gens, sign)
+    if invalid:
+        return
+    u, perm = data.draw(basis_changes(len(gens), len(gens[0][1])))
+    changed, new = _changed(text, gens, u, perm)
+    # with the spheres permuted alike, a row operation keeps the row space,
+    # and a unimodular one keeps every determinantal divisor too
+    old = [v + [s[k] for k in perm] for v, s in gens]
+    rows = [v + s for v, s in new]
+    assert fraction_rank(old) == fraction_rank(rows) \
+        == fraction_rank(old + rows)
+    assert [determinantal_divisor(old, k) for k in range(1, len(old) + 1)] \
+        == [determinantal_divisor(rows, k) for k in range(1, len(old) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "changed.ini"
+        path.write_text(changed)
+        again, out, err, _ = _run(path, Path(tmp) / "c")
+    assert "Traceback" not in out + err
+    if not all(any(v + s) for v, s in new):
+        assert again == 2, (changed, err)    # a trivial generator
+        return
+    assert again in (0, 1), (changed, err)
+    assert _invariants(out) == _invariants(stdout), (text, changed)

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from momentforge import cli, equiv, geom, hamclass, moment, ratlin, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
-from conftest import (apply_torus_element, classify, covectors, field_vector,
-                      fractions, pair, pairing, s2xt2, scenario_moment,
-                      sphere, sphere_coeffs, torus2, torus_omega, wrap)
+from conftest import (apply_torus_element, classify, covectors, dense,
+                      field_vector, fractions, pair, pairing, s2xt2,
+                      scenario_moment, sphere, sphere_coeffs, torus2,
+                      torus_omega, wrap)
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +53,9 @@ def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback(
     monkeypatch.setattr(ratlin, "nonsingular",
                         lambda a: calls.append(a) or real(a))
     form = ProductManifold(((0, p), (-p, 0)))
-    assert form.nums == ((0, p), (-p, 0)) and form.den == 1
+    assert form.torus == ((0, p), (-p, 0)) and form.den == 1
     assert form.is_nondegenerate() and form.is_nondegenerate()
-    assert calls == [[(0, p), (-p, 0)]]
+    assert calls == [((0, p), (-p, 0))]
     pfaffian_zero = ((0, 1, 1, 1), (-1, 0, 1, 2), (-1, -1, 0, 1),
                      (-1, -2, -1, 0))
     with pytest.raises(ValueError, match="zero determinant"):
@@ -63,33 +64,35 @@ def test_torus_factor_decides_nondegeneracy_mod_p_with_exact_fallback(
 
 
 def test_forms_hold_integer_numerators_over_one_denominator():
-    """nums / den is W in lowest terms: the torus block and the sphere
-    pairs, all over den, reduced together."""
+    """The blocks over den are W in lowest terms: the torus block and the
+    sphere coefficients, all over den, reduced together."""
     form = m = ProductManifold([[0, 25], [-25, 0]], (Fraction(10, 3),), 10)
     assert form.den == 6 and form.torus_dim == 2
-    assert form.nums == ((0, 15, 0, 0), (-15, 0, 0, 0), (0, 0, 0, 2),
-                         (0, 0, -2, 0))
+    assert form.torus == ((0, 15), (-15, 0)) and form.sphere_coeffs == (2,)
+    assert dense(form) == ((0, 15, 0, 0), (-15, 0, 0, 0), (0, 0, 0, 2),
+                           (0, 0, -2, 0))
     assert torus_omega(form) == [[0, Fraction(5, 2)], [Fraction(-5, 2), 0]]
     assert sphere_coeffs(form) == (Fraction(1, 3),)
     for other in (ProductForm(((0, 2.5), (-2.5, 0)), (Fraction(2, 6),)),
                   ProductForm(((0, 5), (-5, 0)), (Fraction(2, 3),), 2)):
-        assert (other.nums, other.den) == (form.nums, form.den)
+        assert (dense(other), other.den) == (dense(form), form.den)
     assert (m.torus_dim, m.n_spheres, m.dim) == (2, 1, 4)
     torus = ProductManifold([[0, 25], [-25, 0]], (), 10)
-    assert (torus.nums, torus.den) == (((0, 5), (-5, 0)), 2)
+    assert (torus.torus, torus.den) == (((0, 5), (-5, 0)), 2)
 
 
 def test_forms_differ_in_any_field():
-    """Two forms are equal only when nums, den and torus_dim all are: one
-    2x2 block is a torus form or one sphere's, and the same numerators
-    over another den, or other numerators over the same den, are another
-    form.  Planted for the deletion of each field annotation of
-    ProductForm, which leaves that field out of __eq__."""
+    """Two forms are equal only when torus, sphere_coeffs and den all are:
+    one 2x2 block of W is a torus form or one sphere's, and the same
+    numerators over another den, or other numerators over the same den,
+    are another form.  Planted for the deletion of each field annotation
+    of ProductForm, which leaves that field out of __eq__."""
     torus = ProductForm(((0, 1), (-1, 0)))
-    assert torus.nums == ProductForm(None, (1,)).nums
+    assert dense(torus) == dense(ProductForm(None, (1,)))
     assert torus != ProductForm(None, (1,))
+    assert ProductForm(None, (1,)) != ProductForm(None, (2,))
     assert torus != ProductForm(((0, 1), (-1, 0)), (), 2)
-    assert ProductForm(((0, 1), (-1, 0)), (), 2).nums == torus.nums
+    assert ProductForm(((0, 1), (-1, 0)), (), 2).torus == torus.torus
     assert torus != ProductForm(((0, 2), (-2, 0)))
     assert torus == ProductForm(((0, 1), (-1, 0)))
 
@@ -100,11 +103,11 @@ def test_factors_and_forms_hold_fractions():
     (a float converts exactly)."""
     m = ProductManifold(((0, 0.5), (-0.5, 0)), (0.1,))
     form = ProductForm(((0, 0.5), (-0.5, 0)), (0.1,))
-    assert (m.nums, m.den) == (form.nums, form.den)
+    assert (dense(m), m.den) == (dense(form), form.den)
     # the manifold is its checked form, but never equals a bare form
     assert m != form and form != m
     assert m == ProductManifold(((0, 0.5), (-0.5, 0)), (0.1,))
-    assert ProductManifold(((0, 0.5), (-0.5, 0))).nums == \
+    assert ProductManifold(((0, 0.5), (-0.5, 0))).torus == \
         ((0, 1), (-1, 0))
     assert ProductManifold(((0, 0.5), (-0.5, 0))).den == 2
     assert torus_omega(form) == [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]
@@ -155,8 +158,8 @@ def test_every_form_answers_the_manifolds_shape(name):
     t, s = torus_omega(m), sphere_coeffs(m)
     over_3 = ([[3 * x for x in row] for row in t], [3 * x for x in s], 3)
     checked, bare = ProductManifold(*over_3), ProductForm(*over_3)
-    assert (checked.nums, checked.den) == (bare.nums, bare.den) \
-        == (m.nums, m.den)
+    assert (dense(checked), checked.den) == (dense(bare), bare.den) \
+        == (dense(m), m.den)
     assert tuple(Fraction(x, m.den) for x in m.sphere_coeffs) == s
 
 
@@ -226,7 +229,7 @@ def test_pairing_and_contraction_on_torus():
     m = torus2()
     form = m
     assert pairing(m, form, [1, 0], [0, 1]) == 1
-    assert (form.nums, form.den) == (((0, 1), (-1, 0)), 1)
+    assert (dense(form), form.den) == (((0, 1), (-1, 0)), 1)
     a = ActionSpec(((1, 0),), ((),))
     assert covectors(a, form) == [[0, 1]]
 
@@ -234,7 +237,7 @@ def test_pairing_and_contraction_on_torus():
 def test_contraction_on_sphere():
     m = sphere(0.5)
     form = m
-    assert (form.nums, form.den) == (((0, 1), (-1, 0)), 2)
+    assert (dense(form), form.den) == (((0, 1), (-1, 0)), 2)
     a = ActionSpec(((),), ((1,),))
     assert covectors(a, form) == [[0, 0.5]]
 

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from momentforge import cli, geom, hamclass, ratlin, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
-from conftest import (classify, exact_decimals, field_vector, fractions,
-                      pairing, s2xt2, scenario_moment, sphere, sphere_coeffs,
-                      torus2, torus_omega)
+from conftest import (classify, dense, exact_decimals, field_vector,
+                      fractions, pairing, s2xt2, scenario_moment, sphere,
+                      sphere_coeffs, torus2, torus_omega)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +165,10 @@ def test_class_coefficients_round_trip():
     assert float(sphere_coeffs(back)[0]) == 0.75
     # the torus dimension and the count give the shape: past the torus
     # classes every coefficient is a sphere's
-    assert (back.nums, back.den) == (m.nums, m.den)
+    assert (dense(back), back.den) == (dense(m), m.den)
     point = hamclass.form_from_class_coefficients(0, coeffs)
     spheres = ProductManifold(None, (0.75, 0.75))
-    assert (point.nums, point.den) == (spheres.nums, spheres.den)
+    assert (dense(point), point.den) == (dense(spheres), spheres.den)
 
 
 def test_class_coefficients_vs_quadrature():
@@ -221,7 +221,7 @@ def test_integralize_sqrt2():
     res = hamclass.integralize_form(form, 5)
     assert res.q == (Fraction(7, 5),)
     assert res.k == 5
-    assert (res.omega_prime.nums, res.omega_prime.den) \
+    assert (res.omega_prime.torus, res.omega_prime.den) \
         == (((0, 7), (-7, 0)), 1)
     assert res.max_deviation == pytest.approx(abs(1.4 - math.sqrt(2)),
                                               abs=1e-12)
@@ -231,7 +231,7 @@ def test_integralize_already_integral(t2_translations):
     m, _ = t2_translations
     res = hamclass.integralize_form(m, 64)
     assert res.k == 1
-    assert (res.omega_prime.nums, res.omega_prime.den) \
+    assert (res.omega_prime.torus, res.omega_prime.den) \
         == (((0, 1), (-1, 0)), 1)
     assert res.max_deviation == 0.0
 
@@ -318,7 +318,7 @@ def test_integral_form_and_deviation_match_fraction_arithmetic(w, c, bound):
     assert hamclass.form_class_coefficients(res.omega_prime) \
         == [x * res.k for x in res.q]
     assert all(type(x) is int
-               for row in res.omega_prime.nums for x in row)
+               for row in dense(res.omega_prime) for x in row)
 
 
 def class_form(coeffs) -> ProductManifold:
@@ -430,9 +430,9 @@ def test_t12_prelude_builds_each_exact_object_once(monkeypatch):
     assert cli.run_scenario(scenario).passed
     assert len(forms) == 2
     assert forms[0] is scenario.manifold
-    # no spheres: each form's matrix is its torus block
+    # each form's torus block is decided, once
     assert [tuple(map(tuple, a)) for (a,) in decided] \
-        == [form.nums for form in forms]
+        == [form.torus for form in forms]
     assert dets == []
     assert len(covs) <= 2
 

@@ -10,8 +10,8 @@ import pytest
 from momentforge import hamclass, moment, reduction
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
-from conftest import (STD2, classify, float_mu1, fractions, pair, s2xs2,
-                      s2xt2, sphere)
+from conftest import (STD2, classify, dense, float_mu1, fractions, pair,
+                      s2xs2, s2xt2, sphere)
 
 
 def pipeline(m, a):
@@ -86,10 +86,10 @@ def test_reduced_form_is_omega_prime_less_the_sphere(m, a, generator, f):
     form = mom.omega_prime
     o = form.sphere_offset(f)
     kept = [i for i in range(form.dim) if i not in (o, o + 1)]
-    w = fractions((form.nums, form.den))
+    w = fractions((dense(form), form.den))
     nums, den = pair([[w[i][j] for j in kept] for i in kept])
     assert type(reduced.omega_prime) is ProductForm
-    assert [list(row) for row in reduced.omega_prime.nums] == nums
+    assert [list(row) for row in dense(reduced.omega_prime)] == nums
     assert reduced.omega_prime.den == den
     assert reduced.omega_prime.is_nondegenerate()
 
