@@ -4,14 +4,13 @@ out.
 Scenario files are INI text with one section per concern, read by
 _read_ini; see the bundled files under momentforge/scenarios for the format.
 Exit codes: 0 success, 1 a check failed, 2 configuration error.  The seed
-precedence is flag > MOMENTFORGE_SEED > scenario file > 0.
+precedence is flag > scenario file > 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -39,6 +38,13 @@ def _fmt(value) -> str:
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
+
+
+def _too_long(where: str) -> ConfigError:
+    """str's ValueError on an int of more digits than it prints, which no
+    parse-time bound rules out: Smith invariants grow with the input."""
+    return ConfigError(f"{where}: a value has more than "
+                       f"{sys.get_int_max_str_digits()} digits to print")
 
 
 def _fractions(rows, d: int) -> list:
@@ -205,7 +211,7 @@ def load_scenario(path, *, seed=None, sign=None,
     first bad key: the manifold, the action, the checks, [reduce], then
     the [expect] and [pipeline] keys, each through its key table.  The
     seed, sign and max_denominator arguments override the file; the seed
-    is resolved flag > MOMENTFORGE_SEED > file > 0."""
+    is resolved flag > file > 0."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -307,12 +313,6 @@ def load_scenario(path, *, seed=None, sign=None,
                 raw, f"{path} [expect] {key}")) if _EXPECT[key] \
                 else integer("expect", key)
 
-    env_seed = os.environ.get("MOMENTFORGE_SEED")
-    if seed is None and env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError("MOMENTFORGE_SEED is not an integer") from exc
     overrides = {"seed": seed, "max_denominator": max_denominator}
     pipeline = {}
     for key, (default, minimum) in _PIPELINE.items():
@@ -372,12 +372,13 @@ class Report:
         for key in sorted(self.provenance):
             lines.append(f"{key} = {_fmt(self.provenance[key])}")
         for check in self.sections:
-            lines.append("")
-            lines.append(f"[{check}]")
+            lines += ["", f"[{check}]"]
             for key, value in self.sections[check].items():
-                lines.append(f"{key} = {_fmt(value)}")
-        lines.append("")
-        lines.append(f"overall = {'pass' if self.passed else 'FAIL'}")
+                try:
+                    lines.append(f"{key} = {_fmt(value)}")
+                except ValueError as exc:
+                    raise _too_long(f"report key [{check}] {key}") from exc
+        lines += ["", f"overall = {'pass' if self.passed else 'FAIL'}"]
         if self.failures:
             lines.append("failures = " + ", ".join(self.failures))
         self._text = "\n".join(lines) + "\n"
@@ -404,8 +405,11 @@ def emit_report(report: Report, out_dir) -> list:
     if report.samples is not None:
         from . import sample
         header, rows = report.samples
-        write("moment_samples.csv", (",".join(header) + "\n").encode(),
-              sample.table_blocks(rows))
+        try:
+            write("moment_samples.csv", (",".join(header) + "\n").encode(),
+                  sample.table_blocks(rows))
+        except ValueError as exc:    # the Python-int table alone
+            raise _too_long("moment_samples.csv") from exc
     rows = ["grid_resolution,n_counted_cells,n_hit_cells,fraction,"
             "empty_cell_witnesses"]
     if report.coverage is not None:
@@ -416,9 +420,11 @@ def emit_report(report: Report, out_dir) -> list:
     write("coverage.csv", ("\n".join(rows) + "\n").encode())
     rows = ["name,i,j,value"]
     for name, mat in report.matrices:
-        for i, r in enumerate(mat):
-            head = f"{name},{i},"
-            rows.extend([f"{head}{j},{v!s}" for j, v in enumerate(r)])
+        try:
+            rows += [f"{name},{i},{j},{v!s}" for i, r in enumerate(mat)
+                     for j, v in enumerate(r)]
+        except ValueError as exc:
+            raise _too_long(f"matrix {name}") from exc
     write("matrices.csv", ("\n".join(rows) + "\n").encode())
     return written
 
@@ -527,7 +533,7 @@ def _run_equivariance(report, scenario, mom):
     report.matrix("cocycle", z)
     _expect(report, scenario, "equivariance", "z", z)
     iso = equiv.isotropic_orbit_test(mom.action, mom.covectors)
-    eq = equiv.exact_equivariance(mom, iso)
+    eq = equiv.exact_equivariance(mom, z, iso)
     report.add("equivariance", "max_mu2_error", eq.max_mu2_error)
     report.add("equivariance", "max_mu1_invariance_error",
                eq.max_mu1_invariance_error)
@@ -650,14 +656,16 @@ def main(argv=None) -> int:
         if exc.report is None:
             return 2
         report, status = exc.report, 2
-    sys.stdout.write(report.render())
-    if args.out:
-        try:
-            emit_report(report, args.out)
-        except OSError as exc:
-            print(f"config error: cannot write {args.out}: {exc}",
-                  file=sys.stderr)
-            return 2
+    try:
+        sys.stdout.write(report.render())
+        if args.out:
+            try:
+                emit_report(report, args.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -14,8 +14,9 @@ from .moment import GeneralizedMoment
 
 
 def _pairings(rows: list, cols: list) -> list:
-    """The integer matrix [<row_i, col_j>], rows times cols transposed."""
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols]
+    """The integer matrix [<row_i, col_j>] on the first len(col_j) slots
+    of each row: a covector's torus slots, for a translation col_j."""
+    return [[sum(b * a for b, a in zip(col, row)) for col in cols]
             for row in rows]
 
 
@@ -30,13 +31,12 @@ def cocycle_matrix(moment: GeneralizedMoment) -> list:
     j-th circle orbit: Z = mu2 (H G)^T for the complement generators H and
     the orbit matrix G, exact.  Sphere orbits are latitude circles, which
     pair to zero (mu2 vanishes on the theta slots, G on the heights), so
-    only the integral torus slots of mu2 meet the integer translations:
-    Z is an integer matrix, and no basepoint enters.  It is
+    Z = K (H V)^T for K the integral torus slots of mu2 and V the integer
+    translations: an integer matrix, and no basepoint enters.  It is
     sign H P H^T (exact_equivariance), so its diagonal is 0."""
-    nums, d = moment.mu2
-    return [[x // d for x in row] for row in _pairings(nums, ratlin.mat_mul(
+    return _pairings(moment.torus_covectors, ratlin.mat_mul(
         moment.classification.complement_generators,
-        moment.action.orbit_matrix()))]
+        moment.action.translations))
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,12 @@ def isotropic_orbit_test(action: ActionSpec,
                          covectors: tuple) -> IsotropyReport:
     """All generator pairings omega(X_i, X_j): the field covectors (as
     geom.field_covectors gives them) paired with the fields sign G, at
-    every point; orbits are isotropic iff every one vanishes."""
-    nums, d = covectors
-    fields = [[action.sign * x for x in col]
-              for col in zip(*action.orbit_matrix())]
-    pairings = ratlin.mat_mul(nums, fields)
-    isotropic = not any(v for row in pairings for v in row)
-    return IsotropyReport((pairings, d), isotropic)
+    every point, so their torus slots with sign V for the translations V;
+    orbits are isotropic iff every one vanishes."""
+    pairings = _pairings(covectors[0], [[action.sign * x for x in v]
+                                        for v in action.translations])
+    return IsotropyReport((pairings, covectors[1]),
+                          not any(map(any, pairings)))
 
 
 @dataclass(frozen=True)
@@ -67,27 +66,25 @@ class EquivarianceReport:
     passed: bool
 
 
-def exact_equivariance(moment: GeneralizedMoment,
+def exact_equivariance(moment: GeneralizedMoment, z: list,
                        iso: IsotropyReport) -> EquivarianceReport:
     """The equivariance identity itself, exactly.  Every component is linear
     in the flat coordinates and the subtorus element s moves x to
-    x + s (H G), so mu2(s.x) - mu2(x) = (mu2 covectors) (H G)^T s.  mu2 is
-    equivariant under the affine action of the cocycle iff that matrix is
-    the pairing of the complement fields under the form, sign H P H^T with
+    x + s (H G), so mu2(s.x) - mu2(x) = z s for z = (mu2 covectors) (H G)^T,
+    the cocycle.  mu2 is equivariant under its affine action iff z is the
+    pairing of the complement fields under the form, sign H P H^T with
     P = G W G^T the isotropy pairings of iso (isotropic_orbit_test of the
     moment's action and covectors), and mu1 is invariant iff
-    (mu1 covectors) (H G)^T = 0.  The errors are the largest residual
-    entries; no points are sampled."""
+    (mu1 covectors) (H G)^T = 0, its torus slots times (H V)^T.  The
+    errors are the largest residual entries; no points are sampled."""
     h = moment.classification.complement_generators
-    orbits = ratlin.mat_mul(h, moment.action.orbit_matrix())
-    sign = moment.action.sign
-    (n2, d2), (p, dp) = moment.mu2, iso.pairings
-    # the two sides over the common denominator d2 dp
-    mu2_error = _max_abs([[x * dp - sign * y * d2 for x, y in zip(
+    sign, (p, dp) = moment.action.sign, iso.pairings
+    # the two sides over the common denominator dp
+    mu2_error = _max_abs([[x * dp - sign * y for x, y in zip(
         row, form_row)] for row, form_row in zip(
-            _pairings(n2, orbits), _pairings(ratlin.mat_mul(h, p), h))],
-        d2 * dp)
-    mu1_error = _max_abs(_pairings(moment.mu1[0], orbits), moment.mu1[1])
+            z, _pairings(ratlin.mat_mul(h, p), h))], dp)
+    mu1_error = _max_abs(_pairings(moment.mu1[0], ratlin.mat_mul(
+        h, moment.action.translations)), moment.mu1[1])
     return EquivarianceReport(mu2_error, mu1_error,
                               mu2_error == 0 and mu1_error == 0)
 
@@ -109,15 +106,15 @@ def natural_equivariance(moment: GeneralizedMoment, z: list,
     the torus slots, so P = G W G^T = 0.  Without fixed points the three
     are still reported (isotropy can hold anyway).
 
-    mu2 is invariant under the whole torus iff (mu2 covectors) G^T = 0.
-    That matrix is sign * H P, P = G W G^T the isotropy pairings, so
-    isotropic orbits force it to vanish, and with it Z, which is that
-    matrix times H^T."""
+    mu2 is invariant under the whole torus iff (mu2 covectors) G^T, its
+    torus slots times the translations, is 0.  That matrix is sign * H P,
+    P = G W G^T the isotropy pairings, so isotropic orbits force it to
+    vanish, and with it Z, which is that matrix times H^T."""
     action = moment.action
     has_fp = geom.fixed_point_set(moment.omega_prime, action) != "empty"
     z_zero = all(all(e == 0 for e in row) for row in z)
-    max_err = _max_abs(_pairings(moment.mu2[0], action.orbit_matrix()),
-                       moment.mu2[1])
+    max_err = _max_abs(_pairings(moment.torus_covectors,
+                                 action.translations), 1)
     natural = iso.isotropic and z_zero and max_err == 0
     return NaturalEquivarianceVerdict(has_fp, iso.isotropic, z_zero,
                                       natural, max_err)
@@ -138,8 +135,8 @@ def local_freeness_check(moment: GeneralizedMoment,
         return LocalFreenessVerdict(0, "vacuous: r = 0")
     rank = ratlin.integer_rank(z)
     if rank == r:
-        # Z = mu2 (H G)^T, so rank Z = r forces rank H G = r, and G is the
-        # generator matrix with zero columns added: the direction matrix
-        # of H has full rank, so the stabilizers are finite
+        # Z = K (H V)^T, so rank Z = r forces rank H V = r, and V is a
+        # block of the generator matrix: the direction matrix of H has
+        # full rank, so the stabilizers are finite
         return LocalFreenessVerdict(rank, "rank(Z) = r: action locally free")
     return LocalFreenessVerdict(rank, "corollary not applicable: rank(Z) < r")

@@ -11,15 +11,18 @@ Coordinate conventions, used by every downstream module:
 * the torus form is omega(u, w) = u^T Omega w on R^m / Z^m.
 
 All forms in play are constant in these coordinates, so the action and the
-form are two exact matrices: the integer orbit matrix G of an ActionSpec
-(one row per generator: its translation, then (speed, 0) per sphere) and
-the form matrix W, with omega(u, w) = u W w^T: the block matrix of Omega
-and one [[0, c], [-c, 0]] per sphere, never built, as a ProductForm holds
-the blocks.  The sign convention and the contraction rule are applied in
+form are two exact matrices, neither of them built: the integer orbit
+matrix G of an ActionSpec (one row per generator: its translation, then
+(speed, 0) per sphere) and the form matrix W, with omega(u, w) = u W w^T:
+the block matrix of Omega and one [[0, c], [-c, 0]] per sphere.  An
+ActionSpec holds G's translations and speeds, and a ProductForm W's
+blocks.  The sign convention and the contraction rule are applied in
 field_covectors: the fundamental field of a generator is sign times its
 row of G (sign = -1 is the exp(-t xi) convention; the orbits follow G),
-and the covector of i_X omega is X W.  Every period, pairing and cocycle
-downstream is a product of these matrices.
+and the covector of i_X omega is X W.  That covector is 0 on every theta
+slot, where G holds the speeds, and G is 0 on the heights: the periods
+are its torus slots, and every pairing and cocycle downstream pairs
+those slots with the translations alone.
 """
 
 from __future__ import annotations
@@ -148,19 +151,10 @@ class ActionSpec:
         for v, s in zip(self.translations, self.rotations):
             if not any(v) and not any(s):
                 raise ValueError("trivial generator")
-        object.__setattr__(self, "_orbits", [
-            list(v) + [x for speed in s for x in (speed, 0)]
-            for v, s in zip(self.translations, self.rotations)])
 
     @property
     def r_total(self) -> int:
         return len(self.translations)
-
-    def orbit_matrix(self) -> list:
-        """G, r_total x dim: per generator its orbit direction in flat
-        coordinates, the translation and then (speed, 0) per sphere.  It
-        does not depend on the sign; it is built once, and callers share it."""
-        return self._orbits
 
     def effectiveness_diagonal(self) -> list:
         """The Smith invariants of the generator matrix, one row (v_j | s_j)

@@ -7,7 +7,7 @@ exact covector matrices, each a pair (N, d) in lowest terms: mu1, one row
 per Hamiltonian basis vector, and mu2, one row per complement generator,
 the classification's basis times the field covectors that the moment
 holds.  mu1_values and mu2_values pair those rows with lattice samples,
-exactly; the exact stages pair them with G.
+exactly; the exact stages pair their torus slots with the translations.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
-"""Shared builders for the recurring corpus instances, the exact pairs
-(N, d) of the library and their Fraction rows, the field and pairing
-oracles written out from the README conventions, elimination over
-Fractions, the Fraction oracles of the moment at lattice samples and of
-the moment polytope, the
-float oracles of the moment and the torus action, the exact lattice oracle
-of sampled equivariance, the single-pass coverage check, the
-determinantal divisors of an integer matrix, and a strategy for
-decimal coefficients of the exact-forms shape."""
+"""Shared builders for the recurring corpus instances, the exact pairs (N, d)
+of the library and their Fraction rows, the field and pairing oracles
+written out from the README conventions, elimination over Fractions, the
+Fraction oracles of the moment at lattice samples and of the moment
+polytope, the orbit matrix G and the dense equivariance products over it,
+the float oracles of the moment and the torus action, the exact lattice
+oracle of sampled equivariance, the single-pass coverage check, the
+determinantal divisors of an integer matrix, and a strategy for decimal
+coefficients of the exact-forms shape."""
 
 import itertools
 import math
@@ -62,6 +62,48 @@ def dense(form) -> tuple:
     for o, c in zip(range(m, n, 2), form.sphere_coeffs):
         w[o][o + 1], w[o + 1][o] = c, -c
     return tuple(map(tuple, w))
+
+
+def orbit_matrix(action) -> list:
+    """G, which the library never builds, r_total x dim: per generator its
+    orbit direction in flat coordinates, the translation and then
+    (speed, 0) per sphere.  It does not depend on the sign."""
+    return [list(v) + [x for speed in s for x in (speed, 0)]
+            for v, s in zip(action.translations, action.rotations)]
+
+
+def _times_transposed(a, b) -> list:
+    """a b^T, one entry per (row of a, row of b)."""
+    return [[sum(x * y for x, y in zip(u, w)) for w in b] for u in a]
+
+
+DenseEquivariance = namedtuple(
+    "DenseEquivariance", "cocycle pairings max_mu2_error "
+    "max_mu1_invariance_error max_mu2_invariance_error")
+
+
+def dense_equivariance(mom) -> DenseEquivariance:
+    """equiv's exact products over every slot of G, in Fractions: the
+    cocycle mu2 (H G)^T, the isotropy pairings P = covectors (sign G)^T,
+    the certificate residuals |mu2 (H G)^T - sign H P H^T| and
+    |mu1 (H G)^T|, and the invariance error |mu2 G^T|, each residual its
+    largest entry."""
+    sign, g = mom.action.sign, orbit_matrix(mom.action)
+    h = mom.classification.complement_generators
+    hg = _times_transposed(h, list(zip(*g)))
+    z = _times_transposed(fractions(mom.mu2), hg)
+    p = _times_transposed(fractions(mom.covectors),
+                          [[sign * x for x in row] for row in g])
+    hph = _times_transposed(_times_transposed(h, list(zip(*p))), h)
+
+    def top(m):
+        return max((abs(x) for row in m for x in row), default=Fraction(0))
+
+    return DenseEquivariance(
+        z, p, top([[x - sign * y for x, y in zip(u, w)]
+                   for u, w in zip(z, hph)]),
+        top(_times_transposed(fractions(mom.mu1), hg)),
+        top(_times_transposed(fractions(mom.mu2), g)))
 
 
 def fraction_rref(a, cols):
@@ -267,7 +309,7 @@ def equivariance_check(manifold, action, moment, z, n_samples=1000,
     params = s @ np.array(gens, dtype=object).reshape(len(gens),
                                                       action.r_total)
     moved = nums.astype(object)
-    orbit = np.array(action.orbit_matrix(), dtype=object)
+    orbit = np.array(orbit_matrix(action), dtype=object)
     slots = list(range(manifold.torus_dim)) + [
         manifold.sphere_offset(f) for f in range(manifold.n_spheres)]
     moved[:, slots] = (moved[:, slots] + params @ orbit[:, slots]) % p

@@ -520,18 +520,10 @@ def test_matrix_rows_are_the_parsed_tokens_over_one_denominator():
         [Fraction(t) for t in row.split()] for row in text.split(";")]
 
 
-def test_seed_precedence(tmp_path, monkeypatch):
+def test_seed_precedence(tmp_path):
     path = write(tmp_path, GOOD + "[pipeline]\nseed = 5\n")
     assert cli.load_scenario(path).seed == 5
-    monkeypatch.setenv("MOMENTFORGE_SEED", "7")
-    assert cli.load_scenario(path).seed == 7
     assert cli.load_scenario(path, seed=3).seed == 3
-    monkeypatch.setenv("MOMENTFORGE_SEED", "bad")
-    with pytest.raises(cli.ConfigError):
-        cli.load_scenario(path)
-    monkeypatch.setenv("MOMENTFORGE_SEED", "-3")
-    with pytest.raises(cli.ConfigError, match="got -3"):
-        cli.load_scenario(path)
     assert cli.load_scenario(path, seed=4).seed == 4
     with pytest.raises(cli.ConfigError, match="got -1"):
         cli.load_scenario(path, seed=-1)
@@ -546,7 +538,7 @@ def test_sign_override(tmp_path):
 # ---------------------------------------------------------------------------
 # running
 
-def test_main_exit_codes(tmp_path, capsys, monkeypatch):
+def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["classify", "--scenario", "two_torus"]) == 0
     capsys.readouterr()
     assert cli.main(["all", "--scenario", "missing"]) == 2
@@ -556,10 +548,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         assert "max_denominator must be at least 1" in capsys.readouterr().err
     assert cli.main(["all", "--scenario", "two_torus", "--seed", "-1"]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
-    monkeypatch.setenv("MOMENTFORGE_SEED", "-3")
-    assert cli.main(["all", "--scenario", "sphere"]) == 2
-    assert "seed must be non-negative" in capsys.readouterr().err
-    monkeypatch.delenv("MOMENTFORGE_SEED")
     bad = write(tmp_path, GOOD + "[expect]\nr = 1\n")
     assert cli.main(["classify", "--scenario", str(bad)]) == 1
     out = capsys.readouterr().out
@@ -708,6 +696,68 @@ grid = 100
     err = capsys.readouterr().err
     assert err.startswith("config error: convexity: grid = 100 with c = 10, "
                           f"r = 0 needs {100 ** 10} coverage cells, above")
+
+
+# A value past the interpreter's 4300-digit limit on printing an int: a
+# 1e-4300 form entry, a 1e300 one times a 4001-digit generator, and a 1e300
+# sphere rotated at that speed, printed in the period matrix, a hull
+# vertex and the sample table
+_BIG = "1" + "0" * 4000
+TOO_LONG = {
+    "tiny_entry": ("classify", True, "matrix period_matrix", """
+[manifold]
+torus_dim = 2
+torus_omega = 0 1e-4300 ; -1e-4300 0
+[action]
+generators = 1 0 |
+"""),
+    "huge_translation": ("classify", True, "matrix period_matrix", f"""
+[manifold]
+torus_dim = 2
+torus_omega = 0 1e300 ; -1e300 0
+[action]
+generators = {_BIG} 0 |
+"""),
+    "huge_rotation": ("all", False, "report key [convexity] hull_vertices",
+                      f"""
+[manifold]
+spheres = 1e300
+[action]
+generators = | {_BIG}
+[pipeline]
+samples = 10
+coverage_samples = 10
+grid = 2
+"""),
+    "huge_samples": ("moment", True, "moment_samples.csv", f"""
+[manifold]
+spheres = 1e300
+[action]
+generators = | {_BIG}
+[pipeline]
+samples = 10
+"""),
+}
+
+
+@pytest.mark.parametrize("name", TOO_LONG)
+def test_a_value_too_long_to_print_is_a_config_error(tmp_path, capsys,
+                                                     name):
+    """A value of more digits than str prints ends in exit 2 and one
+    config error line that names its report key, matrix or table, after
+    the report when it was printed, and no traceback."""
+    cmd, printed, where, text = TOO_LONG[name]
+    out = ["--out", str(tmp_path / "out")] if printed else []
+    assert cli.main([cmd, "--scenario", str(write(tmp_path, text)),
+                     *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: {where}: a value has more than "
+                            "4300 digits to print\n")
+    if printed:
+        assert captured.out.startswith("scenario = s\n")
+        assert "\noverall = " in captured.out
+    else:
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
@@ -919,13 +969,23 @@ STAGE_ORDER = ("classify", "integralize", "moment", "equivariance",
                "convexity", "betti", "reduce")
 
 
+SCENARIO_INIS = [*sorted((Path(cli.__file__).parent / "scenarios").glob(
+    "*.ini")), *sorted((Path(__file__).parent / "scenarios").glob("*.ini"))]
+
+
 @pytest.mark.parametrize("cmd", STAGE_ORDER)
-def test_subcommand_runs_prerequisites_only(cmd):
-    """A subcommand writes the classify and integralize prelude and its own
-    section, nothing else."""
-    sc = cli.load_scenario(cli.bundled_scenario_path("s2xt2_reduce"))
-    report = cli.run_scenario(sc, (cmd,))
-    assert set(report.sections) == {"classify", "integralize", cmd}
+@pytest.mark.parametrize("ini", SCENARIO_INIS, ids=lambda p: p.stem)
+def test_subcommand_runs_prerequisites_only(capsys, ini, cmd):
+    """Every subcommand ends in exit 0 on every bundled and test scenario,
+    and writes the classify and integralize prelude and its own section,
+    nothing else; reduce writes none where no [reduce] is given."""
+    assert cli.main([cmd, "--scenario", str(ini)]) == 0
+    sections = re.findall(r"^\[(\w+)\]$", capsys.readouterr().out,
+                          re.MULTILINE)
+    expected = {"classify", "integralize", cmd}
+    if cmd == "reduce" and "[reduce]" not in ini.read_text():
+        expected.remove("reduce")
+    assert set(sections) == expected
 
 
 def test_all_writes_the_sections_in_stage_order():

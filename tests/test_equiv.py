@@ -98,7 +98,7 @@ def test_two_torus_equivariance(t2_translations):
     rep = equivariance_check(m, a, mom, z, n_samples=300, seed=0)
     assert rep.passed
     assert rep.max_mu2_error < 1e-9
-    exact = equiv.exact_equivariance(mom, isotropy(mom))
+    exact = equiv.exact_equivariance(mom, z, isotropy(mom))
     assert exact.passed
     assert exact.max_mu2_error == 0
 
@@ -109,7 +109,7 @@ def test_mixed_equivariance(s2xt2_mixed):
     rep = equivariance_check(m, a, mom, z, n_samples=300, seed=0)
     assert rep.passed
     assert rep.max_mu1_invariance_error < 1e-9
-    exact = equiv.exact_equivariance(mom, isotropy(mom))
+    exact = equiv.exact_equivariance(mom, z, isotropy(mom))
     assert exact.passed
     assert exact.max_mu1_invariance_error == 0
 
@@ -145,11 +145,13 @@ def test_exact_equivariance_negative_controls(s2xt2_mixed):
     m, a = s2xt2_mixed
     _, mom, _ = pipeline(m, a)
     bent = dataclasses.replace(mom, mu2=bend(mom.mu2, 0))
-    rep = equiv.exact_equivariance(bent, isotropy(bent))
+    rep = equiv.exact_equivariance(bent, equiv.cocycle_matrix(bent),
+                                   isotropy(bent))
     assert not rep.passed
     assert rep.max_mu2_error == 1 and rep.max_mu1_invariance_error == 0
     bent = dataclasses.replace(mom, mu1=bend(mom.mu1, 1, -3))
-    rep = equiv.exact_equivariance(bent, isotropy(bent))
+    rep = equiv.exact_equivariance(bent, equiv.cocycle_matrix(bent),
+                                   isotropy(bent))
     assert not rep.passed
     assert rep.max_mu2_error == 0 and rep.max_mu1_invariance_error == 3
 

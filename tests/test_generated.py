@@ -6,11 +6,13 @@ when it was drawn invalid, two runs must write the same bytes, and a report
 must split the acting torus completely, c + r = r_total, as the draw's
 [expect] c and r, computed from the drawn translations, say.  Where it has a
 [betti] section, the circle covectors have rank r and r <= b1: the rank
-argument that makes the circle part onto.  Where it writes a cocycle
-matrix, Z is the pairing of the complement fields under omega_prime.  A
-valid draw is run again under a unimodular change of generator basis and a
-permutation of its spheres, and every report key that names a property of
-the action, not of its basis, must not change."""
+argument that makes the circle part onto.  Where it writes a cocycle matrix,
+Z is the pairing of the complement fields under omega_prime.  On a valid
+draw, equiv's torus-slot products equal the dense ones over the orbit matrix
+G, and the zeros that make them equal hold.  A valid draw is run again under
+a unimodular change of generator basis and a permutation of its spheres, and
+every report key that names a property of the action, not of its basis, must
+not change."""
 
 import contextlib
 import io
@@ -22,11 +24,12 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentforge import cli
+from momentforge import cli, equiv, geom, hamclass
 
 from momentforge.geom import ProductForm
 
-from conftest import determinantal_divisor, fraction_rank, pairing
+from conftest import (dense_equivariance, determinantal_divisor,
+                      fraction_rank, fractions, pairing, scenario_moment)
 
 
 def _negated(token: str) -> str:
@@ -144,6 +147,34 @@ def _cocycle_oracle(matrices: dict, gens: list, sign: int) -> list:
     return [[sign * pairing(form, form, u, w) for w in hg] for u in hg]
 
 
+def _assert_dense_products(sc):
+    """equiv's products, which read the torus slots alone, equal the
+    dense_equivariance oracle over every slot of G, and every field
+    covector, so mu1 and mu2 too, is 0 on every theta slot, which is
+    where G holds the speeds."""
+    try:
+        mom = scenario_moment(sc)
+    except hamclass.RoundingBrokeNondegeneracy:
+        return
+    form = mom.omega_prime
+    thetas = [form.sphere_offset(f) for f in range(form.n_spheres)]
+    for nums, _ in (geom.field_covectors(sc.action, sc.manifold),
+                    mom.covectors, mom.mu1, mom.mu2):
+        assert not any(row[k] for row in nums for k in thetas)
+    oracle = dense_equivariance(mom)
+    z = equiv.cocycle_matrix(mom)
+    iso = equiv.isotropic_orbit_test(mom.action, mom.covectors)
+    exact = equiv.exact_equivariance(mom, z, iso)
+    natural = equiv.natural_equivariance(mom, z, iso)
+    assert z == oracle.cocycle
+    assert fractions(iso.pairings) == oracle.pairings
+    assert exact.max_mu2_error == oracle.max_mu2_error
+    assert exact.max_mu1_invariance_error \
+        == oracle.max_mu1_invariance_error
+    assert natural.max_mu2_invariance_error \
+        == oracle.max_mu2_invariance_error
+
+
 @st.composite
 def basis_changes(draw, r: int, n: int) -> tuple:
     """A unimodular row operation on r generators, as its r x r matrix:
@@ -217,6 +248,7 @@ def test_generated_scenarios_end_in_a_deterministic_report(drawn, data):
         path.write_text(text)
         first = _run(path, Path(tmp) / "a")
         second = _run(path, Path(tmp) / "b")
+        sc = None if invalid else cli.load_scenario(path)
     code, stdout, stderr, files = first
     assert code in (0, 1, 2)
     assert (code == 2) == invalid, (text, stderr)
@@ -239,6 +271,7 @@ def test_generated_scenarios_end_in_a_deterministic_report(drawn, data):
         assert matrices["cocycle"] == _cocycle_oracle(matrices, gens, sign)
     if invalid:
         return
+    _assert_dense_products(sc)
     u, perm = data.draw(basis_changes(len(gens), len(gens[0][1])))
     changed, new = _changed(text, gens, u, perm)
     # with the spheres permuted alike, a row operation keeps the row space,

@@ -14,8 +14,8 @@ from momentforge import cli, equiv, geom, hamclass, moment, ratlin, sample
 from momentforge.geom import ActionSpec, ProductForm, ProductManifold
 
 from conftest import (apply_torus_element, classify, covectors, dense,
-                      field_vector, fractions, pair, pairing, s2xt2,
-                      scenario_moment, sphere, sphere_coeffs, torus2,
+                      field_vector, fractions, orbit_matrix, pair, pairing,
+                      s2xt2, scenario_moment, sphere, sphere_coeffs, torus2,
                       torus_omega, wrap)
 
 
@@ -196,7 +196,7 @@ def test_effectiveness():
 def test_sphere_rotation_field_speed_two():
     m = sphere()
     a = ActionSpec(((),), ((2,),))
-    assert a.orbit_matrix() == [[2, 0]]
+    assert orbit_matrix(a) == [[2, 0]]
     assert field_vector(m, a, [1]) == [2, 0]
     assert covectors(a, m) == [[0, 1]]
 
@@ -207,7 +207,7 @@ def test_sign_flips_fields_only():
     assert field_vector(m, a, [1]) == [-1, 0]
     assert covectors(a, m) == [[0, -1]]
     # the orbit map ignores the sign convention
-    assert a.orbit_matrix() == [[1, 0]]
+    assert orbit_matrix(a) == [[1, 0]]
     moved = apply_torus_element(m, a, [0.25], np.zeros(2))
     assert np.allclose(moved, [0.25, 0.0])
 
@@ -215,7 +215,7 @@ def test_sign_flips_fields_only():
 def test_combination_field():
     m = s2xt2()
     a = ActionSpec(((0, 0), (1, 0)), ((1,), (0,)))
-    assert ratlin.mat_mul([[2, 3]], a.orbit_matrix()) == [[3, 0, 2, 0]]
+    assert ratlin.mat_mul([[2, 3]], orbit_matrix(a)) == [[3, 0, 2, 0]]
     assert field_vector(m, a, [2, 3]) == [3, 0, 2, 0]
     # i_X omega for X = (3, 0 | 2, 0): 3 (0, 1) on the torus, c * 2 on h
     assert covectors(a, m, [[2, 3]]) == [[0, 3, 0, 2]]

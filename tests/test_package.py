@@ -31,6 +31,16 @@ def test_no_tolerance_literals():
             and 0 < node.value < 1e-3] == []
 
 
+def test_no_environment_reads():
+    """Every input is a flag or a scenario key: no module reads os.environ
+    or calls os.getenv."""
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    assert [f"{name}:{node.lineno}" for name, node in package_nodes()
+            if isinstance(node, ast.Attribute) and node.attr in readers
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and readers & {alias.name for alias in node.names}] == []
+
+
 def imports_of(package: str, modules=("*",)) -> list:
     """(module file:line, top-level package) for every import statement of
     the given package modules that names `package`."""
